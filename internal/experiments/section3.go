@@ -309,12 +309,13 @@ func evolution(seed int64, loc phy.Location, primary string) EvolutionResult {
 	for _, ifc := range s.Host.Ifaces() {
 		sn.Attach(ifc)
 	}
-	s.Horizon = 30 * time.Second
-	// Large enough not to finish within the 2 s window.
-	s.Run(core.Config{Transport: core.MPTCP, Primary: primary}, core.Download, 8<<20)
-
 	const window = 2 * time.Second
 	const step = 100 * time.Millisecond
+	// Only the first 2 s are plotted, so only they are simulated and
+	// captured; the transfer is large enough not to finish within them.
+	s.Horizon = window
+	s.Run(core.Config{Transport: core.MPTCP, Primary: primary}, core.Download, 8<<20)
+
 	down := func(iface string) []capture.Record {
 		return sn.Filter(func(r *capture.Record) bool {
 			return r.Dir == netem.Down && r.Event == capture.Recv &&

@@ -60,11 +60,17 @@ func fig15Run(seed int64, name, desc string, mode mptcp.Mode, primary string,
 	host := phy.BuildHost(sim, fig15Cond)
 	clientStack := tcp.NewStack(sim, tcp.ClientSide)
 	serverStack := tcp.NewStack(sim, tcp.ServerSide)
-	sn := capture.NewSniffer(sim)
+	// The panels only need packet event instants per interface, so the
+	// taps keep a timestamp each instead of a full capture.Record.
+	events := map[string]*[]time.Duration{}
 	for _, ifc := range host.Ifaces() {
 		clientStack.Bind(ifc)
 		serverStack.Bind(ifc)
-		sn.Attach(ifc)
+		ts := new([]time.Duration)
+		events[ifc.Name] = ts
+		tap := func(*netem.Packet) { *ts = append(*ts, sim.Now()) }
+		ifc.AddSendTap(tap)
+		ifc.AddRecvTap(tap)
 	}
 	srv := mptcp.NewServer(sim, serverStack, mptcp.ServerConfig{Mode: mode})
 	const size = 8 << 20
@@ -86,8 +92,8 @@ func fig15Run(seed int64, name, desc string, mode mptcp.Mode, primary string,
 	p := Fig15Panel{
 		Name:        name,
 		Description: desc,
-		WiFiEvents:  capture.Raster(sn.Records(), "wifi"),
-		LTEEvents:   capture.Raster(sn.Records(), "lte"),
+		WiFiEvents:  *events["wifi"],
+		LTEEvents:   *events["lte"],
 		Horizon:     horizon,
 		Completed:   done > 0,
 		CompletedAt: done,

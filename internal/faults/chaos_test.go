@@ -76,7 +76,14 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, download bool, si
 	// invariant pairing must cover all of them.
 	var serverConns []*mptcp.Conn
 	stallEvents := 0
+	var clientConn *mptcp.Conn
+	ck := &faults.Checker{Leaks: true}
+	ck.AddHost(w.host)
 	w.srv.OnConn = func(c *mptcp.Conn) {
+		// The latest server conn is the live peer; superseded conns
+		// (from an MP_CAPABLE restart) were aborted or stranded and are
+		// still invariant-checked for stranded mappings and stalls.
+		ck.AddPair(fmt.Sprintf("chaos[%d]", len(serverConns)), clientConn, c)
 		serverConns = append(serverConns, c)
 		c.SetCallbacks(mptcp.Callbacks{
 			OnStall: func(c *mptcp.Conn, total int) { stallEvents++ },
@@ -95,7 +102,7 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, download bool, si
 			c.Close()
 		}
 	}
-	clientConn := mptcp.Dial(w.sim, w.client, w.host, mptcp.Config{
+	clientConn = mptcp.Dial(w.sim, w.client, w.host, mptcp.Config{
 		ConnID:       "chaos",
 		Primary:      "wifi",
 		WatchdogRTOs: watchdogRTOs,
@@ -104,19 +111,18 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, download bool, si
 	if _, err := sched.Attach(w.sim, w.host); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
-	w.sim.Run()
-
-	ck := &faults.Checker{Leaks: true}
-	ck.AddHost(w.host)
-	if n := len(serverConns); n > 0 {
-		// The latest server conn is the live peer; superseded conns
-		// (from an MP_CAPABLE restart) were aborted or stranded and are
-		// still invariant-checked for stranded mappings and stalls.
-		for i, sc := range serverConns {
-			ck.AddPair(fmt.Sprintf("chaos[%d]", i), clientConn, sc)
+	// Step the run instead of draining it in one call: the scoreboard
+	// rule holds between any two events, and stepping audits the senders
+	// in the middle of the loss episodes the schedule provokes. (Stepping
+	// adds no events; it only rounds the final clock up to a step.)
+	var violations []faults.Violation
+	for w.sim.Pending() > 0 {
+		w.sim.RunFor(25 * time.Millisecond)
+		if len(violations) == 0 {
+			violations = ck.CheckScoreboards()
 		}
 	}
-	violations := ck.Check()
+	violations = append(violations, ck.Check()...)
 
 	// A watchdog stall must never pass silently: every recorded stall
 	// fired the OnStall callback.

@@ -34,9 +34,14 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 //     simply hanging does not.
 //   - No pooled-object leaks (when Leaks is set): the packet and
 //     segment pools balance allocations against recycles.
+//   - Scoreboard accounting: on every subflow, the sender's
+//     incrementally maintained pipe and pending-loss count equal a full
+//     scan of its SACK scoreboard (tcp.Conn.AuditScoreboard).
 //
 // Call Check only after the simulation has drained (or at a known
-// quiescent point); mid-flight the link identity does not hold.
+// quiescent point); mid-flight the link identity does not hold. The
+// scoreboard rule alone holds between any two events, so
+// CheckScoreboards may be called while the run is in progress.
 type Checker struct {
 	// Leaks additionally asserts the netem packet pool and tcp segment
 	// pool balances are zero. Set it only if SetLeakTracking(true) was
@@ -96,6 +101,7 @@ func (c *Checker) Check() []Violation {
 		out = c.checkDir(out, p.label+" a->b", p.a, p.b)
 		out = c.checkDir(out, p.label+" b->a", p.b, p.a)
 	}
+	out = append(out, c.CheckScoreboards()...)
 	if c.Leaks {
 		if n := netem.LivePackets(); n != 0 {
 			out = append(out, Violation{
@@ -108,6 +114,27 @@ func (c *Checker) Check() []Violation {
 				Rule:   "segment-leak",
 				Detail: fmt.Sprintf("%d pooled segments unaccounted for", n),
 			})
+		}
+	}
+	return out
+}
+
+// CheckScoreboards runs the scoreboard-accounting rule over every
+// subflow of every registered connection. Unlike Check it is valid at
+// any event boundary, so a harness can step the simulation and audit
+// the senders mid-recovery, where the accounting actually moves.
+func (c *Checker) CheckScoreboards() []Violation {
+	var out []Violation
+	for _, p := range c.pairs {
+		for _, mc := range []*mptcp.Conn{p.a, p.b} {
+			for _, sf := range mc.Subflows() {
+				if err := sf.TCP.AuditScoreboard(); err != nil {
+					out = append(out, Violation{
+						Rule:   "scoreboard-accounting",
+						Detail: p.label + " " + err.Error(),
+					})
+				}
+			}
 		}
 	}
 	return out

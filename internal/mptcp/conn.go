@@ -127,10 +127,10 @@ type Subflow struct {
 	conn        *Conn
 	established bool
 	dead        bool // administratively down
-	outstanding []mapping
-	ackScratch  []mapping // double buffer for onMappingAcked rebuilds
-	dupQueue    []mapping // scheduler-duplicated mappings awaiting send
-	reinjected  bool      // reinjection already performed for current stall
+	outstanding mapq // mappings sent on this subflow, not yet subflow-acked
+	ackScratch  mapq // double buffer for onMappingAcked rebuilds
+	dupQueue    mapq // scheduler-duplicated mappings awaiting send
+	reinjected  bool // reinjection already performed for current stall
 
 	// Re-join state (client side): a dead subflow whose interface came
 	// back up re-establishes on a fresh tcp.Conn after a backoff.
@@ -164,7 +164,7 @@ type Conn struct {
 	sendTotal uint64 // bytes queued by the application
 	dataNxt   uint64 // next unscheduled connection-level byte
 	dataUna   uint64 // cumulative data-ACK from the peer
-	rtxPool   []mapping
+	rtxPool   mapq
 	closeReq  bool
 	closed    bool
 
@@ -407,14 +407,13 @@ func (c *Conn) UncoveredBytes() uint64 {
 	if c.dataNxt <= c.dataUna {
 		return 0
 	}
-	iv := make([]mapping, 0, len(c.rtxPool)+8)
-	iv = append(iv, c.rtxPool...)
+	iv := c.rtxPool.appendTo(make([]mapping, 0, c.rtxPool.len()+8))
 	for _, sf := range c.subflows {
 		if sf.dead || sf.TCP.State() == tcp.StateDone {
 			continue
 		}
-		iv = append(iv, sf.outstanding...)
-		iv = append(iv, sf.dupQueue...)
+		iv = sf.outstanding.appendTo(iv)
+		iv = sf.dupQueue.appendTo(iv)
 	}
 	sort.Slice(iv, func(i, j int) bool { return iv[i].dataSeq < iv[j].dataSeq })
 	covered := uint64(0)
@@ -501,35 +500,14 @@ func (c *Conn) hasDataFor(sf *Subflow) bool {
 	if !sf.established || sf.dead || !c.allowedByMode(sf) {
 		return false
 	}
-	if c.pruneDup(sf); len(sf.dupQueue) > 0 {
+	if sf.dupQueue.pruneAcked(c.dataUna); sf.dupQueue.len() > 0 {
 		return true
 	}
-	if len(c.rtxPool) > 0 {
+	if c.rtxPool.len() > 0 {
 		return true
 	}
 	return c.sched.Admit(c, sf) &&
 		c.dataNxt < c.sendTotal && c.dataNxt < c.dataUna+uint64(c.cfg.recvBuf())
-}
-
-// pruneDup drops duplicate mappings the peer has meanwhile data-acked.
-func (c *Conn) pruneDup(sf *Subflow) {
-	for len(sf.dupQueue) > 0 && sf.dupQueue[0].end() <= c.dataUna {
-		sf.dupQueue = sf.dupQueue[1:]
-	}
-}
-
-// takeFront removes up to max bytes from the head of q, splitting the
-// head mapping in place when it exceeds max.
-func takeFront(q []mapping, max int) (mapping, []mapping) {
-	m := q[0]
-	if m.len > max {
-		q[0].dataSeq += uint64(max)
-		q[0].len -= max
-		m.len = max
-	} else {
-		q = q[1:]
-	}
-	return m, q
 }
 
 // pull is called by a subflow's Source when it has window space.
@@ -542,26 +520,23 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 	if !sf.established || sf.dead || !c.allowedByMode(sf) {
 		return 0, nil, false
 	}
-	c.pruneDup(sf)
-	if len(sf.dupQueue) > 0 {
-		var m mapping
-		m, sf.dupQueue = takeFront(sf.dupQueue, max)
-		//lint:allow hotpath outstanding-mapping capacity is amortised per subflow
-		sf.outstanding = append(sf.outstanding, m)
+	// Duplicates and reinjections the peer has meanwhile data-acked are
+	// discarded before they are offered.
+	sf.dupQueue.pruneAcked(c.dataUna)
+	if sf.dupQueue.len() > 0 {
+		m := sf.dupQueue.takeFront(max)
+		sf.outstanding.push(m)
 		return m.len, &DSS{DataSeq: m.dataSeq, Len: m.len, DataAck: c.rcvNxt}, true
 	}
-	// Discard reinjected mappings the peer has meanwhile data-acked.
-	for len(c.rtxPool) > 0 && c.rtxPool[0].end() <= c.dataUna {
-		c.rtxPool = c.rtxPool[1:]
-	}
+	c.rtxPool.pruneAcked(c.dataUna)
 	fresh := c.dataNxt < c.sendTotal && c.dataNxt < c.dataUna+uint64(c.cfg.recvBuf()) &&
 		c.sched.Admit(c, sf)
-	if len(c.rtxPool) == 0 && !fresh {
+	if c.rtxPool.len() == 0 && !fresh {
 		return 0, nil, false
 	}
 	var m mapping
-	if len(c.rtxPool) > 0 {
-		m, c.rtxPool = takeFront(c.rtxPool, max)
+	if c.rtxPool.len() > 0 {
+		m = c.rtxPool.takeFront(max)
 	} else {
 		n := c.sendTotal - c.dataNxt
 		if lim := c.dataUna + uint64(c.cfg.recvBuf()); c.dataNxt+n > lim {
@@ -576,7 +551,7 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 			d.onFreshMapping(c, sf, m)
 		}
 	}
-	sf.outstanding = append(sf.outstanding, m) //lint:allow hotpath outstanding-mapping capacity is amortised per subflow
+	sf.outstanding.push(m)
 	return m.len, &DSS{DataSeq: m.dataSeq, Len: m.len, DataAck: c.rcvNxt}, true
 }
 
@@ -587,32 +562,14 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 // that a later ack only partially covers (e.g. the original {seq, len}
 // after a split re-pull of the same range). Overlapped spans are
 // trimmed and any unacked remainder is kept, so no record is stranded
-// to be reinjected forever.
+// to be reinjected forever. The in-order case — the ack is exactly the
+// oldest record of an ordered queue — is a constant-time pop (mapq.ack).
 func (c *Conn) onMappingAcked(sf *Subflow, opt any) {
 	dss, ok := opt.(*DSS)
 	if !ok || dss.Len == 0 {
 		return
 	}
-	ack := mapping{dataSeq: dss.DataSeq, len: dss.Len}
-	// Build into the subflow's scratch buffer: a mid-record ack splits
-	// one record into two, so filtering in place could overtake the read
-	// cursor. The old records slice becomes the next rebuild's scratch
-	// (double buffering keeps the steady-state ACK path allocation-free).
-	kept := sf.ackScratch[:0]
-	for _, m := range sf.outstanding {
-		if m.end() <= ack.dataSeq || m.dataSeq >= ack.end() {
-			kept = append(kept, m) // disjoint
-			continue
-		}
-		if m.dataSeq < ack.dataSeq {
-			kept = append(kept, mapping{dataSeq: m.dataSeq, len: int(ack.dataSeq - m.dataSeq)})
-		}
-		if m.end() > ack.end() {
-			kept = append(kept, mapping{dataSeq: ack.end(), len: int(m.end() - ack.end())})
-		}
-	}
-	sf.ackScratch = sf.outstanding[:0]
-	sf.outstanding = kept
+	sf.outstanding.ack(mapping{dataSeq: dss.DataSeq, len: dss.Len}, &sf.ackScratch)
 	sf.reinjected = false
 	c.maybeClose()
 	c.wake()
@@ -715,15 +672,16 @@ func (c *Conn) onSubflowRTO(sf *Subflow, count int) {
 // reinject copies (or moves, if the subflow is dead) sf's outstanding
 // mappings above the data-ACK point into the retransmission pool.
 func (c *Conn) reinject(sf *Subflow, move bool) {
-	for _, m := range sf.outstanding {
+	for i := 0; i < sf.outstanding.len(); i++ {
+		m := *sf.outstanding.at(i)
 		if m.end() <= c.dataUna {
 			continue
 		}
-		c.rtxPool = append(c.rtxPool, m)
+		c.rtxPool.push(m)
 		c.Reinjections++
 	}
 	if move {
-		sf.outstanding = nil
+		sf.outstanding.reset()
 	}
 }
 
@@ -748,7 +706,7 @@ func (c *Conn) subflowDied(sf *Subflow) {
 	}
 	sf.dead = true
 	c.reinject(sf, true)
-	sf.dupQueue = nil // duplicates: the original copy lives elsewhere
+	sf.dupQueue.reset() // duplicates: the original copy lives elsewhere
 	sf.TCP.Abort()
 	c.stack.Forget(sf.TCP.Flow())
 	c.wake()
@@ -821,7 +779,7 @@ func (c *Conn) maybeClose() {
 	if !c.closeReq || c.closed {
 		return
 	}
-	if c.dataNxt < c.sendTotal || c.dataUna < c.sendTotal || len(c.rtxPool) > 0 {
+	if c.dataNxt < c.sendTotal || c.dataUna < c.sendTotal || c.rtxPool.len() > 0 {
 		return
 	}
 	c.closed = true

@@ -198,7 +198,7 @@ func (*redundant) onFreshMapping(c *Conn, src *Subflow, m mapping) {
 		if sf == src || sf.Backup || !c.eligible(sf) {
 			continue
 		}
-		sf.dupQueue = append(sf.dupQueue, m)
+		sf.dupQueue.push(m)
 		// Defer the notify: pull runs inside src's TCP send loop, and
 		// the duplicate target must start its own send from a clean
 		// stack frame at the same virtual instant.

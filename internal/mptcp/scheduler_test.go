@@ -49,8 +49,8 @@ func TestSplitReinjectionAck(t *testing.T) {
 	// The subflow sent the full 3000-byte mapping once (segment lost),
 	// RTO'd, and reinjected it into the shared pool.
 	c.sendTotal, c.dataNxt = 3000, 3000
-	sf.outstanding = []mapping{{dataSeq: 0, len: 3000}}
-	c.rtxPool = []mapping{{dataSeq: 0, len: 3000}}
+	sf.outstanding = mapqOf(mapping{dataSeq: 0, len: 3000})
+	c.rtxPool = mapqOf(mapping{dataSeq: 0, len: 3000})
 
 	// Post-RTO the window is small: the same subflow re-pulls the
 	// reinjection split to 1000 bytes.
@@ -62,23 +62,23 @@ func TestSplitReinjectionAck(t *testing.T) {
 	if dss.DataSeq != 0 || dss.Len != 1000 {
 		t.Fatalf("split mapping = {%d, %d}, want {0, 1000}", dss.DataSeq, dss.Len)
 	}
-	if want := []mapping{{0, 3000}, {0, 1000}}; !reflect.DeepEqual(sf.outstanding, want) {
-		t.Fatalf("outstanding after split pull = %v, want %v", sf.outstanding, want)
+	if want := []mapping{{0, 3000}, {0, 1000}}; !reflect.DeepEqual(sf.outstanding.slice(), want) {
+		t.Fatalf("outstanding after split pull = %v, want %v", sf.outstanding.slice(), want)
 	}
 
 	// The split piece is acked: BOTH records covering [0, 1000) must
 	// shrink — the stale original is trimmed to its unacked remainder.
 	sf.dead = true // keep wake from touching the TCP-less test subflow
 	c.onMappingAcked(sf, &DSS{DataSeq: 0, Len: 1000})
-	if want := []mapping{{1000, 2000}}; !reflect.DeepEqual(sf.outstanding, want) {
+	if want := []mapping{{1000, 2000}}; !reflect.DeepEqual(sf.outstanding.slice(), want) {
 		t.Fatalf("outstanding after split ack = %v, want %v (original must be trimmed)",
-			sf.outstanding, want)
+			sf.outstanding.slice(), want)
 	}
 
 	// Acking the remainder clears the subflow completely.
 	c.onMappingAcked(sf, &DSS{DataSeq: 1000, Len: 2000})
-	if len(sf.outstanding) != 0 {
-		t.Fatalf("outstanding after full ack = %v, want empty", sf.outstanding)
+	if sf.outstanding.len() != 0 {
+		t.Fatalf("outstanding after full ack = %v, want empty", sf.outstanding.slice())
 	}
 }
 
@@ -86,19 +86,19 @@ func TestOnMappingAckedPartialOverlap(t *testing.T) {
 	c := &Conn{cfg: Config{ConnID: "t"}, sched: NewScheduler(SchedMinSRTT)}
 	sf := &Subflow{conn: c} // not established: wake skips it
 	c.subflows = []*Subflow{sf}
-	sf.outstanding = []mapping{{0, 100}, {100, 300}, {500, 100}}
+	sf.outstanding = mapqOf(mapping{0, 100}, mapping{100, 300}, mapping{500, 100})
 	// Ack covers the tail of the first record, the head of the second,
 	// and misses the third entirely.
 	c.onMappingAcked(sf, &DSS{DataSeq: 50, Len: 150})
 	want := []mapping{{0, 50}, {200, 200}, {500, 100}}
-	if !reflect.DeepEqual(sf.outstanding, want) {
-		t.Fatalf("outstanding = %v, want %v", sf.outstanding, want)
+	if !reflect.DeepEqual(sf.outstanding.slice(), want) {
+		t.Fatalf("outstanding = %v, want %v", sf.outstanding.slice(), want)
 	}
 	// A mid-record ack splits it in two.
 	c.onMappingAcked(sf, &DSS{DataSeq: 250, Len: 50})
 	want = []mapping{{0, 50}, {200, 50}, {300, 100}, {500, 100}}
-	if !reflect.DeepEqual(sf.outstanding, want) {
-		t.Fatalf("outstanding after mid-record ack = %v, want %v", sf.outstanding, want)
+	if !reflect.DeepEqual(sf.outstanding.slice(), want) {
+		t.Fatalf("outstanding after mid-record ack = %v, want %v", sf.outstanding.slice(), want)
 	}
 }
 

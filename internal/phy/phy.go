@@ -83,6 +83,13 @@ type ARRateSource struct {
 	rng       interface{ NormFloat64() float64 }
 	logDev    float64 // current deviation from log mean
 	lastEpoch int64
+	// gap caches the slot spacing of the current epoch, which ends at
+	// epochEnd (both zero until the first Next). The rate only changes
+	// at epoch boundaries, so the exponential is evaluated once per
+	// epoch, not once per slot; the exported parameters must not change
+	// once Next has been called.
+	gap      time.Duration
+	epochEnd time.Duration
 }
 
 // NewARRateSource builds a rate process around meanMbps with the given
@@ -117,15 +124,24 @@ func (s *ARRateSource) rate(t time.Duration) float64 {
 	return r
 }
 
-// Next implements netem.OpportunitySource: MTU-sized slots spaced by
-// the current instantaneous rate.
-func (s *ARRateSource) Next(after time.Duration) time.Duration {
-	r := s.rate(after)
-	gap := time.Duration(float64(netem.MTU*8) / r * float64(time.Second))
+// slotGap returns the spacing of MTU-sized slots at the instantaneous
+// rate of the epoch containing t (advancing the AR process to it).
+func (s *ARRateSource) slotGap(t time.Duration) time.Duration {
+	gap := time.Duration(float64(netem.MTU*8) / s.rate(t) * float64(time.Second))
 	if gap <= 0 {
 		gap = time.Microsecond
 	}
-	return after + gap
+	return gap
+}
+
+// Next implements netem.OpportunitySource: MTU-sized slots spaced by
+// the current instantaneous rate.
+func (s *ARRateSource) Next(after time.Duration) time.Duration {
+	if after >= s.epochEnd {
+		s.gap = s.slotGap(after)
+		s.epochEnd = time.Duration(s.lastEpoch+1) * s.Epoch
+	}
+	return after + s.gap
 }
 
 // BuildIface constructs a duplex interface for a path profile. With

@@ -194,3 +194,33 @@ func TestBuildHost(t *testing.T) {
 		t.Fatal("host missing interfaces")
 	}
 }
+
+// TestARRateSourceCachedGapMatchesFormula pins the per-epoch slot-gap
+// cache: walking slots across many epoch boundaries (and jumping over
+// idle epochs, as a link that went quiet does), Next returns exactly
+// what evaluating the rate formula at every slot returns.
+func TestARRateSourceCachedGapMatchesFormula(t *testing.T) {
+	for _, v := range []float64{0.15, 0.4, 0.9} {
+		cached := NewARRateSource(simnet.New(11), "r", 6, v)
+		ref := NewARRateSource(simnet.New(11), "r", 6, v)
+		var tc, tr time.Duration
+		epochs := map[int64]bool{}
+		for i := 0; i < 40000; i++ {
+			if i%5000 == 4999 {
+				// An idle stretch: the next slot is asked for well after
+				// the last one, several epochs on.
+				tc += 730 * time.Millisecond
+				tr += 730 * time.Millisecond
+			}
+			tc = cached.Next(tc)
+			tr = tr + ref.slotGap(tr)
+			if tc != tr {
+				t.Fatalf("variability %v, slot %d: cached %v != formula %v", v, i, tc, tr)
+			}
+			epochs[int64(tc/cached.Epoch)] = true
+		}
+		if len(epochs) < 100 {
+			t.Fatalf("walk crossed only %d epochs", len(epochs))
+		}
+	}
+}

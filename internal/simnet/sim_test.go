@@ -387,3 +387,62 @@ func TestCancellationPreservesOrderAndHandles(t *testing.T) {
 		}
 	}
 }
+
+// TestRNGLazySeedingMatchesStdlib pins that deferring the generator's
+// seeding to the first draw changes nothing about the stream: every
+// kind of draw the simulator layers make equals, draw for draw, what
+// rand.New(rand.NewSource(seed)) yields — and naming a stream without
+// drawing from it never builds the generator.
+func TestRNGLazySeedingMatchesStdlib(t *testing.T) {
+	s := New(77)
+	for _, name := range []string{"phy/loss/wifi/up", "phy/rate/lte/down", "faults"} {
+		lazy := s.RNG(name)
+		if s.RNG(name) != lazy {
+			t.Fatalf("stream %q not cached", name)
+		}
+		ref := rand.New(rand.NewSource(streamSeed(77, name)))
+		for i := 0; i < 2000; i++ {
+			switch i % 6 {
+			case 0:
+				if a, b := lazy.Float64(), ref.Float64(); a != b {
+					t.Fatalf("%s draw %d: Float64 %v != %v", name, i, a, b)
+				}
+			case 1:
+				if a, b := lazy.NormFloat64(), ref.NormFloat64(); a != b {
+					t.Fatalf("%s draw %d: NormFloat64 %v != %v", name, i, a, b)
+				}
+			case 2:
+				if a, b := lazy.Intn(1000), ref.Intn(1000); a != b {
+					t.Fatalf("%s draw %d: Intn %v != %v", name, i, a, b)
+				}
+			case 3:
+				if a, b := lazy.Uint64(), ref.Uint64(); a != b {
+					t.Fatalf("%s draw %d: Uint64 %v != %v", name, i, a, b)
+				}
+			case 4:
+				if a, b := lazy.Int63n(1<<40), ref.Int63n(1<<40); a != b {
+					t.Fatalf("%s draw %d: Int63n %v != %v", name, i, a, b)
+				}
+			case 5:
+				if a, b := lazy.ExpFloat64(), ref.ExpFloat64(); a != b {
+					t.Fatalf("%s draw %d: ExpFloat64 %v != %v", name, i, a, b)
+				}
+			}
+		}
+	}
+
+	src := &lazySource{seed: 5}
+	_ = rand.New(src)
+	if src.src != nil {
+		t.Fatal("wrapping a lazy source must not seed it")
+	}
+	src.Int63()
+	if src.src == nil {
+		t.Fatal("the first draw must seed the source")
+	}
+	first := rand.NewSource(5).Int63()
+	src.Seed(5)
+	if src.src != nil || src.Int63() != first {
+		t.Fatal("Seed must restart the stream lazily")
+	}
+}

@@ -60,7 +60,7 @@ func TestSteadyStateAckClockZeroAlloc(t *testing.T) {
 		n.sim.Run()
 	}
 	for i := 0; i < 64; i++ {
-		step() // grow rtxq/scratch capacity, warm pools
+		step() // grow scoreboard/scratch capacity, warm pools
 	}
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
 		t.Fatalf("steady-state ACK clocking allocates %v per run, want 0", avg)

@@ -110,18 +110,6 @@ type Callbacks struct {
 	OnSendBufEmpty func(*Conn)
 }
 
-// rtxEntry tracks one unacknowledged segment in the SACK scoreboard.
-// The segment is held by value: wire segments are pooled and owned by
-// the receiver once transmitted, so the scoreboard must never alias
-// them. Retransmissions clone a fresh pooled segment from this copy.
-type rtxEntry struct {
-	seg    Segment
-	sentAt time.Duration
-	rtxed  bool // retransmitted at least once (Karn's algorithm)
-	sacked bool // covered by a SACK block
-	lost   bool // declared lost (RFC 6675 rule or RTO)
-}
-
 // Conn is one endpoint of a TCP connection (or MPTCP subflow) bound to
 // a network interface.
 type Conn struct {
@@ -142,24 +130,36 @@ type Conn struct {
 	cwnd     float64 // bytes
 	ssthresh float64 // bytes
 	increase IncreaseFn
-	rtxq     []rtxEntry
-	dupAcks  int
+	// sb is the SACK scoreboard (see scoreboard.go). Only this Conn's
+	// sender-side methods flip an entry's rtxed/sacked/lost flags, and
+	// each flip adjusts pipeBytes and lostPending by the entry's delta.
+	sb scoreboard
+	// pipeBytes is the RFC 6675 pipe, maintained incrementally: the sum
+	// of sbEntry.inPipe over sb plus the payload of an active fluid
+	// session's unacked virtual segments.
+	pipeBytes int
+	dupAcks   int
 	// hiSacked is the monotone high-water mark of SACKed SeqEnds. It is
 	// equivalent to rescanning the scoreboard (cumulative ACKs only ever
 	// remove entries at or below sndUna, and every live entry ends above
-	// it), and it makes the no-SACK fast path of detectLoss O(1).
+	// it): once sndUna passes it no SACKed data remains, which is the
+	// O(1) clean-path exit of detectLoss.
 	hiSacked uint64
 	// lostPending counts scoreboard entries that are lost, unsacked and
 	// not yet retransmitted — the set nextLost scans for — so the send
 	// loop skips the scan entirely outside recovery.
 	lostPending int
-	inRecov     bool
-	recover     uint64
-	peerWnd     int
-	finQueued   bool // send FIN once the source drains
-	finSent     bool
-	finSeq      uint64
-	finAcked    bool
+	// sbVisits counts scoreboard entries visited by the O(window)
+	// recovery scans (applySack, detectLoss, nextLost); tests pin that a
+	// clean flow stops accruing them.
+	sbVisits  uint64
+	inRecov   bool
+	recover   uint64
+	peerWnd   int
+	finQueued bool // send FIN once the source drains
+	finSent   bool
+	finSeq    uint64
+	finAcked  bool
 
 	// RTT estimation (RFC 6298).
 	srtt     time.Duration
@@ -446,7 +446,7 @@ func (c *Conn) completeActiveOpen(synAck *Segment) {
 	if synAck.Ack > c.sndUna {
 		c.sndUna = synAck.Ack
 	}
-	if len(c.rtxq) == 0 {
+	if c.sb.n == 0 {
 		c.cancelRTO()
 	}
 	c.becomeEstablished()
@@ -481,23 +481,9 @@ func (c *Conn) now() time.Duration {
 
 // pipe estimates bytes currently in flight per RFC 6675: SACKed bytes
 // have left the network; lost bytes count only if their retransmission
-// is outstanding.
-func (c *Conn) pipe() int {
-	p := 0
-	for i := range c.rtxq {
-		e := &c.rtxq[i]
-		switch {
-		case e.sacked:
-		case e.lost:
-			if e.rtxed {
-				p += e.seg.PayloadLen
-			}
-		default:
-			p += e.seg.PayloadLen
-		}
-	}
-	return p
-}
+// is outstanding. The value is maintained at every scoreboard flag
+// transition (see sbEntry.inPipe), so reading it is O(1).
+func (c *Conn) pipe() int { return c.pipeBytes }
 
 // trySend transmits retransmissions and new data as the congestion and
 // peer windows allow (the RFC 6675 send loop).
@@ -512,25 +498,15 @@ func (c *Conn) trySend() {
 	if c.peerWnd < wnd {
 		wnd = c.peerWnd
 	}
-	var pipe int
-	if c.fluid != nil && c.hiSacked <= c.sndUna &&
-		c.lostPending == 0 && !c.inRecov {
-		// Clean scoreboard (the fluid session's standing invariant):
-		// every tracked byte is in flight, so the O(flight) scan
-		// collapses to window arithmetic.
-		pipe = int(c.sndNxt - c.sndUna)
-	} else {
-		pipe = c.pipe()
-	}
+	// One pipe for packet and fluid mode alike: virtual segments are
+	// counted in pipeBytes when sent and released when virtually acked.
+	pipe := c.pipe()
 	for wnd-pipe >= MSS || (wnd-pipe > 0 && pipe == 0) {
 		// Retransmissions of lost segments take priority.
 		if e := c.nextLost(); e != nil {
-			e.rtxed = true
-			e.sentAt = c.sim.Now()
-			c.lostPending--
-			c.Retransmits++
+			c.markRetransmitted(e)
 			c.retransmit(e)
-			pipe += e.seg.PayloadLen
+			pipe += int(e.payload)
 			continue
 		}
 		if c.state != StateEstablished && c.state != StateCloseWait {
@@ -578,9 +554,9 @@ func (c *Conn) trySend() {
 		}
 	}
 	c.maybeSendFin()
-	if len(c.rtxq) > 0 || (c.fluid != nil && c.sndNxt > c.sndUna) {
-		// Virtual segments live on the session's fifo, not in rtxq; the
-		// arms below are its suppressed analytic mirrors.
+	if c.sb.n > 0 || (c.fluid != nil && c.sndNxt > c.sndUna) {
+		// Virtual segments live on the session's fifo, not on the
+		// scoreboard; the arms below are its suppressed analytic mirrors.
 		c.armRTOIfIdle()
 		c.armProbe()
 	}
@@ -589,17 +565,31 @@ func (c *Conn) trySend() {
 // nextLost returns the earliest lost entry whose retransmission has not
 // been sent yet, or nil. Outside recovery lostPending is zero and the
 // scan is skipped.
-func (c *Conn) nextLost() *rtxEntry {
+func (c *Conn) nextLost() *sbEntry {
 	if c.lostPending == 0 {
 		return nil
 	}
-	for i := range c.rtxq {
-		e := &c.rtxq[i]
-		if e.lost && !e.rtxed && !e.sacked {
+	for i := 0; i < c.sb.n; i++ {
+		if e := c.sb.at(i); e.pendingLoss() {
+			c.sbVisits += uint64(i + 1)
 			return e
 		}
 	}
+	c.sbVisits += uint64(c.sb.n)
 	return nil
+}
+
+// markRetransmitted records that e is about to be resent (by the send
+// loop, the tail loss probe or the RTO): it leaves the pending-loss set
+// if it was in it, and its bytes re-enter the pipe.
+func (c *Conn) markRetransmitted(e *sbEntry) {
+	if e.pendingLoss() {
+		c.lostPending--
+		c.pipeBytes += int(e.payload)
+	}
+	e.rtxed = true
+	e.sentAt = c.sim.Now()
+	c.Retransmits++
 }
 
 func (c *Conn) maybeSendFin() {
@@ -664,7 +654,7 @@ func (c *Conn) processAck(seg *Segment) {
 			}
 		}
 		c.probeFired = false
-		if len(c.rtxq) == 0 && (c.fluid == nil || c.sndNxt == c.sndUna) {
+		if c.sb.n == 0 && (c.fluid == nil || c.sndNxt == c.sndUna) {
 			c.cancelRTO()
 			c.cancelProbe()
 		} else {
@@ -688,19 +678,23 @@ func (c *Conn) applySack(blocks []SackBlock) {
 	if len(blocks) == 0 {
 		return
 	}
-	for i := range c.rtxq {
-		e := &c.rtxq[i]
+	c.sbVisits += uint64(c.sb.n)
+	for i := 0; i < c.sb.n; i++ {
+		e := c.sb.at(i)
 		if e.sacked {
 			continue
 		}
+		end := e.seqEnd()
 		for _, b := range blocks {
-			if e.seg.Seq >= b.Lo && e.seg.SeqEnd() <= b.Hi {
-				e.sacked = true
-				if end := e.seg.SeqEnd(); end > c.hiSacked {
-					c.hiSacked = end
-				}
+			if e.seq >= b.Lo && end <= b.Hi {
 				if e.lost && !e.rtxed {
 					c.lostPending--
+				} else {
+					c.pipeBytes -= int(e.payload)
+				}
+				e.sacked = true
+				if end > c.hiSacked {
+					c.hiSacked = end
 				}
 				break
 			}
@@ -711,27 +705,33 @@ func (c *Conn) applySack(blocks []SackBlock) {
 // detectLoss applies the RFC 6675 loss rule (a hole with >= 3*MSS of
 // SACKed data above it is lost) plus the classic three-dupACK rule for
 // the first unacked segment, and enters recovery on fresh loss. A clean
-// flow (no SACK evidence, no dupACK run) exits without touching the
-// scoreboard.
+// flow exits without touching the scoreboard: every live entry ends
+// above sndUna, so with no SACKed data above sndUna neither SACK rule
+// can fire, and without a dupACK run the third cannot. hiSacked is
+// never reset, which is why the guard compares it with sndUna, not
+// with zero.
 func (c *Conn) detectLoss() {
-	if c.hiSacked == 0 && c.dupAcks < 3 {
+	if c.hiSacked <= c.sndUna && c.dupAcks < 3 {
 		return // no rule can mark anything lost
 	}
 	newLoss := false
-	for i := range c.rtxq {
-		e := &c.rtxq[i]
+	c.sbVisits += uint64(c.sb.n)
+	for i := 0; i < c.sb.n; i++ {
+		e := c.sb.at(i)
 		if e.sacked || e.lost {
 			continue
 		}
-		byRule := c.hiSacked > 0 && e.seg.SeqEnd()+3*MSS <= c.hiSacked
+		end := e.seqEnd()
+		byRule := c.hiSacked > 0 && end+3*MSS <= c.hiSacked
 		// After a tail loss probe, any hole below the highest SACK is
 		// lost (TLP early retransmit: the probe proved the path works).
-		byProbe := c.probeFired && c.hiSacked > 0 && e.seg.SeqEnd() <= c.hiSacked
-		byDup := c.dupAcks >= 3 && e.seg.Seq == c.sndUna
+		byProbe := c.probeFired && c.hiSacked > 0 && end <= c.hiSacked
+		byDup := c.dupAcks >= 3 && e.seq == c.sndUna
 		if byRule || byProbe || byDup {
 			e.lost = true
 			if !e.rtxed {
 				c.lostPending++
+				c.pipeBytes -= int(e.payload)
 			}
 			newLoss = true
 		}
@@ -925,34 +925,42 @@ func (c *Conn) SendWindowUpdate() { c.sendAck() }
 // older covered entries would inflate the estimate when a cumulative
 // ACK releases a burst at once.
 func (c *Conn) ackRtxQueue(ack uint64) {
+	if sampleAt := c.ackScoreboard(ack); sampleAt >= 0 {
+		c.rttSample(c.now() - sampleAt)
+	}
+}
+
+// ackScoreboard pops the scoreboard entries ack covers and returns the
+// newest never-retransmitted send time among them (-1 if none).
+//
+// OnAckedOpt re-enters the sender (mptcp: onMappingAcked → wake →
+// trySend) while the covered entries are still queued and sndUna is
+// still old, so an entry's bytes leave pipeBytes only when the entry
+// itself leaves the ring, after the callbacks: a nested send sees the
+// same pipe a scan of the scoreboard would give it.
+func (c *Conn) ackScoreboard(ack uint64) (sampleAt time.Duration) {
+	sampleAt = -1
 	i := 0
-	var sampleAt time.Duration = -1
-	for ; i < len(c.rtxq); i++ {
-		e := &c.rtxq[i]
-		if e.seg.SeqEnd() > ack {
+	for ; i < c.sb.n; i++ {
+		e := c.sb.at(i)
+		if e.seqEnd() > ack {
 			break
 		}
-		if e.lost && !e.rtxed && !e.sacked {
+		if e.pendingLoss() {
 			c.lostPending--
 		}
 		if !e.rtxed && e.sentAt > sampleAt {
 			sampleAt = e.sentAt
 		}
-		if e.seg.Opt != nil && c.cb.OnAckedOpt != nil {
-			c.cb.OnAckedOpt(c, e.seg.Opt)
+		if e.opt != nil && c.cb.OnAckedOpt != nil {
+			c.cb.OnAckedOpt(c, e.opt) // may push entries: e is dead after this
 		}
 	}
-	if i > 0 {
-		// Copy down instead of re-slicing: the scoreboard array keeps its
-		// capacity, so a steady-state sender stops allocating once the
-		// queue has grown to the window's worth of entries.
-		n := copy(c.rtxq, c.rtxq[i:])
-		clear(c.rtxq[n:])
-		c.rtxq = c.rtxq[:n]
+	for ; i > 0; i-- {
+		c.pipeBytes -= c.sb.at(0).inPipe()
+		c.sb.popFront()
 	}
-	if sampleAt >= 0 {
-		c.rttSample(c.now() - sampleAt)
-	}
+	return sampleAt
 }
 
 func (c *Conn) rttSample(r time.Duration) {
@@ -1003,7 +1011,11 @@ func (c *Conn) rttSample(r time.Duration) {
 // network at transmit time, so the copy must be taken first.
 func (c *Conn) track(seg *Segment) {
 	if seg.PayloadLen > 0 || seg.Flags.Has(FlagSYN) || seg.Flags.Has(FlagFIN) {
-		c.rtxq = append(c.rtxq, rtxEntry{seg: *seg, sentAt: c.now()})
+		c.sb.push(sbEntry{
+			seq: seg.Seq, sentAt: c.now(), opt: seg.Opt,
+			payload: int32(seg.PayloadLen), flags: seg.Flags,
+		})
+		c.pipeBytes += seg.PayloadLen
 	}
 }
 
@@ -1021,16 +1033,15 @@ func (c *Conn) transmit(seg *Segment) {
 	}
 }
 
-// retransmit clones a fresh wire segment from a scoreboard entry,
-// updating the ACK field to the current receive point (the RFC 793
-// rule cloneWithAck used to implement).
-func (c *Conn) retransmit(e *rtxEntry) {
+// retransmit rebuilds a fresh wire segment from a scoreboard entry.
+// Everything the entry does not store is the same for every tracked
+// segment of this connection (flow, advertised window, no SACK blocks)
+// or is taken from the present: the ACK field carries the current
+// receive point (the RFC 793 rule).
+func (c *Conn) retransmit(e *sbEntry) {
 	seg := NewSegment()
-	sack := seg.Sack
-	*seg = e.seg
-	// Tracked segments never carry SACK blocks; keep the pooled capacity.
-	seg.Sack = sack[:0]
-	seg.Ack = c.rcvNxt
+	seg.Flow, seg.Flags, seg.Seq, seg.Ack = c.flow, e.flags, e.seq, c.rcvNxt
+	seg.PayloadLen, seg.Wnd, seg.Opt = int(e.payload), DefaultWindow, e.opt
 	if seg.Ack > 0 {
 		seg.Flags |= FlagACK
 	}
@@ -1077,7 +1088,7 @@ func (c *Conn) armProbe() {
 		if c.sndNxt == c.sndUna {
 			return // nothing outstanding, virtual or real
 		}
-	} else if len(c.rtxq) == 0 {
+	} else if c.sb.n == 0 {
 		return
 	}
 	pto := 2 * c.srtt
@@ -1108,26 +1119,21 @@ func (c *Conn) cancelProbe() {
 }
 
 func (c *Conn) onProbe() {
-	if len(c.rtxq) == 0 || c.state == StateDone {
+	if c.sb.n == 0 || c.state == StateDone {
 		return
 	}
 	c.probeFired = true
 	// Retransmit the newest unacked data segment (data, because only
 	// data is SACKable); its ACK lets SACK-based recovery find the tail
 	// holes without waiting for the RTO.
-	e := &c.rtxq[len(c.rtxq)-1]
-	for i := len(c.rtxq) - 1; i >= 0; i-- {
-		if c.rtxq[i].seg.PayloadLen > 0 {
-			e = &c.rtxq[i]
+	e := c.sb.at(c.sb.n - 1)
+	for i := c.sb.n - 1; i >= 0; i-- {
+		if x := c.sb.at(i); x.payload > 0 {
+			e = x
 			break
 		}
 	}
-	if e.lost && !e.rtxed && !e.sacked {
-		c.lostPending--
-	}
-	e.rtxed = true
-	e.sentAt = c.sim.Now()
-	c.Retransmits++
+	c.markRetransmitted(e)
 	c.retransmit(e)
 }
 
@@ -1150,7 +1156,7 @@ func (c *Conn) Abort() {
 }
 
 func (c *Conn) onRTO() {
-	if len(c.rtxq) == 0 || c.state == StateDone {
+	if c.sb.n == 0 || c.state == StateDone {
 		return
 	}
 	c.rtoCount++
@@ -1174,9 +1180,10 @@ func (c *Conn) onRTO() {
 		c.rto = MaxRTO
 	}
 	c.lostPending = 0
-	for i := range c.rtxq {
-		e := &c.rtxq[i]
+	for i := 0; i < c.sb.n; i++ {
+		e := c.sb.at(i)
 		if !e.sacked {
+			c.pipeBytes -= e.inPipe()
 			e.lost = true
 			e.rtxed = false
 			c.lostPending++
@@ -1184,13 +1191,8 @@ func (c *Conn) onRTO() {
 	}
 	// Retransmit the head immediately (trySend would also do it, but
 	// zero-payload SYN/FIN entries bypass the pipe budget there).
-	e := &c.rtxq[0]
-	if e.lost && !e.rtxed && !e.sacked {
-		c.lostPending--
-	}
-	e.rtxed = true
-	e.sentAt = c.sim.Now()
-	c.Retransmits++
+	e := c.sb.at(0)
+	c.markRetransmitted(e)
 	c.retransmit(e)
 	c.armRTO()
 	if c.cb.OnRTO != nil {

@@ -98,9 +98,9 @@ type fluidSeg struct {
 	ackAt    time.Duration
 	// sentAt and rtxed carry the segment's scoreboard state: while the
 	// session runs, the fifo IS the sender's retransmission queue for
-	// virtual segments (c.rtxq receives no entries — fluidSeg holds no
-	// pointers, so the hot path stays free of GC write barriers), and
-	// teardown materialises the unacked tail back into c.rtxq.
+	// virtual segments (c.sb receives no entries; their bytes are still
+	// counted in c.pipeBytes), and teardown materialises the unacked
+	// tail back onto c.sb.
 	sentAt time.Duration
 	rtxed  bool
 	// probe marks a virtual tail-loss-probe retransmission: an entirely
@@ -145,9 +145,10 @@ type fluidSession struct {
 	lastAckAt  time.Duration
 	ackPending int
 	// vHead is the virtual scoreboard's head cursor: fifo entries below
-	// it are fully acked. ackRtxQueueFluid pops by advancing it (O(1)
-	// per ACK instead of ackRtxQueue's O(window) copy-down); teardown
-	// materialises [vHead:] back into c.rtxq.
+	// it are fully acked. ackRtxQueueFluid pops by advancing it — the
+	// same O(1) head advance the packet-mode ring scoreboard makes, so
+	// this is a representation detail, not a cost advantage of fluid
+	// mode; teardown materialises [vHead:] back onto c.sb.
 	vHead int
 	// vProbe is the analytic mirror of the tail-loss-probe timer: the
 	// instant a pending probe schedule fires (-1: none). It is seeded
@@ -199,7 +200,7 @@ func (c *Conn) maybeEnterFluid() {
 	// wire-observing callbacks (AckOpt would put options on the very
 	// ACKs the session elides).
 	if p.state != StateEstablished || p.fluid != nil ||
-		len(p.ooo) != 0 || len(p.rtxq) != 0 || p.peerFin ||
+		len(p.ooo) != 0 || p.sb.n != 0 || p.peerFin ||
 		p.finQueued || p.finSent || p.byteSrc == nil ||
 		p.byteSrc.pending != 0 ||
 		p.cb.OnSegment != nil || p.cb.AckOpt != nil {
@@ -252,8 +253,8 @@ func (c *Conn) maybeEnterFluid() {
 	if c.probeTimer.Active() {
 		s.vProbe = c.probeTimer.When()
 	}
-	for i := range c.rtxq {
-		if end := c.rtxq[i].seg.SeqEnd(); end > p.rcvNxt {
+	for i := 0; i < c.sb.n; i++ {
+		if end := c.sb.at(i).seqEnd(); end > p.rcvNxt {
 			s.preSeqs = append(s.preSeqs, end)
 		}
 	}
@@ -309,6 +310,7 @@ func (s *fluidSession) sendVirtual(c *Conn, max int) (int, bool) {
 		return s.refuse()
 	}
 	c.sndNxt += uint64(n)
+	c.pipeBytes += n
 	c.segmentsSent++
 	done := s.dataLink.FluidAdmit(HeaderSize+n, at)
 	if len(s.fifo) == cap(s.fifo) {
@@ -558,7 +560,7 @@ func (s *fluidSession) applyAck(e fluidSeg) {
 	}
 	c.probeFired = false
 	// Flight-based emptiness: on a clean scoreboard [sndUna, sndNxt) is
-	// exactly what packet mode's rtxq would hold.
+	// exactly what packet mode's scoreboard would hold.
 	if c.sndNxt == c.sndUna {
 		c.cancelRTO()
 		c.cancelProbe()
@@ -572,46 +574,26 @@ func (s *fluidSession) applyAck(e fluidSeg) {
 }
 
 // ackRtxQueueFluid is ackRtxQueue operating on the virtual scoreboard:
-// the pop advances the fifo's vHead cursor (O(1) amortised, against
-// ackRtxQueue's O(window) copy-down on every ACK — O(flight²) per
-// epoch). Pre-entry remnants in c.rtxq (possible only when their real
-// ACKs were dropped before entry) are drained through the regular
-// representation first, sharing Karn's newest-sample rule across both.
+// the pop advances the fifo's vHead cursor, as the ring scoreboard
+// advances its head. Pre-entry remnants on c.sb (possible only when
+// their real ACKs were dropped before entry) are drained through the
+// regular representation first, sharing Karn's newest-sample rule
+// across both.
 func (s *fluidSession) ackRtxQueueFluid(ack uint64) {
 	c := s.c
-	var sampleAt time.Duration = -1
-	if len(c.rtxq) > 0 {
-		i := 0
-		for ; i < len(c.rtxq); i++ {
-			e := &c.rtxq[i]
-			if e.seg.SeqEnd() > ack {
-				break
-			}
-			if e.lost && !e.rtxed && !e.sacked {
-				c.lostPending--
-			}
-			if !e.rtxed && e.sentAt > sampleAt {
-				sampleAt = e.sentAt
-			}
-			if e.seg.Opt != nil && c.cb.OnAckedOpt != nil {
-				c.cb.OnAckedOpt(c, e.seg.Opt)
-			}
-		}
-		if i > 0 {
-			n := copy(c.rtxq, c.rtxq[i:])
-			clear(c.rtxq[n:])
-			c.rtxq = c.rtxq[:n]
-		}
-	}
+	sampleAt := c.ackScoreboard(ack)
 	i := s.vHead
 	for ; i < len(s.fifo); i++ {
 		e := &s.fifo[i]
 		if e.seqEnd > ack {
 			break
 		}
-		// Delivered probe entries (seqEnd rewritten to the dup-ACK's
+		// Probe entries (seqEnd rewritten at delivery to the dup-ACK's
 		// cumulative point) fall through here; rtxed keeps them out of
-		// the RTT sample, and they own no scoreboard state.
+		// the RTT sample, and they own no scoreboard state or pipe bytes.
+		if !e.probe {
+			c.pipeBytes -= e.payload
+		}
 		if !e.rtxed && e.sentAt > sampleAt {
 			sampleAt = e.sentAt
 		}
@@ -775,23 +757,18 @@ func (s *fluidSession) discard() { s.teardown() }
 func (s *fluidSession) teardown() {
 	c := s.c
 	// Materialise the unacked virtual tail back onto the real scoreboard
-	// — identical to what track() would have recorded in packet mode.
+	// — identical to what track() would have recorded in packet mode,
+	// except that pipeBytes already counts these bytes (sendVirtual).
 	// Probe entries are retransmissions of existing segments and own no
-	// scoreboard slot; c.rcvNxt never moves in-session (the sender
-	// receives only pure ACKs), so Ack matches the send-time value.
+	// scoreboard slot.
 	for i := s.vHead; i < len(s.fifo); i++ {
 		e := &s.fifo[i]
 		if e.probe {
 			continue
 		}
-		c.rtxq = append(c.rtxq, rtxEntry{
-			seg: Segment{
-				Flow: c.flow, Flags: FlagACK,
-				Seq: e.seqEnd - uint64(e.payload), Ack: c.rcvNxt,
-				PayloadLen: e.payload, Wnd: DefaultWindow,
-			},
-			sentAt: e.sentAt,
-			rtxed:  e.rtxed,
+		c.sb.push(sbEntry{
+			seq: e.seqEnd - uint64(e.payload), sentAt: e.sentAt,
+			payload: int32(e.payload), flags: FlagACK, rtxed: e.rtxed,
 		})
 	}
 	s.vHead = len(s.fifo)
@@ -801,7 +778,7 @@ func (s *fluidSession) teardown() {
 	delete(s.d.inUse, s.dataLink)
 	delete(s.d.inUse, s.ackLink)
 	s.stepTimer.Stop()
-	if s.vProbe >= 0 && !c.probeFired && len(c.rtxq) > 0 &&
+	if s.vProbe >= 0 && !c.probeFired && c.sb.n > 0 &&
 		c.state != StateDone {
 		// Restore the pending probe schedule as a real timer. armProbe
 		// below replaces it when a fresh arm is due (pto <= rto), and
@@ -814,7 +791,7 @@ func (s *fluidSession) teardown() {
 		c.probeTimer = c.sim.ScheduleArg(at, connOnProbe, c)
 		s.vProbe = -1
 	}
-	if len(c.rtxq) > 0 && c.state != StateDone {
+	if c.sb.n > 0 && c.state != StateDone {
 		c.armRTOIfIdle()
 		c.armProbe()
 	}
