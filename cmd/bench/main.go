@@ -5,11 +5,13 @@
 // Three benchmark families run:
 //
 //   - scheduler micro-benchmarks (sched/*): the simnet timing-wheel
-//     kernel alone — schedule/fire churn, cancel-heavy timer churn, and
-//     scheduling against a deep pending set;
+//     kernel alone — schedule/fire churn, cancel-heavy timer churn,
+//     in-place re-arm churn, and scheduling against a deep pending set;
 //   - kernel micro-benchmarks: TCP bulk transfers and MPTCP two-subflow
 //     transfers over the simulated WiFi+LTE pair, the per-packet hot
-//     path every experiment hammers;
+//     path every experiment hammers, on constant-rate links and
+//     (*-varlink) on the delivery-opportunity links every paper
+//     condition uses;
 //   - service benchmarks (serve/*): the online path-selection service's
 //     decide and telemetry hot cores over the sharded estimate store,
 //     allocs/op pinned at zero;
@@ -70,6 +72,7 @@ import (
 	"multinet/internal/experiments/engine"
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
+	"multinet/internal/phy"
 	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
@@ -122,7 +125,7 @@ type netemMetrics struct {
 // per benchmark).
 var curMetrics *netemMetrics
 
-func (m *netemMetrics) collect(sim *simnet.Sim, links ...*netem.FixedLink) {
+func (m *netemMetrics) collect(sim *simnet.Sim, links ...netem.Link) {
 	if m == nil {
 		return
 	}
@@ -173,6 +176,27 @@ func schedCancelChurn(b *testing.B) {
 	}
 }
 
+// schedRearmChurn is schedCancelChurn's workload done the way the
+// transports now do it: every op pushes one pending timer's deadline
+// out (an ACK moving the retransmission timer) with RearmArg, a field
+// rewrite where the cancel+schedule pair unlinks, recycles and re-files.
+// The clock follows in 100 ms strides so the wheel also pays the
+// occasional re-file of the event's stale slot.
+func schedRearmChurn(b *testing.B) {
+	s := simnet.New(1)
+	for i := 0; i < 16; i++ {
+		s.AfterArg(time.Duration(i+1)*time.Hour, nopEvent, nil)
+	}
+	tm := s.AfterArg(200*time.Millisecond, nopEvent, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 1023 {
+			s.RunFor(100 * time.Millisecond)
+		}
+		tm = s.RearmArg(tm, s.Now()+200*time.Millisecond+time.Duration(i%1024)*100*time.Microsecond, nopEvent, nil)
+	}
+}
+
 // schedDeepPending measures schedule/fire cost with 64k long-lived
 // timers pending while the measured chain schedules and fires through
 // them — the depth at which a comparison-based queue pays O(log n) per
@@ -202,29 +226,41 @@ func schedDeepPending(b *testing.B) {
 	}
 }
 
-// tcpDownload transfers size bytes server→client over one fixed-rate
-// duplex interface — the plain-TCP kernel hot path. With fluid set the
-// stacks opt into fluid-advance mode and the steady phase of the
-// transfer is carried analytically.
-func tcpDownload(b *testing.B, size int, loss float64, fluid bool) {
+// benchIface builds a symmetric duplex interface of mbps and one-way
+// delay owd: constant-rate links, or — with variability > 0 — phy's
+// delivery-opportunity links around the same mean, the kind every paper
+// condition runs on.
+func benchIface(sim *simnet.Sim, name string, mbps float64, owd time.Duration, queue int, loss, variability float64) *netem.Iface {
+	if variability > 0 {
+		return phy.BuildIface(sim, name, phy.PathProfile{
+			DownMbps: mbps, UpMbps: mbps, RTTms: 2 * float64(owd.Milliseconds()),
+			LossPct: loss * 100, Variability: variability, QueuePkts: queue,
+		})
+	}
+	cfg := func(dir string) netem.LinkConfig {
+		lc := netem.LinkConfig{PropDelay: owd, LossProb: loss, QueueLimit: queue}
+		if loss > 0 {
+			// Seeding a PRNG stream costs ~10 µs; lossless links never
+			// draw from it.
+			lc.RNG = sim.RNG("loss/" + dir)
+		}
+		return lc
+	}
+	return netem.NewIface(sim, name, netem.NewFixedLink(sim, mbps, cfg("up")), netem.NewFixedLink(sim, mbps, cfg("down")))
+}
+
+// benchVariability is the log-rate stddev of the *-varlink entries, the
+// middle of the 20 paper locations' range.
+const benchVariability = 0.3
+
+// tcpDownload transfers size bytes server→client over one duplex
+// interface — the plain-TCP kernel hot path. With fluid set the stacks
+// opt into fluid-advance mode and the steady phase of the transfer is
+// carried analytically.
+func tcpDownload(b *testing.B, size int, loss, variability float64, fluid bool) {
 	for i := 0; i < b.N; i++ {
 		sim := simnet.New(int64(i + 1))
-		cfg := func(stream string) netem.LinkConfig {
-			lc := netem.LinkConfig{
-				PropDelay:  15 * time.Millisecond,
-				LossProb:   loss,
-				QueueLimit: 200,
-			}
-			if loss > 0 {
-				// Seeding a PRNG stream costs ~10 µs; lossless links
-				// never draw from it.
-				lc.RNG = sim.RNG(stream)
-			}
-			return lc
-		}
-		up := netem.NewFixedLink(sim, 20, cfg("loss/up"))
-		down := netem.NewFixedLink(sim, 20, cfg("loss/down"))
-		iface := netem.NewIface(sim, "wifi", up, down)
+		iface := benchIface(sim, "wifi", 20, 15*time.Millisecond, 200, loss, variability)
 		client := tcp.NewStack(sim, tcp.ClientSide)
 		server := tcp.NewStack(sim, tcp.ServerSide)
 		client.Bind(iface)
@@ -246,26 +282,18 @@ func tcpDownload(b *testing.B, size int, loss float64, fluid bool) {
 		if !done {
 			b.Fatal("transfer incomplete")
 		}
-		curMetrics.collect(sim, up, down)
+		curMetrics.collect(sim, iface.UpLink(), iface.DownLink())
 	}
 	b.SetBytes(int64(size))
 }
 
 // mptcpDownload transfers size bytes over a two-subflow MPTCP
 // connection (10 Mbit/s 15 ms WiFi + 8 Mbit/s 30 ms LTE).
-func mptcpDownload(b *testing.B, size int, cc mptcp.CongestionMode) {
+func mptcpDownload(b *testing.B, size int, cc mptcp.CongestionMode, variability float64) {
 	for i := 0; i < b.N; i++ {
 		sim := simnet.New(int64(i + 1))
-		var links []*netem.FixedLink
-		mk := func(name string, mbps float64, owd time.Duration) *netem.Iface {
-			cfg := netem.LinkConfig{PropDelay: owd, QueueLimit: 150}
-			up := netem.NewFixedLink(sim, mbps, cfg)
-			down := netem.NewFixedLink(sim, mbps, cfg)
-			links = append(links, up, down)
-			return netem.NewIface(sim, name, up, down)
-		}
-		wifi := mk("wifi", 10, 15*time.Millisecond)
-		lte := mk("lte", 8, 30*time.Millisecond)
+		wifi := benchIface(sim, "wifi", 10, 15*time.Millisecond, 150, 0, variability)
+		lte := benchIface(sim, "lte", 8, 30*time.Millisecond, 150, 0, variability)
 		host := netem.NewHost("client")
 		host.Attach(wifi)
 		host.Attach(lte)
@@ -289,7 +317,7 @@ func mptcpDownload(b *testing.B, size int, cc mptcp.CongestionMode) {
 		if !done {
 			b.Fatal("transfer incomplete")
 		}
-		curMetrics.collect(sim, links...)
+		curMetrics.collect(sim, wifi.UpLink(), wifi.DownLink(), lte.UpLink(), lte.DownLink())
 	}
 	b.SetBytes(int64(size))
 }
@@ -300,15 +328,18 @@ func kernelBenchmarks() []bench {
 	return []bench{
 		{"sched/fire-churn", schedFireChurn},
 		{"sched/cancel-churn", schedCancelChurn},
+		{"sched/rearm-churn", schedRearmChurn},
 		{"sched/deep-pending", schedDeepPending},
-		{"tcp/download-100KB", func(b *testing.B) { tcpDownload(b, 100<<10, 0, false) }},
-		{"tcp/download-100KB-fluid", func(b *testing.B) { tcpDownload(b, 100<<10, 0, true) }},
-		{"tcp/download-1MB", func(b *testing.B) { tcpDownload(b, 1<<20, 0, false) }},
-		{"tcp/download-1MB-fluid", func(b *testing.B) { tcpDownload(b, 1<<20, 0, true) }},
-		{"tcp/download-1MB-lossy", func(b *testing.B) { tcpDownload(b, 1<<20, 0.02, false) }},
-		{"mptcp/download-1MB-decoupled", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Decoupled) }},
-		{"mptcp/download-1MB-coupled", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Coupled) }},
-		{"mptcp/download-10KB", func(b *testing.B) { mptcpDownload(b, 10<<10, mptcp.Decoupled) }},
+		{"tcp/download-100KB", func(b *testing.B) { tcpDownload(b, 100<<10, 0, 0, false) }},
+		{"tcp/download-100KB-fluid", func(b *testing.B) { tcpDownload(b, 100<<10, 0, 0, true) }},
+		{"tcp/download-1MB", func(b *testing.B) { tcpDownload(b, 1<<20, 0, 0, false) }},
+		{"tcp/download-1MB-fluid", func(b *testing.B) { tcpDownload(b, 1<<20, 0, 0, true) }},
+		{"tcp/download-1MB-lossy", func(b *testing.B) { tcpDownload(b, 1<<20, 0.02, 0, false) }},
+		{"tcp/download-1MB-varlink", func(b *testing.B) { tcpDownload(b, 1<<20, 0, benchVariability, false) }},
+		{"mptcp/download-1MB-decoupled", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Decoupled, 0) }},
+		{"mptcp/download-1MB-coupled", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Coupled, 0) }},
+		{"mptcp/download-1MB-varlink", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Decoupled, benchVariability) }},
+		{"mptcp/download-10KB", func(b *testing.B) { mptcpDownload(b, 10<<10, mptcp.Decoupled, 0) }},
 	}
 }
 

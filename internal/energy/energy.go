@@ -121,8 +121,7 @@ func meterDemoteToIdle(a any) { a.(*Meter).demoteToIdle() }
 func (m *Meter) OnPacket() {
 	m.packets++
 	m.transition(Active)
-	m.timer.Stop()
-	m.timer = m.sim.AfterArg(m.model.ActiveHold, meterDemoteToTail, m)
+	m.timer = m.sim.RearmArg(m.timer, m.sim.Now()+m.model.ActiveHold, meterDemoteToTail, m)
 }
 
 func (m *Meter) demoteToTail() {

@@ -10,13 +10,17 @@ import (
 	"multinet/internal/faults"
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
+	"multinet/internal/phy"
 	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
 
 // world is the paper's Fig. 5 topology — a wifi+lte client against a
 // single-homed server — sized small enough that a chaos run with a
-// 128 KB transfer finishes in milliseconds of wall time.
+// 128 KB transfer finishes in milliseconds of wall time. A variable
+// world carries the same mean rates and delays on delivery-opportunity
+// links (netem.VarLink over phy's AR(1) rate process), the link model
+// of every paper condition.
 type world struct {
 	sim    *simnet.Sim
 	host   *netem.Host
@@ -27,9 +31,15 @@ type world struct {
 	srv    *mptcp.Server
 }
 
-func newWorld(seed int64, scfg mptcp.ServerConfig) *world {
+func newWorld(seed int64, scfg mptcp.ServerConfig, variable bool) *world {
 	sim := simnet.New(seed)
 	mk := func(name string, mbps float64, owd time.Duration) *netem.Iface {
+		if variable {
+			return phy.BuildIface(sim, name, phy.PathProfile{
+				DownMbps: mbps, UpMbps: mbps, RTTms: 2 * float64(owd.Milliseconds()),
+				Variability: 0.4, QueuePkts: 150,
+			})
+		}
 		cfg := netem.LinkConfig{PropDelay: owd, QueueLimit: 150}
 		up := netem.NewFixedLink(sim, mbps, cfg)
 		down := netem.NewFixedLink(sim, mbps, cfg)
@@ -59,16 +69,17 @@ type chaosResult struct {
 	signature  string
 }
 
-// runChaos builds a world, attaches the schedule, moves size bytes in
-// the given direction (download: server→client) with the stuck-flow
-// watchdog armed, drains the simulation and checks every invariant.
-func runChaos(t *testing.T, seed int64, sched faults.Schedule, download bool, size int) chaosResult {
+// runChaos builds a world of the given link kind, attaches the
+// schedule, moves size bytes in the given direction (download:
+// server→client) with the stuck-flow watchdog armed, drains the
+// simulation and checks every invariant.
+func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, download bool, size int) chaosResult {
 	t.Helper()
 	netem.SetLeakTracking(true)
 	tcp.SetLeakTracking(true)
 
 	const watchdogRTOs = 4
-	w := newWorld(seed, mptcp.ServerConfig{WatchdogRTOs: watchdogRTOs})
+	w := newWorld(seed, mptcp.ServerConfig{WatchdogRTOs: watchdogRTOs}, variable)
 
 	// A re-join that restarts with MP_CAPABLE (primary died before the
 	// first handshake completed) makes the server build a fresh Conn, so
@@ -156,7 +167,8 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, download bool, si
 }
 
 // TestChaosSweep runs 500 randomized fault schedules against live MPTCP
-// transfers in both directions and asserts zero invariant violations:
+// transfers in both directions, over constant-rate and delivery-
+// opportunity links in turn, and asserts zero invariant violations:
 // every byte delivered exactly once (or the connection visibly
 // aborted), no stranded mapping records, no silent stalls, no
 // pooled-object leaks, and exact packet conservation on every link.
@@ -171,7 +183,7 @@ func TestChaosSweep(t *testing.T) {
 		seed := int64(9000 + i)
 		rng := rand.New(rand.NewSource(seed))
 		sched := faults.GenSchedule(rng, []string{"wifi", "lte"}, 5*time.Second)
-		res := runChaos(t, seed, sched, i%2 == 0, 128<<10)
+		res := runChaos(t, seed, sched, i%4 >= 2, i%2 == 0, 128<<10)
 		for _, v := range res.violations {
 			t.Errorf("seed %d: %s\nschedule:\n%s", seed, v, sched)
 		}
@@ -189,10 +201,12 @@ func TestChaosDeterministic(t *testing.T) {
 	defer tcp.SetLeakTracking(false)
 	rng := rand.New(rand.NewSource(42))
 	sched := faults.GenSchedule(rng, []string{"wifi", "lte"}, 5*time.Second)
-	a := runChaos(t, 42, sched, true, 128<<10)
-	b := runChaos(t, 42, sched, true, 128<<10)
-	if a.signature != b.signature {
-		t.Fatalf("non-deterministic chaos run:\n%s\n%s", a.signature, b.signature)
+	for _, variable := range []bool{false, true} {
+		a := runChaos(t, 42, sched, variable, true, 128<<10)
+		b := runChaos(t, 42, sched, variable, true, 128<<10)
+		if a.signature != b.signature {
+			t.Fatalf("non-deterministic chaos run (variable links: %v):\n%s\n%s", variable, a.signature, b.signature)
+		}
 	}
 }
 
@@ -223,7 +237,7 @@ func TestScheduleValidate(t *testing.T) {
 }
 
 func TestAttachUnknownIface(t *testing.T) {
-	w := newWorld(1, mptcp.ServerConfig{})
+	w := newWorld(1, mptcp.ServerConfig{}, false)
 	s := faults.Schedule{Episodes: []faults.Episode{
 		{Kind: faults.AdminDown, Iface: "satellite", Duration: time.Second},
 	}}
@@ -235,7 +249,7 @@ func TestAttachUnknownIface(t *testing.T) {
 // TestInjectorFiresAllSteps pins the step accounting and the
 // restore-to-baseline semantics of loss bursts and rate collapses.
 func TestInjectorFiresAllSteps(t *testing.T) {
-	w := newWorld(1, mptcp.ServerConfig{})
+	w := newWorld(1, mptcp.ServerConfig{}, false)
 	s := faults.Schedule{Episodes: []faults.Episode{
 		{Kind: faults.LossBurst, Iface: "wifi", Start: 10 * time.Millisecond, Duration: 50 * time.Millisecond, LossProb: 0.5},
 		{Kind: faults.RateCollapse, Iface: "lte", Start: 10 * time.Millisecond, Duration: 50 * time.Millisecond, RateFactor: 0.1},

@@ -39,17 +39,24 @@ func decodeSchedule(data []byte) faults.Schedule {
 }
 
 // FuzzChaosSchedule is the differential chaos target: arbitrary bytes
-// become a fault schedule, the same transfer runs under it twice, and
-// the two runs must agree bit for bit (link counters, delivery totals,
+// become a fault schedule (the last byte also picks the transfer
+// direction and the link kind), the same transfer runs under it twice,
+// and the two runs must agree bit for bit (link counters, delivery totals,
 // stall counts, end time) with zero invariant violations — the
 // conservation, stranded-mapping, silent-stall, and pool-leak rules all
 // hold under any schedule the fuzzer can express.
 func FuzzChaosSchedule(f *testing.F) {
-	f.Add([]byte{})                                  // fault-free baseline
-	f.Add([]byte{0, 0, 2, 30, 0, 0})                 // admin-down mid-flow
-	f.Add([]byte{1, 1, 1, 60, 0, 0})                 // lte blackhole
-	f.Add([]byte{2, 0, 3, 5, 2, 4})                  // wifi flap train
+	f.Add([]byte{})                                         // fault-free baseline
+	f.Add([]byte{0, 0, 2, 30, 0, 0})                        // admin-down mid-flow
+	f.Add([]byte{1, 1, 1, 60, 0, 0})                        // lte blackhole
+	f.Add([]byte{2, 0, 3, 5, 2, 4})                         // wifi flap train
 	f.Add([]byte{3, 0, 0, 50, 128, 0, 4, 1, 2, 40, 200, 0}) // loss burst + rate collapse
+	// The same episodes over delivery-opportunity links: bytes past the
+	// last whole episode only choose direction (bit 0) and link kind (bit 1).
+	f.Add([]byte{0, 0, 2, 30, 0, 0, 2})                        // admin-down, variable links, download
+	f.Add([]byte{1, 1, 1, 60, 0, 0, 3})                        // lte blackhole, variable links, upload
+	f.Add([]byte{2, 0, 3, 5, 2, 4, 2})                         // wifi flap train, variable links
+	f.Add([]byte{3, 0, 0, 50, 128, 0, 4, 1, 2, 40, 200, 0, 3}) // loss burst (+ a rate collapse VarLinks ignore)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sched := decodeSchedule(data)
 		if err := sched.Validate(); err != nil {
@@ -58,8 +65,9 @@ func FuzzChaosSchedule(f *testing.F) {
 		defer netem.SetLeakTracking(false)
 		defer tcp.SetLeakTracking(false)
 		download := len(data) == 0 || data[len(data)-1]%2 == 0
-		a := runChaos(t, 1234, sched, download, 64<<10)
-		b := runChaos(t, 1234, sched, download, 64<<10)
+		variable := len(data) > 0 && data[len(data)-1]%4 >= 2
+		a := runChaos(t, 1234, sched, variable, download, 64<<10)
+		b := runChaos(t, 1234, sched, variable, download, 64<<10)
 		for _, v := range a.violations {
 			t.Errorf("invariant violated: %s\nschedule:\n%s", v, sched)
 		}

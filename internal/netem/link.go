@@ -71,15 +71,24 @@ func (q *pktRing) pop() *Packet {
 	return p
 }
 
-// drain empties the queue, passing each packet to sink.
-func (q *pktRing) drain(sink func(*Packet)) {
-	for q.len() > 0 {
-		sink(q.pop())
-	}
-}
-
-// baseLink implements the queueing, loss, and state logic shared by
-// FixedLink and VarLink.
+// baseLink implements the queueing, loss, state and delivery logic
+// shared by FixedLink and VarLink.
+//
+// Both link types run on an elided event schedule. Service is FIFO and
+// its pace is known ahead of time — a constant rate, or an
+// OpportunitySource that is a pure function of time — so a packet's
+// departure and arrival instants are computable the moment it is
+// admitted:
+//
+//	start_i  = max(depart_{i-1}, admit_i)   (the virtual service clock)
+//	depart_i = the link type's service rule applied at start_i
+//	arrive_i = depart_i + PropDelay
+//
+// and each packet schedules exactly one kernel event, its arrival. The
+// queue is virtual: admitted packets stay on the service ring until
+// their departure instant passes (lazily evicted), which keeps droptail
+// occupancy — "waiting or in-service packets" — what an explicit
+// service loop would see at every admission check.
 type baseLink struct {
 	sim       *simnet.Sim
 	cfg       LinkConfig
@@ -88,11 +97,13 @@ type baseLink struct {
 	down      bool
 	blackhole bool
 	stats     LinkStats
+	// busyUntil is the virtual service clock: the departure instant of
+	// the last admitted packet.
+	busyUntil time.Duration
 }
 
 func (b *baseLink) SetReceiver(fn func(*Packet)) { b.recv = fn }
 func (b *baseLink) Stats() LinkStats             { return b.stats }
-func (b *baseLink) QueueLen() int                { return b.queue.len() }
 
 // SetLossProb implements Link: a fault-injected loss burst (or its
 // restore). rng is only installed when the link was built without one.
@@ -108,9 +119,24 @@ func (b *baseLink) SetLossProb(p float64, rng *rand.Rand) {
 // link's baseline, not zero.
 func (b *baseLink) LossProb() float64 { return b.cfg.LossProb }
 
-// admit runs the shared drop logic; it returns true when the packet was
-// queued and the caller should (re)start service. Dropped packets are
-// recycled here — the caller must not touch p after a false return.
+// evict pops service-ring packets that have departed by now: they no
+// longer occupy the droptail queue. Ownership of an evicted packet
+// rests solely with its pending arrival event. A packet departing at
+// exactly now is gone, so an admission at that instant sees the queue
+// the departure left behind whichever of the two the kernel would have
+// ordered first.
+//
+//multinet:hotpath
+func (b *baseLink) evict(now time.Duration) {
+	for b.queue.len() > 0 && b.queue.peek().doneAt <= now {
+		b.queue.pop()
+	}
+}
+
+// admit runs the shared drop logic against an evicted ring; it returns
+// true when the packet was queued and the caller must launch it.
+// Dropped packets are recycled here — the caller must not touch p after
+// a false return.
 //
 //multinet:hotpath
 func (b *baseLink) admit(p *Packet) bool {
@@ -136,31 +162,41 @@ func (b *baseLink) admit(p *Packet) bool {
 	return true
 }
 
-// deliver hands a packet to the receiver after propagation delay, unless
-// the link went down while the packet was in flight.
+// launch records an admitted packet's service window [start, done],
+// advances the service clock to done and schedules the packet's single
+// event: its arrival at the far end.
 //
 //multinet:hotpath
-func (b *baseLink) deliver(p *Packet) {
-	b.stats.Delivered++
-	b.stats.BytesOut += int64(p.Size)
-	p.dst = b
-	b.sim.AfterArg(b.cfg.PropDelay, finishDeliver, p)
+func (b *baseLink) launch(p *Packet, start, done time.Duration) {
+	p.startAt = start
+	p.doneAt = done
+	b.busyUntil = done
+	p.fl = b
+	p.arrive = b.sim.ScheduleArg(done+b.cfg.PropDelay, linkArrive, p)
 }
 
-// finishDeliver runs when a packet's propagation delay elapses.
-func finishDeliver(a any) {
+// linkArrive fires when a packet reaches the far end: the single
+// per-packet event of the elided schedule.
+//
+//multinet:hotpath
+func linkArrive(a any) {
 	p := a.(*Packet)
-	b := p.dst
-	p.dst = nil
+	b := p.fl
+	p.fl = nil
+	p.arrive = simnet.Timer{}
+	// Arrivals run in departure order, so p itself is always among the
+	// evicted: after this the ring holds no reference to it and
+	// ownership can pass to the receiver (or the drop sink).
+	b.evict(b.sim.Now())
 	if b.down || b.blackhole {
 		// The packet was on the wire when the link died: it is lost.
-		b.stats.Delivered--
-		b.stats.BytesOut -= int64(p.Size)
 		b.stats.DroppedDown++
 		b.stats.LostInFlight++
 		dropPacket(p)
 		return
 	}
+	b.stats.Delivered++
+	b.stats.BytesOut += int64(p.Size)
 	if b.recv == nil {
 		dropPacket(p)
 		return
@@ -168,35 +204,51 @@ func finishDeliver(a any) {
 	b.recv(p)
 }
 
-// purge empties the queue, counting the discards as down-drops.
-func (b *baseLink) purge() {
-	b.stats.DroppedDown += b.queue.len()
-	b.stats.LostInFlight += b.queue.len()
-	b.queue.drain(dropPacket)
+// stopService drops every admitted packet that has not departed (the
+// explicit model's queue purge): their arrival events are cancelled and
+// the packets die as down-drops. Packets already departed keep their
+// arrival events and are lost there instead, as in-flight casualties.
+func (b *baseLink) stopService() {
+	b.evict(b.sim.Now())
+	for b.queue.len() > 0 {
+		p := b.queue.pop()
+		p.arrive.Stop()
+		p.fl = nil
+		b.stats.DroppedDown++
+		b.stats.LostInFlight++
+		dropPacket(p)
+	}
 }
 
-// FixedLink is a constant-bit-rate link.
-//
-// It runs on an elided event schedule: because service is FIFO at a
-// known rate, a packet's serialisation-done and arrival instants are
-// both computable the moment it is admitted —
-//
-//	start_i = max(done_{i-1}, admit_i)   (the virtual serialiser clock)
-//	done_i  = start_i + size_i / rate
-//	arrive_i = done_i + PropDelay
-//
-// — so each packet schedules exactly one kernel event (its arrival)
-// instead of the serialisation-done + propagation-arrival pair the
-// explicit service loop needed. The queue is virtual: admitted packets
-// stay on the service ring until their done instant passes (lazily
-// evicted), which keeps droptail occupancy — "waiting or serialising
-// packets" — identical to the explicit model at every admission check.
+// QueueLen implements Link: packets waiting or in service right now.
+func (b *baseLink) QueueLen() int {
+	b.evict(b.sim.Now())
+	return b.queue.len()
+}
+
+// setDead switches one of the two dead states (down, blackhole). Dying
+// purges the queue; coming back restarts the service clock from now.
+func (b *baseLink) setDead(state *bool, dead bool) {
+	was := *state
+	*state = dead
+	if dead {
+		b.stopService()
+	} else if was {
+		b.busyUntil = b.sim.Now()
+	}
+}
+
+// SetDown implements Link.
+func (b *baseLink) SetDown(down bool) { b.setDead(&b.down, down) }
+
+// SetBlackhole implements Link.
+func (b *baseLink) SetBlackhole(bh bool) { b.setDead(&b.blackhole, bh) }
+
+// FixedLink is a constant-bit-rate link: a packet departs size/rate
+// after its service starts.
 type FixedLink struct {
 	baseLink
 	rateBps float64 // bits per second
-	// busyUntil is the virtual serialiser clock: the done instant of
-	// the last admitted packet.
-	busyUntil time.Duration
 
 	// Fluid-advance state (see FluidAdmit). All of it is zero-valued —
 	// and every branch touching it disabled — until the first FluidAdmit,
@@ -277,7 +329,7 @@ func (l *FixedLink) SetRateMbps(mbps float64) {
 		}
 		p.startAt = start
 		p.doneAt = start + l.txTime(p.Size)
-		p.arrive = l.sim.ScheduleArg(p.doneAt+l.cfg.PropDelay, fixedLinkArrive, p)
+		p.arrive = l.sim.ScheduleArg(p.doneAt+l.cfg.PropDelay, linkArrive, p)
 		base = p.doneAt
 	}
 	if q.len() > 0 {
@@ -302,14 +354,11 @@ func (l *FixedLink) vnow() time.Duration {
 	return now
 }
 
-// evict pops service-ring packets whose serialisation has completed:
-// they no longer occupy the droptail queue. Ownership of an evicted
-// packet rests solely with its pending arrival event.
+// evict brings both halves of the droptail occupancy — the service ring
+// and the virtual queue — up to the occupancy clock.
 func (l *FixedLink) evict() {
 	now := l.vnow()
-	for l.queue.len() > 0 && l.queue.peek().doneAt <= now {
-		l.queue.pop()
-	}
+	l.baseLink.evict(now)
 	l.vqEvict(now)
 }
 
@@ -352,65 +401,23 @@ func (l *FixedLink) Send(p *Packet) {
 	if !l.admit(p) {
 		return
 	}
-	start := l.busyUntil
-	if now := l.sim.Now(); start < now {
-		start = now
-	}
-	p.startAt = start
-	p.doneAt = start + l.txTime(p.Size)
-	l.busyUntil = p.doneAt
-	p.fl = l
-	p.arrive = l.sim.ScheduleArg(p.doneAt+l.cfg.PropDelay, fixedLinkArrive, p)
+	start := max(l.busyUntil, l.sim.Now())
+	l.launch(p, start, start+l.txTime(p.Size))
 }
 
-// fixedLinkArrive fires when a packet reaches the far end: the single
-// per-packet event of the elided schedule.
-//
-//multinet:hotpath
-func fixedLinkArrive(a any) {
-	p := a.(*Packet)
-	l := p.fl
-	p.fl = nil
-	p.arrive = simnet.Timer{}
-	// Arrivals run in serialisation order, so p itself is always among
-	// the evicted: after this the ring holds no reference to it and
-	// ownership can pass to the receiver (or the drop sink).
-	l.evict()
-	if l.down || l.blackhole {
-		// The packet was on the wire when the link died: it is lost.
-		l.stats.DroppedDown++
-		l.stats.LostInFlight++
-		dropPacket(p)
+// reconfigure is the fluid half of a down/blackhole transition: the
+// generation bump dissolves any fluid session planned against the old
+// state, and when the link is dying its virtually admitted packets die
+// with it, as queued real packets do (the owning session discards its
+// side of the bookkeeping). Evicting on the occupancy clock first leaves
+// baseLink.stopService exactly the packets that clock still holds.
+func (l *FixedLink) reconfigure(dying bool) {
+	l.stateGen++
+	if !dying {
 		return
 	}
-	l.stats.Delivered++
-	l.stats.BytesOut += int64(p.Size)
-	if l.recv == nil {
-		dropPacket(p)
-		return
-	}
-	l.recv(p)
-}
-
-// stopService drops every admitted packet that has not finished
-// serialising (the explicit model's queue purge): their arrival events
-// are cancelled and the packets die as down-drops. Packets already
-// serialised keep their arrival events and are lost there instead, as
-// in-flight casualties.
-func (l *FixedLink) stopService() {
 	l.evict()
-	for l.queue.len() > 0 {
-		p := l.queue.pop()
-		p.arrive.Stop()
-		p.fl = nil
-		l.stats.DroppedDown++
-		l.stats.LostInFlight++
-		dropPacket(p)
-	}
 	if n := l.vqLen(); n > 0 {
-		// Virtually admitted packets die with the link, as queued real
-		// packets do; the owning fluid session notices via stateGen and
-		// discards its side of the bookkeeping.
 		l.stats.DroppedDown += n
 		l.stats.LostInFlight += n
 		l.vq = l.vq[:0]
@@ -418,22 +425,22 @@ func (l *FixedLink) stopService() {
 	}
 }
 
-// QueueLen implements Link: packets waiting or serialising right now.
+// QueueLen implements Link, on the occupancy clock.
 func (l *FixedLink) QueueLen() int {
 	l.evict()
-	return l.queue.len()
+	return l.baseLink.QueueLen()
 }
 
-// SetDown implements Link. Bringing the link down purges the queue.
+// SetDown implements Link.
 func (l *FixedLink) SetDown(down bool) {
-	l.stateGen++
-	was := l.down
-	l.down = down
-	if down {
-		l.stopService()
-	} else if was && !down {
-		l.busyUntil = l.sim.Now()
-	}
+	l.reconfigure(down)
+	l.baseLink.SetDown(down)
+}
+
+// SetBlackhole implements Link.
+func (l *FixedLink) SetBlackhole(bh bool) {
+	l.reconfigure(bh)
+	l.baseLink.SetBlackhole(bh)
 }
 
 // SetLossProb implements Link. The generation bump dissolves any fluid
@@ -442,18 +449,6 @@ func (l *FixedLink) SetDown(down bool) {
 func (l *FixedLink) SetLossProb(p float64, rng *rand.Rand) {
 	l.stateGen++
 	l.baseLink.SetLossProb(p, rng)
-}
-
-// SetBlackhole implements Link.
-func (l *FixedLink) SetBlackhole(bh bool) {
-	l.stateGen++
-	was := l.blackhole
-	l.blackhole = bh
-	if bh {
-		l.stopService()
-	} else if was && !bh {
-		l.busyUntil = l.sim.Now()
-	}
 }
 
 // ---- Fluid-advance interface ----------------------------------------
@@ -535,20 +530,25 @@ func (l *FixedLink) FluidDropQueue() {
 
 // OpportunitySource produces the packet-delivery schedule for a VarLink.
 // Next returns the first delivery-opportunity instant strictly after
-// `after`. Sources must be monotone: Next(t) > t.
+// `after`. Sources must be monotone — Next(t) > t — and pure: Next(t) is
+// the same whatever was asked before, including an earlier t after a
+// later one. VarLink computes departures at admission, ahead of the
+// simulation clock, and a queue purge (SetDown, SetBlackhole) restarts
+// service from an instant earlier than look-ahead already asked for. A
+// source may draw its schedule lazily as long as the draws do not depend
+// on the order of the questions.
 type OpportunitySource interface {
 	Next(after time.Duration) time.Duration
 }
 
 // VarLink delivers packets at discrete delivery opportunities, the model
 // Mahimahi uses for cellular and WiFi traces. Each opportunity carries
-// up to MTU bytes of the head-of-line packet; larger packets consume
-// several opportunities.
+// up to MTU bytes of the head-of-line packet; a larger packet consumes
+// several, and the unused remainder of its last one is not shared with
+// the next packet (Mahimahi shares it: see EXPERIMENTS.md).
 type VarLink struct {
 	baseLink
-	src       OpportunitySource
-	wake      simnet.Timer
-	headBytes int // bytes of the head packet already transmitted
+	src OpportunitySource
 }
 
 // NewVarLink creates a trace-driven link from an opportunity source.
@@ -562,65 +562,22 @@ func NewVarLink(sim *simnet.Sim, src OpportunitySource, cfg LinkConfig) *VarLink
 	}
 }
 
-// Send implements Link.
+// Send implements Link. The packet departs at the ⌈Size/MTU⌉-th
+// opportunity (at least the first) after its service starts.
+//
+//multinet:hotpath
 func (l *VarLink) Send(p *Packet) {
+	now := l.sim.Now()
+	l.evict(now) // occupancy must be current before admit's droptail check
 	if !l.admit(p) {
 		return
 	}
-	l.arm()
-}
-
-func (l *VarLink) arm() {
-	if l.wake.Active() {
-		return
+	start := max(l.busyUntil, now)
+	done := l.src.Next(start)
+	for carried := MTU; carried < p.Size; carried += MTU {
+		done = l.src.Next(done)
 	}
-	if l.queue.len() == 0 || l.down || l.blackhole {
-		return
-	}
-	next := l.src.Next(l.sim.Now())
-	l.wake = l.sim.ScheduleArg(next, varLinkOpportunity, l)
-}
-
-// varLinkOpportunity consumes one delivery slot.
-func varLinkOpportunity(a any) {
-	l := a.(*VarLink)
-	if l.queue.len() == 0 || l.down || l.blackhole {
-		return
-	}
-	p := l.queue.peek()
-	l.headBytes += MTU
-	if l.headBytes >= p.Size {
-		l.queue.pop()
-		l.headBytes = 0
-		l.deliver(p)
-	}
-	l.arm()
-}
-
-// SetDown implements Link.
-func (l *VarLink) SetDown(down bool) {
-	was := l.down
-	l.down = down
-	if down {
-		l.purge()
-		l.headBytes = 0
-		l.wake.Stop()
-	} else if was && !down {
-		l.arm()
-	}
-}
-
-// SetBlackhole implements Link.
-func (l *VarLink) SetBlackhole(bh bool) {
-	was := l.blackhole
-	l.blackhole = bh
-	if bh {
-		l.purge()
-		l.headBytes = 0
-		l.wake.Stop()
-	} else if was && !bh {
-		l.arm()
-	}
+	l.launch(p, start, done)
 }
 
 // PeriodicOpportunities is an OpportunitySource delivering MTU-sized

@@ -71,20 +71,17 @@ type Packet struct {
 	// SendTime is when the packet entered the link, set by the link.
 	SendTime time.Duration
 
-	// dst carries the delivering link across a VarLink's
-	// propagation-delay event, so delivery needs no per-packet closure.
-	dst *baseLink
 	// promo carries the target link across a radio-promotion wait (see
 	// Iface.SendUp), for the same reason.
 	promo Link
 
-	// FixedLink elided-schedule state (see FixedLink): the packet's
-	// serialisation window, its single arrival event, and the owning
-	// link for that event's callback. All are computed at admit time.
+	// Elided-schedule state (see baseLink): the packet's service
+	// window, its single arrival event, and the owning link for that
+	// event's callback. All are computed at admit time.
 	startAt time.Duration
 	doneAt  time.Duration
 	arrive  simnet.Timer
-	fl      *FixedLink
+	fl      *baseLink
 }
 
 // Recyclable is implemented by payloads that want to be returned to a

@@ -74,22 +74,30 @@ func (p PathProfile) PingRTT(rng interface{ NormFloat64() float64 }) float64 {
 // rate follows an AR(1) process in log space, updated every Epoch. It
 // is the synthetic stand-in for Mahimahi's recorded packet-delivery
 // traces: bursty, time-varying, but with a controlled mean.
+//
+// Next is a pure function of its argument, as netem.OpportunitySource
+// requires: each epoch's slot spacing is drawn once, in epoch order, the
+// first time any question reaches that epoch, and remembered, so a
+// question about an earlier instant after a later one gets the answer
+// it would have got first. The stream is private to the source, so
+// drawing epochs ahead of the simulation clock perturbs nobody.
 type ARRateSource struct {
 	MeanBps float64
 	Sigma   float64 // stddev of the stationary log-rate distribution
 	Rho     float64 // AR(1) coefficient per epoch
 	Epoch   time.Duration
 
-	rng       interface{ NormFloat64() float64 }
-	logDev    float64 // current deviation from log mean
-	lastEpoch int64
-	// gap caches the slot spacing of the current epoch, which ends at
-	// epochEnd (both zero until the first Next). The rate only changes
-	// at epoch boundaries, so the exponential is evaluated once per
-	// epoch, not once per slot; the exported parameters must not change
-	// once Next has been called.
-	gap      time.Duration
-	epochEnd time.Duration
+	rng    interface{ NormFloat64() float64 }
+	logDev float64 // deviation from log mean in the last epoch drawn
+	// gaps[e] is the slot spacing throughout epoch e. The rate only
+	// changes at epoch boundaries, so the exponential is evaluated once
+	// per epoch, not once per slot; the exported parameters must not
+	// change once Next has been called.
+	gaps []time.Duration
+	// gap caches gaps[e] for the epoch [epochStart, epochEnd) asked about
+	// last (an empty interval until the first Next).
+	gap                  time.Duration
+	epochStart, epochEnd time.Duration
 }
 
 // NewARRateSource builds a rate process around meanMbps with the given
@@ -106,40 +114,44 @@ func NewARRateSource(sim *simnet.Sim, stream string, meanMbps, variability float
 	}
 }
 
-// rate returns the instantaneous rate after advancing the AR process to
-// the epoch containing t.
-func (s *ARRateSource) rate(t time.Duration) float64 {
-	epoch := int64(t / s.Epoch)
-	for s.lastEpoch < epoch {
-		// Innovation variance chosen so the stationary stddev is Sigma.
-		innov := s.Sigma * math.Sqrt(1-s.Rho*s.Rho)
-		s.logDev = s.Rho*s.logDev + innov*s.rng.NormFloat64()
-		s.lastEpoch++
-	}
+// slotGap returns the spacing of MTU-sized slots at the rate the current
+// deviation gives.
+func (s *ARRateSource) slotGap() time.Duration {
 	// exp(-Sigma^2/2) corrects the lognormal mean back to MeanBps.
 	r := s.MeanBps * math.Exp(s.logDev-s.Sigma*s.Sigma/2)
 	if min := s.MeanBps * 0.05; r < min {
 		r = min // radios rarely drop to true zero; keep progress
 	}
-	return r
-}
-
-// slotGap returns the spacing of MTU-sized slots at the instantaneous
-// rate of the epoch containing t (advancing the AR process to it).
-func (s *ARRateSource) slotGap(t time.Duration) time.Duration {
-	gap := time.Duration(float64(netem.MTU*8) / s.rate(t) * float64(time.Second))
+	gap := time.Duration(float64(netem.MTU*8) / r * float64(time.Second))
 	if gap <= 0 {
 		gap = time.Microsecond
 	}
 	return gap
 }
 
+// seek advances the AR process to the epoch containing t if no question
+// has reached it yet, and points the cache at that epoch.
+func (s *ARRateSource) seek(t time.Duration) {
+	epoch := int(t / s.Epoch)
+	if len(s.gaps) == 0 {
+		s.gaps = append(s.gaps, s.slotGap()) // epoch 0: no deviation yet
+	}
+	for len(s.gaps) <= epoch {
+		// Innovation variance chosen so the stationary stddev is Sigma.
+		innov := s.Sigma * math.Sqrt(1-s.Rho*s.Rho)
+		s.logDev = s.Rho*s.logDev + innov*s.rng.NormFloat64()
+		s.gaps = append(s.gaps, s.slotGap())
+	}
+	s.gap = s.gaps[epoch]
+	s.epochStart = time.Duration(epoch) * s.Epoch
+	s.epochEnd = s.epochStart + s.Epoch
+}
+
 // Next implements netem.OpportunitySource: MTU-sized slots spaced by
-// the current instantaneous rate.
+// the instantaneous rate of the epoch containing after.
 func (s *ARRateSource) Next(after time.Duration) time.Duration {
-	if after >= s.epochEnd {
-		s.gap = s.slotGap(after)
-		s.epochEnd = time.Duration(s.lastEpoch+1) * s.Epoch
+	if after < s.epochStart || after >= s.epochEnd {
+		s.seek(after)
 	}
 	return after + s.gap
 }

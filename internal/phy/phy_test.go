@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -31,7 +32,9 @@ func TestARRateSourceVariability(t *testing.T) {
 	// The per-epoch instantaneous rate should wander noticeably.
 	var rates []float64
 	for i := 0; i < 400; i++ {
-		rates = append(rates, src.rate(time.Duration(i)*100*time.Millisecond)/1e6)
+		at := time.Duration(i) * 100 * time.Millisecond
+		gap := src.Next(at) - at
+		rates = append(rates, netem.MTU*8/gap.Seconds()/1e6)
 	}
 	min, max := rates[0], rates[0]
 	for _, r := range rates {
@@ -195,14 +198,52 @@ func TestBuildHost(t *testing.T) {
 	}
 }
 
-// TestARRateSourceCachedGapMatchesFormula pins the per-epoch slot-gap
-// cache: walking slots across many epoch boundaries (and jumping over
-// idle epochs, as a link that went quiet does), Next returns exactly
-// what evaluating the rate formula at every slot returns.
+// refARSource is ARRateSource as it was while VarLink asked it one
+// question per fired opportunity, in time order: the AR process advances
+// lazily to the epoch of the latest question and only that epoch's gap
+// is known. It is the reference the memoising source must reproduce
+// draw for draw under monotone questions.
+type refARSource struct {
+	meanBps, sigma, rho float64
+	epoch               time.Duration
+	rng                 interface{ NormFloat64() float64 }
+	logDev              float64
+	lastEpoch           int64
+}
+
+func newRefARSource(sim *simnet.Sim, stream string, meanMbps, variability float64) *refARSource {
+	return &refARSource{meanBps: meanMbps * 1e6, sigma: variability, rho: 0.9,
+		epoch: 100 * time.Millisecond, rng: sim.RNG(stream)}
+}
+
+// Next evaluates the rate formula at every slot.
+func (s *refARSource) Next(after time.Duration) time.Duration {
+	for epoch := int64(after / s.epoch); s.lastEpoch < epoch; s.lastEpoch++ {
+		innov := s.sigma * math.Sqrt(1-s.rho*s.rho)
+		s.logDev = s.rho*s.logDev + innov*s.rng.NormFloat64()
+	}
+	r := s.meanBps * math.Exp(s.logDev-s.sigma*s.sigma/2)
+	if min := s.meanBps * 0.05; r < min {
+		r = min
+	}
+	gap := time.Duration(float64(netem.MTU*8) / r * float64(time.Second))
+	if gap <= 0 {
+		gap = time.Microsecond
+	}
+	return after + gap
+}
+
+// TestARRateSourceCachedGapMatchesFormula pins the per-epoch memo against
+// the pre-memo source: walking slots across many epoch boundaries (and
+// jumping over idle epochs, as a link that went quiet does), Next
+// returns exactly what evaluating the rate formula at every slot
+// returns, and both have drawn the same number of values from the
+// stream when the walk ends.
 func TestARRateSourceCachedGapMatchesFormula(t *testing.T) {
 	for _, v := range []float64{0.15, 0.4, 0.9} {
-		cached := NewARRateSource(simnet.New(11), "r", 6, v)
-		ref := NewARRateSource(simnet.New(11), "r", 6, v)
+		simC, simR := simnet.New(11), simnet.New(11)
+		cached := NewARRateSource(simC, "r", 6, v)
+		ref := newRefARSource(simR, "r", 6, v)
 		var tc, tr time.Duration
 		epochs := map[int64]bool{}
 		for i := 0; i < 40000; i++ {
@@ -213,14 +254,17 @@ func TestARRateSourceCachedGapMatchesFormula(t *testing.T) {
 				tr += 730 * time.Millisecond
 			}
 			tc = cached.Next(tc)
-			tr = tr + ref.slotGap(tr)
+			tr = ref.Next(tr)
 			if tc != tr {
-				t.Fatalf("variability %v, slot %d: cached %v != formula %v", v, i, tc, tr)
+				t.Fatalf("variability %v, slot %d: memo %v != reference %v", v, i, tc, tr)
 			}
 			epochs[int64(tc/cached.Epoch)] = true
 		}
 		if len(epochs) < 100 {
 			t.Fatalf("walk crossed only %d epochs", len(epochs))
+		}
+		if a, b := simC.RNG("r").Int63(), simR.RNG("r").Int63(); a != b {
+			t.Fatalf("variability %v: streams left at different positions", v)
 		}
 	}
 }

@@ -14,11 +14,13 @@ import (
 //     "flow", many flows in flight).
 //   - cancel churn: per-packet RTO timers — schedule far out, cancel
 //     almost immediately, forever.
+//   - re-arm churn: the same timers moved the way the transports now
+//     move them — RearmArg pushing a pending deadline out in place.
 //   - deep pending: scheduling while tens of thousands of unrelated
 //     timers are pending (sweep-scale fan-in), where per-op cost of a
 //     comparison-based queue degrades as O(log n).
 //
-// cmd/bench mirrors these three as sched/* entries of the benchmark
+// cmd/bench mirrors these four as sched/* entries of the benchmark
 // trajectory, so the committed baseline gates them too.
 
 func nopEvent(any) {}
@@ -58,6 +60,25 @@ func BenchmarkCancelChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.AfterArg(200*time.Millisecond, nopEvent, nil).Stop()
+	}
+}
+
+// BenchmarkRearmChurn is BenchmarkCancelChurn's workload on RearmArg:
+// every op pushes one pending timer's deadline out, and the clock
+// follows in 100 ms strides so the wheel also re-files the event's
+// stale slot now and then.
+func BenchmarkRearmChurn(b *testing.B) {
+	s := New(1)
+	for i := 0; i < 16; i++ {
+		s.AfterArg(time.Duration(i+1)*time.Hour, nopEvent, nil)
+	}
+	tm := s.AfterArg(200*time.Millisecond, nopEvent, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 1023 {
+			s.RunFor(100 * time.Millisecond)
+		}
+		tm = s.RearmArg(tm, s.Now()+200*time.Millisecond+time.Duration(i%1024)*100*time.Microsecond, nopEvent, nil)
 	}
 }
 

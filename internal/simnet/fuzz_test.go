@@ -11,7 +11,8 @@ import (
 // reference heap in lockstep, asserting identical Stop results,
 // identical Pending counts, and an identical firing order. The seed
 // corpus encodes the patterns the differential test reaches through
-// its RNG: same-tick bursts, far-future cascades, stop-after-drain.
+// its RNG: same-tick bursts, far-future cascades, stop-after-drain,
+// re-arm past a RunUntil that lands beyond the stale slot.
 func FuzzWheelScheduleStop(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x10}) // one near event, implicit drain
 	f.Add([]byte{                         // burst into one tick, then RunUntil mid-tick
@@ -30,6 +31,13 @@ func FuzzWheelScheduleStop(f *testing.F) {
 		0x00, 0x00, 0x00, 0x40,
 		0x02, 0x00, 0x00,
 		0x01, 0x00, 0x00, 0x41,
+		0x04,
+	})
+	f.Add([]byte{ // schedule at 16 ms, re-arm to 64 ms, stop the clock between, re-arm earlier, drain
+		0x00, 0x01, 0x00, 0x10,
+		0x05, 0x00, 0x00, 0x01, 0x00, 0x40,
+		0x03, 0x00, 0x50,
+		0x05, 0x00, 0x01, 0x01, 0x00, 0x01,
 		0x04,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -63,23 +71,39 @@ func FuzzWheelScheduleStop(f *testing.F) {
 			}
 		}
 
+		// offset decodes a delay spanning sub-tick to multi-level.
+		offset := func() time.Duration {
+			switch pop() % 4 {
+			case 0:
+				return time.Duration(u16()) * time.Microsecond
+			case 1:
+				return time.Duration(u16()) * time.Millisecond
+			case 2:
+				return time.Duration(u16()) * time.Second
+			default:
+				return time.Duration(pop()) * time.Hour
+			}
+		}
+
 		for len(data) > 0 && nextID < 4096 {
-			switch pop() % 5 {
-			case 0, 1: // schedule at an offset spanning sub-tick to multi-level
-				var d time.Duration
-				switch pop() % 4 {
-				case 0:
-					d = time.Duration(u16()) * time.Microsecond
-				case 1:
-					d = time.Duration(u16()) * time.Millisecond
-				case 2:
-					d = time.Duration(u16()) * time.Second
-				default:
-					d = time.Duration(pop()) * time.Hour
-				}
+			switch pop() % 6 {
+			case 0, 1: // schedule
+				d := offset()
 				id := nextID
 				nextID++
 				tm := s.AfterArg(d, rec, id)
+				re := ref.schedule(s.Now()+d, id)
+				handles = append(handles, pair{tm, re})
+			case 5: // re-arm a handle (live, fired, stopped or already re-armed)
+				if len(handles) == 0 {
+					continue
+				}
+				p := handles[u16()%len(handles)]
+				d := offset()
+				id := nextID
+				nextID++
+				p.re.cancelled = true
+				tm := s.RearmArg(p.tm, s.Now()+d, rec, id)
 				re := ref.schedule(s.Now()+d, id)
 				handles = append(handles, pair{tm, re})
 			case 2: // stop a handle (possibly already fired or stopped)

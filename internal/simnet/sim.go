@@ -8,8 +8,9 @@
 // sleeps anywhere: simulating 180 days of the paper's crowd-sourced
 // measurement campaign takes seconds of real time.
 //
-// Schedule, cancel and fire are all amortised O(1): scheduling files the
-// event into a wheel slot, cancelling marks it in place, and firing
+// Schedule, cancel, re-arm and fire are all amortised O(1): scheduling
+// files the event into a wheel slot, cancelling unlinks it, re-arming to
+// a later deadline rewrites it where it sits (RearmArg), and firing
 // drains one slot per tick into a due bucket that whole same-tick bursts
 // dispatch from. The kernel is also allocation-free in steady state:
 // fired and cancelled events return to a free list and are reused by
@@ -40,7 +41,11 @@ type Sim struct {
 	wheel   wheel
 	due     []*event //multinet:owns — events homed in the dispatch batch
 	dueHead int
-	free    []*event //multinet:owns — recycled events awaiting reuse
+	// dueBuf is due's first backing array: a tick's batch on the
+	// experiment workloads is at most 8 events (DESIGN.md), so the bucket
+	// of a short-lived Sim never allocates.
+	dueBuf  [dueCap]*event //multinet:owns — backing store of due
+	free    []*event       //multinet:owns — recycled events awaiting reuse
 	seq     uint64
 	seed    int64
 	rngs    map[string]*rand.Rand
@@ -59,10 +64,12 @@ type Sim struct {
 
 // New returns a simulator whose random streams derive from seed.
 func New(seed int64) *Sim {
-	return &Sim{
+	s := &Sim{
 		seed: seed,
 		rngs: make(map[string]*rand.Rand),
 	}
+	s.due = s.dueBuf[:0]
+	return s
 }
 
 // Now returns the current virtual time. Time starts at zero.
@@ -79,10 +86,11 @@ func (s *Sim) Processed() uint64 { return s.processed }
 // cancelled timer is a no-op. Timers are values; copying one copies the
 // handle, and both copies control the same scheduled event.
 //
-// Fired and cancelled events are recycled for later Schedule calls, so
-// a Timer additionally remembers the event's generation (its scheduling
-// sequence number): a stale handle whose event has been reused is
-// recognised and treated as fired.
+// Fired and cancelled events are recycled for later Schedule calls, and
+// RearmArg reuses a pending one in place, so a Timer additionally
+// remembers the event's generation (its scheduling sequence number): a
+// stale handle whose event has been reused or re-armed is recognised
+// and treated as fired.
 type Timer struct {
 	sim *Sim
 	ev  *event
@@ -167,6 +175,39 @@ func (s *Sim) After(d time.Duration, fn func()) Timer {
 		d = 0
 	}
 	return s.Schedule(s.now+d, fn)
+}
+
+// RearmArg moves a timer: it is observably identical to
+//
+//	t.Stop()
+//	t = s.ScheduleArg(at, fn, arg)
+//
+// — the returned handle carries a fresh generation, the old one goes
+// stale, the event fires in the same (at, seq) position and Processed,
+// Pending and the free list end up exactly as the pair leaves them — but
+// when t is still pending in a wheel slot and at is not earlier than its
+// current deadline (a retransmission timer pushed out by an ACK, the
+// dominant case), the event is rewritten where it sits instead of being
+// unlinked, recycled, reallocated and re-filed. Its slot is then stale,
+// never late: the wheel re-files the event by its new deadline when it
+// reaches that slot (see drainSlot0). A stale or fired handle, an event
+// already in the due bucket, or an earlier deadline take the pair.
+//
+//multinet:hotpath
+func (s *Sim) RearmArg(t Timer, at time.Duration, fn func(any), arg any) Timer {
+	ev := t.ev
+	if fn == nil || t.sim != s || ev == nil || ev.seq != t.seq || ev.fn == nil ||
+		ev.prevp == nil || at < ev.at {
+		t.Stop()
+		return s.ScheduleArg(at, fn, arg)
+	}
+	// at >= ev.at >= now: no past check needed.
+	ev.at = at
+	ev.seq = s.seq
+	ev.fn = fn
+	ev.arg = arg
+	s.seq++
+	return Timer{sim: s, ev: ev, seq: ev.seq}
 }
 
 // AfterArg runs fn(arg) after delay d; see ScheduleArg.

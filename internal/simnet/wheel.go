@@ -7,7 +7,7 @@ import "math/bits"
 // simulation hot path performs — schedule, cancel, fire — is amortised
 // O(1) instead of O(log pending):
 //
-//   - Virtual time is quantised into ticks of 2^tickShift ns (65.536 µs).
+//   - Virtual time is quantised into ticks of 2^tickShift ns (524.288 µs).
 //     Level 0 has one slot per tick; each higher level's slots are 256×
 //     coarser, so six levels cover the full time.Duration range.
 //   - An event scheduled delta ticks ahead lives at the lowest level
@@ -48,18 +48,31 @@ import "math/bits"
 // Slot lists are doubly linked (event.prevp is the address of whichever
 // pointer currently points at the event), so Timer.Stop unlinks and
 // recycles a wheel-resident event in O(1) — cancelled events never
-// accumulate and a schedule-then-cancel workload (per-packet RTO
-// timers) reuses the same handful of event structs forever. Events in
-// the due bucket cannot be unlinked from the middle of a slice; they
-// are marked and reclaimed when their position pops, which bounds them
-// by one tick's batch.
+// accumulate and a schedule-then-cancel workload reuses the same handful
+// of event structs forever. Events in the due bucket cannot be unlinked
+// from the middle of a slice; they are marked and reclaimed when their
+// position pops, which bounds them by one tick's batch.
+//
+// A pending event may sit in a slot chosen for an earlier deadline than
+// the one it now carries: RearmArg pushes a wheel-resident event's
+// deadline out by rewriting it in place (the per-ACK retransmission-
+// timer pattern). Such a slot is stale but never late, so nothing is
+// missed: whichever drain reaches it — cascade or level-0 — files the
+// event again by its current deadline, and fillBucket moves on when a
+// drained slot turns out to hold nothing for its tick.
 const (
-	// tickShift trades tie-bucket size against cascade frequency: 65 µs
-	// is far below every protocol timescale in the repo (propagation
-	// delays, RTOs, radio promotions are all ≥ 1 ms), so due buckets
-	// stay small, while level 0 still spans 16.8 ms and level 1 4.3 s,
-	// which keeps common timers within one cascade of their slot.
-	tickShift     = 16
+	// tickShift is measured, not argued (DESIGN.md "Timing wheel" has the
+	// table over 16…20 on the report sweep). The sweep keeps 16–128
+	// events pending and fires one every few hundred µs of virtual time,
+	// so at any tick in that range most buckets hold a single event and
+	// the bucket sort costs nothing; what the tick decides is how many
+	// events are scheduled beyond level 0 and pay a cascade. At 2^19 ns
+	// level 0 spans 134 ms: RTT-scale events (arrivals, delayed ACKs,
+	// probes) file straight into their firing slot, cascades fall from
+	// 0.84 to 0.09 per fired event against 2^16, a tick's batch is still
+	// at most 8 events, and the sweep is fastest. 2^20 cascades less
+	// still but sorts longer buckets and was slower end to end.
+	tickShift     = 19
 	levelBits     = 8
 	slotsPerLevel = 1 << levelBits
 	slotMask      = slotsPerLevel - 1
@@ -70,6 +83,9 @@ const (
 
 	// noTick marks "no candidate" in the advance loop.
 	noTick = int64(^uint64(0) >> 1)
+
+	// dueCap is the due bucket's built-in capacity (see Sim.dueBuf).
+	dueCap = 16
 )
 
 // wheel is the tiered slot store. tick is the wheel's position: every
@@ -268,14 +284,21 @@ func (s *Sim) crossTo(start int64) {
 }
 
 // drainSlot0 appends a level-0 slot's events to the due bucket
-// (unsorted; fillBucket sorts before dispatch).
+// (unsorted; fillBucket sorts before dispatch). The wheel is positioned
+// at the slot's tick. An event RearmArg pushed out while it sat here no
+// longer belongs to this tick: it is re-filed by its current deadline
+// instead, so the slot may contribute nothing to the bucket.
 func (s *Sim) drainSlot0(idx int) {
 	for ev := s.takeSlot(0, idx); ev != nil; {
 		next := ev.next
 		ev.next = nil
 		ev.prevp = nil
 		s.wheel.count[0]--
-		s.due = append(s.due, ev)
+		if int64(ev.at)>>tickShift > s.wheel.tick {
+			s.place(ev)
+		} else {
+			s.due = append(s.due, ev)
+		}
 		ev = next
 	}
 }
@@ -313,8 +336,11 @@ func (s *Sim) fillBucket(untilTick int64) bool {
 		}
 		s.wheel.tick = t0
 		s.drainSlot0(idx0)
-		s.sortDue()
-		return true
+		if s.dueHead < len(s.due) {
+			s.sortDue()
+			return true
+		}
+		// The slot held only re-armed events, all re-filed further out.
 	}
 }
 
@@ -323,9 +349,9 @@ func (s *Sim) fillBucket(untilTick int64) bool {
 // whole slice (dueHead is 0).
 func (s *Sim) sortDue() {
 	due := s.due[s.dueHead:] //multinet:owns — alias of the due bucket; sorting permutes in place
-	// Insertion sort: due buckets are one tick (65 µs) of events, which
-	// protocol workloads keep small; the branch below guards the
-	// pathological burst.
+	// Insertion sort: protocol workloads keep one tick's bucket small
+	// (at most 8 events on the report sweep); the branch below guards
+	// the pathological burst.
 	if len(due) <= 24 {
 		for i := 1; i < len(due); i++ {
 			ev := due[i]

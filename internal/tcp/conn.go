@@ -1051,19 +1051,18 @@ func (c *Conn) retransmit(e *sbEntry) {
 func connOnRTO(a any)   { a.(*Conn).onRTO() }
 func connOnProbe(a any) { a.(*Conn).onProbe() }
 
-// armRTO (re)arms the retransmission timer from now. The cancel+arm
-// pair runs on every cumulative ACK; both halves are O(1) on the
-// timing-wheel kernel (Stop unlinks the event and recycles it for the
-// immediately following schedule), so the per-ACK timer churn costs a
-// few pointer writes and no allocation.
+// armRTO (re)arms the retransmission timer from now. It runs on every
+// cumulative ACK, and an ACK almost always pushes the deadline out, so
+// the kernel moves the pending event where it sits (simnet.RearmArg):
+// the per-ACK timer churn is four field writes, no unlink, no re-file
+// and no allocation.
 func (c *Conn) armRTO() {
 	if c.fluidSuppress {
 		// A fluid session guarantees delivery of everything in flight;
 		// the timer is re-armed at session exit if data remains.
 		return
 	}
-	c.cancelRTO()
-	c.rtoTimer = c.sim.AfterArg(c.rto, connOnRTO, c)
+	c.rtoTimer = c.sim.RearmArg(c.rtoTimer, c.sim.Now()+c.rto, connOnRTO, c)
 }
 
 func (c *Conn) armRTOIfIdle() {
@@ -1107,8 +1106,7 @@ func (c *Conn) armProbe() {
 		}
 		return
 	}
-	c.cancelProbe()
-	c.probeTimer = c.sim.AfterArg(pto, connOnProbe, c)
+	c.probeTimer = c.sim.RearmArg(c.probeTimer, c.sim.Now()+pto, connOnProbe, c)
 }
 
 func (c *Conn) cancelProbe() {

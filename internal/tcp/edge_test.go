@@ -3,6 +3,8 @@ package tcp
 import (
 	"testing"
 	"time"
+
+	"multinet/internal/netem"
 )
 
 // Edge-case and failure-injection tests beyond the core suite in
@@ -205,6 +207,46 @@ func TestStackForgetAndConnLookup(t *testing.T) {
 	}
 	// A new dial with the same flow id is now allowed.
 	n.client.Dial(n.iface, "x", Config{})
+}
+
+// TestDispatchFlowCacheFollowsDemuxTable pins the Bind closures'
+// one-entry flow cache to the demux table: a hit skips the map, and
+// every change to the table — passive accept, Forget, Register — or a
+// segment of another flow makes the next delivery look again.
+func TestDispatchFlowCacheFollowsDemuxTable(t *testing.T) {
+	n := newTestNet(t, 31, 10, 5*time.Millisecond, 0)
+	var accepted []*Conn
+	n.server.Accept = func(c *Conn) { accepted = append(accepted, c) }
+	fc := new(flowCache)
+	syn := func(flow string) {
+		seg := NewSegment()
+		seg.Flow, seg.Flags, seg.Wnd = flow, FlagSYN, DefaultWindow
+		p := netem.NewPacket()
+		p.Payload = seg
+		n.server.dispatch(n.iface, p, fc)
+	}
+	syn("f")
+	syn("f") // a hit: the retransmitted SYN reaches the same conn
+	if len(accepted) != 1 || fc.conn != accepted[0] {
+		t.Fatalf("after two SYNs of one flow: %d conns accepted, cache holds %p", len(accepted), fc.conn)
+	}
+	n.server.Forget("f")
+	syn("f") // the cached conn is gone from the table: a fresh accept
+	if len(accepted) != 2 || n.server.Conn("f") != accepted[1] || fc.conn != accepted[1] {
+		t.Fatalf("after Forget: %d conns accepted, cache holds %p", len(accepted), fc.conn)
+	}
+	syn("g")
+	syn("f") // another flow in between: back through the table, no new conn
+	if len(accepted) != 3 || fc.conn != accepted[1] {
+		t.Fatalf("after interleaving flows: %d conns accepted, cache holds %p", len(accepted), fc.conn)
+	}
+	n.server.Forget("f")
+	replaced := NewConn(n.sim, n.iface, netem.Down, "f", Config{})
+	n.server.Register(replaced)
+	syn("f")
+	if len(accepted) != 3 || fc.conn != replaced {
+		t.Fatalf("after Register: %d conns accepted, cache holds %p, want the registered conn", len(accepted), fc.conn)
+	}
 }
 
 func TestDialDuplicateFlowPanics(t *testing.T) {

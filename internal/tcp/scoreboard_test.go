@@ -62,8 +62,9 @@ func checkAccounting(t *testing.T, when string, conns ...*Conn) {
 // processed. The links themselves stay lossless and FIFO.
 func impair(n *testNet, rng *rand.Rand, lossPct, delayPct int, blackouts [][2]time.Duration, after func()) {
 	wrap := func(st *Stack) func(*netem.Packet) {
+		fc := new(flowCache)
 		deliver := func(a any) {
-			st.dispatch(n.iface, a.(*netem.Packet))
+			st.dispatch(n.iface, a.(*netem.Packet), fc)
 			after()
 		}
 		return func(p *netem.Packet) {
@@ -231,14 +232,14 @@ func TestDetectLossCleanPathSkipsScan(t *testing.T) {
 	n := newTestNet(t, 1, 20, 10*time.Millisecond, 0)
 	var srv *Conn
 	dropped := false
-	deliver := n.client.dispatch
+	deliver, fc := n.client.dispatch, new(flowCache)
 	n.iface.OnClientRecv(func(p *netem.Packet) {
 		if seg, ok := p.Payload.(*Segment); ok && !dropped && seg.PayloadLen > 0 && seg.Seq > 20*MSS {
 			dropped = true // one early data segment vanishes
 			netem.ReleasePacket(p)
 			return
 		}
-		deliver(n.iface, p)
+		deliver(n.iface, p, fc)
 	})
 	const size = 2 << 20
 	n.server.Accept = func(c *Conn) {
