@@ -36,9 +36,11 @@ func main() {
 	fmt.Printf("%-24s %10s %12s\n", "config", "FCT", "throughput")
 	for i, cfg := range configs {
 		// A fresh session per measurement, as the paper measures
-		// back-to-back transfers.
+		// back-to-back transfers; closing it lets the next one reuse
+		// the simulator's memory.
 		s := core.NewSession(int64(100+i), cond)
 		r := s.Run(cfg, core.Download, size)
+		s.Close()
 		if !r.Completed {
 			fmt.Printf("%-24s %10s %12s\n", cfg.Name(), "-", "did not finish")
 			continue

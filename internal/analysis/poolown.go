@@ -6,21 +6,27 @@ import (
 	"go/types"
 )
 
-// pooledType names one pool-recycled type by defining package and type
+// pooledType names one recycled type by defining package and type
 // name. Values of these types have single-owner lifecycles: exactly one
 // release per acquisition, no touching after release, and any pointer
 // stored into longer-lived structure is an ownership transfer that must
-// be marked //multinet:owns.
+// be marked //multinet:owns. (A mptcp.DSS has several holders, but each
+// of them is a single owner of its hold: RecycleOpt once, then hands
+// off.)
 type pooledType struct{ path, name string }
 
 var pooledTypes = []pooledType{
 	{"multinet/internal/netem", "Packet"},
 	{"multinet/internal/tcp", "Segment"},
+	{"multinet/internal/mptcp", "DSS"},
 	{"multinet/internal/simnet", "event"},
 }
 
-// releaseFunc describes a call that releases one of its arguments back
-// to a pool: a package-level function (recvType == "") or a method.
+// releaseFunc describes a call that releases one of its arguments (or
+// its receiver) to a free list: a package-level function (recvType ==
+// "") or a method. A simulator is released like anything else it owns:
+// after Sim.Release (or Session.Close, which calls it) its memory is the
+// next world's, and touching the variable again is a use after release.
 type releaseFunc struct {
 	path     string // defining package import path
 	recvType string // receiver type name for methods
@@ -32,21 +38,26 @@ var releaseFuncs = []releaseFunc{
 	{path: "multinet/internal/netem", name: "ReleasePacket", arg: 0},
 	{path: "multinet/internal/netem", name: "dropPacket", arg: 0},
 	{path: "multinet/internal/tcp", recvType: "Segment", name: "Recycle", arg: -1},
-	{path: "multinet/internal/simnet", recvType: "Sim", name: "recycle", arg: 0},
+	{path: "multinet/internal/simnet", recvType: "arena", name: "recycle", arg: 0},
+	{path: "multinet/internal/simnet", recvType: "FreeList", name: "Put", arg: 0},
+	{path: "multinet/internal/simnet", recvType: "Sim", name: "Release", arg: -1},
+	{path: "multinet/internal/core", recvType: "Session", name: "Close", arg: -1},
 	// RecycleOpt is the tcp.RecyclableOpt interface method: any
 	// implementation or interface call releases the receiver.
 	{path: "", recvType: "", name: "RecycleOpt", arg: -1},
 }
 
-// PoolOwn enforces PR 4's single-owner recycling discipline on pooled
-// packets, segments, and simulator events: no double release, no use
-// after release along straight-line/branch paths, and no pooled
+// PoolOwn enforces PR 4's single-owner recycling discipline on recycled
+// packets, segments, DSS options and simulator events, and on the
+// simulators whose free lists they live in: no double release, no use
+// after release along straight-line/branch paths, and no recycled
 // pointer escaping into a struct field or slice without an explicit
 // //multinet:owns ownership-transfer marker.
 var PoolOwn = &Analyzer{
 	Name: "poolown",
 	Doc: "detect double-release, use-after-release, and unmarked escapes " +
-		"of pooled values (netem.Packet, tcp.Segment, simnet events)",
+		"of recycled values (netem.Packet, tcp.Segment, mptcp.DSS, simnet events) " +
+		"and use of a simnet.Sim or core.Session after Release/Close",
 	Run: runPoolOwn,
 }
 

@@ -77,6 +77,27 @@ func anyKey(m map[string]int) string {
 	return ""
 }
 
+// Named random streams kept across worlds are reseeded for the next
+// one. Through a map that happens in random order, and the analyzer
+// cannot know that Seed is the only thing the loop will ever do to
+// them; simnet keeps its streams in a slice, in creation order.
+func reseedByName(streams map[string]*rand.Rand, seed int64) {
+	for name, r := range streams { // want `order-sensitive body`
+		r.Seed(seed + int64(len(name)))
+	}
+}
+
+type namedStream struct {
+	name string
+	r    *rand.Rand
+}
+
+func reseedInOrder(streams []namedStream, seed int64) {
+	for _, st := range streams { // a slice has one order
+		st.r.Seed(seed + int64(len(st.name)))
+	}
+}
+
 func allowedFloatSum(m map[string]float64) float64 {
 	s := 0.0
 	//lint:allow determinism golden float accumulation tolerated for the test

@@ -1,25 +1,87 @@
 // Package pooltest is the poolown analyzer's golden package. It
-// imports the real pooled types (netem.Packet, tcp.Segment) and walks
+// imports the real recycled types (netem.Packet, tcp.Segment,
+// mptcp.DSS) and the simulator that owns their free lists, and walks
 // through the single-owner lifecycle: double release, use after
 // release, and unmarked escapes must be flagged; //multinet:owns
 // transfers and //lint:allow exceptions stay silent.
 package pooltest
 
 import (
+	"time"
+
+	"multinet/internal/core"
+	"multinet/internal/mptcp"
 	"multinet/internal/netem"
+	"multinet/internal/phy"
+	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
 
+var sim = simnet.New(1)
+
 func doubleRelease() {
-	p := netem.NewPacket()
+	p := netem.NewPacket(sim)
 	netem.ReleasePacket(p)
 	netem.ReleasePacket(p) // want `released twice`
 }
 
 func useAfterRelease() int {
-	s := tcp.NewSegment()
+	s := tcp.NewSegment(sim)
 	s.Recycle()
 	return s.PayloadLen // want `use of s after release`
+}
+
+func useAfterPut(l *simnet.FreeList[netem.Packet]) int {
+	p := l.Get()
+	l.Put(p)
+	return p.Size // want `use of p after release`
+}
+
+func useAfterSimRelease() time.Duration {
+	world := simnet.New(2)
+	world.RunUntil(time.Second)
+	world.Release()
+	world.RunFor(time.Second) // want `use of world after release`
+	world.Release()           // want `released twice`
+	return 0
+}
+
+func useAfterSessionClose(cond phy.Condition) core.Result {
+	s := core.NewSession(3, cond)
+	first := s.Run(core.Config{Iface: "wifi"}, core.Download, 1<<10)
+	s.Close()
+	_ = s.Run(core.Config{Iface: "lte"}, core.Download, 1<<10) // want `use of s after release`
+	return first
+}
+
+func deferredRelease() int {
+	world := simnet.New(4)
+	defer world.Release() // runs after everything below
+	return world.Run()
+}
+
+func releasePerIteration(conds []phy.Condition) {
+	for _, cond := range conds {
+		s := core.NewSession(5, cond)
+		s.Run(core.Config{Iface: "wifi"}, core.Download, 1<<10)
+		s.Close() // the next iteration declares a new s
+	}
+}
+
+type lastMapping struct {
+	dss   *mptcp.DSS
+	owned *mptcp.DSS //multinet:owns — the golden holder that counted itself in
+}
+
+func holdDSS(h *lastMapping, d *mptcp.DSS) {
+	h.dss = d // want `escapes into field h.dss`
+	h.owned = d
+}
+
+func dropHoldTwice(d *mptcp.DSS) uint64 {
+	d.RecycleOpt()
+	d.RecycleOpt()   // want `released twice`
+	return d.DataSeq // want `use of d after release`
 }
 
 func branchRelease(p *netem.Packet, drop bool) {
@@ -32,15 +94,15 @@ func branchRelease(p *netem.Packet, drop bool) {
 }
 
 func reacquire() {
-	p := netem.NewPacket()
+	p := netem.NewPacket(sim)
 	netem.ReleasePacket(p)
-	p = netem.NewPacket() // reassignment resurrects the variable
+	p = netem.NewPacket(sim) // reassignment resurrects the variable
 	p.Size = 1
 	netem.ReleasePacket(p)
 }
 
 func allowedDoubleRelease() {
-	p := netem.NewPacket()
+	p := netem.NewPacket(sim)
 	netem.ReleasePacket(p)
 	//lint:allow poolown golden proof that an allow annotation suppresses
 	netem.ReleasePacket(p)

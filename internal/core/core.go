@@ -314,6 +314,13 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 	return res
 }
 
+// Close ends the session and hands the simulator's memory to the next
+// one built (simnet.Sim.Release). Call it once the session's results,
+// counters and captures have been read; a closed session must not be
+// used again. Closing is optional: a session that is simply dropped is
+// collected, it just does not pass its memory on.
+func (s *Session) Close() { s.Sim.Release() }
+
 // RunMbps is a convenience wrapper returning just the throughput
 // (0 when the transfer did not complete).
 func (s *Session) RunMbps(cfg Config, dir Direction, size int) float64 {

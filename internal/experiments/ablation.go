@@ -129,12 +129,14 @@ func AblationTailTime(o Options) AblationTailResult {
 		horizon := flow + model.TailDuration + time.Second
 
 		simA := simnet.New(seedFor(o.BaseSeed(), 773, int(tail)))
+		defer simA.Release()
 		backup := energy.NewMeter(simA, model)
 		backup.OnPacket()
 		simA.Schedule(flow, backup.OnPacket)
 		simA.RunUntil(horizon)
 
 		simB := simnet.New(seedFor(o.BaseSeed(), 774, int(tail)))
+		defer simB.Release()
 		active := energy.NewMeter(simB, model)
 		for t := time.Duration(0); t <= flow; t += 20 * time.Millisecond {
 			tt := t
@@ -212,6 +214,7 @@ func AblationSelector(o Options) AblationSelectorResult {
 		lt := locTotals{sums: map[string]float64{}, counts: map[string]int{}}
 		probe := core.NewSession(seedFor(o.BaseSeed(), 775, loc.ID), loc.Condition())
 		est := probe.Probe()
+		probe.Close()
 		for _, name := range names {
 			pick := policies[name]
 			for si, size := range sizes {
@@ -222,6 +225,7 @@ func AblationSelector(o Options) AblationSelectorResult {
 				} else {
 					lt.sums[name] += s.Horizon.Seconds()
 				}
+				s.Close()
 				lt.counts[name]++
 			}
 		}

@@ -101,6 +101,7 @@ func ScenarioFaults(o Options) ScenarioFaultsResult {
 	const size = 16 << 20
 	grid := engine.Grid(o, len(profiles), len(cfgs), func(pi, ci int) float64 {
 		sess := core.NewSession(seedFor(o.BaseSeed(), 41, pi, ci), cond)
+		defer sess.Close()
 		sess.Horizon = 60 * time.Second
 		if len(profiles[pi].sched.Episodes) > 0 {
 			if _, err := profiles[pi].sched.Attach(sess.Sim, sess.Host); err != nil {

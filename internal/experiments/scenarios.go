@@ -78,6 +78,7 @@ func runScenarioVariants(o Options, tag int, variants []scenarioVariant) []Scena
 		res := ScenarioVariantResult{Name: v.name, KB: scenarioSizesKB}
 		probe := core.NewSession(seedFor(o.BaseSeed(), tag, vi), v.cond)
 		est := probe.Probe()
+		probe.Close()
 		res.Ranked = est.Ranked()
 		res.Disparity = est.PairDisparity()
 		for _, cfg := range v.cfgs {

@@ -15,6 +15,14 @@ func init() {
 	register("figure4", "Figure 4", "2.3", 3, func(o Options) fmt.Stringer { return Figure4(o) })
 }
 
+// campaign generates the crowd-sourced measurement campaign of
+// Section 2 for the options' seed.
+func campaign(o Options) *dataset.Campaign {
+	sim := simnet.New(o.BaseSeed())
+	defer sim.Release()
+	return dataset.Generate(sim)
+}
+
 // Table1Result is the regenerated Table 1 (geographic clusters of the
 // crowd-sourced campaign).
 type Table1Result struct {
@@ -28,7 +36,7 @@ type Table1Result struct {
 // Table1 generates the synthetic campaign and regroups it with the
 // paper's k-means-style radius clustering (r = 100 km).
 func Table1(o Options) Table1Result {
-	c := dataset.Generate(simnet.New(o.BaseSeed()))
+	c := campaign(o)
 	rows := c.RegenerateTable1()
 	res := Table1Result{Rows: rows}
 	res.Filtered = len(c.Runs) - len(c.CompleteRuns())
@@ -94,7 +102,7 @@ type Figure3Result struct {
 
 // Figure3 computes the CDFs of Tput(WiFi)-Tput(LTE) over the campaign.
 func Figure3(o Options) Figure3Result {
-	c := dataset.Generate(simnet.New(o.BaseSeed()))
+	c := campaign(o)
 	up, down := c.DiffCDFs()
 	wu, wd, comb := c.WinFractions()
 	return Figure3Result{
@@ -124,7 +132,7 @@ type Figure4Result struct {
 
 // Figure4 computes the CDF of RTT(WiFi)-RTT(LTE) over the campaign.
 func Figure4(o Options) Figure4Result {
-	c := dataset.Generate(simnet.New(o.BaseSeed()))
+	c := campaign(o)
 	cdf := c.RTTDiffCDF()
 	return Figure4Result{
 		CDF:         sampleCDF(cdf, "RTT(WiFi)-RTT(LTE) (ms)", 40),

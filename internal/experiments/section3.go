@@ -7,12 +7,10 @@ import (
 
 	"multinet/internal/capture"
 	"multinet/internal/core"
-	"multinet/internal/dataset"
 	"multinet/internal/experiments/engine"
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
 	"multinet/internal/phy"
-	"multinet/internal/simnet"
 	"multinet/internal/stats"
 )
 
@@ -69,7 +67,9 @@ func standardConfigs() []core.Config {
 // parallel sweep pass o.Serial() so worker counts do not multiply.
 func measureMbps(o Options, seed int64, cond phy.Condition, cfg core.Config, dir core.Direction, size, trials int) float64 {
 	return engine.RunTrials(o, seed, trials, func(s int64) float64 {
-		return core.NewSession(s, cond).RunMbps(cfg, dir, size)
+		sess := core.NewSession(s, cond)
+		defer sess.Close()
+		return sess.RunMbps(cfg, dir, size)
 	})
 }
 
@@ -114,7 +114,7 @@ type Figure6Result struct {
 // Figure6 measures 1 MB TCP transfers (both networks, both directions)
 // at each location and compares the difference CDF with Figure 3's.
 func Figure6(o Options) Figure6Result {
-	camp := dataset.Generate(simnet.New(o.BaseSeed()))
+	camp := campaign(o)
 	appUp, appDown := camp.DiffCDFs()
 
 	trials := o.TrialCount(2)
@@ -126,6 +126,7 @@ func Figure6(o Options) Figure6Result {
 	cells := engine.Grid(o, n, trials, func(i, t int) cell {
 		loc := phy.Locations[i]
 		s := core.NewSession(seedFor(o.BaseSeed(), loc.ID, t), loc.Condition())
+		defer s.Close()
 		wifiDown := s.RunMbps(core.Config{Transport: core.TCP, Iface: "wifi"}, core.Download, 1<<20)
 		wifiUp := s.RunMbps(core.Config{Transport: core.TCP, Iface: "wifi"}, core.Upload, 1<<20)
 		lteDown := s.RunMbps(core.Config{Transport: core.TCP, Iface: "lte"}, core.Download, 1<<20)
@@ -305,6 +306,7 @@ type EvolutionResult struct {
 // and extracts the cumulative-average throughput curves.
 func evolution(seed int64, loc phy.Location, primary string) EvolutionResult {
 	s := core.NewSession(seed, loc.Condition())
+	defer s.Close()
 	sn := capture.NewSniffer(s.Sim)
 	for _, ifc := range s.Host.Ifaces() {
 		sn.Attach(ifc)
@@ -505,6 +507,7 @@ func Coupling(o Options) CouplingResult {
 			} {
 				s := core.NewSession(seedFor(seed, ci), loc.Condition())
 				m[cfg.Primary+"/"+cfg.CC.String()] = s.RunMbps(cfg, dir, sz.bytes)
+				s.Close()
 			}
 			var c cell
 			// rcwnd: same primary, different CC.

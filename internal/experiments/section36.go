@@ -57,6 +57,7 @@ func fig15Run(seed int64, name, desc string, mode mptcp.Mode, primary string,
 	manipulate func(sim *simnet.Sim, host *netem.Host)) Fig15Panel {
 
 	sim := simnet.New(seed)
+	defer sim.Release()
 	host := phy.BuildHost(sim, fig15Cond)
 	clientStack := tcp.NewStack(sim, tcp.ClientSide)
 	serverStack := tcp.NewStack(sim, tcp.ServerSide)
@@ -191,6 +192,7 @@ type Figure16Result struct{ Panels []Fig16Panel }
 func Figure16(o Options) Figure16Result {
 	run := func(seed int64, primary string, backup string) (map[string]*energy.Meter, time.Duration) {
 		sim := simnet.New(seed)
+		defer sim.Release() // the meters only read its clock from here on
 		host := phy.BuildHost(sim, fig15Cond)
 		clientStack := tcp.NewStack(sim, tcp.ClientSide)
 		serverStack := tcp.NewStack(sim, tcp.ServerSide)
@@ -310,6 +312,7 @@ func EnergyBackup(o Options) EnergyBackupResult {
 
 		// Backup: LTE sees only SYN at 0 and FIN at flow end.
 		simA := simnet.New(seedFor(o.BaseSeed(), 362, int(d)))
+		defer simA.Release()
 		backup := energy.NewMeter(simA, energy.LTE)
 		backup.OnPacket()
 		simA.Schedule(flow, backup.OnPacket)
@@ -317,6 +320,7 @@ func EnergyBackup(o Options) EnergyBackupResult {
 
 		// Full-MPTCP: LTE active for the whole flow.
 		simB := simnet.New(seedFor(o.BaseSeed(), 363, int(d)))
+		defer simB.Release()
 		active := energy.NewMeter(simB, energy.LTE)
 		for t := time.Duration(0); t <= flow; t += 20 * time.Millisecond {
 			tt := t

@@ -77,6 +77,7 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 	t.Helper()
 	netem.SetLeakTracking(true)
 	tcp.SetLeakTracking(true)
+	mptcp.SetLeakTracking(true)
 
 	const watchdogRTOs = 4
 	w := newWorld(seed, mptcp.ServerConfig{WatchdogRTOs: watchdogRTOs}, variable)
@@ -175,6 +176,7 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 func TestChaosSweep(t *testing.T) {
 	defer netem.SetLeakTracking(false)
 	defer tcp.SetLeakTracking(false)
+	defer mptcp.SetLeakTracking(false)
 	runs := 500
 	if testing.Short() {
 		runs = 50
@@ -199,6 +201,7 @@ func TestChaosSweep(t *testing.T) {
 func TestChaosDeterministic(t *testing.T) {
 	defer netem.SetLeakTracking(false)
 	defer tcp.SetLeakTracking(false)
+	defer mptcp.SetLeakTracking(false)
 	rng := rand.New(rand.NewSource(42))
 	sched := faults.GenSchedule(rng, []string{"wifi", "lte"}, 5*time.Second)
 	for _, variable := range []bool{false, true} {

@@ -32,8 +32,9 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 //   - No silent stalls: at quiescence a connection with undelivered
 //     data must have been closed or aborted — a watchdog abort counts;
 //     simply hanging does not.
-//   - No pooled-object leaks (when Leaks is set): the packet and
-//     segment pools balance allocations against recycles.
+//   - No recycled-object leaks (when Leaks is set): every packet and
+//     segment taken from a free list went back to it, and every DSS was
+//     let go by all of its holders, once each (dss-accounting).
 //   - Scoreboard accounting: on every subflow, the sender's
 //     incrementally maintained pipe and pending-loss count equal a full
 //     scan of its SACK scoreboard (tcp.Conn.AuditScoreboard).
@@ -43,9 +44,10 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 // scoreboard rule alone holds between any two events, so
 // CheckScoreboards may be called while the run is in progress.
 type Checker struct {
-	// Leaks additionally asserts the netem packet pool and tcp segment
-	// pool balances are zero. Set it only if SetLeakTracking(true) was
-	// called on both pools before the simulation was built.
+	// Leaks additionally asserts that the live counts of netem packets,
+	// tcp segments and mptcp DSS are zero. Set it only if
+	// SetLeakTracking(true) was called in all three packages before the
+	// simulation was built.
 	Leaks bool
 
 	links []checkedLink
@@ -113,6 +115,12 @@ func (c *Checker) Check() []Violation {
 			out = append(out, Violation{
 				Rule:   "segment-leak",
 				Detail: fmt.Sprintf("%d pooled segments unaccounted for", n),
+			})
+		}
+		if n := mptcp.LiveDSS(); n != 0 {
+			out = append(out, Violation{
+				Rule:   "dss-accounting",
+				Detail: fmt.Sprintf("%d DSS holds unaccounted for (negative: a holder let go twice)", n),
 			})
 		}
 	}

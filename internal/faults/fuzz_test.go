@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"multinet/internal/faults"
+	"multinet/internal/mptcp"
 	"multinet/internal/netem"
 	"multinet/internal/tcp"
 )
@@ -64,6 +65,7 @@ func FuzzChaosSchedule(f *testing.F) {
 		}
 		defer netem.SetLeakTracking(false)
 		defer tcp.SetLeakTracking(false)
+		defer mptcp.SetLeakTracking(false)
 		download := len(data) == 0 || data[len(data)-1]%2 == 0
 		variable := len(data) > 0 && data[len(data)-1]%4 >= 2
 		a := runChaos(t, 1234, sched, variable, download, 64<<10)

@@ -152,6 +152,7 @@ func (sf *Subflow) Dead() bool { return sf.dead }
 // server side use this type; the client side initiates subflows.
 type Conn struct {
 	sim  *simnet.Sim
+	dss  *simnet.FreeList[DSS] // sim's; looked up once
 	cfg  Config
 	cb   Callbacks
 	side tcp.Side
@@ -205,8 +206,8 @@ func newConn(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, side tcp.Side,
 	if cfg.ConnID == "" {
 		panic("mptcp: ConnID required")
 	}
-	return &Conn{sim: sim, cfg: cfg, cb: cb, side: side, stack: stack, host: host,
-		sched: schedulerFor(cfg)}
+	return &Conn{sim: sim, dss: simnet.FreeListOf[DSS](sim), cfg: cfg, cb: cb, side: side,
+		stack: stack, host: host, sched: schedulerFor(cfg)}
 }
 
 // Dial opens an MPTCP connection from the client side: the primary
@@ -299,7 +300,7 @@ func (c *Conn) subflowCallbacks(sf *Subflow) tcp.Callbacks {
 		OnEstablished: func(tc *tcp.Conn) { c.subflowEstablished(sf) },
 		OnSegment:     func(tc *tcp.Conn, seg *tcp.Segment) { c.onSegment(sf, seg) },
 		OnAckedOpt:    func(tc *tcp.Conn, opt any) { c.onMappingAcked(sf, opt) },
-		AckOpt:        func(tc *tcp.Conn) any { return newAckDSS(c.rcvNxt) },
+		AckOpt:        func(tc *tcp.Conn) any { return c.newDSS(0, 0) },
 		OnRTO:         func(tc *tcp.Conn, count int) { c.onSubflowRTO(sf, count) },
 		OnClosed:      func(tc *tcp.Conn) { c.onSubflowClosed(sf) },
 	}
@@ -526,7 +527,7 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 	if sf.dupQueue.len() > 0 {
 		m := sf.dupQueue.takeFront(max)
 		sf.outstanding.push(m)
-		return m.len, &DSS{DataSeq: m.dataSeq, Len: m.len, DataAck: c.rcvNxt}, true
+		return m.len, c.newDSS(m.dataSeq, m.len), true
 	}
 	c.rtxPool.pruneAcked(c.dataUna)
 	fresh := c.dataNxt < c.sendTotal && c.dataNxt < c.dataUna+uint64(c.cfg.recvBuf()) &&
@@ -552,7 +553,7 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 		}
 	}
 	sf.outstanding.push(m)
-	return m.len, &DSS{DataSeq: m.dataSeq, Len: m.len, DataAck: c.rcvNxt}, true
+	return m.len, c.newDSS(m.dataSeq, m.len), true
 }
 
 // onMappingAcked removes the subflow-acknowledged byte range from

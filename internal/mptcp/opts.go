@@ -25,7 +25,9 @@ package mptcp
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
+
+	"multinet/internal/simnet"
 )
 
 // MPCapable is the option on the primary subflow's SYN.
@@ -56,6 +58,17 @@ func (o *MPJoin) String() string {
 // DSS is the Data Sequence Signal option: it maps the segment's payload
 // into the connection-level sequence space and carries the cumulative
 // connection-level acknowledgement.
+//
+// The DSS a Conn sends are recycled through its Sim's free list, by
+// holder count (tcp.SharedOpt). A pure ACK's DSS has one holder, the
+// wire segment. A data mapping's DSS starts with that one and gains the
+// sender's scoreboard entry and every retransmitted copy; the receiver
+// reads a copy that may arrive after the entry was acknowledged, and a
+// late ACK reads the entry after every copy is gone, so only the last
+// holder to let go may free it. The count belongs to package tcp — it
+// alone stores references — and this package only sets it to one. A
+// holder that never lets go (a code path that forgets to) keeps the DSS
+// off the list for good: it is collected, never reused early.
 type DSS struct {
 	// DataSeq is the connection-level sequence of the first payload
 	// byte (valid when Len > 0).
@@ -65,33 +78,70 @@ type DSS struct {
 	// DataAck is the cumulative connection-level acknowledgement.
 	DataAck uint64
 
-	// wireOnly marks a pooled ack-only DSS owned exclusively by the
-	// wire segment carrying it (see newAckDSS); data-mapping DSS are
-	// also referenced from the sender's retransmission scoreboard and
-	// must never be recycled by the wire.
-	wireOnly bool
+	holders int32
+	// home is the free list the DSS was taken from; nil for a literal
+	// and for a DSS that has been abandoned.
+	home *simnet.FreeList[DSS]
 }
 
-var dssPool = sync.Pool{New: func() any { return new(DSS) }}
+// leakTrack gates live-DSS accounting, as netem's and tcp's do for
+// packets and segments.
+var leakTrack atomic.Bool
 
-// newAckDSS returns a pooled ack-only DSS for a pure ACK. Pure ACKs are
-// never tracked for retransmission, so the wire segment is the only
-// holder and tcp.Segment.Recycle returns the option to the pool at the
-// segment's delivery or drop sink.
-func newAckDSS(ack uint64) *DSS {
-	d := dssPool.Get().(*DSS)
-	d.DataSeq, d.Len, d.DataAck, d.wireOnly = 0, 0, ack, true
+var liveDSS atomic.Int64
+
+// SetLeakTracking enables or disables live-DSS accounting and resets
+// the counter (enable before building the simulation under test).
+func SetLeakTracking(on bool) {
+	leakTrack.Store(on)
+	liveDSS.Store(0)
+}
+
+// LiveDSS returns the recycled DSS currently held by someone: taken
+// from a free list since SetLeakTracking(true) and neither returned nor
+// abandoned. Zero at quiescence means every holder let go; a negative
+// value means one let go twice.
+func LiveDSS() int64 { return liveDSS.Load() }
+
+// newDSS takes a DSS with one holder — the wire segment it is about to
+// ride — from the connection's free list.
+func (c *Conn) newDSS(dataSeq uint64, n int) *DSS {
+	if leakTrack.Load() {
+		liveDSS.Add(1)
+	}
+	d := c.dss.Get()
+	d.DataSeq, d.Len, d.DataAck, d.holders, d.home = dataSeq, n, c.rcvNxt, 1, c.dss
 	return d
 }
 
-// RecycleOpt implements tcp.RecyclableOpt: wire-owned ack-only DSS
-// return to the pool; shared data-mapping DSS are left to the GC.
+// RetainOpt implements tcp.SharedOpt.
+func (o *DSS) RetainOpt() { o.holders++ }
+
+// RecycleOpt implements tcp.RecyclableOpt: one holder lets go, and the
+// last returns the DSS to its free list.
 func (o *DSS) RecycleOpt() {
-	if !o.wireOnly {
+	o.holders--
+	if o.holders != 0 || o.home == nil {
 		return
 	}
+	if leakTrack.Load() {
+		liveDSS.Add(-1)
+	}
+	home := o.home
 	*o = DSS{}
-	dssPool.Put(o)
+	home.Put(o)
+}
+
+// AbandonOpt implements tcp.SharedOpt: the DSS stays readable for
+// whoever still refers to it and is never recycled.
+func (o *DSS) AbandonOpt() {
+	if o.home == nil {
+		return
+	}
+	if leakTrack.Load() {
+		liveDSS.Add(-1)
+	}
+	o.home = nil
 }
 
 // String renders the option for captures.

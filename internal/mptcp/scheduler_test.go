@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"multinet/internal/netem"
+	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
 
@@ -42,7 +43,7 @@ func TestSchedulerRegistry(t *testing.T) {
 // the original stranded forever, to be spuriously reinjected on every
 // later stall.
 func TestSplitReinjectionAck(t *testing.T) {
-	c := &Conn{cfg: Config{ConnID: "t"}, sched: NewScheduler(SchedMinSRTT)}
+	c := &Conn{cfg: Config{ConnID: "t"}, sched: NewScheduler(SchedMinSRTT), dss: new(simnet.FreeList[DSS])}
 	sf := &Subflow{conn: c, established: true}
 	c.subflows = []*Subflow{sf}
 

@@ -12,6 +12,7 @@ import (
 // sends and fault edges, then asserts the conservation identity at
 // quiescence: every admitted packet was delivered or died in flight.
 type consRig struct {
+	sim       *simnet.Sim
 	l         Link
 	delivered int
 }
@@ -26,7 +27,7 @@ func runConsOp(a any) {
 	op := a.(*consOp)
 	switch op.kind {
 	case 0:
-		p := NewPacket()
+		p := NewPacket(op.rig.sim)
 		p.Size = op.size
 		op.rig.l.Send(p)
 	case 1:
@@ -42,7 +43,7 @@ func runConsOp(a any) {
 
 func checkConservation(t *testing.T, name string, seed int64, l Link, sim *simnet.Sim, rng *rand.Rand) {
 	t.Helper()
-	rig := &consRig{l: l}
+	rig := &consRig{sim: sim, l: l}
 	l.SetReceiver(func(p *Packet) {
 		rig.delivered++
 		ReleasePacket(p)

@@ -19,6 +19,7 @@ type Iface struct {
 	Name string
 
 	sim      *simnet.Sim
+	pkts     *simnet.FreeList[Packet]
 	up, down Link
 
 	clientRecv func(*Packet)
@@ -41,7 +42,8 @@ type Iface struct {
 
 // NewIface wires a duplex interface from two one-way links.
 func NewIface(sim *simnet.Sim, name string, uplink, downlink Link) *Iface {
-	i := &Iface{Name: name, sim: sim, up: uplink, down: downlink, lastActivity: -1}
+	i := &Iface{Name: name, sim: sim, pkts: simnet.FreeListOf[Packet](sim),
+		up: uplink, down: downlink, lastActivity: -1}
 	uplink.SetReceiver(func(p *Packet) {
 		i.lastActivity = sim.Now()
 		for _, t := range i.recvTaps {
@@ -108,9 +110,9 @@ func (i *Iface) FluidTouch(t time.Duration) {
 	}
 }
 
-// newPacket builds a pooled packet for this interface.
+// newPacket builds a recycled packet for this interface.
 func (i *Iface) newPacket(dir Direction, size int, payload any) *Packet {
-	p := NewPacket()
+	p := takePacket(i.pkts)
 	p.Iface = i.Name
 	p.Dir = dir
 	p.Size = size

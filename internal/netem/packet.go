@@ -19,7 +19,6 @@ package netem
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,13 +50,13 @@ const MTU = 1500
 // Packet is the unit of transfer across links. Transports put their
 // segment in Payload; Size is the total on-the-wire size in bytes.
 //
-// Packets are pooled: the Iface send helpers take them from NewPacket,
-// and they are released back exactly once — by the link when it drops
-// them (queue overflow, random loss, down/blackhole) or by the final
-// receiver once it has finished with the delivered packet (tcp.Stack
-// does this in its dispatch path). Consumers that retain a delivered
-// packet simply never release it; the pool is an optimisation, not an
-// obligation.
+// Packets are recycled through their Sim's free list: the Iface send
+// helpers take them from it, and they are released back exactly once —
+// by the link when it drops them (queue overflow, random loss,
+// down/blackhole) or by the final receiver once it has finished with
+// the delivered packet (tcp.Stack does this in its dispatch path).
+// Consumers that retain a delivered packet simply never release it; the
+// free list is an optimisation, not an obligation.
 type Packet struct {
 	// Iface names the client interface this packet traverses ("wifi",
 	// "lte"); filled in by the Iface send helpers.
@@ -82,34 +81,46 @@ type Packet struct {
 	doneAt  time.Duration
 	arrive  simnet.Timer
 	fl      *baseLink
+
+	// home is the free list the packet was taken from and ReleasePacket
+	// returns it to; nil for a packet built as a literal.
+	home *simnet.FreeList[Packet]
 }
 
 // Recyclable is implemented by payloads that want to be returned to a
-// pool when netem is finished with the packet carrying them: on every
+// free list when netem is finished with the packet carrying them: on every
 // drop path (queue overflow, random loss, down/blackhole, purge) the
 // link recycles the payload before releasing the packet. Payloads of
 // delivered packets are NOT recycled by netem — ownership passes to the
 // receiver (tcp.Stack recycles segments after processing them).
 type Recyclable interface{ Recycle() }
 
-var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+// NewPacket returns a zeroed packet from sim's free list.
+func NewPacket(sim *simnet.Sim) *Packet {
+	return takePacket(simnet.FreeListOf[Packet](sim))
+}
 
-// NewPacket returns a zeroed packet from the pool.
-func NewPacket() *Packet {
+// takePacket is NewPacket for a caller that has looked the list up.
+func takePacket(l *simnet.FreeList[Packet]) *Packet {
 	if leakTrack.Load() {
 		livePackets.Add(1)
 	}
-	return packetPool.Get().(*Packet)
+	p := l.Get()
+	p.home = l
+	return p
 }
 
-// ReleasePacket resets p and returns it to the pool. The caller must
-// not touch p afterwards.
+// ReleasePacket resets p and returns it to the free list it came from.
+// The caller must not touch p afterwards.
 func ReleasePacket(p *Packet) {
 	if leakTrack.Load() {
 		livePackets.Add(-1)
 	}
+	home := p.home
 	*p = Packet{}
-	packetPool.Put(p)
+	if home != nil {
+		home.Put(p)
+	}
 }
 
 // dropPacket recycles p's payload (if it knows how) and releases p —
@@ -167,8 +178,8 @@ type Link interface {
 	QueueLen() int
 }
 
-// leakTrack gates live-packet accounting. Off (the default) the pooled
-// hot path pays one predictable branch; tests running the faults
+// leakTrack gates live-packet accounting. Off (the default) the
+// recycling hot path pays one predictable branch; tests running the faults
 // invariant checker switch it on around a run and assert LivePackets
 // returns to its starting value once the simulation drains.
 var leakTrack atomic.Bool

@@ -147,7 +147,7 @@ func (w *diffWorld) attach(l netem.Link) {
 }
 
 func (w *diffWorld) send(id, size int) {
-	p := netem.NewPacket()
+	p := netem.NewPacket(w.sim)
 	p.Size, p.Payload = size, id
 	w.link.Send(p)
 }

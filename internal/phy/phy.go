@@ -114,6 +114,11 @@ func NewARRateSource(sim *simnet.Sim, stream string, meanMbps, variability float
 	}
 }
 
+// gapsHorizon is the number of epochs ARRateSource.gaps is first sized
+// for: 6.4 s at the default epoch, which covers most transfers of the
+// sweeps whole; longer runs double from there.
+const gapsHorizon = 64
+
 // slotGap returns the spacing of MTU-sized slots at the rate the current
 // deviation gives.
 func (s *ARRateSource) slotGap() time.Duration {
@@ -134,6 +139,10 @@ func (s *ARRateSource) slotGap() time.Duration {
 func (s *ARRateSource) seek(t time.Duration) {
 	epoch := int(t / s.Epoch)
 	if len(s.gaps) == 0 {
+		// Room for the first gapsHorizon epochs at once (more if the first
+		// question already lies beyond them), not a doubling from nil in
+		// every world.
+		s.gaps = make([]time.Duration, 0, max(gapsHorizon, epoch+1))
 		s.gaps = append(s.gaps, s.slotGap()) // epoch 0: no deviation yet
 	}
 	for len(s.gaps) <= epoch {

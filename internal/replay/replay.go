@@ -223,6 +223,7 @@ type Result struct {
 // transport configuration and returns the app response time.
 func Run(seed int64, cond phy.Condition, rec *Recording, tc TransportConfig) Result {
 	sim := simnet.New(seed)
+	defer sim.Release()
 	host := phy.BuildHost(sim, cond)
 	e := &engine{
 		sim:   sim,

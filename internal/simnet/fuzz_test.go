@@ -42,6 +42,7 @@ func FuzzWheelScheduleStop(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New(1)
+		s.wheel.audit = true // every cached nextHigher is checked against a rescan
 		ref := &refQueue{}
 		type pair struct {
 			tm Timer

@@ -22,11 +22,18 @@
 // Randomness is handled through named streams (see Sim.RNG) so that
 // adding a new consumer of randomness does not perturb the draws seen by
 // existing consumers — a property the calibrated experiments rely on.
+//
+// A Sim owns its memory (see arena): the wheel, the event free list, the
+// free lists of the objects the layers above recycle (FreeListOf) and
+// the generators of its random streams. Release hands that memory to the
+// next New, so a sweep of many short-lived worlds builds each of them
+// out of the previous one's parts.
 package simnet
 
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -34,21 +41,8 @@ import (
 //
 // The zero value is not usable; construct with New.
 type Sim struct {
-	now time.Duration
-	// wheel holds pending events beyond the current tick; due is the
-	// (at, seq)-sorted batch for the tick being dispatched, consumed
-	// from dueHead.
-	wheel   wheel
-	due     []*event //multinet:owns — events homed in the dispatch batch
-	dueHead int
-	// dueBuf is due's first backing array: a tick's batch on the
-	// experiment workloads is at most 8 events (DESIGN.md), so the bucket
-	// of a short-lived Sim never allocates.
-	dueBuf  [dueCap]*event //multinet:owns — backing store of due
-	free    []*event       //multinet:owns — recycled events awaiting reuse
-	seq     uint64
+	now     time.Duration
 	seed    int64
-	rngs    map[string]*rand.Rand
 	stopped bool
 	// processed counts events executed since construction; exposed for
 	// tests and for sanity checks that experiments actually ran.
@@ -60,16 +54,161 @@ type Sim struct {
 	// events are unlinked and recycled by Stop directly.)
 	live      int
 	cancelled int
+	// The memory the Sim schedules in; nil once Release has given it away,
+	// so whatever a released Sim is asked to do next dereferences nil
+	// instead of reaching into the world that now owns the arena.
+	*arena
 }
+
+// arena is everything a Sim allocates that can outlive it: Release
+// empties it and parks it for the next New, which then starts with a
+// sized wheel, a stocked event free list, warm object free lists and
+// generators to reseed. Nothing in a parked arena refers to the world
+// that filled it — recycled events, packets and segments are cleared
+// when they are freed — so a retired world is collected as usual.
+type arena struct {
+	// wheel holds pending events beyond the current tick; due is the
+	// (at, seq)-sorted batch for the tick being dispatched, consumed
+	// from dueHead.
+	wheel   wheel
+	due     []*event //multinet:owns — events homed in the dispatch batch
+	dueHead int
+	// dueBuf is due's first backing array: a tick's batch on the
+	// experiment workloads is at most 8 events (DESIGN.md), so the bucket
+	// of a short-lived Sim never allocates.
+	dueBuf [dueCap]*event  //multinet:owns — backing store of due
+	free   FreeList[event] // fired and cancelled events awaiting reuse
+	// seq numbers scheduling order and doubles as the Timer generation.
+	// It is not reset between the worlds an arena serves: a handle that
+	// outlived its Sim can then never match a reused event.
+	seq uint64
+	// streams are the named random streams in creation order; life counts
+	// the worlds this arena has served, and a stream whose life is older
+	// belongs to an earlier world until RNG reseeds it for this one.
+	streams []*stream
+	life    uint64
+	// lists holds one *FreeList[T] per recycled type (see FreeListOf).
+	lists []any
+}
+
+// retired parks the arenas of released Sims for New. It is the
+// simulator's only process-wide mutable state, and it cannot reach a
+// result: an arena that comes back from it behaves as a new one does
+// (TestRecycledWorldMatchesFresh), whichever worker retired it.
+var retired struct {
+	sync.Mutex
+	arenas []*arena
+}
+
+// maxRetired bounds the parked arenas (a few hundred KB each): more
+// Sims than this released while none is being built are left to the
+// collector.
+const maxRetired = 64
 
 // New returns a simulator whose random streams derive from seed.
 func New(seed int64) *Sim {
-	s := &Sim{
-		seed: seed,
-		rngs: make(map[string]*rand.Rand),
+	retired.Lock()
+	var a *arena
+	if n := len(retired.arenas); n > 0 {
+		a = retired.arenas[n-1]
+		retired.arenas[n-1] = nil
+		retired.arenas = retired.arenas[:n-1]
 	}
-	s.due = s.dueBuf[:0]
-	return s
+	retired.Unlock()
+	if a == nil {
+		a = new(arena)
+		a.due = a.dueBuf[:0]
+		a.wheel.hi = noTick
+	}
+	return &Sim{seed: seed, arena: a}
+}
+
+// Release ends the simulation and gives its memory to the next New:
+// pending events are dropped unfired, and the wheel, the free lists and
+// the random streams' generators are parked. Call it when a world's
+// results have been read. It is optional — a Sim that is never released
+// is simply collected — and final: scheduling on, running, asking for a
+// stream of or releasing a released Sim panics, and Timers it handed out
+// are inert. Now, Seed, Processed and Pending keep answering.
+//
+// Objects taken from the Sim's free lists and still in flight are not
+// recalled; they are collected with the rest of the world.
+func (s *Sim) Release() {
+	a := s.mem()
+	s.arena = nil
+	s.live, s.cancelled = 0, 0 // dropped with the arena's pending events
+	a.reset()
+	retired.Lock()
+	if len(retired.arenas) < maxRetired {
+		retired.arenas = append(retired.arenas, a)
+	}
+	retired.Unlock()
+}
+
+// mem returns the arena, refusing a released Sim by name.
+func (s *Sim) mem() *arena {
+	if s.arena == nil {
+		panic("simnet: use of a released Sim")
+	}
+	return s.arena
+}
+
+// reset returns the arena to the state New expects: no pending events,
+// the wheel at tick zero, and only the streams the world that just
+// ended used, marked as belonging to a world gone by.
+func (a *arena) reset() {
+	a.dropPending()
+	kept := a.streams[:0]
+	for _, st := range a.streams {
+		if st.life == a.life {
+			kept = append(kept, st)
+		}
+	}
+	clear(a.streams[len(kept):])
+	a.streams = kept
+	a.life++
+}
+
+// FreeList is a stack of recycled *T belonging to one Sim. A simulation
+// runs on one goroutine, so Get and Put are a slice pop and push; and
+// because the list lives and dies (and is parked) with its Sim, what one
+// world frees is what the next one built from the same arena starts
+// with. Put does not clear the object: the owner of T knows which fields
+// hold references.
+type FreeList[T any] struct {
+	items []*T //multinet:owns — freed objects awaiting reuse
+}
+
+// Get returns a recycled object, or a new zero one when the list is
+// empty.
+func (l *FreeList[T]) Get() *T {
+	n := len(l.items)
+	if n == 0 {
+		return new(T)
+	}
+	p := l.items[n-1]
+	l.items[n-1] = nil // a parked list must not pin what it handed out
+	l.items = l.items[:n-1]
+	return p
+}
+
+// Put adds p to the list. The caller must hold the only reference.
+func (l *FreeList[T]) Put(p *T) {
+	l.items = append(l.items, p)
+}
+
+// FreeListOf returns s's free list of T, the same one on every call.
+// Callers on a per-packet path look it up once, when they are built.
+func FreeListOf[T any](s *Sim) *FreeList[T] {
+	a := s.mem()
+	for _, x := range a.lists {
+		if l, ok := x.(*FreeList[T]); ok {
+			return l
+		}
+	}
+	l := new(FreeList[T])
+	a.lists = append(a.lists, l)
+	return l
 }
 
 // Now returns the current virtual time. Time starts at zero.
@@ -111,8 +250,9 @@ func (t Timer) Stop() bool {
 	if s := t.sim; s != nil {
 		s.live--
 		if ev.prevp != nil {
-			s.unlink(ev)
-			s.recycle(ev)
+			a := s.arena
+			a.unlink(ev)
+			a.recycle(ev)
 		} else {
 			s.cancelled++
 		}
@@ -163,8 +303,9 @@ func (s *Sim) ScheduleArg(at time.Duration, fn func(any), arg any) Timer {
 		//lint:allow hotpath cold panic path, never taken in a correct run
 		panic(fmt.Sprintf("simnet: scheduling into the past: at=%v now=%v", at, s.now))
 	}
-	ev := s.newEvent(at, fn, arg)
-	s.place(ev)
+	a := s.mem()
+	ev := a.newEvent(at, fn, arg)
+	a.place(ev)
 	s.live++
 	return Timer{sim: s, ev: ev, seq: ev.seq}
 }
@@ -201,12 +342,14 @@ func (s *Sim) RearmArg(t Timer, at time.Duration, fn func(any), arg any) Timer {
 		t.Stop()
 		return s.ScheduleArg(at, fn, arg)
 	}
-	// at >= ev.at >= now: no past check needed.
+	// at >= ev.at >= now: no past check needed. (A released s has no
+	// pending events, so it never gets here.)
+	a := s.arena
 	ev.at = at
-	ev.seq = s.seq
+	ev.seq = a.seq
 	ev.fn = fn
 	ev.arg = arg
-	s.seq++
+	a.seq++
 	return Timer{sim: s, ev: ev, seq: ev.seq}
 }
 
@@ -231,20 +374,13 @@ func (s *Sim) DeferArg(fn func(any), arg any) Timer { return s.ScheduleArg(s.now
 // stamps it with a fresh generation number.
 //
 //multinet:hotpath
-func (s *Sim) newEvent(at time.Duration, fn func(any), arg any) *event {
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		ev = new(event)
-	}
+func (a *arena) newEvent(at time.Duration, fn func(any), arg any) *event {
+	ev := a.free.Get()
 	ev.at = at
-	ev.seq = s.seq
+	ev.seq = a.seq
 	ev.fn = fn
 	ev.arg = arg
-	s.seq++
+	a.seq++
 	return ev
 }
 
@@ -253,12 +389,12 @@ func (s *Sim) newEvent(at time.Duration, fn func(any), arg any) *event {
 // generation check.
 //
 //multinet:hotpath
-func (s *Sim) recycle(ev *event) {
+func (a *arena) recycle(ev *event) {
 	ev.fn = nil
 	ev.arg = nil
 	ev.next = nil
 	ev.prevp = nil
-	s.free = append(s.free, ev) //lint:allow hotpath free-list capacity is amortised; steady state never grows
+	a.free.Put(ev)
 }
 
 // Stop halts Run/RunUntil after the event currently executing returns.
@@ -295,20 +431,25 @@ func (s *Sim) run(until time.Duration) int {
 	}
 	n := 0
 	for !s.stopped {
-		if s.dueHead == len(s.due) {
-			s.due = s.due[:0]
-			s.dueHead = 0
-			if !s.fillBucket(untilTick) {
+		// Asked for afresh each turn: an event that releases the Sim must
+		// stop the loop here, not leave it running in an arena that has
+		// been given away.
+		a := s.mem()
+		if a.dueHead == len(a.due) {
+			a.due = a.due[:0]
+			a.dueHead = 0
+			if !a.fillBucket(untilTick) {
 				break
 			}
 		}
-		ev := s.due[s.dueHead]
+		ev := a.due[a.dueHead]
 		if until >= 0 && ev.at > until {
 			break
 		}
-		s.dueHead++
+		a.dueHead++
 		if ev.fn == nil { // cancelled after the slot drained
-			s.reclaim(ev)
+			s.cancelled--
+			a.recycle(ev)
 			continue
 		}
 		s.now = ev.at
@@ -317,7 +458,7 @@ func (s *Sim) run(until time.Duration) int {
 		// this one immediately keeps the free list minimal. Stale Timer
 		// handles are protected by the generation check.
 		s.live--
-		s.recycle(ev)
+		a.recycle(ev)
 		fn(arg)
 		n++
 		s.processed++
@@ -342,19 +483,30 @@ func (s *Sim) held() int {
 // the same (seed, name) pair always yields the same sequence.
 //
 // Naming a stream is cheap: the generator state (607 words, ~10 µs to
-// seed) is built on the first draw, so consumers may be handed streams
-// they will never use — a lossless link's loss stream, say — at the
-// cost of one small allocation.
+// seed) is built or reseeded on the first draw, so consumers may be
+// handed streams they will never use — a lossless link's loss stream,
+// say — at the cost of one small allocation, or none when the arena
+// already served a world with a stream of that name.
 func (s *Sim) RNG(name string) *rand.Rand {
-	if r, ok := s.rngs[name]; ok {
-		return r
+	a := s.mem()
+	for _, st := range a.streams {
+		if st.name != name {
+			continue
+		}
+		if st.life != a.life {
+			// Left by an earlier world: same object, same generator, this
+			// world's seed.
+			st.life = a.life
+			st.Rand.Seed(streamSeed(s.seed, name))
+		}
+		return &st.Rand
 	}
 	// One object holds the Rand and its source: a stream that is drawn
 	// from allocates exactly what an eagerly seeded one did (this and
 	// the generator), a stream that never is allocates only this.
-	st := &stream{src: lazySource{seed: streamSeed(s.seed, name)}}
+	st := &stream{name: name, life: a.life, src: lazySource{seed: streamSeed(s.seed, name)}}
 	st.Rand = *rand.New(&st.src)
-	s.rngs[name] = &st.Rand
+	a.streams = append(a.streams, st)
 	return &st.Rand
 }
 
@@ -362,27 +514,37 @@ func (s *Sim) RNG(name string) *rand.Rand {
 // same allocation, the lazily seeded source it draws from.
 type stream struct {
 	rand.Rand
-	src lazySource
+	src  lazySource
+	name string
+	life uint64 // the arena life it was last seeded for
 }
 
-// lazySource is a rand.Source64 that builds the stdlib generator for
-// its seed on the first draw. Every draw goes through that generator,
-// so the stream is draw for draw the one rand.NewSource(seed) yields.
+// lazySource is a rand.Source64 that seeds the stdlib generator on the
+// first draw after Seed — building it if this is the first seed, in
+// place (4.9 KB kept) otherwise. Every draw goes through that
+// generator, so the stream is draw for draw the one
+// rand.NewSource(seed) yields.
 type lazySource struct {
-	seed int64
-	src  rand.Source64
+	seed   int64
+	src    rand.Source64
+	seeded bool // src holds seed's state
 }
 
 func (l *lazySource) source() rand.Source64 {
-	if l.src == nil {
-		l.src = rand.NewSource(l.seed).(rand.Source64)
+	if !l.seeded {
+		if l.src == nil {
+			l.src = rand.NewSource(l.seed).(rand.Source64)
+		} else {
+			l.src.Seed(l.seed)
+		}
+		l.seeded = true
 	}
 	return l.src
 }
 
 func (l *lazySource) Int63() int64    { return l.source().Int63() }
 func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
-func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
+func (l *lazySource) Seed(seed int64) { l.seed, l.seeded = seed, false }
 
 // streamSeed derives a child seed from (seed, name) using an FNV-1a mix.
 // It must be stable forever: experiment calibration depends on it.

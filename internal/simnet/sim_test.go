@@ -441,8 +441,12 @@ func TestRNGLazySeedingMatchesStdlib(t *testing.T) {
 		t.Fatal("the first draw must seed the source")
 	}
 	first := rand.NewSource(5).Int63()
+	gen := src.src
 	src.Seed(5)
-	if src.src != nil || src.Int63() != first {
+	if src.seeded || src.Int63() != first {
 		t.Fatal("Seed must restart the stream lazily")
+	}
+	if src.src != gen {
+		t.Fatal("Seed must reseed the generator it has, not build another")
 	}
 }

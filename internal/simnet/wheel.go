@@ -98,59 +98,82 @@ type wheel struct {
 	// levels without touching their bitmaps.
 	count [numLevels]int
 	tick  int64
+	// hi caches nextHigher — the earliest start tick over the occupied
+	// slots of levels 1 and up, noTick when there are none — or is
+	// hiUnknown. A slot's start tick is fixed when it is filed into and
+	// does not move with the wheel, so the minimum only changes when a
+	// coarse slot gains its first event (place lowers hi) or loses its
+	// last (unlink and crossTo forget it); between those fillBucket scans
+	// level 0 alone, where 9 events in 10 live.
+	hi int64
+	// audit makes every cached answer prove itself against the full scan
+	// (set by the differential and fuzz tests).
+	audit bool
 }
 
+// hiUnknown marks wheel.hi as needing a rescan. It compares below every
+// tick, so place's "earlier than hi?" never lowers an unknown hi.
+const hiUnknown = int64(-1)
+
 // place files a pending event into the due bucket (same tick) or the
-// slot its timestamp selects. Caller guarantees ev.at >= s.now, which
+// slot its timestamp selects. Caller guarantees ev.at >= Sim.now, which
 // with the run loop's bookkeeping implies tick(ev) >= wheel.tick.
 //
 //multinet:hotpath
-func (s *Sim) place(ev *event) {
+func (a *arena) place(ev *event) {
 	tick := int64(ev.at) >> tickShift
-	delta := tick - s.wheel.tick
+	delta := tick - a.wheel.tick
 	if delta <= 0 {
 		// Current tick: the slot for it is already drained, so the event
 		// joins the due bucket at its (at, seq) position.
-		s.dueInsert(ev)
+		a.dueInsert(ev)
 		return
 	}
 	level := (bits.Len64(uint64(delta)) - 1) / levelBits
 	shift := levelBits * level
-	if (tick>>shift)-(s.wheel.tick>>shift) == slotsPerLevel {
+	if (tick>>shift)-(a.wheel.tick>>shift) == slotsPerLevel {
 		// A full-wrap distance would alias the wheel's own position; one
 		// level up the distance becomes exactly 1 (invariant 1).
 		level++
 		shift += levelBits
 	}
 	idx := int(tick>>shift) & slotMask
-	head := s.wheel.slot[level][idx]
+	head := a.wheel.slot[level][idx]
 	ev.next = head
 	if head != nil {
 		head.prevp = &ev.next
 	}
-	ev.prevp = &s.wheel.slot[level][idx]
+	ev.prevp = &a.wheel.slot[level][idx]
 	ev.lvl = uint8(level)
 	ev.idx = uint8(idx)
-	s.wheel.slot[level][idx] = ev
-	s.wheel.occ[level][idx>>6] |= 1 << (idx & 63)
-	s.wheel.count[level]++
+	a.wheel.slot[level][idx] = ev
+	a.wheel.occ[level][idx>>6] |= 1 << (idx & 63)
+	a.wheel.count[level]++
+	if level > 0 {
+		if start := tick >> shift << shift; start < a.wheel.hi {
+			a.wheel.hi = start
+		}
+	}
 }
 
 // unlink removes a wheel-resident event from its slot in O(1),
 // clearing the occupancy bit when the slot empties.
 //
 //multinet:hotpath
-func (s *Sim) unlink(ev *event) {
+func (a *arena) unlink(ev *event) {
 	next := ev.next
 	*ev.prevp = next
 	if next != nil {
 		next.prevp = ev.prevp
 	}
 	level, idx := int(ev.lvl), int(ev.idx)
-	if s.wheel.slot[level][idx] == nil {
-		s.wheel.occ[level][idx>>6] &^= 1 << (idx & 63)
+	if a.wheel.slot[level][idx] == nil {
+		a.wheel.occ[level][idx>>6] &^= 1 << (idx & 63)
+		if level > 0 {
+			a.wheel.hi = hiUnknown // the emptied slot may have been the earliest
+		}
 	}
-	s.wheel.count[level]--
+	a.wheel.count[level]--
 	ev.next = nil
 	ev.prevp = nil
 }
@@ -161,11 +184,11 @@ func (s *Sim) unlink(ev *event) {
 // bucket is sorted and the binary search lands exactly.
 //
 //multinet:hotpath
-func (s *Sim) dueInsert(ev *event) {
-	lo, hi := s.dueHead, len(s.due)
+func (a *arena) dueInsert(ev *event) {
+	lo, hi := a.dueHead, len(a.due)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		e := s.due[mid]
+		e := a.due[mid]
 		if e.at < ev.at || (e.at == ev.at && e.seq < ev.seq) {
 			lo = mid + 1
 		} else {
@@ -173,41 +196,34 @@ func (s *Sim) dueInsert(ev *event) {
 		}
 	}
 	ev.prevp = nil
-	s.due = append(s.due, nil) //lint:allow hotpath due-bucket capacity is amortised across ticks
-	copy(s.due[lo+1:], s.due[lo:])
-	s.due[lo] = ev
+	a.due = append(a.due, nil) //lint:allow hotpath due-bucket capacity is amortised across ticks
+	copy(a.due[lo+1:], a.due[lo:])
+	a.due[lo] = ev
 }
 
 // takeSlot detaches and returns a slot's list, clearing its occupancy.
 // The callers re-home every event immediately (place, due bucket), so
 // stale prevp pointers in the detached list are never observable.
-func (s *Sim) takeSlot(level, idx int) *event {
-	head := s.wheel.slot[level][idx]
-	s.wheel.slot[level][idx] = nil
-	s.wheel.occ[level][idx>>6] &^= 1 << (idx & 63)
+func (a *arena) takeSlot(level, idx int) *event {
+	head := a.wheel.slot[level][idx]
+	a.wheel.slot[level][idx] = nil
+	a.wheel.occ[level][idx>>6] &^= 1 << (idx & 63)
 	return head
 }
 
 // occupied reports whether a slot holds any entries.
-func (s *Sim) occupied(level, idx int) bool {
-	return s.wheel.occ[level][idx>>6]&(1<<(idx&63)) != 0
-}
-
-// reclaim returns a cancelled event found in the due bucket to the
-// free list.
-func (s *Sim) reclaim(ev *event) {
-	s.cancelled--
-	s.recycle(ev)
+func (a *arena) occupied(level, idx int) bool {
+	return a.wheel.occ[level][idx>>6]&(1<<(idx&63)) != 0
 }
 
 // scan returns the ring distance (1..255) from pos to the first
 // occupied slot at level, or -1 if none: by invariant 1 no live entry
 // sits at distance 0 or 256, so the position's own bit is never valid.
-func (s *Sim) scan(level, pos int) int {
-	if s.wheel.count[level] == 0 {
+func (a *arena) scan(level, pos int) int {
+	if a.wheel.count[level] == 0 {
 		return -1
 	}
-	occ := &s.wheel.occ[level]
+	occ := &a.wheel.occ[level]
 	for b := pos + 1; b < slotsPerLevel; {
 		if w := occ[b>>6] >> (b & 63); w != 0 {
 			return b + bits.TrailingZeros64(w) - pos
@@ -228,27 +244,38 @@ func (s *Sim) scan(level, pos int) int {
 
 // nextLevel0 finds the earliest occupied level-0 slot: its absolute
 // tick and slot index, or noTick.
-func (s *Sim) nextLevel0() (int64, int) {
-	pos := int(s.wheel.tick) & slotMask
-	d := s.scan(0, pos)
+func (a *arena) nextLevel0() (int64, int) {
+	pos := int(a.wheel.tick) & slotMask
+	d := a.scan(0, pos)
 	if d < 0 {
 		return noTick, 0
 	}
-	return s.wheel.tick + int64(d), (pos + d) & slotMask
+	return a.wheel.tick + int64(d), (pos + d) & slotMask
 }
 
-// nextHigher finds the earliest start tick over all higher-level
-// occupied slots, or noTick.
-func (s *Sim) nextHigher() int64 {
+// nextHigher returns the earliest start tick over all higher-level
+// occupied slots, or noTick: the cached answer when there is one.
+func (a *arena) nextHigher() int64 {
+	w := &a.wheel
+	if w.hi == hiUnknown {
+		w.hi = a.scanHigher()
+	} else if w.audit && w.hi != a.scanHigher() {
+		panic("simnet: cached nextHigher disagrees with a rescan of the wheel")
+	}
+	return w.hi
+}
+
+// scanHigher computes nextHigher from the occupancy bitmaps.
+func (a *arena) scanHigher() int64 {
 	best := noTick
 	for level := 1; level < numLevels; level++ {
 		shift := uint(levelBits * level)
-		pos := int(s.wheel.tick>>shift) & slotMask
-		d := s.scan(level, pos)
+		pos := int(a.wheel.tick>>shift) & slotMask
+		d := a.scan(level, pos)
 		if d < 0 {
 			continue
 		}
-		start := ((s.wheel.tick >> shift) + int64(d)) << shift
+		start := ((a.wheel.tick >> shift) + int64(d)) << shift
 		if start < best {
 			best = start
 		}
@@ -262,24 +289,25 @@ func (s *Sim) nextHigher() int64 {
 // cascaded from the highest level down (re-placed events land strictly
 // lower, or in the due bucket when they belong to start itself), and
 // the level-0 slot for start drains into the due bucket directly.
-func (s *Sim) crossTo(start int64) {
-	s.wheel.tick = start
+func (a *arena) crossTo(start int64) {
+	a.wheel.tick = start
+	a.wheel.hi = hiUnknown // the slots taken below include the earliest
 	for level := numLevels - 1; level >= 1; level-- {
 		idx := int(start>>(levelBits*level)) & slotMask
-		if !s.occupied(level, idx) {
+		if !a.occupied(level, idx) {
 			continue
 		}
-		for ev := s.takeSlot(level, idx); ev != nil; {
+		for ev := a.takeSlot(level, idx); ev != nil; {
 			next := ev.next
 			ev.next = nil
-			s.wheel.count[level]--
-			s.place(ev)
+			a.wheel.count[level]--
+			a.place(ev)
 			ev = next
 		}
 	}
 	idx := int(start) & slotMask
-	if s.occupied(0, idx) {
-		s.drainSlot0(idx)
+	if a.occupied(0, idx) {
+		a.drainSlot0(idx)
 	}
 }
 
@@ -288,19 +316,51 @@ func (s *Sim) crossTo(start int64) {
 // at the slot's tick. An event RearmArg pushed out while it sat here no
 // longer belongs to this tick: it is re-filed by its current deadline
 // instead, so the slot may contribute nothing to the bucket.
-func (s *Sim) drainSlot0(idx int) {
-	for ev := s.takeSlot(0, idx); ev != nil; {
+func (a *arena) drainSlot0(idx int) {
+	for ev := a.takeSlot(0, idx); ev != nil; {
 		next := ev.next
 		ev.next = nil
 		ev.prevp = nil
-		s.wheel.count[0]--
-		if int64(ev.at)>>tickShift > s.wheel.tick {
-			s.place(ev)
+		a.wheel.count[0]--
+		if int64(ev.at)>>tickShift > a.wheel.tick {
+			a.place(ev)
 		} else {
-			s.due = append(s.due, ev)
+			a.due = append(a.due, ev)
 		}
 		ev = next
 	}
+}
+
+// dropPending recycles every pending event unfired — wheel slots and
+// what is left of the due bucket — and returns the wheel to tick zero.
+func (a *arena) dropPending() {
+	w := &a.wheel
+	for level := range w.count {
+		if w.count[level] == 0 {
+			continue
+		}
+		for word, occ := range w.occ[level] {
+			for ; occ != 0; occ &= occ - 1 {
+				idx := word<<6 + bits.TrailingZeros64(occ)
+				for ev := w.slot[level][idx]; ev != nil; {
+					next := ev.next
+					a.recycle(ev)
+					ev = next
+				}
+				w.slot[level][idx] = nil
+			}
+			w.occ[level][word] = 0
+		}
+		w.count[level] = 0
+	}
+	w.tick = 0
+	w.hi = noTick
+	for _, ev := range a.due[a.dueHead:] {
+		a.recycle(ev)
+	}
+	clear(a.due)
+	a.due = a.due[:0]
+	a.dueHead = 0
 }
 
 // fillBucket advances the wheel until the due bucket holds the next
@@ -308,21 +368,21 @@ func (s *Sim) drainSlot0(idx int) {
 // whether the bucket has events to dispatch.
 //
 //multinet:hotpath
-func (s *Sim) fillBucket(untilTick int64) bool {
-	if s.dueHead < len(s.due) {
+func (a *arena) fillBucket(untilTick int64) bool {
+	if a.dueHead < len(a.due) {
 		return true
 	}
 	for {
-		t0, idx0 := s.nextLevel0()
-		tHi := s.nextHigher()
+		t0, idx0 := a.nextLevel0()
+		tHi := a.nextHigher()
 		next := t0
 		if tHi < next {
 			next = tHi
 		}
-		if s.dueHead < len(s.due) && next > s.wheel.tick {
+		if a.dueHead < len(a.due) && next > a.wheel.tick {
 			// Crossings filled the bucket for the current tick and no slot
 			// can still contribute to it.
-			s.sortDue()
+			a.sortDue()
 			return true
 		}
 		if next == noTick || next > untilTick {
@@ -331,13 +391,13 @@ func (s *Sim) fillBucket(untilTick int64) bool {
 		if tHi <= t0 {
 			// A coarse slot starts at or before the level-0 candidate: its
 			// events may precede t0, so the wheel must cross there first.
-			s.crossTo(tHi)
+			a.crossTo(tHi)
 			continue
 		}
-		s.wheel.tick = t0
-		s.drainSlot0(idx0)
-		if s.dueHead < len(s.due) {
-			s.sortDue()
+		a.wheel.tick = t0
+		a.drainSlot0(idx0)
+		if a.dueHead < len(a.due) {
+			a.sortDue()
 			return true
 		}
 		// The slot held only re-armed events, all re-filed further out.
@@ -347,8 +407,8 @@ func (s *Sim) fillBucket(untilTick int64) bool {
 // sortDue orders the due bucket by (at, seq). Slot lists are unordered,
 // so this runs once per filled bucket; a freshly drained bucket is the
 // whole slice (dueHead is 0).
-func (s *Sim) sortDue() {
-	due := s.due[s.dueHead:] //multinet:owns — alias of the due bucket; sorting permutes in place
+func (a *arena) sortDue() {
+	due := a.due[a.dueHead:] //multinet:owns — alias of the due bucket; sorting permutes in place
 	// Insertion sort: protocol workloads keep one tick's bucket small
 	// (at most 8 events on the report sweep); the branch below guards
 	// the pathological burst.

@@ -81,6 +81,7 @@ func TestWheelDifferential(t *testing.T) {
 		seed := seed
 		rng := rand.New(rand.NewSource(seed))
 		s := New(seed)
+		s.wheel.audit = true // every cached nextHigher is checked against a rescan
 		ref := &refQueue{}
 
 		type pair struct {

@@ -114,6 +114,7 @@ type Callbacks struct {
 // a network interface.
 type Conn struct {
 	sim   *simnet.Sim
+	segs  *simnet.FreeList[Segment] // sim's; looked up once
 	iface *netem.Iface
 	dir   netem.Direction // direction this endpoint SENDS in
 	flow  string
@@ -232,6 +233,7 @@ type Config struct {
 func NewConn(sim *simnet.Sim, iface *netem.Iface, dir netem.Direction, flow string, cfg Config) *Conn {
 	c := &Conn{
 		sim:      sim,
+		segs:     simnet.FreeListOf[Segment](sim),
 		iface:    iface,
 		dir:      dir,
 		flow:     flow,
@@ -351,7 +353,7 @@ func (c *Conn) Connect() {
 	}
 	c.state = StateSynSent
 	c.synSentAt = c.sim.Now()
-	syn := NewSegment()
+	syn := takeSegment(c.segs)
 	syn.Flow, syn.Flags, syn.Wnd, syn.Opt = c.flow, FlagSYN, DefaultWindow, c.synOpt
 	c.sndNxt = 1 // SYN consumes one
 	c.track(syn)
@@ -430,7 +432,7 @@ func (c *Conn) passiveOpen(syn *Segment) {
 	c.state = StateSynRcvd
 	c.rcvNxt = syn.SeqEnd()
 	c.peerWnd = syn.Wnd
-	synAck := NewSegment()
+	synAck := takeSegment(c.segs)
 	synAck.Flow, synAck.Flags, synAck.Ack, synAck.Wnd, synAck.Opt =
 		c.flow, FlagSYN|FlagACK, c.rcvNxt, DefaultWindow, c.synOpt
 	c.sndNxt = 1
@@ -537,7 +539,7 @@ func (c *Conn) trySend() {
 		if !ok {
 			break
 		}
-		seg := NewSegment()
+		seg := takeSegment(c.segs)
 		seg.Flow = c.flow
 		seg.Flags = FlagACK
 		seg.Seq = c.sndNxt
@@ -606,7 +608,7 @@ func (c *Conn) maybeSendFin() {
 	if c.state != StateEstablished && c.state != StateCloseWait {
 		return
 	}
-	fin := NewSegment()
+	fin := takeSegment(c.segs)
 	fin.Flow, fin.Flags, fin.Seq, fin.Ack, fin.Wnd =
 		c.flow, FlagFIN|FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow
 	c.finSent = true
@@ -908,7 +910,7 @@ func (c *Conn) sendAck() {
 	if c.cb.AckOpt != nil {
 		opt = c.cb.AckOpt(c)
 	}
-	ack := NewSegment()
+	ack := takeSegment(c.segs)
 	ack.Flow, ack.Flags, ack.Seq, ack.Ack, ack.Wnd, ack.Opt =
 		c.flow, FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow, opt
 	ack.Sack = c.appendSackBlocks(ack.Sack[:0])
@@ -937,7 +939,9 @@ func (c *Conn) ackRtxQueue(ack uint64) {
 // trySend) while the covered entries are still queued and sndUna is
 // still old, so an entry's bytes leave pipeBytes only when the entry
 // itself leaves the ring, after the callbacks: a nested send sees the
-// same pipe a scan of the scoreboard would give it.
+// same pipe a scan of the scoreboard would give it. The entry's hold on
+// its option is dropped there too (popFront), so a callback never reads
+// an option that a nested send has already reused.
 func (c *Conn) ackScoreboard(ack uint64) (sampleAt time.Duration) {
 	sampleAt = -1
 	i := 0
@@ -1011,6 +1015,9 @@ func (c *Conn) rttSample(r time.Duration) {
 // network at transmit time, so the copy must be taken first.
 func (c *Conn) track(seg *Segment) {
 	if seg.PayloadLen > 0 || seg.Flags.Has(FlagSYN) || seg.Flags.Has(FlagFIN) {
+		if sh, ok := seg.Opt.(SharedOpt); ok {
+			sh.RetainOpt() // the entry's hold, beside the wire segment's
+		}
 		c.sb.push(sbEntry{
 			seq: seg.Seq, sentAt: c.now(), opt: seg.Opt,
 			payload: int32(seg.PayloadLen), flags: seg.Flags,
@@ -1039,9 +1046,12 @@ func (c *Conn) transmit(seg *Segment) {
 // or is taken from the present: the ACK field carries the current
 // receive point (the RFC 793 rule).
 func (c *Conn) retransmit(e *sbEntry) {
-	seg := NewSegment()
+	seg := takeSegment(c.segs)
 	seg.Flow, seg.Flags, seg.Seq, seg.Ack = c.flow, e.flags, e.seq, c.rcvNxt
 	seg.PayloadLen, seg.Wnd, seg.Opt = int(e.payload), DefaultWindow, e.opt
+	if sh, ok := e.opt.(SharedOpt); ok {
+		sh.RetainOpt() // this copy's hold
+	}
 	if seg.Ack > 0 {
 		seg.Flags |= FlagACK
 	}
@@ -1148,6 +1158,13 @@ func (c *Conn) Abort() {
 	c.state = StateDone
 	c.cancelRTO()
 	c.cancelProbe()
+	// The scoreboard stays as it is (a late ACK still finds its entries),
+	// but nothing guarantees its holds are ever dropped now.
+	for i := 0; i < c.sb.n; i++ {
+		if sh, ok := c.sb.at(i).opt.(SharedOpt); ok {
+			sh.AbandonOpt()
+		}
+	}
 	if c.cb.OnClosed != nil {
 		c.cb.OnClosed(c)
 	}

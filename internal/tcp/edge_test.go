@@ -219,9 +219,9 @@ func TestDispatchFlowCacheFollowsDemuxTable(t *testing.T) {
 	n.server.Accept = func(c *Conn) { accepted = append(accepted, c) }
 	fc := new(flowCache)
 	syn := func(flow string) {
-		seg := NewSegment()
+		seg := NewSegment(n.sim)
 		seg.Flow, seg.Flags, seg.Wnd = flow, FlagSYN, DefaultWindow
-		p := netem.NewPacket()
+		p := netem.NewPacket(n.sim)
 		p.Payload = seg
 		n.server.dispatch(n.iface, p, fc)
 	}

@@ -84,9 +84,13 @@ func (s *scoreboard) grow() {
 	s.buf, s.head = buf, 0
 }
 
-// popFront drops the oldest entry, releasing its option reference.
+// popFront drops the oldest entry and, with it, the entry's hold on its
+// option.
 func (s *scoreboard) popFront() {
 	if e := &s.buf[s.head]; e.opt != nil {
+		if r, ok := e.opt.(RecyclableOpt); ok {
+			r.RecycleOpt()
+		}
 		e.opt = nil
 	}
 	s.head = (s.head + 1) & (len(s.buf) - 1)

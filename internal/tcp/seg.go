@@ -24,8 +24,9 @@ package tcp
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
+
+	"multinet/internal/simnet"
 )
 
 const (
@@ -74,12 +75,13 @@ func (f Flags) String() string {
 // (64-bit, so wraparound never occurs in simulation). Payload bytes are
 // represented by count only — the simulator never materialises data.
 //
-// Segments travelling the wire are pooled (see NewSegment/Recycle):
-// the sending Conn allocates one per transmission, ownership moves with
-// the packet, and exactly one sink recycles it — the receiving
-// tcp.Stack after processing, or netem on its drop paths (Segment
-// implements netem.Recyclable). Senders keep retransmission state as
-// value copies, never references to wire segments.
+// Segments travelling the wire are recycled through their Sim's free
+// list (see NewSegment/Recycle): the sending Conn takes one per
+// transmission, ownership moves with the packet, and exactly one sink
+// recycles it — the receiving tcp.Stack after processing, or netem on
+// its drop paths (Segment implements netem.Recyclable). Senders keep
+// retransmission state as value copies, never references to wire
+// segments.
 type Segment struct {
 	// Flow identifies the connection (and, under MPTCP, the subflow).
 	// It plays the role of the 4-tuple.
@@ -100,15 +102,17 @@ type Segment struct {
 	Sack []SackBlock
 	// Opt carries transport options (MPTCP DSS etc.); nil for plain TCP.
 	Opt any
+
+	// home is the free list the segment was taken from and Recycle
+	// returns it to; nil for a segment built as a literal.
+	home *simnet.FreeList[Segment]
 }
 
 // SackBlock is one selective-acknowledgement interval [Lo, Hi).
 type SackBlock struct{ Lo, Hi uint64 }
 
-var segPool = sync.Pool{New: func() any { return new(Segment) }}
-
 // leakTrack gates live-segment accounting, mirroring netem's packet
-// tracking: one predictable branch on the pooled hot path, switched on
+// tracking: one predictable branch on the recycling hot path, switched on
 // only by tests running the faults invariant checker.
 var leakTrack atomic.Bool
 
@@ -122,29 +126,52 @@ func SetLeakTracking(on bool) {
 }
 
 // LiveSegments returns allocations minus recycles since
-// SetLeakTracking(true); zero at quiescence means no pooled-segment
+// SetLeakTracking(true); zero at quiescence means no recycled-segment
 // leak and no double recycle.
 func LiveSegments() int64 { return liveSegments.Load() }
 
-// NewSegment returns a zeroed segment from the pool. Its Sack slice may
-// retain capacity from an earlier life; append to Sack[:0] to reuse it.
-func NewSegment() *Segment {
+// NewSegment returns a zeroed segment from sim's free list. Its Sack
+// slice may retain capacity from an earlier life; append to Sack[:0] to
+// reuse it.
+func NewSegment(sim *simnet.Sim) *Segment {
+	return takeSegment(simnet.FreeListOf[Segment](sim))
+}
+
+// takeSegment is NewSegment for a caller that has looked the list up.
+func takeSegment(l *simnet.FreeList[Segment]) *Segment {
 	if leakTrack.Load() {
 		liveSegments.Add(1)
 	}
-	return segPool.Get().(*Segment)
+	s := l.Get()
+	s.home = l
+	return s
 }
 
-// RecyclableOpt is implemented by segment options that want to be
-// returned to a pool when the wire segment carrying them dies. Only
-// options owned exclusively by the wire segment may act on it: an
-// option also referenced by the sender's retransmission state (MPTCP
-// data-mapping DSS) must make RecycleOpt a no-op, because a recycled
-// copy could still be read from a duplicate in flight.
+// RecyclableOpt is implemented by segment options that are recycled.
+// Whoever stores a reference to an option holds it, and drops the hold
+// with RecycleOpt exactly once: a wire segment at its recycle sink, a
+// scoreboard entry when it is popped. The option may reuse itself when
+// its last holder has let go, and not before.
 type RecyclableOpt interface{ RecycleOpt() }
 
+// SharedOpt is a RecyclableOpt that can have several holders at once.
+// Source.Next hands one over with a single hold, for the wire segment
+// it rides; this package takes another for the scoreboard entry
+// (track) and one for every retransmitted copy (retransmit). Nothing
+// else may touch the count.
+type SharedOpt interface {
+	RecyclableOpt
+	// RetainOpt adds a holder.
+	RetainOpt()
+	// AbandonOpt is called for the options of a scoreboard that will
+	// never be acknowledged (Conn.Abort): entries and copies in flight
+	// may still read the option, but not every hold will be dropped, so
+	// it must leave recycling and go to the garbage collector instead.
+	AbandonOpt()
+}
+
 // Recycle resets the segment (keeping its Sack capacity) and returns it
-// to the pool. It implements netem.Recyclable, so packets dropped
+// to its free list. It implements netem.Recyclable, so packets dropped
 // inside the network give their segments back too. The caller must not
 // touch the segment afterwards.
 func (s *Segment) Recycle() {
@@ -154,9 +181,11 @@ func (s *Segment) Recycle() {
 	if r, ok := s.Opt.(RecyclableOpt); ok {
 		r.RecycleOpt()
 	}
-	sack := s.Sack[:0]
-	*s = Segment{Sack: sack}
-	segPool.Put(s)
+	home := s.home
+	*s = Segment{Sack: s.Sack[:0]}
+	if home != nil {
+		home.Put(s)
+	}
 }
 
 // MaxSackBlocks is the maximum number of SACK blocks carried per
