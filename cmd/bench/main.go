@@ -12,6 +12,9 @@
 //     path every experiment hammers, on constant-rate links and
 //     (*-varlink) on the delivery-opportunity links every paper
 //     condition uses;
+//   - set-up micro-benchmarks: seeding one random stream (rng/seed), one
+//     short app replay on a recycled world (world/replay-cnn-launch) and
+//     one transfer on a world built from nothing (world/session-cold);
 //   - service benchmarks (serve/*): the online path-selection service's
 //     decide and telemetry hot cores over the sharded estimate store,
 //     allocs/op pinned at zero;
@@ -73,11 +76,14 @@ import (
 	"testing"
 	"time"
 
+	"multinet/internal/apps"
+	"multinet/internal/core"
 	"multinet/internal/experiments" // importing registers every harness
 	"multinet/internal/experiments/engine"
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
 	"multinet/internal/phy"
+	"multinet/internal/replay"
 	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
@@ -333,8 +339,54 @@ func mptcpDownload(b *testing.B, size int, cc mptcp.CongestionMode, variability 
 	b.SetBytes(int64(size))
 }
 
+// rngSeed measures seeding one random stream: a reseed and the first
+// draw, which is when the generator's 607 words are actually filled. A
+// short-lived world pays this once per stream it draws from.
+func rngSeed(b *testing.B) {
+	s := simnet.New(1)
+	defer s.Release()
+	r := s.RNG("bench")
+	for i := 0; i < b.N; i++ {
+		r.Seed(int64(i))
+		r.Int63()
+	}
+}
+
+// replayCNNLaunch is one short-flow app replay, the unit of the paper's
+// Section 5 sweeps: a world built (from the one the previous iteration
+// released), run for a few hundred packets and released again.
+func replayCNNLaunch(b *testing.B) {
+	rec := replay.Record(apps.CNNLaunch)
+	cond := phy.LocationByID(7).Condition()
+	tc := replay.TransportConfig{Name: "MPTCP-Coupled-WiFi", Kind: replay.Multipath, Primary: "wifi", CC: mptcp.Coupled}
+	for i := 0; i < b.N; i++ {
+		if res := replay.Run(int64(i+1), cond, rec, tc); !res.Completed {
+			b.Fatal("replay incomplete")
+		}
+	}
+}
+
+// sessionCold is a world nobody releases: one 100 KB MPTCP download on a
+// core.Session that is then dropped. It holds the cost of a world built
+// from nothing, which is what a caller that never calls Close — or the
+// repository benchmark's transfer workloads — pays every time.
+func sessionCold(b *testing.B) {
+	cond := phy.LocationByID(7).Condition()
+	cfg := core.Config{Transport: core.MPTCP, Primary: "wifi", CC: mptcp.Coupled}
+	// Use up what earlier benchmarks parked; nothing below parks more.
+	for i := 0; i < simnet.MaxRetired; i++ {
+		simnet.New(0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := core.NewSession(int64(i+1), cond).Run(cfg, core.Download, 100<<10); !r.Completed {
+			b.Fatal("transfer incomplete")
+		}
+	}
+}
+
 // kernelBenchmarks is the fixed micro-benchmark set guarding the
-// per-packet hot path.
+// per-packet hot path and the per-world set-up path.
 func kernelBenchmarks() []bench {
 	return []bench{
 		{"sched/fire-churn", schedFireChurn},
@@ -351,6 +403,9 @@ func kernelBenchmarks() []bench {
 		{"mptcp/download-1MB-coupled", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Coupled, 0) }},
 		{"mptcp/download-1MB-varlink", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Decoupled, benchVariability) }},
 		{"mptcp/download-10KB", func(b *testing.B) { mptcpDownload(b, 10<<10, mptcp.Decoupled, 0) }},
+		{"rng/seed", rngSeed},
+		{"world/replay-cnn-launch", replayCNNLaunch},
+		{"world/session-cold", sessionCold},
 	}
 }
 

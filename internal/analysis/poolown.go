@@ -53,11 +53,19 @@ var releaseFuncs = []releaseFunc{
 // after release along straight-line/branch paths, and no recycled
 // pointer escaping into a struct field or slice without an explicit
 // //multinet:owns ownership-transfer marker.
+//
+// A slice carved from a simulator's slab (simnet.Slab.Make and Grow) is
+// the world's memory on loan: Release rewinds the slab and the next
+// world carves the same bytes. Such a slice must stay where only the
+// world can reach it — storing it in an exported field or returning it
+// from an exported function is an error — and touching it after its
+// Sim's Release (or its Session's Close) is a use after release.
 var PoolOwn = &Analyzer{
 	Name: "poolown",
 	Doc: "detect double-release, use-after-release, and unmarked escapes " +
-		"of recycled values (netem.Packet, tcp.Segment, mptcp.DSS, simnet events) " +
-		"and use of a simnet.Sim or core.Session after Release/Close",
+		"of recycled values (netem.Packet, tcp.Segment, mptcp.DSS, simnet events), " +
+		"use of a simnet.Sim or core.Session after Release/Close, and slab slices " +
+		"(simnet.Slab.Make/Grow) that leave the world or outlive it",
 	Run: runPoolOwn,
 }
 
@@ -67,7 +75,7 @@ func runPoolOwn(pass *Pass) error {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					checkOwnership(pass, n.Body)
+					checkOwnership(pass, n.Body, n.Name.IsExported() && !isSlabMethod(pass, n))
 				}
 				return true
 			case *ast.AssignStmt:
@@ -156,14 +164,25 @@ func isPooledPointer(t types.Type) bool {
 
 // ---- double-release / use-after-release -----------------------------
 
-// released maps a variable to the position of the release that killed
-// it.
-type released map[*types.Var]token.Pos
+// released is the ownership state at one point of a function body.
+type released struct {
+	// dead maps a variable to the position of the release that killed it.
+	dead map[*types.Var]token.Pos
+	// slab holds the variables that are a simnet.Slab or a slice carved
+	// from one, each with the variable naming the world it belongs to
+	// (nil when that cannot be told, as for a slab kept in a field).
+	slab map[*types.Var]*types.Var
+	// exported: the body being walked is an exported function's.
+	exported bool
+}
 
 func (r released) clone() released {
-	c := make(released, len(r))
-	for k, v := range r {
-		c[k] = v
+	c := released{make(map[*types.Var]token.Pos, len(r.dead)), make(map[*types.Var]*types.Var, len(r.slab)), r.exported}
+	for k, v := range r.dead {
+		c.dead[k] = v
+	}
+	for k, v := range r.slab {
+		c.slab[k] = v
 	}
 	return c
 }
@@ -172,8 +191,8 @@ func (r released) clone() released {
 // straight-line code, forking (without re-joining) at branches — a
 // deliberately conservative path model: anything it reports is a real
 // sequence of statements that releases twice or touches a dead value.
-func checkOwnership(pass *Pass, body *ast.BlockStmt) {
-	walkOwnBlock(pass, body.List, released{})
+func checkOwnership(pass *Pass, body *ast.BlockStmt, exported bool) {
+	walkOwnBlock(pass, body.List, released{map[*types.Var]token.Pos{}, map[*types.Var]*types.Var{}, exported})
 }
 
 func walkOwnBlock(pass *Pass, stmts []ast.Stmt, st released) {
@@ -287,23 +306,123 @@ func applyOwnStmt(pass *Pass, s ast.Stmt, st released) {
 	}
 
 	checkUses(pass, s, st, excluded)
+	checkSlabEscape(pass, s, st)
 
 	for _, r := range rels {
-		if prev, dead := st[r.v]; dead {
+		if prev, dead := st.dead[r.v]; dead {
 			pass.Reportf(r.pos, "%s released twice: already released at %s", r.v.Name(), pass.Fset.Position(prev))
 		} else {
-			st[r.v] = r.pos
+			st.dead[r.v] = r.pos
 		}
 	}
 	for _, v := range reassigned {
-		delete(st, v)
+		delete(st.dead, v)
+	}
+}
+
+// checkSlabEscape applies the slab rules to one simple statement: it
+// reports a carved slice stored in an exported field or returned from an
+// exported function, and records which variables the statement makes (or
+// stops making) carved slices.
+func checkSlabEscape(pass *Pass, s ast.Stmt, st released) {
+	switch s := s.(type) {
+	case *ast.ReturnStmt:
+		for _, res := range s.Results {
+			if _, carved := slabOwner(pass.TypesInfo, res, st); carved && st.exported {
+				pass.Reportf(res.Pos(), "slab slice %s returned from an exported function: the caller could hold it across Release, when the slab hands the same memory to the next world", exprText(res))
+			}
+		}
+	case *ast.AssignStmt:
+		if len(s.Lhs) != len(s.Rhs) {
+			return
+		}
+		for i, lhs := range s.Lhs {
+			owner, carved := slabOwner(pass.TypesInfo, s.Rhs[i], st)
+			switch l := ast.Unparen(lhs).(type) {
+			case *ast.Ident:
+				if v, ok := pass.TypesInfo.ObjectOf(l).(*types.Var); ok {
+					if carved {
+						st.slab[v] = owner
+					} else {
+						delete(st.slab, v)
+					}
+				}
+			case *ast.SelectorExpr:
+				if sel, ok := pass.TypesInfo.Selections[l]; carved && ok && sel.Kind() == types.FieldVal && l.Sel.IsExported() {
+					pass.Reportf(s.Pos(), "slab slice stored in exported field %s: it must stay where only its world can reach it", exprText(l))
+				}
+			}
+		}
+	}
+}
+
+// slabOwner reports whether e is a simnet.Slab or a slice carved from
+// one — a Make or Grow call, a re-slice or append of one, or a variable
+// holding one — and, when it can tell, the variable naming the Sim (or
+// the Session) the slab belongs to.
+func slabOwner(info *types.Info, e ast.Expr, st released) (owner *types.Var, carved bool) {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if v, ok := info.ObjectOf(e).(*types.Var); ok {
+			owner, carved = st.slab[v]
+		}
+	case *ast.SliceExpr:
+		return slabOwner(info, e.X, st)
+	case *ast.CallExpr:
+		if isBuiltin(info, e.Fun, "append") && len(e.Args) > 0 {
+			return slabOwner(info, e.Args[0], st)
+		}
+		fun := ast.Unparen(e.Fun)
+		if ix, ok := fun.(*ast.IndexExpr); ok { // SlabOf[T]
+			fun = ix.X
+		}
+		fn := typesFunc(info, fun)
+		if funcPkgPath(fn) != "multinet/internal/simnet" {
+			return nil, false
+		}
+		sig := fn.Type().(*types.Signature)
+		switch {
+		case sig.Recv() == nil && fn.Name() == "SlabOf" && len(e.Args) == 1:
+			v, _ := rootObject(info, leftmost(e.Args[0])).(*types.Var)
+			return v, true
+		case sig.Recv() != nil && namedTypeName(sig.Recv().Type()) == "Slab" && (fn.Name() == "Make" || fn.Name() == "Grow"):
+			owner, _ = slabOwner(info, fun.(*ast.SelectorExpr).X, st)
+			return owner, true
+		}
+	}
+	return owner, carved
+}
+
+// isSlabMethod reports whether fn is a method of simnet.Slab itself: the
+// one place whose business it is to hand carved slices out.
+func isSlabMethod(pass *Pass, fn *ast.FuncDecl) bool {
+	obj, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
+	if obj == nil || funcPkgPath(obj) != "multinet/internal/simnet" {
+		return false
+	}
+	recv := obj.Type().(*types.Signature).Recv()
+	return recv != nil && namedTypeName(recv.Type()) == "Slab"
+}
+
+// leftmost strips selectors and indexing down to the expression's first
+// identifier: s for s.Sim, c for c.conns[i].sim.
+func leftmost(e ast.Expr) ast.Expr {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		default:
+			return e
+		}
 	}
 }
 
 // checkUses reports identifiers referring to released variables inside
 // n, skipping the excluded idents and closure bodies.
 func checkUses(pass *Pass, n ast.Node, st released, excluded map[*ast.Ident]bool) {
-	if n == nil || len(st) == 0 {
+	if n == nil || len(st.dead) == 0 {
 		return
 	}
 	ast.Inspect(n, func(n ast.Node) bool {
@@ -318,8 +437,12 @@ func checkUses(pass *Pass, n ast.Node, st released, excluded map[*ast.Ident]bool
 		if !ok {
 			return true
 		}
-		if pos, dead := st[v]; dead {
+		if pos, dead := st.dead[v]; dead {
 			pass.Reportf(id.Pos(), "use of %s after release at %s: the pool may have handed it to another owner", id.Name, pass.Fset.Position(pos))
+		} else if owner := st.slab[v]; owner != nil {
+			if pos, dead := st.dead[owner]; dead {
+				pass.Reportf(id.Pos(), "use of %s after release of %s at %s: the slab it was carved from belongs to the next world", id.Name, owner.Name(), pass.Fset.Position(pos))
+			}
 		}
 		return true
 	})

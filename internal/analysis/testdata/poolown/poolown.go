@@ -139,3 +139,60 @@ func keep(p *netem.Packet) {
 func permute(q *queue, i, j int) {
 	q.items[i], q.items[j] = q.items[j], q.items[i] // permutation, not a transfer
 }
+
+// A slice carved from a Sim's slab is the world's memory on loan.
+
+type ring struct {
+	Buf []int // exported: anyone holding the ring reaches the slab's memory
+	buf []int
+	mem *simnet.Slab[int]
+}
+
+func slabIntoFields(w *simnet.Sim, r *ring) {
+	r.Buf = simnet.SlabOf[int](w).Make(8) // want `stored in exported field r.Buf`
+	r.buf = simnet.SlabOf[int](w).Make(8) // unexported: stays inside the world
+	b := r.mem.Grow(r.buf, 32)
+	r.Buf = append(b[:0], 1) // want `stored in exported field r.Buf`
+	r.Buf = make([]int, 8)   // the caller's own memory
+}
+
+func SlabReturned(w *simnet.Sim) []int {
+	b := simnet.SlabOf[int](w).Make(8)
+	return b // want `slab slice b returned from an exported function`
+}
+
+func SlabCopyReturned(w *simnet.Sim) []int {
+	b := simnet.SlabOf[int](w).Make(8)
+	return append([]int(nil), b...) // a copy is the caller's
+}
+
+func slabReturnedInside(w *simnet.Sim) []int {
+	return simnet.SlabOf[int](w).Make(8) // unexported: the world's own plumbing
+}
+
+func slabAfterRelease() int {
+	world := simnet.New(6)
+	b := simnet.SlabOf[int](world).Make(4)
+	b[0] = 1
+	world.Release()
+	return b[0] // want `use of b after release of world`
+}
+
+func slabAfterSessionClose(cond phy.Condition) int {
+	s := core.NewSession(7, cond)
+	sl := simnet.SlabOf[int](s.Sim)
+	b := sl.Grow(nil, 4)
+	n := len(b) // the session is still open
+	s.Close()
+	return n + cap(b) // want `use of b after release of s`
+}
+
+func slabOfAnotherWorld(kept []int) int {
+	a, b := simnet.New(8), simnet.New(9)
+	mine := simnet.SlabOf[int](b).Make(4)
+	a.Release()
+	n := len(mine) // a's release does not touch b's slab
+	mine = kept    // no longer a carved slice
+	b.Release()
+	return n + len(mine)
+}

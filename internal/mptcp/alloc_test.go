@@ -34,3 +34,70 @@ func TestMPTCPSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("only %d bytes moved while measuring", moved)
 	}
 }
+
+// TestSchedulersRankZeroAlloc: wake ranks the eligible subflows on every
+// data and ack event, so no registered scheduler may allocate there.
+func TestSchedulersRankZeroAlloc(t *testing.T) {
+	for _, name := range SchedulerNames() {
+		r := newRig(32, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{})
+		c := Dial(r.sim, r.client, r.host, Config{ConnID: "rank", Primary: "wifi", Scheduler: name}, Callbacks{})
+		r.sim.RunUntil(time.Second)
+		if n := len(c.modeEligible()); n != 2 {
+			t.Fatalf("%s: %d eligible subflows after a second, want 2", name, n)
+		}
+		if avg := testing.AllocsPerRun(100, func() { c.sched.Rank(c, c.modeEligible()) }); avg != 0 {
+			t.Errorf("%s: Rank allocates %v per call, want 0", name, avg)
+		}
+	}
+}
+
+// TestSubflowWiringZeroAlloc: joining a subflow to an established
+// connection allocates the Subflow, its tcp.Conn and the flow's name —
+// no hook closure, no source adapter, no congestion-control closure, no
+// interface subscription closure, and (in a world built from a released
+// one) no ring.
+func TestSubflowWiringZeroAlloc(t *testing.T) {
+	const conns = 9 // one per AllocsPerRun call, warm-up included
+	var cs []*Conn
+	var r *rig
+	world := func() {
+		r = newRig(33, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{CC: Coupled})
+		cs = cs[:0]
+		for i := 0; i < conns; i++ {
+			c := Dial(r.sim, r.client, r.host, Config{ConnID: string(rune('a' + i)), Primary: "wifi", CC: Coupled, NoJoin: true}, Callbacks{})
+			c.subflows = append(make([]*Subflow, 0, 2), c.subflows...) // the join must not grow the list
+			cs = append(cs, c)
+		}
+		r.sim.RunUntil(time.Second)
+	}
+	// The measured world is the second one built on this arena (New takes
+	// the arena released last): its slabs already hold what the joins will
+	// carve.
+	world()
+	for _, c := range cs {
+		c.addSubflow(r.lte, &MPJoin{ConnID: c.ConnID()}, false)
+	}
+	r.sim.RunUntil(2 * time.Second)
+	r.sim.Release()
+	world()
+	for _, c := range cs {
+		if !c.Primary().Established() {
+			t.Fatalf("%s not established after a second", c.ConnID())
+		}
+	}
+	join := &MPJoin{}
+	next := 0
+	avg := testing.AllocsPerRun(conns-1, func() {
+		cs[next].addSubflow(r.lte, join, false)
+		next++
+	})
+	if avg != 3 {
+		t.Errorf("joining a subflow allocates %v objects, want 3 (Subflow, tcp.Conn, flow name)", avg)
+	}
+	r.sim.RunUntil(2 * time.Second)
+	for _, c := range cs {
+		if len(c.subflows) != 2 || !c.subflows[1].Established() {
+			t.Fatalf("%s: the measured join did not establish", c.ConnID())
+		}
+	}
+}

@@ -177,7 +177,8 @@ type Conn struct {
 	// Scheduling policy (see Scheduler).
 	sched Scheduler
 	// eligScratch is reused by modeEligible; wake consults it once per
-	// data/ack event, so rebuilding it must not allocate.
+	// data/ack event, so rebuilding it must not allocate. It is a piece
+	// of the Sim's slab.
 	eligScratch []*Subflow
 
 	// everEstablished records whether any subflow ever completed its
@@ -254,57 +255,92 @@ func (c *Conn) subflowOn(ifaceName string) *Subflow {
 	return nil
 }
 
-// addSubflow creates and connects a client-side subflow.
-func (c *Conn) addSubflow(iface *netem.Iface, synOpt any, backup bool) *Subflow {
+// newSubflow builds an unconnected subflow of c on iface and subscribes
+// it to the interface's administrative state: the iproute `multipath
+// off` signal of paper Section 3.6.
+func (c *Conn) newSubflow(iface *netem.Iface, backup bool) *Subflow {
 	sf := &Subflow{Iface: iface, Backup: backup, conn: c}
-	flow := c.cfg.ConnID + "/" + iface.Name
-	sf.TCP = tcp.NewConn(c.sim, iface, netem.Up, flow, tcp.Config{
-		Source:    &sfSource{sf: sf},
-		SynOpt:    synOpt,
-		Callbacks: c.subflowCallbacks(sf),
-	})
 	c.subflows = append(c.subflows, sf)
-	c.watchIface(sf)
+	iface.SubscribeDown(subflowIfaceDown, sf)
+	return sf
+}
+
+// dialSubflow gives sf a new tcp.Conn and starts its handshake (the
+// first one, or a re-join's).
+func (c *Conn) dialSubflow(sf *Subflow, synOpt any) {
+	flow := c.cfg.ConnID + "/" + sf.Iface.Name
+	sf.TCP = tcp.NewConn(c.sim, sf.Iface, netem.Up, flow, tcp.Config{
+		Source:    (*sfSource)(sf),
+		SynOpt:    synOpt,
+		Callbacks: subflowCallbacks(),
+		Owner:     sf,
+	})
 	c.stack.Register(sf.TCP)
 	sf.TCP.Connect()
+}
+
+// addSubflow creates and connects a client-side subflow.
+func (c *Conn) addSubflow(iface *netem.Iface, synOpt any, backup bool) *Subflow {
+	sf := c.newSubflow(iface, backup)
+	c.dialSubflow(sf, synOpt)
 	return sf
 }
 
 // adoptSubflow attaches a passively-opened subflow (server side).
 func (c *Conn) adoptSubflow(tc *tcp.Conn, iface *netem.Iface, backup bool) *Subflow {
-	sf := &Subflow{TCP: tc, Iface: iface, Backup: backup, conn: c}
-	tc.SetSource(&sfSource{sf: sf})
-	tc.SetCallbacks(c.subflowCallbacks(sf))
+	sf := c.newSubflow(iface, backup)
+	sf.TCP = tc
+	tc.SetOwner(sf)
+	tc.SetSource((*sfSource)(sf))
+	tc.SetCallbacks(subflowCallbacks())
 	if c.cfg.CC == Coupled {
-		tc.SetIncrease(c.liaIncrease(sf))
+		tc.SetIncrease(liaIncrease)
 	}
-	c.subflows = append(c.subflows, sf)
-	c.watchIface(sf)
 	return sf
 }
 
-// watchIface subscribes to administrative state changes: the iproute
-// `multipath off` signal of paper Section 3.6.
-func (c *Conn) watchIface(sf *Subflow) {
-	sf.Iface.SubscribeDown(func(down bool) {
-		if down {
-			c.subflowDied(sf)
-		} else {
-			c.subflowRevived(sf)
-		}
-	})
+// Every subflow is wired with the same functions: the tcp.Conn carries
+// its Subflow as its owner reference (tcp.Config.Owner) and each hook
+// recovers it from there, so wiring a subflow builds no closure. A
+// Subflow outlives its tcp.Conn across a re-join; the superseded
+// tcp.Conn keeps naming it, as the closures it replaced did.
+
+func subflowOf(tc *tcp.Conn) *Subflow { return tc.Owner().(*Subflow) }
+
+func subflowCallbacks() tcp.Callbacks {
+	return tcp.Callbacks{
+		OnEstablished: func(tc *tcp.Conn) {
+			sf := subflowOf(tc)
+			sf.conn.subflowEstablished(sf)
+		},
+		OnSegment: func(tc *tcp.Conn, seg *tcp.Segment) {
+			sf := subflowOf(tc)
+			sf.conn.onSegment(sf, seg)
+		},
+		OnAckedOpt: func(tc *tcp.Conn, opt any) {
+			sf := subflowOf(tc)
+			sf.conn.onMappingAcked(sf, opt)
+		},
+		AckOpt: func(tc *tcp.Conn) any { return subflowOf(tc).conn.newDSS(0, 0) },
+		OnRTO: func(tc *tcp.Conn, count int) {
+			sf := subflowOf(tc)
+			sf.conn.onSubflowRTO(sf, count)
+		},
+		OnClosed: func(tc *tcp.Conn) {
+			sf := subflowOf(tc)
+			sf.conn.onSubflowClosed(sf)
+		},
+	}
 }
 
-func (c *Conn) subflowCallbacks(sf *Subflow) tcp.Callbacks {
-	cb := tcp.Callbacks{
-		OnEstablished: func(tc *tcp.Conn) { c.subflowEstablished(sf) },
-		OnSegment:     func(tc *tcp.Conn, seg *tcp.Segment) { c.onSegment(sf, seg) },
-		OnAckedOpt:    func(tc *tcp.Conn, opt any) { c.onMappingAcked(sf, opt) },
-		AckOpt:        func(tc *tcp.Conn) any { return c.newDSS(0, 0) },
-		OnRTO:         func(tc *tcp.Conn, count int) { c.onSubflowRTO(sf, count) },
-		OnClosed:      func(tc *tcp.Conn) { c.onSubflowClosed(sf) },
+// subflowIfaceDown is every subflow's netem.Iface.SubscribeDown hook.
+func subflowIfaceDown(a any, down bool) {
+	sf := a.(*Subflow)
+	if down {
+		sf.conn.subflowDied(sf)
+	} else {
+		sf.conn.subflowRevived(sf)
 	}
-	return cb
 }
 
 func (c *Conn) subflowEstablished(sf *Subflow) {
@@ -319,7 +355,7 @@ func (c *Conn) subflowEstablished(sf *Subflow) {
 		sf.rejoinAttempts = 0
 	}
 	if c.cfg.CC == Coupled {
-		sf.TCP.SetIncrease(c.liaIncrease(sf))
+		sf.TCP.SetIncrease(liaIncrease)
 	}
 	if c.cb.OnSubflowEstablished != nil {
 		c.cb.OnSubflowEstablished(c, sf)
@@ -470,6 +506,10 @@ func (c *Conn) eligible(sf *Subflow) bool {
 // next modeEligible call, and only wake (whose iteration finishes
 // before any nested data event can re-enter) may hold it.
 func (c *Conn) modeEligible() []*Subflow {
+	if cap(c.eligScratch) < len(c.subflows) {
+		// Room for as many as subflows has, so the two grow in step.
+		c.eligScratch = simnet.SlabOf[*Subflow](c.sim).Make(cap(c.subflows))
+	}
 	out := c.eligScratch[:0]
 	for _, sf := range c.subflows {
 		if c.eligible(sf) {
@@ -526,7 +566,7 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 	sf.dupQueue.pruneAcked(c.dataUna)
 	if sf.dupQueue.len() > 0 {
 		m := sf.dupQueue.takeFront(max)
-		sf.outstanding.push(m)
+		sf.outstanding.push(c.sim, m)
 		return m.len, c.newDSS(m.dataSeq, m.len), true
 	}
 	c.rtxPool.pruneAcked(c.dataUna)
@@ -552,7 +592,7 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 			d.onFreshMapping(c, sf, m)
 		}
 	}
-	sf.outstanding.push(m)
+	sf.outstanding.push(c.sim, m)
 	return m.len, c.newDSS(m.dataSeq, m.len), true
 }
 
@@ -570,7 +610,7 @@ func (c *Conn) onMappingAcked(sf *Subflow, opt any) {
 	if !ok || dss.Len == 0 {
 		return
 	}
-	sf.outstanding.ack(mapping{dataSeq: dss.DataSeq, len: dss.Len}, &sf.ackScratch)
+	sf.outstanding.ack(c.sim, mapping{dataSeq: dss.DataSeq, len: dss.Len}, &sf.ackScratch)
 	sf.reinjected = false
 	c.maybeClose()
 	c.wake()
@@ -632,6 +672,9 @@ func (c *Conn) insertOOO(m mapping) {
 			break
 		}
 	}
+	if len(c.ooo) == cap(c.ooo) {
+		c.ooo = simnet.SlabOf[mapping](c.sim).Grow(c.ooo, len(c.ooo)+1)
+	}
 	c.ooo = append(c.ooo, mapping{})
 	copy(c.ooo[pos+1:], c.ooo[pos:])
 	c.ooo[pos] = m
@@ -678,7 +721,7 @@ func (c *Conn) reinject(sf *Subflow, move bool) {
 		if m.end() <= c.dataUna {
 			continue
 		}
-		c.rtxPool.push(m)
+		c.rtxPool.push(c.sim, m)
 		c.Reinjections++
 	}
 	if move {
@@ -765,14 +808,7 @@ func (c *Conn) rejoin(sf *Subflow) {
 	sf.rejoining = true
 	sf.established = false
 	sf.reinjected = false
-	flow := c.cfg.ConnID + "/" + sf.Iface.Name
-	sf.TCP = tcp.NewConn(c.sim, sf.Iface, netem.Up, flow, tcp.Config{
-		Source:    &sfSource{sf: sf},
-		SynOpt:    synOpt,
-		Callbacks: c.subflowCallbacks(sf),
-	})
-	c.stack.Register(sf.TCP)
-	sf.TCP.Connect()
+	c.dialSubflow(sf, synOpt)
 }
 
 // maybeClose sends FINs on every subflow once all data is delivered.
@@ -896,8 +932,18 @@ func (c *Conn) String() string {
 		c.cfg.ConnID, len(c.subflows), c.dataNxt, c.dataUna, c.recvTotal)
 }
 
-// sfSource adapts the connection scheduler to the tcp.Source interface.
-type sfSource struct{ sf *Subflow }
+// sfSource is a Subflow seen as its tcp.Conn's Source: the connection
+// scheduler behind the tcp.Source interface. It is the Subflow itself
+// under another method set, so handing it to tcp costs no allocation and
+// puts no Next/Pending on the exported type.
+type sfSource Subflow
 
-func (s *sfSource) Next(max int) (int, any, bool) { return s.sf.conn.pull(s.sf, max) }
-func (s *sfSource) Pending() bool                 { return s.sf.conn.hasDataFor(s.sf) }
+func (s *sfSource) Next(max int) (int, any, bool) {
+	sf := (*Subflow)(s)
+	return sf.conn.pull(sf, max)
+}
+
+func (s *sfSource) Pending() bool {
+	sf := (*Subflow)(s)
+	return sf.conn.hasDataFor(sf)
+}

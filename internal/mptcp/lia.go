@@ -20,19 +20,20 @@ import (
 // which couples the subflows so the MPTCP connection takes no more
 // capacity than one TCP on its best path — the "coupled" algorithm of
 // the paper's Section 3.5. Slow start remains uncoupled, as in Linux.
-func (c *Conn) liaIncrease(sf *Subflow) tcp.IncreaseFn {
-	return func(tc *tcp.Conn, acked int) float64 {
-		alpha, total := c.liaAlpha()
-		if total <= 0 {
-			return tcp.RenoIncrease(tc, acked)
-		}
-		coupled := alpha * float64(acked) * tcp.MSS / total
-		solo := float64(acked) * tcp.MSS / float64(tc.CwndBytes())
-		if coupled < solo {
-			return coupled
-		}
-		return solo
+//
+// It is a tcp.IncreaseFn for any subflow: the connection whose windows
+// it couples is the one tc's Subflow belongs to.
+func liaIncrease(tc *tcp.Conn, acked int) float64 {
+	alpha, total := subflowOf(tc).conn.liaAlpha()
+	if total <= 0 {
+		return tcp.RenoIncrease(tc, acked)
 	}
+	coupled := alpha * float64(acked) * tcp.MSS / total
+	solo := float64(acked) * tcp.MSS / float64(tc.CwndBytes())
+	if coupled < solo {
+		return coupled
+	}
+	return solo
 }
 
 // liaAlpha computes the LIA alpha and the total window over subflows

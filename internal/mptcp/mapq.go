@@ -1,9 +1,13 @@
 package mptcp
 
+import "multinet/internal/simnet"
+
 // mapq is a FIFO of mappings on a power-of-two ring: push at the tail,
 // pop at the head by advancing an index. Nothing is ever re-sliced from
 // the front, so the backing array's capacity is reused for the life of
-// the subflow instead of leaking one slot per pop.
+// the subflow instead of leaking one slot per pop. The array is a piece
+// of the Sim's slab (simnet.Slab): an outgrown one is left there until
+// the world ends.
 //
 // The queue also knows whether its records are strictly ascending and
 // disjoint (each starts at or after the end of the one before). That is
@@ -22,12 +26,13 @@ func (q *mapq) len() int { return q.n }
 // until the next push.
 func (q *mapq) at(i int) *mapping { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
-// push appends m at the tail.
+// push appends m at the tail, doubling the ring — on sim's slab, looked
+// up only then — when full.
 //
 //multinet:hotpath
-func (q *mapq) push(m mapping) {
+func (q *mapq) push(sim *simnet.Sim, m mapping) {
 	if q.n == len(q.buf) {
-		q.grow()
+		q.grow(simnet.SlabOf[mapping](sim))
 	}
 	if q.n > 0 && m.dataSeq < q.at(q.n-1).end() {
 		q.unordered = true
@@ -39,12 +44,12 @@ func (q *mapq) push(m mapping) {
 // grow doubles the ring, unwrapping the live records to the front. It
 // is the single growth site of every mapping queue; capacity settles at
 // the subflow's window in records.
-func (q *mapq) grow() {
+func (q *mapq) grow(mem *simnet.Slab[mapping]) {
 	size := 2 * len(q.buf)
 	if size == 0 {
 		size = 16
 	}
-	buf := make([]mapping, size)
+	buf := mem.Make(size)
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
@@ -99,7 +104,7 @@ func (q *mapq) appendTo(dst []mapping) []mapping {
 // into scratch by range overlap: overlapped spans are trimmed, unacked
 // remainders kept, and the two queues swap roles (double buffering
 // keeps the path allocation-free once both have grown).
-func (q *mapq) ack(r mapping, scratch *mapq) {
+func (q *mapq) ack(sim *simnet.Sim, r mapping, scratch *mapq) {
 	if q.n == 0 {
 		return
 	}
@@ -113,14 +118,14 @@ func (q *mapq) ack(r mapping, scratch *mapq) {
 	for i := 0; i < q.n; i++ {
 		m := *q.at(i)
 		if m.end() <= r.dataSeq || m.dataSeq >= r.end() {
-			scratch.push(m) // disjoint
+			scratch.push(sim, m) // disjoint
 			continue
 		}
 		if m.dataSeq < r.dataSeq {
-			scratch.push(mapping{dataSeq: m.dataSeq, len: int(r.dataSeq - m.dataSeq)})
+			scratch.push(sim, mapping{dataSeq: m.dataSeq, len: int(r.dataSeq - m.dataSeq)})
 		}
 		if m.end() > r.end() {
-			scratch.push(mapping{dataSeq: r.end(), len: int(m.end() - r.end())})
+			scratch.push(sim, mapping{dataSeq: r.end(), len: int(m.end() - r.end())})
 		}
 	}
 	*q, *scratch = *scratch, *q

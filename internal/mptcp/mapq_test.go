@@ -4,13 +4,18 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"multinet/internal/simnet"
 )
+
+// testSim is the Sim whose slab the queues of these tests grow on.
+var testSim = simnet.New(1)
 
 // mapqOf builds a queue holding ms in order.
 func mapqOf(ms ...mapping) mapq {
 	var q mapq
 	for _, m := range ms {
-		q.push(m)
+		q.push(testSim, m)
 	}
 	return q
 }
@@ -96,11 +101,11 @@ func TestMapqAckMatchesRebuild(t *testing.T) {
 			var ref []mapping
 			for i, st := range tc.steps {
 				for _, m := range st.push {
-					q.push(m)
+					q.push(testSim, m)
 					ref = append(ref, m)
 				}
 				if st.ack.len > 0 {
-					q.ack(st.ack, &scratch)
+					q.ack(testSim, st.ack, &scratch)
 					ref = rebuildAck(ref, st.ack)
 				}
 				if got := q.slice(); !reflect.DeepEqual(got, ref) {
@@ -128,12 +133,12 @@ func TestMapqAckRandomised(t *testing.T) {
 			case k < 5: // fresh in-order mapping
 				m := mapping{next, 1 + rng.Intn(1460)}
 				next = m.end()
-				q.push(m)
+				q.push(testSim, m)
 				ref = append(ref, m)
 			case k < 6 && next > 0: // duplicate or split of an earlier range
 				lo := uint64(rng.Int63n(int64(next)))
 				m := mapping{lo, 1 + rng.Intn(int(next-lo))}
-				q.push(m)
+				q.push(testSim, m)
 				ref = append(ref, m)
 			case len(ref) > 0: // ack: usually the head, sometimes any range
 				ack := ref[0]
@@ -141,7 +146,7 @@ func TestMapqAckRandomised(t *testing.T) {
 					lo := uint64(rng.Int63n(int64(next)))
 					ack = mapping{lo, 1 + rng.Intn(int(next-lo))}
 				}
-				q.ack(ack, &scratch)
+				q.ack(testSim, ack, &scratch)
 				ref = rebuildAck(ref, ack)
 			}
 			if got := q.slice(); !reflect.DeepEqual(got, ref) {
@@ -160,7 +165,7 @@ func TestMapqRing(t *testing.T) {
 	seq := uint64(0)
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			q.push(mapping{seq, 10})
+			q.push(testSim, mapping{seq, 10})
 			seq += 10
 		}
 	}
@@ -206,7 +211,7 @@ func TestMapqRing(t *testing.T) {
 
 	// Orderedness: an overlapping push clears it; it returns once at
 	// most one record is left.
-	q.push(mapping{0, 10})
+	q.push(testSim, mapping{0, 10})
 	if !q.unordered {
 		t.Fatal("a record below its predecessor's end must mark the queue unordered")
 	}

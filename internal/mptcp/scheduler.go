@@ -159,7 +159,13 @@ func (*minSRTT) Admit(c *Conn, sf *Subflow) bool         { return true }
 
 // roundRobin rotates the offering order one position per wake — the
 // ablation that shows why Linux prefers the fastest path.
-type roundRobin struct{ counter int }
+type roundRobin struct {
+	counter int
+	// order is the rotated copy Rank returns. Rotating within sfs would
+	// write into the caller's slice beyond its length when it had spare
+	// capacity, and allocate on every wake when it had none.
+	order []*Subflow
+}
 
 func (*roundRobin) Name() string { return SchedRoundRobin }
 
@@ -167,7 +173,8 @@ func (s *roundRobin) Rank(c *Conn, sfs []*Subflow) []*Subflow {
 	if n := len(sfs); n > 1 {
 		s.counter++
 		k := s.counter % n
-		sfs = append(sfs[k:], sfs[:k]...)
+		s.order = append(append(s.order[:0], sfs[k:]...), sfs[:k]...)
+		return s.order
 	}
 	return sfs
 }
@@ -198,7 +205,7 @@ func (*redundant) onFreshMapping(c *Conn, src *Subflow, m mapping) {
 		if sf == src || sf.Backup || !c.eligible(sf) {
 			continue
 		}
-		sf.dupQueue.push(m)
+		sf.dupQueue.push(c.sim, m)
 		// Defer the notify: pull runs inside src's TCP send loop, and
 		// the duplicate target must start its own send from a clean
 		// stack frame at the same virtual instant.

@@ -43,7 +43,7 @@ func TestSchedulerRegistry(t *testing.T) {
 // the original stranded forever, to be spuriously reinjected on every
 // later stall.
 func TestSplitReinjectionAck(t *testing.T) {
-	c := &Conn{cfg: Config{ConnID: "t"}, sched: NewScheduler(SchedMinSRTT), dss: new(simnet.FreeList[DSS])}
+	c := &Conn{sim: simnet.New(1), cfg: Config{ConnID: "t"}, sched: NewScheduler(SchedMinSRTT), dss: new(simnet.FreeList[DSS])}
 	sf := &Subflow{conn: c, established: true}
 	c.subflows = []*Subflow{sf}
 
@@ -84,7 +84,7 @@ func TestSplitReinjectionAck(t *testing.T) {
 }
 
 func TestOnMappingAckedPartialOverlap(t *testing.T) {
-	c := &Conn{cfg: Config{ConnID: "t"}, sched: NewScheduler(SchedMinSRTT)}
+	c := &Conn{sim: simnet.New(1), cfg: Config{ConnID: "t"}, sched: NewScheduler(SchedMinSRTT)}
 	sf := &Subflow{conn: c} // not established: wake skips it
 	c.subflows = []*Subflow{sf}
 	sf.outstanding = mapqOf(mapping{0, 100}, mapping{100, 300}, mapping{500, 100})
@@ -282,5 +282,37 @@ func TestPropertySchedulersDeliverExactly(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestRankLeavesSpareCapacityAlone: Rank is handed the connection's
+// scratch slice, which may have room beyond its length. Whatever a
+// scheduler returns must be a permutation of what it was given and must
+// neither write into that room nor be made of it — a rotation by append
+// used to do both.
+func TestRankLeavesSpareCapacityAlone(t *testing.T) {
+	for _, name := range SchedulerNames() {
+		r := newRig(34, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{})
+		c := Dial(r.sim, r.client, r.host, Config{ConnID: "rank", Primary: "wifi", Scheduler: name}, Callbacks{})
+		r.sim.RunUntil(time.Second)
+		if len(c.subflows) != 2 {
+			t.Fatalf("%s: %d subflows after a second, want 2", name, len(c.subflows))
+		}
+		guard := &Subflow{}
+		for round := 0; round < 5; round++ {
+			buf := []*Subflow{c.subflows[0], c.subflows[1], guard, guard, guard}
+			out := c.sched.Rank(c, buf[:2])
+			if len(out) != 2 || out[0] == out[1] || (out[0] != buf[0] && out[0] != buf[1]) || (out[1] != buf[0] && out[1] != buf[1]) {
+				t.Fatalf("%s round %d: Rank returned %v, not a permutation of its argument", name, round, out)
+			}
+			for i, sf := range buf[2:] {
+				if sf != guard {
+					t.Errorf("%s round %d: Rank wrote into spare slot %d of its argument", name, round, i)
+				}
+			}
+			if &out[0] == &buf[1] || &out[len(out)-1] == &buf[2] {
+				t.Errorf("%s round %d: Rank's result reaches into its argument's spare capacity", name, round)
+			}
+		}
 	}
 }

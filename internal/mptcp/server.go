@@ -63,12 +63,15 @@ func (s *Server) Conn(connID string) *Conn { return s.conns[connID] }
 
 // accept is the Stack.Accept hook: the new tcp.Conn has not yet
 // processed its SYN, so install a one-shot OnSegment hook to inspect
-// the MPTCP option and rewire the connection.
+// the MPTCP option and rewire the connection. Until then (and for good,
+// if nothing rewires it) the server is the connection's owner, which is
+// how the hook finds it without being a closure.
 func (s *Server) accept(tc *tcp.Conn) {
-	tc.SetCallbacks(tcp.Callbacks{
-		OnSegment: func(tc *tcp.Conn, seg *tcp.Segment) { s.firstSegment(tc, seg) },
-	})
+	tc.SetOwner(s)
+	tc.SetCallbacks(tcp.Callbacks{OnSegment: serverFirstSegment})
 }
+
+func serverFirstSegment(tc *tcp.Conn, seg *tcp.Segment) { tc.Owner().(*Server).firstSegment(tc, seg) }
 
 func (s *Server) firstSegment(tc *tcp.Conn, seg *tcp.Segment) {
 	switch opt := seg.Opt.(type) {

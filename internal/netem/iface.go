@@ -29,7 +29,7 @@ type Iface struct {
 
 	adminDown bool
 	blackhole bool
-	downSubs  []func(down bool)
+	downSubs  []downSub
 
 	// Radio wake-up (RRC promotion) state: the first uplink packet
 	// after promIdle of silence waits promDelay before entering the
@@ -179,8 +179,8 @@ func (i *Iface) SetDown(down bool) {
 	i.adminDown = down
 	i.up.SetDown(down)
 	i.down.SetDown(down)
-	for _, fn := range i.downSubs {
-		fn(down)
+	for _, sub := range i.downSubs {
+		sub.fn(sub.arg, down)
 	}
 }
 
@@ -210,9 +210,20 @@ func (i *Iface) AdminDown() bool { return i.adminDown }
 // Blackholed reports whether the interface is silently discarding.
 func (i *Iface) Blackholed() bool { return i.blackhole }
 
-// SubscribeDown registers a callback invoked on administrative state
-// changes (true = went down). Blackholes do NOT trigger it.
-func (i *Iface) SubscribeDown(fn func(down bool)) { i.downSubs = append(i.downSubs, fn) }
+// downSub is one SubscribeDown registration.
+type downSub struct {
+	fn  func(arg any, down bool)
+	arg any
+}
+
+// SubscribeDown registers fn(arg, down) to be called on administrative
+// state changes (down = went down). Blackholes do NOT trigger it. Like
+// simnet's ScheduleArg it takes the callee's state as an argument, so a
+// subscriber per connection is a package-level function and a pointer,
+// not a closure.
+func (i *Iface) SubscribeDown(fn func(arg any, down bool), arg any) {
+	i.downSubs = append(i.downSubs, downSub{fn, arg})
+}
 
 // UpLink returns the client→server link.
 func (i *Iface) UpLink() Link { return i.up }

@@ -34,8 +34,8 @@ func (c *LinkConfig) queueLimit() int {
 
 // pktRing is a FIFO packet queue that reuses its backing array: pops
 // advance a head index instead of re-slicing, so a link that fills and
-// drains its queue forever stops allocating once the array has grown to
-// the droptail limit.
+// drains its queue forever stops growing once the array has reached the
+// droptail limit. The array is a piece of the Sim's slab (simnet.Slab).
 type pktRing struct {
 	buf  []*Packet //multinet:owns — queued packets are owned by the link until delivered or dropped
 	head int
@@ -46,15 +46,19 @@ func (q *pktRing) len() int { return len(q.buf) - q.head }
 // peek returns the head packet; the queue must be non-empty.
 func (q *pktRing) peek() *Packet { return q.buf[q.head] }
 
-func (q *pktRing) push(p *Packet) {
-	if q.head > 0 && len(q.buf) == cap(q.buf) {
-		// Reclaim the popped prefix instead of growing.
-		n := copy(q.buf, q.buf[q.head:])
-		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = nil
+// push appends p, growing the array — on sim's slab, looked up only then
+// — when it is full to the brim.
+func (q *pktRing) push(sim *simnet.Sim, p *Packet) {
+	if len(q.buf) == cap(q.buf) {
+		if q.head > 0 {
+			// Reclaim the popped prefix instead of growing.
+			n := copy(q.buf, q.buf[q.head:])
+			clear(q.buf[n:])
+			q.buf = q.buf[:n]
+			q.head = 0
+		} else {
+			q.buf = simnet.SlabOf[*Packet](sim).Grow(q.buf, len(q.buf)+1)
 		}
-		q.buf = q.buf[:n]
-		q.head = 0
 	}
 	q.buf = append(q.buf, p)
 }
@@ -156,7 +160,7 @@ func (b *baseLink) admit(p *Packet) bool {
 		return false
 	}
 	p.SendTime = b.sim.Now()
-	b.queue.push(p)
+	b.queue.push(b.sim, p)
 	b.stats.Sent++
 	b.stats.BytesIn += int64(p.Size)
 	return true

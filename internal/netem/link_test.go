@@ -214,7 +214,7 @@ func TestIfaceDownSignalsSubscribers(t *testing.T) {
 	s := simnet.New(1)
 	i := testIface(s, "lte", 10, time.Millisecond)
 	var events []bool
-	i.SubscribeDown(func(d bool) { events = append(events, d) })
+	i.SubscribeDown(func(_ any, d bool) { events = append(events, d) }, nil)
 	i.SetDown(true)
 	i.SetDown(true) // idempotent: no second event
 	i.SetDown(false)
@@ -227,7 +227,7 @@ func TestIfaceBlackholeDoesNotSignal(t *testing.T) {
 	s := simnet.New(1)
 	i := testIface(s, "lte", 10, time.Millisecond)
 	signalled := false
-	i.SubscribeDown(func(bool) { signalled = true })
+	i.SubscribeDown(func(any, bool) { signalled = true }, nil)
 	i.SetBlackhole(true)
 	if signalled {
 		t.Fatal("blackhole must be silent (paper Fig. 15g semantics)")

@@ -92,8 +92,9 @@ type ARRateSource struct {
 	// gaps[e] is the slot spacing throughout epoch e. The rate only
 	// changes at epoch boundaries, so the exponential is evaluated once
 	// per epoch, not once per slot; the exported parameters must not
-	// change once Next has been called.
+	// change once Next has been called. The list lives on the Sim's slab.
 	gaps []time.Duration
+	mem  *simnet.Slab[time.Duration]
 	// gap caches gaps[e] for the epoch [epochStart, epochEnd) asked about
 	// last (an empty interval until the first Next).
 	gap                  time.Duration
@@ -111,6 +112,7 @@ func NewARRateSource(sim *simnet.Sim, stream string, meanMbps, variability float
 		Rho:     0.9,
 		Epoch:   100 * time.Millisecond,
 		rng:     sim.RNG(stream),
+		mem:     simnet.SlabOf[time.Duration](sim),
 	}
 }
 
@@ -138,11 +140,10 @@ func (s *ARRateSource) slotGap() time.Duration {
 // has reached it yet, and points the cache at that epoch.
 func (s *ARRateSource) seek(t time.Duration) {
 	epoch := int(t / s.Epoch)
+	// Room for the first gapsHorizon epochs at once (more if the first
+	// question already lies beyond them), not a doubling from nil.
+	s.gaps = s.mem.Grow(s.gaps, max(gapsHorizon, epoch+1))
 	if len(s.gaps) == 0 {
-		// Room for the first gapsHorizon epochs at once (more if the first
-		// question already lies beyond them), not a doubling from nil in
-		// every world.
-		s.gaps = make([]time.Duration, 0, max(gapsHorizon, epoch+1))
 		s.gaps = append(s.gaps, s.slotGap()) // epoch 0: no deviation yet
 	}
 	for len(s.gaps) <= epoch {

@@ -11,6 +11,8 @@ package replay
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"multinet/internal/apps"
@@ -320,8 +322,10 @@ func (e *engine) startFlow(flowID int) {
 	}
 }
 
+const flowConnPrefix = "app-f"
+
 // flowConnID names a flow's connection.
-func flowConnID(id int) string { return fmt.Sprintf("app-f%d", id) }
+func flowConnID(id int) string { return flowConnPrefix + strconv.Itoa(id) }
 
 func (e *engine) startTCPFlow(st *flowState) {
 	iface := e.host.Iface(e.tc.Iface)
@@ -417,10 +421,18 @@ func (e *engine) completeFlow(id int) {
 	}
 }
 
+// parseFlowConnID is flowConnID's inverse: the decimal id after the
+// prefix, whatever follows it. It runs for every accepted connection,
+// hence no fmt scanner.
 func parseFlowConnID(s string) (int, bool) {
-	var id int
-	if _, err := fmt.Sscanf(s, "app-f%d", &id); err != nil {
+	rest, ok := strings.CutPrefix(s, flowConnPrefix)
+	if !ok {
 		return 0, false
 	}
-	return id, true
+	end := 0
+	for end < len(rest) && '0' <= rest[end] && rest[end] <= '9' {
+		end++
+	}
+	id, err := strconv.Atoi(rest[:end])
+	return id, err == nil
 }

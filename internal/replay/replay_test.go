@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -246,5 +247,42 @@ func TestConfigsWithCouplings(t *testing.T) {
 	if tcs[2].Name != "MPTCP-Decoupled-WiFi" || tcs[2].CC != mptcp.Decoupled ||
 		tcs[3].Name != "MPTCP-Decoupled-LTE" {
 		t.Fatalf("coupling block = %+v %+v", tcs[2], tcs[3])
+	}
+}
+
+// TestParseFlowConnID holds the hand-written parser to the fmt.Sscanf it
+// replaced, on everything flowConnID produces (the only producer), on ids
+// carrying a subflow suffix, and on malformed ids both must refuse.
+func TestParseFlowConnID(t *testing.T) {
+	sscanf := func(s string) (int, bool) {
+		var id int
+		_, err := fmt.Sscanf(s, "app-f%d", &id)
+		return id, err == nil
+	}
+	ids := []string{
+		flowConnID(0), flowConnID(17), flowConnID(1 << 40), "app-f0", "app-f17", "app-f007",
+		"app-f17/wifi", "app-f3/lte-b", "app-f5x", "app-f12 ",
+		"", "app-f", "app-", "app", "f3", "3", "app-fx", "app-f/wifi", "APP-F3", "xapp-f3", " app-f3",
+		"app-f99999999999999999999",
+	}
+	for _, s := range ids {
+		id, ok := parseFlowConnID(s)
+		wantID, wantOK := sscanf(s)
+		if ok != wantOK || (ok && id != wantID) {
+			t.Errorf("parseFlowConnID(%q) = (%d, %v), Sscanf gives (%d, %v)", s, id, ok, wantID, wantOK)
+		}
+	}
+	for _, id := range []int{0, 1, 9, 10, 17, 123456} {
+		if got, ok := parseFlowConnID(flowConnID(id)); !ok || got != id {
+			t.Errorf("parseFlowConnID(flowConnID(%d)) = (%d, %v)", id, got, ok)
+		}
+	}
+	// Stricter on purpose: Sscanf also took a sign and skipped blanks
+	// before the number. No producer writes either, and a negative id
+	// indexes no flow.
+	for _, s := range []string{"app-f-3", "app-f+3", "app-f 3"} {
+		if id, ok := parseFlowConnID(s); ok {
+			t.Errorf("parseFlowConnID(%q) = (%d, true), want it refused", s, id)
+		}
 	}
 }

@@ -30,11 +30,17 @@ func threePaths(loc phy.Location) phy.Condition {
 	)
 }
 
-// sessionCell runs transfers on one core.Session and returns every
-// number the session can be asked for: the results, the kernel's event
-// count and each link's counters. A non-empty schedule is attached
+// sessionCell runs 300 KB transfers on one core.Session and returns
+// every number the session can be asked for: the results, the kernel's
+// event count and each link's counters. A non-empty schedule is attached
 // before the first transfer.
 func sessionCell(seed int64, cond phy.Condition, horizon time.Duration, sched faults.Schedule, cfgs ...core.Config) string {
+	return sizedSessionCell(seed, cond, horizon, sched, 300<<10, cfgs...)
+}
+
+// sizedSessionCell is sessionCell with a transfer size: how far the
+// scoreboards, mapping queues and link queues grow on the slab.
+func sizedSessionCell(seed int64, cond phy.Condition, horizon time.Duration, sched faults.Schedule, size int, cfgs ...core.Config) string {
 	s := core.NewSession(seed, cond)
 	defer s.Close()
 	s.Horizon = horizon
@@ -49,7 +55,7 @@ func sessionCell(seed int64, cond phy.Condition, horizon time.Duration, sched fa
 		if i%2 == 1 {
 			dir = core.Upload
 		}
-		fmt.Fprintf(&sb, "%s %+v; ", cfg.Name(), s.Run(cfg, dir, 300<<10))
+		fmt.Fprintf(&sb, "%s %+v; ", cfg.Name(), s.Run(cfg, dir, size))
 	}
 	fmt.Fprintf(&sb, "now=%v processed=%d pending=%d;", s.Sim.Now(), s.Sim.Processed(), s.Sim.Pending())
 	for _, ifc := range s.Host.Ifaces() {
@@ -70,7 +76,9 @@ func replayCell(seed int64, cond phy.Condition, app apps.App, tc replay.Transpor
 // app replays and bulk transfers, and a fault run whose blackhole
 // outlasts the horizon, so the world is released with retransmission,
 // probe, watchdog and fault-restore timers still pending and packets
-// still queued.
+// still queued. The last two differ only in how large their rings grow:
+// a world that leaves the slab far bigger than the next one needs, and
+// one that leaves it far too small.
 var worldCells = []struct {
 	name string
 	run  func() string
@@ -113,6 +121,16 @@ var worldCells = []struct {
 	{"replay mptcp 3-path", func() string {
 		return replayCell(17, threePaths(phy.LocationByID(10)), apps.DropboxClick,
 			replay.TransportConfig{Name: "MPTCP-Decoupled-LTE-B", Kind: replay.Multipath, Primary: "lte-b", CC: mptcp.Decoupled})
+	}},
+	{"session 4 MB, rings grown large", func() string {
+		return sizedSessionCell(19, phy.LocationByID(9).Condition(), core.DefaultHorizon, faults.Schedule{}, 4<<20,
+			core.Config{Transport: core.MPTCP, Primary: "wifi", CC: mptcp.Decoupled},
+			core.Config{Transport: core.TCP, Iface: "lte"})
+	}},
+	{"session 2 KB, rings never grown", func() string {
+		return sizedSessionCell(20, phy.LocationByID(9).Condition(), core.DefaultHorizon, faults.Schedule{}, 2<<10,
+			core.Config{Transport: core.MPTCP, Primary: "wifi", CC: mptcp.Decoupled},
+			core.Config{Transport: core.TCP, Iface: "lte"})
 	}},
 }
 

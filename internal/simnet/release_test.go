@@ -58,6 +58,7 @@ func TestReleasedSimPanics(t *testing.T) {
 	mustPanic(t, "RunFor", func() { s.RunFor(time.Second) })
 	mustPanic(t, "RNG", func() { s.RNG("x") })
 	mustPanic(t, "FreeListOf", func() { FreeListOf[int](s) })
+	mustPanic(t, "SlabOf", func() { SlabOf[int](s) })
 	mustPanic(t, "Release", func() { s.Release() })
 
 	// The next world takes the arena, and with it the two events. The old

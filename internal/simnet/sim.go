@@ -24,8 +24,9 @@
 // existing consumers — a property the calibrated experiments rely on.
 //
 // A Sim owns its memory (see arena): the wheel, the event free list, the
-// free lists of the objects the layers above recycle (FreeListOf) and
-// the generators of its random streams. Release hands that memory to the
+// free lists of the objects the layers above recycle (FreeListOf), the
+// slabs their rings and lists grow on (SlabOf) and the generators of its
+// random streams. Release hands that memory to the
 // next New, so a sweep of many short-lived worlds builds each of them
 // out of the previous one's parts.
 package simnet
@@ -62,10 +63,12 @@ type Sim struct {
 
 // arena is everything a Sim allocates that can outlive it: Release
 // empties it and parks it for the next New, which then starts with a
-// sized wheel, a stocked event free list, warm object free lists and
-// generators to reseed. Nothing in a parked arena refers to the world
-// that filled it — recycled events, packets and segments are cleared
-// when they are freed — so a retired world is collected as usual.
+// sized wheel, a stocked event free list, warm object free lists, slabs
+// already as large as the last world needed and generators to reseed.
+// Nothing in a parked arena refers to the world that filled it —
+// recycled events, packets and segments are cleared when they are freed,
+// the slabs when they are rewound — so a retired world is collected as
+// usual.
 type arena struct {
 	// wheel holds pending events beyond the current tick; due is the
 	// (at, seq)-sorted batch for the tick being dispatched, consumed
@@ -87,8 +90,13 @@ type arena struct {
 	// belongs to an earlier world until RNG reseeds it for this one.
 	streams []*stream
 	life    uint64
-	// lists holds one *FreeList[T] per recycled type (see FreeListOf).
-	lists []any
+	// parts holds one *FreeList[T] per recycled type (see FreeListOf) and
+	// one *Slab[T] per buffer element type (see SlabOf), found by type.
+	// partsBuf is its first backing array, room for what the layers of
+	// this repository register, so that a world built from nothing does
+	// not pay for growing the list.
+	parts    []any
+	partsBuf [12]any
 }
 
 // retired parks the arenas of released Sims for New. It is the
@@ -100,10 +108,11 @@ var retired struct {
 	arenas []*arena
 }
 
-// maxRetired bounds the parked arenas (a few hundred KB each): more
+// MaxRetired bounds the parked arenas (a few hundred KB each): more
 // Sims than this released while none is being built are left to the
-// collector.
-const maxRetired = 64
+// collector, and after this many New without a Release in between none
+// is left parked.
+const MaxRetired = 64
 
 // New returns a simulator whose random streams derive from seed.
 func New(seed int64) *Sim {
@@ -118,28 +127,32 @@ func New(seed int64) *Sim {
 	if a == nil {
 		a = new(arena)
 		a.due = a.dueBuf[:0]
+		a.parts = a.partsBuf[:0]
 		a.wheel.hi = noTick
 	}
 	return &Sim{seed: seed, arena: a}
 }
 
 // Release ends the simulation and gives its memory to the next New:
-// pending events are dropped unfired, and the wheel, the free lists and
-// the random streams' generators are parked. Call it when a world's
+// pending events are dropped unfired, the slabs are rewound, and they,
+// the wheel, the free lists and the random streams' generators are
+// parked. Call it when a world's
 // results have been read. It is optional — a Sim that is never released
 // is simply collected — and final: scheduling on, running, asking for a
 // stream of or releasing a released Sim panics, and Timers it handed out
 // are inert. Now, Seed, Processed and Pending keep answering.
 //
 // Objects taken from the Sim's free lists and still in flight are not
-// recalled; they are collected with the rest of the world.
+// recalled; they are collected with the rest of the world. Slices carved
+// from its slabs are recalled: whatever still refers to one after
+// Release is looking at the next world's memory.
 func (s *Sim) Release() {
 	a := s.mem()
 	s.arena = nil
 	s.live, s.cancelled = 0, 0 // dropped with the arena's pending events
 	a.reset()
 	retired.Lock()
-	if len(retired.arenas) < maxRetired {
+	if len(retired.arenas) < MaxRetired {
 		retired.arenas = append(retired.arenas, a)
 	}
 	retired.Unlock()
@@ -154,10 +167,15 @@ func (s *Sim) mem() *arena {
 }
 
 // reset returns the arena to the state New expects: no pending events,
-// the wheel at tick zero, and only the streams the world that just
-// ended used, marked as belonging to a world gone by.
+// the wheel at tick zero, the slabs rewound, and only the streams the
+// world that just ended used, marked as belonging to a world gone by.
 func (a *arena) reset() {
 	a.dropPending()
+	for _, p := range a.parts {
+		if sl, ok := p.(interface{ rewind() }); ok {
+			sl.rewind()
+		}
+	}
 	kept := a.streams[:0]
 	for _, st := range a.streams {
 		if st.life == a.life {
@@ -199,16 +217,20 @@ func (l *FreeList[T]) Put(p *T) {
 
 // FreeListOf returns s's free list of T, the same one on every call.
 // Callers on a per-packet path look it up once, when they are built.
-func FreeListOf[T any](s *Sim) *FreeList[T] {
+func FreeListOf[T any](s *Sim) *FreeList[T] { return partOf[FreeList[T]](s) }
+
+// partOf returns s's arena's part of type P, adding a zero one the first
+// time it is asked for.
+func partOf[P any](s *Sim) *P {
 	a := s.mem()
-	for _, x := range a.lists {
-		if l, ok := x.(*FreeList[T]); ok {
-			return l
+	for _, x := range a.parts {
+		if p, ok := x.(*P); ok {
+			return p
 		}
 	}
-	l := new(FreeList[T])
-	a.lists = append(a.lists, l)
-	return l
+	p := new(P)
+	a.parts = append(a.parts, p)
+	return p
 }
 
 // Now returns the current virtual time. Time starts at zero.
@@ -482,7 +504,7 @@ func (s *Sim) held() int {
 // creating it on first use. Streams with distinct names are independent;
 // the same (seed, name) pair always yields the same sequence.
 //
-// Naming a stream is cheap: the generator state (607 words, ~10 µs to
+// Naming a stream is cheap: the generator state (607 words, ~2 µs to
 // seed) is built or reseeded on the first draw, so consumers may be
 // handed streams they will never use — a lossless link's loss stream,
 // say — at the cost of one small allocation, or none when the arena
@@ -519,31 +541,28 @@ type stream struct {
 	life uint64 // the arena life it was last seeded for
 }
 
-// lazySource is a rand.Source64 that seeds the stdlib generator on the
+// lazySource is a rand.Source64 that seeds its generator (rng.go) on the
 // first draw after Seed — building it if this is the first seed, in
-// place (4.9 KB kept) otherwise. Every draw goes through that
-// generator, so the stream is draw for draw the one
-// rand.NewSource(seed) yields.
+// place (4.9 KB kept) otherwise.
 type lazySource struct {
 	seed   int64
-	src    rand.Source64
-	seeded bool // src holds seed's state
+	gen    *generator
+	seeded bool // gen holds seed's state
 }
 
-func (l *lazySource) source() rand.Source64 {
+func (l *lazySource) source() *generator {
 	if !l.seeded {
-		if l.src == nil {
-			l.src = rand.NewSource(l.seed).(rand.Source64)
-		} else {
-			l.src.Seed(l.seed)
+		if l.gen == nil {
+			l.gen = new(generator)
 		}
+		l.gen.seed(l.seed)
 		l.seeded = true
 	}
-	return l.src
+	return l.gen
 }
 
-func (l *lazySource) Int63() int64    { return l.source().Int63() }
-func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
+func (l *lazySource) Int63() int64    { return int64(l.source().uint64() &^ (1 << 63)) }
+func (l *lazySource) Uint64() uint64  { return l.source().uint64() }
 func (l *lazySource) Seed(seed int64) { l.seed, l.seeded = seed, false }
 
 // streamSeed derives a child seed from (seed, name) using an FNV-1a mix.

@@ -433,20 +433,20 @@ func TestRNGLazySeedingMatchesStdlib(t *testing.T) {
 
 	src := &lazySource{seed: 5}
 	_ = rand.New(src)
-	if src.src != nil {
+	if src.gen != nil {
 		t.Fatal("wrapping a lazy source must not seed it")
 	}
 	src.Int63()
-	if src.src == nil {
+	if src.gen == nil {
 		t.Fatal("the first draw must seed the source")
 	}
 	first := rand.NewSource(5).Int63()
-	gen := src.src
+	gen := src.gen
 	src.Seed(5)
 	if src.seeded || src.Int63() != first {
 		t.Fatal("Seed must restart the stream lazily")
 	}
-	if src.src != gen {
+	if src.gen != gen {
 		t.Fatal("Seed must reseed the generator it has, not build another")
 	}
 }

@@ -121,11 +121,15 @@ type Conn struct {
 	state State
 
 	cb Callbacks
+	// owner is whatever the layer above hangs on the connection so that
+	// its hooks can be plain functions (see Config.Owner).
+	owner any
 
 	// Sender state.
 	src      Source
 	synOpt   any
-	byteSrc  *byteSource // non-nil when using the default source
+	byteSrc  *byteSource // non-nil (&bytes) when using the default source
+	bytes    byteSource
 	sndUna   uint64
 	sndNxt   uint64
 	cwnd     float64 // bytes
@@ -223,6 +227,13 @@ type Config struct {
 	// SynOpt is attached to the SYN (active open) or SYN-ACK (passive
 	// open) segment; MPTCP uses it for MP_CAPABLE / MP_JOIN.
 	SynOpt any
+	// Owner is an opaque reference the connection carries for its user
+	// (Conn.Owner). Callbacks, Increase and Source are all handed the
+	// *Conn, so a layer that wires many connections the same way — MPTCP
+	// and its subflows — can share one set of package-level functions
+	// that recover their state from it, instead of building a set of
+	// closures per connection.
+	Owner any
 }
 
 // NewConn creates an endpoint for the given flow on an interface. dir
@@ -239,6 +250,7 @@ func NewConn(sim *simnet.Sim, iface *netem.Iface, dir netem.Direction, flow stri
 		flow:     flow,
 		state:    StateClosed,
 		cb:       cfg.Callbacks,
+		owner:    cfg.Owner,
 		increase: cfg.Increase,
 		src:      cfg.Source,
 		synOpt:   cfg.SynOpt,
@@ -256,7 +268,7 @@ func NewConn(sim *simnet.Sim, iface *netem.Iface, dir netem.Direction, flow stri
 		c.increase = RenoIncrease
 	}
 	if c.src == nil {
-		c.byteSrc = &byteSource{}
+		c.byteSrc = &c.bytes
 		c.src = c.byteSrc
 	}
 	return c
@@ -293,6 +305,14 @@ func (c *Conn) SetSource(s Source) {
 	c.src = s
 	c.byteSrc = nil
 }
+
+// Owner returns the reference set by Config.Owner or SetOwner (nil if
+// neither was).
+func (c *Conn) Owner() any { return c.owner }
+
+// SetOwner replaces the owner reference. Like SetCallbacks it is meant
+// for Stack.Accept, where a passively opened connection meets its user.
+func (c *Conn) SetOwner(owner any) { c.owner = owner }
 
 // SetSynOpt sets the option attached to the SYN-ACK of a passive open.
 // Must be called inside Stack.Accept.
@@ -832,6 +852,9 @@ func (c *Conn) insertOOO(iv interval) {
 			break
 		}
 	}
+	if len(c.ooo) == cap(c.ooo) {
+		c.ooo = simnet.SlabOf[interval](c.sim).Grow(c.ooo, len(c.ooo)+1)
+	}
 	c.ooo = append(c.ooo, interval{})
 	copy(c.ooo[pos+1:], c.ooo[pos:])
 	c.ooo[pos] = iv
@@ -1018,7 +1041,7 @@ func (c *Conn) track(seg *Segment) {
 		if sh, ok := seg.Opt.(SharedOpt); ok {
 			sh.RetainOpt() // the entry's hold, beside the wire segment's
 		}
-		c.sb.push(sbEntry{
+		c.sb.push(c.sim, sbEntry{
 			seq: seg.Seq, sentAt: c.now(), opt: seg.Opt,
 			payload: int32(seg.PayloadLen), flags: seg.Flags,
 		})

@@ -766,7 +766,7 @@ func (s *fluidSession) teardown() {
 		if e.probe {
 			continue
 		}
-		c.sb.push(sbEntry{
+		c.sb.push(c.sim, sbEntry{
 			seq: e.seqEnd - uint64(e.payload), sentAt: e.sentAt,
 			payload: int32(e.payload), flags: FlagACK, rtxed: e.rtxed,
 		})

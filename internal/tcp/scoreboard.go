@@ -3,6 +3,8 @@ package tcp
 import (
 	"fmt"
 	"time"
+
+	"multinet/internal/simnet"
 )
 
 // sbEntry tracks one unacknowledged segment in the SACK scoreboard. It
@@ -52,7 +54,8 @@ func (e *sbEntry) pendingLoss() bool { return e.lost && !e.rtxed && !e.sacked }
 // advancing an index — no copy-down, no re-slicing (a slice-header
 // store is a GC write barrier per ACK) — so the clean-path cost of an
 // ACK does not depend on the flight size, and capacity never exceeds
-// twice the largest window seen.
+// twice the largest window seen. The array is a piece of the Sim's slab
+// (simnet.Slab): an outgrown one is left there until the world ends.
 type scoreboard struct {
 	buf  []sbEntry // len is zero or a power of two
 	head int
@@ -63,22 +66,23 @@ type scoreboard struct {
 // until the next push.
 func (s *scoreboard) at(i int) *sbEntry { return &s.buf[(s.head+i)&(len(s.buf)-1)] }
 
-// push appends an entry at the tail, doubling the ring when full.
-func (s *scoreboard) push(e sbEntry) {
+// push appends an entry at the tail, doubling the ring — on sim's slab,
+// looked up only then — when full.
+func (s *scoreboard) push(sim *simnet.Sim, e sbEntry) {
 	if s.n == len(s.buf) {
-		s.grow()
+		s.grow(simnet.SlabOf[sbEntry](sim))
 	}
 	s.buf[(s.head+s.n)&(len(s.buf)-1)] = e
 	s.n++
 }
 
 // grow doubles the ring, unwrapping the live entries to the front.
-func (s *scoreboard) grow() {
+func (s *scoreboard) grow(mem *simnet.Slab[sbEntry]) {
 	size := 2 * len(s.buf)
 	if size == 0 {
 		size = 16
 	}
-	buf := make([]sbEntry, size)
+	buf := mem.Make(size)
 	k := copy(buf, s.buf[s.head:])
 	copy(buf[k:], s.buf[:s.head])
 	s.buf, s.head = buf, 0

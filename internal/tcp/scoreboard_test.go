@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"multinet/internal/netem"
+	"multinet/internal/simnet"
 )
 
 // scanScoreboard is the reference for the incremental sender
@@ -167,10 +168,11 @@ func TestScoreboardAccountingProperty(t *testing.T) {
 // draining to empty, and a head sitting on the last slot.
 func TestScoreboardRing(t *testing.T) {
 	var sb scoreboard
+	sim := simnet.New(1)
 	seq := uint64(0)
 	push := func(k int) {
 		for i := 0; i < k; i++ {
-			sb.push(sbEntry{seq: seq, payload: 10, opt: &seq})
+			sb.push(sim, sbEntry{seq: seq, payload: 10, opt: &seq})
 			seq += 10
 		}
 	}
