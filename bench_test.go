@@ -10,18 +10,12 @@ package multinet_test
 // with -v to see the rendered tables and figure data; for
 // machine-readable headline quantities use `go run ./cmd/report -json`
 // (the registry replaces the old per-benchmark ReportMetric tables).
-//
-// BenchmarkParallelSpeedup measures the engine sweep runner's
-// parallel-vs-sequential wall-time ratio on a multi-trial experiment;
-// on an N-core machine it should approach N for sweep-heavy harnesses.
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
-	"multinet/internal/experiments"
+	_ "multinet/internal/experiments" // importing registers every harness
 	"multinet/internal/experiments/engine"
 )
 
@@ -41,32 +35,4 @@ func BenchmarkExperiments(b *testing.B) {
 			b.Log("\n" + out.String())
 		})
 	}
-}
-
-// BenchmarkParallelSpeedup runs a sweep-heavy experiment (Figure 8:
-// locations × trials × two MPTCP configurations) once sequentially and
-// once on the full worker pool per iteration, and reports the wall-time
-// ratio as the "speedup-x" metric. The outputs are verified identical,
-// so the metric measures pure scheduling gain; expect ≥2x on 4+ cores
-// (and ~1x on a single-core machine, where there is nothing to gain).
-func BenchmarkParallelSpeedup(b *testing.B) {
-	o := engine.Options{Trials: 2}
-	var seqTotal, parTotal time.Duration
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		seq := experiments.Figure8(o.Serial())
-		seqTotal += time.Since(start)
-
-		start = time.Now()
-		par := experiments.Figure8(o)
-		parTotal += time.Since(start)
-
-		if seq.String() != par.String() {
-			b.Fatal("parallel output differs from sequential")
-		}
-	}
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
-	b.ReportMetric(seqTotal.Seconds()/float64(b.N), "seq-s/op")
-	b.ReportMetric(parTotal.Seconds()/float64(b.N), "par-s/op")
-	b.ReportMetric(seqTotal.Seconds()/parTotal.Seconds(), "speedup-x")
 }

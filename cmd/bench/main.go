@@ -1,8 +1,12 @@
-// Command bench runs the repository's benchmark suite outside `go
-// test` and records the results as a machine-readable report — the
-// repo's bench trajectory artifact.
+// Command bench is the repository's exact allocs/op gate: it runs the
+// benchmark suite outside `go test`, records ns/op, B/op and allocs/op
+// per benchmark as a machine-readable report, and with -check fails
+// when any benchmark allocates more than the committed baseline says.
+// Wall time is reported and never gated — the hosts this runs on drift
+// by more than any useful bound; `go run ./benchmark` (BENCHMARK.json)
+// is where time is compared, in alternating pairs.
 //
-// Three benchmark families run:
+// These benchmark families run:
 //
 //   - scheduler micro-benchmarks (sched/*): the simnet timing-wheel
 //     kernel alone — schedule/fire churn, cancel-heavy timer churn,
@@ -28,27 +32,23 @@
 // Usage:
 //
 //	bench [-out BENCH_report.json] [-baseline BENCH_baseline.json]
-//	      [-check] [-rebase] [-maxslow 1.15] [-count 5] [-benchtime 1s]
+//	      [-check] [-rebase] [-count 5] [-benchtime 1s]
 //	      [-only name[,name...]] [-skip-experiments]
 //	      [-cpuprofile cpu.out] [-memprofile mem.out] [-diff compare.txt]
 //
 // -out writes the report (ns/op, B/op, allocs/op per benchmark).
 // -baseline names the committed reference report. With -check, the run
-// fails (exit 1) if any benchmark regresses against the baseline:
-// allocs/op may not rise above the baseline at all, and ns/op may not
-// exceed the baseline by more than the -maxslow factor. The allocation
-// gate can be exact because the count is: every benchmark releases its
+// fails (exit 1) if any benchmark's allocs/op is above the baseline's.
+// The gate can be exact because the count is: every benchmark releases its
 // simulators, whose free lists make what an iteration allocates
 // independent of the collector, and the count is taken in a pass of its
 // own — a fixed number of iterations with the collector off — so the
 // few objects the standard library re-allocates after a collection
 // (fmt's printer pool) and the rounding of a time-chosen b.N stay out
-// of it.
-// The ns/op gate arms only when the baseline was recorded on the same
-// goos/goarch/CPU-count class as this run — a wall-clock floor from
-// foreign hardware would only produce false failures. With -rebase,
-// the baseline file is rewritten from this run's results (commit it to
-// accept a new performance floor). -only selects benchmarks by name.
+// of it. `go test ./cmd/bench` fails when a benchmark has no baseline
+// entry, so nothing runs ungated. With -rebase, the baseline file is
+// rewritten from this run's results (commit it to accept a new floor).
+// -only selects benchmarks by name.
 //
 // Each benchmark runs -count times for its ns/op, of which the minimum
 // (the robust noise-resistant estimator) is reported, and once more,
@@ -88,10 +88,9 @@ import (
 	"multinet/internal/tcp"
 )
 
-// Result is one benchmark measurement. EventsPerPacket and ElidedSegs
-// are reported by the netem-driven transport benchmarks only: kernel
-// events processed per packet carried (the figure fluid-advance mode
-// drives below 1), and packets carried analytically per op.
+// Result is one benchmark measurement. EventsPerPacket is reported by
+// the netem-driven transport benchmarks only: kernel events processed
+// per packet carried.
 type Result struct {
 	Name     string  `json:"name"`
 	Runs     int     `json:"runs"`
@@ -100,7 +99,6 @@ type Result struct {
 	AllocsOp int64   `json:"allocs_per_op"`
 
 	EventsPerPacket float64 `json:"events_per_packet,omitempty"`
-	ElidedSegs      int64   `json:"elided_segs,omitempty"`
 }
 
 // Report is the serialised benchmark trajectory artifact.
@@ -121,14 +119,11 @@ type bench struct {
 func nopEvent(any) {}
 
 // netemMetrics accumulates simulator-level counters across a
-// benchmark's iterations: kernel events processed, packets carried
-// (accepted onto any link, analytically or on the wire), and packets
-// elided by fluid-advance mode.
+// benchmark's iterations: kernel events processed and packets accepted
+// onto any link.
 type netemMetrics struct {
 	events  uint64
 	packets int64
-	elided  int64
-	ops     int64
 }
 
 // curMetrics, when non-nil, receives the counters of every transport
@@ -142,11 +137,8 @@ func (m *netemMetrics) collect(sim *simnet.Sim, links ...netem.Link) {
 	}
 	m.events += sim.Processed()
 	for _, l := range links {
-		st := l.Stats()
-		m.packets += int64(st.Sent)
-		m.elided += int64(st.Elided)
+		m.packets += int64(l.Stats().Sent)
 	}
-	m.ops++
 }
 
 // schedFireChurn measures the schedule+fire cycle with 64 event chains
@@ -269,10 +261,8 @@ func benchIface(sim *simnet.Sim, name string, mbps float64, owd time.Duration, q
 const benchVariability = 0.3
 
 // tcpDownload transfers size bytes server→client over one duplex
-// interface — the plain-TCP kernel hot path. With fluid set the stacks
-// opt into fluid-advance mode and the steady phase of the transfer is
-// carried analytically.
-func tcpDownload(b *testing.B, size int, loss, variability float64, fluid bool) {
+// interface — the plain-TCP kernel hot path.
+func tcpDownload(b *testing.B, size int, loss, variability float64) {
 	for i := 0; i < b.N; i++ {
 		sim := simnet.New(int64(i + 1))
 		iface := benchIface(sim, "wifi", 20, 15*time.Millisecond, 200, loss, variability)
@@ -280,9 +270,6 @@ func tcpDownload(b *testing.B, size int, loss, variability float64, fluid bool) 
 		server := tcp.NewStack(sim, tcp.ServerSide)
 		client.Bind(iface)
 		server.Bind(iface)
-		if fluid {
-			tcp.EnableFluid(client, server)
-		}
 		var done bool
 		server.Accept = func(c *tcp.Conn) {
 			c.SetCallbacks(tcp.Callbacks{OnEstablished: func(c *tcp.Conn) {
@@ -393,12 +380,10 @@ func kernelBenchmarks() []bench {
 		{"sched/cancel-churn", schedCancelChurn},
 		{"sched/rearm-churn", schedRearmChurn},
 		{"sched/deep-pending", schedDeepPending},
-		{"tcp/download-100KB", func(b *testing.B) { tcpDownload(b, 100<<10, 0, 0, false) }},
-		{"tcp/download-100KB-fluid", func(b *testing.B) { tcpDownload(b, 100<<10, 0, 0, true) }},
-		{"tcp/download-1MB", func(b *testing.B) { tcpDownload(b, 1<<20, 0, 0, false) }},
-		{"tcp/download-1MB-fluid", func(b *testing.B) { tcpDownload(b, 1<<20, 0, 0, true) }},
-		{"tcp/download-1MB-lossy", func(b *testing.B) { tcpDownload(b, 1<<20, 0.02, 0, false) }},
-		{"tcp/download-1MB-varlink", func(b *testing.B) { tcpDownload(b, 1<<20, 0, benchVariability, false) }},
+		{"tcp/download-100KB", func(b *testing.B) { tcpDownload(b, 100<<10, 0, 0) }},
+		{"tcp/download-1MB", func(b *testing.B) { tcpDownload(b, 1<<20, 0, 0) }},
+		{"tcp/download-1MB-lossy", func(b *testing.B) { tcpDownload(b, 1<<20, 0.02, 0) }},
+		{"tcp/download-1MB-varlink", func(b *testing.B) { tcpDownload(b, 1<<20, 0, benchVariability) }},
 		{"mptcp/download-1MB-decoupled", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Decoupled, 0) }},
 		{"mptcp/download-1MB-coupled", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Coupled, 0) }},
 		{"mptcp/download-1MB-varlink", func(b *testing.B) { mptcpDownload(b, 1<<20, mptcp.Decoupled, benchVariability) }},
@@ -456,17 +441,10 @@ func countAllocs(fn func(b *testing.B)) (bytesPerOp, allocsPerOp int64) {
 	return r.AllocedBytesPerOp(), r.AllocsPerOp()
 }
 
-// envMatches reports whether the baseline was recorded on the same
-// machine class as this run. ns/op floors are only meaningful on
-// matching hardware; allocs/op are exact everywhere.
-func envMatches(base, cur Report) bool {
-	return base.GoOS == cur.GoOS && base.GoArch == cur.GoArch && base.NumCPU == cur.NumCPU
-}
-
-// compare checks cur against base, returning regression descriptions.
-// gateNs disables the ns/op comparison (used when the baseline comes
-// from different hardware, where a wall-clock floor is meaningless).
-func compare(base, cur []Result, maxSlow float64, gateNs bool) []string {
+// compare checks cur against base, returning a description of every
+// benchmark whose allocs/op rose; the count gates exactly (see
+// countAllocs).
+func compare(base, cur []Result) []string {
 	baseBy := make(map[string]Result, len(base))
 	for _, r := range base {
 		baseBy[r.Name] = r
@@ -477,14 +455,9 @@ func compare(base, cur []Result, maxSlow float64, gateNs bool) []string {
 		if !ok {
 			continue // new benchmark: no baseline yet
 		}
-		// Allocation counts gate exactly (see countAllocs).
 		if r.AllocsOp > b.AllocsOp {
 			bad = append(bad, fmt.Sprintf("%s: allocs/op %d -> %d (above baseline)",
 				r.Name, b.AllocsOp, r.AllocsOp))
-		}
-		if gateNs && b.NsPerOp > 0 && r.NsPerOp > b.NsPerOp*maxSlow {
-			bad = append(bad, fmt.Sprintf("%s: ns/op %.0f -> %.0f (>%.0f%% slower)",
-				r.Name, b.NsPerOp, r.NsPerOp, (maxSlow-1)*100))
 		}
 	}
 	return bad
@@ -505,20 +478,14 @@ func writeDiff(path string, base, cur Report) error {
 		}
 		return fmt.Sprintf("%.2f", r.EventsPerPacket)
 	}
-	elided := func(r Result) string {
-		if r.EventsPerPacket == 0 {
-			return "-"
-		}
-		return fmt.Sprint(r.ElidedSegs)
-	}
-	fmt.Fprintf(&sb, "%-34s %14s %14s %8s %10s %10s %7s %7s %9s\n",
+	fmt.Fprintf(&sb, "%-34s %14s %14s %8s %10s %10s %7s %7s\n",
 		"benchmark", "base ns/op", "ns/op", "delta", "base a/op", "a/op",
-		"base e/p", "ev/pkt", "elided")
+		"base e/p", "ev/pkt")
 	for _, r := range cur.Results {
 		b, ok := baseBy[r.Name]
 		if !ok {
-			fmt.Fprintf(&sb, "%-34s %14s %14.0f %8s %10s %10d %7s %7s %9s  (new)\n",
-				r.Name, "-", r.NsPerOp, "-", "-", r.AllocsOp, "-", evpkt(r), elided(r))
+			fmt.Fprintf(&sb, "%-34s %14s %14.0f %8s %10s %10d %7s %7s  (new)\n",
+				r.Name, "-", r.NsPerOp, "-", "-", r.AllocsOp, "-", evpkt(r))
 			continue
 		}
 		delete(baseBy, r.Name)
@@ -526,9 +493,9 @@ func writeDiff(path string, base, cur Report) error {
 		if b.NsPerOp > 0 {
 			delta = fmt.Sprintf("%+.1f%%", (r.NsPerOp/b.NsPerOp-1)*100)
 		}
-		fmt.Fprintf(&sb, "%-34s %14.0f %14.0f %8s %10s %10d %7s %7s %9s\n",
+		fmt.Fprintf(&sb, "%-34s %14.0f %14.0f %8s %10s %10d %7s %7s\n",
 			r.Name, b.NsPerOp, r.NsPerOp, delta, fmt.Sprint(b.AllocsOp), r.AllocsOp,
-			evpkt(b), evpkt(r), elided(r))
+			evpkt(b), evpkt(r))
 	}
 	// Baseline rows the run never produced (renamed, deleted, or
 	// filtered out by -only) must not vanish silently: a reader of the
@@ -563,12 +530,11 @@ func writeReport(path string, rep Report) error {
 func main() {
 	out := flag.String("out", "BENCH_report.json", "write the benchmark report here ('' to skip)")
 	baseline := flag.String("baseline", "BENCH_baseline.json", "baseline report to compare against")
-	check := flag.Bool("check", false, "exit non-zero on regression vs the baseline")
+	check := flag.Bool("check", false, "exit non-zero if any allocs/op is above the baseline")
 	rebase := flag.Bool("rebase", false, "rewrite the baseline from this run")
-	maxSlow := flag.Float64("maxslow", 1.15, "ns/op regression factor tolerated by -check")
 	only := flag.String("only", "", "comma-separated benchmark names to run (default: all)")
 	skipExp := flag.Bool("skip-experiments", false, "run only the kernel micro-benchmarks")
-	count := flag.Int("count", 5, "repetitions per benchmark (min ns/op, max allocs/op reported)")
+	count := flag.Int("count", 5, "timed repetitions per benchmark (min ns/op reported)")
 	benchtime := flag.String("benchtime", "", "per-repetition benchmark time (go test -benchtime syntax)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the selected benchmarks")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected benchmarks")
@@ -669,8 +635,7 @@ func main() {
 		extra := ""
 		if m := curMetrics; m.packets > 0 {
 			res.EventsPerPacket = float64(m.events) / float64(m.packets)
-			res.ElidedSegs = m.elided / m.ops
-			extra = fmt.Sprintf("  %.2f ev/pkt %d elided", res.EventsPerPacket, res.ElidedSegs)
+			extra = fmt.Sprintf("  %.2f ev/pkt", res.EventsPerPacket)
 		}
 		curMetrics = nil
 		rep.Results = append(rep.Results, res)
@@ -729,25 +694,13 @@ func main() {
 			fmt.Fprintf(os.Stderr, "loading baseline %s: %v\n", *baseline, err)
 			exit(1)
 		}
-		gateNs := envMatches(base, rep)
-		if !gateNs {
-			fmt.Fprintf(os.Stderr,
-				"baseline %s was recorded on %s/%s (%d CPUs), this is %s/%s (%d CPUs): "+
-					"gating allocs/op only; run -rebase on this machine class to arm the ns/op gate\n",
-				*baseline, base.GoOS, base.GoArch, base.NumCPU, rep.GoOS, rep.GoArch, rep.NumCPU)
-		}
-		if bad := compare(base.Results, rep.Results, *maxSlow, gateNs); len(bad) > 0 {
-			fmt.Fprintln(os.Stderr, "benchmark regressions vs", *baseline+":")
+		if bad := compare(base.Results, rep.Results); len(bad) > 0 {
+			fmt.Fprintln(os.Stderr, "allocs/op regressions vs", *baseline+":")
 			for _, line := range bad {
 				fmt.Fprintln(os.Stderr, "  "+line)
 			}
 			exit(1)
 		}
-		if gateNs {
-			fmt.Fprintf(os.Stderr, "no regressions vs %s (allocs/op not above, ns/op within %.0f%%)\n",
-				*baseline, (*maxSlow-1)*100)
-		} else {
-			fmt.Fprintf(os.Stderr, "no allocs/op regressions vs %s\n", *baseline)
-		}
+		fmt.Fprintf(os.Stderr, "no allocs/op regressions vs %s\n", *baseline)
 	}
 }

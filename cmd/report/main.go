@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	report [-seed N] [-quick] [-par N] [-only name[,name...]] [-json] [-list] [-fluid]
+//	report [-seed N] [-quick] [-par N] [-only name[,name...]] [-json] [-list]
 //
 // -quick runs the reduced test-sized sweeps (useful to smoke-test the
 // pipeline; the recorded numbers in EXPERIMENTS.md use the full runs).
@@ -26,7 +26,6 @@ import (
 	"os"
 	"time"
 
-	"multinet/internal/core"
 	"multinet/internal/experiments" // importing registers every harness
 	"multinet/internal/experiments/engine"
 )
@@ -61,13 +60,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment names to run (default: all)")
 	asJSON := flag.Bool("json", false, "emit results as JSON on stdout")
 	list := flag.Bool("list", false, "list registered experiments and exit")
-	fluid := flag.Bool("fluid", false,
-		"hybrid fluid/packet execution: advance steady TCP flows analytically")
 	flag.Parse()
-
-	if *fluid {
-		core.SetFluidDefault(true)
-	}
 
 	if *list {
 		banner := scenarioBanner()

@@ -27,7 +27,7 @@ func main() {
 		for ci, cond := range conditions {
 			fmt.Printf("  condition %s (WiFi %.1f / LTE %.1f Mbit/s):\n",
 				cond.Name, cond.WiFi.DownMbps, cond.LTE.DownMbps)
-			for _, tc := range replay.StandardConfigs() {
+			for _, tc := range replay.Configs(replay.WiFiLTEPaths()) {
 				r := replay.Run(int64(1000+ci), cond, rec, tc)
 				if !r.Completed {
 					fmt.Printf("    %-22s did not complete\n", tc.Name)

@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"multinet/internal/mptcp"
@@ -18,23 +17,6 @@ import (
 	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
-
-// fluidDefault opts newly created Sessions into hybrid fluid/packet
-// execution (see internal/tcp fluid-advance mode and DESIGN.md "Hybrid
-// fluid/packet execution"). Atomic because experiment sweeps create
-// Sessions from worker goroutines.
-var fluidDefault atomic.Bool
-
-// SetFluidDefault toggles fluid-advance mode for Sessions created from
-// now on and returns the previous setting. The default (off) simulates
-// every packet; with it on, provably steady TCP flows advance
-// analytically and dissolve back to packet mode around interesting
-// events. MPTCP transfers always run in packet mode — subflows carry
-// per-segment options, which makes them ineligible for sessions.
-func SetFluidDefault(on bool) bool { return fluidDefault.Swap(on) }
-
-// FluidDefault reports whether new Sessions use fluid-advance mode.
-func FluidDefault() bool { return fluidDefault.Load() }
 
 // TransportKind selects the transport for one transfer.
 type TransportKind int
@@ -166,9 +148,6 @@ func NewSession(seed int64, cond phy.Condition) *Session {
 	s.mpServer.AcceptTCP = s.acceptTCP
 	s.mpServer.OnConn = s.acceptMPTCP
 	s.mpSpecs = make(map[string]tcpServerSpec)
-	if FluidDefault() {
-		tcp.EnableFluid(s.clientStack, s.serverStack)
-	}
 	return s
 }
 

@@ -118,7 +118,7 @@ type ResponseTimeResult struct {
 func responseTimes(o Options, app apps.App, tag int) ResponseTimeResult {
 	rec := replay.Record(app)
 	res := ResponseTimeResult{App: app.Name + " " + app.Interaction}
-	tcs := replay.StandardConfigs()
+	tcs := replay.Configs(replay.WiFiLTEPaths())
 	for _, tc := range tcs {
 		res.Configs = append(res.Configs, tc.Name)
 	}
@@ -178,7 +178,7 @@ func oracles(o Options, app apps.App, tag int) OracleResult {
 	// early-break), so only fully-measured conditions contribute.
 	perCond := engine.Sweep(o, len(all), func(ci int) map[string]time.Duration {
 		per := map[string]time.Duration{}
-		for _, tc := range replay.StandardConfigs() {
+		for _, tc := range replay.Configs(replay.WiFiLTEPaths()) {
 			r := replay.Run(seedFor(o.BaseSeed(), tag, ci), all[ci], rec, tc)
 			if !r.Completed {
 				return nil

@@ -19,10 +19,9 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 
 // Checker asserts the conservation invariants of a drained simulation:
 //
-//   - Link conservation: on every packet-mode link, every admitted
+//   - Link conservation: on every registered link, every admitted
 //     packet was either delivered or died in flight —
-//     Sent == Delivered + LostInFlight. (Fluid-advance links carry
-//     packets analytically and are skipped: Elided > 0.)
+//     Sent == Delivered + LostInFlight.
 //   - Exactly-once delivery: a receiver never advances past what its
 //     peer queued, and a gracefully completed transfer delivered every
 //     byte.
@@ -88,9 +87,6 @@ func (c *Checker) Check() []Violation {
 	var out []Violation
 	for _, cl := range c.links {
 		st := cl.link.Stats()
-		if st.Elided > 0 {
-			continue // fluid-carried packets never existed individually
-		}
 		if st.Sent != st.Delivered+st.LostInFlight {
 			out = append(out, Violation{
 				Rule: "link-conservation",

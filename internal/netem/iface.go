@@ -90,26 +90,6 @@ func (i *Iface) AddSendTap(t Tap) { i.sendTaps = append(i.sendTaps, t) }
 // AddRecvTap registers a tap on packets delivered from either link.
 func (i *Iface) AddRecvTap(t Tap) { i.recvTaps = append(i.recvTaps, t) }
 
-// HasTaps reports whether any send or receive tap is installed. Taps
-// observe individual packets, so fluid-advance mode (which elides them)
-// refuses to engage on a tapped interface.
-func (i *Iface) HasTaps() bool { return len(i.sendTaps)+len(i.recvTaps) > 0 }
-
-// PromDelay returns the configured radio-promotion delay (0 = disabled).
-func (i *Iface) PromDelay() time.Duration { return i.promDelay }
-
-// PromIdle returns the idle threshold that triggers radio promotion.
-func (i *Iface) PromIdle() time.Duration { return i.promIdle }
-
-// FluidTouch advances the radio-activity clock to t if later: virtually
-// carried packets must keep the radio as warm as real ones would, so
-// promotion decisions after a fluid epoch match packet mode.
-func (i *Iface) FluidTouch(t time.Duration) {
-	if t > i.lastActivity {
-		i.lastActivity = t
-	}
-}
-
 // newPacket builds a recycled packet for this interface.
 func (i *Iface) newPacket(dir Direction, size int, payload any) *Packet {
 	p := takePacket(i.pkts)

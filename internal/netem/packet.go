@@ -141,9 +141,10 @@ type LinkStats struct {
 	DroppedDown  int // discards while the link was down or blackholed
 	BytesIn      int64
 	BytesOut     int64
-	// Elided counts packets carried analytically by fluid-advance mode
-	// (see FixedLink.FluidAdmit): they are included in Sent/Delivered but
-	// never existed as simulator events.
+	// Elided is always zero: every packet is a simulator event and
+	// nothing writes this field. It remains only because
+	// benchmark/transfer.go reads it, and goes with the benchmark change
+	// ROADMAP "Re-calibrate the instrument" describes.
 	Elided int
 	// LostInFlight counts admitted packets (included in Sent) that died
 	// before reaching the receiver — queued or on the wire when the link

@@ -58,7 +58,7 @@ var Schemes = []Scheme{
 }
 
 // configs maps each scheme to the replay configuration names it may
-// choose between (names from replay.StandardConfigs).
+// choose between (names from replay.Configs over replay.WiFiLTEPaths).
 var configs = map[Scheme][]string{
 	WiFiTCPBaseline:  {"WiFi-TCP"},
 	SinglePathTCP:    {"WiFi-TCP", "LTE-TCP"},
@@ -113,7 +113,7 @@ func ForPaths(labels []string) (schemes []PathScheme, baseline string) {
 }
 
 // ForSchedulers generates the scheduler-comparison oracle family over
-// the configuration names of replay.SchedulerConfigsFor: the
+// the configuration names of replay.Configs with WithSchedulers: the
 // first-label TCP baseline, the single-path oracle over all N
 // alternatives (the N-path oracle every scheduler is normalised
 // against), and one oracle per scheduler that knows the best primary

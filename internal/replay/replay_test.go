@@ -65,7 +65,7 @@ func TestReplayMPTCPCompletes(t *testing.T) {
 
 func TestAllStandardConfigsComplete(t *testing.T) {
 	rec := Record(apps.DropboxClick)
-	for _, tc := range StandardConfigs() {
+	for _, tc := range Configs(WiFiLTEPaths()) {
 		res := Run(2, fastCond, rec, tc)
 		if !res.Completed {
 			t.Fatalf("%s: replay incomplete", tc.Name)
@@ -175,7 +175,7 @@ func TestFlowStatRate(t *testing.T) {
 
 func TestSchedulerConfigsForShape(t *testing.T) {
 	scheds := []string{"minsrtt", "holaware"}
-	tcs := SchedulerConfigsFor(WiFiLTEPaths(), scheds)
+	tcs := Configs(WiFiLTEPaths(), WithSchedulers(scheds...))
 	if want := 2 + len(scheds)*2; len(tcs) != want {
 		t.Fatalf("configs = %d, want %d (N TCP + S*N MPTCP)", len(tcs), want)
 	}
@@ -201,7 +201,7 @@ func TestSchedulerConfigsForShape(t *testing.T) {
 func TestSchedulerConfigsReplayComplete(t *testing.T) {
 	// Every scheduler variant must drive a full replay to completion.
 	rec := Record(apps.DropboxClick)
-	for _, tc := range SchedulerConfigsFor(WiFiLTEPaths(), mptcp.SchedulerNames()) {
+	for _, tc := range Configs(WiFiLTEPaths(), WithSchedulers(mptcp.SchedulerNames()...)) {
 		if tc.Kind != Multipath {
 			continue
 		}
@@ -211,31 +211,17 @@ func TestSchedulerConfigsReplayComplete(t *testing.T) {
 	}
 }
 
-// TestConfigsMatchesDeprecatedWrappers pins the consolidation: the
-// functional-options Configs must generate byte-for-byte the families
-// the deprecated ConfigsFor/SchedulerConfigsFor names produced.
-func TestConfigsMatchesDeprecatedWrappers(t *testing.T) {
+// TestConfigsFamilySizes pins the N-path generalisation: N TCP + 2N
+// MPTCP configurations for the coupling family, N + S*N for the
+// scheduler family.
+func TestConfigsFamilySizes(t *testing.T) {
 	paths := append(WiFiLTEPaths(), PathName{Iface: "eth", Label: "Eth"})
-	a := Configs(paths)
-	b := ConfigsFor(paths)
-	if len(a) != len(b) || len(a) != 9 {
-		t.Fatalf("coupling family sizes: %d vs %d, want 9", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("config %d: %+v vs %+v", i, a[i], b[i])
-		}
+	if got := len(Configs(paths)); got != 9 {
+		t.Fatalf("coupling family over 3 paths = %d configs, want 9", got)
 	}
 	scheds := mptcp.SchedulerNames()
-	c := Configs(paths, WithSchedulers(scheds...))
-	d := SchedulerConfigsFor(paths, scheds)
-	if len(c) != len(d) || len(c) != len(paths)*(1+len(scheds)) {
-		t.Fatalf("scheduler family sizes: %d vs %d", len(c), len(d))
-	}
-	for i := range c {
-		if c[i] != d[i] {
-			t.Fatalf("config %d: %+v vs %+v", i, c[i], d[i])
-		}
+	if got, want := len(Configs(paths, WithSchedulers(scheds...))), len(paths)*(1+len(scheds)); got != want {
+		t.Fatalf("scheduler family over 3 paths = %d configs, want %d", got, want)
 	}
 }
 

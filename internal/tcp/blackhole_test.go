@@ -3,43 +3,23 @@ package tcp
 import (
 	"testing"
 	"time"
-
-	"multinet/internal/netem"
-	"multinet/internal/simnet"
 )
 
-type bhEdge struct {
-	ifc *netem.Iface
-	bh  bool
-}
-
-func applyBlackhole(a any) {
-	e := a.(*bhEdge)
-	e.ifc.SetBlackhole(e.bh)
-}
-
-// TestFluidExitThroughBlackhole pins single-path robustness through a
-// silent fault: a steady flow that has entered fluid-advance mode is
-// blackholed mid-transfer. The fluid session must dissolve back to
-// packet mode (the link's state generation changed under it), the
-// sender must take RTOs while the path is dark, and the transfer must
-// complete after the path returns — no hang, no lost bytes.
-func TestFluidExitThroughBlackhole(t *testing.T) {
-	sim := simnet.New(11)
-	up := netem.NewFixedLink(sim, 10, netem.LinkConfig{PropDelay: 15 * time.Millisecond})
-	down := netem.NewFixedLink(sim, 10, netem.LinkConfig{PropDelay: 15 * time.Millisecond})
-	iface := netem.NewIface(sim, "wifi", up, down)
-	client := NewStack(sim, ClientSide)
-	server := NewStack(sim, ServerSide)
-	client.Bind(iface)
-	server.Bind(iface)
-	EnableFluid(client, server)
-
+// TestBlackholeMidTransferRecoversByRTO pins single-path robustness
+// through a silent fault: an established bulk flow is blackholed
+// mid-transfer. Nothing tells the sender, so it must take RTOs while the
+// path is dark, resume when the path returns, and hand the receiver
+// every byte exactly once — in-order progress never steps back and ends
+// at exactly the transfer size.
+func TestBlackholeMidTransferRecoversByRTO(t *testing.T) {
+	n := newTestNet(t, 11, 10, 15*time.Millisecond, 0)
 	const size = 4 << 20
+	const dark, light = 800 * time.Millisecond, 2500 * time.Millisecond
 	var sender *Conn
 	var done time.Duration
+	var last, atDark int64
 	rtos := 0
-	server.Accept = func(c *Conn) {
+	n.server.Accept = func(c *Conn) {
 		sender = c
 		c.cb.OnEstablished = func(c *Conn) {
 			c.Send(size)
@@ -47,35 +27,39 @@ func TestFluidExitThroughBlackhole(t *testing.T) {
 		}
 		c.cb.OnRTO = func(c *Conn, count int) { rtos++ }
 	}
-	client.Dial(iface, "f", Config{Callbacks: Callbacks{
+	receiver := n.client.Dial(n.iface, "f", Config{Callbacks: Callbacks{
 		OnData: func(c *Conn, total int64) {
+			if total <= last {
+				t.Fatalf("in-order total went %d -> %d at %v", last, total, n.sim.Now())
+			}
+			last = total
 			if total >= size && done == 0 {
-				done = sim.Now()
+				done = n.sim.Now()
 			}
 		},
-		OnRTO: func(c *Conn, count int) { rtos++ },
 	}})
-	sim.ScheduleArg(800*time.Millisecond, applyBlackhole, &bhEdge{ifc: iface, bh: true})
-	sim.ScheduleArg(2500*time.Millisecond, applyBlackhole, &bhEdge{ifc: iface, bh: false})
-	sim.Run()
+	n.sim.Schedule(dark, func() {
+		atDark = last
+		n.iface.SetBlackhole(true)
+	})
+	n.sim.Schedule(light, func() {
+		if last != atDark {
+			t.Errorf("receiver advanced %d -> %d through a blackhole", atDark, last)
+		}
+		n.iface.SetBlackhole(false)
+	})
+	n.sim.Run()
 
-	if done == 0 {
-		t.Fatal("transfer did not complete after blackhole lifted")
+	if atDark == 0 || atDark >= size {
+		t.Fatalf("blackhole fell outside the transfer (%d of %d bytes delivered before it)", atDark, size)
 	}
-	if done < 2500*time.Millisecond {
-		t.Fatalf("completed at %v, inside the blackhole window", done)
+	if done < light {
+		t.Fatalf("completed at %v, want after the blackhole lifted at %v", done, light)
 	}
-	us := up.Stats()
-	ds := down.Stats()
-	if us.Elided+ds.Elided == 0 {
-		t.Fatal("fluid mode never engaged — test is not exercising the fluid exit path")
+	if got := receiver.RecvTotal(); got != size {
+		t.Fatalf("receiver holds %d bytes, want exactly %d", got, size)
 	}
-	// The sender's retransmissions and RTO firings prove recovery
-	// happened in packet mode after the fluid session dissolved.
-	if sender.Retransmits == 0 {
-		t.Fatal("no retransmissions through the blackhole")
-	}
-	if rtos == 0 {
-		t.Fatal("sender took no RTO through a silent blackhole")
+	if rtos == 0 || sender.Retransmits == 0 {
+		t.Fatalf("rtos=%d retransmits=%d: a silent blackhole is only recoverable by timeout", rtos, sender.Retransmits)
 	}
 }

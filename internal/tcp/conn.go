@@ -140,8 +140,7 @@ type Conn struct {
 	// each flip adjusts pipeBytes and lostPending by the entry's delta.
 	sb scoreboard
 	// pipeBytes is the RFC 6675 pipe, maintained incrementally: the sum
-	// of sbEntry.inPipe over sb plus the payload of an active fluid
-	// session's unacked virtual segments.
+	// of sbEntry.inPipe over sb.
 	pipeBytes int
 	dupAcks   int
 	// hiSacked is the monotone high-water mark of SACKed SeqEnds. It is
@@ -188,18 +187,6 @@ type Conn struct {
 	recvTotal  int64      // cumulative in-order payload bytes
 	peerFin    bool
 	peerFinAt  uint64
-
-	// Fluid-advance state (see fluid.go). fluidPeer is the opposite
-	// endpoint of the same flow when both stacks share a FluidDomain;
-	// fluid is the active session on the data sender; fluidClock, when
-	// >= 0, is the semantic time of the virtual event being replayed
-	// (c.now() returns it instead of the kernel clock); fluidSuppress
-	// disables RTO/probe arming while the session guarantees delivery.
-	fluidPeer     *Conn
-	fluidDom      *FluidDomain
-	fluid         *fluidSession
-	fluidClock    time.Duration
-	fluidSuppress bool
 
 	// Diagnostics.
 	established   time.Duration
@@ -257,7 +244,6 @@ func NewConn(sim *simnet.Sim, iface *netem.Iface, dir netem.Direction, flow stri
 		peerWnd:  DefaultWindow,
 		rto:      InitialRTO,
 	}
-	c.fluidClock = -1
 	initial := cfg.InitialCwndSegs
 	if initial <= 0 {
 		initial = InitialCwndSegments
@@ -391,7 +377,6 @@ func (c *Conn) Send(n int) {
 		return
 	}
 	c.byteSrc.pending += n
-	c.maybeEnterFluid()
 	c.trySend()
 }
 
@@ -490,17 +475,6 @@ func (c *Conn) becomeEstablished() {
 	c.trySend()
 }
 
-// now returns the semantic clock: the kernel event clock, or — while a
-// fluid session replays a virtual event — that event's exact instant.
-// Sender-side timestamps (scoreboard sentAt, RTT samples) go through it
-// so the analytic path produces the same arithmetic packet mode would.
-func (c *Conn) now() time.Duration {
-	if c.fluidClock >= 0 {
-		return c.fluidClock
-	}
-	return c.sim.Now()
-}
-
 // pipe estimates bytes currently in flight per RFC 6675: SACKed bytes
 // have left the network; lost bytes count only if their retransmission
 // is outstanding. The value is maintained at every scoreboard flag
@@ -520,8 +494,6 @@ func (c *Conn) trySend() {
 	if c.peerWnd < wnd {
 		wnd = c.peerWnd
 	}
-	// One pipe for packet and fluid mode alike: virtual segments are
-	// counted in pipeBytes when sent and released when virtually acked.
 	pipe := c.pipe()
 	for wnd-pipe >= MSS || (wnd-pipe > 0 && pipe == 0) {
 		// Retransmissions of lost segments take priority.
@@ -538,22 +510,6 @@ func (c *Conn) trySend() {
 		max := MSS
 		if budget < max {
 			max = budget
-		}
-		// Fluid fast path: while a session is active every new segment is
-		// advanced analytically. A refusal means no data or no queue
-		// headroom — pause; a real segment must never interleave behind
-		// undelivered virtual ones, so packet-mode sending resumes only
-		// after the session exits (which re-runs this loop).
-		if c.fluid != nil {
-			n, ok := c.fluid.sendVirtual(c, max)
-			if !ok {
-				break
-			}
-			pipe += n
-			if !c.src.Pending() && c.cb.OnSendBufEmpty != nil {
-				c.cb.OnSendBufEmpty(c)
-			}
-			continue
 		}
 		n, opt, ok := c.src.Next(max)
 		if !ok {
@@ -576,9 +532,7 @@ func (c *Conn) trySend() {
 		}
 	}
 	c.maybeSendFin()
-	if c.sb.n > 0 || (c.fluid != nil && c.sndNxt > c.sndUna) {
-		// Virtual segments live on the session's fifo, not on the
-		// scoreboard; the arms below are its suppressed analytic mirrors.
+	if c.sb.n > 0 {
 		c.armRTOIfIdle()
 		c.armProbe()
 	}
@@ -616,13 +570,6 @@ func (c *Conn) markRetransmitted(e *sbEntry) {
 
 func (c *Conn) maybeSendFin() {
 	if !c.finQueued || c.finSent || c.src.Pending() {
-		return
-	}
-	if c.fluid != nil {
-		// The FIN would arrive behind undelivered virtual segments and be
-		// discarded as out-of-order. The session exits at the exact
-		// instant the final data ACK arrives and re-runs trySend, so the
-		// FIN still goes out at the time packet mode would have sent it.
 		return
 	}
 	if c.state != StateEstablished && c.state != StateCloseWait {
@@ -676,7 +623,7 @@ func (c *Conn) processAck(seg *Segment) {
 			}
 		}
 		c.probeFired = false
-		if c.sb.n == 0 && (c.fluid == nil || c.sndNxt == c.sndUna) {
+		if c.sb.n == 0 {
 			c.cancelRTO()
 			c.cancelProbe()
 		} else {
@@ -685,7 +632,6 @@ func (c *Conn) processAck(seg *Segment) {
 		}
 		c.checkClosed()
 		c.detectLoss()
-		c.maybeEnterFluid()
 		c.trySend()
 	case seg.Ack == c.sndUna && c.BytesInFlight() > 0 && seg.PayloadLen == 0 &&
 		!seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagFIN):
@@ -951,7 +897,7 @@ func (c *Conn) SendWindowUpdate() { c.sendAck() }
 // ACK releases a burst at once.
 func (c *Conn) ackRtxQueue(ack uint64) {
 	if sampleAt := c.ackScoreboard(ack); sampleAt >= 0 {
-		c.rttSample(c.now() - sampleAt)
+		c.rttSample(c.sim.Now() - sampleAt)
 	}
 }
 
@@ -1042,7 +988,7 @@ func (c *Conn) track(seg *Segment) {
 			sh.RetainOpt() // the entry's hold, beside the wire segment's
 		}
 		c.sb.push(c.sim, sbEntry{
-			seq: seg.Seq, sentAt: c.now(), opt: seg.Opt,
+			seq: seg.Seq, sentAt: c.sim.Now(), opt: seg.Opt,
 			payload: int32(seg.PayloadLen), flags: seg.Flags,
 		})
 		c.pipeBytes += seg.PayloadLen
@@ -1090,11 +1036,6 @@ func connOnProbe(a any) { a.(*Conn).onProbe() }
 // the per-ACK timer churn is four field writes, no unlink, no re-file
 // and no allocation.
 func (c *Conn) armRTO() {
-	if c.fluidSuppress {
-		// A fluid session guarantees delivery of everything in flight;
-		// the timer is re-armed at session exit if data remains.
-		return
-	}
 	c.rtoTimer = c.sim.RearmArg(c.rtoTimer, c.sim.Now()+c.rto, connOnRTO, c)
 }
 
@@ -1113,14 +1054,7 @@ func (c *Conn) cancelRTO() {
 // first RTT sample and after it has fired once for the current
 // outstanding data.
 func (c *Conn) armProbe() {
-	if c.probeFired || c.srtt == 0 {
-		return
-	}
-	if c.fluidSuppress {
-		if c.sndNxt == c.sndUna {
-			return // nothing outstanding, virtual or real
-		}
-	} else if c.sb.n == 0 {
+	if c.probeFired || c.srtt == 0 || c.sb.n == 0 {
 		return
 	}
 	pto := 2 * c.srtt
@@ -1130,23 +1064,11 @@ func (c *Conn) armProbe() {
 	if pto > c.rto {
 		return // RTO fires first anyway (stale schedules stay armed)
 	}
-	if c.fluidSuppress {
-		// Mirror the re-arm into the session's analytic probe clock so a
-		// pending schedule fires at exactly the packet-mode instant (see
-		// fluidSession.injectProbe).
-		if s := c.fluid; s != nil {
-			s.vProbe = c.now() + pto
-		}
-		return
-	}
 	c.probeTimer = c.sim.RearmArg(c.probeTimer, c.sim.Now()+pto, connOnProbe, c)
 }
 
 func (c *Conn) cancelProbe() {
 	c.probeTimer.Stop()
-	if s := c.fluid; s != nil {
-		s.vProbe = -1
-	}
 }
 
 func (c *Conn) onProbe() {
@@ -1174,9 +1096,6 @@ func (c *Conn) onProbe() {
 func (c *Conn) Abort() {
 	if c.state == StateDone {
 		return
-	}
-	if c.fluid != nil {
-		c.fluid.discard()
 	}
 	c.state = StateDone
 	c.cancelRTO()

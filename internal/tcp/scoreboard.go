@@ -35,9 +35,9 @@ func (e *sbEntry) seqEnd() uint64 {
 
 // inPipe is the entry's RFC 6675 pipe contribution: SACKed bytes have
 // left the network, and lost bytes count only once their retransmission
-// is outstanding. Conn.pipeBytes is the sum of inPipe over the ring
-// (plus a fluid session's virtual segments); every site that flips
-// rtxed, sacked or lost adjusts it by the entry's before/after delta.
+// is outstanding. Conn.pipeBytes is the sum of inPipe over the ring;
+// every site that flips rtxed, sacked or lost adjusts it by the entry's
+// before/after delta.
 func (e *sbEntry) inPipe() int {
 	if e.sacked || (e.lost && !e.rtxed) {
 		return 0
@@ -103,9 +103,8 @@ func (s *scoreboard) popFront() {
 
 // AuditScoreboard recomputes the incrementally maintained sender
 // accounting — the RFC 6675 pipe and the pending-loss count — from a
-// full scan of the scoreboard (and of an active fluid session's virtual
-// segments) and returns an error describing any disagreement. It is
-// O(window) and meant for invariant checkers at event boundaries, not
+// full scan of the scoreboard and returns an error describing any
+// disagreement. It is O(window) and meant for invariant checkers at event boundaries, not
 // for the data path.
 func (c *Conn) AuditScoreboard() error {
 	pipe, lost := 0, 0
@@ -114,13 +113,6 @@ func (c *Conn) AuditScoreboard() error {
 		pipe += e.inPipe()
 		if e.pendingLoss() {
 			lost++
-		}
-	}
-	if s := c.fluid; s != nil {
-		for i := s.vHead; i < len(s.fifo); i++ {
-			if !s.fifo[i].probe {
-				pipe += s.fifo[i].payload
-			}
 		}
 	}
 	if pipe != c.pipeBytes || lost != c.lostPending {

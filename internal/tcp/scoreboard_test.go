@@ -29,14 +29,6 @@ func scanScoreboard(c *Conn) (pipe, lostPending int) {
 			pipe += int(e.payload)
 		}
 	}
-	if s := c.fluid; s != nil {
-		// Virtual segments are tracked on the session's fifo, unmarked.
-		for i := s.vHead; i < len(s.fifo); i++ {
-			if !s.fifo[i].probe {
-				pipe += s.fifo[i].payload
-			}
-		}
-	}
 	return pipe, lostPending
 }
 
@@ -99,62 +91,47 @@ func impair(n *testNet, rng *rand.Rand, lossPct, delayPct int, blackouts [][2]ti
 func TestScoreboardAccountingProperty(t *testing.T) {
 	var retransmits, recoveries, rtos, probes, sacks int
 	for seed := int64(1); seed <= 12; seed++ {
-		for _, fluid := range []bool{false, true} {
-			n := newTestNet(t, seed, 20, 10*time.Millisecond, 0)
-			if fluid {
-				EnableFluid(n.client, n.server)
-			}
-			rng := rand.New(rand.NewSource(seed))
-			lossPct, delayPct := 1+rng.Intn(4), rng.Intn(8)
-			if fluid {
-				// Fluid sessions own a FIFO link: keep the order, keep the
-				// loss (its pre-entry drops exercise desync and teardown).
-				delayPct = 0
-			}
-			blackouts := [][2]time.Duration{
-				{400 * time.Millisecond, 650 * time.Millisecond}, // long enough for an RTO
-			}
-			var cli, srv *Conn
-			when := fmt.Sprintf("seed %d fluid=%v", seed, fluid)
-			impair(n, rng, lossPct, delayPct, blackouts, func() {
-				checkAccounting(t, when, cli, srv)
-				if srv != nil {
-					if srv.probeFired {
-						probes++
-					}
-					if srv.hiSacked > srv.sndUna {
-						sacks++
-					}
-				}
-			})
-			const size = 600_000
-			n.server.Accept = func(c *Conn) {
-				srv = c
-				c.SetCallbacks(Callbacks{
-					OnEstablished: func(c *Conn) { c.Send(size); c.Close() },
-					OnRTO:         func(c *Conn, count int) { rtos++ },
-				})
-			}
-			var got int64
-			cli = n.client.Dial(n.iface, "prop", Config{Callbacks: Callbacks{
-				OnData: func(c *Conn, total int64) {
-					got = total
-					// Fluid replays deliver without passing the impaired
-					// callbacks: audit from the receiver's progress too.
-					checkAccounting(t, when+" (OnData)", srv)
-				},
-			}})
-			n.sim.RunUntil(10 * time.Minute)
-			if got != size {
-				t.Fatalf("%s: delivered %d of %d bytes", when, got, size)
-			}
-			checkAccounting(t, when+" (end)", cli, srv)
-			if srv.sb.n != 0 || srv.pipe() != 0 {
-				t.Fatalf("%s: %d entries, pipe %d left after a complete transfer", when, srv.sb.n, srv.pipe())
-			}
-			retransmits += srv.Retransmits
-			recoveries += srv.FastRecovers
+		n := newTestNet(t, seed, 20, 10*time.Millisecond, 0)
+		rng := rand.New(rand.NewSource(seed))
+		lossPct, delayPct := 1+rng.Intn(4), rng.Intn(8)
+		blackouts := [][2]time.Duration{
+			{400 * time.Millisecond, 650 * time.Millisecond}, // long enough for an RTO
 		}
+		var cli, srv *Conn
+		when := fmt.Sprintf("seed %d", seed)
+		impair(n, rng, lossPct, delayPct, blackouts, func() {
+			checkAccounting(t, when, cli, srv)
+			if srv != nil {
+				if srv.probeFired {
+					probes++
+				}
+				if srv.hiSacked > srv.sndUna {
+					sacks++
+				}
+			}
+		})
+		const size = 600_000
+		n.server.Accept = func(c *Conn) {
+			srv = c
+			c.SetCallbacks(Callbacks{
+				OnEstablished: func(c *Conn) { c.Send(size); c.Close() },
+				OnRTO:         func(c *Conn, count int) { rtos++ },
+			})
+		}
+		var got int64
+		cli = n.client.Dial(n.iface, "prop", Config{Callbacks: Callbacks{
+			OnData: func(c *Conn, total int64) { got = total },
+		}})
+		n.sim.RunUntil(10 * time.Minute)
+		if got != size {
+			t.Fatalf("%s: delivered %d of %d bytes", when, got, size)
+		}
+		checkAccounting(t, when+" (end)", cli, srv)
+		if srv.sb.n != 0 || srv.pipe() != 0 {
+			t.Fatalf("%s: %d entries, pipe %d left after a complete transfer", when, srv.sb.n, srv.pipe())
+		}
+		retransmits += srv.Retransmits
+		recoveries += srv.FastRecovers
 	}
 	// The property is only as good as the states it visited.
 	if retransmits == 0 || recoveries == 0 || rtos == 0 || probes == 0 || sacks == 0 {

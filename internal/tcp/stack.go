@@ -23,8 +23,7 @@ type Stack struct {
 	conns map[string]*Conn
 	// gen counts changes to conns; it invalidates the Bind closures'
 	// flow caches (see flowCache).
-	gen   uint64
-	fluid *FluidDomain
+	gen uint64
 	// Accept configures a passively-opened connection before its SYN is
 	// processed (install callbacks, queue response data, ...). If nil,
 	// incoming SYNs for unknown flows are dropped.
@@ -106,7 +105,6 @@ func (s *Stack) lookup(iface *netem.Iface, seg *Segment) *Conn {
 		c = NewConn(s.sim, iface, s.sendDir(), seg.Flow, Config{})
 		s.conns[seg.Flow] = c
 		s.gen++
-		s.join(c)
 		s.Accept(c)
 	}
 	return c
@@ -121,7 +119,6 @@ func (s *Stack) Dial(iface *netem.Iface, flow string, cfg Config) *Conn {
 	c := NewConn(s.sim, iface, s.sendDir(), flow, cfg)
 	s.conns[flow] = c
 	s.gen++
-	s.join(c)
 	c.Connect()
 	return c
 }
@@ -134,15 +131,6 @@ func (s *Stack) Register(c *Conn) {
 	}
 	s.conns[c.flow] = c
 	s.gen++
-	s.join(c)
-}
-
-// join pairs the connection with its opposite endpoint when the stack
-// belongs to a FluidDomain.
-func (s *Stack) join(c *Conn) {
-	if s.fluid != nil {
-		s.fluid.join(c)
-	}
 }
 
 // Conn returns the connection for a flow, or nil.
@@ -150,9 +138,6 @@ func (s *Stack) Conn(flow string) *Conn { return s.conns[flow] }
 
 // Forget removes a connection from the demux table.
 func (s *Stack) Forget(flow string) {
-	if c := s.conns[flow]; c != nil && s.fluid != nil {
-		s.fluid.forget(c)
-	}
 	delete(s.conns, flow)
 	s.gen++
 }
