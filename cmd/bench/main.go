@@ -17,8 +17,10 @@
 //     (*-varlink) on the delivery-opportunity links every paper
 //     condition uses;
 //   - set-up micro-benchmarks: seeding one random stream (rng/seed), one
-//     short app replay on a recycled world (world/replay-cnn-launch) and
-//     one transfer on a world built from nothing (world/session-cold);
+//     short app replay on a recycled world (world/replay-cnn-launch), the
+//     24 differently shaped replays of one sweep location on one arena
+//     (world/replay-recycled) and one transfer on a world built from
+//     nothing (world/session-cold);
 //   - service benchmarks (serve/*): the online path-selection service's
 //     decide and telemetry hot cores over the sharded estimate store,
 //     allocs/op pinned at zero;
@@ -353,6 +355,32 @@ func replayCNNLaunch(b *testing.B) {
 	}
 }
 
+// replayRecycled is one location of the paper's Section 5 sweep in sweep
+// order: the short-flow apps under the six transports, every world on the
+// arena of a differently shaped one — TCP after MPTCP, five flows after
+// twenty. It holds what a warm cell costs once an arena has seen the
+// largest of them: the world's fixed frame and no handle, ring or table.
+func replayRecycled(b *testing.B) {
+	cond := phy.LocationByID(7).Condition()
+	configs := replay.Configs(replay.WiFiLTEPaths())
+	var recs []*replay.Recording
+	for _, app := range apps.All {
+		if !app.LongFlowDominated() {
+			recs = append(recs, replay.Record(app))
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for a, rec := range recs {
+			for c, tc := range configs {
+				if res := replay.Run(int64(100*a+c+1), cond, rec, tc); !res.Completed {
+					b.Fatal("replay incomplete: ", rec.App.Name, " on ", tc.Name)
+				}
+			}
+		}
+	}
+}
+
 // sessionCold is a world nobody releases: one 100 KB MPTCP download on a
 // core.Session that is then dropped. It holds the cost of a world built
 // from nothing, which is what a caller that never calls Close — or the
@@ -390,6 +418,7 @@ func kernelBenchmarks() []bench {
 		{"mptcp/download-10KB", func(b *testing.B) { mptcpDownload(b, 10<<10, mptcp.Decoupled, 0) }},
 		{"rng/seed", rngSeed},
 		{"world/replay-cnn-launch", replayCNNLaunch},
+		{"world/replay-recycled", replayRecycled},
 		{"world/session-cold", sessionCold},
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // pooledType names one recycled type by defining package and type
@@ -21,6 +22,19 @@ var pooledTypes = []pooledType{
 	{"multinet/internal/mptcp", "DSS"},
 	{"multinet/internal/simnet", "event"},
 }
+
+// worldHandles are the connection handles a simulator carves from its
+// slab one at a time (simnet.Slab.New). Unlike carved slices they do
+// reach callers — Dial returns one — so they may be stored and returned
+// freely; but like everything on the slab they are dead at the Sim's
+// Release, when they read as zero until the next world carves them.
+var worldHandles = []pooledType{
+	{"multinet/internal/tcp", "Conn"},
+	{"multinet/internal/mptcp", "Conn"},
+	{"multinet/internal/mptcp", "Subflow"},
+}
+
+var simType = []pooledType{{"multinet/internal/simnet", "Sim"}}
 
 // releaseFunc describes a call that releases one of its arguments (or
 // its receiver) to a free list: a package-level function (recvType ==
@@ -59,13 +73,16 @@ var releaseFuncs = []releaseFunc{
 // world carves the same bytes. Such a slice must stay where only the
 // world can reach it — storing it in an exported field or returning it
 // from an exported function is an error — and touching it after its
-// Sim's Release (or its Session's Close) is a use after release.
+// Sim's Release (or its Session's Close) is a use after release. So is
+// touching a connection handle (tcp.Conn, mptcp.Conn, mptcp.Subflow) of
+// that world: handles are carved from the same slab.
 var PoolOwn = &Analyzer{
 	Name: "poolown",
 	Doc: "detect double-release, use-after-release, and unmarked escapes " +
 		"of recycled values (netem.Packet, tcp.Segment, mptcp.DSS, simnet events), " +
-		"use of a simnet.Sim or core.Session after Release/Close, and slab slices " +
-		"(simnet.Slab.Make/Grow) that leave the world or outlive it",
+		"use of a simnet.Sim or core.Session after Release/Close, slab slices " +
+		"(simnet.Slab.Make/Grow) that leave the world or outlive it, and connection " +
+		"handles (tcp.Conn, mptcp.Conn, mptcp.Subflow) used after their world's release",
 	Run: runPoolOwn,
 }
 
@@ -145,7 +162,11 @@ func namedTypeName(t types.Type) string {
 
 // isPooledPointer reports whether t is a pointer to one of the pooled
 // types.
-func isPooledPointer(t types.Type) bool {
+func isPooledPointer(t types.Type) bool { return pointsToOneOf(t, pooledTypes) }
+
+// pointsToOneOf reports whether t is a pointer to one of the listed
+// named types.
+func pointsToOneOf(t types.Type, list []pooledType) bool {
 	p, ok := t.(*types.Pointer)
 	if !ok {
 		return false
@@ -154,7 +175,7 @@ func isPooledPointer(t types.Type) bool {
 	if !ok || n.Obj().Pkg() == nil {
 		return false
 	}
-	for _, pt := range pooledTypes {
+	for _, pt := range list {
 		if n.Obj().Name() == pt.name && n.Obj().Pkg().Path() == pt.path {
 			return true
 		}
@@ -172,19 +193,16 @@ type released struct {
 	// from one, each with the variable naming the world it belongs to
 	// (nil when that cannot be told, as for a slab kept in a field).
 	slab map[*types.Var]*types.Var
+	// handle holds the variables that are a connection handle (see
+	// worldHandles) of a world this function can name, each with the
+	// variable naming that world.
+	handle map[*types.Var]*types.Var
 	// exported: the body being walked is an exported function's.
 	exported bool
 }
 
 func (r released) clone() released {
-	c := released{make(map[*types.Var]token.Pos, len(r.dead)), make(map[*types.Var]*types.Var, len(r.slab)), r.exported}
-	for k, v := range r.dead {
-		c.dead[k] = v
-	}
-	for k, v := range r.slab {
-		c.slab[k] = v
-	}
-	return c
+	return released{maps.Clone(r.dead), maps.Clone(r.slab), maps.Clone(r.handle), r.exported}
 }
 
 // checkOwnership walks one function body tracking release state along
@@ -192,7 +210,7 @@ func (r released) clone() released {
 // deliberately conservative path model: anything it reports is a real
 // sequence of statements that releases twice or touches a dead value.
 func checkOwnership(pass *Pass, body *ast.BlockStmt, exported bool) {
-	walkOwnBlock(pass, body.List, released{map[*types.Var]token.Pos{}, map[*types.Var]*types.Var{}, exported})
+	walkOwnBlock(pass, body.List, released{map[*types.Var]token.Pos{}, map[*types.Var]*types.Var{}, map[*types.Var]*types.Var{}, exported})
 }
 
 func walkOwnBlock(pass *Pass, stmts []ast.Stmt, st released) {
@@ -346,6 +364,11 @@ func checkSlabEscape(pass *Pass, s ast.Stmt, st released) {
 					} else {
 						delete(st.slab, v)
 					}
+					if world := handleOwner(pass.TypesInfo, s.Rhs[i], st); world != nil {
+						st.handle[v] = world
+					} else {
+						delete(st.handle, v)
+					}
 				}
 			case *ast.SelectorExpr:
 				if sel, ok := pass.TypesInfo.Selections[l]; carved && ok && sel.Kind() == types.FieldVal && l.Sel.IsExported() {
@@ -393,6 +416,31 @@ func slabOwner(info *types.Info, e ast.Expr, st released) (owner *types.Var, car
 	return owner, carved
 }
 
+// handleOwner returns the variable naming the world that e, a connection
+// handle, belongs to: the Sim (or the Session holding it) a constructor
+// call was given, or the world of the handle e was read from — a
+// subflow of a connection, the tcp.Conn of a subflow. It is nil when e
+// is not a handle or its world cannot be told, as for a Dial on a Stack.
+func handleOwner(info *types.Info, e ast.Expr, st released) *types.Var {
+	if tv, ok := info.Types[e]; !ok || !pointsToOneOf(tv.Type, worldHandles) {
+		return nil
+	}
+	if v, ok := rootObject(info, leftmost(e)).(*types.Var); ok && st.handle[v] != nil {
+		return st.handle[v]
+	}
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+		for _, arg := range call.Args {
+			if !pointsToOneOf(info.TypeOf(arg), simType) {
+				continue
+			}
+			if v, ok := rootObject(info, leftmost(arg)).(*types.Var); ok {
+				return v
+			}
+		}
+	}
+	return nil
+}
+
 // isSlabMethod reports whether fn is a method of simnet.Slab itself: the
 // one place whose business it is to hand carved slices out.
 func isSlabMethod(pass *Pass, fn *ast.FuncDecl) bool {
@@ -404,8 +452,9 @@ func isSlabMethod(pass *Pass, fn *ast.FuncDecl) bool {
 	return recv != nil && namedTypeName(recv.Type()) == "Slab"
 }
 
-// leftmost strips selectors and indexing down to the expression's first
-// identifier: s for s.Sim, c for c.conns[i].sim.
+// leftmost strips selectors, indexing and method calls down to the
+// expression's first identifier: s for s.Sim, c for c.conns[i].sim and
+// for c.Subflows()[0].
 func leftmost(e ast.Expr) ast.Expr {
 	for {
 		switch x := ast.Unparen(e).(type) {
@@ -413,6 +462,12 @@ func leftmost(e ast.Expr) ast.Expr {
 			e = x.X
 		case *ast.IndexExpr:
 			e = x.X
+		case *ast.CallExpr:
+			sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return e
+			}
+			e = sel.X
 		default:
 			return e
 		}
@@ -424,6 +479,12 @@ func leftmost(e ast.Expr) ast.Expr {
 func checkUses(pass *Pass, n ast.Node, st released, excluded map[*ast.Ident]bool) {
 	if n == nil || len(st.dead) == 0 {
 		return
+	}
+	onLoan := func(v *types.Var) *types.Var {
+		if owner := st.slab[v]; owner != nil {
+			return owner
+		}
+		return st.handle[v]
 	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -439,7 +500,7 @@ func checkUses(pass *Pass, n ast.Node, st released, excluded map[*ast.Ident]bool
 		}
 		if pos, dead := st.dead[v]; dead {
 			pass.Reportf(id.Pos(), "use of %s after release at %s: the pool may have handed it to another owner", id.Name, pass.Fset.Position(pos))
-		} else if owner := st.slab[v]; owner != nil {
+		} else if owner := onLoan(v); owner != nil {
 			if pos, dead := st.dead[owner]; dead {
 				pass.Reportf(id.Pos(), "use of %s after release of %s at %s: the slab it was carved from belongs to the next world", id.Name, owner.Name(), pass.Fset.Position(pos))
 			}

@@ -196,3 +196,40 @@ func slabOfAnotherWorld(kept []int) int {
 	b.Release()
 	return n + len(mine)
 }
+
+// A connection handle is carved from the slab too: it may be returned
+// and stored, but it is dead at its world's release.
+
+func handleAfterRelease() int64 {
+	world := simnet.New(10)
+	c := tcp.NewConn(world, nil, netem.Up, "f", tcp.Config{})
+	n := c.RecvTotal() // the world is still running
+	world.Release()
+	return n + c.RecvTotal() // want `use of c after release of world`
+}
+
+func handleAfterSessionClose(cond phy.Condition) bool {
+	s := core.NewSession(11, cond)
+	stack := tcp.NewStack(s.Sim, tcp.ClientSide)
+	c := mptcp.Dial(s.Sim, stack, s.Host, mptcp.Config{ConnID: "c", Primary: "wifi"}, mptcp.Callbacks{})
+	sf := c.Primary()
+	tc := c.Subflows()[0].TCP
+	s.Close()
+	_ = c.RecvTotal()  // want `use of c after release of s`
+	_ = tc.RecvTotal() // want `use of tc after release of s`
+	return sf.Dead()   // want `use of sf after release of s`
+}
+
+func HandleReturned(w *simnet.Sim, stack *tcp.Stack, host *netem.Host) *mptcp.Conn {
+	c := mptcp.Dial(w, stack, host, mptcp.Config{ConnID: "c", Primary: "wifi"}, mptcp.Callbacks{})
+	return c // a handle is meant to reach the caller
+}
+
+func handleOfAnotherWorld() int64 {
+	a, b := simnet.New(12), simnet.New(13)
+	c := tcp.NewConn(b, nil, netem.Up, "f", tcp.Config{})
+	a.Release()
+	n := c.RecvTotal() // a's release does not touch b's handles
+	b.Release()
+	return n
+}

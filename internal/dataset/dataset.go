@@ -109,6 +109,9 @@ type Run struct {
 // Campaign is a full synthetic dataset.
 type Campaign struct {
 	Runs []Run
+	// complete is CompleteRuns' answer, filtered on the first call:
+	// every analysis below starts from it.
+	complete []Run
 }
 
 // lteMedianFor solves the calibration identity for the LTE median given
@@ -180,15 +183,18 @@ func avgPings(rng *rand.Rand, median, sigma float64) float64 {
 }
 
 // CompleteRuns returns the runs that measured both networks — the
-// paper's filtering step.
+// paper's filtering step. The slice is the campaign's own, filtered
+// once: read it, do not change it (nor Runs after the first call).
 func (c *Campaign) CompleteRuns() []Run {
-	var out []Run
-	for _, r := range c.Runs {
-		if r.Complete {
-			out = append(out, r)
+	if c.complete == nil {
+		c.complete = make([]Run, 0, len(c.Runs))
+		for _, r := range c.Runs {
+			if r.Complete {
+				c.complete = append(c.complete, r)
+			}
 		}
 	}
-	return out
+	return c.complete
 }
 
 // WinFractions returns the fraction of complete runs where LTE beats

@@ -5,13 +5,13 @@ import (
 	"strings"
 	"time"
 
-	"multinet/internal/capture"
 	"multinet/internal/core"
 	"multinet/internal/experiments/engine"
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
 	"multinet/internal/phy"
 	"multinet/internal/stats"
+	"multinet/internal/tcp"
 )
 
 func init() {
@@ -302,35 +302,57 @@ type EvolutionResult struct {
 	FinalMbps float64
 }
 
-// evolution runs one 2-second MPTCP download with a sniffer attached
-// and extracts the cumulative-average throughput curves.
+// evolution runs one 2-second MPTCP download and extracts the
+// cumulative-average throughput curves. The figures plot payload bytes
+// delivered downlink per interface up to each 100 ms step and nothing
+// else of the trace, so that is all the taps keep: one counter per
+// interface and step.
 func evolution(seed int64, loc phy.Location, primary string) EvolutionResult {
 	s := core.NewSession(seed, loc.Condition())
 	defer s.Close()
-	sn := capture.NewSniffer(s.Sim)
-	for _, ifc := range s.Host.Ifaces() {
-		sn.Attach(ifc)
-	}
 	const window = 2 * time.Second
 	const step = 100 * time.Millisecond
+	const steps = int(window / step)
+	ifaces := s.Host.Ifaces()
+	delivered := make([][steps]int64, len(ifaces)) // [iface][k]: bytes received in (k*step, (k+1)*step]
+	for i, ifc := range ifaces {
+		perStep := &delivered[i]
+		ifc.AddRecvTap(func(p *netem.Packet) {
+			seg, ok := p.Payload.(*tcp.Segment)
+			if !ok || p.Dir != netem.Down {
+				return
+			}
+			// Time zero belongs to the first step: -1/step is 0.
+			if k := int((s.Sim.Now() - 1) / step); k < steps {
+				perStep[k] += int64(seg.PayloadLen)
+			}
+		})
+	}
 	// Only the first 2 s are plotted, so only they are simulated and
 	// captured; the transfer is large enough not to finish within them.
 	s.Horizon = window
 	s.Run(core.Config{Transport: core.MPTCP, Primary: primary}, core.Download, 8<<20)
 
-	down := func(iface string) []capture.Record {
-		return sn.Filter(func(r *capture.Record) bool {
-			return r.Dir == netem.Down && r.Event == capture.Recv &&
-				(iface == "" || r.Iface == iface)
-		})
+	// curve is the figures' metric: at each step, the average throughput
+	// in Mbit/s from the start to that instant, on the named interface or
+	// ("") on all of them.
+	curve := func(name string) []stats.Point {
+		pts := make([]stats.Point, 0, steps)
+		var bytes int64
+		for k := 0; k < steps; k++ {
+			for i, ifc := range ifaces {
+				if name == "" || ifc.Name == name {
+					bytes += delivered[i][k]
+				}
+			}
+			elapsed := (time.Duration(k+1) * step).Seconds()
+			pts = append(pts, stats.Point{X: elapsed, Y: float64(bytes) * 8 / elapsed / 1e6})
+		}
+		return pts
 	}
 	res := EvolutionResult{Location: loc.ID, Primary: primary}
-	res.MPTCP = capture.ThroughputOverTime(down(""), 0, window, step)
-	res.WiFi = capture.ThroughputOverTime(down("wifi"), 0, window, step)
-	res.LTE = capture.ThroughputOverTime(down("lte"), 0, window, step)
-	if n := len(res.MPTCP); n > 0 {
-		res.FinalMbps = res.MPTCP[n-1].Y
-	}
+	res.MPTCP, res.WiFi, res.LTE = curve(""), curve("wifi"), curve("lte")
+	res.FinalMbps = res.MPTCP[steps-1].Y
 	return res
 }
 

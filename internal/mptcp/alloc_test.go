@@ -51,11 +51,12 @@ func TestSchedulersRankZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSubflowWiringZeroAlloc: joining a subflow to an established
-// connection allocates the Subflow, its tcp.Conn and the flow's name —
-// no hook closure, no source adapter, no congestion-control closure, no
-// interface subscription closure, and (in a world built from a released
-// one) no ring.
+// TestSubflowWiringZeroAlloc: in a world built from a released one,
+// joining a subflow to an established connection allocates the flow's
+// name and nothing else — the Subflow, its tcp.Conn, its place in the
+// subflow list and its MP_JOIN option are the slab's, as the rings are,
+// and there is no hook closure, no source adapter, no congestion-control
+// closure and no interface subscription closure.
 func TestSubflowWiringZeroAlloc(t *testing.T) {
 	const conns = 9 // one per AllocsPerRun call, warm-up included
 	var cs []*Conn
@@ -64,9 +65,7 @@ func TestSubflowWiringZeroAlloc(t *testing.T) {
 		r = newRig(33, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{CC: Coupled})
 		cs = cs[:0]
 		for i := 0; i < conns; i++ {
-			c := Dial(r.sim, r.client, r.host, Config{ConnID: string(rune('a' + i)), Primary: "wifi", CC: Coupled, NoJoin: true}, Callbacks{})
-			c.subflows = append(make([]*Subflow, 0, 2), c.subflows...) // the join must not grow the list
-			cs = append(cs, c)
+			cs = append(cs, Dial(r.sim, r.client, r.host, Config{ConnID: string(rune('a' + i)), Primary: "wifi", CC: Coupled, NoJoin: true}, Callbacks{}))
 		}
 		r.sim.RunUntil(time.Second)
 	}
@@ -75,7 +74,7 @@ func TestSubflowWiringZeroAlloc(t *testing.T) {
 	// carve.
 	world()
 	for _, c := range cs {
-		c.addSubflow(r.lte, &MPJoin{ConnID: c.ConnID()}, false)
+		c.addSubflow(r.lte, false, false)
 	}
 	r.sim.RunUntil(2 * time.Second)
 	r.sim.Release()
@@ -85,14 +84,13 @@ func TestSubflowWiringZeroAlloc(t *testing.T) {
 			t.Fatalf("%s not established after a second", c.ConnID())
 		}
 	}
-	join := &MPJoin{}
 	next := 0
 	avg := testing.AllocsPerRun(conns-1, func() {
-		cs[next].addSubflow(r.lte, join, false)
+		cs[next].addSubflow(r.lte, false, false)
 		next++
 	})
-	if avg != 3 {
-		t.Errorf("joining a subflow allocates %v objects, want 3 (Subflow, tcp.Conn, flow name)", avg)
+	if avg != 1 {
+		t.Errorf("joining a subflow allocates %v objects, want 1 (the flow name)", avg)
 	}
 	r.sim.RunUntil(2 * time.Second)
 	for _, c := range cs {

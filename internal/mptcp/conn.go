@@ -118,25 +118,34 @@ type mapping struct {
 
 func (m mapping) end() uint64 { return m.dataSeq + uint64(m.len) }
 
-// Subflow is one TCP subflow of an MPTCP connection.
+// Subflow is one TCP subflow of an MPTCP connection. Like the Conn it
+// belongs to it is carved from the Sim's slab and dead at Sim.Release.
 type Subflow struct {
 	TCP    *tcp.Conn
 	Iface  *netem.Iface
 	Backup bool
 
-	conn        *Conn
+	// The flags and the attempt count share Backup's word: with them
+	// spread out the join option below would tip the handle into the
+	// next size class, which every never-released world would pay
+	// (TestColdWorldBytes).
 	established bool
 	dead        bool // administratively down
+	reinjected  bool // reinjection already performed for current stall
+	// Re-join state (client side): a dead subflow whose interface came
+	// back up re-establishes on a fresh tcp.Conn after a backoff.
+	rejoining      bool  // a re-join handshake is in flight
+	rejoinAttempts uint8 // consecutive failed re-joins (drives backoff), <= maxRejoinAttempts
+	rejoinTimer    simnet.Timer
+
+	conn *Conn
+	// join is the MP_JOIN option the subflow's SYNs carry. It rides in
+	// the handle, as Conn.capable does: an option is read by the peer's
+	// stack and by scoreboards of this same world, never after it.
+	join        MPJoin
 	outstanding mapq // mappings sent on this subflow, not yet subflow-acked
 	ackScratch  mapq // double buffer for onMappingAcked rebuilds
 	dupQueue    mapq // scheduler-duplicated mappings awaiting send
-	reinjected  bool // reinjection already performed for current stall
-
-	// Re-join state (client side): a dead subflow whose interface came
-	// back up re-establishes on a fresh tcp.Conn after a backoff.
-	rejoining      bool // a re-join handshake is in flight
-	rejoinAttempts int  // consecutive failed re-joins (drives backoff)
-	rejoinTimer    simnet.Timer
 }
 
 // Name returns the subflow's flow identifier.
@@ -150,6 +159,11 @@ func (sf *Subflow) Dead() bool { return sf.dead }
 
 // Conn is one endpoint of an MPTCP connection. Both the client and the
 // server side use this type; the client side initiates subflows.
+//
+// A Conn, its Subflows and the list Subflows returns are carved from the
+// Sim's slab and live exactly as long as the world: after Sim.Release
+// they are zeroed memory the next world hands out again, so read what
+// you need from them before releasing.
 type Conn struct {
 	sim  *simnet.Sim
 	dss  *simnet.FreeList[DSS] // sim's; looked up once
@@ -159,7 +173,11 @@ type Conn struct {
 
 	stack    *tcp.Stack
 	host     *netem.Host
-	subflows []*Subflow
+	subflows []*Subflow // a piece of the Sim's slab
+	// capable is the MP_CAPABLE option of the primary's SYN. With the
+	// four flags below in one word it fits the size class the handle had
+	// without it (TestColdWorldBytes).
+	capable MPCapable
 
 	// Sender state.
 	sendTotal uint64 // bytes queued by the application
@@ -168,6 +186,14 @@ type Conn struct {
 	rtxPool   mapq
 	closeReq  bool
 	closed    bool
+	// everEstablished records whether any subflow ever completed its
+	// handshake: it gates the one-shot OnEstablished callback and decides
+	// whether a re-join SYN carries MP_JOIN or restarts with MP_CAPABLE.
+	everEstablished bool
+	// aborted records that AbortAll terminated the connection (watchdog
+	// gave up or a harness forced quiescence) — delivery-completeness
+	// invariants do not apply to aborted connections.
+	aborted bool
 
 	// Receiver state.
 	rcvNxt    uint64
@@ -181,11 +207,6 @@ type Conn struct {
 	// of the Sim's slab.
 	eligScratch []*Subflow
 
-	// everEstablished records whether any subflow ever completed its
-	// handshake: it gates the one-shot OnEstablished callback and decides
-	// whether a re-join SYN carries MP_JOIN or restarts with MP_CAPABLE.
-	everEstablished bool
-
 	// Stuck-flow watchdog state (armed only when Config.WatchdogRTOs>0).
 	watch     simnet.Timer
 	watchUna  uint64 // dataUna snapshot at last watchdog arm
@@ -196,10 +217,6 @@ type Conn struct {
 	Reinjections int
 	// StallCount is the total number of watchdog stall events recorded.
 	StallCount int
-	// aborted records that AbortAll terminated the connection (watchdog
-	// gave up or a harness forced quiescence) — delivery-completeness
-	// invariants do not apply to aborted connections.
-	aborted bool
 }
 
 // newConn builds the common state.
@@ -207,8 +224,10 @@ func newConn(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, side tcp.Side,
 	if cfg.ConnID == "" {
 		panic("mptcp: ConnID required")
 	}
-	return &Conn{sim: sim, dss: simnet.FreeListOf[DSS](sim), cfg: cfg, cb: cb, side: side,
-		stack: stack, host: host, sched: schedulerFor(cfg)}
+	c := simnet.SlabOf[Conn](sim).New()
+	*c = Conn{sim: sim, dss: simnet.FreeListOf[DSS](sim), cfg: cfg, cb: cb, side: side,
+		stack: stack, host: host, capable: MPCapable{ConnID: cfg.ConnID}, sched: schedulerFor(cfg)}
+	return c
 }
 
 // Dial opens an MPTCP connection from the client side: the primary
@@ -219,7 +238,7 @@ func Dial(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, cfg Config, cb Ca
 	if primary == nil {
 		panic("mptcp: unknown primary iface " + cfg.Primary)
 	}
-	c.addSubflow(primary, &MPCapable{ConnID: cfg.ConnID}, c.isBackupIface(cfg.Primary))
+	c.addSubflow(primary, c.isBackupIface(cfg.Primary), true)
 	if cfg.SimultaneousJoin && !cfg.NoJoin {
 		c.startJoins()
 	}
@@ -242,7 +261,7 @@ func (c *Conn) startJoins() {
 		if c.subflowOn(iface.Name) != nil {
 			continue
 		}
-		c.addSubflow(iface, &MPJoin{ConnID: c.cfg.ConnID, Backup: c.isBackupIface(iface.Name)}, c.isBackupIface(iface.Name))
+		c.addSubflow(iface, c.isBackupIface(iface.Name), false)
 	}
 }
 
@@ -259,15 +278,25 @@ func (c *Conn) subflowOn(ifaceName string) *Subflow {
 // it to the interface's administrative state: the iproute `multipath
 // off` signal of paper Section 3.6.
 func (c *Conn) newSubflow(iface *netem.Iface, backup bool) *Subflow {
-	sf := &Subflow{Iface: iface, Backup: backup, conn: c}
+	sf := simnet.SlabOf[Subflow](c.sim).New()
+	*sf = Subflow{Iface: iface, Backup: backup, conn: c, join: MPJoin{ConnID: c.cfg.ConnID, Backup: backup}}
+	if len(c.subflows) == cap(c.subflows) {
+		// Room for a two-path host at once; eligScratch grows in step.
+		c.subflows = simnet.SlabOf[*Subflow](c.sim).Grow(c.subflows, max(2, len(c.subflows)+1))
+	}
 	c.subflows = append(c.subflows, sf)
 	iface.SubscribeDown(subflowIfaceDown, sf)
 	return sf
 }
 
 // dialSubflow gives sf a new tcp.Conn and starts its handshake (the
-// first one, or a re-join's).
-func (c *Conn) dialSubflow(sf *Subflow, synOpt any) {
+// first one, or a re-join's). The SYN carries MP_CAPABLE when capable,
+// MP_JOIN otherwise.
+func (c *Conn) dialSubflow(sf *Subflow, capable bool) {
+	var synOpt any = &sf.join
+	if capable {
+		synOpt = &c.capable
+	}
 	flow := c.cfg.ConnID + "/" + sf.Iface.Name
 	sf.TCP = tcp.NewConn(c.sim, sf.Iface, netem.Up, flow, tcp.Config{
 		Source:    (*sfSource)(sf),
@@ -280,9 +309,9 @@ func (c *Conn) dialSubflow(sf *Subflow, synOpt any) {
 }
 
 // addSubflow creates and connects a client-side subflow.
-func (c *Conn) addSubflow(iface *netem.Iface, synOpt any, backup bool) *Subflow {
+func (c *Conn) addSubflow(iface *netem.Iface, backup, capable bool) *Subflow {
 	sf := c.newSubflow(iface, backup)
-	c.dialSubflow(sf, synOpt)
+	c.dialSubflow(sf, capable)
 	return sf
 }
 
@@ -393,7 +422,8 @@ func (c *Conn) Close() {
 // RecvTotal returns cumulative connection-level in-order bytes received.
 func (c *Conn) RecvTotal() int64 { return c.recvTotal }
 
-// Subflows returns the subflows in creation order.
+// Subflows returns the subflows in creation order. The list is the
+// connection's own: read it, do not append to it.
 func (c *Conn) Subflows() []*Subflow { return c.subflows }
 
 // Primary returns the first subflow.
@@ -777,7 +807,7 @@ func (c *Conn) scheduleRejoin(sf *Subflow) {
 		return
 	}
 	delay := c.cfg.rejoinBackoff()
-	for i := 0; i < sf.rejoinAttempts && delay < rejoinBackoffCap; i++ {
+	for i := 0; i < int(sf.rejoinAttempts) && delay < rejoinBackoffCap; i++ {
 		delay *= 2
 	}
 	if delay > rejoinBackoffCap {
@@ -799,16 +829,10 @@ func (c *Conn) rejoin(sf *Subflow) {
 	if !sf.dead || sf.rejoining || c.closed || sf.Iface.AdminDown() {
 		return
 	}
-	var synOpt any
-	if c.everEstablished {
-		synOpt = &MPJoin{ConnID: c.cfg.ConnID, Backup: sf.Backup}
-	} else {
-		synOpt = &MPCapable{ConnID: c.cfg.ConnID}
-	}
 	sf.rejoining = true
 	sf.established = false
 	sf.reinjected = false
-	c.dialSubflow(sf, synOpt)
+	c.dialSubflow(sf, !c.everEstablished)
 }
 
 // maybeClose sends FINs on every subflow once all data is delivered.

@@ -89,7 +89,7 @@ func (s *Server) firstSegment(tc *tcp.Conn, seg *tcp.Segment) {
 		}, Callbacks{})
 		s.conns[opt.ConnID] = c
 		c.adoptSubflow(tc, tc.Iface(), false)
-		tc.SetSynOpt(&MPCapable{ConnID: opt.ConnID})
+		tc.SetSynOpt(opt) // echoed: options are immutable once sent
 		if s.OnConn != nil {
 			s.OnConn(c)
 		}
@@ -99,7 +99,7 @@ func (s *Server) firstSegment(tc *tcp.Conn, seg *tcp.Segment) {
 			return // stale join: ignore; the subflow will time out
 		}
 		c.adoptSubflow(tc, tc.Iface(), opt.Backup)
-		tc.SetSynOpt(&MPJoin{ConnID: opt.ConnID, Backup: opt.Backup})
+		tc.SetSynOpt(opt)
 	default:
 		if s.AcceptTCP != nil {
 			s.AcceptTCP(tc)

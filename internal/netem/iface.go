@@ -29,7 +29,7 @@ type Iface struct {
 
 	adminDown bool
 	blackhole bool
-	downSubs  []downSub
+	downSubs  []downSub // a piece of the Sim's slab
 
 	// Radio wake-up (RRC promotion) state: the first uplink packet
 	// after promIdle of silence waits promDelay before entering the
@@ -202,6 +202,9 @@ type downSub struct {
 // subscriber per connection is a package-level function and a pointer,
 // not a closure.
 func (i *Iface) SubscribeDown(fn func(arg any, down bool), arg any) {
+	if len(i.downSubs) == cap(i.downSubs) {
+		i.downSubs = simnet.SlabOf[downSub](i.sim).Grow(i.downSubs, len(i.downSubs)+1)
+	}
 	i.downSubs = append(i.downSubs, downSub{fn, arg})
 }
 
@@ -220,35 +223,42 @@ func (i *Iface) String() string { return fmt.Sprintf("iface(%s)", i.Name) }
 // server at MIT).
 type Host struct {
 	Name   string
-	ifaces map[string]*Iface
-	order  []string
+	ifaces []*Iface // in attachment order; a host has a handful
 }
 
 // NewHost creates an empty host.
 func NewHost(name string) *Host {
-	return &Host{Name: name, ifaces: make(map[string]*Iface)}
+	return &Host{Name: name}
 }
 
 // Attach adds an interface; attaching a duplicate name panics.
 func (h *Host) Attach(i *Iface) {
-	if _, dup := h.ifaces[i.Name]; dup {
+	if h.Iface(i.Name) != nil {
 		panic("netem: duplicate interface " + i.Name)
 	}
-	h.ifaces[i.Name] = i
-	h.order = append(h.order, i.Name)
+	h.ifaces = append(h.ifaces, i)
 }
 
 // Iface returns the named interface or nil.
-func (h *Host) Iface(name string) *Iface { return h.ifaces[name] }
+func (h *Host) Iface(name string) *Iface {
+	for _, i := range h.ifaces {
+		if i.Name == name {
+			return i
+		}
+	}
+	return nil
+}
 
-// Ifaces returns the interfaces in attachment order.
-func (h *Host) Ifaces() []*Iface {
-	out := make([]*Iface, 0, len(h.order))
-	for _, n := range h.order {
-		out = append(out, h.ifaces[n])
+// Ifaces returns the interfaces in attachment order. The list is the
+// host's own, handed out at full capacity so that an append copies it:
+// every connection walks it when it joins its subflows.
+func (h *Host) Ifaces() []*Iface { return h.ifaces[:len(h.ifaces):len(h.ifaces)] }
+
+// IfaceNames returns the interface names in attachment order.
+func (h *Host) IfaceNames() []string {
+	out := make([]string, len(h.ifaces))
+	for k, i := range h.ifaces {
+		out[k] = i.Name
 	}
 	return out
 }
-
-// IfaceNames returns the interface names in attachment order.
-func (h *Host) IfaceNames() []string { return append([]string(nil), h.order...) }

@@ -10,7 +10,6 @@
 package replay
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -34,33 +33,39 @@ type Exchange struct {
 // Recording is the stored result of recording one app interaction.
 type Recording struct {
 	App   apps.App
-	pairs map[string]Exchange // keyed by request key
+	pairs map[requestKey]Exchange
+	// connIDs names the connection of each flow, in App.Flows order. The
+	// names are the same in every replay, so they are built here once.
+	connIDs []string
 }
 
 // requestKey identifies a request the way ReplayShell matches them:
 // by stable request attributes (here: flow ID and request size),
 // ignoring time-sensitive header fields.
-func requestKey(flowID int, reqBytes int) string {
-	return fmt.Sprintf("f%d:%d", flowID, reqBytes)
-}
+type requestKey struct{ flowID, reqBytes int }
 
 // Record captures the app's exchanges into a replayable store.
 func Record(app apps.App) *Recording {
-	r := &Recording{App: app, pairs: make(map[string]Exchange)}
-	for _, f := range app.Flows {
-		r.pairs[requestKey(f.ID, f.RequestBytes)] = Exchange{
+	r := &Recording{
+		App:     app,
+		pairs:   make(map[requestKey]Exchange, len(app.Flows)),
+		connIDs: make([]string, len(app.Flows)),
+	}
+	for i, f := range app.Flows {
+		r.pairs[requestKey{f.ID, f.RequestBytes}] = Exchange{
 			FlowID:        f.ID,
 			RequestBytes:  f.RequestBytes,
 			ResponseBytes: f.ResponseBytes,
 			Think:         f.Think,
 		}
+		r.connIDs[i] = flowConnID(i)
 	}
 	return r
 }
 
 // Lookup matches a request to its stored response, ReplayShell-style.
 func (r *Recording) Lookup(flowID, reqBytes int) (Exchange, bool) {
-	e, ok := r.pairs[requestKey(flowID, reqBytes)]
+	e, ok := r.pairs[requestKey{flowID, reqBytes}]
 	return e, ok
 }
 
@@ -212,7 +217,7 @@ func Run(seed int64, cond phy.Condition, rec *Recording, tc TransportConfig) Res
 		host:  host,
 		rec:   rec,
 		tc:    tc,
-		state: make(map[int]*flowState),
+		flows: simnet.SlabOf[flowState](sim).Make(len(rec.App.Flows)),
 	}
 	e.clientStack = tcp.NewStack(sim, tcp.ClientSide)
 	e.serverStack = tcp.NewStack(sim, tcp.ServerSide)
@@ -220,43 +225,54 @@ func Run(seed int64, cond phy.Condition, rec *Recording, tc TransportConfig) Res
 		e.clientStack.Bind(ifc)
 		e.serverStack.Bind(ifc)
 	}
+	// Every connection of the replay is wired with the same hooks, built
+	// here once: each finds its flow by the connection's name.
 	if tc.Kind == Multipath {
-		e.mpServer = mptcp.NewServer(sim, e.serverStack, mptcp.ServerConfig{CC: tc.CC, Scheduler: tc.Scheduler})
-		e.mpServer.OnConn = e.acceptMPTCP
+		e.mpClient = mptcp.Callbacks{OnEstablished: e.mpEstablished, OnData: e.mpResponseData}
+		e.mpServer = mptcp.Callbacks{OnData: e.mpRequestData}
+		srv := mptcp.NewServer(sim, e.serverStack, mptcp.ServerConfig{CC: tc.CC, Scheduler: tc.Scheduler})
+		srv.OnConn = e.acceptMPTCP
 	} else {
+		e.iface = host.Iface(tc.Iface)
+		if e.iface == nil {
+			panic("replay: unknown iface " + tc.Iface)
+		}
+		e.tcpClient = tcp.Callbacks{OnEstablished: e.tcpEstablished, OnData: e.tcpResponseData}
+		e.tcpServer = tcp.Callbacks{OnData: e.tcpRequestData}
 		e.serverStack.Accept = e.acceptTCP
 	}
-	for _, f := range rec.App.Flows {
-		e.state[f.ID] = &flowState{spec: f}
+	for i := range e.flows {
+		e.flows[i] = flowState{eng: e, spec: &rec.App.Flows[i], connID: rec.connIDs[i]}
 	}
 	// Start root flows; dependents start as their parents complete.
-	for _, f := range rec.App.Flows {
-		if f.DependsOn < 0 {
-			e.scheduleStart(f.ID, f.Start)
+	for i := range e.flows {
+		if st := &e.flows[i]; st.spec.DependsOn < 0 {
+			e.scheduleStart(st)
 		}
 	}
 	// Safety horizon: no replayed interaction should take this long.
 	sim.RunUntil(10 * time.Minute)
 
-	res := Result{Config: tc.Name, Condition: cond.Name, Completed: true}
+	// The flow states are the world's and go with it; the result is the
+	// caller's.
+	res := Result{Config: tc.Name, Condition: cond.Name, Completed: true,
+		Flows: make([]FlowStat, 0, len(e.flows))}
 	var first, last time.Duration
-	firstSet := false
-	for _, f := range rec.App.Flows {
-		st := e.state[f.ID]
+	for i := range e.flows {
+		st := &e.flows[i]
 		if !st.done {
 			res.Completed = false
 			continue
 		}
-		if !firstSet || st.started < first {
+		if len(res.Flows) == 0 || st.started < first {
 			first = st.started
-			firstSet = true
 		}
 		if st.ended > last {
 			last = st.ended
 		}
 		res.Flows = append(res.Flows, FlowStat{
-			ID: f.ID, Start: st.started, End: st.ended,
-			Bytes: f.RequestBytes + f.ResponseBytes,
+			ID: st.spec.ID, Start: st.started, End: st.ended,
+			Bytes: st.spec.RequestBytes + st.spec.ResponseBytes,
 		})
 	}
 	if res.Completed {
@@ -265,145 +281,160 @@ func Run(seed int64, cond phy.Condition, rec *Recording, tc TransportConfig) Res
 	return res
 }
 
+// flowState is one flow of the replay in progress. The states are a
+// slice on the Sim's slab in App.Flows order, which is also the number
+// in the connection's name (flowConnID), so a hook finds its flow from
+// the connection it is handed and no flow needs hooks of its own.
 type flowState struct {
-	spec    apps.Flow
+	eng     *engine
+	spec    *apps.Flow
+	connID  string
 	started time.Duration
 	ended   time.Duration
 	running bool
 	done    bool
+	// The server's end of the flow's connection (one of the two) and the
+	// response it owes once the think time is over.
+	srvTCP   *tcp.Conn
+	srvMP    *mptcp.Conn
+	response int
 }
 
 type engine struct {
 	sim         *simnet.Sim
 	host        *netem.Host
+	iface       *netem.Iface // single-path replays dial here
 	rec         *Recording
 	tc          TransportConfig
 	clientStack *tcp.Stack
 	serverStack *tcp.Stack
-	mpServer    *mptcp.Server
-	state       map[int]*flowState
+	flows       []flowState
+
+	tcpClient, tcpServer tcp.Callbacks
+	mpClient, mpServer   mptcp.Callbacks
 }
 
-func (e *engine) scheduleStart(flowID int, delay time.Duration) {
-	e.sim.After(delay, func() { e.startFlow(flowID) })
+// scheduleStart opens st's connection after the flow's start delay.
+func (e *engine) scheduleStart(st *flowState) {
+	e.sim.AfterArg(st.spec.Start, startFlow, st)
 }
 
-func (e *engine) startFlow(flowID int) {
-	st := e.state[flowID]
+func startFlow(a any) {
+	st := a.(*flowState)
+	e := st.eng
 	if st.running || st.done {
 		return
 	}
 	st.running = true
 	st.started = e.sim.Now()
 	if e.tc.Kind == Multipath {
-		e.startMPTCPFlow(st)
+		mptcp.Dial(e.sim, e.clientStack, e.host, mptcp.Config{
+			ConnID:    st.connID,
+			Primary:   e.tc.Primary,
+			CC:        e.tc.CC,
+			Scheduler: e.tc.Scheduler,
+		}, e.mpClient)
 	} else {
-		e.startTCPFlow(st)
+		e.clientStack.Dial(e.iface, st.connID, tcp.Config{Callbacks: e.tcpClient})
 	}
 }
 
 const flowConnPrefix = "app-f"
 
-// flowConnID names a flow's connection.
-func flowConnID(id int) string { return flowConnPrefix + strconv.Itoa(id) }
+// flowConnID names the connection of the i-th flow of a recording.
+func flowConnID(i int) string { return flowConnPrefix + strconv.Itoa(i) }
 
-func (e *engine) startTCPFlow(st *flowState) {
-	iface := e.host.Iface(e.tc.Iface)
-	if iface == nil {
-		panic("replay: unknown iface " + e.tc.Iface)
+// flowOf is the flow whose connection is named connID; nil for a
+// stranger.
+func (e *engine) flowOf(connID string) *flowState {
+	i, ok := parseFlowConnID(connID)
+	if !ok || i >= len(e.flows) {
+		return nil
 	}
-	spec := st.spec
-	e.clientStack.Dial(iface, flowConnID(spec.ID), tcp.Config{Callbacks: tcp.Callbacks{
-		OnEstablished: func(c *tcp.Conn) {
-			c.Send(spec.RequestBytes)
-		},
-		OnData: func(c *tcp.Conn, total int64) {
-			if total >= int64(spec.ResponseBytes) {
-				e.completeFlow(spec.ID)
-			}
-		},
-	}})
+	return &e.flows[i]
+}
+
+func (e *engine) tcpEstablished(c *tcp.Conn) { c.Send(e.flowOf(c.Flow()).spec.RequestBytes) }
+
+func (e *engine) tcpResponseData(c *tcp.Conn, total int64) { e.flowOf(c.Flow()).responseData(total) }
+
+func (e *engine) mpEstablished(c *mptcp.Conn) { c.Send(e.flowOf(c.ConnID()).spec.RequestBytes) }
+
+func (e *engine) mpResponseData(c *mptcp.Conn, total int64) {
+	e.flowOf(c.ConnID()).responseData(total)
+}
+
+// responseData is the client's OnData: the flow is complete once the
+// whole response has arrived.
+func (st *flowState) responseData(total int64) {
+	if total >= int64(st.spec.ResponseBytes) {
+		st.eng.completeFlow(st)
+	}
 }
 
 func (e *engine) acceptTCP(c *tcp.Conn) {
-	id, ok := parseFlowConnID(c.Flow())
-	if !ok {
-		return
+	if st := e.flowOf(c.Flow()); st != nil {
+		st.srvTCP = c
+		c.SetCallbacks(e.tcpServer)
 	}
-	spec := e.state[id].spec
-	c.SetCallbacks(tcp.Callbacks{
-		OnData: func(c *tcp.Conn, total int64) {
-			if total >= int64(spec.RequestBytes) {
-				ex, ok := e.rec.Lookup(spec.ID, spec.RequestBytes)
-				if !ok {
-					return // unmatched request: ReplayShell would 404
-				}
-				e.sim.After(ex.Think, func() {
-					c.Send(ex.ResponseBytes)
-					c.Close()
-				})
-			}
-		},
-	})
-}
-
-func (e *engine) startMPTCPFlow(st *flowState) {
-	spec := st.spec
-	mptcp.Dial(e.sim, e.clientStack, e.host, mptcp.Config{
-		ConnID:    flowConnID(spec.ID),
-		Primary:   e.tc.Primary,
-		CC:        e.tc.CC,
-		Scheduler: e.tc.Scheduler,
-	}, mptcp.Callbacks{
-		OnEstablished: func(c *mptcp.Conn) { c.Send(spec.RequestBytes) },
-		OnData: func(c *mptcp.Conn, total int64) {
-			if total >= int64(spec.ResponseBytes) {
-				e.completeFlow(spec.ID)
-			}
-		},
-	})
 }
 
 func (e *engine) acceptMPTCP(c *mptcp.Conn) {
-	id, ok := parseFlowConnID(c.ConnID())
-	if !ok {
-		return
+	if st := e.flowOf(c.ConnID()); st != nil {
+		st.srvMP = c
+		c.SetCallbacks(e.mpServer)
 	}
-	spec := e.state[id].spec
-	c.SetCallbacks(mptcp.Callbacks{
-		OnData: func(c *mptcp.Conn, total int64) {
-			if total >= int64(spec.RequestBytes) {
-				ex, ok := e.rec.Lookup(spec.ID, spec.RequestBytes)
-				if !ok {
-					return
-				}
-				e.sim.After(ex.Think, func() {
-					c.Send(ex.ResponseBytes)
-					c.Close()
-				})
-			}
-		},
-	})
 }
 
-func (e *engine) completeFlow(id int) {
-	st := e.state[id]
+func (e *engine) tcpRequestData(c *tcp.Conn, total int64) { e.flowOf(c.Flow()).requestData(total) }
+
+func (e *engine) mpRequestData(c *mptcp.Conn, total int64) {
+	e.flowOf(c.ConnID()).requestData(total)
+}
+
+// requestData is the server's OnData: once the whole request has
+// arrived it is matched ReplayShell-style and answered after the
+// recorded think time.
+func (st *flowState) requestData(total int64) {
+	if total < int64(st.spec.RequestBytes) {
+		return
+	}
+	ex, ok := st.eng.rec.Lookup(st.spec.ID, st.spec.RequestBytes)
+	if !ok {
+		return // unmatched request: ReplayShell would 404
+	}
+	st.response = ex.ResponseBytes
+	st.eng.sim.AfterArg(ex.Think, respond, st)
+}
+
+func respond(a any) {
+	st := a.(*flowState)
+	if st.srvMP != nil {
+		st.srvMP.Send(st.response)
+		st.srvMP.Close()
+	} else {
+		st.srvTCP.Send(st.response)
+		st.srvTCP.Close()
+	}
+}
+
+func (e *engine) completeFlow(st *flowState) {
 	if st.done {
 		return
 	}
 	st.done = true
 	st.ended = e.sim.Now()
 	// Release dependents.
-	for _, f := range e.rec.App.Flows {
-		if f.DependsOn == id {
-			e.scheduleStart(f.ID, f.Start)
+	for i := range e.flows {
+		if dep := &e.flows[i]; dep.spec.DependsOn == st.spec.ID {
+			e.scheduleStart(dep)
 		}
 	}
 }
 
-// parseFlowConnID is flowConnID's inverse: the decimal id after the
-// prefix, whatever follows it. It runs for every accepted connection,
-// hence no fmt scanner.
+// parseFlowConnID reads the flow's number back out of a connection
+// name: the decimal after the prefix, whatever follows it. It runs for
+// every hook call, hence no fmt scanner.
 func parseFlowConnID(s string) (int, bool) {
 	rest, ok := strings.CutPrefix(s, flowConnPrefix)
 	if !ok {

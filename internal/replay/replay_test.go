@@ -2,6 +2,8 @@ package replay
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -270,5 +272,57 @@ func TestParseFlowConnID(t *testing.T) {
 		if id, ok := parseFlowConnID(s); ok {
 			t.Errorf("parseFlowConnID(%q) = (%d, true), want it refused", s, id)
 		}
+	}
+}
+
+// TestReplayCellBytes pins what one warm cell of the app-replay sweep
+// allocates: the short-flow apps over the paper's six transports, each
+// world built on the arena the previous one released. The connection
+// handles, the per-flow state, the demux tables and the subscription
+// lists are the slab's; what is left is the world's fixed frame (Sim,
+// host, links, stacks), the flow names and the Result: 4.5 KB in 68
+// objects, where the parent commit's cell cost 74.9 KB in 458 and ISSUE
+// 22 asked for 12 KB in 250. A sweep that allocates this little runs at
+// its scheduling bound on any worker count, because the collector has
+// next to nothing to do.
+func TestReplayCellBytes(t *testing.T) {
+	type cell struct {
+		cond phy.Condition
+		rec  *Recording
+		tc   TransportConfig
+		seed int64
+	}
+	var cells []cell
+	for l, loc := range phy.Locations[:5] {
+		cond := loc.Condition()
+		for a, app := range apps.All {
+			if app.LongFlowDominated() {
+				continue
+			}
+			rec := Record(app)
+			for c, tc := range Configs(WiFiLTEPaths()) {
+				cells = append(cells, cell{cond, rec, tc, int64(1000*l + 10*a + c)})
+			}
+		}
+	}
+	pass := func() {
+		for _, c := range cells {
+			if !Run(c.seed, c.cond, c.rec, c.tc).Completed {
+				t.Fatalf("%s on %s at %s did not complete", c.rec.App.Name, c.tc.Name, c.cond.Name)
+			}
+		}
+	}
+	pass() // grows the arena to the largest cell
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	n := uint64(len(cells))
+	bytes, objects := (after.TotalAlloc-before.TotalAlloc)/n, (after.Mallocs-before.Mallocs)/n
+	t.Logf("%d warm cells: %d bytes, %d objects each", n, bytes, objects)
+	const maxBytes, maxObjects = 6 << 10, 100
+	if bytes > maxBytes || objects > maxObjects {
+		t.Errorf("a warm replay cell allocates %d bytes in %d objects, want at most %d in %d", bytes, objects, maxBytes, maxObjects)
 	}
 }

@@ -3,6 +3,7 @@ package simnet_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"multinet/internal/phy"
 	"multinet/internal/replay"
 	"multinet/internal/simnet"
+	"multinet/internal/tcp"
 )
 
 // threePaths widens a paper location to WiFi plus two carriers.
@@ -66,6 +68,76 @@ func sizedSessionCell(seed int64, cond phy.Condition, horizon time.Duration, sch
 	return sb.String()
 }
 
+// cutWorld builds a replay-shaped MPTCP world by hand and stops it at
+// the worst moment for whoever gets its memory next: as soon as some
+// connection has data arriving on its first subflow while its last one's
+// SYN is out and unanswered. Scoreboards and mapping queues are dirty,
+// retransmission and delayed-ACK timers armed, later connections not yet
+// dialled, and every handle — tcp.Conn, mptcp.Conn, Subflow — is carved
+// from the slab the next world will carve again. It returns the client
+// ends dialled so far, then the server ends.
+func cutWorld(seed int64, cond phy.Condition, primary string) (*simnet.Sim, *netem.Host, []*mptcp.Conn) {
+	const size = 2 << 20
+	sim := simnet.New(seed)
+	host := phy.BuildHost(sim, cond)
+	client, server := tcp.NewStack(sim, tcp.ClientSide), tcp.NewStack(sim, tcp.ServerSide)
+	for _, ifc := range host.Ifaces() {
+		client.Bind(ifc)
+		server.Bind(ifc)
+	}
+	var dialled, accepted []*mptcp.Conn
+	srv := mptcp.NewServer(sim, server, mptcp.ServerConfig{CC: mptcp.Coupled})
+	srv.OnConn = func(c *mptcp.Conn) {
+		accepted = append(accepted, c)
+		c.Send(size)
+		c.Close()
+	}
+	for i, id := range []string{"cut-0", "cut-1", "cut-2", "cut-3"} {
+		sim.After(time.Duration(i)*35*time.Millisecond, func() {
+			dialled = append(dialled, mptcp.Dial(sim, client, host,
+				mptcp.Config{ConnID: id, Primary: primary, CC: mptcp.Coupled}, mptcp.Callbacks{}))
+		})
+	}
+	halfJoined := func() bool {
+		for _, c := range dialled {
+			sfs := c.Subflows()
+			if len(sfs) > 1 && !sfs[len(sfs)-1].Established() && c.RecvTotal() > 0 && c.RecvTotal() < size {
+				return true
+			}
+		}
+		return false
+	}
+	for !halfJoined() {
+		if sim.Now() > 10*time.Second {
+			panic("cutWorld: no connection was ever caught half-joined with data in flight")
+		}
+		sim.RunFor(time.Millisecond)
+	}
+	return sim, host, append(dialled, accepted...)
+}
+
+// cutMidTransfer releases a cutWorld where it stopped and returns what
+// it had come to by then.
+func cutMidTransfer(seed int64, cond phy.Condition, primary string) string {
+	sim, host, conns := cutWorld(seed, cond, primary)
+	defer sim.Release()
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "now=%v processed=%d pending=%d;", sim.Now(), sim.Processed(), sim.Pending())
+	for _, c := range conns {
+		fmt.Fprintf(&sb, " %s rcvd=%d acked=%d", c.ConnID(), c.RecvTotal(), c.DataAcked())
+		for _, sf := range c.Subflows() {
+			fmt.Fprintf(&sb, " %s est=%v inflight=%d cwnd=%d", sf.Name(), sf.Established(), sf.TCP.BytesInFlight(), sf.TCP.CwndBytes())
+		}
+		sb.WriteString(";")
+	}
+	for _, ifc := range host.Ifaces() {
+		for _, l := range []netem.Link{ifc.UpLink(), ifc.DownLink()} {
+			fmt.Fprintf(&sb, " %s %+v", ifc.Name, l.Stats())
+		}
+	}
+	return sb.String()
+}
+
 // replayCell replays an app (replay.Run releases its own Sim).
 func replayCell(seed int64, cond phy.Condition, app apps.App, tc replay.TransportConfig) string {
 	return fmt.Sprintf("%+v", replay.Run(seed, cond, replay.Record(app), tc))
@@ -76,9 +148,10 @@ func replayCell(seed int64, cond phy.Condition, app apps.App, tc replay.Transpor
 // app replays and bulk transfers, and a fault run whose blackhole
 // outlasts the horizon, so the world is released with retransmission,
 // probe, watchdog and fault-restore timers still pending and packets
-// still queued. The last two differ only in how large their rings grow:
-// a world that leaves the slab far bigger than the next one needs, and
-// one that leaves it far too small.
+// still queued. Two differ only in how large their rings grow: a world
+// that leaves the slab far bigger than the next one needs, and one that
+// leaves it far too small. The last two are released mid-transfer with a
+// subflow half-joined, on two and on three paths.
 var worldCells = []struct {
 	name string
 	run  func() string
@@ -132,6 +205,12 @@ var worldCells = []struct {
 			core.Config{Transport: core.MPTCP, Primary: "wifi", CC: mptcp.Decoupled},
 			core.Config{Transport: core.TCP, Iface: "lte"})
 	}},
+	{"mptcp 2-path cut mid-transfer, a join in flight", func() string {
+		return cutMidTransfer(23, phy.LocationByID(5).Condition(), "wifi")
+	}},
+	{"mptcp 3-path cut mid-transfer, a join in flight", func() string {
+		return cutMidTransfer(24, threePaths(phy.LocationByID(12)), "wifi")
+	}},
 }
 
 // TestRecycledWorldMatchesFresh is the direct form of what the goldens
@@ -172,4 +251,49 @@ func TestRecycledWorldMatchesFresh(t *testing.T) {
 			t.Fatalf("mix step %d: %s differs from a fresh run\nfresh:    %s\nrecycled: %s", step, worldCells[i].name, fresh[i], got)
 		}
 	}
+}
+
+// TestHandlesDieWithTheirWorld pins what a connection handle is after
+// its Sim's Release, which is the contract a released Sim already has:
+// nothing of the world that ended can be reached through it, and
+// anything that would schedule panics. A world built on a released
+// one's arena carves its handles from the slab, and Release zeroes them
+// where they lie, mid-transfer or not; a first world's handles are plain
+// allocations nothing recalls, and they are left holding a Sim that
+// refuses them.
+func TestHandlesDieWithTheirWorld(t *testing.T) {
+	world := func() (*simnet.Sim, []any, *tcp.Conn) {
+		sim, _, conns := cutWorld(25, phy.LocationByID(5).Condition(), "wifi")
+		var handles []any
+		for _, c := range conns {
+			handles = append(handles, c)
+			for _, sf := range c.Subflows() {
+				handles = append(handles, sf, sf.TCP)
+			}
+		}
+		return sim, handles, conns[0].Primary().TCP
+	}
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+
+	simnet.DropRetired()
+	sim, _, tc := world()
+	sim.Release()
+	mustPanic("Connect on a handle of a released first world", tc.Connect)
+
+	sim, handles, tc := world() // on the first world's arena
+	sim.Release()
+	for _, h := range handles {
+		if !reflect.ValueOf(h).Elem().IsZero() {
+			t.Errorf("a %T survived its world's Release: %+v", h, h)
+		}
+	}
+	mustPanic("Connect on a zeroed handle", tc.Connect)
 }

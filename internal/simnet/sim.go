@@ -96,7 +96,7 @@ type arena struct {
 	// this repository register, so that a world built from nothing does
 	// not pay for growing the list.
 	parts    []any
-	partsBuf [12]any
+	partsBuf [16]any
 }
 
 // retired parks the arenas of released Sims for New. It is the

@@ -112,6 +112,10 @@ type Callbacks struct {
 
 // Conn is one endpoint of a TCP connection (or MPTCP subflow) bound to
 // a network interface.
+//
+// A Conn is carved from its Sim's slab and lives exactly as long as the
+// world: after Sim.Release it is zeroed memory the next world hands out
+// again, so read what you need from it before releasing.
 type Conn struct {
 	sim   *simnet.Sim
 	segs  *simnet.FreeList[Segment] // sim's; looked up once
@@ -229,7 +233,8 @@ type Config struct {
 // nothing until Connect (active) or until a SYN is dispatched to it
 // (passive, via Stack).
 func NewConn(sim *simnet.Sim, iface *netem.Iface, dir netem.Direction, flow string, cfg Config) *Conn {
-	c := &Conn{
+	c := simnet.SlabOf[Conn](sim).New()
+	*c = Conn{
 		sim:      sim,
 		segs:     simnet.FreeListOf[Segment](sim),
 		iface:    iface,

@@ -210,7 +210,7 @@ func TestStackForgetAndConnLookup(t *testing.T) {
 }
 
 // TestDispatchFlowCacheFollowsDemuxTable pins the Bind closures'
-// one-entry flow cache to the demux table: a hit skips the map, and
+// one-entry flow cache to the demux table: a hit skips the search, and
 // every change to the table — passive accept, Forget, Register — or a
 // segment of another flow makes the next delivery look again.
 func TestDispatchFlowCacheFollowsDemuxTable(t *testing.T) {

@@ -1,6 +1,9 @@
 package tcp
 
 import (
+	"slices"
+	"strings"
+
 	"multinet/internal/netem"
 	"multinet/internal/simnet"
 )
@@ -18,9 +21,14 @@ const (
 // connections by flow identifier, and creates passive connections on
 // incoming SYNs (the listener role).
 type Stack struct {
-	sim   *simnet.Sim
-	side  Side
-	conns map[string]*Conn
+	sim  *simnet.Sim
+	side Side
+	// conns is the demux table: the connections sorted by flow name, on a
+	// piece of the Sim's slab, so that a world built from a released one
+	// finds the table already grown. A short-lived world holds a few
+	// dozen flows; a search is a handful of string compares and an insert
+	// moves pointers.
+	conns []*Conn
 	// gen counts changes to conns; it invalidates the Bind closures'
 	// flow caches (see flowCache).
 	gen uint64
@@ -32,14 +40,31 @@ type Stack struct {
 
 // NewStack creates an empty stack.
 func NewStack(sim *simnet.Sim, side Side) *Stack {
-	return &Stack{sim: sim, side: side, conns: make(map[string]*Conn)}
+	return &Stack{sim: sim, side: side}
+}
+
+// find returns where flow's connection is in the table, or where it
+// would go.
+func (s *Stack) find(flow string) (int, bool) {
+	return slices.BinarySearchFunc(s.conns, flow, func(c *Conn, flow string) int {
+		return strings.Compare(c.flow, flow)
+	})
+}
+
+// insert files c at i, the place find gave for its flow.
+func (s *Stack) insert(i int, c *Conn) {
+	if len(s.conns) == cap(s.conns) {
+		s.conns = simnet.SlabOf[*Conn](s.sim).Grow(s.conns, len(s.conns)+1)
+	}
+	s.conns = slices.Insert(s.conns, i, c)
+	s.gen++
 }
 
 // flowCache remembers the last demux-table hit of one Bind closure. A
 // bulk transfer delivers run after run of segments of one flow to one
-// interface, and hashing the flow string for each was 4–5 % of a sweep;
-// a hit here is a generation compare and a string compare that stops at
-// the shared data pointer.
+// interface, and looking the flow string up for each was 4–5 % of a
+// sweep; a hit here is a generation compare and a string compare that
+// stops at the shared data pointer.
 type flowCache struct {
 	flow string
 	conn *Conn
@@ -97,28 +122,28 @@ func (s *Stack) dispatch(iface *netem.Iface, p *netem.Packet, fc *flowCache) {
 // lookup finds the segment's connection in the demux table, creating a
 // passive one for a SYN when the stack listens; nil means drop.
 func (s *Stack) lookup(iface *netem.Iface, seg *Segment) *Conn {
-	c := s.conns[seg.Flow]
-	if c == nil {
-		if !seg.Flags.Has(FlagSYN) || seg.Flags.Has(FlagACK) || s.Accept == nil {
-			return nil
-		}
-		c = NewConn(s.sim, iface, s.sendDir(), seg.Flow, Config{})
-		s.conns[seg.Flow] = c
-		s.gen++
-		s.Accept(c)
+	i, ok := s.find(seg.Flow)
+	if ok {
+		return s.conns[i]
 	}
+	if !seg.Flags.Has(FlagSYN) || seg.Flags.Has(FlagACK) || s.Accept == nil {
+		return nil
+	}
+	c := NewConn(s.sim, iface, s.sendDir(), seg.Flow, Config{})
+	s.insert(i, c)
+	s.Accept(c)
 	return c
 }
 
 // Dial creates an active connection on the given interface and starts
 // its handshake.
 func (s *Stack) Dial(iface *netem.Iface, flow string, cfg Config) *Conn {
-	if _, dup := s.conns[flow]; dup {
+	i, dup := s.find(flow)
+	if dup {
 		panic("tcp: duplicate flow " + flow)
 	}
 	c := NewConn(s.sim, iface, s.sendDir(), flow, cfg)
-	s.conns[flow] = c
-	s.gen++
+	s.insert(i, c)
 	c.Connect()
 	return c
 }
@@ -126,18 +151,25 @@ func (s *Stack) Dial(iface *netem.Iface, flow string, cfg Config) *Conn {
 // Register adds a pre-built connection (used by MPTCP subflows that
 // need custom Config on the passive side too).
 func (s *Stack) Register(c *Conn) {
-	if _, dup := s.conns[c.flow]; dup {
+	i, dup := s.find(c.flow)
+	if dup {
 		panic("tcp: duplicate flow " + c.flow)
 	}
-	s.conns[c.flow] = c
-	s.gen++
+	s.insert(i, c)
 }
 
 // Conn returns the connection for a flow, or nil.
-func (s *Stack) Conn(flow string) *Conn { return s.conns[flow] }
+func (s *Stack) Conn(flow string) *Conn {
+	if i, ok := s.find(flow); ok {
+		return s.conns[i]
+	}
+	return nil
+}
 
 // Forget removes a connection from the demux table.
 func (s *Stack) Forget(flow string) {
-	delete(s.conns, flow)
+	if i, ok := s.find(flow); ok {
+		s.conns = slices.Delete(s.conns, i, i+1)
+	}
 	s.gen++
 }
