@@ -27,10 +27,6 @@
 //   - registry experiments: every harness in the engine registry at the
 //     quick (test-sized) sweep options, the same set cmd/report runs.
 //
-// -serve-load switches the binary into a closed-loop load generator
-// over the service instead (queries/s plus an allocs/query assertion);
-// see runServeLoad.
-//
 // Usage:
 //
 //	bench [-out BENCH_report.json] [-baseline BENCH_baseline.json]
@@ -568,14 +564,8 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the selected benchmarks")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected benchmarks")
 	diff := flag.String("diff", "", "write a baseline-vs-run comparison table here")
-	serveLoad := flag.Duration("serve-load", 0,
-		"run the path-selection service load generator for this duration and exit (asserts 0 allocs/query)")
-	serveWorkers := flag.Int("serve-load-workers", 0, "serve-load worker goroutines (0 = GOMAXPROCS)")
 	testing.Init()
 	flag.Parse()
-	if *serveLoad > 0 {
-		os.Exit(runServeLoad(*serveLoad, *serveWorkers))
-	}
 	if *benchtime != "" {
 		if err := flag.Lookup("test.benchtime").Value.Set(*benchtime); err != nil {
 			fmt.Fprintln(os.Stderr, "bad -benchtime:", err)

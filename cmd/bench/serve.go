@@ -1,18 +1,15 @@
 package main
 
-// Benchmarks and the load-generator mode for the online path-selection
-// service (internal/serve). The benchmarks drive the exported hot
-// cores — DecideBytes/TelemetryBytes over pooled scratch — exactly as
-// the HTTP handlers do, so the serve/* entries in the baseline gate
-// the full parse → sharded-store → policy → render path, allocs/op
-// pinned at zero.
+// Benchmarks for the online path-selection service (internal/serve).
+// They drive the exported hot cores — DecideBytes/TelemetryBytes over
+// pooled scratch — exactly as the HTTP handlers do, so the serve/*
+// entries in the baseline gate the full parse → sharded-store → policy
+// → render path, allocs/op pinned at zero (serve/decide-parallel under
+// RunParallel, at full concurrency).
 
 import (
 	"fmt"
 	"net/http"
-	"os"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -126,88 +123,4 @@ func serveBenchmarks() []bench {
 		{"serve/decide-parallel", serveDecideParallel},
 		{"serve/telemetry", serveTelemetry},
 	}
-}
-
-// runServeLoad is the `bench -serve-load` mode: a closed-loop load
-// generator over the service hot cores. Workers hammer decide requests
-// (with one telemetry sample folded in per eight decides, the paper's
-// probe-amortisation ratio) across 256 sites for the given duration,
-// then the run reports queries/s and allocations per query measured
-// over the whole run via runtime.MemStats. It returns a non-zero exit
-// code if the steady state allocates, holding the same zero-alloc
-// contract as the serve/* benchmarks but under full concurrency.
-func runServeLoad(d time.Duration, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	const sites = 256
-	srv, reqs := newLoadedServer(sites)
-	tels := make([][]byte, sites)
-	for i := range tels {
-		tels[i] = []byte(fmt.Sprintf(`{"site":"site-%04d","path":"wifi","mbps":11.5,"rtt_ms":26}`, i))
-	}
-
-	// Warm every worker's scratch and every site before measuring.
-	scratches := make([]*serve.Scratch, workers)
-	for w := range scratches {
-		scratches[w] = srv.GetScratch()
-		for i := 0; i < sites; i++ {
-			if srv.DecideBytes(reqs[i], scratches[w]) != http.StatusOK {
-				fmt.Fprintln(os.Stderr, "serve-load: warmup decide failed")
-				return 1
-			}
-		}
-	}
-
-	var queries atomic.Int64
-	var stop atomic.Bool
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := scratches[w]
-			n := int64(0)
-			for i := w; !stop.Load(); i++ {
-				if i%8 == 7 {
-					srv.TelemetryBytes(tels[i%sites], sc)
-				} else {
-					srv.DecideBytes(reqs[i%sites], sc)
-				}
-				n++
-			}
-			queries.Add(n)
-		}(w)
-	}
-	time.Sleep(d)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	for _, sc := range scratches {
-		srv.PutScratch(sc)
-	}
-
-	q := queries.Load()
-	allocs := int64(m1.Mallocs - m0.Mallocs)
-	perQuery := float64(allocs) / float64(q)
-	st := srv.StatsSnapshot()
-	fmt.Printf("serve-load: %d workers, %d sites, %v: %d queries (%.0f qps), %d decides, %d telemetry, %.4f allocs/query\n",
-		workers, sites, elapsed.Round(time.Millisecond), q, float64(q)/elapsed.Seconds(),
-		st.Decides, st.Telemetry, perQuery)
-	// The runtime itself (GC workers, timers) allocates a handful of
-	// objects per second; spread over millions of queries that is far
-	// below 0.01/query, while a single stray allocation on the hot path
-	// shows up as >= ~0.87 (7 decides in 8 queries).
-	if perQuery > 0.01 {
-		fmt.Fprintf(os.Stderr, "serve-load: steady state allocates %.4f/query, want 0\n", perQuery)
-		return 1
-	}
-	fmt.Println("serve-load: zero-allocation steady state held")
-	return 0
 }

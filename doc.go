@@ -14,7 +14,6 @@
 //   - internal/tcp: a userspace TCP (NewReno + SACK + RFC 6298)
 //   - internal/mptcp: Multipath TCP (MP_CAPABLE/MP_JOIN, DSS, min-SRTT
 //     scheduler, LIA coupled congestion control, backup mode)
-//   - internal/capture: tcpdump-equivalent tracing and analysis
 //   - internal/energy: the radio power model of the paper's Fig. 16
 //   - internal/dataset: the synthetic crowd-sourced campaign
 //   - internal/apps + internal/replay: the Mahimahi-style record and
@@ -23,7 +22,8 @@
 //   - internal/experiments: one harness per table/figure
 //   - internal/experiments/engine: the experiment registry and the
 //     deterministic parallel trial-sweep runner
-//   - internal/core: the public Session/Selector API
+//   - internal/core: the paper's testbed (World) and the public
+//     Session API on it
 //
 // See DESIGN.md for the system inventory and per-experiment index, and
 // EXPERIMENTS.md for paper-vs-measured results. The benchmarks in

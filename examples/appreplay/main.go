@@ -14,9 +14,9 @@ import (
 )
 
 func main() {
-	conditions := []phy.Condition{
-		phy.LocationByID(10).Condition(), // WiFi much better
-		phy.LocationByID(16).Condition(), // LTE much better
+	locations := []phy.Location{
+		phy.LocationByID(10), // WiFi much better
+		phy.LocationByID(16), // LTE much better
 	}
 	workloads := []apps.App{apps.CNNLaunch, apps.DropboxClick}
 
@@ -24,9 +24,10 @@ func main() {
 		rec := replay.Record(app)
 		fmt.Printf("%s %s — %s, %d connections, %d KB total\n",
 			app.Name, app.Interaction, app.Label(), len(app.Flows), app.TotalBytes()>>10)
-		for ci, cond := range conditions {
+		for ci, loc := range locations {
+			cond := loc.Condition()
 			fmt.Printf("  condition %s (WiFi %.1f / LTE %.1f Mbit/s):\n",
-				cond.Name, cond.WiFi.DownMbps, cond.LTE.DownMbps)
+				cond.Name, loc.WiFi.DownMbps, loc.LTE.DownMbps)
 			for _, tc := range replay.Configs(replay.WiFiLTEPaths()) {
 				r := replay.Run(int64(1000+ci), cond, rec, tc)
 				if !r.Completed {

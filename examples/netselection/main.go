@@ -13,6 +13,7 @@ import (
 
 	"multinet/internal/core"
 	"multinet/internal/phy"
+	"multinet/internal/selector"
 )
 
 func main() {
@@ -33,7 +34,7 @@ func main() {
 			est.Mbps("wifi"), est.Mbps("lte"), est.Best(), est.Disparity())
 
 		for _, size := range sizes {
-			d := core.Selector{}.Decide(est, size)
+			d := selector.Selector{}.Decide(est, size)
 			cfg := core.ConfigFor(d)
 			chosen := core.NewSession(int64(loc.ID*100), loc.Condition()).Run(cfg, core.Download, size)
 			static := core.NewSession(int64(loc.ID*100), loc.Condition()).

@@ -15,11 +15,9 @@ import (
 func main() {
 	// A location where WiFi and LTE are comparable: MPTCP should
 	// aggregate (paper Fig. 7b).
-	cond := phy.Condition{
-		Name: "quickstart",
-		WiFi: phy.PathProfile{DownMbps: 8, UpMbps: 3, RTTms: 40, LossPct: 0.5, Variability: 0.2},
-		LTE:  phy.PathProfile{DownMbps: 6, UpMbps: 2.5, RTTms: 70, LossPct: 0.2, Variability: 0.2},
-	}
+	wifi := phy.PathProfile{DownMbps: 8, UpMbps: 3, RTTms: 40, LossPct: 0.5, Variability: 0.2}
+	lte := phy.PathProfile{DownMbps: 6, UpMbps: 2.5, RTTms: 70, LossPct: 0.2, Variability: 0.2}
+	cond := phy.NewCondition("quickstart", phy.Path{Name: "wifi", Profile: wifi}, phy.Path{Name: "lte", Profile: lte})
 	const size = 1 << 20
 
 	configs := []core.Config{
@@ -32,7 +30,7 @@ func main() {
 	}
 
 	fmt.Printf("1 MB download at %q (WiFi %.0f Mbit/s / LTE %.0f Mbit/s):\n\n",
-		cond.Name, cond.WiFi.DownMbps, cond.LTE.DownMbps)
+		cond.Name, wifi.DownMbps, lte.DownMbps)
 	fmt.Printf("%-24s %10s %12s\n", "config", "FCT", "throughput")
 	for i, cfg := range configs {
 		// A fresh session per measurement, as the paper measures

@@ -10,7 +10,7 @@ import (
 // enginePackages are the import paths (and their subpackages) whose
 // code must be bit-identically reproducible: everything that executes
 // between a seed and an experiment's output hash. cmd/* and the
-// offline tooling (dataset generation, capture rendering) may use wall
+// offline tooling (dataset generation, trace export) may use wall
 // clocks and global randomness freely.
 var enginePackages = []string{
 	"multinet/internal/simnet",

@@ -39,8 +39,9 @@ var simType = []pooledType{{"multinet/internal/simnet", "Sim"}}
 // releaseFunc describes a call that releases one of its arguments (or
 // its receiver) to a free list: a package-level function (recvType ==
 // "") or a method. A simulator is released like anything else it owns:
-// after Sim.Release (or Session.Close, which calls it) its memory is the
-// next world's, and touching the variable again is a use after release.
+// after Sim.Release (or World.Close, which calls it — also as the Close
+// a core.Session promotes) its memory is the next world's, and touching
+// the variable again is a use after release.
 type releaseFunc struct {
 	path     string // defining package import path
 	recvType string // receiver type name for methods
@@ -55,7 +56,7 @@ var releaseFuncs = []releaseFunc{
 	{path: "multinet/internal/simnet", recvType: "arena", name: "recycle", arg: 0},
 	{path: "multinet/internal/simnet", recvType: "FreeList", name: "Put", arg: 0},
 	{path: "multinet/internal/simnet", recvType: "Sim", name: "Release", arg: -1},
-	{path: "multinet/internal/core", recvType: "Session", name: "Close", arg: -1},
+	{path: "multinet/internal/core", recvType: "World", name: "Close", arg: -1},
 	// RecycleOpt is the tcp.RecyclableOpt interface method: any
 	// implementation or interface call releases the receiver.
 	{path: "", recvType: "", name: "RecycleOpt", arg: -1},
@@ -73,14 +74,14 @@ var releaseFuncs = []releaseFunc{
 // world carves the same bytes. Such a slice must stay where only the
 // world can reach it — storing it in an exported field or returning it
 // from an exported function is an error — and touching it after its
-// Sim's Release (or its Session's Close) is a use after release. So is
+// Sim's Release (or its World's Close) is a use after release. So is
 // touching a connection handle (tcp.Conn, mptcp.Conn, mptcp.Subflow) of
 // that world: handles are carved from the same slab.
 var PoolOwn = &Analyzer{
 	Name: "poolown",
 	Doc: "detect double-release, use-after-release, and unmarked escapes " +
 		"of recycled values (netem.Packet, tcp.Segment, mptcp.DSS, simnet events), " +
-		"use of a simnet.Sim or core.Session after Release/Close, slab slices " +
+		"use of a simnet.Sim or core.World (or the Session embedding one) after Release/Close, slab slices " +
 		"(simnet.Slab.Make/Grow) that leave the world or outlive it, and connection " +
 		"handles (tcp.Conn, mptcp.Conn, mptcp.Subflow) used after their world's release",
 	Run: runPoolOwn,
@@ -382,7 +383,7 @@ func checkSlabEscape(pass *Pass, s ast.Stmt, st released) {
 // slabOwner reports whether e is a simnet.Slab or a slice carved from
 // one — a Make or Grow call, a re-slice or append of one, or a variable
 // holding one — and, when it can tell, the variable naming the Sim (or
-// the Session) the slab belongs to.
+// the World or Session) the slab belongs to.
 func slabOwner(info *types.Info, e ast.Expr, st released) (owner *types.Var, carved bool) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -417,7 +418,7 @@ func slabOwner(info *types.Info, e ast.Expr, st released) (owner *types.Var, car
 }
 
 // handleOwner returns the variable naming the world that e, a connection
-// handle, belongs to: the Sim (or the Session holding it) a constructor
+// handle, belongs to: the Sim (or the World or Session holding it) a constructor
 // call was given, or the world of the handle e was read from — a
 // subflow of a connection, the tcp.Conn of a subflow. It is nil when e
 // is not a handle or its world cannot be told, as for a Dial on a Stack.

@@ -209,15 +209,32 @@ func handleAfterRelease() int64 {
 }
 
 func handleAfterSessionClose(cond phy.Condition) bool {
-	s := core.NewSession(11, cond)
-	stack := tcp.NewStack(s.Sim, tcp.ClientSide)
-	c := mptcp.Dial(s.Sim, stack, s.Host, mptcp.Config{ConnID: "c", Primary: "wifi"}, mptcp.Callbacks{})
+	s := core.NewSession(11, cond) // Close is the World's, promoted
+	c := mptcp.Dial(s.Sim, s.Client, s.Host, mptcp.Config{ConnID: "c", Primary: "wifi"}, mptcp.Callbacks{})
 	sf := c.Primary()
 	tc := c.Subflows()[0].TCP
 	s.Close()
 	_ = c.RecvTotal()  // want `use of c after release of s`
 	_ = tc.RecvTotal() // want `use of tc after release of s`
 	return sf.Dead()   // want `use of sf after release of s`
+}
+
+func useAfterWorldClose(cond phy.Condition) int64 {
+	w := core.NewWorld(14, cond)
+	c := mptcp.Dial(w.Sim, w.Client, w.Host, mptcp.Config{ConnID: "c", Primary: "wifi"}, mptcp.Callbacks{})
+	w.Sim.RunFor(time.Second)
+	w.Close()
+	w.Sim.RunFor(time.Second) // want `use of w after release`
+	w.Close()                 // want `released twice`
+	return c.RecvTotal()      // want `use of c after release of w`
+}
+
+func worldClosedLater(cond phy.Condition) int64 {
+	w := core.NewWorld(15, cond)
+	defer w.Close() // runs after the result is read
+	c := mptcp.Dial(w.Sim, w.Client, w.Host, mptcp.Config{ConnID: "c", Primary: "wifi"}, mptcp.Callbacks{})
+	w.Sim.RunFor(time.Second)
+	return c.RecvTotal()
 }
 
 func HandleReturned(w *simnet.Sim, stack *tcp.Stack, host *netem.Host) *mptcp.Conn {

@@ -1,10 +1,11 @@
 // Package core is the library's public face: it wires the simulation
-// substrates (netem links, phy radio models, tcp, mptcp) into a
-// Session on which callers run measured transfers — the programmatic
-// equivalent of the paper's modified Cell vs WiFi tool (Section 3.2) —
-// and provides the adaptive network Selector that the paper's
-// conclusion poses as future work ("how can we automatically decide
-// when to use single path TCP and when to use MPTCP?").
+// substrates (netem links, phy radio models, tcp, mptcp) into the
+// paper's testbed, a World, and a Session on it on which callers run
+// measured transfers — the programmatic equivalent of the paper's
+// modified Cell vs WiFi tool (Section 3.2). ConfigFor turns a decision
+// of the adaptive selector (internal/selector, the policy the paper's
+// conclusion poses as future work) into the transfer that realises it,
+// and Probe measures the estimate it decides on.
 package core
 
 import (
@@ -14,6 +15,7 @@ import (
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
 	"multinet/internal/phy"
+	"multinet/internal/selector"
 	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
@@ -103,16 +105,49 @@ const (
 // DefaultHorizon bounds a single transfer's simulated duration.
 const DefaultHorizon = 10 * time.Minute
 
-// Session is a simulated multi-homed client and single-homed server
-// pair under one network condition. Transfers run sequentially, as in
-// the paper's measurement app.
-type Session struct {
-	Sim  *simnet.Sim
-	Host *netem.Host
+// World is the paper's testbed (its Fig. 5): a multi-homed client host
+// with one interface per path of a network condition, the client's TCP
+// stack and the single-homed server's, both bound to every interface.
+// It is the one way the reproduction builds that world; what runs on it
+// (transfers, replays, taps, meters, fault schedules) attaches after.
+type World struct {
+	Sim    *simnet.Sim
+	Host   *netem.Host
+	Client *tcp.Stack
+	Server *tcp.Stack
+}
 
-	clientStack *tcp.Stack
-	serverStack *tcp.Stack
-	mpServer    *mptcp.Server
+// NewWorld builds the world for a network condition: the Sim, the host,
+// the client stack, the server stack, then each interface bound to both
+// in attachment order. The same seed and condition give a bit-identical
+// world.
+func NewWorld(seed int64, cond phy.Condition) World {
+	sim := simnet.New(seed)
+	w := World{Sim: sim, Host: phy.BuildHost(sim, cond)}
+	w.Client = tcp.NewStack(sim, tcp.ClientSide)
+	w.Server = tcp.NewStack(sim, tcp.ServerSide)
+	for _, ifc := range w.Host.Ifaces() {
+		w.Client.Bind(ifc)
+		w.Server.Bind(ifc)
+	}
+	return w
+}
+
+// Close ends the world and hands the simulator's memory to the next one
+// built (simnet.Sim.Release). Call it once the world's results,
+// counters and connections have been read: connection handles are dead
+// with it, and a closed world must not be used again. Closing is
+// optional: a world that is simply dropped is collected, it just does
+// not pass its memory on.
+func (w *World) Close() { w.Sim.Release() }
+
+// Session is a simulated multi-homed client and single-homed server
+// pair under one network condition: a World and the server that answers
+// its transfers. Transfers run sequentially, as in the paper's
+// measurement app; Close is the World's.
+type Session struct {
+	World
+	mpServer *mptcp.Server
 
 	// Horizon bounds each transfer (default DefaultHorizon).
 	Horizon time.Duration
@@ -131,23 +166,15 @@ type tcpServerSpec struct {
 // NewSession builds a session for a network condition. The same seed
 // and condition give a bit-identical run.
 func NewSession(seed int64, cond phy.Condition) *Session {
-	sim := simnet.New(seed)
 	s := &Session{
-		Sim:      sim,
-		Host:     phy.BuildHost(sim, cond),
+		World:    NewWorld(seed, cond),
 		Horizon:  DefaultHorizon,
 		tcpSpecs: make(map[string]tcpServerSpec),
+		mpSpecs:  make(map[string]tcpServerSpec),
 	}
-	s.clientStack = tcp.NewStack(sim, tcp.ClientSide)
-	s.serverStack = tcp.NewStack(sim, tcp.ServerSide)
-	for _, ifc := range s.Host.Ifaces() {
-		s.clientStack.Bind(ifc)
-		s.serverStack.Bind(ifc)
-	}
-	s.mpServer = mptcp.NewServer(sim, s.serverStack, mptcp.ServerConfig{})
+	s.mpServer = mptcp.NewServer(s.Sim, s.Server, mptcp.ServerConfig{})
 	s.mpServer.AcceptTCP = s.acceptTCP
 	s.mpServer.OnConn = s.acceptMPTCP
-	s.mpSpecs = make(map[string]tcpServerSpec)
 	return s
 }
 
@@ -214,7 +241,7 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 		}
 		if dir == Download {
 			s.tcpSpecs[id] = tcpServerSpec{sendBytes: size}
-			s.clientStack.Dial(iface, id, tcp.Config{Callbacks: tcp.Callbacks{
+			s.Client.Dial(iface, id, tcp.Config{Callbacks: tcp.Callbacks{
 				OnEstablished: func(c *tcp.Conn) { established = s.Sim.Now() },
 				OnData: func(c *tcp.Conn, total int64) {
 					if total >= int64(size) {
@@ -225,7 +252,7 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 			}})
 		} else {
 			s.tcpSpecs[id] = tcpServerSpec{expect: size, onDone: finish}
-			s.clientStack.Dial(iface, id, tcp.Config{Callbacks: tcp.Callbacks{
+			s.Client.Dial(iface, id, tcp.Config{Callbacks: tcp.Callbacks{
 				OnEstablished: func(c *tcp.Conn) {
 					established = s.Sim.Now()
 					c.Send(size)
@@ -258,7 +285,7 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 		}
 		if dir == Download {
 			s.mpSpecs[id] = tcpServerSpec{sendBytes: size}
-			mptcp.Dial(s.Sim, s.clientStack, s.Host, mcfg, mptcp.Callbacks{
+			mptcp.Dial(s.Sim, s.Client, s.Host, mcfg, mptcp.Callbacks{
 				OnEstablished: func(c *mptcp.Conn) { established = s.Sim.Now() },
 				OnData: func(c *mptcp.Conn, total int64) {
 					if total >= int64(size) {
@@ -269,7 +296,7 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 			})
 		} else {
 			s.mpSpecs[id] = tcpServerSpec{expect: size, onDone: finish}
-			mptcp.Dial(s.Sim, s.clientStack, s.Host, mcfg, mptcp.Callbacks{
+			mptcp.Dial(s.Sim, s.Client, s.Host, mcfg, mptcp.Callbacks{
 				OnEstablished: func(c *mptcp.Conn) {
 					established = s.Sim.Now()
 					c.Send(size)
@@ -293,13 +320,6 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 	return res
 }
 
-// Close ends the session and hands the simulator's memory to the next
-// one built (simnet.Sim.Release). Call it once the session's results,
-// counters and captures have been read; a closed session must not be
-// used again. Closing is optional: a session that is simply dropped is
-// collected, it just does not pass its memory on.
-func (s *Session) Close() { s.Sim.Release() }
-
 // RunMbps is a convenience wrapper returning just the throughput
 // (0 when the transfer did not complete).
 func (s *Session) RunMbps(cfg Config, dir Direction, size int) float64 {
@@ -308,4 +328,40 @@ func (s *Session) RunMbps(cfg Config, dir Direction, size int) float64 {
 		return 0
 	}
 	return r.Mbps
+}
+
+// ConfigFor maps a selector Decision onto the transfer Config that
+// realises it: single-path TCP on the preferred path, or MPTCP with
+// the preferred path as primary and the decided coupling. The decided
+// scheduler is carried only when it differs from the min-SRTT default,
+// so configuration names (and the output goldens pinning them) name
+// a scheduler only when it is not the default.
+func ConfigFor(d selector.Decision) Config {
+	if !d.UseMPTCP {
+		return Config{Transport: TCP, Iface: d.Primary()}
+	}
+	cfg := Config{Transport: MPTCP, Primary: d.Primary(), CC: d.CC}
+	if d.Scheduler != "" && d.Scheduler != mptcp.SchedMinSRTT {
+		cfg.Scheduler = d.Scheduler
+	}
+	return cfg
+}
+
+// ProbeSize is the transfer used per network by Session.Probe.
+const ProbeSize = 256 << 10
+
+// Probe measures every attached network with a ProbeSize download
+// each, in attachment order, and returns the resulting estimate. It
+// advances the session clock.
+func (s *Session) Probe() selector.Estimate {
+	est := selector.Estimate{}
+	for _, name := range s.Host.IfaceNames() {
+		r := s.Run(Config{Transport: TCP, Iface: name}, Download, ProbeSize)
+		if r.Completed {
+			est.Set(name, r.Mbps, r.EstablishedAt) // handshake ≈ 1 RTT
+		} else {
+			est.Set(name, 0, 0)
+		}
+	}
+	return est
 }

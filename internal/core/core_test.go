@@ -1,19 +1,63 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"multinet/internal/mptcp"
 	"multinet/internal/phy"
+	"multinet/internal/selector"
+	"multinet/internal/tcp"
 )
 
 func cleanCond(wifiMbps, lteMbps float64) phy.Condition {
-	return phy.Condition{
-		Name: "test",
-		WiFi: phy.PathProfile{DownMbps: wifiMbps, UpMbps: wifiMbps / 2.5, RTTms: 40},
-		LTE:  phy.PathProfile{DownMbps: lteMbps, UpMbps: lteMbps / 2.5, RTTms: 70},
+	return phy.NewCondition("test",
+		phy.Path{Name: "wifi", Profile: phy.PathProfile{DownMbps: wifiMbps, UpMbps: wifiMbps / 2.5, RTTms: 40}},
+		phy.Path{Name: "lte", Profile: phy.PathProfile{DownMbps: lteMbps, UpMbps: lteMbps / 2.5, RTTms: 70}},
+	)
+}
+
+// wifiLTE is the two-path estimate of the paper's {wifi, lte} pair.
+func wifiLTE(wifiMbps, lteMbps float64, wifiRTT, lteRTT time.Duration) selector.Estimate {
+	return selector.EstimateOf(
+		selector.PathEstimate{Name: "wifi", Mbps: wifiMbps, RTT: wifiRTT},
+		selector.PathEstimate{Name: "lte", Mbps: lteMbps, RTT: lteRTT},
+	)
+}
+
+// TestNewWorld pins how the one constructor wires a world: an interface
+// per path in condition order, the client and server stacks bound to
+// every one of them, and Close the end of it.
+func TestNewWorld(t *testing.T) {
+	p := phy.PathProfile{DownMbps: 5, UpMbps: 2, RTTms: 40}
+	cond := phy.NewCondition("three",
+		phy.Path{Name: "wifi", Profile: p}, phy.Path{Name: "lte-a", Profile: p}, phy.Path{Name: "lte-b", Profile: p})
+	w := NewWorld(1, cond)
+	names := w.Host.IfaceNames()
+	if !slices.Equal(names, []string{"wifi", "lte-a", "lte-b"}) {
+		t.Fatalf("interfaces %v, want the condition's paths in order", names)
 	}
+	accepted, established := map[string]bool{}, map[string]bool{}
+	w.Server.Accept = func(c *tcp.Conn) { accepted[c.Flow()] = true }
+	for _, name := range names {
+		w.Client.Dial(w.Host.Iface(name), name, tcp.Config{Callbacks: tcp.Callbacks{
+			OnEstablished: func(c *tcp.Conn) { established[c.Flow()] = true },
+		}})
+	}
+	w.Sim.RunFor(time.Second)
+	for _, name := range names {
+		if !accepted[name] || !established[name] {
+			t.Errorf("%s: no handshake between the stacks (accepted %v, established %v)", name, accepted[name], established[name])
+		}
+	}
+	w.Close()
+	defer func() {
+		if recover() == nil {
+			t.Error("a closed world's Sim still schedules")
+		}
+	}()
+	w.Sim.After(time.Second, func() {})
 }
 
 func TestTCPDownload(t *testing.T) {
@@ -105,8 +149,8 @@ func TestProbeEstimates(t *testing.T) {
 }
 
 func TestSelectorShortFlow(t *testing.T) {
-	sel := Selector{}
-	est := WiFiLTEEstimate(3, 9, 0, 0)
+	sel := selector.Selector{}
+	est := wifiLTE(3, 9, 0, 0)
 	cfg := ConfigFor(sel.Decide(est, 50_000))
 	if cfg.Transport != TCP || cfg.Iface != "lte" {
 		t.Fatalf("short flow choice = %+v, want LTE-TCP", cfg)
@@ -114,8 +158,8 @@ func TestSelectorShortFlow(t *testing.T) {
 }
 
 func TestSelectorLongFlowComparablePaths(t *testing.T) {
-	sel := Selector{}
-	est := WiFiLTEEstimate(6, 5, 0, 0)
+	sel := selector.Selector{}
+	est := wifiLTE(6, 5, 0, 0)
 	cfg := ConfigFor(sel.Decide(est, 5<<20))
 	if cfg.Transport != MPTCP || cfg.Primary != "wifi" || cfg.CC != mptcp.Decoupled {
 		t.Fatalf("long flow choice = %+v, want MPTCP wifi-primary decoupled", cfg)
@@ -123,8 +167,8 @@ func TestSelectorLongFlowComparablePaths(t *testing.T) {
 }
 
 func TestSelectorLongFlowDisparatePaths(t *testing.T) {
-	sel := Selector{}
-	est := WiFiLTEEstimate(1, 10, 0, 0)
+	sel := selector.Selector{}
+	est := wifiLTE(1, 10, 0, 0)
 	cfg := ConfigFor(sel.Decide(est, 5<<20))
 	if cfg.Transport != TCP || cfg.Iface != "lte" {
 		t.Fatalf("disparate-path choice = %+v, want LTE-TCP (Fig. 7a regime)", cfg)
@@ -135,14 +179,13 @@ func TestSelectorBeatsWorstStaticPolicy(t *testing.T) {
 	// End-to-end sanity for the future-work policy: on an
 	// LTE-much-better condition, the selector's choice for a 1 MB flow
 	// should beat always-WiFi (the Android default).
-	cond := phy.Condition{
-		Name: "ltebetter",
-		WiFi: phy.PathProfile{DownMbps: 1.5, UpMbps: 0.7, RTTms: 90},
-		LTE:  phy.PathProfile{DownMbps: 9, UpMbps: 4, RTTms: 65},
-	}
+	cond := phy.NewCondition("ltebetter",
+		phy.Path{Name: "wifi", Profile: phy.PathProfile{DownMbps: 1.5, UpMbps: 0.7, RTTms: 90}},
+		phy.Path{Name: "lte", Profile: phy.PathProfile{DownMbps: 9, UpMbps: 4, RTTms: 65}},
+	)
 	probe := NewSession(6, cond)
 	est := probe.Probe()
-	cfg := Choose(Selector{}, est, 1<<20)
+	cfg := ConfigFor(selector.Selector{}.Decide(est, 1<<20))
 
 	chosen := NewSession(7, cond).Run(cfg, Download, 1<<20)
 	wifi := NewSession(7, cond).Run(Config{Transport: TCP, Iface: "wifi"}, Download, 1<<20)
@@ -155,15 +198,15 @@ func TestSelectorBeatsWorstStaticPolicy(t *testing.T) {
 }
 
 func TestEstimateHelpers(t *testing.T) {
-	e := WiFiLTEEstimate(4, 8, 0, 0)
+	e := wifiLTE(4, 8, 0, 0)
 	if e.Disparity() != 2 {
 		t.Fatalf("disparity = %v, want 2", e.Disparity())
 	}
-	tie := WiFiLTEEstimate(5, 5, 30*time.Millisecond, 60*time.Millisecond)
+	tie := wifiLTE(5, 5, 30*time.Millisecond, 60*time.Millisecond)
 	if tie.Best() != "wifi" {
 		t.Fatal("tie should prefer lower RTT (wifi)")
 	}
-	zero := WiFiLTEEstimate(0, 5, 0, 0)
+	zero := wifiLTE(0, 5, 0, 0)
 	if zero.Disparity() < 1e6 {
 		t.Fatal("zero estimate should give infinite disparity")
 	}
@@ -171,34 +214,34 @@ func TestEstimateHelpers(t *testing.T) {
 
 func TestEstimateEdgeCases(t *testing.T) {
 	// Throughput tie broken by RTT regardless of estimate order.
-	e := NewEstimate(
-		PathEstimate{Name: "slowrtt", Mbps: 5, RTT: 80 * time.Millisecond},
-		PathEstimate{Name: "fastrtt", Mbps: 5, RTT: 20 * time.Millisecond},
+	e := selector.EstimateOf(
+		selector.PathEstimate{Name: "slowrtt", Mbps: 5, RTT: 80 * time.Millisecond},
+		selector.PathEstimate{Name: "fastrtt", Mbps: 5, RTT: 20 * time.Millisecond},
 	)
 	if e.Best() != "fastrtt" {
 		t.Fatalf("Best = %q, want fastrtt (RTT tie-break)", e.Best())
 	}
 	// Full tie falls back to estimate order.
-	even := NewEstimate(
-		PathEstimate{Name: "a", Mbps: 5, RTT: 20 * time.Millisecond},
-		PathEstimate{Name: "b", Mbps: 5, RTT: 20 * time.Millisecond},
+	even := selector.EstimateOf(
+		selector.PathEstimate{Name: "a", Mbps: 5, RTT: 20 * time.Millisecond},
+		selector.PathEstimate{Name: "b", Mbps: 5, RTT: 20 * time.Millisecond},
 	)
 	if even.Best() != "a" {
 		t.Fatalf("Best = %q, want first-listed path on full tie", even.Best())
 	}
 	// Zero-rate path poisons the whole-set disparity...
-	z := NewEstimate(
-		PathEstimate{Name: "up", Mbps: 10},
-		PathEstimate{Name: "dead", Mbps: 0},
+	z := selector.EstimateOf(
+		selector.PathEstimate{Name: "up", Mbps: 10},
+		selector.PathEstimate{Name: "dead", Mbps: 0},
 	)
 	if z.Disparity() < 1e6 {
 		t.Fatalf("disparity with dead path = %v, want huge", z.Disparity())
 	}
 	// ...and empty / single-path estimates never admit MPTCP.
-	if (Estimate{}).Disparity() < 1e6 || (Estimate{}).Best() != "" {
+	if (selector.Estimate{}).Disparity() < 1e6 || (selector.Estimate{}).Best() != "" {
 		t.Fatal("empty estimate: want huge disparity and no best path")
 	}
-	one := NewEstimate(PathEstimate{Name: "only", Mbps: 7})
+	one := selector.EstimateOf(selector.PathEstimate{Name: "only", Mbps: 7})
 	if one.Disparity() < 1e6 || one.PairDisparity() < 1e6 {
 		t.Fatal("single path: want huge disparities")
 	}
@@ -208,11 +251,11 @@ func TestEstimateEdgeCases(t *testing.T) {
 }
 
 func TestEstimateNPathRanking(t *testing.T) {
-	e := NewEstimate(
-		PathEstimate{Name: "wlan-far", Mbps: 2, RTT: 55 * time.Millisecond},
-		PathEstimate{Name: "lte-a", Mbps: 9, RTT: 60 * time.Millisecond},
-		PathEstimate{Name: "lte-b", Mbps: 9, RTT: 45 * time.Millisecond},
-		PathEstimate{Name: "wlan-near", Mbps: 12, RTT: 25 * time.Millisecond},
+	e := selector.EstimateOf(
+		selector.PathEstimate{Name: "wlan-far", Mbps: 2, RTT: 55 * time.Millisecond},
+		selector.PathEstimate{Name: "lte-a", Mbps: 9, RTT: 60 * time.Millisecond},
+		selector.PathEstimate{Name: "lte-b", Mbps: 9, RTT: 45 * time.Millisecond},
+		selector.PathEstimate{Name: "wlan-near", Mbps: 12, RTT: 25 * time.Millisecond},
 	)
 	want := []string{"wlan-near", "lte-b", "lte-a", "wlan-far"}
 	for i, p := range e.Ranked() {
@@ -232,13 +275,13 @@ func TestEstimateNPathRanking(t *testing.T) {
 		t.Fatalf("PairDisparity = %v, want 12/9", d)
 	}
 	// A straggler path must not veto MPTCP over the two good paths.
-	sel := Selector{}
+	sel := selector.Selector{}
 	if !sel.UseMPTCP(e, 5<<20) {
 		t.Fatal("long flow over comparable best pair should use MPTCP")
 	}
 	cfg := ConfigFor(sel.Decide(e, 5<<20))
 	if cfg.Transport != MPTCP || cfg.Primary != "wlan-near" {
-		t.Fatalf("Choose = %+v, want MPTCP primary wlan-near", cfg)
+		t.Fatalf("ConfigFor = %+v, want MPTCP primary wlan-near", cfg)
 	}
 	if sel.UseMPTCP(e, 10<<10) {
 		t.Fatal("short flow should stay single-path")

@@ -9,6 +9,7 @@ import (
 	"multinet/internal/energy"
 	"multinet/internal/experiments/engine"
 	"multinet/internal/phy"
+	"multinet/internal/selector"
 	"multinet/internal/simnet"
 	"multinet/internal/stats"
 )
@@ -180,19 +181,19 @@ type AblationSelectorResult struct {
 func AblationSelector(o Options) AblationSelectorResult {
 	sizes := []int{10 << 10, 100 << 10, 1 << 20, 4 << 20}
 	n := o.LocationCount(len(phy.Locations))
-	policies := map[string]func(est core.Estimate, size int) core.Config{
-		"adaptive-selector": func(est core.Estimate, size int) core.Config {
+	policies := map[string]func(est selector.Estimate, size int) core.Config{
+		"adaptive-selector": func(est selector.Estimate, size int) core.Config {
 			// The same Decide path the online service queries
 			// (internal/selector → internal/serve): no forked logic.
-			return core.ConfigFor(core.Selector{}.Decide(est, size))
+			return core.ConfigFor(selector.Selector{}.Decide(est, size))
 		},
-		"always-wifi": func(core.Estimate, int) core.Config {
+		"always-wifi": func(selector.Estimate, int) core.Config {
 			return core.Config{Transport: core.TCP, Iface: "wifi"}
 		},
-		"always-lte": func(core.Estimate, int) core.Config {
+		"always-lte": func(selector.Estimate, int) core.Config {
 			return core.Config{Transport: core.TCP, Iface: "lte"}
 		},
-		"always-mptcp": func(core.Estimate, int) core.Config {
+		"always-mptcp": func(selector.Estimate, int) core.Config {
 			return core.Config{Transport: core.MPTCP, Primary: "wifi"}
 		},
 	}

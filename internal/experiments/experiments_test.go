@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"multinet/internal/experiments/engine"
 )
@@ -232,6 +233,15 @@ func TestFigure15Panels(t *testing.T) {
 	// Panel h: detectable WiFi unplug fails over promptly.
 	if p := byName["h"]; !p.Completed || p.CompletedAt > 60e9 {
 		t.Errorf("panel h: want prompt completion, got %v", p.CompletedAt)
+	}
+}
+
+func TestRasterStringBuckets(t *testing.T) {
+	events := []time.Duration{0, time.Second, 9 * time.Second}
+	strip := rasterString(events, 10*time.Second, 10)
+	want := "||       |"
+	if strip != want {
+		t.Fatalf("strip = %q, want %q", strip, want)
 	}
 }
 

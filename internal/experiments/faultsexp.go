@@ -74,11 +74,10 @@ type ScenarioFaultsResult struct {
 // and watchdog-armed MPTCP. Constant-rate paths (Variability 0) keep
 // the rate-collapse episode exact.
 func ScenarioFaults(o Options) ScenarioFaultsResult {
-	cond := phy.Condition{
-		Name: "faults",
-		WiFi: phy.PathProfile{DownMbps: 20, UpMbps: 12, RTTms: 30, QueuePkts: 150},
-		LTE:  phy.PathProfile{DownMbps: 12, UpMbps: 6, RTTms: 60, QueuePkts: 250},
-	}
+	cond := phy.NewCondition("faults",
+		phy.Path{Name: "wifi", Profile: phy.PathProfile{DownMbps: 20, UpMbps: 12, RTTms: 30, QueuePkts: 150}},
+		phy.Path{Name: "lte", Profile: phy.PathProfile{DownMbps: 12, UpMbps: 6, RTTms: 60, QueuePkts: 250}},
+	)
 	cfgs := []core.Config{
 		{Transport: core.TCP, Iface: "wifi"},
 		{Transport: core.TCP, Iface: "lte"},

@@ -11,11 +11,12 @@ import (
 	"multinet/internal/oracle"
 	"multinet/internal/phy"
 	"multinet/internal/replay"
+	"multinet/internal/selector"
 )
 
 // The scenario experiments go beyond the paper's WiFi+LTE testbed:
-// they instantiate the N-path PathSet abstraction for the multi-homed
-// setups that related work measured on real hardware.
+// they instantiate N-path conditions (phy.NewCondition) for the
+// multi-homed setups that related work measured on real hardware.
 //
 //   - scenario-dual-lte: MPTCP over two cellular carriers (Mohan et
 //     al., "A Tale of Three Datasets", arXiv:1909.02601): similar-RTT
@@ -45,7 +46,7 @@ var scenarioSizesKB = []int{100, 1024, 4096}
 type ScenarioVariantResult struct {
 	Name string
 	// Ranked is the probe estimate, best path first.
-	Ranked []core.PathEstimate
+	Ranked []selector.PathEstimate
 	// Disparity is the probe's best-to-second-best throughput ratio.
 	Disparity float64
 	// Decisions maps flow size (KB) index to the selector's choice.
@@ -89,7 +90,7 @@ func runScenarioVariants(o Options, tag int, variants []scenarioVariant) []Scena
 				v.cfgs[ci], core.Download, scenarioSizesKB[si]<<10, trials)
 		})
 		for si, kb := range scenarioSizesKB {
-			res.Decisions = append(res.Decisions, core.ConfigFor(core.Selector{}.Decide(est, kb<<10)).Name())
+			res.Decisions = append(res.Decisions, core.ConfigFor(selector.Selector{}.Decide(est, kb<<10)).Name())
 			res.Mbps = append(res.Mbps, grid[si*len(v.cfgs):(si+1)*len(v.cfgs)])
 		}
 		last := res.Mbps[len(res.Mbps)-1]
@@ -144,7 +145,7 @@ type ScenarioDualLTEResult struct{ Variants []ScenarioVariantResult }
 // (arXiv:1909.02601) find that MPTCP over cellular paths with similar
 // RTT aggregates well, while disparate carriers reproduce the paper's
 // Fig. 7a regime where the better single path wins; the two variants
-// instantiate exactly that contrast with the lte radio model.
+// instantiate exactly that contrast with two LTERadio calibrations.
 func ScenarioDualLTE(o Options) ScenarioDualLTEResult {
 	cfgs := []core.Config{
 		{Transport: core.TCP, Iface: "lte-a"},
@@ -154,15 +155,15 @@ func ScenarioDualLTE(o Options) ScenarioDualLTEResult {
 		{Transport: core.MPTCP, Primary: "lte-a", CC: mptcp.Coupled},
 	}
 	similar := phy.NewCondition("dual-lte-similar",
-		phy.Path{Name: "lte-a", Profile: phy.Radio("lte",
+		phy.Path{Name: "lte-a", Profile: phy.LTERadio(
 			phy.RadioCalib{DownMbps: 10, UpMbps: 4.5, RTTms: 60, LossPct: 0.2, Variability: 0.25})},
-		phy.Path{Name: "lte-b", Profile: phy.Radio("lte",
+		phy.Path{Name: "lte-b", Profile: phy.LTERadio(
 			phy.RadioCalib{DownMbps: 8, UpMbps: 3.5, RTTms: 70, LossPct: 0.2, Variability: 0.25})},
 	)
 	disparate := phy.NewCondition("dual-lte-disparate",
-		phy.Path{Name: "lte-a", Profile: phy.Radio("lte",
+		phy.Path{Name: "lte-a", Profile: phy.LTERadio(
 			phy.RadioCalib{DownMbps: 10, UpMbps: 4.5, RTTms: 60, LossPct: 0.2, Variability: 0.25})},
-		phy.Path{Name: "lte-b", Profile: phy.Radio("lte",
+		phy.Path{Name: "lte-b", Profile: phy.LTERadio(
 			phy.RadioCalib{DownMbps: 1.8, UpMbps: 0.8, RTTms: 140, LossPct: 0.6, Variability: 0.4})},
 	)
 	return ScenarioDualLTEResult{Variants: runScenarioVariants(o, 2501, []scenarioVariant{
@@ -192,15 +193,15 @@ func ScenarioDualWLAN(o Options) ScenarioDualWLANResult {
 		{Transport: core.MPTCP, Primary: "ap-near", CC: mptcp.Coupled},
 	}
 	nearFar := phy.NewCondition("dual-wlan-near-far",
-		phy.Path{Name: "ap-near", Profile: phy.Radio("wifi",
+		phy.Path{Name: "ap-near", Profile: phy.WiFiRadio(
 			phy.RadioCalib{DownMbps: 15, UpMbps: 5, RTTms: 25, LossPct: 0.4, Variability: 0.15})},
-		phy.Path{Name: "ap-far", Profile: phy.Radio("wifi",
+		phy.Path{Name: "ap-far", Profile: phy.WiFiRadio(
 			phy.RadioCalib{DownMbps: 2, UpMbps: 0.8, RTTms: 60, LossPct: 2.0, Variability: 0.5})},
 	)
 	overlap := phy.NewCondition("dual-wlan-overlap",
-		phy.Path{Name: "ap-near", Profile: phy.Radio("wifi",
+		phy.Path{Name: "ap-near", Profile: phy.WiFiRadio(
 			phy.RadioCalib{DownMbps: 9, UpMbps: 3.5, RTTms: 35, LossPct: 0.7, Variability: 0.3})},
-		phy.Path{Name: "ap-far", Profile: phy.Radio("wifi",
+		phy.Path{Name: "ap-far", Profile: phy.WiFiRadio(
 			phy.RadioCalib{DownMbps: 7, UpMbps: 2.8, RTTms: 45, LossPct: 0.9, Variability: 0.3})},
 	)
 	return ScenarioDualWLANResult{Variants: runScenarioVariants(o, 2502, []scenarioVariant{
@@ -226,7 +227,7 @@ var wifi2LTEPaths = []replay.PathName{
 // paper's locations: the location's own WiFi and LTE calibrations
 // plus a weaker second carrier derived from the first.
 func wifi2LTECondition(loc phy.Location) phy.Condition {
-	second := phy.Radio("lte", phy.RadioCalib{
+	second := phy.LTERadio(phy.RadioCalib{
 		DownMbps:    loc.LTE.DownMbps * 0.6,
 		UpMbps:      loc.LTE.UpMbps * 0.6,
 		RTTms:       loc.LTE.RTTms + 20,
@@ -295,15 +296,12 @@ func ScenarioWiFi2LTE(o Options) ScenarioWiFi2LTEResult {
 	}
 	schemes, baseline := oracle.ForPaths([]string{"WiFi", "LTE-A", "LTE-B"})
 	norm, n := oracle.NormalizedBy(conds, schemes, baseline)
-	res := ScenarioWiFi2LTEResult{
-		Transfers:  transfers[0],
-		Normalized: norm,
-		Conditions: n,
+	return ScenarioWiFi2LTEResult{
+		Transfers:   transfers[0],
+		SchemeNames: schemeNames(schemes),
+		Normalized:  norm,
+		Conditions:  n,
 	}
-	for _, s := range schemes {
-		res.SchemeNames = append(res.SchemeNames, s.Name)
-	}
-	return res
 }
 
 // String renders the transfer grid and the N-alternative oracle bars.
@@ -312,13 +310,5 @@ func (r ScenarioWiFi2LTEResult) String() string {
 		renderScenarioVariants([]ScenarioVariantResult{r.Transfers})
 	out += fmt.Sprintf("oracle normalization over 3 alternatives (%d conditions, long-flow app):\n",
 		r.Conditions)
-	var rows [][]string
-	for _, name := range r.SchemeNames {
-		v, ok := r.Normalized[name]
-		if !ok {
-			continue
-		}
-		rows = append(rows, []string{name, fmt.Sprintf("%.2f", v), fmt.Sprintf("-%.0f%%", (1-v)*100)})
-	}
-	return out + table([]string{"Scheme", "Normalised", "Reduction"}, rows)
+	return out + oracleTable(r.SchemeNames, r.Normalized)
 }

@@ -21,8 +21,7 @@ import (
 // HoL-aware skipping of the slow path. The experiment measures every
 // registered scheduler on comparable and disparate WiFi/LTE pairs,
 // then replays the long-flow app and normalises one oracle per
-// scheduler against the N-path single-path oracle from the PathSet
-// layer (PR 2).
+// scheduler against the N-path single-path oracle (oracle.ForSchedulers).
 func init() {
 	register("scenario-schedulers", "Scenario: schedulers", "scenario", 28,
 		func(o Options) fmt.Stringer { return ScenarioSchedulers(o) })
@@ -53,9 +52,9 @@ type ScenarioSchedulersResult struct {
 // contrast).
 func schedulerCondition(name string, lte phy.RadioCalib) phy.Condition {
 	return phy.NewCondition(name,
-		phy.Path{Name: "wifi", Profile: phy.Radio("wifi",
+		phy.Path{Name: "wifi", Profile: phy.WiFiRadio(
 			phy.RadioCalib{DownMbps: 9, UpMbps: 3.5, RTTms: 30, LossPct: 0.5, Variability: 0.25})},
-		phy.Path{Name: "lte", Profile: phy.Radio("lte", lte)},
+		phy.Path{Name: "lte", Profile: phy.LTERadio(lte)},
 	)
 }
 
@@ -108,16 +107,13 @@ func ScenarioSchedulers(o Options) ScenarioSchedulersResult {
 	}
 	schemes, baseline := oracle.ForSchedulers([]string{"WiFi", "LTE"}, schedulerOrder)
 	norm, n := oracle.NormalizedBy(conds, schemes, baseline)
-	res := ScenarioSchedulersResult{
-		Schedulers: schedulerOrder,
-		Variants:   variants,
-		Normalized: norm,
-		Conditions: n,
+	return ScenarioSchedulersResult{
+		Schedulers:  schedulerOrder,
+		Variants:    variants,
+		SchemeNames: schemeNames(schemes),
+		Normalized:  norm,
+		Conditions:  n,
 	}
-	for _, s := range schemes {
-		res.SchemeNames = append(res.SchemeNames, s.Name)
-	}
-	return res
 }
 
 // String renders the scheduler grids and the per-scheduler oracle
@@ -127,13 +123,5 @@ func (r ScenarioSchedulersResult) String() string {
 		renderScenarioVariants(r.Variants)
 	out += fmt.Sprintf("per-scheduler oracle vs the N-path single-path oracle (%d conditions, long-flow app):\n",
 		r.Conditions)
-	var rows [][]string
-	for _, name := range r.SchemeNames {
-		v, ok := r.Normalized[name]
-		if !ok {
-			continue
-		}
-		rows = append(rows, []string{name, fmt.Sprintf("%.2f", v), fmt.Sprintf("-%.0f%%", (1-v)*100)})
-	}
-	return out + table([]string{"Scheme", "Normalised", "Reduction"}, rows)
+	return out + oracleTable(r.SchemeNames, r.Normalized)
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"multinet/internal/capture"
+	"multinet/internal/core"
 	"multinet/internal/energy"
 	"multinet/internal/experiments/engine"
 	"multinet/internal/mptcp"
@@ -39,11 +39,10 @@ type Figure15Result struct{ Panels []Fig15Panel }
 
 // fig15Cond gives both paths ~4 Mbit/s so a 8 MB transfer lasts the
 // paper's ~19 seconds.
-var fig15Cond = phy.Condition{
-	Name: "fig15",
-	WiFi: phy.PathProfile{DownMbps: 4, UpMbps: 1.6, RTTms: 45, QueuePkts: 100},
-	LTE:  phy.PathProfile{DownMbps: 4, UpMbps: 1.6, RTTms: 70, QueuePkts: 300},
-}
+var fig15Cond = phy.NewCondition("fig15",
+	phy.Path{Name: "wifi", Profile: phy.PathProfile{DownMbps: 4, UpMbps: 1.6, RTTms: 45, QueuePkts: 100}},
+	phy.Path{Name: "lte", Profile: phy.PathProfile{DownMbps: 4, UpMbps: 1.6, RTTms: 70, QueuePkts: 300}},
+)
 
 // fig15Run executes one backup/full-mode transfer with mid-flow
 // interface manipulation and captures per-interface packet rasters.
@@ -56,22 +55,17 @@ func fig15Run(seed int64, name, desc string, mode mptcp.Mode, primary string,
 	backup []string, horizon time.Duration,
 	manipulate func(sim *simnet.Sim, host *netem.Host)) Fig15Panel {
 
-	sim := simnet.New(seed)
-	defer sim.Release()
-	host := phy.BuildHost(sim, fig15Cond)
-	clientStack := tcp.NewStack(sim, tcp.ClientSide)
-	serverStack := tcp.NewStack(sim, tcp.ServerSide)
+	w := core.NewWorld(seed, fig15Cond)
+	defer w.Close()
+	sim, host := w.Sim, w.Host
 	// The panels only need packet event instants per interface, so the
-	// taps keep a timestamp each instead of a full capture.Record. An
-	// interface that carries the whole transfer sees four events per
-	// segment — data and ACK, each sent and received — and a list sized
-	// for that never grows (grown by doubling, the lists were 6 MB of
-	// garbage per sweep).
+	// taps keep a timestamp each. An interface that carries the whole
+	// transfer sees four events per segment — data and ACK, each sent and
+	// received — and a list sized for that never grows (grown by
+	// doubling, the lists were 6 MB of garbage per sweep).
 	const size = 8 << 20
 	events := map[string]*[]time.Duration{}
 	for _, ifc := range host.Ifaces() {
-		clientStack.Bind(ifc)
-		serverStack.Bind(ifc)
 		ts := new([]time.Duration)
 		*ts = make([]time.Duration, 0, 4*size/tcp.MSS+1024)
 		events[ifc.Name] = ts
@@ -79,10 +73,10 @@ func fig15Run(seed int64, name, desc string, mode mptcp.Mode, primary string,
 		ifc.AddSendTap(tap)
 		ifc.AddRecvTap(tap)
 	}
-	srv := mptcp.NewServer(sim, serverStack, mptcp.ServerConfig{Mode: mode})
+	srv := mptcp.NewServer(sim, w.Server, mptcp.ServerConfig{Mode: mode})
 	srv.OnConn = func(c *mptcp.Conn) { c.Send(size); c.Close() }
 	var done time.Duration
-	mptcp.Dial(sim, clientStack, host, mptcp.Config{
+	mptcp.Dial(sim, w.Client, host, mptcp.Config{
 		ConnID: "fig15", Primary: primary, Mode: mode, BackupIfaces: backup,
 	}, mptcp.Callbacks{
 		OnData: func(c *mptcp.Conn, total int64) {
@@ -172,10 +166,34 @@ func (r Figure15Result) String() string {
 			status = fmt.Sprintf("completed at %s", fmtDur(p.CompletedAt))
 		}
 		out += fmt.Sprintf("(%s) %s — %s [axis 0..%s]\n", p.Name, p.Description, status, fmtDur(p.Horizon))
-		out += "  LTE  " + capture.RasterString(p.LTEEvents, p.Horizon, 72) + "\n"
-		out += "  WiFi " + capture.RasterString(p.WiFiEvents, p.Horizon, 72) + "\n"
+		out += "  LTE  " + rasterString(p.LTEEvents, p.Horizon, 72) + "\n"
+		out += "  WiFi " + rasterString(p.WiFiEvents, p.Horizon, 72) + "\n"
 	}
 	return out
+}
+
+// rasterString renders packet event instants as a fixed-width ASCII
+// strip ('|' where at least one event falls in the bucket), the textual
+// analogue of Fig. 15.
+func rasterString(events []time.Duration, until time.Duration, cols int) string {
+	if cols <= 0 || until <= 0 {
+		return ""
+	}
+	buf := make([]byte, cols)
+	for i := range buf {
+		buf[i] = ' '
+	}
+	for _, t := range events {
+		if t < 0 || t > until {
+			continue
+		}
+		i := int(float64(t) / float64(until) * float64(cols))
+		if i >= cols {
+			i = cols - 1
+		}
+		buf[i] = '|'
+	}
+	return string(buf)
 }
 
 // Fig16Panel is one power trace of the paper's Fig. 16.
@@ -196,25 +214,21 @@ type Figure16Result struct{ Panels []Fig16Panel }
 // trace in the backup and non-backup roles.
 func Figure16(o Options) Figure16Result {
 	run := func(seed int64, primary string, backup string) (map[string]*energy.Meter, time.Duration) {
-		sim := simnet.New(seed)
-		defer sim.Release() // the meters only read its clock from here on
-		host := phy.BuildHost(sim, fig15Cond)
-		clientStack := tcp.NewStack(sim, tcp.ClientSide)
-		serverStack := tcp.NewStack(sim, tcp.ServerSide)
+		w := core.NewWorld(seed, fig15Cond)
+		defer w.Close() // the meters only read its clock from here on
+		sim := w.Sim
 		meters := map[string]*energy.Meter{
 			"wifi": energy.NewMeter(sim, energy.WiFi),
 			"lte":  energy.NewMeter(sim, energy.LTE),
 		}
-		for _, ifc := range host.Ifaces() {
-			clientStack.Bind(ifc)
-			serverStack.Bind(ifc)
+		for _, ifc := range w.Host.Ifaces() {
 			meters[ifc.Name].Attach(ifc)
 		}
-		srv := mptcp.NewServer(sim, serverStack, mptcp.ServerConfig{Mode: mptcp.Backup})
+		srv := mptcp.NewServer(sim, w.Server, mptcp.ServerConfig{Mode: mptcp.Backup})
 		const size = 8 << 20
 		srv.OnConn = func(c *mptcp.Conn) { c.Send(size); c.Close() }
 		var done time.Duration
-		mptcp.Dial(sim, clientStack, host, mptcp.Config{
+		mptcp.Dial(sim, w.Client, w.Host, mptcp.Config{
 			ConnID: "fig16", Primary: primary, Mode: mptcp.Backup,
 			BackupIfaces: []string{backup},
 		}, mptcp.Callbacks{OnData: func(c *mptcp.Conn, total int64) {

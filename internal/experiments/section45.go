@@ -35,11 +35,10 @@ type Figure17Result struct{ Rows []Figure17Row }
 
 // fig17Cond is a fast, neutral condition so the recorded pattern's own
 // structure (not the network) dominates the raster.
-var fig17Cond = phy.Condition{
-	Name: "record",
-	WiFi: phy.PathProfile{DownMbps: 20, UpMbps: 8, RTTms: 30},
-	LTE:  phy.PathProfile{DownMbps: 15, UpMbps: 6, RTTms: 60},
-}
+var fig17Cond = phy.NewCondition("record",
+	phy.Path{Name: "wifi", Profile: phy.PathProfile{DownMbps: 20, UpMbps: 8, RTTms: 30}},
+	phy.Path{Name: "lte", Profile: phy.PathProfile{DownMbps: 15, UpMbps: 6, RTTms: 60}},
+)
 
 // Figure17 records each app pattern and replays it once to obtain the
 // per-connection timing raster.
@@ -193,14 +192,24 @@ func oracles(o Options, app apps.App, tag int) OracleResult {
 			conds = append(conds, per)
 		}
 	}
-	norm := oracle.Normalized(conds)
-	out := OracleResult{App: app.Name + " " + app.Interaction,
-		Normalized: map[string]float64{}, Conditions: len(conds)}
-	// Per-key projection keyed by the scheme's (injective) render.
-	for s, v := range norm { //lint:allow determinism per-key map projection; PathScheme.String is injective over schemes
-		out.Normalized[s.String()] = v
+	norm, _ := oracle.NormalizedBy(conds, paperOracles, paperBaseline)
+	return OracleResult{App: app.Name + " " + app.Interaction, Normalized: norm, Conditions: len(conds)}
+}
+
+// The paper's five oracles over the {WiFi, LTE} pair and its WiFi-TCP
+// baseline (Figs. 19 and 21), in legend order, built once.
+var (
+	paperOracles, paperBaseline = oracle.ForPaths([]string{"WiFi", "LTE"})
+	paperOracleNames            = schemeNames(paperOracles)
+)
+
+// schemeNames lists the oracles' names in legend order.
+func schemeNames(schemes []oracle.PathScheme) []string {
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.Name
 	}
-	return out
+	return names
 }
 
 // Figure19 evaluates oracles for the short-flow app.
@@ -211,16 +220,20 @@ func Figure21(o Options) OracleResult { return oracles(o, apps.DropboxClick, 21)
 
 // String renders the normalised bars in the paper's legend order.
 func (r OracleResult) String() string {
+	return fmt.Sprintf("Figures 19/21: %s normalised response time (%d conditions)\n",
+		r.App, r.Conditions) + oracleTable(paperOracleNames, r.Normalized)
+}
+
+// oracleTable renders normalised oracle bars in legend order, skipping
+// schemes no condition measured.
+func oracleTable(names []string, norm map[string]float64) string {
 	var rows [][]string
-	for _, s := range oracle.Schemes {
-		v, ok := r.Normalized[s.String()]
+	for _, name := range names {
+		v, ok := norm[name]
 		if !ok {
 			continue
 		}
-		rows = append(rows, []string{s.String(), fmt.Sprintf("%.2f", v),
-			fmt.Sprintf("-%.0f%%", (1-v)*100)})
+		rows = append(rows, []string{name, fmt.Sprintf("%.2f", v), fmt.Sprintf("-%.0f%%", (1-v)*100)})
 	}
-	return fmt.Sprintf("Figures 19/21: %s normalised response time (%d conditions)\n",
-		r.App, r.Conditions) +
-		table([]string{"Scheme", "Normalised", "Reduction"}, rows)
+	return table([]string{"Scheme", "Normalised", "Reduction"}, rows)
 }

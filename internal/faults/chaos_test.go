@@ -7,11 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"multinet/internal/core"
 	"multinet/internal/faults"
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
 	"multinet/internal/phy"
-	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
 
@@ -22,42 +22,22 @@ import (
 // links (netem.VarLink over phy's AR(1) rate process), the link model
 // of every paper condition.
 type world struct {
-	sim    *simnet.Sim
-	host   *netem.Host
-	wifi   *netem.Iface
-	lte    *netem.Iface
-	client *tcp.Stack
-	server *tcp.Stack
-	srv    *mptcp.Server
+	core.World
+	srv *mptcp.Server
 }
 
 func newWorld(seed int64, scfg mptcp.ServerConfig, variable bool) *world {
-	sim := simnet.New(seed)
-	mk := func(name string, mbps float64, owd time.Duration) *netem.Iface {
-		if variable {
-			return phy.BuildIface(sim, name, phy.PathProfile{
-				DownMbps: mbps, UpMbps: mbps, RTTms: 2 * float64(owd.Milliseconds()),
-				Variability: 0.4, QueuePkts: 150,
-			})
-		}
-		cfg := netem.LinkConfig{PropDelay: owd, QueueLimit: 150}
-		up := netem.NewFixedLink(sim, mbps, cfg)
-		down := netem.NewFixedLink(sim, mbps, cfg)
-		return netem.NewIface(sim, name, up, down)
+	variability := 0.0
+	if variable {
+		variability = 0.4
 	}
-	w := &world{sim: sim}
-	w.wifi = mk("wifi", 10, 15*time.Millisecond)
-	w.lte = mk("lte", 8, 30*time.Millisecond)
-	w.host = netem.NewHost("client")
-	w.host.Attach(w.wifi)
-	w.host.Attach(w.lte)
-	w.client = tcp.NewStack(sim, tcp.ClientSide)
-	w.server = tcp.NewStack(sim, tcp.ServerSide)
-	for _, i := range []*netem.Iface{w.wifi, w.lte} {
-		w.client.Bind(i)
-		w.server.Bind(i)
+	path := func(name string, mbps, rttMs float64) phy.Path {
+		return phy.Path{Name: name, Profile: phy.PathProfile{
+			DownMbps: mbps, UpMbps: mbps, RTTms: rttMs, Variability: variability, QueuePkts: 150,
+		}}
 	}
-	w.srv = mptcp.NewServer(sim, w.server, scfg)
+	w := &world{World: core.NewWorld(seed, phy.NewCondition("chaos", path("wifi", 10, 30), path("lte", 8, 60)))}
+	w.srv = mptcp.NewServer(w.Sim, w.Server, scfg)
 	return w
 }
 
@@ -90,7 +70,7 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 	stallEvents := 0
 	var clientConn *mptcp.Conn
 	ck := &faults.Checker{Leaks: true}
-	ck.AddHost(w.host)
+	ck.AddHost(w.Host)
 	w.srv.OnConn = func(c *mptcp.Conn) {
 		// The latest server conn is the live peer; superseded conns
 		// (from an MP_CAPABLE restart) were aborted or stranded and are
@@ -114,13 +94,13 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 			c.Close()
 		}
 	}
-	clientConn = mptcp.Dial(w.sim, w.client, w.host, mptcp.Config{
+	clientConn = mptcp.Dial(w.Sim, w.Client, w.Host, mptcp.Config{
 		ConnID:       "chaos",
 		Primary:      "wifi",
 		WatchdogRTOs: watchdogRTOs,
 	}, cb)
 
-	if _, err := sched.Attach(w.sim, w.host); err != nil {
+	if _, err := sched.Attach(w.Sim, w.Host); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
 	// Step the run instead of draining it in one call: the scoreboard
@@ -128,8 +108,8 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 	// in the middle of the loss episodes the schedule provokes. (Stepping
 	// adds no events; it only rounds the final clock up to a step.)
 	var violations []faults.Violation
-	for w.sim.Pending() > 0 {
-		w.sim.RunFor(25 * time.Millisecond)
+	for w.Sim.Pending() > 0 {
+		w.Sim.RunFor(25 * time.Millisecond)
 		if len(violations) == 0 {
 			violations = ck.CheckScoreboards()
 		}
@@ -150,12 +130,12 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 	}
 
 	var sig strings.Builder
-	fmt.Fprintf(&sig, "end=%v client.rcv=%d client.stalls=%d conns=%d", w.sim.Now(), clientConn.RecvTotal(), clientConn.StallCount, len(serverConns))
+	fmt.Fprintf(&sig, "end=%v client.rcv=%d client.stalls=%d conns=%d", w.Sim.Now(), clientConn.RecvTotal(), clientConn.StallCount, len(serverConns))
 	for _, sc := range serverConns {
 		fmt.Fprintf(&sig, " server.rcv=%d server.stalls=%d aborted=%v/%v",
 			sc.RecvTotal(), sc.StallCount, clientConn.Aborted(), sc.Aborted())
 	}
-	for _, ifc := range w.host.Ifaces() {
+	for _, ifc := range w.Host.Ifaces() {
 		for _, d := range []struct {
 			dir string
 			l   netem.Link
@@ -244,7 +224,7 @@ func TestAttachUnknownIface(t *testing.T) {
 	s := faults.Schedule{Episodes: []faults.Episode{
 		{Kind: faults.AdminDown, Iface: "satellite", Duration: time.Second},
 	}}
-	if _, err := s.Attach(w.sim, w.host); err == nil {
+	if _, err := s.Attach(w.Sim, w.Host); err == nil {
 		t.Fatal("want error for unknown interface")
 	}
 }
@@ -258,21 +238,21 @@ func TestInjectorFiresAllSteps(t *testing.T) {
 		{Kind: faults.RateCollapse, Iface: "lte", Start: 10 * time.Millisecond, Duration: 50 * time.Millisecond, RateFactor: 0.1},
 		{Kind: faults.FlapTrain, Iface: "wifi", Start: 100 * time.Millisecond, Duration: 20 * time.Millisecond, Cycles: 2, Period: 50 * time.Millisecond},
 	}}
-	inj, err := s.Attach(w.sim, w.host)
+	inj, err := s.Attach(w.Sim, w.Host)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inj.Steps() != 2+2+4 {
 		t.Fatalf("steps = %d, want 8", inj.Steps())
 	}
-	w.sim.Run()
+	w.Sim.Run()
 	if inj.Fired() != inj.Steps() {
 		t.Fatalf("fired %d of %d steps", inj.Fired(), inj.Steps())
 	}
-	if w.wifi.AdminDown() {
+	if w.Host.Iface("wifi").AdminDown() {
 		t.Fatal("wifi left down after flap train")
 	}
-	lte := w.lte.UpLink().(*netem.FixedLink)
+	lte := w.Host.Iface("lte").UpLink().(*netem.FixedLink)
 	if got := lte.RateMbps(); got != 8 {
 		t.Fatalf("lte rate not restored: %v Mbps", got)
 	}

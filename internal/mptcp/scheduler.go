@@ -62,8 +62,9 @@ var (
 	schedReg = map[string]func() Scheduler{}
 )
 
-// RegisterScheduler adds a scheduler constructor under a unique name
-// (mirrors phy.RegisterRadioModel). It panics on an empty name, nil
+// RegisterScheduler adds a scheduler constructor under a unique name,
+// so that a scheduler can be chosen by name in configurations (core,
+// replay, the service's decisions). It panics on an empty name, nil
 // constructor, or duplicate — programmer errors caught at init.
 func RegisterScheduler(name string, mk func() Scheduler) {
 	schedMu.Lock()

@@ -9,7 +9,7 @@ import (
 )
 
 // Tap observes packets as they are sent into a link (before queueing and
-// drops). The capture package installs taps to build tcpdump-like traces.
+// drops). Figure 15's packet rasters and the energy meters are taps.
 type Tap func(p *Packet)
 
 // Iface is one duplex network attachment of the multi-homed client: an

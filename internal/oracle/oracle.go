@@ -13,65 +13,9 @@ import (
 	"time"
 )
 
-// Scheme is one oracle policy.
-type Scheme int
-
-// The paper's five oracle schemes plus the WiFi-TCP baseline.
-const (
-	// WiFiTCPBaseline is plain TCP over WiFi (normalisation reference).
-	WiFiTCPBaseline Scheme = iota
-	// SinglePathTCP knows which network minimises response time.
-	SinglePathTCP
-	// DecoupledMPTCP uses decoupled CC and knows the best primary.
-	DecoupledMPTCP
-	// CoupledMPTCP uses coupled CC and knows the best primary.
-	CoupledMPTCP
-	// MPTCPWiFiPrimary uses WiFi primary and knows the best CC.
-	MPTCPWiFiPrimary
-	// MPTCPLTEPrimary uses LTE primary and knows the best CC.
-	MPTCPLTEPrimary
-)
-
-// String names the scheme as in the paper's figure legends.
-func (s Scheme) String() string {
-	switch s {
-	case WiFiTCPBaseline:
-		return "WiFi-TCP"
-	case SinglePathTCP:
-		return "Single-Path-TCP Oracle"
-	case DecoupledMPTCP:
-		return "Decoupled-MPTCP Oracle"
-	case CoupledMPTCP:
-		return "Coupled-MPTCP Oracle"
-	case MPTCPWiFiPrimary:
-		return "MPTCP-WiFi-Primary Oracle"
-	case MPTCPLTEPrimary:
-		return "MPTCP-LTE-Primary Oracle"
-	}
-	return "unknown"
-}
-
-// Schemes lists all schemes in the paper's legend order.
-var Schemes = []Scheme{
-	WiFiTCPBaseline, SinglePathTCP, DecoupledMPTCP, CoupledMPTCP,
-	MPTCPWiFiPrimary, MPTCPLTEPrimary,
-}
-
-// configs maps each scheme to the replay configuration names it may
-// choose between (names from replay.Configs over replay.WiFiLTEPaths).
-var configs = map[Scheme][]string{
-	WiFiTCPBaseline:  {"WiFi-TCP"},
-	SinglePathTCP:    {"WiFi-TCP", "LTE-TCP"},
-	DecoupledMPTCP:   {"MPTCP-Decoupled-WiFi", "MPTCP-Decoupled-LTE"},
-	CoupledMPTCP:     {"MPTCP-Coupled-WiFi", "MPTCP-Coupled-LTE"},
-	MPTCPWiFiPrimary: {"MPTCP-Coupled-WiFi", "MPTCP-Decoupled-WiFi"},
-	MPTCPLTEPrimary:  {"MPTCP-Coupled-LTE", "MPTCP-Decoupled-LTE"},
-}
-
 // PathScheme is an oracle over an explicit candidate set: it knows
 // which of its Configs minimises response time for each condition.
-// The enumerated two-path Schemes above are the paper's instances;
-// ForPaths generates the same family for any path set.
+// ForPaths generates the paper's family for any path set.
 type PathScheme struct {
 	Name    string
 	Configs []string
@@ -83,7 +27,8 @@ type PathScheme struct {
 // first-label TCP baseline, the single-path oracle over all N
 // alternatives, one per-CC MPTCP oracle choosing among N primaries,
 // and one per-primary oracle choosing the CC. With labels
-// {"WiFi", "LTE"} this reproduces the enumerated Schemes exactly.
+// {"WiFi", "LTE"} these are the paper's five oracles and its WiFi-TCP
+// baseline, under the paper's legend names and in its legend order.
 func ForPaths(labels []string) (schemes []PathScheme, baseline string) {
 	if len(labels) == 0 {
 		return nil, ""
@@ -158,13 +103,6 @@ func PickBest(perConfig map[string]time.Duration, candidates []string) (time.Dur
 	return best, true
 }
 
-// Pick returns the scheme's oracle response time for one condition:
-// the minimum over the configurations it controls. ok is false if any
-// needed configuration is missing.
-func Pick(perConfig map[string]time.Duration, s Scheme) (time.Duration, bool) {
-	return PickBest(perConfig, configs[s])
-}
-
 // NormalizedBy computes each scheme's mean response time across
 // conditions, normalised by the named baseline configuration.
 // Conditions missing the baseline or any scheme's configuration are
@@ -204,23 +142,4 @@ func NormalizedBy(conditions []map[string]time.Duration, schemes []PathScheme, b
 		out[s] = v / float64(n)
 	}
 	return out, n
-}
-
-// Normalized computes each scheme's mean response time across
-// conditions, normalised by the WiFi-TCP baseline — the bars of the
-// paper's Figs. 19 and 21. Conditions missing any configuration are
-// skipped.
-func Normalized(conditions []map[string]time.Duration) map[Scheme]float64 {
-	named := make([]PathScheme, len(Schemes))
-	for i, s := range Schemes {
-		named[i] = PathScheme{Name: s.String(), Configs: configs[s]}
-	}
-	byName, _ := NormalizedBy(conditions, named, "WiFi-TCP")
-	out := map[Scheme]float64{}
-	for _, s := range Schemes {
-		if v, ok := byName[s.String()]; ok {
-			out[s] = v
-		}
-	}
-	return out
 }

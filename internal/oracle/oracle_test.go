@@ -18,31 +18,39 @@ func cond(wifi, lte, cw, cl, dw, dl float64) map[string]time.Duration {
 	}
 }
 
+// paper is the paper's two-path oracle family and its WiFi-TCP baseline.
+func paper() ([]PathScheme, string) { return ForPaths([]string{"WiFi", "LTE"}) }
+
+// normalized runs NormalizedBy over the paper's family.
+func normalized(conds []map[string]time.Duration) map[string]float64 {
+	schemes, baseline := paper()
+	norm, _ := NormalizedBy(conds, schemes, baseline)
+	return norm
+}
+
 func TestPickMinimum(t *testing.T) {
 	c := cond(2.7, 5.5, 5.3, 4.0, 4.5, 4.2)
-	cases := []struct {
-		s    Scheme
-		want time.Duration
-	}{
-		{WiFiTCPBaseline, 2700 * time.Millisecond},
-		{SinglePathTCP, 2700 * time.Millisecond},
-		{CoupledMPTCP, 4 * time.Second},
-		{DecoupledMPTCP, 4200 * time.Millisecond},
-		{MPTCPWiFiPrimary, 4500 * time.Millisecond},
-		{MPTCPLTEPrimary, 4 * time.Second},
+	want := map[string]time.Duration{
+		"WiFi-TCP":                  2700 * time.Millisecond,
+		"Single-Path-TCP Oracle":    2700 * time.Millisecond,
+		"Coupled-MPTCP Oracle":      4 * time.Second,
+		"Decoupled-MPTCP Oracle":    4200 * time.Millisecond,
+		"MPTCP-WiFi-Primary Oracle": 4500 * time.Millisecond,
+		"MPTCP-LTE-Primary Oracle":  4 * time.Second,
 	}
-	for _, tc := range cases {
-		got, ok := Pick(c, tc.s)
-		if !ok || got != tc.want {
-			t.Errorf("%v: got %v ok=%v, want %v", tc.s, got, ok, tc.want)
+	schemes, _ := paper()
+	for _, s := range schemes {
+		got, ok := PickBest(c, s.Configs)
+		if !ok || got != want[s.Name] {
+			t.Errorf("%s: got %v ok=%v, want %v", s.Name, got, ok, want[s.Name])
 		}
 	}
 }
 
 func TestPickMissingConfig(t *testing.T) {
 	c := map[string]time.Duration{"WiFi-TCP": time.Second}
-	if _, ok := Pick(c, SinglePathTCP); ok {
-		t.Fatal("Pick should fail with missing configs")
+	if _, ok := PickBest(c, []string{"WiFi-TCP", "LTE-TCP"}); ok {
+		t.Fatal("PickBest should fail with missing configs")
 	}
 }
 
@@ -51,14 +59,14 @@ func TestNormalizedBaselineIsOne(t *testing.T) {
 		cond(2, 4, 3, 3.5, 3.2, 3.1),
 		cond(7, 3, 6, 4, 5.5, 3.8),
 	}
-	norm := Normalized(conds)
-	if math.Abs(norm[WiFiTCPBaseline]-1) > 1e-9 {
-		t.Fatalf("baseline = %v, want 1", norm[WiFiTCPBaseline])
+	norm := normalized(conds)
+	if math.Abs(norm["WiFi-TCP"]-1) > 1e-9 {
+		t.Fatalf("baseline = %v, want 1", norm["WiFi-TCP"])
 	}
 	// Every oracle is at most its baseline's superset minimum, so the
 	// single-path oracle must be <= 1.
-	if norm[SinglePathTCP] > 1 {
-		t.Fatalf("single-path oracle %v > 1", norm[SinglePathTCP])
+	if norm["Single-Path-TCP Oracle"] > 1 {
+		t.Fatalf("single-path oracle %v > 1", norm["Single-Path-TCP Oracle"])
 	}
 }
 
@@ -67,9 +75,8 @@ func TestNormalizedAveragesAcrossConditions(t *testing.T) {
 		cond(4, 2, 9, 9, 9, 9), // LTE halves the time: ratio 0.5
 		cond(4, 4, 9, 9, 9, 9), // tie: ratio 1.0
 	}
-	norm := Normalized(conds)
-	if math.Abs(norm[SinglePathTCP]-0.75) > 1e-9 {
-		t.Fatalf("single-path oracle = %v, want 0.75", norm[SinglePathTCP])
+	if sp := normalized(conds)["Single-Path-TCP Oracle"]; math.Abs(sp-0.75) > 1e-9 {
+		t.Fatalf("single-path oracle = %v, want 0.75", sp)
 	}
 }
 
@@ -78,22 +85,33 @@ func TestNormalizedSkipsIncomplete(t *testing.T) {
 		cond(4, 2, 3, 3, 3, 3),
 		{"WiFi-TCP": time.Second}, // incomplete
 	}
-	norm := Normalized(conds)
-	if math.Abs(norm[SinglePathTCP]-0.5) > 1e-9 {
-		t.Fatalf("incomplete condition not skipped: %v", norm[SinglePathTCP])
+	schemes, baseline := paper()
+	norm, n := NormalizedBy(conds, schemes, baseline)
+	if n != 1 || math.Abs(norm["Single-Path-TCP Oracle"]-0.5) > 1e-9 {
+		t.Fatalf("incomplete condition not skipped: %v over %d conditions", norm["Single-Path-TCP Oracle"], n)
 	}
 }
 
 func TestNormalizedEmpty(t *testing.T) {
-	if n := Normalized(nil); len(n) != 0 {
+	schemes, baseline := paper()
+	if norm, n := NormalizedBy(nil, schemes, baseline); len(norm) != 0 || n != 0 {
 		t.Fatal("empty input should give empty output")
 	}
 }
 
+// TestSchemeStrings pins the paper's legend: ForPaths over {WiFi, LTE}
+// names the baseline and the five oracles as Figs. 19 and 21 do, in
+// their order.
 func TestSchemeStrings(t *testing.T) {
-	for _, s := range Schemes {
-		if s.String() == "unknown" {
-			t.Fatalf("scheme %d has no name", s)
+	want := []string{"WiFi-TCP", "Single-Path-TCP Oracle", "Decoupled-MPTCP Oracle",
+		"Coupled-MPTCP Oracle", "MPTCP-WiFi-Primary Oracle", "MPTCP-LTE-Primary Oracle"}
+	schemes, baseline := paper()
+	if baseline != "WiFi-TCP" || len(schemes) != len(want) {
+		t.Fatalf("baseline %q, %d schemes; want WiFi-TCP and %d", baseline, len(schemes), len(want))
+	}
+	for i, s := range schemes {
+		if s.Name != want[i] {
+			t.Errorf("scheme %d = %q, want %q", i, s.Name, want[i])
 		}
 	}
 }

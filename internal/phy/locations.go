@@ -12,9 +12,29 @@ type Location struct {
 	LTE  PathProfile
 }
 
-// Condition converts the location into an emulation condition.
+// Condition converts the location into the paper's two-path emulation
+// condition: wifi, then lte.
 func (l Location) Condition() Condition {
-	return Condition{Name: fmt.Sprintf("loc%02d", l.ID), WiFi: l.WiFi, LTE: l.LTE}
+	return NewCondition(conditionName(l.ID), Path{Name: "wifi", Profile: l.WiFi}, Path{Name: "lte", Profile: l.LTE})
+}
+
+// conditionNames holds the table's condition names, formatted once: a
+// location's condition costs the one allocation of its path list, and
+// the sweeps ask for one per cell.
+var conditionNames = func() []string {
+	names := make([]string, len(Locations)+1)
+	for id := range names {
+		names[id] = fmt.Sprintf("loc%02d", id)
+	}
+	return names
+}()
+
+// conditionName names location id's condition ("loc07").
+func conditionName(id int) string {
+	if id >= 0 && id < len(conditionNames) {
+		return conditionNames[id]
+	}
+	return fmt.Sprintf("loc%02d", id)
 }
 
 // wifiQ and lteQ are the bottleneck buffer depths: LTE base stations

@@ -9,12 +9,13 @@
 // same ranges as the paper's Fig. 6 CDFs. All randomness draws from
 // named simnet streams, so a given (seed, location) is reproducible.
 //
-// Radios are instances of registered models (RegisterRadioModel /
-// Radio): a model fixes the technology-specific parameters (buffer
-// depth, RRC promotion) and a per-instance calibration supplies the
-// measured rates. A Condition holds any number of named paths
-// (PathSet), so a second LTE carrier or a second AP is just another
-// instance; the WiFi/LTE pair fields remain the classic testbed.
+// A radio is WiFiRadio or LTERadio applied to a calibration: the
+// technology fixes the parameters a calibration does not capture
+// (buffer depth, RRC promotion) and the calibration supplies the
+// measured rates. A Condition is any number of named paths in
+// attachment order (NewCondition), so a second LTE carrier or a second
+// AP is just another path; the paper's testbed is the {wifi, lte} pair
+// every Location.Condition has.
 package phy
 
 import (
@@ -206,17 +207,10 @@ type Path struct {
 	Profile PathProfile
 }
 
-// Condition is one emulated network condition: the set of radio paths
-// a measurement run or a replay sees. The WiFi/LTE pair fields are the
-// paper's classic two-path testbed; Paths, when non-empty, describes
-// an arbitrary path set (dual-LTE, dual-WLAN, three-path, ...) and
-// takes precedence.
+// Condition is one emulated network condition: the named radio paths a
+// measurement run or a replay sees, in attachment order.
 type Condition struct {
-	Name string
-	WiFi PathProfile
-	LTE  PathProfile
-	// Paths is the general N-path form. Leave empty for the classic
-	// {wifi, lte} pair built from the fields above.
+	Name  string
 	Paths []Path
 }
 
@@ -230,20 +224,11 @@ func NewCondition(name string, paths ...Path) Condition {
 	return Condition{Name: name, Paths: paths}
 }
 
-// PathSet returns the condition's paths in attachment order: the
-// explicit Paths list, or the classic {wifi, lte} pair.
-func (c Condition) PathSet() []Path {
-	if len(c.Paths) > 0 {
-		return c.Paths
-	}
-	return []Path{{Name: "wifi", Profile: c.WiFi}, {Name: "lte", Profile: c.LTE}}
-}
-
 // BuildHost wires a multi-homed client host with one interface per
 // path of the condition.
 func BuildHost(sim *simnet.Sim, c Condition) *netem.Host {
 	h := netem.NewHost("client")
-	for _, p := range c.PathSet() {
+	for _, p := range c.Paths {
 		h.Attach(BuildIface(sim, p.Name, p.Profile))
 	}
 	return h

@@ -190,9 +190,29 @@ func TestRepresentativeLocations(t *testing.T) {
 	}
 }
 
+func TestRadios(t *testing.T) {
+	c := RadioCalib{DownMbps: 10, UpMbps: 4, RTTms: 60, LossPct: 0.2, Variability: 0.25}
+	w, l := WiFiRadio(c), LTERadio(c)
+	if w.DownMbps != 10 || w.UpMbps != 4 || w.RTTms != 60 || w.LossPct != 0.2 || w.Variability != 0.25 || l != lte(10, 4, 60, 0.2, 0.25) {
+		t.Fatalf("radios do not carry their calibration: wifi %+v, lte %+v", w, l)
+	}
+	if w.PromotionMs != 0 || l.PromotionMs <= 0 || l.QueuePkts <= w.QueuePkts {
+		t.Fatalf("want a shallow, always-awake WiFi and a deep LTE buffer with RRC promotion: wifi %+v, lte %+v", w, l)
+	}
+}
+
 func TestBuildHost(t *testing.T) {
 	sim := simnet.New(5)
-	h := BuildHost(sim, LocationByID(1).Condition())
+	loc := LocationByID(1)
+	cond := loc.Condition()
+	if cond.Name != "loc01" || len(cond.Paths) != 2 || cond.Paths[0] != (Path{Name: "wifi", Profile: loc.WiFi}) ||
+		cond.Paths[1] != (Path{Name: "lte", Profile: loc.LTE}) {
+		t.Fatalf("location condition = %+v, want loc01 with wifi then lte", cond)
+	}
+	if name := (Location{ID: 42}).Condition().Name; name != "loc42" {
+		t.Fatalf("a location outside the table is named %q, want loc42", name)
+	}
+	h := BuildHost(sim, cond)
 	if h.Iface("wifi") == nil || h.Iface("lte") == nil {
 		t.Fatal("host missing interfaces")
 	}

@@ -1,14 +1,9 @@
 package phy
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
-
-// RadioCalib holds the per-instance calibration knobs every radio
-// model accepts: the measured mean rates, base RTT, loss rate, and
-// rate variability of one concrete radio (one AP, one carrier).
+// RadioCalib holds the per-instance calibration of one concrete radio
+// (one AP, one carrier): the measured mean rates, base RTT, loss rate,
+// and rate variability. A second LTE carrier or a second AP is just
+// another calibration, attached under its own path name.
 type RadioCalib struct {
 	DownMbps, UpMbps float64
 	RTTms            float64
@@ -16,67 +11,14 @@ type RadioCalib struct {
 	Variability      float64
 }
 
-// RadioModel turns a calibration into a full path profile by fixing
-// the technology-specific parameters a calibration does not capture
-// (bottleneck buffer depth, RRC promotion latency).
-type RadioModel func(RadioCalib) PathProfile
-
-var (
-	radioMu     sync.Mutex
-	radioModels = map[string]RadioModel{}
-)
-
-// RegisterRadioModel adds a radio technology to the model registry.
-// Registering a duplicate name panics: models are package-level
-// calibration constants, not runtime state.
-func RegisterRadioModel(name string, m RadioModel) {
-	radioMu.Lock()
-	defer radioMu.Unlock()
-	if name == "" {
-		panic("phy: RegisterRadioModel with empty name")
-	}
-	if m == nil {
-		panic("phy: RegisterRadioModel with nil model: " + name)
-	}
-	if _, dup := radioModels[name]; dup {
-		panic("phy: duplicate radio model " + name)
-	}
-	radioModels[name] = m
+// WiFiRadio is a WiFi radio with calibration c: a shallow AP buffer and
+// no wake-up latency.
+func WiFiRadio(c RadioCalib) PathProfile {
+	return wifi(c.DownMbps, c.UpMbps, c.RTTms, c.LossPct, c.Variability)
 }
 
-// Radio instantiates a registered radio model with a calibration. A
-// second LTE carrier or a second AP is just another instance: same
-// model name, its own calibration, attached under its own path name.
-func Radio(model string, c RadioCalib) PathProfile {
-	radioMu.Lock()
-	m, ok := radioModels[model]
-	radioMu.Unlock()
-	if !ok {
-		panic(fmt.Sprintf("phy: unknown radio model %q (have %v)", model, RadioModelNames()))
-	}
-	return m(c)
-}
-
-// RadioModelNames returns the registered model names, sorted.
-func RadioModelNames() []string {
-	radioMu.Lock()
-	defer radioMu.Unlock()
-	out := make([]string, 0, len(radioModels))
-	for n := range radioModels {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	// The two technologies the paper measured. "wifi" fixes the shallow
-	// AP buffer; "lte" fixes the deep eNodeB buffer (bufferbloat) and
-	// the RRC promotion latency of a cold cellular radio.
-	RegisterRadioModel("wifi", func(c RadioCalib) PathProfile {
-		return wifi(c.DownMbps, c.UpMbps, c.RTTms, c.LossPct, c.Variability)
-	})
-	RegisterRadioModel("lte", func(c RadioCalib) PathProfile {
-		return lte(c.DownMbps, c.UpMbps, c.RTTms, c.LossPct, c.Variability)
-	})
+// LTERadio is an LTE radio with calibration c: the deep eNodeB buffer
+// (bufferbloat) and the RRC promotion latency of a cold cellular radio.
+func LTERadio(c RadioCalib) PathProfile {
+	return lte(c.DownMbps, c.UpMbps, c.RTTms, c.LossPct, c.Variability)
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"multinet/internal/apps"
+	"multinet/internal/core"
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
 	"multinet/internal/phy"
@@ -209,37 +210,24 @@ type Result struct {
 // Run replays a recording under a network condition with the given
 // transport configuration and returns the app response time.
 func Run(seed int64, cond phy.Condition, rec *Recording, tc TransportConfig) Result {
-	sim := simnet.New(seed)
-	defer sim.Release()
-	host := phy.BuildHost(sim, cond)
-	e := &engine{
-		sim:   sim,
-		host:  host,
-		rec:   rec,
-		tc:    tc,
-		flows: simnet.SlabOf[flowState](sim).Make(len(rec.App.Flows)),
-	}
-	e.clientStack = tcp.NewStack(sim, tcp.ClientSide)
-	e.serverStack = tcp.NewStack(sim, tcp.ServerSide)
-	for _, ifc := range host.Ifaces() {
-		e.clientStack.Bind(ifc)
-		e.serverStack.Bind(ifc)
-	}
+	e := &engine{World: core.NewWorld(seed, cond), rec: rec, tc: tc}
+	defer e.Close()
+	e.flows = simnet.SlabOf[flowState](e.Sim).Make(len(rec.App.Flows))
 	// Every connection of the replay is wired with the same hooks, built
 	// here once: each finds its flow by the connection's name.
 	if tc.Kind == Multipath {
 		e.mpClient = mptcp.Callbacks{OnEstablished: e.mpEstablished, OnData: e.mpResponseData}
 		e.mpServer = mptcp.Callbacks{OnData: e.mpRequestData}
-		srv := mptcp.NewServer(sim, e.serverStack, mptcp.ServerConfig{CC: tc.CC, Scheduler: tc.Scheduler})
+		srv := mptcp.NewServer(e.Sim, e.Server, mptcp.ServerConfig{CC: tc.CC, Scheduler: tc.Scheduler})
 		srv.OnConn = e.acceptMPTCP
 	} else {
-		e.iface = host.Iface(tc.Iface)
+		e.iface = e.Host.Iface(tc.Iface)
 		if e.iface == nil {
 			panic("replay: unknown iface " + tc.Iface)
 		}
 		e.tcpClient = tcp.Callbacks{OnEstablished: e.tcpEstablished, OnData: e.tcpResponseData}
 		e.tcpServer = tcp.Callbacks{OnData: e.tcpRequestData}
-		e.serverStack.Accept = e.acceptTCP
+		e.Server.Accept = e.acceptTCP
 	}
 	for i := range e.flows {
 		e.flows[i] = flowState{eng: e, spec: &rec.App.Flows[i], connID: rec.connIDs[i]}
@@ -251,7 +239,7 @@ func Run(seed int64, cond phy.Condition, rec *Recording, tc TransportConfig) Res
 		}
 	}
 	// Safety horizon: no replayed interaction should take this long.
-	sim.RunUntil(10 * time.Minute)
+	e.Sim.RunUntil(10 * time.Minute)
 
 	// The flow states are the world's and go with it; the result is the
 	// caller's.
@@ -300,15 +288,14 @@ type flowState struct {
 	response int
 }
 
+// engine is one replay in progress: the world it runs on (released by
+// Run) and the hooks every connection of the replay shares.
 type engine struct {
-	sim         *simnet.Sim
-	host        *netem.Host
-	iface       *netem.Iface // single-path replays dial here
-	rec         *Recording
-	tc          TransportConfig
-	clientStack *tcp.Stack
-	serverStack *tcp.Stack
-	flows       []flowState
+	core.World
+	iface *netem.Iface // single-path replays dial here
+	rec   *Recording
+	tc    TransportConfig
+	flows []flowState
 
 	tcpClient, tcpServer tcp.Callbacks
 	mpClient, mpServer   mptcp.Callbacks
@@ -316,7 +303,7 @@ type engine struct {
 
 // scheduleStart opens st's connection after the flow's start delay.
 func (e *engine) scheduleStart(st *flowState) {
-	e.sim.AfterArg(st.spec.Start, startFlow, st)
+	e.Sim.AfterArg(st.spec.Start, startFlow, st)
 }
 
 func startFlow(a any) {
@@ -326,16 +313,16 @@ func startFlow(a any) {
 		return
 	}
 	st.running = true
-	st.started = e.sim.Now()
+	st.started = e.Sim.Now()
 	if e.tc.Kind == Multipath {
-		mptcp.Dial(e.sim, e.clientStack, e.host, mptcp.Config{
+		mptcp.Dial(e.Sim, e.Client, e.Host, mptcp.Config{
 			ConnID:    st.connID,
 			Primary:   e.tc.Primary,
 			CC:        e.tc.CC,
 			Scheduler: e.tc.Scheduler,
 		}, e.mpClient)
 	} else {
-		e.clientStack.Dial(e.iface, st.connID, tcp.Config{Callbacks: e.tcpClient})
+		e.Client.Dial(e.iface, st.connID, tcp.Config{Callbacks: e.tcpClient})
 	}
 }
 
@@ -404,7 +391,7 @@ func (st *flowState) requestData(total int64) {
 		return // unmatched request: ReplayShell would 404
 	}
 	st.response = ex.ResponseBytes
-	st.eng.sim.AfterArg(ex.Think, respond, st)
+	st.eng.Sim.AfterArg(ex.Think, respond, st)
 }
 
 func respond(a any) {
@@ -423,7 +410,7 @@ func (e *engine) completeFlow(st *flowState) {
 		return
 	}
 	st.done = true
-	st.ended = e.sim.Now()
+	st.ended = e.Sim.Now()
 	// Release dependents.
 	for i := range e.flows {
 		if dep := &e.flows[i]; dep.spec.DependsOn == st.spec.ID {

@@ -13,18 +13,16 @@ import (
 )
 
 // fastCond is a clean, fast symmetric condition for functional tests.
-var fastCond = phy.Condition{
-	Name: "fast",
-	WiFi: phy.PathProfile{DownMbps: 20, UpMbps: 8, RTTms: 30},
-	LTE:  phy.PathProfile{DownMbps: 15, UpMbps: 6, RTTms: 60},
-}
+var fastCond = phy.NewCondition("fast",
+	phy.Path{Name: "wifi", Profile: phy.PathProfile{DownMbps: 20, UpMbps: 8, RTTms: 30}},
+	phy.Path{Name: "lte", Profile: phy.PathProfile{DownMbps: 15, UpMbps: 6, RTTms: 60}},
+)
 
 // slowWiFiCond has much better LTE than WiFi.
-var slowWiFiCond = phy.Condition{
-	Name: "slowwifi",
-	WiFi: phy.PathProfile{DownMbps: 1.2, UpMbps: 0.6, RTTms: 110},
-	LTE:  phy.PathProfile{DownMbps: 10, UpMbps: 4, RTTms: 65},
-}
+var slowWiFiCond = phy.NewCondition("slowwifi",
+	phy.Path{Name: "wifi", Profile: phy.PathProfile{DownMbps: 1.2, UpMbps: 0.6, RTTms: 110}},
+	phy.Path{Name: "lte", Profile: phy.PathProfile{DownMbps: 10, UpMbps: 4, RTTms: 65}},
+)
 
 func TestRecordingStoresAllPairs(t *testing.T) {
 	rec := Record(apps.CNNLaunch)
@@ -92,11 +90,10 @@ func TestSinglePathNetworkChoiceMatters(t *testing.T) {
 func TestLongFlowAppBenefitsFromMPTCP(t *testing.T) {
 	// Paper Section 5.2: with comparable paths, the Dropbox (long-flow)
 	// replay over MPTCP beats the best single path.
-	cond := phy.Condition{
-		Name: "comparable",
-		WiFi: phy.PathProfile{DownMbps: 6, UpMbps: 2.5, RTTms: 45},
-		LTE:  phy.PathProfile{DownMbps: 5, UpMbps: 2, RTTms: 70},
-	}
+	cond := phy.NewCondition("comparable",
+		phy.Path{Name: "wifi", Profile: phy.PathProfile{DownMbps: 6, UpMbps: 2.5, RTTms: 45}},
+		phy.Path{Name: "lte", Profile: phy.PathProfile{DownMbps: 5, UpMbps: 2, RTTms: 70}},
+	)
 	rec := Record(apps.DropboxClick)
 	best := time.Duration(1<<62 - 1)
 	for _, name := range []string{"wifi", "lte"} {

@@ -18,9 +18,8 @@
 //   - Store holds sharded per-site estimates with exponential decay
 //     (store.go) — the state behind cmd/serve.
 //
-// internal/core keeps type aliases (core.Estimate, core.PathEstimate,
-// core.Selector) and a ConfigFor adapter so existing experiment code
-// migrates incrementally.
+// core.ConfigFor turns a Decision into the transfer that realises it,
+// and core's Session.Probe measures an Estimate.
 package selector
 
 import (
@@ -65,8 +64,7 @@ type Estimate struct {
 }
 
 // EstimateOf builds an estimate from per-path stats in preference
-// order — the N-path generalisation of the classic WiFi+LTE pair
-// (core.WiFiLTEEstimate wraps it).
+// order — the N-path generalisation of the classic WiFi+LTE pair.
 func EstimateOf(paths ...PathEstimate) Estimate {
 	e := Estimate{Paths: paths}
 	e.reindex()

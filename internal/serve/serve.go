@@ -77,8 +77,8 @@ type Server struct {
 
 // Scratch is the pooled per-request state: the request buffer, the
 // decision, and the response buffer. Handlers draw one per request;
-// load generators (cmd/bench -serve-load) hold one per worker and
-// call the *Bytes entry points directly.
+// benchmarks (cmd/bench's serve/*) hold one per goroutine and call the
+// *Bytes entry points directly.
 type Scratch struct {
 	// In receives the request body (capacity reused across requests).
 	In []byte

@@ -11,12 +11,14 @@ import (
 	"multinet/internal/mptcp"
 	"multinet/internal/phy"
 	"multinet/internal/simnet"
-	"multinet/internal/tcp"
 )
 
-// coldCond is built once: the name of a Location's Condition is fmt's
-// work, not the world's.
-var coldCond = phy.LocationByID(3).Condition()
+// coldCond and coldReplayCond are built once: a condition is its
+// caller's, not the world's.
+var (
+	coldCond       = phy.LocationByID(3).Condition()
+	coldReplayCond = phy.LocationByID(16).Condition()
+)
 
 // coldSession is a world as benchmark/transfer.go builds them: bulk
 // transfers on one Sim, which is released at the end only when asked.
@@ -41,15 +43,10 @@ var (
 // request/response connections side by side, MPTCP with a late join on
 // each — except that nothing releases it unless asked.
 func coldReplay(release bool) {
-	sim := simnet.New(22)
-	host := phy.BuildHost(sim, phy.LocationByID(16).Condition())
-	client, server := tcp.NewStack(sim, tcp.ClientSide), tcp.NewStack(sim, tcp.ServerSide)
-	for _, ifc := range host.Ifaces() {
-		client.Bind(ifc)
-		server.Bind(ifc)
-	}
+	w := core.NewWorld(22, coldReplayCond)
+	sim, client, host := w.Sim, w.Client, w.Host
 	const request, response, flows = 600, 30 << 10, 12
-	srv := mptcp.NewServer(sim, server, mptcp.ServerConfig{CC: mptcp.Coupled})
+	srv := mptcp.NewServer(sim, w.Server, mptcp.ServerConfig{CC: mptcp.Coupled})
 	srv.OnConn = func(c *mptcp.Conn) {
 		c.SetCallbacks(mptcp.Callbacks{OnData: func(c *mptcp.Conn, total int64) {
 			if total >= request {
@@ -77,7 +74,7 @@ func coldReplay(release bool) {
 		panic(fmt.Sprintf("cold replay: %d of %d flows completed", done, flows))
 	}
 	if release {
-		sim.Release()
+		w.Close()
 	}
 }
 
@@ -120,9 +117,12 @@ func worldCost(world func(release bool), recycled bool) (bytes, objects uint64) 
 // world costs on the arena of one like it, which is the point of all of
 // the above: its fixed frame (Sim, host, links, stacks, hooks) and the
 // flow names, with no handle, ring, table or generator among them. They
-// are this commit's numbers (3 600 / 66, 4 280 / 76, 5 104 / 133; the
-// parent's were 5 656 / 75, 11 040 / 108 and 66 648 / 390) and a few
-// per cent, for the race detector's bookkeeping.
+// are PR 22's numbers (3 600 / 66, 4 280 / 76, 5 104 / 133; its parent's
+// were 5 656 / 75, 11 040 / 108 and 66 648 / 390) and a few per cent,
+// for the race detector's bookkeeping. Every world here is a
+// core.NewWorld, and built on it they cost the same bytes (the
+// replay-shaped one an object less: its condition is now built once,
+// like the sessions').
 func TestColdWorldBytes(t *testing.T) {
 	type bound struct{ bytes, objects uint64 }
 	for _, w := range []struct {

@@ -68,25 +68,20 @@ func sizedSessionCell(seed int64, cond phy.Condition, horizon time.Duration, sch
 	return sb.String()
 }
 
-// cutWorld builds a replay-shaped MPTCP world by hand and stops it at
-// the worst moment for whoever gets its memory next: as soon as some
-// connection has data arriving on its first subflow while its last one's
-// SYN is out and unanswered. Scoreboards and mapping queues are dirty,
+// cutWorld builds a replay-shaped MPTCP world and stops it at the worst
+// moment for whoever gets its memory next: as soon as some connection
+// has data arriving on its first subflow while its last one's SYN is out
+// and unanswered. Scoreboards and mapping queues are dirty,
 // retransmission and delayed-ACK timers armed, later connections not yet
 // dialled, and every handle — tcp.Conn, mptcp.Conn, Subflow — is carved
-// from the slab the next world will carve again. It returns the client
-// ends dialled so far, then the server ends.
-func cutWorld(seed int64, cond phy.Condition, primary string) (*simnet.Sim, *netem.Host, []*mptcp.Conn) {
+// from the slab the next world will carve again. It returns the world,
+// the client ends dialled so far, then the server ends.
+func cutWorld(seed int64, cond phy.Condition, primary string) (core.World, []*mptcp.Conn) {
 	const size = 2 << 20
-	sim := simnet.New(seed)
-	host := phy.BuildHost(sim, cond)
-	client, server := tcp.NewStack(sim, tcp.ClientSide), tcp.NewStack(sim, tcp.ServerSide)
-	for _, ifc := range host.Ifaces() {
-		client.Bind(ifc)
-		server.Bind(ifc)
-	}
+	w := core.NewWorld(seed, cond)
+	sim, client, host := w.Sim, w.Client, w.Host
 	var dialled, accepted []*mptcp.Conn
-	srv := mptcp.NewServer(sim, server, mptcp.ServerConfig{CC: mptcp.Coupled})
+	srv := mptcp.NewServer(sim, w.Server, mptcp.ServerConfig{CC: mptcp.Coupled})
 	srv.OnConn = func(c *mptcp.Conn) {
 		accepted = append(accepted, c)
 		c.Send(size)
@@ -113,16 +108,16 @@ func cutWorld(seed int64, cond phy.Condition, primary string) (*simnet.Sim, *net
 		}
 		sim.RunFor(time.Millisecond)
 	}
-	return sim, host, append(dialled, accepted...)
+	return w, append(dialled, accepted...)
 }
 
 // cutMidTransfer releases a cutWorld where it stopped and returns what
 // it had come to by then.
 func cutMidTransfer(seed int64, cond phy.Condition, primary string) string {
-	sim, host, conns := cutWorld(seed, cond, primary)
-	defer sim.Release()
+	w, conns := cutWorld(seed, cond, primary)
+	defer w.Close()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "now=%v processed=%d pending=%d;", sim.Now(), sim.Processed(), sim.Pending())
+	fmt.Fprintf(&sb, "now=%v processed=%d pending=%d;", w.Sim.Now(), w.Sim.Processed(), w.Sim.Pending())
 	for _, c := range conns {
 		fmt.Fprintf(&sb, " %s rcvd=%d acked=%d", c.ConnID(), c.RecvTotal(), c.DataAcked())
 		for _, sf := range c.Subflows() {
@@ -130,7 +125,7 @@ func cutMidTransfer(seed int64, cond phy.Condition, primary string) string {
 		}
 		sb.WriteString(";")
 	}
-	for _, ifc := range host.Ifaces() {
+	for _, ifc := range w.Host.Ifaces() {
 		for _, l := range []netem.Link{ifc.UpLink(), ifc.DownLink()} {
 			fmt.Fprintf(&sb, " %s %+v", ifc.Name, l.Stats())
 		}
@@ -171,11 +166,10 @@ var worldCells = []struct {
 			core.Config{Transport: core.TCP, Iface: "lte-b"})
 	}},
 	{"session faults, timers pending at the horizon", func() string {
-		cond := phy.Condition{
-			Name: "faults",
-			WiFi: phy.PathProfile{DownMbps: 2, UpMbps: 1, RTTms: 30, QueuePkts: 150},
-			LTE:  phy.PathProfile{DownMbps: 1, UpMbps: 1, RTTms: 60, QueuePkts: 250, LossPct: 1},
-		}
+		cond := phy.NewCondition("faults",
+			phy.Path{Name: "wifi", Profile: phy.PathProfile{DownMbps: 2, UpMbps: 1, RTTms: 30, QueuePkts: 150}},
+			phy.Path{Name: "lte", Profile: phy.PathProfile{DownMbps: 1, UpMbps: 1, RTTms: 60, QueuePkts: 250, LossPct: 1}},
+		)
 		sched := faults.Schedule{Episodes: []faults.Episode{
 			{Kind: faults.LossBurst, Iface: "lte", Start: 100 * time.Millisecond, Duration: time.Second, LossProb: 0.2},
 			{Kind: faults.Blackhole, Iface: "wifi", Start: 300 * time.Millisecond, Duration: time.Minute},
@@ -262,8 +256,8 @@ func TestRecycledWorldMatchesFresh(t *testing.T) {
 // allocations nothing recalls, and they are left holding a Sim that
 // refuses them.
 func TestHandlesDieWithTheirWorld(t *testing.T) {
-	world := func() (*simnet.Sim, []any, *tcp.Conn) {
-		sim, _, conns := cutWorld(25, phy.LocationByID(5).Condition(), "wifi")
+	world := func() (core.World, []any, *tcp.Conn) {
+		w, conns := cutWorld(25, phy.LocationByID(5).Condition(), "wifi")
 		var handles []any
 		for _, c := range conns {
 			handles = append(handles, c)
@@ -271,7 +265,7 @@ func TestHandlesDieWithTheirWorld(t *testing.T) {
 				handles = append(handles, sf, sf.TCP)
 			}
 		}
-		return sim, handles, conns[0].Primary().TCP
+		return w, handles, conns[0].Primary().TCP
 	}
 	mustPanic := func(what string, fn func()) {
 		t.Helper()
@@ -284,12 +278,12 @@ func TestHandlesDieWithTheirWorld(t *testing.T) {
 	}
 
 	simnet.DropRetired()
-	sim, _, tc := world()
-	sim.Release()
+	w, _, tc := world()
+	w.Close()
 	mustPanic("Connect on a handle of a released first world", tc.Connect)
 
-	sim, handles, tc := world() // on the first world's arena
-	sim.Release()
+	w, handles, tc := world() // on the first world's arena
+	w.Close()
 	for _, h := range handles {
 		if !reflect.ValueOf(h).Elem().IsZero() {
 			t.Errorf("a %T survived its world's Release: %+v", h, h)

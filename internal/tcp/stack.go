@@ -96,7 +96,7 @@ func (s *Stack) sendDir() netem.Direction {
 // connection has processed the segment it is recycled too. Handlers
 // (and their callbacks) therefore must not retain the segment or
 // anything aliased to it beyond the handle call — they copy the fields
-// they need, as the MPTCP layer and capture taps do.
+// they need, as the MPTCP layer does.
 //
 //multinet:hotpath
 func (s *Stack) dispatch(iface *netem.Iface, p *netem.Packet, fc *flowCache) {
