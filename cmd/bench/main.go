@@ -23,7 +23,8 @@
 //     nothing (world/session-cold);
 //   - service benchmarks (serve/*): the online path-selection service's
 //     decide and telemetry hot cores over the sharded estimate store,
-//     allocs/op pinned at zero;
+//     allocs/op pinned at zero, and the store's insert of a new site
+//     (selector/observe-new-site), zero beyond amortised growth;
 //   - registry experiments: every harness in the engine registry at the
 //     quick (test-sized) sweep options, the same set cmd/report runs.
 //

@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,12 +116,50 @@ func serveDecideParallel(b *testing.B) {
 	})
 }
 
-// serveBenchmarks is the service benchmark family (serve/*).
+// observeNewSite measures the store's insert path: every op is a site
+// nobody has named before, reporting wifi and then lte, into a store
+// already holding newSitePrefill sites, so what it pays is the shard
+// arrays' and index's amortised growth and nothing per site. Every
+// newSiteBatch ops the store is replaced, off the clock, to keep the
+// benchmark's memory bounded.
+func observeNewSite(b *testing.B) {
+	const (
+		newSitePrefill = 1 << 14
+		newSiteBatch   = 1 << 16
+	)
+	wifi, lte := []byte("wifi"), []byte("lte")
+	var buf [24]byte
+	name := func(i int) []byte { return strconv.AppendInt(append(buf[:0], "site-"...), int64(i), 10) }
+	var st *selector.Store
+	fresh := func() {
+		st = selector.NewStore(selector.StoreConfig{})
+		for i := 0; i < newSitePrefill; i++ {
+			st.Observe(name(i), wifi, 12.5, 25*time.Millisecond, time.Second)
+			st.Observe(name(i), lte, 10, 45*time.Millisecond, time.Second)
+		}
+	}
+	fresh()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%newSiteBatch == 0 {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		site := name(newSitePrefill + i%newSiteBatch)
+		st.Observe(site, wifi, 12.5, 25*time.Millisecond, time.Second)
+		st.Observe(site, lte, 10, 45*time.Millisecond, time.Second)
+	}
+}
+
+// serveBenchmarks is the service benchmark family: serve/* and the
+// store's insert path under it.
 func serveBenchmarks() []bench {
 	return []bench{
 		{"serve/decide", serveDecide},
 		{"serve/decide-multisite", serveDecideMultisite},
 		{"serve/decide-parallel", serveDecideParallel},
 		{"serve/telemetry", serveTelemetry},
+		{"selector/observe-new-site", observeNewSite},
 	}
 }

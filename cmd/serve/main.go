@@ -30,7 +30,7 @@ func main() {
 	shards := flag.Int("shards", 0, "estimate store shards (rounded up to a power of two; 0 = default)")
 	halfLife := flag.Duration("half-life", 0, "estimate decay half-life (0 = default 30s)")
 	gain := flag.Float64("gain", 0, "telemetry EWMA gain in (0,1] (0 = default 0.3)")
-	staleAfter := flag.Duration("stale-after", 0, "silence after which decisions degrade to single-path with the stale-telemetry rationale (0 = default 8x half-life)")
+	staleAfter := flag.Duration("stale-after", 0, "silence after which decisions degrade to single-path with the stale-telemetry rationale; a site silent for twice this is forgotten (0 = default 8x half-life)")
 	shortFlow := flag.Int("short-flow-bytes", 0, "flows at or below this stay single-path (0 = default)")
 	maxDisparity := flag.Float64("max-disparity", 0, "throughput ratio beyond which MPTCP is skipped (0 = default)")
 	holAware := flag.Float64("holaware-disparity", 0, "disparity at which MPTCP escalates to the HoL-aware scheduler (0 = never)")

@@ -8,20 +8,28 @@ package serve
 // field iterator over the raw bytes covers them with zero allocations,
 // and responses are appended into the pooled scratch buffer.
 //
-// Accepted subset: one JSON object of string/number/bool fields.
-// Nested objects and arrays are rejected (no request shape uses
-// them), \uXXXX escapes are rejected (site/path names are plain
-// ASCII identifiers in every deployment this serves), and numbers
-// follow the JSON grammar including exponents.
+// Accepted subset: one JSON object of string/number/bool/null fields,
+// with nothing but whitespace after it. Nested objects and arrays are
+// rejected (no request shape uses them), escapes other than \" \\ \/
+// are rejected (site/path names are plain identifiers in every
+// deployment this serves), strings must be valid UTF-8 without raw
+// control bytes, and numbers follow the JSON grammar, exponents
+// included and leading zeros not. Within the subset the scanner reads
+// what encoding/json reads; FuzzDecideBytes and FuzzTelemetryBytes
+// hold it to that.
 
-import "strconv"
+import (
+	"strconv"
+	"unicode/utf8"
+)
 
 // jsonScan iterates the fields of a flat JSON object. The zero value
 // is invalid; start with newJSONScan.
 type jsonScan struct {
-	b   []byte
-	i   int
-	err bool
+	b      []byte
+	i      int
+	fields int // keys read so far
+	err    bool
 }
 
 func newJSONScan(b []byte) jsonScan {
@@ -37,19 +45,17 @@ func newJSONScan(b []byte) jsonScan {
 
 // ws skips JSON whitespace.
 func (s *jsonScan) ws() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\n', '\r':
-			s.i++
-		default:
-			return
-		}
+	b, i := s.b, s.i
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
 	}
+	s.i = i
 }
 
 // next advances to the next key, returning its bytes (unescaped in
-// place only for the \" and \\ forms — see unescape) and true, or
-// false at the object's end or on a syntax error (check s.err).
+// place, see str) and true, or false at the object's end or on a
+// syntax error (check s.err). Fields are separated by exactly one
+// comma, and only whitespace may follow the closing brace.
 //
 //multinet:hotpath
 func (s *jsonScan) next() ([]byte, bool) {
@@ -61,11 +67,23 @@ func (s *jsonScan) next() ([]byte, bool) {
 	switch s.b[s.i] {
 	case '}':
 		s.i++
+		s.ws()
+		s.err = s.i < len(s.b)
 		return nil, false
 	case ',':
+		if s.fields == 0 {
+			s.err = true
+			return nil, false
+		}
 		s.i++
 		s.ws()
+	default:
+		if s.fields > 0 {
+			s.err = true // a missing comma
+			return nil, false
+		}
 	}
+	s.fields++
 	key, ok := s.str()
 	if !ok {
 		return nil, false
@@ -83,44 +101,51 @@ func (s *jsonScan) next() ([]byte, bool) {
 // str parses the quoted string at the cursor, returning its contents.
 // Escapes other than \" \\ \/ are rejected; those three are unescaped
 // by shifting in place (the buffer is the request scratch, ours to
-// mutate).
+// mutate). Raw control bytes and invalid UTF-8 are rejected.
 //
 //multinet:hotpath
 func (s *jsonScan) str() ([]byte, bool) {
-	if s.i >= len(s.b) || s.b[s.i] != '"' {
+	b, i := s.b, s.i
+	if i >= len(b) || b[i] != '"' {
 		s.err = true
 		return nil, false
 	}
-	s.i++
-	start := s.i
-	w := s.i // write cursor for in-place unescaping
-	for s.i < len(s.b) {
-		c := s.b[s.i]
-		switch c {
-		case '"':
-			out := s.b[start:w]
-			s.i++
-			return out, true
-		case '\\':
-			s.i++
-			if s.i >= len(s.b) {
+	i++
+	start, w := i, i // w: write cursor for in-place unescaping
+	var hi byte      // OR of every byte: its top bit flags non-ASCII
+	for i < len(b) {
+		c := b[i]
+		switch {
+		case c == '"':
+			s.i = i + 1
+			out := b[start:w]
+			if hi >= utf8.RuneSelf && !utf8.Valid(out) {
 				s.err = true
 				return nil, false
 			}
-			switch s.b[s.i] {
+			return out, true
+		case c == '\\':
+			i++
+			if i >= len(b) {
+				s.err = true
+				return nil, false
+			}
+			switch b[i] {
 			case '"', '\\', '/':
-				s.b[w] = s.b[s.i]
+				b[w] = b[i]
 			default:
 				s.err = true // \n, \t, \uXXXX: not a path or site name
 				return nil, false
 			}
-			w++
-			s.i++
+		case c < 0x20:
+			s.err = true
+			return nil, false
 		default:
-			s.b[w] = c
-			w++
-			s.i++
+			hi |= c
+			b[w] = c
 		}
+		w++
+		i++
 	}
 	s.err = true
 	return nil, false
@@ -139,136 +164,111 @@ func (s *jsonScan) skipValue() {
 	case c == '"':
 		s.str()
 	case c == '-' || (c >= '0' && c <= '9'):
-		s.num()
-	case c == 't' || c == 'f' || c == 'n':
-		for s.i < len(s.b) {
-			switch s.b[s.i] {
-			case ',', '}', ' ', '\t', '\n', '\r':
-				return
-			}
-			s.i++
-		}
+		s.number()
+	case c == 't':
+		s.literal("true")
+	case c == 'f':
+		s.literal("false")
+	case c == 'n':
+		s.literal("null")
 	default:
 		s.err = true
 	}
 }
 
-// num parses the JSON number at the cursor without allocating:
-// strconv.ParseFloat(string(b), ...) would heap-copy the bytes
-// because its error path retains the string, so the mantissa and
-// exponent are accumulated by hand.
+// literal consumes word, which must be next.
+func (s *jsonScan) literal(word string) {
+	if len(s.b)-s.i < len(word) || string(s.b[s.i:s.i+len(word)]) != word {
+		s.err = true
+		return
+	}
+	s.i += len(word)
+}
+
+// number consumes the JSON number at the cursor and returns its bytes:
+// an optional minus, an integer part without leading zeros, and
+// optional fraction and exponent parts. A digit straight after a lone
+// 0 is left for next, which rejects it as a missing comma.
 //
 //multinet:hotpath
-func (s *jsonScan) num() (float64, bool) {
-	neg := false
-	if s.i < len(s.b) && s.b[s.i] == '-' {
-		neg = true
-		s.i++
-	}
+func (s *jsonScan) number() ([]byte, bool) {
 	start := s.i
-	var mant float64
-	for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
-		mant = mant*10 + float64(s.b[s.i]-'0')
+	if s.i < len(s.b) && s.b[s.i] == '-' {
 		s.i++
 	}
-	if s.i == start {
-		s.err = true
-		return 0, false
+	if s.i < len(s.b) && s.b[s.i] == '0' {
+		s.i++
+	} else if !s.digits() {
+		return nil, false
 	}
-	scale := 0
 	if s.i < len(s.b) && s.b[s.i] == '.' {
 		s.i++
-		fs := s.i
-		for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
-			mant = mant*10 + float64(s.b[s.i]-'0')
-			scale--
-			s.i++
-		}
-		if s.i == fs {
-			s.err = true
-			return 0, false
+		if !s.digits() {
+			return nil, false
 		}
 	}
 	if s.i < len(s.b) && (s.b[s.i] == 'e' || s.b[s.i] == 'E') {
 		s.i++
-		eneg := false
-		switch {
-		case s.i < len(s.b) && s.b[s.i] == '-':
-			eneg = true
-			s.i++
-		case s.i < len(s.b) && s.b[s.i] == '+':
+		if s.i < len(s.b) && (s.b[s.i] == '+' || s.b[s.i] == '-') {
 			s.i++
 		}
-		es := s.i
-		exp := 0
-		for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' && exp < 1000 {
-			exp = exp*10 + int(s.b[s.i]-'0')
-			s.i++
+		if !s.digits() {
+			return nil, false
 		}
-		if s.i == es {
-			s.err = true
-			return 0, false
-		}
-		if eneg {
-			exp = -exp
-		}
-		scale += exp
 	}
-	// Dividing (rather than multiplying by a reciprocal) keeps short
-	// decimals exact: 125/10 is 12.5 on the nose, 125*0.1 is not.
-	var v float64
-	if scale < 0 {
-		v = mant / pow10(-scale)
-	} else {
-		v = mant * pow10(scale)
+	return s.b[start:s.i], true
+}
+
+// digits consumes a run of decimal digits, flagging an error when there
+// is none.
+func (s *jsonScan) digits() bool {
+	b, i := s.b, s.i
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
 	}
-	if neg {
-		v = -v
+	if i == s.i {
+		s.err = true
+		return false
+	}
+	s.i = i
+	return true
+}
+
+// num parses the number at the cursor as a float64. strconv rounds it
+// exactly as encoding/json does, and copies its input only into an
+// error, so the conversion stays on the stack. A number beyond the
+// float64 range is a malformed request, not an infinity.
+//
+//multinet:hotpath
+func (s *jsonScan) num() (float64, bool) {
+	b, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		s.err = true
+		return 0, false
 	}
 	return v, true
 }
 
-// pow10 returns 10^n (n >= 0) through repeated squaring on a float
-// base — exact for the n <= 22 every real request uses, and
-// monotonically saturating beyond the float range.
-func pow10(n int) float64 {
-	p, base := 1.0, 10.0
-	for n > 0 {
-		if n&1 == 1 {
-			p *= base
-		}
-		base *= base
-		n >>= 1
-	}
-	return p
-}
-
 // intNum parses the number at the cursor as a non-negative int
-// (fractions and negatives reject — flow sizes are byte counts).
+// (signs, fractions and exponents reject — flow sizes are byte counts).
 //
 //multinet:hotpath
 func (s *jsonScan) intNum() (int, bool) {
-	start := s.i
-	n := 0
-	for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
-		d := int(s.b[s.i] - '0')
-		if n > (1<<62)/10 {
-			s.err = true
-			return 0, false
-		}
-		n = n*10 + d
-		s.i++
-	}
-	if s.i == start {
-		s.err = true
+	b, ok := s.number()
+	if !ok {
 		return 0, false
 	}
-	if s.i < len(s.b) {
-		switch s.b[s.i] {
-		case '.', 'e', 'E', '-':
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' || n > (1<<62)/10 {
 			s.err = true
 			return 0, false
 		}
+		n = n*10 + int(c-'0')
 	}
 	return n, true
 }

@@ -53,7 +53,9 @@ type Stats struct {
 	UnknownSite uint64 `json:"unknown_site"`
 	BadRequests uint64 `json:"bad_requests"`
 	Sites       int    `json:"sites"`
-	Shards      int    `json:"shards"`
+	// Evicted counts the sites forgotten after 2×StaleAfter of silence.
+	Evicted int `json:"evicted"`
+	Shards  int `json:"shards"`
 }
 
 // Server is the HTTP face of the selector store. All exported methods
@@ -194,27 +196,8 @@ func writeJSON(w http.ResponseWriter, status int, body []byte) {
 //
 //multinet:hotpath
 func (s *Server) DecideBytes(body []byte, sc *Scratch) int {
-	var site []byte
-	flowBytes := -1
-	scan := newJSONScan(body)
-	for {
-		key, ok := scan.next()
-		if !ok {
-			break
-		}
-		switch {
-		case keyIs(key, "site"):
-			site, ok = scan.str()
-		case keyIs(key, "flow_bytes"):
-			flowBytes, ok = scan.intNum()
-		default:
-			scan.skipValue()
-		}
-		if !ok || scan.err {
-			break
-		}
-	}
-	if scan.err || len(site) == 0 || flowBytes < 0 {
+	site, flowBytes, ok := scanDecide(body)
+	if !ok {
 		s.badRequests.Add(1)
 		sc.Out = append(sc.Out[:0], errBadRequest...) //lint:allow hotpath malformed-request cold path; capacity is amortised by the pooled Scratch
 		return http.StatusBadRequest
@@ -227,6 +210,34 @@ func (s *Server) DecideBytes(body []byte, sc *Scratch) int {
 	s.decides.Add(1)
 	s.renderDecision(sc, site)
 	return http.StatusOK
+}
+
+// scanDecide reads a decide request: a non-empty site and a
+// non-negative integer flow_bytes; other keys are skipped. ok is false
+// for a malformed or incomplete body.
+//
+//multinet:hotpath
+func scanDecide(body []byte) (site []byte, flowBytes int, ok bool) {
+	flowBytes = -1
+	scan := newJSONScan(body)
+	for {
+		key, more := scan.next()
+		if !more {
+			break
+		}
+		switch {
+		case keyIs(key, "site"):
+			site, more = scan.str()
+		case keyIs(key, "flow_bytes"):
+			flowBytes, more = scan.intNum()
+		default:
+			scan.skipValue()
+		}
+		if !more || scan.err {
+			break
+		}
+	}
+	return site, flowBytes, !scan.err && len(site) > 0 && flowBytes >= 0
 }
 
 // renderDecision appends the decision JSON to sc.Out.
@@ -270,43 +281,62 @@ func (s *Server) renderDecision(sc *Scratch, site []byte) {
 
 // TelemetryBytes is the ingest hot path: parse one sample and fold it
 // into the store. Returns 204 on success, 400 on a malformed body.
-// Allocation-free in the steady state (a site or path seen for the
-// first time allocates its interned copy, once).
+// Allocation-free once the store's arrays have grown: the store copies
+// a new site's name into its key bytes and interns a path name once
+// per shard.
 //
 //multinet:hotpath
 func (s *Server) TelemetryBytes(body []byte, sc *Scratch) int {
-	var site, path []byte
-	mbps, rtt := -1.0, -1.0
-	scan := newJSONScan(body)
-	for {
-		key, ok := scan.next()
-		if !ok {
-			break
-		}
-		switch {
-		case keyIs(key, "site"):
-			site, ok = scan.str()
-		case keyIs(key, "path"):
-			path, ok = scan.str()
-		case keyIs(key, "mbps"):
-			mbps, ok = scan.num()
-		case keyIs(key, "rtt_ms"):
-			rtt, ok = scan.num()
-		default:
-			scan.skipValue()
-		}
-		if !ok || scan.err {
-			break
-		}
-	}
-	if scan.err || len(site) == 0 || len(path) == 0 || mbps < 0 || rtt < 0 {
+	site, path, mbps, rtt, ok := scanTelemetry(body)
+	if !ok {
 		s.badRequests.Add(1)
 		sc.Out = append(sc.Out[:0], errBadRequest...) //lint:allow hotpath malformed-request cold path; capacity is amortised by the pooled Scratch
 		return http.StatusBadRequest
 	}
-	s.store.Observe(site, path, mbps, time.Duration(rtt*float64(time.Millisecond)), s.now())
+	s.store.Observe(site, path, mbps, rtt, s.now())
 	s.telemetry.Add(1)
 	return http.StatusNoContent
+}
+
+// maxRTTNanos is 2^63: an rtt_ms whose nanoseconds reach it does not
+// fit a time.Duration.
+const maxRTTNanos = float64(1 << 63)
+
+// scanTelemetry reads a telemetry sample: a non-empty site and path, a
+// non-negative mbps, and a non-negative rtt_ms that fits a
+// time.Duration, returned converted; other keys are skipped. ok is
+// false for a malformed or incomplete body.
+//
+//multinet:hotpath
+func scanTelemetry(body []byte) (site, path []byte, mbps float64, rtt time.Duration, ok bool) {
+	mbps, rttMS := -1.0, -1.0
+	scan := newJSONScan(body)
+	for {
+		key, more := scan.next()
+		if !more {
+			break
+		}
+		switch {
+		case keyIs(key, "site"):
+			site, more = scan.str()
+		case keyIs(key, "path"):
+			path, more = scan.str()
+		case keyIs(key, "mbps"):
+			mbps, more = scan.num()
+		case keyIs(key, "rtt_ms"):
+			rttMS, more = scan.num()
+		default:
+			scan.skipValue()
+		}
+		if !more || scan.err {
+			break
+		}
+	}
+	ns := rttMS * float64(time.Millisecond)
+	if scan.err || len(site) == 0 || len(path) == 0 || mbps < 0 || rttMS < 0 || ns >= maxRTTNanos {
+		return nil, nil, 0, 0, false
+	}
+	return site, path, mbps, time.Duration(ns), true
 }
 
 // StatsSnapshot returns the current counters.
@@ -317,6 +347,7 @@ func (s *Server) StatsSnapshot() Stats {
 		UnknownSite: s.unknownSite.Load(),
 		BadRequests: s.badRequests.Load(),
 		Sites:       s.store.Sites(),
+		Evicted:     s.store.Evicted(),
 		Shards:      s.store.ShardCount(),
 	}
 }
@@ -336,6 +367,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	out = strconv.AppendUint(out, st.BadRequests, 10)
 	out = append(out, `,"sites":`...)
 	out = strconv.AppendInt(out, int64(st.Sites), 10)
+	out = append(out, `,"evicted":`...)
+	out = strconv.AppendInt(out, int64(st.Evicted), 10)
 	out = append(out, `,"shards":`...)
 	out = strconv.AppendInt(out, int64(st.Shards), 10)
 	out = append(out, '}', '\n')

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -187,7 +189,7 @@ func TestServeStatsAndHealth(t *testing.T) {
 	}
 	w = get(t, h, "/v1/stats")
 	body := w.Body.String()
-	for _, want := range []string{`"decides":1`, `"telemetry":1`, `"sites":1`, `"shards":8`} {
+	for _, want := range []string{`"decides":1`, `"telemetry":1`, `"sites":1`, `"evicted":0`, `"shards":8`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("stats %q missing %q", body, want)
 		}
@@ -279,5 +281,116 @@ func TestTelemetryBytesZeroAllocSteadyState(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("steady-state TelemetryBytes allocates %v/op, want 0", n)
+	}
+}
+
+// TestServeRejectsNonFiniteTelemetry replays the samples that once
+// poisoned a site: an mbps of 1e400 was stored as +Inf, the next finite
+// sample turned it into NaN, and every later decide answered 200 with
+// `"disparity":NaN` (not JSON) and an MPTCP verdict; an rtt_ms of 1e300
+// overflowed into a negative RTT. Both now answer 400 and count as bad
+// requests, and the site's decisions stay valid JSON.
+func TestServeRejectsNonFiniteTelemetry(t *testing.T) {
+	s, _ := newTestServer(selector.StoreConfig{})
+	h := s.Handler()
+	for _, body := range []string{
+		`{"site":"x","path":"wifi","mbps":1e400,"rtt_ms":25}`,
+		`{"site":"x","path":"wifi","mbps":5,"rtt_ms":1e300}`,
+		`{"site":"x","path":"wifi","mbps":5,"rtt_ms":9223372036854.776}`, // 2^63 ns
+	} {
+		if w := post(t, h, "/v1/telemetry", body); w.Code != http.StatusBadRequest {
+			t.Fatalf("telemetry(%s) status = %d, want 400", body, w.Code)
+		}
+	}
+	if st := s.StatsSnapshot(); st.BadRequests != 3 || st.Sites != 0 {
+		t.Fatalf("stats = %+v, want 3 bad requests and no site", st)
+	}
+	// The largest representable RTT is still accepted.
+	if w := post(t, h, "/v1/telemetry", `{"site":"y","path":"wifi","mbps":5,"rtt_ms":9223372036854.77}`); w.Code != http.StatusNoContent {
+		t.Fatalf("rtt_ms just inside the Duration range: status %d", w.Code)
+	}
+	if e, _ := s.store.Estimate("y", 0); e.Paths[0].RTT <= 0 {
+		t.Fatalf("rtt_ms just inside the Duration range stored as %v", e.Paths[0].RTT)
+	}
+
+	post(t, h, "/v1/telemetry", `{"site":"x","path":"wifi","mbps":12,"rtt_ms":25}`)
+	post(t, h, "/v1/telemetry", `{"site":"x","path":"lte","mbps":10,"rtt_ms":45}`)
+	w := post(t, h, "/v1/decide", `{"site":"x","flow_bytes":5242880}`)
+	var reply struct {
+		Paths     []string `json:"paths"`
+		UseMPTCP  bool     `json:"use_mptcp"`
+		Disparity *float64 `json:"disparity"`
+		Rationale string   `json:"rationale"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("decide reply %q is not JSON: %v", w.Body.String(), err)
+	}
+	if w.Code != http.StatusOK || reply.Disparity == nil || math.Abs(*reply.Disparity-1.2) > 1e-3 ||
+		!reply.UseMPTCP || reply.Rationale != "aggregate" || len(reply.Paths) != 2 || reply.Paths[0] != "wifi" {
+		t.Fatalf("decide = %d %q", w.Code, w.Body.String())
+	}
+}
+
+// TestServeStrictScanner pins the scanner to its documented subset:
+// each of these bodies once answered 204 or 200-with-404, and each is
+// malformed JSON.
+func TestServeStrictScanner(t *testing.T) {
+	s, _ := newTestServer(selector.StoreConfig{})
+	h := s.Handler()
+	post(t, h, "/v1/telemetry", `{"site":"z","path":"wifi","mbps":5,"rtt_ms":25}`)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/telemetry", `{"site":"z" "path":"wifi","mbps":5,"rtt_ms":25}`},
+		{"/v1/telemetry", `{"site":"z","path":"wifi","mbps":5,"rtt_ms":25,"x":nonsense}`},
+		{"/v1/telemetry", `{"site":"z","path":"wifi","mbps":01,"rtt_ms":25}`},
+		{"/v1/telemetry", `{"site":"z","path":"wifi","mbps":5,"rtt_ms":25}garbage`},
+		{"/v1/telemetry", "{\"site\":\"z\x01\",\"path\":\"wifi\",\"mbps\":5,\"rtt_ms\":25}"},
+		{"/v1/telemetry", "{\"site\":\"z\xff\",\"path\":\"wifi\",\"mbps\":5,\"rtt_ms\":25}"},
+		{"/v1/telemetry", `{,"site":"z","path":"wifi","mbps":5,"rtt_ms":25}`},
+		{"/v1/telemetry", `{"site":"z",,"path":"wifi","mbps":5,"rtt_ms":25}`},
+		{"/v1/telemetry", `{"site":"z","path":"wifi","mbps":5,"rtt_ms":25,}`},
+		{"/v1/telemetry", `{"site":"z","path":"wifi","mbps":5.,"rtt_ms":25}`},
+		{"/v1/decide", `{"site":"z" "flow_bytes":1}`},
+		{"/v1/decide", `{"site":"z","flow_bytes":1,"x":nonsense}`},
+		{"/v1/decide", `{"site":"z","flow_bytes":1,"x":truex}`},
+		{"/v1/decide", `{"site":"z","flow_bytes":01}`},
+		{"/v1/decide", `{"site":"z","flow_bytes":1}}`},
+		{"/v1/decide", "{\"site\":\"z\t\",\"flow_bytes\":1}"},
+	} {
+		if w := post(t, h, tc.path, tc.body); w.Code != http.StatusBadRequest {
+			t.Fatalf("%s %q: status %d, want 400", tc.path, tc.body, w.Code)
+		}
+	}
+	// What the subset does accept, whitespace and unknown keys included.
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/telemetry", "\t{ \"site\" : \"z\" , \"path\":\"lte\",\"mbps\":0.5e1,\"rtt_ms\":0,\"a\":true,\"b\":null,\"c\":-1E-2 }\r\n", http.StatusNoContent},
+		{"/v1/decide", `{"site":"z","flow_bytes":0,"d":false,"e":"\/"} `, http.StatusOK},
+	} {
+		if w := post(t, h, tc.path, tc.body); w.Code != tc.want {
+			t.Fatalf("%s %q: status %d, want %d", tc.path, tc.body, w.Code, tc.want)
+		}
+	}
+}
+
+// TestServeEvictedSiteIsUnknown: a site silent for 2×StaleAfter is
+// forgotten by the next sweep of its shard, answers 404 like a site
+// never seen, and /v1/stats counts it as evicted.
+func TestServeEvictedSiteIsUnknown(t *testing.T) {
+	s, clk := newTestServer(selector.StoreConfig{Shards: 1, StaleAfter: 10 * time.Second})
+	h := s.Handler()
+	post(t, h, "/v1/telemetry", `{"site":"cdn","path":"wifi","mbps":5,"rtt_ms":20}`)
+	clk.at += 20 * time.Second
+	post(t, h, "/v1/telemetry", `{"site":"edge","path":"wifi","mbps":5,"rtt_ms":20}`)
+	w := post(t, h, "/v1/decide", `{"site":"cdn","flow_bytes":1048576}`)
+	if w.Code != http.StatusNotFound || w.Body.String() != string(errUnknownSite) {
+		t.Fatalf("evicted site: %d %q", w.Code, w.Body.String())
+	}
+	body := get(t, h, "/v1/stats").Body.String()
+	for _, want := range []string{`"unknown_site":1`, `"sites":1`, `"evicted":1`} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("stats %q missing %q", body, want)
+		}
 	}
 }
