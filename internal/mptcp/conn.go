@@ -39,12 +39,12 @@ type Config struct {
 	// waiting for the primary handshake (ablation for the paper's
 	// late-join effect).
 	SimultaneousJoin bool
-	// Scheduler names the registered data scheduler (see
-	// RegisterScheduler); empty means SchedMinSRTT, the Linux default.
-	Scheduler string
 	// RoundRobin is the legacy ablation flag, equivalent to
 	// Scheduler: SchedRoundRobin (ignored when Scheduler is set).
 	RoundRobin bool
+	// Scheduler names the registered data scheduler (see
+	// RegisterScheduler); empty means SchedMinSRTT, the Linux default.
+	Scheduler string
 	// RejoinBackoff is the client-side delay before re-establishing a
 	// subflow after its interface recovers from an administrative down
 	// (default DefaultRejoinBackoff). Each consecutive failed re-join
@@ -165,15 +165,20 @@ func (sf *Subflow) Dead() bool { return sf.dead }
 // they are zeroed memory the next world hands out again, so read what
 // you need from them before releasing.
 type Conn struct {
-	sim  *simnet.Sim
-	dss  *simnet.FreeList[DSS] // sim's; looked up once
-	cfg  Config
-	cb   Callbacks
-	side tcp.Side
+	sim *simnet.Sim
+	dss *simnet.FreeList[DSS] // sim's; looked up once
+	cfg Config
+	cb  Callbacks
+	// owner is the application's reference on the connection (SetOwner),
+	// so that one set of callbacks can serve many connections. It fits
+	// the size class the handle had without it because the server end is
+	// told by its nil host, not by a side field, and Config keeps its
+	// bools in one word (TestColdWorldBytes).
+	owner any
 
 	stack    *tcp.Stack
-	host     *netem.Host
-	subflows []*Subflow // a piece of the Sim's slab
+	host     *netem.Host // the client's; nil on the server, which opens no subflows
+	subflows []*Subflow  // a piece of the Sim's slab
 	// capable is the MP_CAPABLE option of the primary's SYN. With the
 	// four flags below in one word it fits the size class the handle had
 	// without it (TestColdWorldBytes).
@@ -220,20 +225,23 @@ type Conn struct {
 }
 
 // newConn builds the common state.
-func newConn(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, side tcp.Side, cfg Config, cb Callbacks) *Conn {
+func newConn(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, cfg Config, cb Callbacks) *Conn {
 	if cfg.ConnID == "" {
 		panic("mptcp: ConnID required")
 	}
 	c := simnet.SlabOf[Conn](sim).New()
-	*c = Conn{sim: sim, dss: simnet.FreeListOf[DSS](sim), cfg: cfg, cb: cb, side: side,
+	*c = Conn{sim: sim, dss: simnet.FreeListOf[DSS](sim), cfg: cfg, cb: cb,
 		stack: stack, host: host, capable: MPCapable{ConnID: cfg.ConnID}, sched: schedulerFor(cfg)}
 	return c
 }
 
+// client reports whether c is the client end, the one that opens subflows.
+func (c *Conn) client() bool { return c.host != nil }
+
 // Dial opens an MPTCP connection from the client side: the primary
 // subflow starts its handshake immediately; joins follow per Config.
 func Dial(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, cfg Config, cb Callbacks) *Conn {
-	c := newConn(sim, stack, host, tcp.ClientSide, cfg, cb)
+	c := newConn(sim, stack, host, cfg, cb)
 	primary := host.Iface(cfg.Primary)
 	if primary == nil {
 		panic("mptcp: unknown primary iface " + cfg.Primary)
@@ -396,7 +404,7 @@ func (c *Conn) subflowEstablished(sf *Subflow) {
 		// Linux initiates MP_JOINs once the MP_CAPABLE handshake is
 		// done — the "late join" at the heart of the paper's short-flow
 		// findings.
-		if c.side == tcp.ClientSide && !c.cfg.NoJoin && !c.cfg.SimultaneousJoin {
+		if c.client() && !c.cfg.NoJoin && !c.cfg.SimultaneousJoin {
 			c.startJoins()
 		}
 	}
@@ -436,6 +444,15 @@ func (c *Conn) Primary() *Subflow {
 
 // ConnID returns the connection identifier.
 func (c *Conn) ConnID() string { return c.cfg.ConnID }
+
+// Owner returns the reference set by SetOwner (nil if none was).
+func (c *Conn) Owner() any { return c.owner }
+
+// SetOwner hangs a reference of the application's on the connection:
+// on the client right after Dial, on the server in Server.OnConn, before
+// any callback can fire. Callbacks shared by many connections recover
+// their per-connection state from it, as tcp.Conn.Owner serves subflows.
+func (c *Conn) SetOwner(owner any) { c.owner = owner }
 
 // SendTotal returns cumulative bytes queued by the application.
 func (c *Conn) SendTotal() uint64 { return c.sendTotal }
@@ -790,7 +807,7 @@ func (c *Conn) subflowDied(sf *Subflow) {
 // schedules a re-join after a backoff (the server side waits for the
 // client's MP_JOIN instead — it never initiates subflows).
 func (c *Conn) subflowRevived(sf *Subflow) {
-	if !sf.dead || sf.rejoining || c.closed || c.side != tcp.ClientSide {
+	if !sf.dead || sf.rejoining || c.closed || !c.client() {
 		return
 	}
 	c.scheduleRejoin(sf)

@@ -1,6 +1,7 @@
 package mptcp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -516,5 +517,25 @@ func TestDeterministicMPTCPRun(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("non-deterministic MPTCP run: %v vs %v", a, b)
+	}
+}
+
+// TestServerConnLatestWins: the server files accepted connections in
+// accept order, and an MP_CAPABLE that arrives again under an accepted ID
+// (a re-join that restarts its connection) supersedes the earlier one
+// for Conn, which is also where an MP_JOIN finds its connection.
+func TestServerConnLatestWins(t *testing.T) {
+	r := newRig(1, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{})
+	var accepted []*Conn
+	r.srv.OnConn = func(c *Conn) { accepted = append(accepted, c) }
+	Dial(r.sim, r.client, r.host, Config{ConnID: "x", Primary: "wifi", NoJoin: true}, Callbacks{})
+	r.sim.Run()
+	Dial(r.sim, r.client, r.host, Config{ConnID: "x", Primary: "lte", NoJoin: true}, Callbacks{})
+	r.sim.Run()
+	if len(accepted) != 2 || r.srv.Conn("x") != accepted[1] || r.srv.Conn("y") != nil {
+		t.Fatalf("accepted %d, Conn(x) = %p, want the second of %p", len(accepted), r.srv.Conn("x"), accepted)
+	}
+	if !slices.Equal(r.srv.conns, accepted) {
+		t.Fatal("the server's table is not the accepted connections in accept order")
 	}
 }

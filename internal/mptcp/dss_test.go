@@ -96,7 +96,7 @@ func TestDSSHolderCount(t *testing.T) {
 // cannot be the one a send they trigger takes from the free list.
 func TestDSSReuseWaitsForLastHolder(t *testing.T) {
 	r := newRig(22, symmetric(10, 5*time.Millisecond), symmetric(10, 5*time.Millisecond), ServerConfig{})
-	c := newConn(r.sim, r.client, r.host, tcp.ClientSide, Config{ConnID: "x"}, Callbacks{})
+	c := newConn(r.sim, r.client, r.host, Config{ConnID: "x"}, Callbacks{})
 	d := c.newDSS(100, 50)
 	d.RetainOpt() // scoreboard entry
 	d.RecycleOpt()

@@ -35,7 +35,9 @@ type Server struct {
 	sim   *simnet.Sim
 	stack *tcp.Stack
 	cfg   ServerConfig
-	conns map[string]*Conn
+	// conns are the accepted connections in accept order, on a piece of
+	// the Sim's slab.
+	conns []*Conn
 
 	// OnConn fires when a new MPTCP connection is accepted (its primary
 	// subflow's SYN arrived). The app installs callbacks and queues
@@ -48,7 +50,7 @@ type Server struct {
 
 // NewServer installs an MPTCP acceptor on the stack.
 func NewServer(sim *simnet.Sim, stack *tcp.Stack, cfg ServerConfig) *Server {
-	s := &Server{sim: sim, stack: stack, cfg: cfg, conns: make(map[string]*Conn)}
+	s := &Server{sim: sim, stack: stack, cfg: cfg}
 	stack.Accept = s.accept
 	return s
 }
@@ -58,8 +60,17 @@ func NewServer(sim *simnet.Sim, stack *tcp.Stack, cfg ServerConfig) *Server {
 // harnesses use it between sequential transfers.
 func (s *Server) SetConfig(cfg ServerConfig) { s.cfg = cfg }
 
-// Conn returns the accepted connection with the given ID, or nil.
-func (s *Server) Conn(connID string) *Conn { return s.conns[connID] }
+// Conn returns the accepted connection with the given ID, or nil. An
+// MP_CAPABLE that arrives again with the ID of an accepted connection (a
+// re-join that restarts the connection) supersedes it: the latest wins.
+func (s *Server) Conn(connID string) *Conn {
+	for i := len(s.conns) - 1; i >= 0; i-- {
+		if c := s.conns[i]; c.cfg.ConnID == connID {
+			return c
+		}
+	}
+	return nil
+}
 
 // accept is the Stack.Accept hook: the new tcp.Conn has not yet
 // processed its SYN, so install a one-shot OnSegment hook to inspect
@@ -76,7 +87,7 @@ func serverFirstSegment(tc *tcp.Conn, seg *tcp.Segment) { tc.Owner().(*Server).f
 func (s *Server) firstSegment(tc *tcp.Conn, seg *tcp.Segment) {
 	switch opt := seg.Opt.(type) {
 	case *MPCapable:
-		c := newConn(s.sim, s.stack, nil, tcp.ServerSide, Config{
+		c := newConn(s.sim, s.stack, nil, Config{
 			ConnID:    opt.ConnID,
 			CC:        s.cfg.CC,
 			Mode:      s.cfg.Mode,
@@ -87,14 +98,17 @@ func (s *Server) firstSegment(tc *tcp.Conn, seg *tcp.Segment) {
 			WatchdogRTOs:      s.cfg.WatchdogRTOs,
 			WatchdogMaxStalls: s.cfg.WatchdogMaxStalls,
 		}, Callbacks{})
-		s.conns[opt.ConnID] = c
+		if len(s.conns) == cap(s.conns) {
+			s.conns = simnet.SlabOf[*Conn](s.sim).Grow(s.conns, len(s.conns)+1)
+		}
+		s.conns = append(s.conns, c)
 		c.adoptSubflow(tc, tc.Iface(), false)
 		tc.SetSynOpt(opt) // echoed: options are immutable once sent
 		if s.OnConn != nil {
 			s.OnConn(c)
 		}
 	case *MPJoin:
-		c := s.conns[opt.ConnID]
+		c := s.Conn(opt.ConnID)
 		if c == nil {
 			return // stale join: ignore; the subflow will time out
 		}

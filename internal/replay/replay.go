@@ -10,8 +10,8 @@
 package replay
 
 import (
+	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	"multinet/internal/apps"
@@ -213,11 +213,7 @@ func Run(seed int64, cond phy.Condition, rec *Recording, tc TransportConfig) Res
 	e := &engine{World: core.NewWorld(seed, cond), rec: rec, tc: tc}
 	defer e.Close()
 	e.flows = simnet.SlabOf[flowState](e.Sim).Make(len(rec.App.Flows))
-	// Every connection of the replay is wired with the same hooks, built
-	// here once: each finds its flow by the connection's name.
 	if tc.Kind == Multipath {
-		e.mpClient = mptcp.Callbacks{OnEstablished: e.mpEstablished, OnData: e.mpResponseData}
-		e.mpServer = mptcp.Callbacks{OnData: e.mpRequestData}
 		srv := mptcp.NewServer(e.Sim, e.Server, mptcp.ServerConfig{CC: tc.CC, Scheduler: tc.Scheduler})
 		srv.OnConn = e.acceptMPTCP
 	} else {
@@ -225,8 +221,6 @@ func Run(seed int64, cond phy.Condition, rec *Recording, tc TransportConfig) Res
 		if e.iface == nil {
 			panic("replay: unknown iface " + tc.Iface)
 		}
-		e.tcpClient = tcp.Callbacks{OnEstablished: e.tcpEstablished, OnData: e.tcpResponseData}
-		e.tcpServer = tcp.Callbacks{OnData: e.tcpRequestData}
 		e.Server.Accept = e.acceptTCP
 	}
 	for i := range e.flows {
@@ -270,9 +264,9 @@ func Run(seed int64, cond phy.Condition, rec *Recording, tc TransportConfig) Res
 }
 
 // flowState is one flow of the replay in progress. The states are a
-// slice on the Sim's slab in App.Flows order, which is also the number
-// in the connection's name (flowConnID), so a hook finds its flow from
-// the connection it is handed and no flow needs hooks of its own.
+// slice on the Sim's slab in App.Flows order. Each is the owner of both
+// ends of its flow's connection, so a hook finds its flow from the
+// connection it is handed and no flow needs hooks of its own.
 type flowState struct {
 	eng     *engine
 	spec    *apps.Flow
@@ -289,16 +283,13 @@ type flowState struct {
 }
 
 // engine is one replay in progress: the world it runs on (released by
-// Run) and the hooks every connection of the replay shares.
+// Run).
 type engine struct {
 	core.World
 	iface *netem.Iface // single-path replays dial here
 	rec   *Recording
 	tc    TransportConfig
 	flows []flowState
-
-	tcpClient, tcpServer tcp.Callbacks
-	mpClient, mpServer   mptcp.Callbacks
 }
 
 // scheduleStart opens st's connection after the flow's start delay.
@@ -320,36 +311,39 @@ func startFlow(a any) {
 			Primary:   e.tc.Primary,
 			CC:        e.tc.CC,
 			Scheduler: e.tc.Scheduler,
-		}, e.mpClient)
+		}, mptcp.Callbacks{OnEstablished: mpEstablished, OnData: mpResponseData}).SetOwner(st)
 	} else {
-		e.Client.Dial(e.iface, st.connID, tcp.Config{Callbacks: e.tcpClient})
+		e.Client.Dial(e.iface, st.connID, tcp.Config{
+			Callbacks: tcp.Callbacks{OnEstablished: tcpEstablished, OnData: tcpResponseData},
+			Owner:     st,
+		})
 	}
 }
-
-const flowConnPrefix = "app-f"
 
 // flowConnID names the connection of the i-th flow of a recording.
-func flowConnID(i int) string { return flowConnPrefix + strconv.Itoa(i) }
+func flowConnID(i int) string { return "app-f" + strconv.Itoa(i) }
 
-// flowOf is the flow whose connection is named connID; nil for a
-// stranger.
-func (e *engine) flowOf(connID string) *flowState {
-	i, ok := parseFlowConnID(connID)
-	if !ok || i >= len(e.flows) {
-		return nil
+// flowNamed is the flow whose connection is named connID; nil for a
+// stranger. An accept asks once per connection.
+func (e *engine) flowNamed(connID string) *flowState {
+	if i := slices.Index(e.rec.connIDs, connID); i >= 0 {
+		return &e.flows[i]
 	}
-	return &e.flows[i]
+	return nil
 }
 
-func (e *engine) tcpEstablished(c *tcp.Conn) { c.Send(e.flowOf(c.Flow()).spec.RequestBytes) }
+// Every connection of every replay is wired with the same hooks, plain
+// functions that build no closure. Each finds its flow as the
+// connection's owner, set once: at Dial on the client, at accept on the
+// server.
 
-func (e *engine) tcpResponseData(c *tcp.Conn, total int64) { e.flowOf(c.Flow()).responseData(total) }
+func tcpEstablished(c *tcp.Conn) { c.Send(c.Owner().(*flowState).spec.RequestBytes) }
 
-func (e *engine) mpEstablished(c *mptcp.Conn) { c.Send(e.flowOf(c.ConnID()).spec.RequestBytes) }
+func tcpResponseData(c *tcp.Conn, total int64) { c.Owner().(*flowState).responseData(total) }
 
-func (e *engine) mpResponseData(c *mptcp.Conn, total int64) {
-	e.flowOf(c.ConnID()).responseData(total)
-}
+func mpEstablished(c *mptcp.Conn) { c.Send(c.Owner().(*flowState).spec.RequestBytes) }
+
+func mpResponseData(c *mptcp.Conn, total int64) { c.Owner().(*flowState).responseData(total) }
 
 // responseData is the client's OnData: the flow is complete once the
 // whole response has arrived.
@@ -360,24 +354,24 @@ func (st *flowState) responseData(total int64) {
 }
 
 func (e *engine) acceptTCP(c *tcp.Conn) {
-	if st := e.flowOf(c.Flow()); st != nil {
+	if st := e.flowNamed(c.Flow()); st != nil {
 		st.srvTCP = c
-		c.SetCallbacks(e.tcpServer)
+		c.SetOwner(st)
+		c.SetCallbacks(tcp.Callbacks{OnData: tcpRequestData})
 	}
 }
 
 func (e *engine) acceptMPTCP(c *mptcp.Conn) {
-	if st := e.flowOf(c.ConnID()); st != nil {
+	if st := e.flowNamed(c.ConnID()); st != nil {
 		st.srvMP = c
-		c.SetCallbacks(e.mpServer)
+		c.SetOwner(st)
+		c.SetCallbacks(mptcp.Callbacks{OnData: mpRequestData})
 	}
 }
 
-func (e *engine) tcpRequestData(c *tcp.Conn, total int64) { e.flowOf(c.Flow()).requestData(total) }
+func tcpRequestData(c *tcp.Conn, total int64) { c.Owner().(*flowState).requestData(total) }
 
-func (e *engine) mpRequestData(c *mptcp.Conn, total int64) {
-	e.flowOf(c.ConnID()).requestData(total)
-}
+func mpRequestData(c *mptcp.Conn, total int64) { c.Owner().(*flowState).requestData(total) }
 
 // requestData is the server's OnData: once the whole request has
 // arrived it is matched ReplayShell-style and answered after the
@@ -417,20 +411,4 @@ func (e *engine) completeFlow(st *flowState) {
 			e.scheduleStart(dep)
 		}
 	}
-}
-
-// parseFlowConnID reads the flow's number back out of a connection
-// name: the decimal after the prefix, whatever follows it. It runs for
-// every hook call, hence no fmt scanner.
-func parseFlowConnID(s string) (int, bool) {
-	rest, ok := strings.CutPrefix(s, flowConnPrefix)
-	if !ok {
-		return 0, false
-	}
-	end := 0
-	for end < len(rest) && '0' <= rest[end] && rest[end] <= '9' {
-		end++
-	}
-	id, err := strconv.Atoi(rest[:end])
-	return id, err == nil
 }

@@ -11,12 +11,21 @@ package simnet
 // (20 to warm up, three per word). The chain has the closed form
 // x[k] = 48271^k · x[0] mod (2^31−1), so with the powers tabulated each
 // word is three independent multiplications, and a Mersenne modulus
-// reduces by shift and add instead of division: the same bits at a fifth
-// of the time, which matters because a short-lived world seeds half a
-// dozen streams and then draws a few dozen numbers from each.
+// reduces by shift and add instead of division.
+//
+// Independent words need not be computed up front. seed records only the
+// chain's start, and the words are computed in the first lap of draws,
+// a few draws ahead of their first read (fill): a stream costs what it
+// draws, which matters because a short-lived world seeds half a dozen
+// streams and then draws a few dozen numbers from most of them.
 type generator struct {
 	tap, feed int
-	vec       [rngLen]int64
+	x         uint64 // the chain's start, x[0]
+	// ready is the lowest feed index whose word this seed has computed;
+	// when feed has counted down to it, fill must run before the next
+	// draw. It is −1, which feed never reaches, once every word is.
+	ready int
+	vec   [rngLen]int64
 }
 
 const (
@@ -55,7 +64,8 @@ func mulmod(a uint32, x uint64) uint64 {
 	return p&lehmerMod + p>>31
 }
 
-// seed puts the generator in the state rand.NewSource(seed) starts in.
+// seed puts the generator in the state rand.NewSource(seed) starts in,
+// whatever it held before: no word of vec is read before fill writes it.
 func (g *generator) seed(seed int64) {
 	g.tap = 0
 	g.feed = rngLen - rngTap
@@ -67,10 +77,39 @@ func (g *generator) seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := uint64(seed)
-	for i := range g.vec {
+	g.x = uint64(seed)
+	g.ready = g.feed
+}
+
+// fillAhead is how many draws' words one fill computes. One draw's
+// worth per fill costs a long stream about a third more than seeding up
+// front did, in calls; sixteen cost it nothing (cmd/bench rng/seed-drain)
+// and a stream drawn once about 0.1 µs.
+const fillAhead = 16
+
+// fill computes the seeded words the next fillAhead draws read; until
+// every word is computed, a draw must be preceded by one whenever feed
+// has reached ready (lazySource.source does it). The first lap's draws
+// read feed 333 down to 0, each with tap feed+273. Each feed word is read
+// there for the first time; a tap word is too while it is at 334 or
+// above (feed ≥ 61), and below that it is a feed word an earlier draw
+// wrote. So when feed reaches 0 every word has been computed exactly
+// once, and uint64 stays the stdlib's loop with nothing added to it.
+func (g *generator) fill() {
+	lo := max(g.ready-fillAhead, 0)
+	g.compute(lo, g.ready)
+	g.compute(max(lo+rngTap, rngLen-rngTap), g.ready+rngTap)
+	if lo == 0 {
+		lo = -1
+	}
+	g.ready = lo
+}
+
+// compute sets vec[lo:hi] to those words of the seeded state.
+func (g *generator) compute(lo, hi int) {
+	for i := lo; i < hi; i++ {
 		pow := &lehmerPow[i]
-		u := int64(mulmod(pow[0], x))<<40 ^ int64(mulmod(pow[1], x))<<20 ^ int64(mulmod(pow[2], x))
+		u := int64(mulmod(pow[0], g.x))<<40 ^ int64(mulmod(pow[1], g.x))<<20 ^ int64(mulmod(pow[2], g.x))
 		g.vec[i] = u ^ rngCooked[i]
 	}
 }

@@ -15,22 +15,33 @@ var edgeSeeds = []int64{
 	1 << 31, -(1 << 31), -(1 << 62), math.MaxInt64, math.MinInt64, 89482311,
 }
 
-// matchSource fails unless the forked generator, seeded with seed, yields
-// the draws rand.NewSource(seed) does. Three laps of the 607-word
-// register: every word of the seeded state is read, overwritten and read
-// again.
-func matchSource(t testing.TB, seed int64) {
+// drawnCorners are the draw counts after which a generator is reseeded
+// where its lazy words have corners: never drawn (nothing built), one
+// draw in, the last draw whose tap word is a seeded one, the last whose
+// feed word is, and a whole lap.
+var drawnCorners = []int{0, 1, rngTap, rngLen - rngTap, rngLen}
+
+// matchSource fails unless the forked generator, drawn from k times on
+// another seed and then reseeded with seed, yields the draws
+// rand.NewSource(seed) does. Three laps of the 607-word register: every
+// word of the seeded state is computed, read, overwritten and read again,
+// and none of the k draws' words may leak into it.
+func matchSource(t testing.TB, seed int64, k int) {
 	t.Helper()
 	want := rand.NewSource(seed).(rand.Source64)
-	got := &lazySource{seed: seed}
+	got := &lazySource{seed: ^seed}
+	for i := 0; i < k; i++ {
+		got.Uint64()
+	}
+	got.Seed(seed)
 	for i := 0; i < 3*rngLen; i++ {
 		// Alternate the two entry points: they must advance one register.
 		if i%2 == 0 {
 			if g, w := got.Uint64(), want.Uint64(); g != w {
-				t.Fatalf("seed %d draw %d: Uint64 = %#x, math/rand gives %#x", seed, i, g, w)
+				t.Fatalf("seed %d after %d draws, draw %d: Uint64 = %#x, math/rand gives %#x", seed, k, i, g, w)
 			}
 		} else if g, w := got.Int63(), want.Int63(); g != w {
-			t.Fatalf("seed %d draw %d: Int63 = %#x, math/rand gives %#x", seed, i, g, w)
+			t.Fatalf("seed %d after %d draws, draw %d: Int63 = %#x, math/rand gives %#x", seed, k, i, g, w)
 		}
 	}
 }
@@ -41,11 +52,13 @@ func matchSource(t testing.TB, seed int64) {
 // every experiment move with the toolchain unless the fork stays as it is.
 func TestStreamMatchesMathRand(t *testing.T) {
 	for _, seed := range edgeSeeds {
-		matchSource(t, seed)
+		for _, k := range drawnCorners {
+			matchSource(t, seed, k)
+		}
 	}
 	seeds := rand.New(rand.NewSource(19))
 	for i := 0; i < 200; i++ {
-		matchSource(t, int64(seeds.Uint64()))
+		matchSource(t, int64(seeds.Uint64()), seeds.Intn(3*rngLen+1))
 	}
 
 	// The distributions the layers above draw, through the *rand.Rand a
@@ -73,18 +86,24 @@ func TestStreamMatchesMathRand(t *testing.T) {
 	}
 }
 
+// FuzzSeedMatchesMathRand searches seeds and reseed points: k, the draws
+// made on another seed first, is taken modulo three laps plus one, so it
+// covers [0, 1821].
 func FuzzSeedMatchesMathRand(f *testing.F) {
 	for _, seed := range edgeSeeds {
-		f.Add(seed)
+		for _, k := range drawnCorners {
+			f.Add(seed, uint16(k))
+		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64) { matchSource(t, seed) })
+	f.Fuzz(func(t *testing.T, seed int64, k uint16) { matchSource(t, seed, int(k)%(3*rngLen+1)) })
 }
 
-// BenchmarkSeed is one stream seeding, the cost a short-lived world pays
-// per stream it draws from.
+// BenchmarkSeed is one stream seeding and its first draw, the cost a
+// short-lived world pays per stream it draws from.
 func BenchmarkSeed(b *testing.B) {
-	var g generator
+	src := &lazySource{}
 	for i := 0; i < b.N; i++ {
-		g.seed(int64(i))
+		src.Seed(int64(i))
+		src.Uint64()
 	}
 }

@@ -504,11 +504,11 @@ func (s *Sim) held() int {
 // creating it on first use. Streams with distinct names are independent;
 // the same (seed, name) pair always yields the same sequence.
 //
-// Naming a stream is cheap: the generator state (607 words, ~2 µs to
-// seed) is built or reseeded on the first draw, so consumers may be
-// handed streams they will never use — a lossless link's loss stream,
-// say — at the cost of one small allocation, or none when the arena
-// already served a world with a stream of that name.
+// Naming a stream is cheap: the generator (607 words) is built on the
+// first draw, and its seeded state is computed as the draws reach it, so
+// consumers may be handed streams they will never use — a lossless
+// link's loss stream, say — at the cost of one small allocation, or none
+// when the arena already served a world with a stream of that name.
 func (s *Sim) RNG(name string) *rand.Rand {
 	a := s.mem()
 	for _, st := range a.streams {
@@ -541,29 +541,40 @@ type stream struct {
 	life uint64 // the arena life it was last seeded for
 }
 
-// lazySource is a rand.Source64 that seeds its generator (rng.go) on the
-// first draw after Seed — building it if this is the first seed, in
-// place (4.9 KB kept) otherwise.
+// lazySource is a rand.Source64 whose generator (rng.go) is built on the
+// first draw — so a stream named and never drawn from costs no 4.9 KB —
+// and reseeded in place by Seed. Seeding itself is a few field writes: the
+// generator's words are computed during its first lap of draws.
 type lazySource struct {
-	seed   int64
-	gen    *generator
-	seeded bool // gen holds seed's state
+	seed int64
+	gen  *generator
 }
 
+// source returns the generator, ready for one draw.
 func (l *lazySource) source() *generator {
-	if !l.seeded {
-		if l.gen == nil {
-			l.gen = new(generator)
-		}
-		l.gen.seed(l.seed)
-		l.seeded = true
+	if l.gen == nil || l.gen.feed == l.gen.ready {
+		l.prime()
 	}
 	return l.gen
 }
 
-func (l *lazySource) Int63() int64    { return int64(l.source().uint64() &^ (1 << 63)) }
-func (l *lazySource) Uint64() uint64  { return l.source().uint64() }
-func (l *lazySource) Seed(seed int64) { l.seed, l.seeded = seed, false }
+func (l *lazySource) prime() {
+	if l.gen == nil {
+		l.gen = new(generator)
+		l.gen.seed(l.seed)
+	}
+	l.gen.fill()
+}
+
+func (l *lazySource) Int63() int64   { return int64(l.source().uint64() &^ (1 << 63)) }
+func (l *lazySource) Uint64() uint64 { return l.source().uint64() }
+
+func (l *lazySource) Seed(seed int64) {
+	l.seed = seed
+	if l.gen != nil {
+		l.gen.seed(seed)
+	}
+}
 
 // streamSeed derives a child seed from (seed, name) using an FNV-1a mix.
 // It must be stable forever: experiment calibration depends on it.

@@ -443,7 +443,7 @@ func TestRNGLazySeedingMatchesStdlib(t *testing.T) {
 	first := rand.NewSource(5).Int63()
 	gen := src.gen
 	src.Seed(5)
-	if src.seeded || src.Int63() != first {
+	if gen.ready != gen.feed || src.Int63() != first {
 		t.Fatal("Seed must restart the stream lazily")
 	}
 	if src.gen != gen {

@@ -10,6 +10,8 @@ package tcp
 import (
 	"testing"
 	"time"
+
+	"multinet/internal/netem"
 )
 
 // TestSegmentCycleZeroAlloc pins the pooled segment hand-off: a pure
@@ -64,5 +66,35 @@ func TestSteadyStateAckClockZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, step); avg != 0 {
 		t.Fatalf("steady-state ACK clocking allocates %v per run, want 0", avg)
+	}
+}
+
+// TestWarmDispatchZeroAlloc pins the demux itself: a segment addressed by
+// handle to an established connection, dispatched by its stack, costs no
+// allocation once the packet and segment lists are warm.
+func TestWarmDispatchZeroAlloc(t *testing.T) {
+	n := newTestNet(t, 1, 50, 5*time.Millisecond, 0)
+	var srv *Conn
+	n.server.Accept = func(c *Conn) { srv = c }
+	cli := n.client.Dial(n.iface, "f", Config{})
+	n.sim.Run()
+	if srv == nil || cli.State() != StateEstablished {
+		t.Fatal("connection not established")
+	}
+	dispatch := func() {
+		seg := NewSegment(n.sim)
+		seg.Flow, seg.Flags, seg.Ack, seg.Wnd = "f", FlagACK, cli.sndNxt, DefaultWindow
+		seg.SrcPort, seg.DstPort = srv.port, cli.port
+		p := netem.NewPacket(n.sim)
+		p.Payload = seg
+		n.client.dispatch(n.iface, p)
+	}
+	before := cli.segmentsRecvd
+	dispatch()
+	if cli.segmentsRecvd != before+1 {
+		t.Fatal("the segment did not reach its connection")
+	}
+	if avg := testing.AllocsPerRun(200, dispatch); avg != 0 {
+		t.Fatalf("a warm dispatch allocates %v per run, want 0", avg)
 	}
 }

@@ -122,7 +122,11 @@ type Conn struct {
 	iface *netem.Iface
 	dir   netem.Direction // direction this endpoint SENDS in
 	flow  string
-	state State
+	// port is the connection's handle in the Stack that filed it, and
+	// peerPort the peer's in its own, from the last segment received (0:
+	// none yet); see Stack.
+	port, peerPort uint32
+	state          State
 
 	cb Callbacks
 	// owner is whatever the layer above hangs on the connection so that
@@ -166,8 +170,8 @@ type Conn struct {
 	peerWnd   int
 	finQueued bool // send FIN once the source drains
 	finSent   bool
-	finSeq    uint64
 	finAcked  bool
+	finSeq    uint64
 
 	// RTT estimation (RFC 6298).
 	srtt     time.Duration
@@ -357,6 +361,14 @@ func (c *Conn) EstablishedAt() time.Duration { return c.established }
 // SegmentsSent returns the count of segments this endpoint transmitted.
 func (c *Conn) SegmentsSent() int { return c.segmentsSent }
 
+// segment takes a wire segment addressed as this connection's: its flow
+// and both ports.
+func (c *Conn) segment() *Segment {
+	seg := takeSegment(c.segs)
+	seg.Flow, seg.SrcPort, seg.DstPort = c.flow, c.port, c.peerPort
+	return seg
+}
+
 // Connect performs the active open (sends SYN).
 func (c *Conn) Connect() {
 	if c.state != StateClosed {
@@ -364,8 +376,8 @@ func (c *Conn) Connect() {
 	}
 	c.state = StateSynSent
 	c.synSentAt = c.sim.Now()
-	syn := takeSegment(c.segs)
-	syn.Flow, syn.Flags, syn.Wnd, syn.Opt = c.flow, FlagSYN, DefaultWindow, c.synOpt
+	syn := c.segment()
+	syn.Flags, syn.Wnd, syn.Opt = FlagSYN, DefaultWindow, c.synOpt
 	c.sndNxt = 1 // SYN consumes one
 	c.track(syn)
 	c.transmit(syn)
@@ -400,6 +412,7 @@ func (c *Conn) Close() {
 
 // handle processes one arriving segment. Stack dispatches to it.
 func (c *Conn) handle(seg *Segment) {
+	c.peerPort = seg.SrcPort
 	c.segmentsRecvd++
 	if c.cb.OnSegment != nil {
 		c.cb.OnSegment(c, seg)
@@ -442,9 +455,8 @@ func (c *Conn) passiveOpen(syn *Segment) {
 	c.state = StateSynRcvd
 	c.rcvNxt = syn.SeqEnd()
 	c.peerWnd = syn.Wnd
-	synAck := takeSegment(c.segs)
-	synAck.Flow, synAck.Flags, synAck.Ack, synAck.Wnd, synAck.Opt =
-		c.flow, FlagSYN|FlagACK, c.rcvNxt, DefaultWindow, c.synOpt
+	synAck := c.segment()
+	synAck.Flags, synAck.Ack, synAck.Wnd, synAck.Opt = FlagSYN|FlagACK, c.rcvNxt, DefaultWindow, c.synOpt
 	c.sndNxt = 1
 	c.track(synAck)
 	c.transmit(synAck)
@@ -520,8 +532,7 @@ func (c *Conn) trySend() {
 		if !ok {
 			break
 		}
-		seg := takeSegment(c.segs)
-		seg.Flow = c.flow
+		seg := c.segment()
 		seg.Flags = FlagACK
 		seg.Seq = c.sndNxt
 		seg.Ack = c.rcvNxt
@@ -580,9 +591,8 @@ func (c *Conn) maybeSendFin() {
 	if c.state != StateEstablished && c.state != StateCloseWait {
 		return
 	}
-	fin := takeSegment(c.segs)
-	fin.Flow, fin.Flags, fin.Seq, fin.Ack, fin.Wnd =
-		c.flow, FlagFIN|FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow
+	fin := c.segment()
+	fin.Flags, fin.Seq, fin.Ack, fin.Wnd = FlagFIN|FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow
 	c.finSent = true
 	c.finSeq = c.sndNxt
 	c.sndNxt++
@@ -884,9 +894,8 @@ func (c *Conn) sendAck() {
 	if c.cb.AckOpt != nil {
 		opt = c.cb.AckOpt(c)
 	}
-	ack := takeSegment(c.segs)
-	ack.Flow, ack.Flags, ack.Seq, ack.Ack, ack.Wnd, ack.Opt =
-		c.flow, FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow, opt
+	ack := c.segment()
+	ack.Flags, ack.Seq, ack.Ack, ack.Wnd, ack.Opt = FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow, opt
 	ack.Sack = c.appendSackBlocks(ack.Sack[:0])
 	c.transmit(ack)
 }
@@ -1018,10 +1027,10 @@ func (c *Conn) transmit(seg *Segment) {
 // Everything the entry does not store is the same for every tracked
 // segment of this connection (flow, advertised window, no SACK blocks)
 // or is taken from the present: the ACK field carries the current
-// receive point (the RFC 793 rule).
+// receive point (the RFC 793 rule), the ports the current addressing.
 func (c *Conn) retransmit(e *sbEntry) {
-	seg := takeSegment(c.segs)
-	seg.Flow, seg.Flags, seg.Seq, seg.Ack = c.flow, e.flags, e.seq, c.rcvNxt
+	seg := c.segment()
+	seg.Flags, seg.Seq, seg.Ack = e.flags, e.seq, c.rcvNxt
 	seg.PayloadLen, seg.Wnd, seg.Opt = int(e.payload), DefaultWindow, e.opt
 	if sh, ok := e.opt.(SharedOpt); ok {
 		sh.RetainOpt() // this copy's hold

@@ -209,43 +209,108 @@ func TestStackForgetAndConnLookup(t *testing.T) {
 	n.client.Dial(n.iface, "x", Config{})
 }
 
-// TestDispatchFlowCacheFollowsDemuxTable pins the Bind closures'
-// one-entry flow cache to the demux table: a hit skips the search, and
-// every change to the table — passive accept, Forget, Register — or a
-// segment of another flow makes the next delivery look again.
-func TestDispatchFlowCacheFollowsDemuxTable(t *testing.T) {
+// TestDemuxByHandleMatchesName holds dispatch to a reference demux that
+// knows only names: every segment of a live exchange must reach the
+// connection the reference names — or a fresh accept for a SYN it has
+// no connection for, or nobody. The exchange covers what handles could
+// get wrong: a retransmitted SYN (its SYN-ACK is lost), a flow forgotten
+// on both sides mid-transfer and dialled again under the same name,
+// segments the forgotten incarnation keeps retransmitting, and segments
+// addressed to the handles Forget freed.
+func TestDemuxByHandleMatchesName(t *testing.T) {
 	n := newTestNet(t, 31, 10, 5*time.Millisecond, 0)
-	var accepted []*Conn
-	n.server.Accept = func(c *Conn) { accepted = append(accepted, c) }
-	fc := new(flowCache)
-	syn := func(flow string) {
-		seg := NewSegment(n.sim)
-		seg.Flow, seg.Flags, seg.Wnd = flow, FlagSYN, DefaultWindow
-		p := netem.NewPacket(n.sim)
-		p.Payload = seg
-		n.server.dispatch(n.iface, p, fc)
+	type side struct {
+		st  *Stack
+		ref map[string]*Conn // the reference: the live connection of each name
+		got *Conn            // who the last dispatch handed its segment to
 	}
-	syn("f")
-	syn("f") // a hit: the retransmitted SYN reaches the same conn
-	if len(accepted) != 1 || fc.conn != accepted[0] {
-		t.Fatalf("after two SYNs of one flow: %d conns accepted, cache holds %p", len(accepted), fc.conn)
+	cli := &side{st: n.client, ref: map[string]*Conn{}}
+	srv := &side{st: n.server, ref: map[string]*Conn{}}
+	received := func(c *Conn, _ *Segment) { c.Owner().(*side).got = c }
+	const size = 200_000
+	n.server.Accept = func(c *Conn) {
+		srv.ref[c.Flow()] = c
+		c.SetOwner(srv)
+		c.SetCallbacks(Callbacks{OnSegment: received, OnEstablished: func(c *Conn) { c.Send(size); c.Close() }})
 	}
-	n.server.Forget("f")
-	syn("f") // the cached conn is gone from the table: a fresh accept
-	if len(accepted) != 2 || n.server.Conn("f") != accepted[1] || fc.conn != accepted[1] {
-		t.Fatalf("after Forget: %d conns accepted, cache holds %p", len(accepted), fc.conn)
+	dial := func(flow string) *Conn {
+		c := n.client.Dial(n.iface, flow, Config{Owner: cli, Callbacks: Callbacks{OnSegment: received}})
+		cli.ref[flow] = c
+		return c
 	}
-	syn("g")
-	syn("f") // another flow in between: back through the table, no new conn
-	if len(accepted) != 3 || fc.conn != accepted[1] {
-		t.Fatalf("after interleaving flows: %d conns accepted, cache holds %p", len(accepted), fc.conn)
+	forget := func(s *side, flow string) {
+		s.st.Forget(flow)
+		delete(s.ref, flow)
 	}
-	n.server.Forget("f")
-	replaced := NewConn(n.sim, n.iface, netem.Down, "f", Config{})
-	n.server.Register(replaced)
-	syn("f")
-	if len(accepted) != 3 || fc.conn != replaced {
-		t.Fatalf("after Register: %d conns accepted, cache holds %p, want the registered conn", len(accepted), fc.conn)
+	// dead reports whether h is a handle st has freed.
+	dead := func(st *Stack, h uint32) bool { return h != 0 && st.table[h-1].conn == nil }
+
+	var byHandle, synRtx, stale, freed int
+	lostSynAck := false
+	deliver := func(s, peer *side) func(*netem.Packet) {
+		return func(p *netem.Packet) {
+			seg := p.Payload.(*Segment)
+			if !lostSynAck && seg.Flags == FlagSYN|FlagACK && seg.Flow == "a" {
+				lostSynAck = true // the client's SYN goes again, still unaddressed
+				seg.Recycle()
+				netem.ReleasePacket(p)
+				return
+			}
+			flow, syn := seg.Flow, seg.Flags == FlagSYN
+			want, known := s.ref[flow]
+			switch {
+			case dead(s.st, seg.DstPort):
+				freed++
+			case seg.DstPort != 0:
+				byHandle++
+			case syn && known:
+				synRtx++
+			}
+			if dead(peer.st, seg.SrcPort) {
+				stale++
+			}
+			filed := len(s.st.table)
+			s.got = nil
+			s.st.dispatch(n.iface, p)
+			switch {
+			case known:
+				if s.got != want {
+					t.Fatalf("%q (ports %d→%d) reached %p, by name it goes to %p", flow, seg.SrcPort, seg.DstPort, s.got, want)
+				}
+			case syn && s.st.Accept != nil:
+				if len(s.st.table) != filed+1 || s.got != s.st.table[filed].conn || s.ref[flow] != s.got {
+					t.Fatalf("SYN of %q reached %p, by name it is a fresh accept", flow, s.got)
+				}
+			case s.got != nil:
+				t.Fatalf("%q (ports %d→%d) reached %p, by name it has no connection", flow, seg.SrcPort, seg.DstPort, s.got)
+			}
+		}
+	}
+	n.iface.OnClientRecv(deliver(cli, srv))
+	n.iface.OnServerRecv(deliver(srv, cli))
+
+	a, b := dial("a"), dial("b")
+	for a.RecvTotal() < size/4 {
+		n.sim.RunFor(5 * time.Millisecond)
+	}
+	// Both ends forget "a" with its data in flight: the old server end
+	// keeps retransmitting to a client handle that is gone, from one of
+	// its own that is gone, and the new incarnation meets those segments.
+	forget(cli, "a")
+	forget(srv, "a")
+	n.sim.RunFor(50 * time.Millisecond)
+	a2 := dial("a")
+	n.sim.Run()
+
+	if b.RecvTotal() != size || a2.State() == StateSynSent {
+		t.Fatalf("b received %d of %d bytes, the second a is %v", b.RecvTotal(), size, a2.State())
+	}
+	if a2.port == a.port || srv.ref["a"].port == 0 {
+		t.Fatalf("the second incarnation of a reuses handle %d", a.port)
+	}
+	t.Logf("by handle %d, retransmitted SYNs %d, from forgotten handles %d, to freed handles %d", byHandle, synRtx, stale, freed)
+	if byHandle == 0 || synRtx == 0 || stale == 0 || freed == 0 {
+		t.Fatal("coverage hole: a kind of segment above never occurred")
 	}
 }
 

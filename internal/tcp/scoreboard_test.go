@@ -55,9 +55,8 @@ func checkAccounting(t *testing.T, when string, conns ...*Conn) {
 // processed. The links themselves stay lossless and FIFO.
 func impair(n *testNet, rng *rand.Rand, lossPct, delayPct int, blackouts [][2]time.Duration, after func()) {
 	wrap := func(st *Stack) func(*netem.Packet) {
-		fc := new(flowCache)
 		deliver := func(a any) {
-			st.dispatch(n.iface, a.(*netem.Packet), fc)
+			st.dispatch(n.iface, a.(*netem.Packet))
 			after()
 		}
 		return func(p *netem.Packet) {
@@ -211,14 +210,14 @@ func TestDetectLossCleanPathSkipsScan(t *testing.T) {
 	n := newTestNet(t, 1, 20, 10*time.Millisecond, 0)
 	var srv *Conn
 	dropped := false
-	deliver, fc := n.client.dispatch, new(flowCache)
+	deliver := n.client.dispatch
 	n.iface.OnClientRecv(func(p *netem.Packet) {
 		if seg, ok := p.Payload.(*Segment); ok && !dropped && seg.PayloadLen > 0 && seg.Seq > 20*MSS {
 			dropped = true // one early data segment vanishes
 			netem.ReleasePacket(p)
 			return
 		}
-		deliver(n.iface, p, fc)
+		deliver(n.iface, p)
 	})
 	const size = 2 << 20
 	n.server.Accept = func(c *Conn) {

@@ -1,7 +1,9 @@
 // Package tcp implements a userspace TCP over the netem substrate: the
 // three-way handshake, cumulative ACKs with out-of-order reassembly,
-// NewReno congestion control (slow start, congestion avoidance, fast
-// retransmit/recovery), RFC 6298 retransmission timeouts with Karn's
+// Reno congestion control (slow start, congestion avoidance), SACK-based
+// loss recovery (RFC 6675: a scoreboard, the pipe estimate, fast
+// retransmit on three duplicate ACKs or 3·MSS of SACKed data above a
+// hole), a tail loss probe, RFC 6298 retransmission timeouts with Karn's
 // algorithm, and FIN teardown.
 //
 // It stands in for the Linux 3.11 kernel TCP used in the paper. The
@@ -10,9 +12,9 @@
 // Reno behaviour — are implemented per-segment. Parts that do not
 // affect the reproduced results are deliberately simplified and noted
 // where they occur: there is no delayed ACK (ACK-every-segment keeps
-// runs deterministic), no SACK (NewReno recovery only), no Nagle, and
-// receive windows are large and fixed (flow control is exercised at the
-// MPTCP connection level where the paper's effects live).
+// runs deterministic), no Nagle, and receive windows are large and
+// fixed (flow control is exercised at the MPTCP connection level where
+// the paper's effects live).
 //
 // The package exposes three extension points used by package mptcp:
 // a Source that supplies per-segment payload and options (DSS
@@ -83,11 +85,17 @@ func (f Flags) String() string {
 // retransmission state as value copies, never references to wire
 // segments.
 type Segment struct {
-	// Flow identifies the connection (and, under MPTCP, the subflow).
-	// It plays the role of the 4-tuple.
+	// Flow names the connection (and, under MPTCP, the subflow). A
+	// receiving Stack demuxes by it only when DstPort does not name a live
+	// connection: a SYN, and a segment of a forgotten incarnation.
 	Flow string
 	// Flags carries SYN/ACK/FIN.
 	Flags Flags
+	// SrcPort is the sender's handle in its own Stack, and DstPort the
+	// receiver's handle in the receiving one, as the sender last learnt it
+	// from the receiver's SrcPort (0: not known yet). They play the role
+	// of the 4-tuple's ports; see Stack.
+	SrcPort, DstPort uint32
 	// Seq is the sequence number of the first payload byte (or of the
 	// SYN/FIN when those flags are set and PayloadLen is 0).
 	Seq uint64

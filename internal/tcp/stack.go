@@ -18,20 +18,33 @@ const (
 )
 
 // Stack demultiplexes segments arriving on one or more interfaces to
-// connections by flow identifier, and creates passive connections on
-// incoming SYNs (the listener role).
+// connections, and creates passive connections on incoming SYNs (the
+// listener role).
+//
+// Every connection a stack files gets a handle, its index + 1 in the
+// table. A connection stamps its handle on what it sends
+// (Segment.SrcPort) and remembers its peer's from what it receives, so
+// the peer's next segment names its receiver (DstPort) and dispatch is
+// one index. The name is the fallback, for a segment whose DstPort is
+// unset (a SYN, or a retransmitted one) or names a forgotten connection
+// (a segment of an earlier incarnation). Handles are never reused within
+// a world, so such a segment goes by name where it always went, and a
+// live handle can only name the connection with the segment's own flow
+// name. That rests on a world's two stacks facing each other, one per
+// side of every interface: a handle learnt from a segment indexes the
+// stack that sent it, which is the one the reply reaches.
 type Stack struct {
 	sim  *simnet.Sim
 	side Side
-	// conns is the demux table: the connections sorted by flow name, on a
-	// piece of the Sim's slab, so that a world built from a released one
-	// finds the table already grown. A short-lived world holds a few
-	// dozen flows; a search is a handful of string compares and an insert
-	// moves pointers.
-	conns []*Conn
-	// gen counts changes to conns; it invalidates the Bind closures'
-	// flow caches (see flowCache).
-	gen uint64
+	// table is the demux table, a piece of the Sim's slab, so a world
+	// built from a released one finds it already grown. Each entry does
+	// two jobs: its conn is the connection whose handle is its index + 1
+	// (nil once forgotten), and the named fields of the first live
+	// entries list the live connections sorted by flow name. One slice
+	// and not two, so that a world never released grows one table, as it
+	// did when the name was the only key.
+	table []demuxEntry
+	live  int
 	// Accept configures a passively-opened connection before its SYN is
 	// processed (install callbacks, queue response data, ...). If nil,
 	// incoming SYNs for unknown flows are dropped.
@@ -43,39 +56,35 @@ func NewStack(sim *simnet.Sim, side Side) *Stack {
 	return &Stack{sim: sim, side: side}
 }
 
-// find returns where flow's connection is in the table, or where it
-// would go.
+type demuxEntry struct{ conn, named *Conn }
+
+// find returns where flow's connection is among the named entries, or
+// where it would go.
 func (s *Stack) find(flow string) (int, bool) {
-	return slices.BinarySearchFunc(s.conns, flow, func(c *Conn, flow string) int {
-		return strings.Compare(c.flow, flow)
+	return slices.BinarySearchFunc(s.table[:s.live], flow, func(e demuxEntry, flow string) int {
+		return strings.Compare(e.named.flow, flow)
 	})
 }
 
-// insert files c at i, the place find gave for its flow.
+// insert gives c the next handle and names it at i, the place find gave
+// for its flow.
 func (s *Stack) insert(i int, c *Conn) {
-	if len(s.conns) == cap(s.conns) {
-		s.conns = simnet.SlabOf[*Conn](s.sim).Grow(s.conns, len(s.conns)+1)
+	if len(s.table) == cap(s.table) {
+		s.table = simnet.SlabOf[demuxEntry](s.sim).Grow(s.table, len(s.table)+1)
 	}
-	s.conns = slices.Insert(s.conns, i, c)
-	s.gen++
-}
-
-// flowCache remembers the last demux-table hit of one Bind closure. A
-// bulk transfer delivers run after run of segments of one flow to one
-// interface, and looking the flow string up for each was 4–5 % of a
-// sweep; a hit here is a generation compare and a string compare that
-// stops at the shared data pointer.
-type flowCache struct {
-	flow string
-	conn *Conn
-	gen  uint64
+	s.table = append(s.table, demuxEntry{conn: c})
+	c.port = uint32(len(s.table))
+	for j := s.live; j > i; j-- {
+		s.table[j].named = s.table[j-1].named
+	}
+	s.table[i].named = c
+	s.live++
 }
 
 // Bind attaches the stack to an interface so segments arriving on the
 // stack's side are dispatched to connections.
 func (s *Stack) Bind(iface *netem.Iface) {
-	fc := new(flowCache)
-	recv := func(p *netem.Packet) { s.dispatch(iface, p, fc) }
+	recv := func(p *netem.Packet) { s.dispatch(iface, p) }
 	if s.side == ClientSide {
 		iface.OnClientRecv(recv)
 	} else {
@@ -99,32 +108,33 @@ func (s *Stack) sendDir() netem.Direction {
 // they need, as the MPTCP layer does.
 //
 //multinet:hotpath
-func (s *Stack) dispatch(iface *netem.Iface, p *netem.Packet, fc *flowCache) {
+func (s *Stack) dispatch(iface *netem.Iface, p *netem.Packet) {
 	seg, ok := p.Payload.(*Segment)
 	if !ok {
 		return
 	}
 	p.Payload = nil
 	netem.ReleasePacket(p)
-	c := fc.conn
-	if c == nil || fc.gen != s.gen || fc.flow != seg.Flow {
-		c = s.lookup(iface, seg)
-		if c == nil {
+	var c *Conn
+	if h := uint(seg.DstPort) - 1; h < uint(len(s.table)) { // DstPort 0 wraps past any table
+		c = s.table[h].conn
+	}
+	if c == nil {
+		if c = s.lookup(iface, seg); c == nil {
 			seg.Recycle() // no listener / stray segment
 			return
 		}
-		*fc = flowCache{flow: seg.Flow, conn: c, gen: s.gen}
 	}
 	c.handle(seg)
 	seg.Recycle()
 }
 
-// lookup finds the segment's connection in the demux table, creating a
+// lookup finds the segment's connection by its flow name, creating a
 // passive one for a SYN when the stack listens; nil means drop.
 func (s *Stack) lookup(iface *netem.Iface, seg *Segment) *Conn {
 	i, ok := s.find(seg.Flow)
 	if ok {
-		return s.conns[i]
+		return s.table[i].named
 	}
 	if !seg.Flags.Has(FlagSYN) || seg.Flags.Has(FlagACK) || s.Accept == nil {
 		return nil
@@ -161,15 +171,19 @@ func (s *Stack) Register(c *Conn) {
 // Conn returns the connection for a flow, or nil.
 func (s *Stack) Conn(flow string) *Conn {
 	if i, ok := s.find(flow); ok {
-		return s.conns[i]
+		return s.table[i].named
 	}
 	return nil
 }
 
-// Forget removes a connection from the demux table.
+// Forget removes a connection from the demux: its name is free for a new
+// connection, and its handle is dead for the rest of the world.
 func (s *Stack) Forget(flow string) {
 	if i, ok := s.find(flow); ok {
-		s.conns = slices.Delete(s.conns, i, i+1)
+		s.table[s.table[i].named.port-1].conn = nil
+		s.live--
+		for ; i < s.live; i++ {
+			s.table[i].named = s.table[i+1].named
+		}
 	}
-	s.gen++
 }
