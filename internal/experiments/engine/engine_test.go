@@ -3,8 +3,11 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 type stringerFunc string
@@ -86,6 +89,82 @@ func TestSweepOrderAndWorkerInvariance(t *testing.T) {
 	}
 	if Sweep(Options{}, 0, sq) != nil {
 		t.Fatal("Sweep(0) should be nil")
+	}
+}
+
+// TestSweepPanicReachesCaller holds a panicking cell to one behaviour at
+// any worker count: the caller recovers the value of the lowest-index
+// cell that panicked, the one a serial run stops at, and the pool hands
+// out no more cells once one has panicked. With more than one worker,
+// cell 3 panics after cell 2 does, so a pool that kept the last value
+// instead of the lowest-index one would answer cell 3.
+func TestSweepPanicReachesCaller(t *testing.T) {
+	const n = 64
+	var (
+		started      atomic.Int64
+		threeStarted chan struct{}
+	)
+	fn := func(i int) int {
+		started.Add(1)
+		switch i {
+		case 2:
+			select {
+			case <-threeStarted:
+			case <-time.After(20 * time.Millisecond): // one worker: cell 3 never starts
+			}
+			panic("cell 2")
+		case 3:
+			close(threeStarted)
+			time.Sleep(5 * time.Millisecond)
+			panic("cell 3")
+		case 40:
+			panic("cell 40")
+		}
+		time.Sleep(time.Millisecond)
+		return i
+	}
+	for _, workers := range []int{1, 2, 8} {
+		started.Store(0)
+		threeStarted = make(chan struct{})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			Sweep(Options{Workers: workers}, n, fn)
+			return nil
+		}()
+		if got != "cell 2" {
+			t.Errorf("workers=%d: recovered %v, want cell 2", workers, got)
+		}
+		if s := started.Load(); s >= n {
+			t.Errorf("workers=%d: all %d cells started after cell 2 panicked", workers, s)
+		}
+	}
+}
+
+// TestSweepYieldsBetweenCells holds the pool to passing through the
+// scheduler after every cell: on one P, a goroutine that cell 0 starts
+// (a collector's mark worker, in production) must run before the pool
+// has worked through the whole sweep, not when the runtime's 10 ms
+// preemption finally interrupts a worker.
+func TestSweepYieldsBetweenCells(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 20
+	var started, probeSaw atomic.Int64
+	probed := make(chan struct{})
+	Sweep(Options{Workers: 2}, n, func(i int) struct{} {
+		started.Add(1)
+		if i == 0 {
+			go func() {
+				probeSaw.Store(started.Load())
+				close(probed)
+			}()
+		}
+		for t0 := time.Now(); time.Since(t0) < 200*time.Microsecond; {
+		}
+		return struct{}{}
+	})
+	<-probed
+	if saw := probeSaw.Load(); saw >= n {
+		t.Fatalf("the probe first ran after %d of %d cells had started; the pool never yielded", saw, n)
 	}
 }
 
