@@ -47,13 +47,12 @@ type Config struct {
 	Mode mptcp.Mode
 	// BackupIfaces marks backup-priority subflows (Backup mode).
 	BackupIfaces []string
-	// RecvBuf overrides the MPTCP connection-level receive buffer.
-	RecvBuf int
-	// Scheduler names the registered MPTCP data scheduler (empty:
-	// mptcp.SchedMinSRTT, the Linux default).
+	// Scheduler names the MPTCP data scheduler, one of
+	// mptcp.Schedulers (empty: mptcp.SchedMinSRTT, the Linux default).
 	Scheduler string
-	// RoundRobin selects the ablation scheduler instead of min-SRTT
-	// (legacy flag; equivalent to Scheduler: mptcp.SchedRoundRobin).
+	// RoundRobin is the legacy ablation flag: with Scheduler empty it
+	// runs mptcp.SchedRoundRobin on the client end only, which is what
+	// the ablation-scheduler golden pins.
 	RoundRobin bool
 	// SimultaneousJoin is the late-join ablation (all subflows start at
 	// dial time).
@@ -262,14 +261,12 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 		}
 	case MPTCP:
 		// The server applies matching parameters to this connection
-		// (both endpoints must agree on coupling; the receive buffer
-		// bound binds at the data sender).
-		// Scheduler is wired to both ends; the legacy RoundRobin flag
-		// stays client-side only, preserving the historical ablation
-		// behaviour the output goldens pin.
+		// (both endpoints must agree on coupling). Scheduler is wired to
+		// both ends; the legacy RoundRobin flag stays client-side only,
+		// preserving the historical ablation behaviour the output
+		// goldens pin.
 		s.mpServer.SetConfig(mptcp.ServerConfig{
-			CC: cfg.CC, Mode: cfg.Mode, RecvBuf: cfg.RecvBuf, Scheduler: cfg.Scheduler,
-			WatchdogRTOs: cfg.WatchdogRTOs,
+			CC: cfg.CC, Mode: cfg.Mode, Scheduler: cfg.Scheduler, WatchdogRTOs: cfg.WatchdogRTOs,
 		})
 		mcfg := mptcp.Config{
 			ConnID:           id,
@@ -277,11 +274,12 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 			CC:               cfg.CC,
 			Mode:             cfg.Mode,
 			BackupIfaces:     cfg.BackupIfaces,
-			RecvBuf:          cfg.RecvBuf,
 			Scheduler:        cfg.Scheduler,
-			RoundRobin:       cfg.RoundRobin,
 			SimultaneousJoin: cfg.SimultaneousJoin,
 			WatchdogRTOs:     cfg.WatchdogRTOs,
+		}
+		if cfg.RoundRobin && cfg.Scheduler == "" {
+			mcfg.Scheduler = mptcp.SchedRoundRobin
 		}
 		if dir == Download {
 			s.mpSpecs[id] = tcpServerSpec{sendBytes: size}

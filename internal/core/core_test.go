@@ -276,14 +276,14 @@ func TestEstimateNPathRanking(t *testing.T) {
 	}
 	// A straggler path must not veto MPTCP over the two good paths.
 	sel := selector.Selector{}
-	if !sel.UseMPTCP(e, 5<<20) {
+	if !sel.Decide(e, 5<<20).UseMPTCP {
 		t.Fatal("long flow over comparable best pair should use MPTCP")
 	}
 	cfg := ConfigFor(sel.Decide(e, 5<<20))
 	if cfg.Transport != MPTCP || cfg.Primary != "wlan-near" {
 		t.Fatalf("ConfigFor = %+v, want MPTCP primary wlan-near", cfg)
 	}
-	if sel.UseMPTCP(e, 10<<10) {
+	if sel.Decide(e, 10<<10).UseMPTCP {
 		t.Fatal("short flow should stay single-path")
 	}
 }

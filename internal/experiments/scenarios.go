@@ -273,29 +273,10 @@ func ScenarioWiFi2LTE(o Options) ScenarioWiFi2LTEResult {
 
 	// Oracle over N=3 alternatives: replay the long-flow app at the
 	// four representative sites, each widened to three paths.
-	rec := replay.Record(apps.DropboxClick)
-	tcs := replay.Configs(wifi2LTEPaths)
-	locIDs := []int{10, 15, 16, 17}
-	perCond := engine.Sweep(o, len(locIDs), func(ci int) map[string]time.Duration {
-		cond := wifi2LTECondition(phy.LocationByID(locIDs[ci]))
-		per := map[string]time.Duration{}
-		for _, tc := range tcs {
-			r := replay.Run(seedFor(o.BaseSeed(), 2504, ci), cond, rec, tc)
-			if !r.Completed {
-				return nil
-			}
-			per[tc.Name] = r.ResponseTime
-		}
-		return per
-	})
-	var conds []map[string]time.Duration
-	for _, per := range perCond {
-		if per != nil {
-			conds = append(conds, per)
-		}
-	}
+	conds := representativeConditions(wifi2LTECondition)
 	schemes, baseline := oracle.ForPaths([]string{"WiFi", "LTE-A", "LTE-B"})
-	norm, n := oracle.NormalizedBy(conds, schemes, baseline)
+	norm, n := replayOracles(o, 2504, conds, replay.Record(apps.DropboxClick),
+		replay.Configs(wifi2LTEPaths), schemes, baseline)
 	return ScenarioWiFi2LTEResult{
 		Transfers:   transfers[0],
 		SchemeNames: schemeNames(schemes),

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"multinet/internal/apps"
 	"multinet/internal/core"
-	"multinet/internal/experiments/engine"
 	"multinet/internal/mptcp"
 	"multinet/internal/oracle"
 	"multinet/internal/phy"
@@ -19,24 +17,18 @@ import (
 // makes the mitigations from related work expressible — redundant
 // striping for latency-critical short flows and BLEST/ECF-style
 // HoL-aware skipping of the slow path. The experiment measures every
-// registered scheduler on comparable and disparate WiFi/LTE pairs,
-// then replays the long-flow app and normalises one oracle per
-// scheduler against the N-path single-path oracle (oracle.ForSchedulers).
+// scheduler on comparable and disparate WiFi/LTE pairs, then replays
+// the long-flow app and normalises one oracle per scheduler against
+// the N-path single-path oracle (oracle.ForSchedulers).
 func init() {
 	register("scenario-schedulers", "Scenario: schedulers", "scenario", 28,
 		func(o Options) fmt.Stringer { return ScenarioSchedulers(o) })
 }
 
-// schedulerOrder fixes the presentation order: the Linux default
-// first, then the ablation, then the two mitigation schedulers.
-var schedulerOrder = []string{
-	mptcp.SchedMinSRTT, mptcp.SchedRoundRobin, mptcp.SchedRedundant, mptcp.SchedHoLAware,
-}
-
 // ScenarioSchedulersResult holds the disparity×size×scheduler grids
 // plus the per-scheduler oracle normalisation.
 type ScenarioSchedulersResult struct {
-	Schedulers []string
+	Schedulers [4]string
 	Variants   []ScenarioVariantResult
 	// SchemeNames preserves the oracle legend order; Normalized maps
 	// scheme name to mean long-flow response time normalised by
@@ -58,16 +50,17 @@ func schedulerCondition(name string, lte phy.RadioCalib) phy.Condition {
 	)
 }
 
-// ScenarioSchedulers measures every scheduler in schedulerOrder on a
+// ScenarioSchedulers measures every scheduler in mptcp.Schedulers on a
 // comparable and a disparate path pair across the scenario flow
 // sizes, then runs the long-flow oracle analysis over the scheduler
 // configuration family.
 func ScenarioSchedulers(o Options) ScenarioSchedulersResult {
+	scheds := mptcp.Schedulers()
 	cfgs := []core.Config{
 		{Transport: core.TCP, Iface: "wifi"},
 		{Transport: core.TCP, Iface: "lte"},
 	}
-	for _, s := range schedulerOrder {
+	for _, s := range scheds {
 		cfgs = append(cfgs, core.Config{
 			Transport: core.MPTCP, Primary: "wifi", CC: mptcp.Decoupled, Scheduler: s,
 		})
@@ -82,33 +75,14 @@ func ScenarioSchedulers(o Options) ScenarioSchedulersResult {
 	})
 
 	// Long-flow oracle over the scheduler family: replay the paper's
-	// long-flow app at four representative sites and normalise one
+	// long-flow app at the four representative sites and normalise one
 	// oracle per scheduler against the single-path (N-path) oracle.
-	rec := replay.Record(apps.DropboxClick)
-	tcs := replay.Configs(replay.WiFiLTEPaths(), replay.WithSchedulers(schedulerOrder...))
-	locIDs := []int{10, 15, 16, 17}
-	perCond := engine.Sweep(o, len(locIDs), func(ci int) map[string]time.Duration {
-		cond := phy.LocationByID(locIDs[ci]).Condition()
-		per := map[string]time.Duration{}
-		for _, tc := range tcs {
-			r := replay.Run(seedFor(o.BaseSeed(), 2602, ci), cond, rec, tc)
-			if !r.Completed {
-				return nil
-			}
-			per[tc.Name] = r.ResponseTime
-		}
-		return per
-	})
-	var conds []map[string]time.Duration
-	for _, per := range perCond {
-		if per != nil {
-			conds = append(conds, per)
-		}
-	}
-	schemes, baseline := oracle.ForSchedulers([]string{"WiFi", "LTE"}, schedulerOrder)
-	norm, n := oracle.NormalizedBy(conds, schemes, baseline)
+	conds := representativeConditions(phy.Location.Condition)
+	schemes, baseline := oracle.ForSchedulers([]string{"WiFi", "LTE"}, scheds[:])
+	norm, n := replayOracles(o, 2602, conds, replay.Record(apps.DropboxClick),
+		replay.SchedulerConfigs(replay.WiFiLTEPaths(), scheds[:]), schemes, baseline)
 	return ScenarioSchedulersResult{
-		Schedulers:  schedulerOrder,
+		Schedulers:  scheds,
 		Variants:    variants,
 		SchemeNames: schemeNames(schemes),
 		Normalized:  norm,

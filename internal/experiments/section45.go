@@ -91,14 +91,15 @@ func replayConditions(o Options) []phy.Condition {
 	return conds
 }
 
-// representativeConditions picks the paper's four display conditions:
-// 1-2 where WiFi wins, 3-4 where LTE wins.
-func representativeConditions() []phy.Condition {
+// representativeConditions builds a condition at each of the paper's
+// four display sites — 1-2 where WiFi wins, 3-4 where LTE wins — with
+// build: phy.Location.Condition for the paper's pair, or a widening.
+func representativeConditions(build func(phy.Location) phy.Condition) []phy.Condition {
 	return []phy.Condition{
-		phy.LocationByID(10).Condition(), // NC1: WiFi much better
-		phy.LocationByID(15).Condition(), // NC2: WiFi better
-		phy.LocationByID(16).Condition(), // NC3: LTE much better
-		phy.LocationByID(17).Condition(), // NC4: LTE better
+		build(phy.LocationByID(10)), // NC1: WiFi much better
+		build(phy.LocationByID(15)), // NC2: WiFi better
+		build(phy.LocationByID(16)), // NC3: LTE much better
+		build(phy.LocationByID(17)), // NC4: LTE better
 	}
 }
 
@@ -121,7 +122,7 @@ func responseTimes(o Options, app apps.App, tag int) ResponseTimeResult {
 	for _, tc := range tcs {
 		res.Configs = append(res.Configs, tc.Name)
 	}
-	conds := representativeConditions()
+	conds := representativeConditions(phy.Location.Condition)
 	secs := engine.Grid(o, len(conds), len(tcs), func(ci, ti int) float64 {
 		r := replay.Run(seedFor(o.BaseSeed(), tag, ci), conds[ci], rec, tcs[ti])
 		if r.Completed {
@@ -170,15 +171,23 @@ type OracleResult struct {
 // oracles replays the app over all conditions and evaluates the
 // paper's five oracle schemes.
 func oracles(o Options, app apps.App, tag int) OracleResult {
-	rec := replay.Record(app)
-	all := replayConditions(o)
-	// One cell per condition; a cell replays every standard config and
-	// returns nil if any replay fails to complete (the historical
-	// early-break), so only fully-measured conditions contribute.
-	perCond := engine.Sweep(o, len(all), func(ci int) map[string]time.Duration {
+	norm, n := replayOracles(o, tag, replayConditions(o), replay.Record(app),
+		replay.Configs(replay.WiFiLTEPaths()), paperOracles, paperBaseline)
+	return OracleResult{App: app.Name + " " + app.Interaction, Normalized: norm, Conditions: n}
+}
+
+// replayOracles replays rec under every configuration in each condition,
+// one sweep cell per condition, and normalises the schemes' oracles by
+// the baseline configuration (oracle.NormalizedBy). A condition where
+// any replay fails to complete contributes nothing, so every scheme
+// averages over the same fully measured set; the second return is its
+// size.
+func replayOracles(o Options, tag int, conds []phy.Condition, rec *replay.Recording,
+	tcs []replay.TransportConfig, schemes []oracle.PathScheme, baseline string) (map[string]float64, int) {
+	perCond := engine.Sweep(o, len(conds), func(ci int) map[string]time.Duration {
 		per := map[string]time.Duration{}
-		for _, tc := range replay.Configs(replay.WiFiLTEPaths()) {
-			r := replay.Run(seedFor(o.BaseSeed(), tag, ci), all[ci], rec, tc)
+		for _, tc := range tcs {
+			r := replay.Run(seedFor(o.BaseSeed(), tag, ci), conds[ci], rec, tc)
 			if !r.Completed {
 				return nil
 			}
@@ -186,14 +195,13 @@ func oracles(o Options, app apps.App, tag int) OracleResult {
 		}
 		return per
 	})
-	var conds []map[string]time.Duration
+	var complete []map[string]time.Duration
 	for _, per := range perCond {
 		if per != nil {
-			conds = append(conds, per)
+			complete = append(complete, per)
 		}
 	}
-	norm, _ := oracle.NormalizedBy(conds, paperOracles, paperBaseline)
-	return OracleResult{App: app.Name + " " + app.Interaction, Normalized: norm, Conditions: len(conds)}
+	return oracle.NormalizedBy(complete, schemes, baseline)
 }
 
 // The paper's five oracles over the {WiFi, LTE} pair and its WiFi-TCP

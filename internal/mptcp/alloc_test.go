@@ -36,9 +36,9 @@ func TestMPTCPSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestSchedulersRankZeroAlloc: wake ranks the eligible subflows on every
-// data and ack event, so no registered scheduler may allocate there.
+// data and ack event, so no scheduler may allocate there.
 func TestSchedulersRankZeroAlloc(t *testing.T) {
-	for _, name := range SchedulerNames() {
+	for _, name := range Schedulers() {
 		r := newRig(32, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{})
 		c := Dial(r.sim, r.client, r.host, Config{ConnID: "rank", Primary: "wifi", Scheduler: name}, Callbacks{})
 		r.sim.RunUntil(time.Second)
@@ -63,9 +63,10 @@ func TestSubflowWiringZeroAlloc(t *testing.T) {
 	var r *rig
 	world := func() {
 		r = newRig(33, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{CC: Coupled})
+		wifiOnly := hostWith(r.wifi) // no automatic join: the test adds lte's
 		cs = cs[:0]
 		for i := 0; i < conns; i++ {
-			cs = append(cs, Dial(r.sim, r.client, r.host, Config{ConnID: string(rune('a' + i)), Primary: "wifi", CC: Coupled, NoJoin: true}, Callbacks{}))
+			cs = append(cs, Dial(r.sim, r.client, wifiOnly, Config{ConnID: string(rune('a' + i)), Primary: "wifi", CC: Coupled}, Callbacks{}))
 		}
 		r.sim.RunUntil(time.Second)
 	}

@@ -13,7 +13,7 @@ import (
 // DefaultRecvBuf is the connection-level receive buffer: the scheduler
 // never maps data more than this far beyond the receiver's cumulative
 // data-ACK. Matches the order of Linux MPTCP's default rmem; it is the
-// knob behind receive-window head-of-line blocking on disparate paths.
+// bound behind receive-window head-of-line blocking on disparate paths.
 const DefaultRecvBuf = 512 << 10
 
 // Config parameterises an MPTCP connection.
@@ -30,40 +30,26 @@ type Config struct {
 	// BackupIfaces names the interfaces whose subflows are
 	// backup-priority (only meaningful in Backup mode).
 	BackupIfaces []string
-	// RecvBuf bounds scheduling ahead of the peer's data-ACK
-	// (default DefaultRecvBuf).
-	RecvBuf int
-	// NoJoin disables additional subflows (ablation: primary only).
-	NoJoin bool
 	// SimultaneousJoin starts all subflows at Dial time instead of
 	// waiting for the primary handshake (ablation for the paper's
 	// late-join effect).
 	SimultaneousJoin bool
-	// RoundRobin is the legacy ablation flag, equivalent to
-	// Scheduler: SchedRoundRobin (ignored when Scheduler is set).
-	RoundRobin bool
-	// Scheduler names the registered data scheduler (see
-	// RegisterScheduler); empty means SchedMinSRTT, the Linux default.
+	// Scheduler names the data scheduler, one of Schedulers; empty
+	// means SchedMinSRTT, the Linux default.
 	Scheduler string
-	// RejoinBackoff is the client-side delay before re-establishing a
-	// subflow after its interface recovers from an administrative down
-	// (default DefaultRejoinBackoff). Each consecutive failed re-join
-	// attempt doubles it, up to a fixed cap.
-	RejoinBackoff time.Duration
 	// WatchdogRTOs, when positive, enables the per-connection stuck-flow
 	// watchdog: with data pending and no forward progress across this
 	// many virtual RTO spans, the connection records a stall event and
-	// reinjects outstanding mappings; after WatchdogMaxStalls consecutive
-	// stalls it aborts, so a chaos run can never hang silently.
+	// reinjects outstanding mappings; after DefaultWatchdogMaxStalls
+	// consecutive stalls it aborts, so a chaos run can never hang
+	// silently.
 	WatchdogRTOs int
-	// WatchdogMaxStalls bounds consecutive stall events before the
-	// watchdog gives up and aborts the connection (default
-	// DefaultWatchdogMaxStalls).
-	WatchdogMaxStalls int
 }
 
-// DefaultRejoinBackoff is the initial re-join delay after an interface
-// recovers — long enough to let the link settle, short against any RTO.
+// DefaultRejoinBackoff is the client-side delay before re-establishing a
+// subflow after its interface recovers from an administrative down —
+// long enough to let the link settle, short against any RTO. Each
+// consecutive failed re-join attempt doubles it, up to rejoinBackoffCap.
 const DefaultRejoinBackoff = 200 * time.Millisecond
 
 // rejoinBackoffCap bounds exponential re-join backoff.
@@ -72,27 +58,6 @@ const rejoinBackoffCap = 10 * time.Second
 // DefaultWatchdogMaxStalls is how many consecutive stall events the
 // watchdog tolerates before aborting the connection.
 const DefaultWatchdogMaxStalls = 3
-
-func (c *Config) rejoinBackoff() time.Duration {
-	if c.RejoinBackoff <= 0 {
-		return DefaultRejoinBackoff
-	}
-	return c.RejoinBackoff
-}
-
-func (c *Config) watchdogMaxStalls() int {
-	if c.WatchdogMaxStalls <= 0 {
-		return DefaultWatchdogMaxStalls
-	}
-	return c.WatchdogMaxStalls
-}
-
-func (c *Config) recvBuf() int {
-	if c.RecvBuf <= 0 {
-		return DefaultRecvBuf
-	}
-	return c.RecvBuf
-}
 
 // Callbacks are connection-level event hooks.
 type Callbacks struct {
@@ -172,8 +137,7 @@ type Conn struct {
 	// owner is the application's reference on the connection (SetOwner),
 	// so that one set of callbacks can serve many connections. It fits
 	// the size class the handle had without it because the server end is
-	// told by its nil host, not by a side field, and Config keeps its
-	// bools in one word (TestColdWorldBytes).
+	// told by its nil host, not by a side field (TestColdWorldBytes).
 	owner any
 
 	stack    *tcp.Stack
@@ -231,7 +195,7 @@ func newConn(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, cfg Config, cb
 	}
 	c := simnet.SlabOf[Conn](sim).New()
 	*c = Conn{sim: sim, dss: simnet.FreeListOf[DSS](sim), cfg: cfg, cb: cb,
-		stack: stack, host: host, capable: MPCapable{ConnID: cfg.ConnID}, sched: schedulerFor(cfg)}
+		stack: stack, host: host, capable: MPCapable{ConnID: cfg.ConnID}, sched: newScheduler(cfg.Scheduler)}
 	return c
 }
 
@@ -239,7 +203,8 @@ func newConn(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, cfg Config, cb
 func (c *Conn) client() bool { return c.host != nil }
 
 // Dial opens an MPTCP connection from the client side: the primary
-// subflow starts its handshake immediately; joins follow per Config.
+// subflow starts its handshake immediately; joins follow per Config. It
+// panics on an unknown scheduler name or primary interface.
 func Dial(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, cfg Config, cb Callbacks) *Conn {
 	c := newConn(sim, stack, host, cfg, cb)
 	primary := host.Iface(cfg.Primary)
@@ -247,7 +212,7 @@ func Dial(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, cfg Config, cb Ca
 		panic("mptcp: unknown primary iface " + cfg.Primary)
 	}
 	c.addSubflow(primary, c.isBackupIface(cfg.Primary), true)
-	if cfg.SimultaneousJoin && !cfg.NoJoin {
+	if cfg.SimultaneousJoin {
 		c.startJoins()
 	}
 	return c
@@ -404,7 +369,7 @@ func (c *Conn) subflowEstablished(sf *Subflow) {
 		// Linux initiates MP_JOINs once the MP_CAPABLE handshake is
 		// done — the "late join" at the heart of the paper's short-flow
 		// findings.
-		if c.client() && !c.cfg.NoJoin && !c.cfg.SimultaneousJoin {
+		if c.client() && !c.cfg.SimultaneousJoin {
 			c.startJoins()
 		}
 	}
@@ -595,7 +560,7 @@ func (c *Conn) hasDataFor(sf *Subflow) bool {
 		return true
 	}
 	return c.sched.Admit(c, sf) &&
-		c.dataNxt < c.sendTotal && c.dataNxt < c.dataUna+uint64(c.cfg.recvBuf())
+		c.dataNxt < c.sendTotal && c.dataNxt < c.dataUna+DefaultRecvBuf
 }
 
 // pull is called by a subflow's Source when it has window space.
@@ -617,7 +582,7 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 		return m.len, c.newDSS(m.dataSeq, m.len), true
 	}
 	c.rtxPool.pruneAcked(c.dataUna)
-	fresh := c.dataNxt < c.sendTotal && c.dataNxt < c.dataUna+uint64(c.cfg.recvBuf()) &&
+	fresh := c.dataNxt < c.sendTotal && c.dataNxt < c.dataUna+DefaultRecvBuf &&
 		c.sched.Admit(c, sf)
 	if c.rtxPool.len() == 0 && !fresh {
 		return 0, nil, false
@@ -627,7 +592,7 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 		m = c.rtxPool.takeFront(max)
 	} else {
 		n := c.sendTotal - c.dataNxt
-		if lim := c.dataUna + uint64(c.cfg.recvBuf()); c.dataNxt+n > lim {
+		if lim := c.dataUna + DefaultRecvBuf; c.dataNxt+n > lim {
 			n = lim - c.dataNxt
 		}
 		if int(n) > max {
@@ -635,8 +600,8 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 		}
 		m = mapping{dataSeq: c.dataNxt, len: int(n)}
 		c.dataNxt += n
-		if d, ok := c.sched.(duplicator); ok {
-			d.onFreshMapping(c, sf, m)
+		if r, ok := c.sched.(*redundant); ok {
+			r.onFreshMapping(c, sf, m)
 		}
 	}
 	sf.outstanding.push(c.sim, m)
@@ -823,7 +788,7 @@ func (c *Conn) scheduleRejoin(sf *Subflow) {
 	if sf.rejoinTimer.Active() || sf.rejoinAttempts >= maxRejoinAttempts {
 		return
 	}
-	delay := c.cfg.rejoinBackoff()
+	delay := DefaultRejoinBackoff
 	for i := 0; i < int(sf.rejoinAttempts) && delay < rejoinBackoffCap; i++ {
 		delay *= 2
 	}
@@ -937,7 +902,7 @@ func (c *Conn) watchdogFire() {
 	if c.cb.OnStall != nil {
 		c.cb.OnStall(c, c.StallCount)
 	}
-	if c.stallRun >= c.cfg.watchdogMaxStalls() {
+	if c.stallRun >= DefaultWatchdogMaxStalls {
 		c.AbortAll()
 		return
 	}

@@ -60,6 +60,17 @@ func newRig(seed int64, wifi, lte pathSpec, scfg ServerConfig) *rig {
 	return r
 }
 
+// hostWith is a client host with only the given interfaces attached. The
+// rig's stacks stay bound to both, but a connection dialled from it opens
+// subflows on these alone: with one interface, the primary is all it has.
+func hostWith(ifcs ...*netem.Iface) *netem.Host {
+	h := netem.NewHost("client")
+	for _, i := range ifcs {
+		h.Attach(i)
+	}
+	return h
+}
+
 // download starts a server→client transfer of size bytes over MPTCP
 // and returns (completion time, ok).
 func (r *rig) download(cfg Config, size int) (time.Duration, bool) {
@@ -353,23 +364,6 @@ func TestFullModeBlackholeReinjects(t *testing.T) {
 	}
 }
 
-func TestNoJoinAblation(t *testing.T) {
-	r := newRig(9, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{})
-	var c *Conn
-	r.srv.OnConn = func(sc *Conn) { sc.Send(100_000); sc.Close() }
-	done := false
-	c = Dial(r.sim, r.client, r.host, Config{ConnID: "mp1", Primary: "wifi", NoJoin: true}, Callbacks{
-		OnData: func(c *Conn, total int64) { done = done || total >= 100_000 },
-	})
-	r.sim.Run()
-	if !done {
-		t.Fatal("no completion")
-	}
-	if len(c.Subflows()) != 1 {
-		t.Fatalf("subflows = %d, want 1 with NoJoin", len(c.Subflows()))
-	}
-}
-
 func TestSimultaneousJoinAblation(t *testing.T) {
 	// With simultaneous join, the second subflow's handshake starts at
 	// dial time, so it establishes earlier than with the default
@@ -492,7 +486,8 @@ func TestLIASingleSubflowBehavesLikeReno(t *testing.T) {
 	// Reno's; throughput should be within a few percent of decoupled.
 	run := func(cc CongestionMode) time.Duration {
 		r := newRig(13, symmetric(10, 20*time.Millisecond), symmetric(10, 20*time.Millisecond), ServerConfig{CC: cc})
-		d, ok := r.download(Config{ConnID: "mp1", Primary: "wifi", NoJoin: true, CC: cc}, 2<<20)
+		r.host = hostWith(r.wifi)
+		d, ok := r.download(Config{ConnID: "mp1", Primary: "wifi", CC: cc}, 2<<20)
 		if !ok {
 			t.Fatal("no completion")
 		}
@@ -528,9 +523,9 @@ func TestServerConnLatestWins(t *testing.T) {
 	r := newRig(1, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{})
 	var accepted []*Conn
 	r.srv.OnConn = func(c *Conn) { accepted = append(accepted, c) }
-	Dial(r.sim, r.client, r.host, Config{ConnID: "x", Primary: "wifi", NoJoin: true}, Callbacks{})
+	Dial(r.sim, r.client, hostWith(r.wifi), Config{ConnID: "x", Primary: "wifi"}, Callbacks{})
 	r.sim.Run()
-	Dial(r.sim, r.client, r.host, Config{ConnID: "x", Primary: "lte", NoJoin: true}, Callbacks{})
+	Dial(r.sim, r.client, hostWith(r.lte), Config{ConnID: "x", Primary: "lte"}, Callbacks{})
 	r.sim.Run()
 	if len(accepted) != 2 || r.srv.Conn("x") != accepted[1] || r.srv.Conn("y") != nil {
 		t.Fatalf("accepted %d, Conn(x) = %p, want the second of %p", len(accepted), r.srv.Conn("x"), accepted)

@@ -115,7 +115,7 @@ func TestSubflowKilledMidRejoinNoStrandedMappings(t *testing.T) {
 // events and aborts instead of hanging the event loop.
 func TestWatchdogAbortsStuckConn(t *testing.T) {
 	r := newRig(5, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond),
-		ServerConfig{WatchdogRTOs: 2, WatchdogMaxStalls: 2})
+		ServerConfig{WatchdogRTOs: 2})
 	var srvConn *Conn
 	stalls := 0
 	r.srv.OnConn = func(c *Conn) {
@@ -135,8 +135,8 @@ func TestWatchdogAbortsStuckConn(t *testing.T) {
 	if !srvConn.Aborted() {
 		t.Fatal("stuck connection did not abort")
 	}
-	if srvConn.StallCount == 0 || stalls != srvConn.StallCount {
-		t.Fatalf("stall events not recorded: count=%d callback=%d", srvConn.StallCount, stalls)
+	if srvConn.StallCount != DefaultWatchdogMaxStalls || stalls != srvConn.StallCount {
+		t.Fatalf("stall events: count=%d callback=%d, want %d of each", srvConn.StallCount, stalls, DefaultWatchdogMaxStalls)
 	}
 }
 

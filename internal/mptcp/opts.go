@@ -7,9 +7,9 @@
 //     additional subflow (MP_JOIN) is initiated on each remaining
 //     interface — so the second path joins at least one handshake late,
 //     the mechanism behind the paper's central short-flow finding.
-//   - Data is striped across subflows by a pluggable Scheduler
-//     (min-SRTT by default, as in Linux; round-robin, redundant, and
-//     BLEST/ECF-style HoL-aware policies are registered alongside it)
+//   - Data is striped across subflows by one of a closed set of
+//     Schedulers (min-SRTT by default, as in Linux; round-robin,
+//     redundant, and a BLEST/ECF-style HoL-aware policy beside it)
 //     with per-subflow congestion windows; DSS options map subflow
 //     bytes to the connection-level sequence space, and the receiver
 //     reassembles in data-sequence order (head-of-line blocking across

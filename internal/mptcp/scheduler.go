@@ -1,8 +1,8 @@
 package mptcp
 
 import (
-	"sort"
-	"sync"
+	"fmt"
+	"slices"
 	"time"
 )
 
@@ -24,9 +24,10 @@ import (
 //
 // Reinjected mappings (rtxPool) bypass Admit: recovery data may go
 // anywhere, or a dead path's bytes could be stranded.
+//
+// The set is closed: a configuration names one of Schedulers, and
+// newScheduler builds it.
 type Scheduler interface {
-	// Name returns the scheduler's registry name.
-	Name() string
 	// Rank orders the mode-eligible subflows for data offering. It may
 	// reorder sfs in place and must return a permutation of it.
 	Rank(c *Conn, sfs []*Subflow) []*Subflow
@@ -35,15 +36,7 @@ type Scheduler interface {
 	Admit(c *Conn, sf *Subflow) bool
 }
 
-// duplicator is implemented by schedulers that copy fresh mappings
-// onto additional subflows (the Redundant policy).
-type duplicator interface {
-	// onFreshMapping is called after a fresh mapping m was pulled by
-	// src; the implementation may enqueue duplicates on other subflows.
-	onFreshMapping(c *Conn, src *Subflow, m mapping)
-}
-
-// Scheduler registry names.
+// Scheduler names.
 const (
 	// SchedMinSRTT is the Linux default: lowest-SRTT subflow first.
 	SchedMinSRTT = "minsrtt"
@@ -57,72 +50,36 @@ const (
 	SchedHoLAware = "holaware"
 )
 
-var (
-	schedMu  sync.Mutex
-	schedReg = map[string]func() Scheduler{}
-)
-
-// RegisterScheduler adds a scheduler constructor under a unique name,
-// so that a scheduler can be chosen by name in configurations (core,
-// replay, the service's decisions). It panics on an empty name, nil
-// constructor, or duplicate — programmer errors caught at init.
-func RegisterScheduler(name string, mk func() Scheduler) {
-	schedMu.Lock()
-	defer schedMu.Unlock()
-	if name == "" {
-		panic("mptcp: RegisterScheduler with empty name")
-	}
-	if mk == nil {
-		panic("mptcp: RegisterScheduler with nil constructor: " + name)
-	}
-	if _, dup := schedReg[name]; dup {
-		panic("mptcp: duplicate scheduler name: " + name)
-	}
-	schedReg[name] = mk
+// Schedulers lists every scheduler name in presentation order: the
+// Linux default first, then the ablation, then the two mitigations. It
+// is an array, so each caller gets its own copy of a list nobody can
+// change.
+func Schedulers() [4]string {
+	return [...]string{SchedMinSRTT, SchedRoundRobin, SchedRedundant, SchedHoLAware}
 }
 
-// NewScheduler builds a fresh instance of the named scheduler; it
-// panics on an unknown name (configuration error).
-func NewScheduler(name string) Scheduler {
-	schedMu.Lock()
-	mk, ok := schedReg[name]
-	schedMu.Unlock()
-	if !ok {
-		panic("mptcp: unknown scheduler " + name)
+// mustBeScheduler panics unless name is empty (SchedMinSRTT) or one of
+// Schedulers, so that a misspelt name fails where it is configured
+// rather than at the first connection it would schedule.
+func mustBeScheduler(name string) {
+	if all := Schedulers(); name != "" && !slices.Contains(all[:], name) {
+		panic(fmt.Sprintf("mptcp: unknown scheduler %q, want one of %v", name, all))
 	}
-	return mk()
 }
 
-// SchedulerNames returns the registered scheduler names, sorted.
-func SchedulerNames() []string {
-	schedMu.Lock()
-	defer schedMu.Unlock()
-	out := make([]string, 0, len(schedReg))
-	for n := range schedReg {
-		out = append(out, n)
+// newScheduler builds a fresh instance of the named scheduler; empty
+// means SchedMinSRTT.
+func newScheduler(name string) Scheduler {
+	mustBeScheduler(name)
+	switch name {
+	case SchedRoundRobin:
+		return &roundRobin{}
+	case SchedRedundant:
+		return &redundant{}
+	case SchedHoLAware:
+		return &holAware{}
 	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	RegisterScheduler(SchedMinSRTT, func() Scheduler { return &minSRTT{} })
-	RegisterScheduler(SchedRoundRobin, func() Scheduler { return &roundRobin{} })
-	RegisterScheduler(SchedRedundant, func() Scheduler { return &redundant{} })
-	RegisterScheduler(SchedHoLAware, func() Scheduler { return &holAware{} })
-}
-
-// schedulerFor resolves the configured scheduler, honouring the legacy
-// RoundRobin ablation flag.
-func schedulerFor(cfg Config) Scheduler {
-	switch {
-	case cfg.Scheduler != "":
-		return NewScheduler(cfg.Scheduler)
-	case cfg.RoundRobin:
-		return NewScheduler(SchedRoundRobin)
-	default:
-		return NewScheduler(SchedMinSRTT)
-	}
+	return &minSRTT{}
 }
 
 // sfSRTT is the scheduling view of a subflow's RTT: subflows without
@@ -154,7 +111,6 @@ func rankBySRTT(sfs []*Subflow) []*Subflow {
 // lowest-SRTT subflow first, no per-subflow gating.
 type minSRTT struct{}
 
-func (*minSRTT) Name() string                            { return SchedMinSRTT }
 func (*minSRTT) Rank(c *Conn, sfs []*Subflow) []*Subflow { return rankBySRTT(sfs) }
 func (*minSRTT) Admit(c *Conn, sf *Subflow) bool         { return true }
 
@@ -167,8 +123,6 @@ type roundRobin struct {
 	// capacity, and allocate on every wake when it had none.
 	order []*Subflow
 }
-
-func (*roundRobin) Name() string { return SchedRoundRobin }
 
 func (s *roundRobin) Rank(c *Conn, sfs []*Subflow) []*Subflow {
 	if n := len(sfs); n > 1 {
@@ -190,7 +144,6 @@ func (*roundRobin) Admit(c *Conn, sf *Subflow) bool { return true }
 // Backup-mode semantics (paper Fig. 15g).
 type redundant struct{}
 
-func (*redundant) Name() string                            { return SchedRedundant }
 func (*redundant) Rank(c *Conn, sfs []*Subflow) []*Subflow { return rankBySRTT(sfs) }
 func (*redundant) Admit(c *Conn, sf *Subflow) bool         { return true }
 
@@ -224,7 +177,6 @@ func (*redundant) onFreshMapping(c *Conn, src *Subflow, m mapping) {
 // and ECF (Lim et al.) apply to the paper's Figs. 15-21 pathology.
 type holAware struct{}
 
-func (*holAware) Name() string                            { return SchedHoLAware }
 func (*holAware) Rank(c *Conn, sfs []*Subflow) []*Subflow { return rankBySRTT(sfs) }
 
 //multinet:hotpath
@@ -277,7 +229,7 @@ func (c *Conn) schedulableBacklog() int {
 		return 0
 	}
 	n := c.sendTotal - c.dataNxt
-	if lim := c.dataUna + uint64(c.cfg.recvBuf()); c.dataNxt+n > lim {
+	if lim := c.dataUna + DefaultRecvBuf; c.dataNxt+n > lim {
 		if c.dataNxt >= lim {
 			return 0
 		}

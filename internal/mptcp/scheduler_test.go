@@ -2,6 +2,7 @@ package mptcp
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,28 +12,59 @@ import (
 	"multinet/internal/tcp"
 )
 
-func TestSchedulerRegistry(t *testing.T) {
-	names := SchedulerNames()
-	for _, want := range []string{SchedMinSRTT, SchedRoundRobin, SchedRedundant, SchedHoLAware} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
+// TestSchedulerSetClosed: every listed name builds its own scheduler, the
+// empty name the Linux default, and any other name panics.
+func TestSchedulerSetClosed(t *testing.T) {
+	want := map[string]Scheduler{
+		"":              &minSRTT{},
+		SchedMinSRTT:    &minSRTT{},
+		SchedRoundRobin: &roundRobin{},
+		SchedRedundant:  &redundant{},
+		SchedHoLAware:   &holAware{},
+	}
+	if got := Schedulers(); len(got) != len(want)-1 {
+		t.Fatalf("Schedulers() = %v, want the %d names", got, len(want)-1)
+	}
+	for _, name := range Schedulers() {
+		if _, ok := want[name]; !ok {
+			t.Errorf("Schedulers() lists %q, which builds nothing", name)
 		}
-		if !found {
-			t.Errorf("built-in scheduler %q not registered (have %v)", want, names)
-		}
-		if got := NewScheduler(want).Name(); got != want {
-			t.Errorf("NewScheduler(%q).Name() = %q", want, got)
+	}
+	for name, w := range want {
+		if got := newScheduler(name); reflect.TypeOf(got) != reflect.TypeOf(w) {
+			t.Errorf("newScheduler(%q) = %T, want %T", name, got, w)
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("NewScheduler on an unknown name should panic")
+			t.Error("newScheduler on an unknown name should panic")
 		}
 	}()
-	NewScheduler("no-such-scheduler")
+	newScheduler("no-such-scheduler")
+}
+
+// TestUnknownSchedulerFailsAtConfig: a misspelt scheduler name panics
+// where it is configured — NewServer, SetConfig or Dial — naming the
+// valid ones, not at the first accepted SYN deep inside the run.
+func TestUnknownSchedulerFailsAtConfig(t *testing.T) {
+	mustPanic := func(where string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "minsrtt") || !strings.Contains(msg, SchedHoLAware) {
+				t.Errorf("%s: panic %q, want one naming the valid schedulers", where, msg)
+			}
+		}()
+		f()
+	}
+	r := newRig(35, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{})
+	mustPanic("NewServer", func() {
+		NewServer(r.sim, tcp.NewStack(r.sim, tcp.ServerSide), ServerConfig{Scheduler: "minsrt"})
+	})
+	mustPanic("SetConfig", func() { r.srv.SetConfig(ServerConfig{Scheduler: "holware"}) })
+	mustPanic("Dial", func() {
+		Dial(r.sim, r.client, r.host, Config{ConnID: "typo", Primary: "wifi", Scheduler: "redundnat"}, Callbacks{})
+	})
 }
 
 // TestSplitReinjectionAck is the regression test for the stranded-
@@ -43,7 +75,7 @@ func TestSchedulerRegistry(t *testing.T) {
 // the original stranded forever, to be spuriously reinjected on every
 // later stall.
 func TestSplitReinjectionAck(t *testing.T) {
-	c := &Conn{sim: simnet.New(1), cfg: Config{ConnID: "t"}, sched: NewScheduler(SchedMinSRTT), dss: new(simnet.FreeList[DSS])}
+	c := &Conn{sim: simnet.New(1), cfg: Config{ConnID: "t"}, sched: &minSRTT{}, dss: new(simnet.FreeList[DSS])}
 	sf := &Subflow{conn: c, established: true}
 	c.subflows = []*Subflow{sf}
 
@@ -84,7 +116,7 @@ func TestSplitReinjectionAck(t *testing.T) {
 }
 
 func TestOnMappingAckedPartialOverlap(t *testing.T) {
-	c := &Conn{sim: simnet.New(1), cfg: Config{ConnID: "t"}, sched: NewScheduler(SchedMinSRTT)}
+	c := &Conn{sim: simnet.New(1), cfg: Config{ConnID: "t"}, sched: &minSRTT{}}
 	sf := &Subflow{conn: c} // not established: wake skips it
 	c.subflows = []*Subflow{sf}
 	sf.outstanding = mapqOf(mapping{0, 100}, mapping{100, 300}, mapping{500, 100})
@@ -106,48 +138,84 @@ func TestOnMappingAckedPartialOverlap(t *testing.T) {
 // skipFastest is a test scheduler whose fresh-data admission is
 // per-subflow: it refuses the wifi subflow entirely, so data can only
 // flow over lte. With the old first-refusal `break` in Conn.wake the
-// lte subflow was never notified and the transfer stalled.
+// lte subflow was never notified and the transfer stalled. It is not
+// one of Schedulers: tests set it on both ends' Conns directly.
 type skipFastest struct{}
 
-func (*skipFastest) Name() string                            { return "test-skip-wifi" }
 func (*skipFastest) Rank(c *Conn, sfs []*Subflow) []*Subflow { return rankBySRTT(sfs) }
 func (*skipFastest) Admit(c *Conn, sf *Subflow) bool         { return sf.Iface.Name != "wifi" }
 
-func init() { RegisterScheduler("test-skip-wifi", func() Scheduler { return &skipFastest{} }) }
+// skipFastestCase labels skipFastest among the cases of the
+// per-scheduler properties, which run it after every name in Schedulers
+// as the adversary: a policy that refuses the path the others prefer.
+const skipFastestCase = "test-skip-wifi"
+
+func schedulerCases() []string {
+	all := Schedulers()
+	return append(all[:], skipFastestCase)
+}
+
+// caseConfig is a case's Config.Scheduler: skipFastest's Conns start on
+// the default and injectCase re-points them.
+func caseConfig(name string) string {
+	if name == skipFastestCase {
+		return ""
+	}
+	return name
+}
+
+// injectCase gives c skipFastest in its case; it is a no-op for the
+// named schedulers, which arrive through the configs.
+func injectCase(name string, c *Conn) {
+	if name == skipFastestCase {
+		c.sched = &skipFastest{}
+	}
+}
 
 func TestWakeContinuesPastRefusedSubflow(t *testing.T) {
 	// wifi is the faster path and ranks first; the scheduler refuses
 	// it. wake must continue to the slower lte subflow instead of
 	// breaking out of the offering loop.
-	r := newRig(21, symmetric(10, 10*time.Millisecond), symmetric(5, 40*time.Millisecond),
-		ServerConfig{Scheduler: "test-skip-wifi"})
+	const size = 200_000
+	r := newRig(21, symmetric(10, 10*time.Millisecond), symmetric(5, 40*time.Millisecond), ServerConfig{})
 	dataOnWifi := 0
 	r.wifi.AddSendTap(func(p *netem.Packet) {
 		if seg, ok := p.Payload.(*tcp.Segment); ok && seg.PayloadLen > 0 {
 			dataOnWifi++
 		}
 	})
-	d, ok := r.download(Config{ConnID: "mp1", Primary: "wifi", Scheduler: "test-skip-wifi"}, 200_000)
-	if !ok {
+	r.srv.OnConn = func(c *Conn) {
+		c.sched = &skipFastest{}
+		c.Send(size)
+		c.Close()
+	}
+	var done time.Duration
+	c := Dial(r.sim, r.client, r.host, Config{ConnID: "mp1", Primary: "wifi"}, Callbacks{
+		OnData: func(c *Conn, total int64) {
+			if total >= size && done == 0 {
+				done = r.sim.Now()
+			}
+		},
+	})
+	c.sched = &skipFastest{}
+	r.sim.Run()
+	if done == 0 {
 		t.Fatal("download stalled: wake did not offer data past the refused fastest subflow")
 	}
 	if dataOnWifi != 0 {
 		t.Fatalf("refused subflow carried %d data segments, want 0", dataOnWifi)
 	}
-	if d <= 0 {
-		t.Fatal("bad completion time")
-	}
 }
 
 func TestBackupSchedulerMatrix(t *testing.T) {
-	// Paper Fig. 15g semantics must hold under EVERY registered
-	// scheduler: a silently blackholed regular subflow does not
-	// activate backup subflows.
-	for _, sched := range SchedulerNames() {
+	// Paper Fig. 15g semantics must hold under every scheduler, and
+	// under one that would rather use the backup: a silently blackholed
+	// regular subflow does not activate backup subflows.
+	for _, sched := range schedulerCases() {
 		sched := sched
 		t.Run(sched+"/blackhole", func(t *testing.T) {
 			r := newRig(22, symmetric(8, 15*time.Millisecond), symmetric(8, 25*time.Millisecond),
-				ServerConfig{Mode: Backup, Scheduler: sched})
+				ServerConfig{Mode: Backup, Scheduler: caseConfig(sched)})
 			dataOnBackup := 0
 			r.lte.AddSendTap(func(p *netem.Packet) {
 				if seg, ok := p.Payload.(*tcp.Segment); ok && seg.PayloadLen > 0 {
@@ -155,17 +223,17 @@ func TestBackupSchedulerMatrix(t *testing.T) {
 				}
 			})
 			var done time.Duration
-			r.srv.OnConn = func(c *Conn) { c.Send(1 << 20); c.Close() }
-			Dial(r.sim, r.client, r.host, Config{
+			r.srv.OnConn = func(c *Conn) { injectCase(sched, c); c.Send(1 << 20); c.Close() }
+			injectCase(sched, Dial(r.sim, r.client, r.host, Config{
 				ConnID: "mp1", Primary: "wifi", Mode: Backup,
-				BackupIfaces: []string{"lte"}, Scheduler: sched,
+				BackupIfaces: []string{"lte"}, Scheduler: caseConfig(sched),
 			}, Callbacks{
 				OnData: func(c *Conn, total int64) {
 					if total >= 1<<20 && done == 0 {
 						done = r.sim.Now()
 					}
 				},
-			})
+			}))
 			r.sim.After(300*time.Millisecond, func() { r.wifi.SetBlackhole(true) })
 			r.sim.RunUntil(15 * time.Second)
 			if done != 0 {
@@ -261,20 +329,21 @@ func TestHoLAwareSkipsSlowPathOnShortFlow(t *testing.T) {
 	}
 }
 
-// Property: exact reliable delivery for every registered scheduler
-// under loss — scheduling policy must never break reassembly.
+// Property: exact reliable delivery for every scheduler under loss, and
+// for one that refuses a path — scheduling policy must never break
+// reassembly.
 func TestPropertySchedulersDeliverExactly(t *testing.T) {
-	for _, sched := range SchedulerNames() {
+	for _, sched := range schedulerCases() {
 		sched := sched
 		t.Run(sched, func(t *testing.T) {
 			f := func(seed int64, sizeRaw uint32) bool {
 				size := int(sizeRaw%400_000) + 1
 				r := newRig(seed, pathSpec{9, 15 * time.Millisecond, 0.02},
-					pathSpec{7, 30 * time.Millisecond, 0.02}, ServerConfig{Scheduler: sched})
+					pathSpec{7, 30 * time.Millisecond, 0.02}, ServerConfig{Scheduler: caseConfig(sched)})
 				var got int64
-				r.srv.OnConn = func(c *Conn) { c.Send(size); c.Close() }
-				Dial(r.sim, r.client, r.host, Config{ConnID: "p", Primary: "wifi", Scheduler: sched},
-					Callbacks{OnData: func(c *Conn, total int64) { got = total }})
+				r.srv.OnConn = func(c *Conn) { injectCase(sched, c); c.Send(size); c.Close() }
+				injectCase(sched, Dial(r.sim, r.client, r.host, Config{ConnID: "p", Primary: "wifi", Scheduler: caseConfig(sched)},
+					Callbacks{OnData: func(c *Conn, total int64) { got = total }}))
 				r.sim.Run()
 				return got == int64(size)
 			}
@@ -291,7 +360,7 @@ func TestPropertySchedulersDeliverExactly(t *testing.T) {
 // neither write into that room nor be made of it — a rotation by append
 // used to do both.
 func TestRankLeavesSpareCapacityAlone(t *testing.T) {
-	for _, name := range SchedulerNames() {
+	for _, name := range Schedulers() {
 		r := newRig(34, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{})
 		c := Dial(r.sim, r.client, r.host, Config{ConnID: "rank", Primary: "wifi", Scheduler: name}, Callbacks{})
 		r.sim.RunUntil(time.Second)

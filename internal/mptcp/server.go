@@ -14,18 +14,14 @@ type ServerConfig struct {
 	CC CongestionMode
 	// Mode selects Full-MPTCP or Backup operation.
 	Mode Mode
-	// RecvBuf bounds server-side scheduling ahead of the data-ACK.
-	RecvBuf int
 	// Scheduler names the data scheduler applied to accepted
-	// connections (empty: SchedMinSRTT). The server side matters most
-	// for downloads — the data sender runs the scheduler.
+	// connections, one of Schedulers (empty: SchedMinSRTT). The server
+	// side matters most for downloads — the data sender runs the
+	// scheduler.
 	Scheduler string
 	// WatchdogRTOs arms the stuck-flow watchdog on accepted connections
 	// (0 disables; see Config.WatchdogRTOs).
 	WatchdogRTOs int
-	// WatchdogMaxStalls bounds consecutive stalls before the watchdog
-	// aborts the connection (0: DefaultWatchdogMaxStalls).
-	WatchdogMaxStalls int
 }
 
 // Server accepts MPTCP connections on a server-side TCP stack,
@@ -48,17 +44,23 @@ type Server struct {
 	AcceptTCP func(*tcp.Conn)
 }
 
-// NewServer installs an MPTCP acceptor on the stack.
+// NewServer installs an MPTCP acceptor on the stack. It panics on an
+// unknown scheduler name.
 func NewServer(sim *simnet.Sim, stack *tcp.Stack, cfg ServerConfig) *Server {
-	s := &Server{sim: sim, stack: stack, cfg: cfg}
+	s := &Server{sim: sim, stack: stack}
+	s.SetConfig(cfg)
 	stack.Accept = s.accept
 	return s
 }
 
 // SetConfig changes the parameters applied to subsequently accepted
 // connections (existing connections are unaffected). Experiment
-// harnesses use it between sequential transfers.
-func (s *Server) SetConfig(cfg ServerConfig) { s.cfg = cfg }
+// harnesses use it between sequential transfers. It panics on an
+// unknown scheduler name.
+func (s *Server) SetConfig(cfg ServerConfig) {
+	mustBeScheduler(cfg.Scheduler)
+	s.cfg = cfg
+}
 
 // Conn returns the accepted connection with the given ID, or nil. An
 // MP_CAPABLE that arrives again with the ID of an accepted connection (a
@@ -88,15 +90,12 @@ func (s *Server) firstSegment(tc *tcp.Conn, seg *tcp.Segment) {
 	switch opt := seg.Opt.(type) {
 	case *MPCapable:
 		c := newConn(s.sim, s.stack, nil, Config{
-			ConnID:    opt.ConnID,
-			CC:        s.cfg.CC,
-			Mode:      s.cfg.Mode,
-			RecvBuf:   s.cfg.RecvBuf,
-			Scheduler: s.cfg.Scheduler,
-			Primary:   tc.Iface().Name,
-
-			WatchdogRTOs:      s.cfg.WatchdogRTOs,
-			WatchdogMaxStalls: s.cfg.WatchdogMaxStalls,
+			ConnID:       opt.ConnID,
+			CC:           s.cfg.CC,
+			Mode:         s.cfg.Mode,
+			Scheduler:    s.cfg.Scheduler,
+			Primary:      tc.Iface().Name,
+			WatchdogRTOs: s.cfg.WatchdogRTOs,
 		}, Callbacks{})
 		if len(s.conns) == cap(s.conns) {
 			s.conns = simnet.SlabOf[*Conn](s.sim).Grow(s.conns, len(s.conns)+1)

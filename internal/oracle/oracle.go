@@ -58,7 +58,7 @@ func ForPaths(labels []string) (schemes []PathScheme, baseline string) {
 }
 
 // ForSchedulers generates the scheduler-comparison oracle family over
-// the configuration names of replay.Configs with WithSchedulers: the
+// the configuration names of replay.SchedulerConfigs: the
 // first-label TCP baseline, the single-path oracle over all N
 // alternatives (the N-path oracle every scheduler is normalised
 // against), and one oracle per scheduler that knows the best primary

@@ -112,67 +112,50 @@ func WiFiLTEPaths() []PathName {
 	return []PathName{{Iface: "wifi", Label: "WiFi"}, {Iface: "lte", Label: "LTE"}}
 }
 
-// ConfigsOption customises the family Configs generates.
-type ConfigsOption func(*configsOptions)
-
-type configsOptions struct {
-	couplings  []mptcp.CongestionMode
-	schedulers []string
-}
-
-// WithCouplings selects which congestion couplings the MPTCP block
-// enumerates, in order. The default is Coupled then Decoupled — the
-// paper's legend order.
-func WithCouplings(modes ...mptcp.CongestionMode) ConfigsOption {
-	return func(o *configsOptions) { o.couplings = modes }
-}
-
-// WithSchedulers switches the MPTCP block to the scheduler-comparison
-// family: per named scheduler, in order, one decoupled-CC MPTCP
-// configuration per primary ("MPTCP-<scheduler>-<Label>"). Decoupled
-// CC isolates the scheduler effect from congestion coupling (the
-// paper's Figs. 19/21 show decoupled is the stronger MPTCP variant).
-func WithSchedulers(names ...string) ConfigsOption {
-	return func(o *configsOptions) { o.schedulers = names }
-}
-
-// Configs generates the transport-configuration family for an
-// arbitrary path set, in the paper's legend order: single-path TCP per
-// path first, then the MPTCP block. Without options the MPTCP block
-// enumerates congestion couplings (coupled then decoupled MPTCP per
-// primary — N + 2N configurations for N paths, the paper's Fig. 18/20
-// family); WithSchedulers replaces it with the scheduler comparison
-// and WithCouplings narrows or reorders the couplings.
-func Configs(paths []PathName, opts ...ConfigsOption) []TransportConfig {
-	o := configsOptions{couplings: []mptcp.CongestionMode{mptcp.Coupled, mptcp.Decoupled}}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	out := make([]TransportConfig, 0, len(paths)*(1+len(o.couplings)+len(o.schedulers)))
-	for _, p := range paths {
-		out = append(out, TransportConfig{Name: p.Label + "-TCP", Kind: SinglePath, Iface: p.Iface})
-	}
-	if o.schedulers != nil {
-		for _, s := range o.schedulers {
-			for _, p := range paths {
-				out = append(out, TransportConfig{
-					Name: "MPTCP-" + s + "-" + p.Label, Kind: Multipath,
-					Primary: p.Iface, CC: mptcp.Decoupled, Scheduler: s,
-				})
-			}
-		}
-		return out
-	}
-	for _, cc := range o.couplings {
-		label := "Coupled"
-		if cc == mptcp.Decoupled {
-			label = "Decoupled"
-		}
+// Configs generates the paper's transport-configuration family for an
+// arbitrary path set, in its legend order: single-path TCP per path,
+// then coupled and then decoupled MPTCP per primary — N + 2N
+// configurations for N paths, the family of Figs. 18-21.
+func Configs(paths []PathName) []TransportConfig {
+	out := singlePathConfigs(paths, 2)
+	for _, cc := range [...]struct {
+		mode  mptcp.CongestionMode
+		label string
+	}{{mptcp.Coupled, "Coupled"}, {mptcp.Decoupled, "Decoupled"}} {
 		for _, p := range paths {
 			out = append(out, TransportConfig{
-				Name: "MPTCP-" + label + "-" + p.Label, Kind: Multipath, Primary: p.Iface, CC: cc,
+				Name: "MPTCP-" + cc.label + "-" + p.Label, Kind: Multipath, Primary: p.Iface, CC: cc.mode,
 			})
 		}
+	}
+	return out
+}
+
+// SchedulerConfigs generates the scheduler-comparison family: single-path
+// TCP per path, then per named scheduler, in order, one decoupled-CC
+// MPTCP configuration per primary ("MPTCP-<scheduler>-<Label>").
+// Decoupled CC isolates the scheduler effect from congestion coupling
+// (the paper's Figs. 19/21 show decoupled is the stronger MPTCP
+// variant).
+func SchedulerConfigs(paths []PathName, schedulers []string) []TransportConfig {
+	out := singlePathConfigs(paths, len(schedulers))
+	for _, s := range schedulers {
+		for _, p := range paths {
+			out = append(out, TransportConfig{
+				Name: "MPTCP-" + s + "-" + p.Label, Kind: Multipath,
+				Primary: p.Iface, CC: mptcp.Decoupled, Scheduler: s,
+			})
+		}
+	}
+	return out
+}
+
+// singlePathConfigs starts a family with single-path TCP on every path,
+// with room for perPath MPTCP configurations per path after it.
+func singlePathConfigs(paths []PathName, perPath int) []TransportConfig {
+	out := make([]TransportConfig, 0, len(paths)*(1+perPath))
+	for _, p := range paths {
+		out = append(out, TransportConfig{Name: p.Label + "-TCP", Kind: SinglePath, Iface: p.Iface})
 	}
 	return out
 }

@@ -1,13 +1,16 @@
 package replay
 
 import (
+	"maps"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
 	"multinet/internal/apps"
 	"multinet/internal/mptcp"
+	"multinet/internal/oracle"
 	"multinet/internal/phy"
 )
 
@@ -173,7 +176,7 @@ func TestFlowStatRate(t *testing.T) {
 
 func TestSchedulerConfigsForShape(t *testing.T) {
 	scheds := []string{"minsrtt", "holaware"}
-	tcs := Configs(WiFiLTEPaths(), WithSchedulers(scheds...))
+	tcs := SchedulerConfigs(WiFiLTEPaths(), scheds)
 	if want := 2 + len(scheds)*2; len(tcs) != want {
 		t.Fatalf("configs = %d, want %d (N TCP + S*N MPTCP)", len(tcs), want)
 	}
@@ -199,7 +202,8 @@ func TestSchedulerConfigsForShape(t *testing.T) {
 func TestSchedulerConfigsReplayComplete(t *testing.T) {
 	// Every scheduler variant must drive a full replay to completion.
 	rec := Record(apps.DropboxClick)
-	for _, tc := range Configs(WiFiLTEPaths(), WithSchedulers(mptcp.SchedulerNames()...)) {
+	scheds := mptcp.Schedulers()
+	for _, tc := range SchedulerConfigs(WiFiLTEPaths(), scheds[:]) {
 		if tc.Kind != Multipath {
 			continue
 		}
@@ -217,20 +221,42 @@ func TestConfigsFamilySizes(t *testing.T) {
 	if got := len(Configs(paths)); got != 9 {
 		t.Fatalf("coupling family over 3 paths = %d configs, want 9", got)
 	}
-	scheds := mptcp.SchedulerNames()
-	if got, want := len(Configs(paths, WithSchedulers(scheds...))), len(paths)*(1+len(scheds)); got != want {
+	scheds := mptcp.Schedulers()
+	if got, want := len(SchedulerConfigs(paths, scheds[:])), len(paths)*(1+len(scheds)); got != want {
 		t.Fatalf("scheduler family over 3 paths = %d configs, want %d", got, want)
 	}
 }
 
-func TestConfigsWithCouplings(t *testing.T) {
-	tcs := Configs(WiFiLTEPaths(), WithCouplings(mptcp.Decoupled))
-	if len(tcs) != 4 {
-		t.Fatalf("configs = %d, want 2 TCP + 2 MPTCP", len(tcs))
-	}
-	if tcs[2].Name != "MPTCP-Decoupled-WiFi" || tcs[2].CC != mptcp.Decoupled ||
-		tcs[3].Name != "MPTCP-Decoupled-LTE" {
-		t.Fatalf("coupling block = %+v %+v", tcs[2], tcs[3])
+// TestConfigNamesMatchOracles: the oracle families name exactly the
+// configurations Configs and SchedulerConfigs generate, so no oracle
+// waits on a replay that never runs and no replay goes unused.
+func TestConfigNamesMatchOracles(t *testing.T) {
+	labels := []string{"WiFi", "LTE"}
+	scheds := mptcp.Schedulers()
+	paperSchemes, paperBase := oracle.ForPaths(labels)
+	schedSchemes, schedBase := oracle.ForSchedulers(labels, scheds[:])
+	for _, f := range []struct {
+		name     string
+		tcs      []TransportConfig
+		schemes  []oracle.PathScheme
+		baseline string
+	}{
+		{"Configs", Configs(WiFiLTEPaths()), paperSchemes, paperBase},
+		{"SchedulerConfigs", SchedulerConfigs(WiFiLTEPaths(), scheds[:]), schedSchemes, schedBase},
+	} {
+		made := map[string]bool{}
+		for _, tc := range f.tcs {
+			made[tc.Name] = true
+		}
+		named := map[string]bool{f.baseline: true}
+		for _, s := range f.schemes {
+			for _, c := range s.Configs {
+				named[c] = true
+			}
+		}
+		if !maps.Equal(made, named) {
+			t.Errorf("%s generates %v, its oracles name %v", f.name, slices.Sorted(maps.Keys(made)), slices.Sorted(maps.Keys(named)))
+		}
 	}
 }
 

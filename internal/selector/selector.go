@@ -42,58 +42,21 @@ type PathEstimate struct {
 	RTT  time.Duration
 }
 
-// indexThreshold is the path count past which Estimate.Set/Lookup
-// switch from a linear scan to the name index. Below it, scanning a
-// handful of entries beats the map's hashing cost; the classic pair
-// and every paper scenario stay on the scan path.
-const indexThreshold = 8
-
 // Estimate summarises the current conditions of any number of paths.
 // Path order is significant: earlier paths win ranking ties, so build
 // estimates in preference order (core's Probe uses host attachment
 // order; the Store uses first-telemetry order).
 type Estimate struct {
 	Paths []PathEstimate
-
-	// index maps path name to its Paths position once the set exceeds
-	// indexThreshold. Entries are verified before use (the map may be
-	// shared between value copies of an Estimate that have diverged),
-	// so a stale entry degrades to the linear scan, never to a wrong
-	// answer.
-	index map[string]int
 }
 
 // EstimateOf builds an estimate from per-path stats in preference
 // order — the N-path generalisation of the classic WiFi+LTE pair.
-func EstimateOf(paths ...PathEstimate) Estimate {
-	e := Estimate{Paths: paths}
-	e.reindex()
-	return e
-}
+func EstimateOf(paths ...PathEstimate) Estimate { return Estimate{Paths: paths} }
 
-// reindex (re)builds the name index when the path set is large enough
-// to warrant one.
-func (e *Estimate) reindex() {
-	if len(e.Paths) < indexThreshold {
-		return
-	}
-	if e.index == nil {
-		e.index = make(map[string]int, len(e.Paths))
-	}
-	for i, p := range e.Paths {
-		e.index[p.Name] = i
-	}
-}
-
-// find returns the position of the named path, or -1. It consults the
-// index first and verifies the hit, falling back to the linear scan on
-// any mismatch.
+// find returns the position of the named path, or -1. A scan: an
+// estimate holds a handful of paths.
 func (e *Estimate) find(name string) int {
-	if e.index != nil {
-		if i, ok := e.index[name]; ok && i < len(e.Paths) && e.Paths[i].Name == name {
-			return i
-		}
-	}
 	for i := range e.Paths {
 		if e.Paths[i].Name == name {
 			return i
@@ -109,9 +72,6 @@ func (e *Estimate) Set(name string, mbps float64, rtt time.Duration) {
 		return
 	}
 	e.Paths = append(e.Paths, PathEstimate{Name: name, Mbps: mbps, RTT: rtt})
-	if len(e.Paths) >= indexThreshold {
-		e.reindex()
-	}
 }
 
 // Lookup returns the named path's estimate.
@@ -305,13 +265,6 @@ func (s Selector) maxDisparity() float64 {
 		return s.MaxDisparity
 	}
 	return 4
-}
-
-// UseMPTCP is the MPTCP-worthwhile predicate over the estimated path
-// set: the flow is long enough and the two best paths are within the
-// disparity bound.
-func (s Selector) UseMPTCP(e Estimate, flowBytes int) bool {
-	return flowBytes > s.shortFlowBytes() && e.PairDisparity() <= s.maxDisparity()
 }
 
 // Decide evaluates the policy for a flow of the given size under the

@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -131,68 +132,40 @@ func TestDecideIntoReusesCapacity(t *testing.T) {
 	}
 }
 
-func TestEstimateIndexedSetLookup(t *testing.T) {
+// TestEstimateManyPaths: Set, Lookup and Mbps address a 12-path set by
+// name — update in place, append when new — as they do the classic pair.
+func TestEstimateManyPaths(t *testing.T) {
 	var e Estimate
-	names := []string{"p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8", "p9"}
-	for i, n := range names {
-		e.Set(n, float64(i+1), time.Duration(i)*time.Millisecond)
+	for i := 0; i < 12; i++ {
+		e.Set(string(rune('a'+i)), float64(i+1), time.Duration(i)*time.Millisecond)
 	}
-	if e.index == nil {
-		t.Fatalf("index not built past threshold (%d paths)", len(names))
-	}
-	for i, n := range names {
-		p, ok := e.Lookup(n)
-		if !ok || p.Mbps != float64(i+1) {
-			t.Fatalf("Lookup(%q) = %+v %v", n, p, ok)
+	for i := 0; i < 12; i++ {
+		name := string(rune('a' + i))
+		if p, ok := e.Lookup(name); !ok || p.Mbps != float64(i+1) || p.RTT != time.Duration(i)*time.Millisecond {
+			t.Fatalf("Lookup(%q) = %+v %v", name, p, ok)
 		}
 	}
-	// Update through the index must hit the right slot.
-	e.Set("p7", 99, 0)
-	if got := e.Mbps("p7"); got != 99 {
-		t.Fatalf("after Set, Mbps(p7) = %v", got)
+	e.Set("k", 99, 0)
+	if got := e.Mbps("k"); got != 99 || len(e.Paths) != 12 || e.Paths[10].Name != "k" {
+		t.Fatalf("after Set(k): Mbps = %v, %d paths, Paths[10] = %q", got, len(e.Paths), e.Paths[10].Name)
 	}
-	if _, ok := e.Lookup("absent"); ok {
-		t.Fatal("Lookup(absent) = true")
+	if _, ok := e.Lookup("absent"); ok || e.Mbps("absent") != 0 {
+		t.Fatal("an absent path was found")
 	}
-}
-
-// TestEstimateIndexStaleCopy pins the safety contract: a value copy
-// that diverges from the shared index degrades to the linear scan,
-// never to a wrong answer.
-func TestEstimateIndexStaleCopy(t *testing.T) {
-	var a Estimate
-	for i := 0; i < indexThreshold; i++ {
-		a.Set(string(rune('a'+i)), float64(i+1), 0)
-	}
-	b := a // shares the index map
-	b.Paths = append([]PathEstimate(nil), b.Paths[:2]...)
-	// The shared index still claims positions >= 2; b must not trust it.
-	if _, ok := b.Lookup("h"); ok {
-		t.Fatal("stale index produced a phantom path")
-	}
-	if p, ok := b.Lookup("b"); !ok || p.Mbps != 2 {
-		t.Fatalf("Lookup(b) = %+v %v", p, ok)
-	}
-	// Writing through the truncated copy must not corrupt the original.
-	b.Set("z", 50, 0)
-	if _, ok := a.Lookup("z"); ok && a.Mbps("z") != 50 {
-		t.Fatal("cross-copy corruption")
-	}
-	if a.Mbps("h") != 8 {
-		t.Fatalf("original lost a path: %v", a.Mbps("h"))
+	if got := EstimateOf(e.Paths...).Mbps("l"); got != 12 {
+		t.Fatalf("EstimateOf(...).Mbps(l) = %v, want 12", got)
 	}
 }
 
-func TestEstimateOfIndexesLargeSets(t *testing.T) {
-	paths := make([]PathEstimate, 12)
-	for i := range paths {
-		paths[i] = PathEstimate{Name: string(rune('a' + i)), Mbps: float64(i)}
-	}
-	e := EstimateOf(paths...)
-	if e.index == nil {
-		t.Fatal("EstimateOf did not index a 12-path set")
-	}
-	if e.Mbps("k") != 10 {
-		t.Fatalf("Mbps(k) = %v", e.Mbps("k"))
+// TestDecidedSchedulersExist: every scheduler a Decision can name is one
+// mptcp builds.
+func TestDecidedSchedulersExist(t *testing.T) {
+	known := mptcp.Schedulers()
+	s := Selector{HoLAwareDisparity: 2}
+	for _, e := range []Estimate{pair(6, 5), pair(9, 3)} {
+		d := s.Decide(e, 5<<20)
+		if !d.UseMPTCP || !slices.Contains(known[:], d.Scheduler) {
+			t.Errorf("Decide(%v) = %+v: scheduler %q is not one of %v", e.Paths, d, d.Scheduler, known)
+		}
 	}
 }

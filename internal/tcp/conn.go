@@ -211,20 +211,15 @@ type interval struct{ lo, hi uint64 }
 type Config struct {
 	// Callbacks are the event hooks.
 	Callbacks Callbacks
-	// Increase overrides the congestion-avoidance increase (default
-	// Reno).
-	Increase IncreaseFn
 	// Source overrides the payload source (default byte-count source
 	// fed by Send).
 	Source Source
-	// InitialCwndSegs overrides the initial window (default 10 MSS).
-	InitialCwndSegs int
 	// SynOpt is attached to the SYN (active open) or SYN-ACK (passive
 	// open) segment; MPTCP uses it for MP_CAPABLE / MP_JOIN.
 	SynOpt any
 	// Owner is an opaque reference the connection carries for its user
-	// (Conn.Owner). Callbacks, Increase and Source are all handed the
-	// *Conn, so a layer that wires many connections the same way — MPTCP
+	// (Conn.Owner). Callbacks, Source and the increase function
+	// (SetIncrease) are all handed the *Conn, so a layer that wires many connections the same way — MPTCP
 	// and its subflows — can share one set of package-level functions
 	// that recover their state from it, instead of building a set of
 	// closures per connection.
@@ -247,20 +242,13 @@ func NewConn(sim *simnet.Sim, iface *netem.Iface, dir netem.Direction, flow stri
 		state:    StateClosed,
 		cb:       cfg.Callbacks,
 		owner:    cfg.Owner,
-		increase: cfg.Increase,
+		increase: RenoIncrease,
 		src:      cfg.Source,
 		synOpt:   cfg.SynOpt,
 		peerWnd:  DefaultWindow,
 		rto:      InitialRTO,
-	}
-	initial := cfg.InitialCwndSegs
-	if initial <= 0 {
-		initial = InitialCwndSegments
-	}
-	c.cwnd = float64(initial * MSS)
-	c.ssthresh = float64(DefaultWindow)
-	if c.increase == nil {
-		c.increase = RenoIncrease
+		cwnd:     InitialCwndSegments * MSS,
+		ssthresh: DefaultWindow,
 	}
 	if c.src == nil {
 		c.byteSrc = &c.bytes
@@ -320,9 +308,6 @@ func (c *Conn) SetIncrease(fn IncreaseFn) {
 	}
 	c.increase = fn
 }
-
-// Callbacks returns the current event hooks (so callers can wrap them).
-func (c *Conn) Callbacks() Callbacks { return c.cb }
 
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
