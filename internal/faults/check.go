@@ -5,6 +5,7 @@ import (
 
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
+	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
 
@@ -31,26 +32,24 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 //   - No silent stalls: at quiescence a connection with undelivered
 //     data must have been closed or aborted — a watchdog abort counts;
 //     simply hanging does not.
-//   - No recycled-object leaks (when Leaks is set): every packet and
-//     segment taken from a free list went back to it, and every DSS was
-//     let go by all of its holders, once each (dss-accounting).
+//   - No recycled-object leaks: in every registered world, every packet
+//     and segment taken from a free list went back to it, and every DSS
+//     was let go by all of its holders, once each (dss-accounting). The
+//     counts are the world's own (simnet.FreeList.Live), so worlds run
+//     side by side do not see each other's.
 //   - Scoreboard accounting: on every subflow, the sender's
 //     incrementally maintained pipe and pending-loss count equal a full
 //     scan of its SACK scoreboard (tcp.Conn.AuditScoreboard).
 //
 // Call Check only after the simulation has drained (or at a known
-// quiescent point); mid-flight the link identity does not hold. The
-// scoreboard rule alone holds between any two events, so
-// CheckScoreboards may be called while the run is in progress.
+// quiescent point) and before its Sim is released; mid-flight the link
+// identity does not hold. The scoreboard rule alone holds between any
+// two events, so CheckScoreboards may be called while the run is in
+// progress.
 type Checker struct {
-	// Leaks additionally asserts that the live counts of netem packets,
-	// tcp segments and mptcp DSS are zero. Set it only if
-	// SetLeakTracking(true) was called in all three packages before the
-	// simulation was built.
-	Leaks bool
-
-	links []checkedLink
-	pairs []connPair
+	links  []checkedLink
+	worlds []checkedWorld
+	pairs  []connPair
 }
 
 type checkedLink struct {
@@ -58,22 +57,32 @@ type checkedLink struct {
 	link netem.Link
 }
 
+// checkedWorld is one registered world's lists of recycled objects.
+type checkedWorld struct {
+	packets  *simnet.FreeList[netem.Packet]
+	segments *simnet.FreeList[tcp.Segment]
+	dss      *simnet.FreeList[mptcp.DSS]
+}
+
 type connPair struct {
 	label string
 	a, b  *mptcp.Conn
 }
 
-// AddLink registers one link for conservation checking.
-func (c *Checker) AddLink(name string, l netem.Link) {
-	c.links = append(c.links, checkedLink{name: name, link: l})
-}
-
-// AddHost registers both directions of every interface of h.
-func (c *Checker) AddHost(h *netem.Host) {
+// AddWorld registers one world: both directions of every interface of
+// h for link conservation, and sim's free lists of packets, segments and
+// DSS for the leak rules.
+func (c *Checker) AddWorld(sim *simnet.Sim, h *netem.Host) {
 	for _, ifc := range h.Ifaces() {
-		c.AddLink(ifc.Name+"/up", ifc.UpLink())
-		c.AddLink(ifc.Name+"/down", ifc.DownLink())
+		c.links = append(c.links,
+			checkedLink{name: ifc.Name + "/up", link: ifc.UpLink()},
+			checkedLink{name: ifc.Name + "/down", link: ifc.DownLink()})
 	}
+	c.worlds = append(c.worlds, checkedWorld{
+		packets:  simnet.FreeListOf[netem.Packet](sim),
+		segments: simnet.FreeListOf[tcp.Segment](sim),
+		dss:      simnet.FreeListOf[mptcp.DSS](sim),
+	})
 }
 
 // AddPair registers the two endpoints of one MPTCP connection.
@@ -100,20 +109,20 @@ func (c *Checker) Check() []Violation {
 		out = c.checkDir(out, p.label+" b->a", p.b, p.a)
 	}
 	out = append(out, c.CheckScoreboards()...)
-	if c.Leaks {
-		if n := netem.LivePackets(); n != 0 {
+	for _, w := range c.worlds {
+		if n := w.packets.Live(); n != 0 {
 			out = append(out, Violation{
 				Rule:   "packet-leak",
 				Detail: fmt.Sprintf("%d pooled packets unaccounted for", n),
 			})
 		}
-		if n := tcp.LiveSegments(); n != 0 {
+		if n := w.segments.Live(); n != 0 {
 			out = append(out, Violation{
 				Rule:   "segment-leak",
 				Detail: fmt.Sprintf("%d pooled segments unaccounted for", n),
 			})
 		}
-		if n := mptcp.LiveDSS(); n != 0 {
+		if n := w.dss.Live(); n != 0 {
 			out = append(out, Violation{
 				Rule:   "dss-accounting",
 				Detail: fmt.Sprintf("%d DSS holds unaccounted for (negative: a holder let go twice)", n),

@@ -5,9 +5,6 @@ import (
 	"time"
 
 	"multinet/internal/faults"
-	"multinet/internal/mptcp"
-	"multinet/internal/netem"
-	"multinet/internal/tcp"
 )
 
 // decodeSchedule turns fuzz bytes into a valid fault schedule over the
@@ -63,9 +60,6 @@ func FuzzChaosSchedule(f *testing.F) {
 		if err := sched.Validate(); err != nil {
 			t.Fatalf("decoder produced invalid schedule: %v\n%s", err, sched)
 		}
-		defer netem.SetLeakTracking(false)
-		defer tcp.SetLeakTracking(false)
-		defer mptcp.SetLeakTracking(false)
 		download := len(data) == 0 || data[len(data)-1]%2 == 0
 		variable := len(data) > 0 && data[len(data)-1]%4 >= 2
 		a := runChaos(t, 1234, sched, variable, download, 64<<10)

@@ -70,9 +70,6 @@ type Callbacks struct {
 	OnData func(c *Conn, total int64)
 	// OnClosed fires when all subflows have fully closed.
 	OnClosed func(*Conn)
-	// OnStall fires when the stuck-flow watchdog records a stall event
-	// (total is the connection's cumulative stall count).
-	OnStall func(c *Conn, total int)
 }
 
 // mapping is a scheduled chunk of the connection-level byte stream.
@@ -166,7 +163,7 @@ type Conn struct {
 
 	// Receiver state.
 	rcvNxt    uint64
-	ooo       []mapping // out-of-order received intervals (sorted)
+	ooo       tcp.Ranges // what arrived above rcvNxt
 	recvTotal int64
 
 	// Scheduling policy (see Scheduler).
@@ -426,10 +423,6 @@ func (c *Conn) SendTotal() uint64 { return c.sendTotal }
 // peer has confirmed receiving in order).
 func (c *Conn) DataAcked() uint64 { return c.dataUna }
 
-// DataScheduled returns the high-water mark of connection-level bytes
-// handed to subflows (dataNxt).
-func (c *Conn) DataScheduled() uint64 { return c.dataNxt }
-
 // RcvNxt returns the next in-order connection-level byte expected.
 func (c *Conn) RcvNxt() uint64 { return c.rcvNxt }
 
@@ -438,9 +431,6 @@ func (c *Conn) Closed() bool { return c.closed }
 
 // Aborted reports whether AbortAll terminated the connection.
 func (c *Conn) Aborted() bool { return c.aborted }
-
-// OOORecords returns the number of out-of-order receive intervals held.
-func (c *Conn) OOORecords() int { return len(c.ooo) }
 
 // UncoveredBytes measures the stranded-mapping gap: bytes in
 // [dataUna, dataNxt) — scheduled but not yet data-acked — that no live
@@ -641,68 +631,20 @@ func (c *Conn) onSegment(sf *Subflow, seg *tcp.Segment) {
 		c.wake()
 	}
 	if dss.Len > 0 {
-		c.receive(mapping{dataSeq: dss.DataSeq, len: dss.Len})
+		c.receive(dss.DataSeq, dss.DataSeq+uint64(dss.Len))
 	}
 }
 
-// receive performs connection-level reassembly.
-func (c *Conn) receive(m mapping) {
-	switch {
-	case m.end() <= c.rcvNxt:
-		return // duplicate
-	case m.dataSeq <= c.rcvNxt:
-		c.rcvNxt = m.end()
-		// Drain contiguous out-of-order intervals; copy down so the
-		// backing array keeps its capacity for later reordering bursts.
-		k := 0
-		for k < len(c.ooo) && c.ooo[k].dataSeq <= c.rcvNxt {
-			if e := c.ooo[k].end(); e > c.rcvNxt {
-				c.rcvNxt = e
-			}
-			k++
-		}
-		if k > 0 {
-			n := copy(c.ooo, c.ooo[k:])
-			c.ooo = c.ooo[:n]
-		}
-	default:
-		c.insertOOO(m)
-	}
+// receive performs connection-level reassembly of the mapped bytes
+// [lo, hi).
+func (c *Conn) receive(lo, hi uint64) {
+	c.rcvNxt = c.ooo.Add(c.sim, c.rcvNxt, lo, hi)
 	if int64(c.rcvNxt) > c.recvTotal {
 		c.recvTotal = int64(c.rcvNxt)
 		if c.cb.OnData != nil {
 			c.cb.OnData(c, c.recvTotal)
 		}
 	}
-}
-
-func (c *Conn) insertOOO(m mapping) {
-	pos := len(c.ooo)
-	for i, e := range c.ooo {
-		if m.dataSeq < e.dataSeq {
-			pos = i
-			break
-		}
-	}
-	if len(c.ooo) == cap(c.ooo) {
-		c.ooo = simnet.SlabOf[mapping](c.sim).Grow(c.ooo, len(c.ooo)+1)
-	}
-	c.ooo = append(c.ooo, mapping{})
-	copy(c.ooo[pos+1:], c.ooo[pos:])
-	c.ooo[pos] = m
-	// Merge overlaps.
-	merged := c.ooo[:1]
-	for _, e := range c.ooo[1:] {
-		last := &merged[len(merged)-1]
-		if e.dataSeq <= last.end() {
-			if e.end() > last.end() {
-				last.len = int(e.end() - last.dataSeq)
-			}
-		} else {
-			merged = append(merged, e)
-		}
-	}
-	c.ooo = merged
 }
 
 // onSubflowRTO handles repeated timeouts: in Full-MPTCP mode the
@@ -899,9 +841,6 @@ func (c *Conn) watchdogFire() {
 	// the budget — a chaos run terminates instead of hanging.
 	c.StallCount++
 	c.stallRun++
-	if c.cb.OnStall != nil {
-		c.cb.OnStall(c, c.StallCount)
-	}
 	if c.stallRun >= DefaultWatchdogMaxStalls {
 		c.AbortAll()
 		return

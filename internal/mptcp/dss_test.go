@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
 
@@ -14,11 +15,11 @@ import (
 // blackhole long enough for repeated RTOs and reinjection (the same
 // mapping under several DSS on several subflows) and, in the second
 // run, an administrative flap that aborts a subflow with entries and
-// copies outstanding. The live count must never go negative — a holder
-// let go twice — and must be back at zero once the simulation drains:
-// every DSS was returned by its last holder or written off at an abort.
+// copies outstanding. The live count of the world's DSS list must never
+// go negative — a holder let go twice — and must be back at zero once the
+// simulation drains: every DSS was returned by its last holder or written
+// off at an abort.
 func TestDSSHolderCount(t *testing.T) {
-	defer SetLeakTracking(false)
 	for _, tc := range []struct {
 		name     string
 		teardown bool
@@ -27,7 +28,6 @@ func TestDSSHolderCount(t *testing.T) {
 		{"and a subflow torn down mid-flight", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			SetLeakTracking(true)
 			const size = 2 << 20
 			r := newRig(21,
 				pathSpec{mbps: 8, owd: 10 * time.Millisecond, loss: 0.02},
@@ -49,10 +49,11 @@ func TestDSSHolderCount(t *testing.T) {
 				r.adminAt(900*time.Millisecond, r.wifi, true)
 				r.adminAt(1500*time.Millisecond, r.wifi, false)
 			}
-			peak := int64(0)
+			dss := simnet.FreeListOf[DSS](r.sim)
+			peak := 0
 			for r.sim.Pending() > 0 {
 				r.sim.RunFor(5 * time.Millisecond)
-				live := LiveDSS()
+				live := dss.Live()
 				if live < 0 {
 					t.Fatalf("at %v: live DSS count %d: a holder let go twice", r.sim.Now(), live)
 				}
@@ -83,7 +84,7 @@ func TestDSSHolderCount(t *testing.T) {
 					t.Fatal("no subflow was torn down")
 				}
 			}
-			if live := LiveDSS(); live != 0 {
+			if live := dss.Live(); live != 0 {
 				t.Fatalf("%d DSS still held at quiescence (peak %d)", live, peak)
 			}
 		})

@@ -25,7 +25,6 @@ package mptcp
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"multinet/internal/simnet"
 )
@@ -84,31 +83,9 @@ type DSS struct {
 	home *simnet.FreeList[DSS]
 }
 
-// leakTrack gates live-DSS accounting, as netem's and tcp's do for
-// packets and segments.
-var leakTrack atomic.Bool
-
-var liveDSS atomic.Int64
-
-// SetLeakTracking enables or disables live-DSS accounting and resets
-// the counter (enable before building the simulation under test).
-func SetLeakTracking(on bool) {
-	leakTrack.Store(on)
-	liveDSS.Store(0)
-}
-
-// LiveDSS returns the recycled DSS currently held by someone: taken
-// from a free list since SetLeakTracking(true) and neither returned nor
-// abandoned. Zero at quiescence means every holder let go; a negative
-// value means one let go twice.
-func LiveDSS() int64 { return liveDSS.Load() }
-
 // newDSS takes a DSS with one holder — the wire segment it is about to
 // ride — from the connection's free list.
 func (c *Conn) newDSS(dataSeq uint64, n int) *DSS {
-	if leakTrack.Load() {
-		liveDSS.Add(1)
-	}
 	d := c.dss.Get()
 	d.DataSeq, d.Len, d.DataAck, d.holders, d.home = dataSeq, n, c.rcvNxt, 1, c.dss
 	return d
@@ -124,23 +101,19 @@ func (o *DSS) RecycleOpt() {
 	if o.holders != 0 || o.home == nil {
 		return
 	}
-	if leakTrack.Load() {
-		liveDSS.Add(-1)
-	}
 	home := o.home
 	*o = DSS{}
 	home.Put(o)
 }
 
 // AbandonOpt implements tcp.SharedOpt: the DSS stays readable for
-// whoever still refers to it and is never recycled.
+// whoever still refers to it and is never recycled; its free list writes
+// it off.
 func (o *DSS) AbandonOpt() {
 	if o.home == nil {
 		return
 	}
-	if leakTrack.Load() {
-		liveDSS.Add(-1)
-	}
+	o.home.Forget()
 	o.home = nil
 }
 

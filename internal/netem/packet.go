@@ -19,7 +19,6 @@ package netem
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"multinet/internal/simnet"
@@ -102,9 +101,6 @@ func NewPacket(sim *simnet.Sim) *Packet {
 
 // takePacket is NewPacket for a caller that has looked the list up.
 func takePacket(l *simnet.FreeList[Packet]) *Packet {
-	if leakTrack.Load() {
-		livePackets.Add(1)
-	}
 	p := l.Get()
 	p.home = l
 	return p
@@ -113,9 +109,6 @@ func takePacket(l *simnet.FreeList[Packet]) *Packet {
 // ReleasePacket resets p and returns it to the free list it came from.
 // The caller must not touch p afterwards.
 func ReleasePacket(p *Packet) {
-	if leakTrack.Load() {
-		livePackets.Add(-1)
-	}
 	home := p.home
 	*p = Packet{}
 	if home != nil {
@@ -178,24 +171,3 @@ type Link interface {
 	// QueueLen returns the number of packets waiting or in service.
 	QueueLen() int
 }
-
-// leakTrack gates live-packet accounting. Off (the default) the
-// recycling hot path pays one predictable branch; tests running the faults
-// invariant checker switch it on around a run and assert LivePackets
-// returns to its starting value once the simulation drains.
-var leakTrack atomic.Bool
-
-var livePackets atomic.Int64
-
-// SetLeakTracking enables or disables live-packet accounting and resets
-// the counter. Enable it before building the simulation under test so
-// every NewPacket/ReleasePacket pair of the run is counted.
-func SetLeakTracking(on bool) {
-	leakTrack.Store(on)
-	livePackets.Store(0)
-}
-
-// LivePackets returns the tracked packet balance: allocations minus
-// releases since SetLeakTracking(true). Zero at quiescence means no
-// pooled-packet leak (and no double release).
-func LivePackets() int64 { return livePackets.Load() }

@@ -170,6 +170,46 @@ func TestRecycledArenaMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestFreeListLive pins the per-world count of a free list: Get and Put
+// move it by one, Forget writes one off, a double Put reads negative,
+// and what was out when a world was released does not count in the next
+// world built from the same arena.
+func TestFreeListLive(t *testing.T) {
+	DropRetired()
+	s := New(1)
+	l := FreeListOf[[4]int](s)
+	live := func(when string, want int) {
+		t.Helper()
+		if got := l.Live(); got != want {
+			t.Fatalf("%s: Live = %d, want %d", when, got, want)
+		}
+	}
+	live("new world", 0)
+	a, _, _ := l.Get(), l.Get(), l.Get()
+	live("three taken", 3)
+	l.Put(a)
+	live("one put back", 2)
+	l.Forget()
+	live("one written off", 1)
+	if l.Get() != a {
+		t.Fatal("the list did not hand back what was put")
+	}
+	live("one reused", 2)
+	l.Put(a)
+	s.Release() // one still out
+
+	s = New(2)
+	if FreeListOf[[4]int](s) != l {
+		t.Fatal("the next world did not take the released arena")
+	}
+	live("next world, one left out by the last", 0)
+	b := l.Get()
+	live("the held one taken", 1)
+	l.Put(b)
+	l.Put(b)
+	live("put back twice", -1)
+}
+
 // TestReleaseKeepsOnlyLiveStreams: an arena carries the generators of
 // the world that just ended, not of every world it ever served.
 func TestReleaseKeepsOnlyLiveStreams(t *testing.T) {

@@ -167,13 +167,14 @@ func (s *Sim) mem() *arena {
 }
 
 // reset returns the arena to the state New expects: no pending events,
-// the wheel at tick zero, the slabs rewound, and only the streams the
-// world that just ended used, marked as belonging to a world gone by.
+// the wheel at tick zero, the slabs rewound, the free lists owning what
+// they hold, and only the streams the world that just ended used, marked
+// as belonging to a world gone by.
 func (a *arena) reset() {
 	a.dropPending()
 	for _, p := range a.parts {
-		if sl, ok := p.(interface{ rewind() }); ok {
-			sl.rewind()
+		if r, ok := p.(interface{ rewind() }); ok {
+			r.rewind()
 		}
 	}
 	kept := a.streams[:0]
@@ -193,8 +194,15 @@ func (a *arena) reset() {
 // world frees is what the next one built from the same arena starts
 // with. Put does not clear the object: the owner of T knows which fields
 // hold references.
+//
+// The list also counts what its world has out (Live), which is how the
+// invariant checker finds a leak: an object taken and never put back.
 type FreeList[T any] struct {
 	items []*T //multinet:owns — freed objects awaiting reuse
+	// owned counts the objects this world has of the list, held or out:
+	// what it held when the world began, plus what Get made, minus what
+	// Forget wrote off.
+	owned int
 }
 
 // Get returns a recycled object, or a new zero one when the list is
@@ -202,6 +210,7 @@ type FreeList[T any] struct {
 func (l *FreeList[T]) Get() *T {
 	n := len(l.items)
 	if n == 0 {
+		l.owned++
 		return new(T)
 	}
 	p := l.items[n-1]
@@ -214,6 +223,19 @@ func (l *FreeList[T]) Get() *T {
 func (l *FreeList[T]) Put(p *T) {
 	l.items = append(l.items, p)
 }
+
+// Forget writes off one object taken from the list that will never be
+// put back, and is left to the collector instead.
+func (l *FreeList[T]) Forget() { l.owned-- }
+
+// Live returns how many objects taken from the list in this world are
+// neither back nor written off: zero once a drained world has let go of
+// everything, negative if something was put back twice.
+func (l *FreeList[T]) Live() int { return l.owned - len(l.items) }
+
+// rewind starts the count over for the next world: it owns what the list
+// holds, and whatever was still out at Release is no longer counted.
+func (l *FreeList[T]) rewind() { l.owned = len(l.items) }
 
 // FreeListOf returns s's free list of T, the same one on every call.
 // Callers on a per-packet path look it up once, when they are built.

@@ -189,10 +189,10 @@ type Conn struct {
 
 	// Receiver state.
 	rcvNxt     uint64
-	ooo        []interval // out-of-order intervals, sorted, disjoint
-	lastOOO    interval   // interval containing the latest arrival
-	sackCursor int        // rotation cursor for SACK block reporting
-	recvTotal  int64      // cumulative in-order payload bytes
+	ooo        Ranges // what arrived above rcvNxt
+	lastOOO    Range  // the latest arrival above rcvNxt
+	sackCursor int    // rotation cursor for SACK block reporting
+	recvTotal  int64  // cumulative in-order payload bytes
 	peerFin    bool
 	peerFinAt  uint64
 
@@ -204,8 +204,6 @@ type Conn struct {
 	segmentsSent  int
 	segmentsRecvd int
 }
-
-type interval struct{ lo, hi uint64 }
 
 // Config parameterises NewConn.
 type Config struct {
@@ -726,15 +724,10 @@ func (c *Conn) enterRecovery() {
 // processData handles payload bytes.
 func (c *Conn) processData(seg *Segment) {
 	lo, hi := seg.Seq, seg.Seq+uint64(seg.PayloadLen)
-	switch {
-	case hi <= c.rcvNxt:
-		// Entirely duplicate.
-	case lo <= c.rcvNxt:
-		c.rcvNxt = hi
-		c.mergeOOO()
-	default:
-		c.insertOOO(interval{lo, hi})
+	if lo > c.rcvNxt {
+		c.lastOOO = Range{lo, hi}
 	}
+	c.rcvNxt = c.ooo.Add(c.sim, c.rcvNxt, lo, hi)
 	newTotal := int64(0)
 	if c.rcvNxt > 0 {
 		newTotal = int64(c.rcvNxt - 1) // minus SYN
@@ -759,20 +752,20 @@ func (c *Conn) processData(seg *Segment) {
 // the caller's buffer (the outgoing segment's recycled Sack slice) so
 // steady-state ACKs allocate nothing.
 func (c *Conn) appendSackBlocks(dst []SackBlock) []SackBlock {
-	if len(c.ooo) == 0 {
+	ooo := c.ooo.r
+	if len(ooo) == 0 {
 		return dst
 	}
 	base := len(dst)
-	// Most recent first: find the interval containing lastOOO.
-	for _, iv := range c.ooo {
-		if c.lastOOO.lo >= iv.lo && c.lastOOO.hi <= iv.hi {
-			dst = append(dst, SackBlock{Lo: iv.lo, Hi: iv.hi})
+	// Most recent first: find the range containing lastOOO.
+	for _, r := range ooo {
+		if c.lastOOO.Lo >= r.Lo && c.lastOOO.Hi <= r.Hi {
+			dst = append(dst, SackBlock(r))
 			break
 		}
 	}
-	for i := 0; i < len(c.ooo) && len(dst)-base < MaxSackBlocks; i++ {
-		iv := c.ooo[(c.sackCursor+i)%len(c.ooo)]
-		b := SackBlock{Lo: iv.lo, Hi: iv.hi}
+	for i := 0; i < len(ooo) && len(dst)-base < MaxSackBlocks; i++ {
+		b := SackBlock(ooo[(c.sackCursor+i)%len(ooo)])
 		dup := false
 		for _, x := range dst[base:] {
 			if x == b {
@@ -784,55 +777,8 @@ func (c *Conn) appendSackBlocks(dst []SackBlock) []SackBlock {
 			dst = append(dst, b)
 		}
 	}
-	c.sackCursor = (c.sackCursor + MaxSackBlocks - 1) % len(c.ooo)
+	c.sackCursor = (c.sackCursor + MaxSackBlocks - 1) % len(ooo)
 	return dst
-}
-
-func (c *Conn) insertOOO(iv interval) {
-	c.lastOOO = iv
-	// Insert keeping sorted, then merge overlaps.
-	pos := len(c.ooo)
-	for i, e := range c.ooo {
-		if iv.lo < e.lo {
-			pos = i
-			break
-		}
-	}
-	if len(c.ooo) == cap(c.ooo) {
-		c.ooo = simnet.SlabOf[interval](c.sim).Grow(c.ooo, len(c.ooo)+1)
-	}
-	c.ooo = append(c.ooo, interval{})
-	copy(c.ooo[pos+1:], c.ooo[pos:])
-	c.ooo[pos] = iv
-	// Merge.
-	merged := c.ooo[:1]
-	for _, e := range c.ooo[1:] {
-		last := &merged[len(merged)-1]
-		if e.lo <= last.hi {
-			if e.hi > last.hi {
-				last.hi = e.hi
-			}
-		} else {
-			merged = append(merged, e)
-		}
-	}
-	c.ooo = merged
-}
-
-func (c *Conn) mergeOOO() {
-	k := 0
-	for k < len(c.ooo) && c.ooo[k].lo <= c.rcvNxt {
-		if c.ooo[k].hi > c.rcvNxt {
-			c.rcvNxt = c.ooo[k].hi
-		}
-		k++
-	}
-	if k > 0 {
-		// Copy down instead of re-slicing so the backing array keeps its
-		// capacity for the next burst of reordering.
-		n := copy(c.ooo, c.ooo[k:])
-		c.ooo = c.ooo[:n]
-	}
 }
 
 func (c *Conn) processFin(seg *Segment) {

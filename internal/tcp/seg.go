@@ -26,7 +26,6 @@ package tcp
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"multinet/internal/simnet"
 )
@@ -119,25 +118,6 @@ type Segment struct {
 // SackBlock is one selective-acknowledgement interval [Lo, Hi).
 type SackBlock struct{ Lo, Hi uint64 }
 
-// leakTrack gates live-segment accounting, mirroring netem's packet
-// tracking: one predictable branch on the recycling hot path, switched on
-// only by tests running the faults invariant checker.
-var leakTrack atomic.Bool
-
-var liveSegments atomic.Int64
-
-// SetLeakTracking enables or disables live-segment accounting and
-// resets the counter (enable before building the simulation under test).
-func SetLeakTracking(on bool) {
-	leakTrack.Store(on)
-	liveSegments.Store(0)
-}
-
-// LiveSegments returns allocations minus recycles since
-// SetLeakTracking(true); zero at quiescence means no recycled-segment
-// leak and no double recycle.
-func LiveSegments() int64 { return liveSegments.Load() }
-
 // NewSegment returns a zeroed segment from sim's free list. Its Sack
 // slice may retain capacity from an earlier life; append to Sack[:0] to
 // reuse it.
@@ -147,9 +127,6 @@ func NewSegment(sim *simnet.Sim) *Segment {
 
 // takeSegment is NewSegment for a caller that has looked the list up.
 func takeSegment(l *simnet.FreeList[Segment]) *Segment {
-	if leakTrack.Load() {
-		liveSegments.Add(1)
-	}
 	s := l.Get()
 	s.home = l
 	return s
@@ -183,9 +160,6 @@ type SharedOpt interface {
 // inside the network give their segments back too. The caller must not
 // touch the segment afterwards.
 func (s *Segment) Recycle() {
-	if leakTrack.Load() {
-		liveSegments.Add(-1)
-	}
 	if r, ok := s.Opt.(RecyclableOpt); ok {
 		r.RecycleOpt()
 	}
