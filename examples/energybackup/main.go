@@ -12,8 +12,21 @@ import (
 	"time"
 
 	"multinet/internal/energy"
-	"multinet/internal/simnet"
 )
+
+// meters returns the LTE radio's meter in each role of a flow: the
+// backup sees only the SYN at t=0 and the FIN at flow end, the active
+// radio a packet every 25 ms throughout.
+func meters(flow time.Duration) (backup, active *energy.Meter) {
+	backup = energy.NewMeter(energy.LTE)
+	backup.OnPacket(0)
+	backup.OnPacket(flow)
+	active = energy.NewMeter(energy.LTE)
+	for t := time.Duration(0); t <= flow; t += 25 * time.Millisecond {
+		active.OnPacket(t)
+	}
+	return backup, active
+}
 
 func main() {
 	fmt.Println("LTE radio power traces (base 1 W; '#' active 3.2 W, '~' tail 2.0 W, '.' idle):")
@@ -21,48 +34,19 @@ func main() {
 
 	const flow = 10 * time.Second
 	horizon := flow + 16*time.Second
+	backup, active := meters(flow)
 
-	// Backup role: the radio sees only the SYN at t=0 and FIN at t=10s.
-	simB := simnet.New(1)
-	backup := energy.NewMeter(simB, energy.LTE)
-	backup.OnPacket()
-	simB.Schedule(flow, backup.OnPacket)
-	simB.RunUntil(horizon)
-
-	// Active role: packets throughout the 10 s flow.
-	simA := simnet.New(2)
-	active := energy.NewMeter(simA, energy.LTE)
-	for t := time.Duration(0); t <= flow; t += 25 * time.Millisecond {
-		tt := t
-		simA.Schedule(tt, active.OnPacket)
-	}
-	simA.RunUntil(horizon)
-
-	fmt.Printf("  active (carries data): %s  %6.1f J\n", active.TraceString(horizon, 64), active.RadioJoules())
-	fmt.Printf("  backup (SYN/FIN only): %s  %6.1f J\n", backup.TraceString(horizon, 64), backup.RadioJoules())
+	fmt.Printf("  active (carries data): %s  %6.1f J\n", active.TraceString(horizon, 64), active.RadioJoules(horizon))
+	fmt.Printf("  backup (SYN/FIN only): %s  %6.1f J\n", backup.TraceString(horizon, 64), backup.RadioJoules(horizon))
 	fmt.Printf("\n  10 s flow: backup mode saves only %.0f%% of LTE radio energy\n\n",
-		(1-backup.RadioJoules()/active.RadioJoules())*100)
+		(1-backup.RadioJoules(horizon)/active.RadioJoules(horizon))*100)
 
 	fmt.Println("energy saved by LTE-backup vs flow duration:")
 	for _, secs := range []int{2, 5, 10, 15, 30, 60} {
 		d := time.Duration(secs) * time.Second
 		h := d + 16*time.Second
-
-		s1 := simnet.New(3)
-		b := energy.NewMeter(s1, energy.LTE)
-		b.OnPacket()
-		s1.Schedule(d, b.OnPacket)
-		s1.RunUntil(h)
-
-		s2 := simnet.New(4)
-		a := energy.NewMeter(s2, energy.LTE)
-		for t := time.Duration(0); t <= d; t += 25 * time.Millisecond {
-			tt := t
-			s2.Schedule(tt, a.OnPacket)
-		}
-		s2.RunUntil(h)
-
-		fmt.Printf("  %3ds flow: %3.0f%% saved\n", secs, (1-b.RadioJoules()/a.RadioJoules())*100)
+		b, a := meters(d)
+		fmt.Printf("  %3ds flow: %3.0f%% saved\n", secs, (1-b.RadioJoules(h)/a.RadioJoules(h))*100)
 	}
 	fmt.Println("\n(the paper's fix suggestions: fast dormancy, or break-before-make backup)")
 }

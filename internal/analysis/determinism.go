@@ -31,6 +31,10 @@ var enginePackages = []string{
 	// no-wall-clock contract as the engine; internal/serve, which owns
 	// the service's real clock, stays outside.
 	"multinet/internal/selector",
+	// The energy meter takes time as caller-supplied packet and reading
+	// instants, and sits between seed and golden hash for figure16,
+	// energy-backup and ablation-tail.
+	"multinet/internal/energy",
 }
 
 // IsEnginePackage reports whether path is inside the deterministic

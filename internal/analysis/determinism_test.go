@@ -14,6 +14,7 @@ func TestIsEnginePackage(t *testing.T) {
 		{"multinet/internal/simnet", true},
 		{"multinet/internal/tcp", true},
 		{"multinet/internal/experiments/engine", true},
+		{"multinet/internal/energy", true},
 		{"multinet/internal/stats", false},
 		{"multinet/internal/analysis", false},
 		{"multinet/cmd/multinetlint", false},

@@ -108,7 +108,7 @@ const DefaultHorizon = 10 * time.Minute
 // with one interface per path of a network condition, the client's TCP
 // stack and the single-homed server's, both bound to every interface.
 // It is the one way the reproduction builds that world; what runs on it
-// (transfers, replays, taps, meters, fault schedules) attaches after.
+// (transfers, replays, taps, fault schedules) attaches after.
 type World struct {
 	Sim    *simnet.Sim
 	Host   *netem.Host

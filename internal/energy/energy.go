@@ -9,10 +9,8 @@
 package energy
 
 import (
+	"fmt"
 	"time"
-
-	"multinet/internal/netem"
-	"multinet/internal/simnet"
 )
 
 // BaseWatts is the non-radio device draw (screen, CPU) visible in all
@@ -86,57 +84,69 @@ type Sample struct {
 	Watts float64
 }
 
-// Meter integrates one radio's energy and records its power trace.
+// Meter integrates one radio's energy and records its power trace. It
+// watches the radio from outside, like the paper's power monitor: time
+// is what the caller passes in, the instant of every packet the radio
+// sends or receives and the instant of every reading. The demotions
+// (active to tail after ActiveHold, tail to idle after TailDuration)
+// follow from the last packet's instant, so they are applied when a
+// later packet or reading passes them.
+//
+// Instants must not decrease across packets and readings. A reading at
+// an instant applies every demotion due at or before it; a packet
+// exactly at a demotion instant not yet read keeps the radio in its
+// state.
 type Meter struct {
-	sim   *simnet.Sim
 	model Model
 
 	state      State
 	stateStart time.Duration
 	joules     float64 // radio energy above base, integrated to stateStart
 	trace      []Sample
-	timer      simnet.Timer
 
-	packets int
+	last time.Duration // the last packet's instant
+	now  time.Duration // the latest instant passed in
 }
 
-// NewMeter creates a meter; attach it to an interface with Attach.
-func NewMeter(sim *simnet.Sim, model Model) *Meter {
-	m := &Meter{sim: sim, model: model}
+// NewMeter creates an idle meter.
+func NewMeter(model Model) *Meter {
+	m := &Meter{model: model}
 	m.trace = append(m.trace, Sample{T: 0, State: Idle, Watts: 0})
 	return m
 }
 
-// Attach makes every packet sent or received on the interface count as
-// radio activity.
-func (m *Meter) Attach(iface *netem.Iface) {
-	iface.AddSendTap(func(p *netem.Packet) { m.OnPacket() })
-	iface.AddRecvTap(func(p *netem.Packet) { m.OnPacket() })
+// OnPacket registers radio activity at instant t.
+func (m *Meter) OnPacket(t time.Duration) {
+	m.advance(t)
+	m.settle(t - 1) // a packet at a demotion instant comes first
+	m.transition(Active, t)
+	m.last = t
 }
 
-func meterDemoteToTail(a any) { a.(*Meter).demoteToTail() }
-func meterDemoteToIdle(a any) { a.(*Meter).demoteToIdle() }
-
-// OnPacket registers radio activity at the current instant.
-func (m *Meter) OnPacket() {
-	m.packets++
-	m.transition(Active)
-	m.timer = m.sim.RearmArg(m.timer, m.sim.Now()+m.model.ActiveHold, meterDemoteToTail, m)
-}
-
-func (m *Meter) demoteToTail() {
-	if m.state != Active {
-		return
+// advance moves the meter's clock to t, refusing to go back.
+func (m *Meter) advance(t time.Duration) {
+	if t < m.now {
+		panic(fmt.Sprintf("energy: instant %v before %v", t, m.now))
 	}
-	m.transition(Tail)
-	m.timer = m.sim.AfterArg(m.model.TailDuration, meterDemoteToIdle, m)
+	m.now = t
 }
 
-func (m *Meter) demoteToIdle() {
-	if m.state != Tail {
-		return
+// settle applies the demotions due at or before t.
+func (m *Meter) settle(t time.Duration) {
+	toTail := m.last + m.model.ActiveHold
+	if m.state == Active && toTail <= t {
+		m.transition(Tail, toTail)
 	}
-	m.transition(Idle)
+	if toIdle := toTail + m.model.TailDuration; m.state == Tail && toIdle <= t {
+		m.transition(Idle, toIdle)
+	}
+}
+
+// read is a reading at until: the meter's clock moves there and every
+// demotion due by then is applied.
+func (m *Meter) read(until time.Duration) {
+	m.advance(until)
+	m.settle(until)
 }
 
 func (m *Meter) watts(s State) float64 {
@@ -149,8 +159,7 @@ func (m *Meter) watts(s State) float64 {
 	return 0
 }
 
-func (m *Meter) transition(to State) {
-	now := m.sim.Now()
+func (m *Meter) transition(to State, now time.Duration) {
 	if to == m.state {
 		return
 	}
@@ -160,28 +169,28 @@ func (m *Meter) transition(to State) {
 	m.trace = append(m.trace, Sample{T: now, State: to, Watts: m.watts(to)})
 }
 
-// State returns the current radio state.
-func (m *Meter) State() State { return m.state }
-
-// Packets returns the number of activity events observed.
-func (m *Meter) Packets() int { return m.packets }
-
-// RadioJoules returns the radio energy (above base) integrated up to
-// the current simulation time.
-func (m *Meter) RadioJoules() float64 {
-	return m.joules + m.watts(m.state)*(m.sim.Now()-m.stateStart).Seconds()
+// RadioJoules returns the radio energy (above base) integrated over
+// [0, until].
+func (m *Meter) RadioJoules(until time.Duration) float64 {
+	m.read(until)
+	return m.joules + m.watts(m.state)*(until-m.stateStart).Seconds()
 }
 
-// TotalJoules returns radio energy plus device baseline over [0, now].
-func (m *Meter) TotalJoules() float64 {
-	return m.RadioJoules() + BaseWatts*m.sim.Now().Seconds()
+// Trace returns the power-step trace (radio watts above base) up to
+// until.
+func (m *Meter) Trace(until time.Duration) []Sample {
+	m.read(until)
+	return m.trace
 }
 
-// Trace returns the power-step trace (radio watts above base).
-func (m *Meter) Trace() []Sample { return m.trace }
-
-// PowerAt returns the total draw (base + radio) at time t.
+// PowerAt returns the total draw (base + radio) at time t, a reading
+// at t.
 func (m *Meter) PowerAt(t time.Duration) float64 {
+	m.read(t)
+	return m.powerAt(t)
+}
+
+func (m *Meter) powerAt(t time.Duration) float64 {
 	w := 0.0
 	for _, s := range m.trace {
 		if s.T > t {
@@ -198,10 +207,11 @@ func (m *Meter) TraceString(until time.Duration, cols int) string {
 	if cols <= 0 || until <= 0 {
 		return ""
 	}
+	m.read(until)
 	buf := make([]byte, cols)
 	for i := range buf {
 		t := time.Duration(float64(until) * (float64(i) + 0.5) / float64(cols))
-		switch p := m.PowerAt(t); {
+		switch p := m.powerAt(t); {
 		case p >= BaseWatts+m.model.ActiveWatts-1e-9:
 			buf[i] = '#'
 		case p > BaseWatts+1e-9:

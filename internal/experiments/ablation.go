@@ -10,7 +10,6 @@ import (
 	"multinet/internal/experiments/engine"
 	"multinet/internal/phy"
 	"multinet/internal/selector"
-	"multinet/internal/simnet"
 	"multinet/internal/stats"
 )
 
@@ -124,28 +123,9 @@ func AblationTailTime(o Options) AblationTailResult {
 	const flow = 10 * time.Second
 	tails := []float64{0, 5, 15, 30}
 	savings := engine.Sweep(o, len(tails), func(i int) float64 {
-		tail := tails[i]
 		model := energy.LTE
-		model.TailDuration = time.Duration(tail * float64(time.Second))
-		horizon := flow + model.TailDuration + time.Second
-
-		simA := simnet.New(seedFor(o.BaseSeed(), 773, int(tail)))
-		defer simA.Release()
-		backup := energy.NewMeter(simA, model)
-		backup.OnPacket()
-		simA.Schedule(flow, backup.OnPacket)
-		simA.RunUntil(horizon)
-
-		simB := simnet.New(seedFor(o.BaseSeed(), 774, int(tail)))
-		defer simB.Release()
-		active := energy.NewMeter(simB, model)
-		for t := time.Duration(0); t <= flow; t += 20 * time.Millisecond {
-			tt := t
-			simB.Schedule(tt, active.OnPacket)
-		}
-		simB.RunUntil(horizon)
-
-		return (1 - backup.RadioJoules()/active.RadioJoules()) * 100
+		model.TailDuration = time.Duration(tails[i] * float64(time.Second))
+		return backupSaving(model, flow, flow+model.TailDuration+time.Second) * 100
 	})
 	for i, tail := range tails {
 		res.TailSecs = append(res.TailSecs, tail)

@@ -1,7 +1,7 @@
 // Package experiments contains one harness per table and figure of the
 // paper's evaluation. Each function returns a structured result whose
 // String method renders the same rows or series the paper reports;
-// cmd/report and the repository-root benchmarks call these functions,
+// cmd/report, cmd/bench and the repository-root benchmarks run them,
 // and EXPERIMENTS.md records paper-vs-measured for each.
 //
 // Every harness takes an Options value so tests can run reduced
@@ -26,17 +26,10 @@ import (
 	"multinet/internal/experiments/engine"
 )
 
-// DefaultSeed is the base seed for all experiments; per-run seeds
-// derive from it deterministically.
-const DefaultSeed = engine.DefaultSeed
-
 // Options scales an experiment and bounds its parallelism; it is the
 // engine's option type, so harnesses pass it straight to the sweep
 // runner.
 type Options = engine.Options
-
-// Full returns the options used by cmd/report and the benches.
-func Full() Options { return Options{} }
 
 // Quick returns reduced options for unit tests.
 func Quick() Options { return Options{Trials: 1, Locations: 4} }

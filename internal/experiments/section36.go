@@ -44,43 +44,42 @@ var fig15Cond = phy.NewCondition("fig15",
 	phy.Path{Name: "lte", Profile: phy.PathProfile{DownMbps: 4, UpMbps: 1.6, RTTms: 70, QueuePkts: 300}},
 )
 
-// fig15Run executes one backup/full-mode transfer with mid-flow
-// interface manipulation and captures per-interface packet rasters.
-//
-// The unplug semantics follow the paper's observed asymmetry (Section
-// 3.6.1): unplugging the WiFi phone is detectable (the tether's
-// carrier drops → modelled as an administrative down), while
-// unplugging the LTE phone leaves a silent blackhole.
-func fig15Run(seed int64, name, desc string, mode mptcp.Mode, primary string,
-	backup []string, horizon time.Duration,
-	manipulate func(sim *simnet.Sim, host *netem.Host)) Fig15Panel {
+// fig15Cond's interfaces in path order: the index backupRun hands its
+// observer.
+const (
+	wifiIface = iota
+	lteIface
+)
+
+// backupSize is the download both Section 3.6 transfers run: 8 MB.
+const backupSize = 8 << 20
+
+// backupRun runs one 8 MB download over fig15Cond in the given mode,
+// with manipulate (if any) scheduling mid-flow interface changes. Every
+// packet sent or received on an interface is handed to observe as the
+// interface's index and the instant; Figure 15 keeps the instants,
+// Figure 16 feeds them to energy meters. It returns the completion time,
+// 0 if the transfer did not finish by horizon.
+func backupRun(seed int64, mode mptcp.Mode, primary string, backup []string,
+	horizon time.Duration, manipulate func(sim *simnet.Sim, host *netem.Host),
+	observe func(iface int, t time.Duration)) time.Duration {
 
 	w := core.NewWorld(seed, fig15Cond)
 	defer w.Close()
 	sim, host := w.Sim, w.Host
-	// The panels only need packet event instants per interface, so the
-	// taps keep a timestamp each. An interface that carries the whole
-	// transfer sees four events per segment — data and ACK, each sent and
-	// received — and a list sized for that never grows (grown by
-	// doubling, the lists were 6 MB of garbage per sweep).
-	const size = 8 << 20
-	events := map[string]*[]time.Duration{}
-	for _, ifc := range host.Ifaces() {
-		ts := new([]time.Duration)
-		*ts = make([]time.Duration, 0, 4*size/tcp.MSS+1024)
-		events[ifc.Name] = ts
-		tap := func(*netem.Packet) { *ts = append(*ts, sim.Now()) }
+	for i, ifc := range host.Ifaces() {
+		tap := func(*netem.Packet) { observe(i, sim.Now()) }
 		ifc.AddSendTap(tap)
 		ifc.AddRecvTap(tap)
 	}
 	srv := mptcp.NewServer(sim, w.Server, mptcp.ServerConfig{Mode: mode})
-	srv.OnConn = func(c *mptcp.Conn) { c.Send(size); c.Close() }
+	srv.OnConn = func(c *mptcp.Conn) { c.Send(backupSize); c.Close() }
 	var done time.Duration
 	mptcp.Dial(sim, w.Client, host, mptcp.Config{
-		ConnID: "fig15", Primary: primary, Mode: mode, BackupIfaces: backup,
+		ConnID: "backup", Primary: primary, Mode: mode, BackupIfaces: backup,
 	}, mptcp.Callbacks{
 		OnData: func(c *mptcp.Conn, total int64) {
-			if total >= size && done == 0 {
+			if total >= backupSize && done == 0 {
 				done = sim.Now()
 			}
 		},
@@ -89,19 +88,7 @@ func fig15Run(seed int64, name, desc string, mode mptcp.Mode, primary string,
 		manipulate(sim, host)
 	}
 	sim.RunUntil(horizon)
-	p := Fig15Panel{
-		Name:        name,
-		Description: desc,
-		WiFiEvents:  *events["wifi"],
-		LTEEvents:   *events["lte"],
-		Horizon:     horizon,
-		Completed:   done > 0,
-		CompletedAt: done,
-	}
-	if done > 0 && done+5*time.Second < horizon {
-		p.Horizon = done + 5*time.Second
-	}
-	return p
+	return done
 }
 
 // fig15Spec declares one panel's scenario; Figure15 sweeps the specs.
@@ -116,6 +103,11 @@ type fig15Spec struct {
 
 // Figure15 reproduces all eight packet-pattern panels, running them
 // concurrently (each panel owns its own Sim).
+//
+// The unplug semantics follow the paper's observed asymmetry (Section
+// 3.6.1): unplugging the WiFi phone is detectable (the tether's
+// carrier drops → modelled as an administrative down), while
+// unplugging the LTE phone leaves a silent blackhole.
 func Figure15(o Options) Figure15Result {
 	sec := func(n int) time.Duration { return time.Duration(n) * time.Second }
 	specs := []fig15Spec{
@@ -151,8 +143,30 @@ func Figure15(o Options) Figure15Result {
 	}
 	panels := engine.Sweep(o, len(specs), func(i int) Fig15Panel {
 		sp := specs[i]
-		return fig15Run(seedFor(o.BaseSeed(), 15, i+1), sp.name, sp.desc,
-			sp.mode, sp.primary, sp.backup, sp.horizon, sp.manipulate)
+		// The panels keep every packet instant per interface. An
+		// interface that carries the whole transfer sees four per
+		// segment (data and ACK, each sent and received), and a list
+		// sized for that never grows (grown by doubling, the lists were
+		// 6 MB of garbage per sweep).
+		var events [2][]time.Duration
+		for k := range events {
+			events[k] = make([]time.Duration, 0, 4*backupSize/tcp.MSS+1024)
+		}
+		done := backupRun(seedFor(o.BaseSeed(), 15, i+1), sp.mode, sp.primary, sp.backup,
+			sp.horizon, sp.manipulate, func(k int, t time.Duration) { events[k] = append(events[k], t) })
+		p := Fig15Panel{
+			Name:        sp.name,
+			Description: sp.desc,
+			WiFiEvents:  events[wifiIface],
+			LTEEvents:   events[lteIface],
+			Horizon:     sp.horizon,
+			Completed:   done > 0,
+			CompletedAt: done,
+		}
+		if done > 0 && done+5*time.Second < sp.horizon {
+			p.Horizon = done + 5*time.Second
+		}
+		return p
 	})
 	return Figure15Result{Panels: panels}
 }
@@ -210,43 +224,20 @@ type Fig16Panel struct {
 // Figure16Result holds the four panels.
 type Figure16Result struct{ Panels []Fig16Panel }
 
+// fig16Horizon is Figure 16's time axis.
+const fig16Horizon = 50 * time.Second
+
 // Figure16 runs backup-mode transfers and reports each radio's power
 // trace in the backup and non-backup roles.
 func Figure16(o Options) Figure16Result {
-	run := func(seed int64, primary string, backup string) (map[string]*energy.Meter, time.Duration) {
-		w := core.NewWorld(seed, fig15Cond)
-		defer w.Close() // the meters only read its clock from here on
-		sim := w.Sim
-		meters := map[string]*energy.Meter{
-			"wifi": energy.NewMeter(sim, energy.WiFi),
-			"lte":  energy.NewMeter(sim, energy.LTE),
-		}
-		for _, ifc := range w.Host.Ifaces() {
-			meters[ifc.Name].Attach(ifc)
-		}
-		srv := mptcp.NewServer(sim, w.Server, mptcp.ServerConfig{Mode: mptcp.Backup})
-		const size = 8 << 20
-		srv.OnConn = func(c *mptcp.Conn) { c.Send(size); c.Close() }
-		var done time.Duration
-		mptcp.Dial(sim, w.Client, w.Host, mptcp.Config{
-			ConnID: "fig16", Primary: primary, Mode: mptcp.Backup,
-			BackupIfaces: []string{backup},
-		}, mptcp.Callbacks{OnData: func(c *mptcp.Conn, total int64) {
-			if total >= size && done == 0 {
-				done = sim.Now()
-			}
-		}})
-		sim.RunUntil(50 * time.Second)
-		return meters, done
-	}
-
 	panel := func(name, desc, radio string, m *energy.Meter, done time.Duration) Fig16Panel {
 		p := Fig16Panel{
 			Name: name, Description: desc, Radio: radio,
-			Trace:  m.TraceString(50*time.Second, 72),
-			Joules: m.RadioJoules(),
+			Trace:  m.TraceString(fig16Horizon, 72),
+			Joules: m.RadioJoules(fig16Horizon),
 		}
-		for _, s := range m.Trace() {
+		tr := m.Trace(fig16Horizon)
+		for _, s := range tr {
 			if energy.BaseWatts+s.Watts > p.PeakWatts {
 				p.PeakWatts = energy.BaseWatts + s.Watts
 			}
@@ -254,9 +245,8 @@ func Figure16(o Options) Figure16Result {
 		// Tail time: above-base time after the transfer completed.
 		if done > 0 {
 			var above time.Duration
-			tr := m.Trace()
 			for i, s := range tr {
-				end := 50 * time.Second
+				end := fig16Horizon
 				if i+1 < len(tr) {
 					end = tr[i+1].T
 				}
@@ -274,7 +264,7 @@ func Figure16(o Options) Figure16Result {
 	}
 
 	type runOut struct {
-		meters map[string]*energy.Meter
+		meters [2]*energy.Meter // by interface index
 		done   time.Duration
 	}
 	// Cell 0 — WiFi backup: LTE carries the data (panels a and d's
@@ -284,17 +274,20 @@ func Figure16(o Options) Figure16Result {
 		if i == 1 {
 			primary, backup = "wifi", "lte"
 		}
-		m, done := run(seedFor(o.BaseSeed(), 16, i+1), primary, backup)
+		var m [2]*energy.Meter
+		m[wifiIface], m[lteIface] = energy.NewMeter(energy.WiFi), energy.NewMeter(energy.LTE)
+		done := backupRun(seedFor(o.BaseSeed(), 16, i+1), mptcp.Backup, primary, []string{backup},
+			fig16Horizon, nil, func(k int, t time.Duration) { m[k].OnPacket(t) })
 		return runOut{meters: m, done: done}
 	})
 	mA, doneA := outs[0].meters, outs[0].done
 	mB, doneB := outs[1].meters, outs[1].done
 
 	return Figure16Result{Panels: []Fig16Panel{
-		panel("a", "LTE power, non-backup (carrying data)", "lte", mA["lte"], doneA),
-		panel("b", "WiFi power, non-backup (carrying data)", "wifi", mB["wifi"], doneB),
-		panel("c", "LTE power, backup (SYN/FIN only)", "lte", mB["lte"], doneB),
-		panel("d", "WiFi power, backup (SYN/FIN only)", "wifi", mA["wifi"], doneA),
+		panel("a", "LTE power, non-backup (carrying data)", "lte", mA[lteIface], doneA),
+		panel("b", "WiFi power, non-backup (carrying data)", "wifi", mB[wifiIface], doneB),
+		panel("c", "LTE power, backup (SYN/FIN only)", "lte", mB[lteIface], doneB),
+		panel("d", "WiFi power, backup (SYN/FIN only)", "wifi", mA[wifiIface], doneA),
 	}}
 }
 
@@ -325,29 +318,8 @@ func EnergyBackup(o Options) EnergyBackupResult {
 	res := EnergyBackupResult{}
 	durations := []float64{2, 5, 10, 15, 20, 30, 45, 60}
 	savings := engine.Sweep(o, len(durations), func(i int) float64 {
-		d := durations[i]
-		flow := time.Duration(d * float64(time.Second))
-		horizon := flow + 16*time.Second
-
-		// Backup: LTE sees only SYN at 0 and FIN at flow end.
-		simA := simnet.New(seedFor(o.BaseSeed(), 362, int(d)))
-		defer simA.Release()
-		backup := energy.NewMeter(simA, energy.LTE)
-		backup.OnPacket()
-		simA.Schedule(flow, backup.OnPacket)
-		simA.RunUntil(horizon)
-
-		// Full-MPTCP: LTE active for the whole flow.
-		simB := simnet.New(seedFor(o.BaseSeed(), 363, int(d)))
-		defer simB.Release()
-		active := energy.NewMeter(simB, energy.LTE)
-		for t := time.Duration(0); t <= flow; t += 20 * time.Millisecond {
-			tt := t
-			simB.Schedule(tt, active.OnPacket)
-		}
-		simB.RunUntil(horizon)
-
-		return 1 - backup.RadioJoules()/active.RadioJoules()
+		flow := time.Duration(durations[i] * float64(time.Second))
+		return backupSaving(energy.LTE, flow, flow+16*time.Second)
 	})
 	for i, d := range durations {
 		res.FlowSecs = append(res.FlowSecs, d)
@@ -357,6 +329,21 @@ func EnergyBackup(o Options) EnergyBackupResult {
 		}
 	}
 	return res
+}
+
+// backupSaving is the share of a radio's energy over [0, horizon] that
+// Backup mode saves on a flow of the given length: as the backup the
+// radio sees only the SYN at 0 and the FIN at flow, while carrying the
+// flow it sees a packet every 20 ms.
+func backupSaving(model energy.Model, flow, horizon time.Duration) float64 {
+	backup := energy.NewMeter(model)
+	backup.OnPacket(0)
+	backup.OnPacket(flow)
+	active := energy.NewMeter(model)
+	for t := time.Duration(0); t <= flow; t += 20 * time.Millisecond {
+		active.OnPacket(t)
+	}
+	return 1 - backup.RadioJoules(horizon)/active.RadioJoules(horizon)
 }
 
 // String renders the sweep.

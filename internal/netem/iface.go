@@ -9,7 +9,8 @@ import (
 )
 
 // Tap observes packets as they are sent into a link (before queueing and
-// drops). Figure 15's packet rasters and the energy meters are taps.
+// drops). The Section 3.6 transfers (Figure 15's packet rasters, Figure
+// 16's energy meters) observe their interfaces through taps.
 type Tap func(p *Packet)
 
 // Iface is one duplex network attachment of the multi-homed client: an
