@@ -34,9 +34,7 @@
 // Usage:
 //
 //	bench [-out BENCH_report.json] [-baseline BENCH_baseline.json]
-//	      [-check] [-rebase] [-count 5] [-benchtime 1s]
-//	      [-only name[,name...]] [-skip-experiments]
-//	      [-cpuprofile cpu.out] [-memprofile mem.out] [-diff compare.txt]
+//	      [-check] [-rebase] [-diff compare.txt]
 //
 // -out writes the report (ns/op, B/op, allocs/op per benchmark). The
 // progress lines on stderr add gc/op, the collections the runtime
@@ -55,16 +53,22 @@
 // count depends on the host's scheduling is listed in allocsUngated
 // with the reason. With -rebase, the baseline file is
 // rewritten from this run's results (commit it to accept a new floor).
-// -only selects benchmarks by name.
+// Every run is the whole list at go test's default benchtime: a shorter
+// or partial run can read an order-sensitive count off by one, so the
+// gate is only ever read from the full run.
 //
-// Each benchmark runs -count times for its ns/op, of which the minimum
-// (the robust noise-resistant estimator) is reported, and once more,
-// untimed, for B/op and allocs/op (see countAllocs).
+// Each benchmark runs timedRuns times for its ns/op, of which the
+// minimum (the robust noise-resistant estimator) is reported, and once
+// more, untimed, for B/op and allocs/op (see countAllocs).
 //
-// -cpuprofile / -memprofile write pprof profiles covering the selected
-// benchmarks, for hunting the next hot spot without rebuilding the
-// harness by hand. -diff writes a per-benchmark baseline-vs-run
-// comparison table (the nightly workflow uploads it as an artifact).
+// -diff writes a per-benchmark baseline-vs-run comparison table (the
+// nightly workflow uploads it as an artifact).
+//
+// To investigate one entry — a profile, another benchtime — run the
+// same list under go test, where every entry is a sub-benchmark of
+// BenchmarkGate under its baseline name:
+//
+//	go test ./cmd/bench -run '^$' -bench 'Gate/sched/' -cpuprofile cpu.out
 //
 // CI runs `bench -check` on every push and the nightly workflow uploads
 // a baseline-vs-report comparison artifact; see .github/workflows/ and
@@ -79,7 +83,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
-	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -484,6 +487,12 @@ func kernelBenchmarks() []bench {
 	}
 }
 
+// gateBenchmarks is the whole list the gate runs, in its order: every
+// entry has a baseline entry under its name.
+func gateBenchmarks() []bench {
+	return append(append(kernelBenchmarks(), serveBenchmarks()...), experimentBenchmarks()...)
+}
+
 // experimentBenchmarks wraps every registered experiment at quick
 // options, exactly the set cmd/report -quick runs.
 func experimentBenchmarks() []bench {
@@ -607,9 +616,9 @@ func writeDiff(path string, base, cur Report) error {
 			r.Name, b.NsPerOp, r.NsPerOp, delta, fmt.Sprint(b.AllocsOp), r.AllocsOp,
 			evpkt(b), evpkt(r))
 	}
-	// Baseline rows the run never produced (renamed, deleted, or
-	// filtered out by -only) must not vanish silently: a reader of the
-	// artifact would otherwise assume full coverage.
+	// Baseline rows the run never produced (renamed or deleted) must
+	// not vanish silently: a reader of the artifact would otherwise
+	// assume full coverage.
 	for _, b := range base.Results {
 		if _, gone := baseBy[b.Name]; gone {
 			fmt.Fprintf(&sb, "%-34s %14.0f %14s %8s %10d %10s  (not run)\n",
@@ -637,92 +646,20 @@ func writeReport(path string, rep Report) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
+// timedRuns is how many times each benchmark runs for its ns/op.
+const timedRuns = 5
+
 func main() {
 	out := flag.String("out", "BENCH_report.json", "write the benchmark report here ('' to skip)")
 	baseline := flag.String("baseline", "BENCH_baseline.json", "baseline report to compare against")
 	check := flag.Bool("check", false, "exit non-zero if any allocs/op is above the baseline")
 	rebase := flag.Bool("rebase", false, "rewrite the baseline from this run")
-	only := flag.String("only", "", "comma-separated benchmark names to run (default: all)")
-	skipExp := flag.Bool("skip-experiments", false, "run only the kernel micro-benchmarks")
-	count := flag.Int("count", 5, "timed repetitions per benchmark (min ns/op reported)")
-	benchtime := flag.String("benchtime", "", "per-repetition benchmark time (go test -benchtime syntax)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the selected benchmarks")
-	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected benchmarks")
 	diff := flag.String("diff", "", "write a baseline-vs-run comparison table here")
 	testing.Init()
 	flag.Parse()
-	if *benchtime != "" {
-		if err := flag.Lookup("test.benchtime").Value.Set(*benchtime); err != nil {
-			fmt.Fprintln(os.Stderr, "bad -benchtime:", err)
-			os.Exit(2)
-		}
-	}
-	if *count < 1 {
-		*count = 1
-	}
-
-	benches := append(kernelBenchmarks(), serveBenchmarks()...)
-	if !*skipExp {
-		benches = append(benches, experimentBenchmarks()...)
-	}
-	if *only != "" {
-		want := map[string]bool{}
-		for _, n := range strings.Split(*only, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				want[n] = true
-			}
-		}
-		kept := benches[:0]
-		for _, bm := range benches {
-			if want[bm.name] {
-				kept = append(kept, bm)
-				delete(want, bm.name)
-			}
-		}
-		if len(want) > 0 {
-			names := make([]string, 0, len(benches))
-			for _, bm := range benches {
-				names = append(names, bm.name)
-			}
-			fmt.Fprintf(os.Stderr, "unknown benchmark(s) in -only; valid names: %s\n",
-				strings.Join(names, ", "))
-			os.Exit(2)
-		}
-		benches = kept
-	}
-
-	stopProfile := func() {}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "creating -cpuprofile:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "starting CPU profile:", err)
-			os.Exit(1)
-		}
-		var once bool
-		stopProfile = func() {
-			if once {
-				return
-			}
-			once = true
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-		defer stopProfile()
-	}
-	// exit flushes the CPU profile before terminating: os.Exit skips
-	// deferred calls, which would leave a truncated, unparseable profile
-	// on exactly the runs (gate failures) where the profile matters.
-	exit := func(code int) {
-		stopProfile()
-		os.Exit(code)
-	}
 
 	rep := Report{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, NumCPU: runtime.NumCPU()}
-	for _, bm := range benches {
+	for _, bm := range gateBenchmarks() {
 		start := time.Now()
 		var res Result
 		curMetrics = &netemMetrics{}
@@ -734,7 +671,7 @@ func main() {
 			bm.fn(b)
 		}
 		gc0 := gcCycles()
-		for k := 0; k < *count; k++ {
+		for k := 0; k < timedRuns; k++ {
 			r := testing.Benchmark(counted)
 			ns := float64(r.T.Nanoseconds()) / float64(r.N)
 			if k == 0 || ns < res.NsPerOp {
@@ -760,24 +697,10 @@ func main() {
 			time.Since(start).Round(time.Millisecond), extra)
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "creating -memprofile:", err)
-			exit(1)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "writing heap profile:", err)
-			exit(1)
-		}
-		f.Close()
-	}
-
 	if *out != "" {
 		if err := writeReport(*out, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "writing report:", err)
-			exit(1)
+			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "report written to %s (%d benchmarks)\n", *out, len(rep.Results))
 	}
@@ -786,11 +709,11 @@ func main() {
 		base, err := loadReport(*baseline)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loading baseline %s for -diff: %v\n", *baseline, err)
-			exit(1)
+			os.Exit(1)
 		}
 		if err := writeDiff(*diff, base, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "writing -diff:", err)
-			exit(1)
+			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "comparison written to %s\n", *diff)
 	}
@@ -798,7 +721,7 @@ func main() {
 	if *rebase {
 		if err := writeReport(*baseline, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "rewriting baseline:", err)
-			exit(1)
+			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "baseline %s rewritten; commit it to accept the new floor\n", *baseline)
 		return
@@ -808,14 +731,14 @@ func main() {
 		base, err := loadReport(*baseline)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loading baseline %s: %v\n", *baseline, err)
-			exit(1)
+			os.Exit(1)
 		}
 		if bad := compare(base.Results, rep.Results); len(bad) > 0 {
 			fmt.Fprintln(os.Stderr, "allocs/op regressions vs", *baseline+":")
 			for _, line := range bad {
 				fmt.Fprintln(os.Stderr, "  "+line)
 			}
-			exit(1)
+			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "no allocs/op regressions vs %s\n", *baseline)
 	}

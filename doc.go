@@ -26,6 +26,7 @@
 //     Session API on it
 //
 // See DESIGN.md for the system inventory and per-experiment index, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate every table and figure.
+// EXPERIMENTS.md for paper-vs-measured results. cmd/report regenerates
+// every table and figure; cmd/bench holds each of them, and the
+// simulator's micro-benchmarks, to the committed allocation baseline.
 package multinet

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"multinet/internal/mptcp"
@@ -151,86 +152,128 @@ type Session struct {
 	// Horizon bounds each transfer (default DefaultHorizon).
 	Horizon time.Duration
 
-	nextID   int
-	tcpSpecs map[string]tcpServerSpec
-	mpSpecs  map[string]tcpServerSpec
+	nextID int
+	cur    *transfer // the transfer Run is running; nil between transfers
 }
 
-type tcpServerSpec struct {
-	sendBytes int // server pushes this many bytes when established
-	expect    int // server expects this many bytes (upload)
-	onDone    func()
+// transfer is one Run, carved from the Sim's slab: a new one per Run,
+// never reused. It owns both ends of its connection, so one set of
+// hooks serves every transfer. Only the session's current transfer acts
+// on the session: the ends of a transfer Run gave up on at the horizon
+// keep running, and when their data arrives later they record nothing
+// and stop nothing.
+type transfer struct {
+	s    *Session
+	id   string
+	dir  Direction
+	size int
+	// done and established are the instants the last byte arrived and
+	// the (primary) handshake completed; zero until they happen.
+	done, established time.Duration
 }
 
 // NewSession builds a session for a network condition. The same seed
 // and condition give a bit-identical run.
 func NewSession(seed int64, cond phy.Condition) *Session {
-	s := &Session{
-		World:    NewWorld(seed, cond),
-		Horizon:  DefaultHorizon,
-		tcpSpecs: make(map[string]tcpServerSpec),
-		mpSpecs:  make(map[string]tcpServerSpec),
-	}
+	s := &Session{World: NewWorld(seed, cond), Horizon: DefaultHorizon}
 	s.mpServer = mptcp.NewServer(s.Sim, s.Server, mptcp.ServerConfig{})
 	s.mpServer.AcceptTCP = s.acceptTCP
 	s.mpServer.OnConn = s.acceptMPTCP
 	return s
 }
 
+// acceptTCP and acceptMPTCP adopt the current transfer's connection and
+// ignore strangers.
 func (s *Session) acceptTCP(c *tcp.Conn) {
-	spec, ok := s.tcpSpecs[c.Flow()]
-	if !ok {
-		return
+	if t := s.cur; t != nil && c.Flow() == t.id {
+		c.SetOwner(t)
+		c.SetCallbacks(tcp.Callbacks{OnEstablished: tcpServerEstablished, OnData: tcpServerData})
 	}
-	c.SetCallbacks(tcp.Callbacks{
-		OnEstablished: func(c *tcp.Conn) {
-			if spec.sendBytes > 0 {
-				c.Send(spec.sendBytes)
-				c.Close()
-			}
-		},
-		OnData: func(c *tcp.Conn, total int64) {
-			if spec.expect > 0 && total >= int64(spec.expect) {
-				spec.onDone()
-			}
-		},
-	})
 }
 
 func (s *Session) acceptMPTCP(c *mptcp.Conn) {
-	spec, ok := s.mpSpecs[c.ConnID()]
-	if !ok {
-		return
+	if t := s.cur; t != nil && c.ConnID() == t.id {
+		c.SetOwner(t)
+		c.SetCallbacks(mptcp.Callbacks{OnData: mpServerData})
+		t.serverEstablished(c) // a download is pushed at accept
 	}
-	if spec.sendBytes > 0 {
-		c.Send(spec.sendBytes)
+}
+
+// Every transfer's connection is wired with the same hooks, plain
+// functions that build no closure. Each finds its transfer as the
+// connection's owner, set at Dial on the client and at accept on the
+// server.
+
+func tcpClientEstablished(c *tcp.Conn)       { c.Owner().(*transfer).clientEstablished(c) }
+func tcpClientData(c *tcp.Conn, total int64) { c.Owner().(*transfer).clientData(c, total) }
+func tcpServerEstablished(c *tcp.Conn)       { c.Owner().(*transfer).serverEstablished(c) }
+func tcpServerData(c *tcp.Conn, total int64) { c.Owner().(*transfer).serverData(total) }
+
+func mpClientEstablished(c *mptcp.Conn)       { c.Owner().(*transfer).clientEstablished(c) }
+func mpClientData(c *mptcp.Conn, total int64) { c.Owner().(*transfer).clientData(c, total) }
+func mpServerData(c *mptcp.Conn, total int64) { c.Owner().(*transfer).serverData(total) }
+
+// end is either transport's connection, as a transfer's hooks drive it.
+type end interface {
+	Send(n int)
+	Close()
+}
+
+// clientEstablished: the handshake is done, and an upload sends.
+func (t *transfer) clientEstablished(c end) {
+	if t.s.cur == t {
+		t.established = t.s.Sim.Now()
+	}
+	if t.dir == Upload {
+		c.Send(t.size)
 		c.Close()
 	}
-	if spec.expect > 0 {
-		c.SetCallbacks(mptcp.Callbacks{OnData: func(c *mptcp.Conn, total int64) {
-			if total >= int64(spec.expect) {
-				spec.onDone()
-			}
-		}})
+}
+
+// clientData: a download is complete once every byte has arrived.
+func (t *transfer) clientData(c end, total int64) {
+	if t.dir == Download && total >= int64(t.size) {
+		t.finish()
+		c.Close()
+	}
+}
+
+// serverEstablished: the server pushes a download.
+func (t *transfer) serverEstablished(c end) {
+	if t.dir == Download {
+		c.Send(t.size)
+		c.Close()
+	}
+}
+
+// serverData: an upload is complete once every byte has arrived.
+func (t *transfer) serverData(total int64) {
+	if t.dir == Upload && total >= int64(t.size) {
+		t.finish()
+	}
+}
+
+// finish records the current transfer's completion and hands control
+// back to Run, which drains the teardown.
+func (t *transfer) finish() {
+	if t.s.cur == t && t.done == 0 {
+		t.done = t.s.Sim.Now()
+		t.s.Sim.Stop()
 	}
 }
 
 // Run measures one transfer of size bytes in the given direction under
-// cfg. It advances the session's virtual clock.
+// cfg. It advances the session's virtual clock. Result.Mbps is 0 when
+// the transfer did not complete.
 func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 	if size <= 0 {
 		panic("core: transfer size must be positive")
 	}
 	s.nextID++
-	id := fmt.Sprintf("xfer-%d", s.nextID)
+	t := simnet.SlabOf[transfer](s.Sim).New()
+	*t = transfer{s: s, id: "xfer-" + strconv.Itoa(s.nextID), dir: dir, size: size}
+	s.cur = t
 	start := s.Sim.Now()
-	var done, established time.Duration
-	finish := func() {
-		if done == 0 {
-			done = s.Sim.Now()
-			s.Sim.Stop() // return control; teardown drains below
-		}
-	}
 
 	switch cfg.Transport {
 	case TCP:
@@ -238,27 +281,10 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 		if iface == nil {
 			panic("core: unknown iface " + cfg.Iface)
 		}
-		if dir == Download {
-			s.tcpSpecs[id] = tcpServerSpec{sendBytes: size}
-			s.Client.Dial(iface, id, tcp.Config{Callbacks: tcp.Callbacks{
-				OnEstablished: func(c *tcp.Conn) { established = s.Sim.Now() },
-				OnData: func(c *tcp.Conn, total int64) {
-					if total >= int64(size) {
-						finish()
-						c.Close()
-					}
-				},
-			}})
-		} else {
-			s.tcpSpecs[id] = tcpServerSpec{expect: size, onDone: finish}
-			s.Client.Dial(iface, id, tcp.Config{Callbacks: tcp.Callbacks{
-				OnEstablished: func(c *tcp.Conn) {
-					established = s.Sim.Now()
-					c.Send(size)
-					c.Close()
-				},
-			}})
-		}
+		s.Client.Dial(iface, t.id, tcp.Config{
+			Callbacks: tcp.Callbacks{OnEstablished: tcpClientEstablished, OnData: tcpClientData},
+			Owner:     t,
+		})
 	case MPTCP:
 		// The server applies matching parameters to this connection
 		// (both endpoints must agree on coupling). Scheduler is wired to
@@ -269,7 +295,7 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 			CC: cfg.CC, Mode: cfg.Mode, Scheduler: cfg.Scheduler, WatchdogRTOs: cfg.WatchdogRTOs,
 		})
 		mcfg := mptcp.Config{
-			ConnID:           id,
+			ConnID:           t.id,
 			Primary:          cfg.Primary,
 			CC:               cfg.CC,
 			Mode:             cfg.Mode,
@@ -281,51 +307,23 @@ func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 		if cfg.RoundRobin && cfg.Scheduler == "" {
 			mcfg.Scheduler = mptcp.SchedRoundRobin
 		}
-		if dir == Download {
-			s.mpSpecs[id] = tcpServerSpec{sendBytes: size}
-			mptcp.Dial(s.Sim, s.Client, s.Host, mcfg, mptcp.Callbacks{
-				OnEstablished: func(c *mptcp.Conn) { established = s.Sim.Now() },
-				OnData: func(c *mptcp.Conn, total int64) {
-					if total >= int64(size) {
-						finish()
-						c.Close()
-					}
-				},
-			})
-		} else {
-			s.mpSpecs[id] = tcpServerSpec{expect: size, onDone: finish}
-			mptcp.Dial(s.Sim, s.Client, s.Host, mcfg, mptcp.Callbacks{
-				OnEstablished: func(c *mptcp.Conn) {
-					established = s.Sim.Now()
-					c.Send(size)
-					c.Close()
-				},
-			})
-		}
+		mptcp.Dial(s.Sim, s.Client, s.Host, mcfg,
+			mptcp.Callbacks{OnEstablished: mpClientEstablished, OnData: mpClientData}).SetOwner(t)
 	}
 
 	s.Sim.RunUntil(start + s.Horizon)
-	res := Result{Completed: done > 0}
+	s.cur = nil
+	res := Result{Completed: t.done > 0}
 	if res.Completed {
-		res.FCT = done - start
+		res.FCT = t.done - start
 		res.Mbps = float64(size) * 8 / res.FCT.Seconds() / 1e6
-		if established > 0 {
-			res.EstablishedAt = established - start
+		if t.established > 0 {
+			res.EstablishedAt = t.established - start
 		}
 	}
 	// Let in-flight teardown drain before the next sequential transfer.
 	s.Sim.RunFor(2 * time.Second)
 	return res
-}
-
-// RunMbps is a convenience wrapper returning just the throughput
-// (0 when the transfer did not complete).
-func (s *Session) RunMbps(cfg Config, dir Direction, size int) float64 {
-	r := s.Run(cfg, dir, size)
-	if !r.Completed {
-		return 0
-	}
-	return r.Mbps
 }
 
 // ConfigFor maps a selector Decision onto the transfer Config that

@@ -126,6 +126,28 @@ func TestBothDirectionsBothTransports(t *testing.T) {
 	}
 }
 
+// TestGivenUpTransferIsInert: a transfer that Run gave up on at the
+// horizon keeps going in the simulator, and its data arrives during the
+// next transfer. It must record nothing and stop nothing there: the next
+// transfer of the same session completes as it would in a fresh one.
+func TestGivenUpTransferIsInert(t *testing.T) {
+	for _, tr := range []TransportKind{TCP, MPTCP} {
+		for dir, way := range []string{Download: "download", Upload: "upload"} {
+			cfg := Config{Transport: tr, Iface: "wifi", Primary: "wifi"}
+			s := NewSession(10, cleanCond(10, 6))
+			s.Horizon = 500 * time.Millisecond
+			if r := s.Run(cfg, Direction(dir), 4<<20); r.Completed {
+				t.Fatalf("%s %s: 4 MB completed within 500 ms", cfg.Name(), way)
+			}
+			s.Horizon = DefaultHorizon
+			if r := s.Run(cfg, Direction(dir), 4<<20); !r.Completed {
+				t.Errorf("%s %s: the transfer after a given-up one is incomplete", cfg.Name(), way)
+			}
+			s.Close()
+		}
+	}
+}
+
 func TestConfigNames(t *testing.T) {
 	if got := (Config{Transport: TCP, Iface: "wifi"}).Name(); got != "wifi-TCP" {
 		t.Fatalf("name = %q", got)

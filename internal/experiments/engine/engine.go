@@ -2,10 +2,9 @@
 // of every table, figure and ablation harness, plus a deterministic
 // parallel trial-sweep runner.
 //
-// The registry removes the hand-maintained experiment lists that used
-// to live in cmd/report, bench_test.go and the package tests: each
-// harness registers itself once (Register) and every consumer iterates
-// All or selects with Lookup.
+// The registry is the one experiment list: each harness registers
+// itself once (Register) and every consumer — cmd/report, cmd/bench and
+// the package tests — iterates All or selects with Lookup.
 //
 // The sweep runner (Sweep, Grid, RunTrials) fans independent trials
 // out across a worker pool. Every trial owns its own simnet.Sim, so

@@ -1,7 +1,7 @@
 // Package experiments contains one harness per table and figure of the
 // paper's evaluation. Each function returns a structured result whose
 // String method renders the same rows or series the paper reports;
-// cmd/report, cmd/bench and the repository-root benchmarks run them,
+// cmd/report and cmd/bench run them,
 // and EXPERIMENTS.md records paper-vs-measured for each.
 //
 // Every harness takes an Options value so tests can run reduced
@@ -10,7 +10,7 @@
 //
 // Every harness also registers itself (via init) into the engine
 // registry — engine.All is the single source of truth for "what
-// experiments exist", iterated by cmd/report, the benchmarks and the
+// experiments exist", iterated by cmd/report, cmd/bench and the
 // package tests. Harness inner loops run on the engine sweep runner
 // (engine.Sweep / engine.Grid / engine.RunTrials): independent trials
 // fan out across a worker pool and are reduced in trial-index order,

@@ -107,7 +107,7 @@ func ScenarioFaults(o Options) ScenarioFaultsResult {
 				panic(err)
 			}
 		}
-		return sess.RunMbps(cfgs[ci], core.Download, size)
+		return sess.Run(cfgs[ci], core.Download, size).Mbps
 	})
 	for pi := range profiles {
 		res.Mbps = append(res.Mbps, grid[pi*len(cfgs):(pi+1)*len(cfgs)])

@@ -69,7 +69,7 @@ func measureMbps(o Options, seed int64, cond phy.Condition, cfg core.Config, dir
 	return engine.RunTrials(o, seed, trials, func(s int64) float64 {
 		sess := core.NewSession(s, cond)
 		defer sess.Close()
-		return sess.RunMbps(cfg, dir, size)
+		return sess.Run(cfg, dir, size).Mbps
 	})
 }
 
@@ -127,10 +127,10 @@ func Figure6(o Options) Figure6Result {
 		loc := phy.Locations[i]
 		s := core.NewSession(seedFor(o.BaseSeed(), loc.ID, t), loc.Condition())
 		defer s.Close()
-		wifiDown := s.RunMbps(core.Config{Transport: core.TCP, Iface: "wifi"}, core.Download, 1<<20)
-		wifiUp := s.RunMbps(core.Config{Transport: core.TCP, Iface: "wifi"}, core.Upload, 1<<20)
-		lteDown := s.RunMbps(core.Config{Transport: core.TCP, Iface: "lte"}, core.Download, 1<<20)
-		lteUp := s.RunMbps(core.Config{Transport: core.TCP, Iface: "lte"}, core.Upload, 1<<20)
+		wifiDown := s.Run(core.Config{Transport: core.TCP, Iface: "wifi"}, core.Download, 1<<20).Mbps
+		wifiUp := s.Run(core.Config{Transport: core.TCP, Iface: "wifi"}, core.Upload, 1<<20).Mbps
+		lteDown := s.Run(core.Config{Transport: core.TCP, Iface: "lte"}, core.Download, 1<<20).Mbps
+		lteUp := s.Run(core.Config{Transport: core.TCP, Iface: "lte"}, core.Upload, 1<<20).Mbps
 		return cell{
 			up: wifiUp - lteUp, okUp: wifiUp > 0 && lteUp > 0,
 			down: wifiDown - lteDown, okDown: wifiDown > 0 && lteDown > 0,
@@ -528,7 +528,7 @@ func Coupling(o Options) CouplingResult {
 				{Transport: core.MPTCP, Primary: "wifi", CC: mptcp.Decoupled},
 			} {
 				s := core.NewSession(seedFor(seed, ci), loc.Condition())
-				m[cfg.Primary+"/"+cfg.CC.String()] = s.RunMbps(cfg, dir, sz.bytes)
+				m[cfg.Primary+"/"+cfg.CC.String()] = s.Run(cfg, dir, sz.bytes).Mbps
 				s.Close()
 			}
 			var c cell

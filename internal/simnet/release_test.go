@@ -49,8 +49,6 @@ func TestReleasedSimPanics(t *testing.T) {
 	mustPanic(t, "ScheduleArg", func() { s.ScheduleArg(time.Second, nop, nil) })
 	mustPanic(t, "After", func() { s.After(time.Second, func() {}) })
 	mustPanic(t, "AfterArg", func() { s.AfterArg(time.Second, nop, nil) })
-	mustPanic(t, "Defer", func() { s.Defer(func() {}) })
-	mustPanic(t, "DeferArg", func() { s.DeferArg(nop, nil) })
 	mustPanic(t, "RearmArg of a dropped timer", func() { s.RearmArg(pending, 2*time.Second, nop, nil) })
 	mustPanic(t, "RearmArg of a fired timer", func() { s.RearmArg(done, 2*time.Second, nop, nil) })
 	mustPanic(t, "Run", func() { s.Run() })

@@ -97,13 +97,3 @@ func FuzzSeedMatchesMathRand(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, k uint16) { matchSource(t, seed, int(k)%(3*rngLen+1)) })
 }
-
-// BenchmarkSeed is one stream seeding and its first draw, the cost a
-// short-lived world pays per stream it draws from.
-func BenchmarkSeed(b *testing.B) {
-	src := &lazySource{}
-	for i := 0; i < b.N; i++ {
-		src.Seed(int64(i))
-		src.Uint64()
-	}
-}

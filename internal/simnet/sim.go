@@ -15,7 +15,7 @@
 // dispatch from. The kernel is also allocation-free in steady state:
 // fired and cancelled events return to a free list and are reused by
 // later Schedule calls, and the arg-passing variants (ScheduleArg,
-// AfterArg, DeferArg) let hot callers avoid per-event closure captures
+// AfterArg) let hot callers avoid per-event closure captures
 // entirely. Timer is a small value type; handing one around never
 // allocates.
 //
@@ -404,15 +404,6 @@ func (s *Sim) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 	}
 	return s.ScheduleArg(s.now+d, fn, arg)
 }
-
-// Defer runs fn at the current time, after all events already scheduled
-// for the current instant. It is the simulation analogue of "post to the
-// run loop" and is useful to break call cycles between protocol layers.
-func (s *Sim) Defer(fn func()) Timer { return s.Schedule(s.now, fn) }
-
-// DeferArg runs fn(arg) at the current time, after all events already
-// scheduled for the current instant; see ScheduleArg.
-func (s *Sim) DeferArg(fn func(any), arg any) Timer { return s.ScheduleArg(s.now, fn, arg) }
 
 // newEvent takes an event from the free list (or allocates one) and
 // stamps it with a fresh generation number.

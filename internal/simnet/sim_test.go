@@ -116,7 +116,7 @@ func TestNestedScheduling(t *testing.T) {
 	s.After(time.Second, func() {
 		order = append(order, "a")
 		s.After(time.Second, func() { order = append(order, "c") })
-		s.Defer(func() { order = append(order, "b") })
+		s.Schedule(s.Now(), func() { order = append(order, "b") })
 	})
 	s.Run()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {

@@ -71,7 +71,7 @@ type firing struct {
 }
 
 // TestWheelDifferential drives the wheel and the reference heap with
-// the same randomized Schedule/After/Defer/Stop/Rearm/RunUntil workload
+// the same randomized Schedule/After/Stop/Rearm/RunUntil workload
 // (the reference re-arms by cancelling and scheduling afresh) and
 // asserts identical firing order and identical Timer.Stop/Active/When
 // results at every step. This is the executable proof that swapping the
@@ -103,7 +103,7 @@ func TestWheelDifferential(t *testing.T) {
 				// Schedule a follow-up relative to now; mirror in the model.
 				d := time.Duration(rng.Intn(5000)) * 37 * time.Microsecond
 				if rng.Intn(3) == 0 {
-					d = 0 // Defer: same-instant follow-up
+					d = 0 // same-instant follow-up
 				}
 				id2 := nextID
 				nextID++
@@ -419,6 +419,9 @@ func TestRearmRunUntilBetweenSlotAndDeadline(t *testing.T) {
 		}
 	}
 }
+
+// nopEvent is an event body that does nothing.
+func nopEvent(any) {}
 
 // TestRearmZeroAlloc pins the re-arm cost: neither the in-place rewrite
 // (later deadline) nor the fallback pair (earlier deadline, or a handle
