@@ -25,8 +25,10 @@
 //   - the sweep pool under the collector (engine/sweep-cold): 16 cold
 //     worlds across 4 workers, the bulk workloads' pattern;
 //   - service benchmarks (serve/*): the online path-selection service's
-//     decide and telemetry hot cores over the sharded estimate store,
-//     allocs/op pinned at zero, and the store's insert of a new site
+//     decide and telemetry hot cores over the sharded estimate store
+//     and one decide through the HTTP/1.1 connection loop
+//     (serve/conn-decide), allocs/op pinned at zero, and the store's
+//     insert of a new site
 //     (selector/observe-new-site), zero beyond amortised growth;
 //   - registry experiments: every harness in the engine registry at the
 //     quick (test-sized) sweep options, the same set cmd/report runs.

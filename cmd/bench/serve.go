@@ -2,15 +2,21 @@ package main
 
 // Benchmarks for the online path-selection service (internal/serve).
 // They drive the exported hot cores — DecideBytes/TelemetryBytes over
-// pooled scratch — exactly as the HTTP handlers do, so the serve/*
+// pooled scratch — exactly as the connection loop does, so the serve/*
 // entries in the baseline gate the full parse → sharded-store → policy
 // → render path, allocs/op pinned at zero (serve/decide-parallel under
-// RunParallel, at full concurrency).
+// RunParallel, at full concurrency); serve/conn-decide adds the loop's
+// HTTP framing around it.
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -116,6 +122,94 @@ func serveDecideParallel(b *testing.B) {
 	})
 }
 
+// memConn is an in-memory client connection: each Read delivers req
+// once more until left requests have been read, then io.EOF, and each
+// Write is a reply, counted in bad unless it is a 200. Deadlines are
+// accepted and ignored.
+type memConn struct {
+	req       []byte
+	left, bad int
+	closed    chan struct{}
+	closeOnce sync.Once
+	net.Conn  // nil: the loop calls no other method
+}
+
+var replyOK = []byte("HTTP/1.1 200 OK\r\n")
+
+func (c *memConn) Read(p []byte) (int, error) {
+	if c.left == 0 {
+		return 0, io.EOF
+	}
+	c.left--
+	return copy(p, c.req), nil
+}
+
+func (c *memConn) Write(p []byte) (int, error) {
+	if !bytes.HasPrefix(p, replyOK) {
+		c.bad++
+	}
+	return len(p), nil
+}
+
+func (c *memConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return nil
+}
+
+func (c *memConn) SetDeadline(time.Time) error      { return nil }
+func (c *memConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *memConn) SetWriteDeadline(time.Time) error { return nil }
+
+// memListener hands out one connection, then blocks until closed.
+type memListener struct {
+	conns     chan net.Conn
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (l *memListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *memListener) Close() error {
+	l.closeOnce.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *memListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// serveConnDecide drives decides through Serve's connection loop: one
+// in-memory keep-alive connection carries b.N requests, each read,
+// framed, answered and written as over a socket, so it prices the
+// loop's own work without the kernel's.
+func serveConnDecide(b *testing.B) {
+	srv, reqs := newLoadedServer(1)
+	req := fmt.Appendf(nil, "POST /v1/decide HTTP/1.1\r\nHost: bench\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(reqs[0]), reqs[0])
+	c := &memConn{req: req, left: b.N, closed: make(chan struct{})}
+	l := &memListener{conns: make(chan net.Conn, 1), closed: make(chan struct{})}
+	l.conns <- c
+	served := make(chan error, 1)
+	b.ResetTimer()
+	go func() { served <- srv.Serve(l) }()
+	<-c.closed
+	b.StopTimer()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		b.Fatalf("Serve: %v", err)
+	}
+	if c.bad > 0 {
+		b.Fatalf("%d of %d replies not 200", c.bad, b.N)
+	}
+}
+
 // observeNewSite measures the store's insert path: every op is a site
 // nobody has named before, reporting wifi and then lte, into a store
 // already holding newSitePrefill sites, so what it pays is the shard
@@ -160,6 +254,7 @@ func serveBenchmarks() []bench {
 		{"serve/decide-multisite", serveDecideMultisite},
 		{"serve/decide-parallel", serveDecideParallel},
 		{"serve/telemetry", serveTelemetry},
+		{"serve/conn-decide", serveConnDecide},
 		{"selector/observe-new-site", observeNewSite},
 	}
 }

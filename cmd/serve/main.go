@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -55,23 +56,17 @@ func main() {
 	})
 	srv := serve.New(serve.Config{Store: store})
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		// Request bodies are tiny JSON blobs: a slow-loris client must
-		// not pin a connection through a deploy's drain window.
-		ReadTimeout:  10 * time.Second,
-		WriteTimeout: 10 * time.Second,
-		IdleTimeout:  60 * time.Second,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("serve: %v", err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("serve: listening on %s (%d shards)", *addr, store.ShardCount())
+	go func() { errc <- srv.Serve(ln) }()
+	log.Printf("serve: listening on %s (%d shards)", ln.Addr(), store.ShardCount())
 
 	select {
 	case err := <-errc:
@@ -89,8 +84,11 @@ func main() {
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
 	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("serve: shutdown: %v", err)
+	}
+	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+		log.Printf("serve: %v", err)
 	}
 	st := srv.StatsSnapshot()
 	fmt.Printf("serve: handled %d decides, %d telemetry samples across %d sites\n",

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"net"
 	"net/http"
+	"strconv"
 	"testing"
 	"time"
 
@@ -111,6 +115,116 @@ func FuzzDecideBytes(f *testing.F) {
 		}
 		if string(site) != wantSite || int64(flowBytes) != wantFlow {
 			t.Fatalf("%q: scanner read %q %d, encoding/json %q %d", body, site, flowBytes, wantSite, wantFlow)
+		}
+	})
+}
+
+// halfClosed is the server's end of a pipe whose client sends left
+// bytes and then half-closes: Read reports io.EOF once they are
+// consumed, while replies still flow back.
+type halfClosed struct {
+	net.Conn
+	left int
+}
+
+func (c *halfClosed) Read(p []byte) (int, error) {
+	if c.left == 0 {
+		return 0, io.EOF
+	}
+	n, err := c.Conn.Read(p[:min(len(p), c.left)])
+	c.left -= n
+	return n, err
+}
+
+// FuzzServeConn feeds arbitrary bytes to the connection loop over
+// net.Pipe as one client's whole stream and holds the replies to
+// net/http: every reply parses as HTTP/1.1 and carries a
+// Content-Length its body matches (a 204 carries none, a reply to HEAD
+// no body), and a 2xx answers only a request that http.ReadRequest
+// accepts, for a route the table serves. The loop stops at the first
+// request net/http rejects.
+func FuzzServeConn(f *testing.F) {
+	for _, seed := range []string{
+		rawRequest("POST", "/v1/decide", decideBody) +
+			rawRequest("POST", "/v1/telemetry", `{"site":"cdn","path":"lte","mbps":9,"rtt_ms":45}`) +
+			rawRequest("HEAD", "/v1/stats", "") + "GET /v1/healthz?probe=1 HTTP/1.1\r\nhost: a\r\n\r\n",
+		rawRequest("POST", "/v1/decide", decideBody, "Expect: 100-continue"),
+		rawRequest("POST", "/v1/decide", "", "Transfer-Encoding: chunked") + "5\r\nhello\r\n0\r\n\r\n",
+		rawRequest("POST", "/v1/decide", decideBody, "Content-Length: 35"),
+		"GET /v1/healthz HTTP/1.0\r\n\r\n" + rawRequest("GET", "/v1/healthz", ""),
+		rawRequest("GET", "/v1/h%65althz", "") + rawRequest("GET", "/v1/healthz", ""),
+		"GET /v1/healthz HTTP/1.1\nHost: a\n\n",
+		rawRequest("HEAD", "/%zz", ""),
+		"GET /v1/stats HTTP/1.1\r\nHost: a\r\nX: \x01\r\n\r\n",
+		"\r\nGET / HTTP/1.1\r\n\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	routes := map[string]bool{"/v1/decide": true, "/v1/telemetry": true, "/v1/stats": true, "/v1/healthz": true}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		s := warmServer()
+		client, server := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			s.serveConn(s.track(&halfClosed{Conn: server, left: len(in)}))
+		}()
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			client.Write(in) // fails once the loop closes the pipe
+		}()
+		out, _ := io.ReadAll(client)
+		<-served
+		client.Close()
+		<-sent
+
+		src := bytes.NewReader(in)
+		requests := bufio.NewReader(src)
+		replies := bufio.NewReader(bytes.NewReader(out))
+		for i := 0; ; i++ {
+			start := len(in) - src.Len() - requests.Buffered()
+			req, rerr := http.ReadRequest(requests)
+			if rerr == nil {
+				_, rerr = io.Copy(io.Discard, req.Body)
+			}
+			method := http.MethodGet
+			if rerr == nil {
+				method = req.Method
+			} else if bytes.HasPrefix(in[start:], []byte("HEAD ")) {
+				method = http.MethodHead
+			}
+			if _, err := replies.Peek(1); err == io.EOF {
+				return
+			}
+			resp, err := http.ReadResponse(replies, &http.Request{Method: method})
+			for err == nil && resp.StatusCode == http.StatusContinue {
+				resp, err = http.ReadResponse(replies, &http.Request{Method: method})
+			}
+			if err != nil {
+				t.Fatalf("reply %d does not parse: %v\nin:  %q\nout: %q", i, err, in, out)
+			}
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.ProtoMajor != 1 || resp.ProtoMinor != 1 {
+				t.Fatalf("reply %d: %s, body error %v\nout: %q", i, resp.Proto, err, out)
+			}
+			if lengths := resp.Header.Values("Content-Length"); resp.StatusCode == http.StatusNoContent {
+				if len(lengths) != 0 || len(body) != 0 {
+					t.Fatalf("reply %d: 204 with Content-Length %q, body %q", i, lengths, body)
+				}
+			} else if len(lengths) != 1 || method == http.MethodHead && len(body) != 0 ||
+				method != http.MethodHead && lengths[0] != strconv.Itoa(len(body)) {
+				t.Fatalf("reply %d to %s: Content-Length %q, %d body bytes\nout: %q", i, method, lengths, len(body), out)
+			}
+			if resp.StatusCode/100 == 2 && (rerr != nil || !routes[req.URL.Path]) {
+				t.Fatalf("reply %d is %d, but net/http reads the request as %v, %v\nin: %q", i, resp.StatusCode, req, rerr, in)
+			}
+			if rerr != nil {
+				if _, err := replies.Peek(1); err != io.EOF {
+					t.Fatalf("replies go on after request %d, which net/http rejects (%v)\nin:  %q\nout: %q", i, rerr, in, out)
+				}
+				return
+			}
 		}
 	})
 }

@@ -15,15 +15,19 @@
 // order, UseMPTCP, coupling, scheduler, disparity and rationale).
 // GET /v1/stats and GET /v1/healthz serve operations.
 //
-// The steady-state request path is allocation-free: request bodies
-// land in pooled scratch buffers, the flat JSON shapes are scanned by
-// hand (json.go), decisions fill pooled selector.Decision values, and
-// responses are appended into preallocated buffers. cmd/bench's
-// serve/* benchmarks pin 0 allocs/query under the CI trajectory gate.
+// Serve answers connections with the package's own HTTP/1.1 loop
+// (conn.go); Handler adapts the same route table to net/http for
+// in-process callers. The steady-state request path is allocation-free:
+// request bodies land in pooled scratch buffers, the flat JSON shapes
+// are scanned by hand (json.go), decisions fill pooled
+// selector.Decision values, and responses are appended into
+// preallocated buffers. cmd/bench's serve/* benchmarks pin 0
+// allocs/query under the CI trajectory gate.
 package serve
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -51,6 +55,7 @@ type Stats struct {
 	Decides     uint64 `json:"decides"`
 	Telemetry   uint64 `json:"telemetry"`
 	UnknownSite uint64 `json:"unknown_site"`
+	// BadRequests counts the requests answered 400.
 	BadRequests uint64 `json:"bad_requests"`
 	Sites       int    `json:"sites"`
 	// Evicted counts the sites forgotten after 2×StaleAfter of silence.
@@ -75,10 +80,18 @@ type Server struct {
 	// answering 503 so load balancers pull the instance out of rotation
 	// while in-flight requests finish.
 	draining atomic.Bool
+
+	// closing is set by Shutdown: every connection closes after the
+	// reply it is writing, and an idle one at once.
+	closing   atomic.Bool
+	mu        sync.Mutex // guards listeners and conns
+	listeners []net.Listener
+	conns     map[*conn]struct{}
 }
 
 // Scratch is the pooled per-request state: the request buffer, the
-// decision, and the response buffer. Handlers draw one per request;
+// decision, and the response buffer. The connection loop and the
+// Handler adapter draw one per request;
 // benchmarks (cmd/bench's serve/*) hold one per goroutine and call the
 // *Bytes entry points directly.
 type Scratch struct {
@@ -113,79 +126,135 @@ func (s *Server) GetScratch() *Scratch { return s.scratch.Get().(*Scratch) }
 // PutScratch returns a Scratch to the pool.
 func (s *Server) PutScratch(sc *Scratch) { s.scratch.Put(sc) }
 
-// Handler returns the service mux.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/decide", s.handleDecide)
-	mux.HandleFunc("POST /v1/telemetry", s.handleTelemetry)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	return mux
-}
-
 // Static response bodies (written verbatim; no per-request rendering).
 var (
 	errBadRequest   = []byte(`{"error":"bad request"}` + "\n")
 	errUnknownSite  = []byte(`{"error":"unknown site"}` + "\n")
+	errNotFound     = []byte(`{"error":"not found"}` + "\n")
+	errNotAllowed   = []byte(`{"error":"method not allowed"}` + "\n")
 	okHealthz       = []byte(`{"ok":true}` + "\n")
 	drainingHealthz = []byte(`{"ok":false,"draining":true}` + "\n")
 )
 
-// readBody fills sc.In with the request body, reusing its capacity.
-func readBody(r *http.Request, sc *Scratch) bool {
+// reply is respond's verdict on one request; the reply body is in the
+// Scratch's Out.
+type reply struct {
+	status int
+	// allow is the Allow header of a 405.
+	allow string
+	// keep is true when the connection may carry another request: the
+	// request named a route and a method it answers (a client asking
+	// for anything else is not speaking this API) and its body was read.
+	keep bool
+}
+
+// respond is the service's one route table: the connection loop and
+// the Handler adapter both answer through it. body is the whole
+// request body; the reply body is rendered into sc.Out and is empty for
+// a 204. HEAD is answered as GET, and the caller drops the body.
+func (s *Server) respond(method, path, body []byte, sc *Scratch) reply {
+	get := string(method) == http.MethodGet || string(method) == http.MethodHead
+	post := string(method) == http.MethodPost
+	switch string(path) {
+	case "/v1/decide":
+		if !post {
+			return notAllowed(sc, "POST")
+		}
+		return reply{status: s.DecideBytes(body, sc), keep: true}
+	case "/v1/telemetry":
+		if !post {
+			return notAllowed(sc, "POST")
+		}
+		status := s.TelemetryBytes(body, sc)
+		if status == http.StatusNoContent {
+			sc.Out = sc.Out[:0]
+		}
+		return reply{status: status, keep: true}
+	case "/v1/stats":
+		if !get {
+			return notAllowed(sc, "GET, HEAD")
+		}
+		s.renderStats(sc)
+		return reply{status: http.StatusOK, keep: true}
+	case "/v1/healthz":
+		if !get {
+			return notAllowed(sc, "GET, HEAD")
+		}
+		if s.draining.Load() {
+			sc.Out = append(sc.Out[:0], drainingHealthz...)
+			return reply{status: http.StatusServiceUnavailable, keep: true}
+		}
+		sc.Out = append(sc.Out[:0], okHealthz...)
+		return reply{status: http.StatusOK, keep: true}
+	}
+	sc.Out = append(sc.Out[:0], errNotFound...)
+	return reply{status: http.StatusNotFound}
+}
+
+func notAllowed(sc *Scratch, allow string) reply {
+	sc.Out = append(sc.Out[:0], errNotAllowed...)
+	return reply{status: http.StatusMethodNotAllowed, allow: allow}
+}
+
+// badBody answers a request whose body is too large or cannot be read.
+func (s *Server) badBody(sc *Scratch) reply {
+	s.badRequests.Add(1)
+	sc.Out = append(sc.Out[:0], errBadRequest...)
+	return reply{status: http.StatusBadRequest}
+}
+
+// Handler returns the service as an http.Handler: a thin adapter over
+// the route table the connection loop answers from, for in-process
+// callers and tests.
+func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.serveHTTP) }
+
+func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
+	sc := s.GetScratch()
+	defer s.PutScratch(sc)
+	var rep reply
+	if readAll(r.Body, sc) {
+		rep = s.respond([]byte(r.Method), []byte(r.URL.Path), sc.In, sc)
+	} else {
+		rep = s.badBody(sc)
+	}
+	h := w.Header()
+	if rep.allow != "" {
+		h.Set("Allow", rep.allow)
+	}
+	if rep.status != http.StatusNoContent {
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(sc.Out)))
+	}
+	w.WriteHeader(rep.status)
+	if len(sc.Out) > 0 {
+		w.Write(sc.Out)
+	}
+}
+
+// readAll fills sc.In with what src holds to its end, reusing its
+// capacity. The adapter's callers may not set a Content-Length, so it
+// reads to EOF; false when src holds more than maxBody bytes or fails.
+func readAll(src io.Reader, sc *Scratch) bool {
 	sc.In = sc.In[:0]
+	if src == nil {
+		return true
+	}
 	for {
-		if len(sc.In) >= maxBody {
+		if len(sc.In) > maxBody {
 			return false
 		}
 		if cap(sc.In) == len(sc.In) {
 			sc.In = append(sc.In, 0)[:len(sc.In)]
 		}
-		n, err := r.Body.Read(sc.In[len(sc.In):cap(sc.In)])
+		n, err := src.Read(sc.In[len(sc.In):cap(sc.In)])
 		sc.In = sc.In[:len(sc.In)+n]
 		if err == io.EOF {
-			return true
+			return len(sc.In) <= maxBody
 		}
 		if err != nil {
 			return false
 		}
 	}
-}
-
-func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	sc := s.GetScratch()
-	defer s.PutScratch(sc)
-	status := http.StatusBadRequest
-	if readBody(r, sc) {
-		status = s.DecideBytes(sc.In, sc)
-	} else {
-		sc.Out = append(sc.Out[:0], errBadRequest...)
-	}
-	writeJSON(w, status, sc.Out)
-}
-
-func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	sc := s.GetScratch()
-	defer s.PutScratch(sc)
-	status := http.StatusBadRequest
-	if readBody(r, sc) {
-		status = s.TelemetryBytes(sc.In, sc)
-	} else {
-		sc.Out = append(sc.Out[:0], errBadRequest...)
-	}
-	if status == http.StatusNoContent {
-		w.WriteHeader(status)
-		return
-	}
-	writeJSON(w, status, sc.Out)
-}
-
-func writeJSON(w http.ResponseWriter, status int, body []byte) {
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	w.Write(body)
 }
 
 // DecideBytes is the decide hot path: parse the request from body,
@@ -352,10 +421,9 @@ func (s *Server) StatsSnapshot() Stats {
 	}
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// renderStats renders the counters into sc.Out.
+func (s *Server) renderStats(sc *Scratch) {
 	st := s.StatsSnapshot()
-	sc := s.GetScratch()
-	defer s.PutScratch(sc)
 	out := sc.Out[:0]
 	out = append(out, `{"decides":`...)
 	out = strconv.AppendUint(out, st.Decides, 10)
@@ -371,17 +439,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	out = strconv.AppendInt(out, int64(st.Evicted), 10)
 	out = append(out, `,"shards":`...)
 	out = strconv.AppendInt(out, int64(st.Shards), 10)
-	out = append(out, '}', '\n')
-	sc.Out = out
-	writeJSON(w, http.StatusOK, sc.Out)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, drainingHealthz)
-		return
-	}
-	writeJSON(w, http.StatusOK, okHealthz)
+	sc.Out = append(out, '}', '\n')
 }
 
 // SetDraining marks the server as draining (or clears the mark):
@@ -389,6 +447,3 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // while the data endpoints keep serving whatever still arrives during
 // the shutdown grace window.
 func (s *Server) SetDraining(on bool) { s.draining.Store(on) }
-
-// Draining reports whether the server is in its shutdown drain window.
-func (s *Server) Draining() bool { return s.draining.Load() }
