@@ -556,8 +556,8 @@ func gcCycles() uint64 {
 // not gated. engine/sweep-cold starts goroutines and blocks its caller
 // on every op, and the runtime takes the goroutine descriptors and the
 // wait records from per-P caches, allocating only when the running P's
-// cache is empty: over the same 32 iterations it reads 2398 allocs/op
-// at GOMAXPROCS 1, 2399 at 2–8 and 2400 at 16. Its cells run the
+// cache is empty: over the same 32 iterations it reads 2011 to 2013
+// allocs/op at GOMAXPROCS 1 to 16, in no fixed order. Its cells run the
 // transfer that tcp/download-1MB-varlink gates, on a cold world like
 // world/session-cold's.
 var allocsUngated = map[string]bool{"engine/sweep-cold": true}

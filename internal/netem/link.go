@@ -32,29 +32,31 @@ func (c *LinkConfig) queueLimit() int {
 	return c.QueueLimit
 }
 
-// pktRing is a FIFO packet queue that reuses its backing array: pops
-// advance a head index instead of re-slicing, so a link that fills and
-// drains its queue forever stops growing once the array has reached the
-// droptail limit. The array is a piece of the Sim's slab (simnet.Slab).
+// pktRing is the link's FIFO of admitted packets, held until they
+// arrive: buf[head:wait] have departed and are on the wire, buf[wait:]
+// are waiting or in service — the droptail queue. Arrivals advance head
+// and departures wait instead of re-slicing, so a link that fills and
+// drains forever stops growing once the array holds its largest
+// backlog. The array is a piece of the Sim's slab (simnet.Slab).
 type pktRing struct {
-	buf  []*Packet //multinet:owns — queued packets are owned by the link until delivered or dropped
+	buf  []*Packet //multinet:owns — admitted packets are owned by the link until they arrive or are dropped
 	head int
+	wait int
 }
 
-func (q *pktRing) len() int { return len(q.buf) - q.head }
-
-// peek returns the head packet; the queue must be non-empty.
-func (q *pktRing) peek() *Packet { return q.buf[q.head] }
+func (q *pktRing) len() int    { return len(q.buf) - q.head }
+func (q *pktRing) queued() int { return len(q.buf) - q.wait }
 
 // push appends p, growing the array — on sim's slab, looked up only then
 // — when it is full to the brim.
 func (q *pktRing) push(sim *simnet.Sim, p *Packet) {
 	if len(q.buf) == cap(q.buf) {
 		if q.head > 0 {
-			// Reclaim the popped prefix instead of growing.
+			// Reclaim the arrived prefix instead of growing.
 			n := copy(q.buf, q.buf[q.head:])
 			clear(q.buf[n:])
 			q.buf = q.buf[:n]
+			q.wait -= q.head
 			q.head = 0
 		} else {
 			q.buf = simnet.SlabOf[*Packet](sim).Grow(q.buf, len(q.buf)+1)
@@ -63,14 +65,14 @@ func (q *pktRing) push(sim *simnet.Sim, p *Packet) {
 	q.buf = append(q.buf, p)
 }
 
-// pop removes and returns the head packet; the queue must be non-empty.
+// pop removes and returns the head packet, which must have departed.
 func (q *pktRing) pop() *Packet {
 	p := q.buf[q.head]
 	q.buf[q.head] = nil
 	q.head++
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
-		q.head = 0
+		q.head, q.wait = 0, 0
 	}
 	return p
 }
@@ -78,8 +80,8 @@ func (q *pktRing) pop() *Packet {
 // baseLink implements the queueing, loss, state and delivery logic
 // shared by FixedLink and VarLink.
 //
-// Both link types run on an elided event schedule. Service is FIFO and
-// its pace is known ahead of time — a constant rate, or an
+// Both link types run on an elided schedule. Service is FIFO and its
+// pace is known ahead of time — a constant rate, or an
 // OpportunitySource that is a pure function of time — so a packet's
 // departure and arrival instants are computable the moment it is
 // admitted:
@@ -88,22 +90,28 @@ func (q *pktRing) pop() *Packet {
 //	depart_i = the link type's service rule applied at start_i
 //	arrive_i = depart_i + PropDelay
 //
-// and each packet schedules exactly one kernel event, its arrival. The
-// queue is virtual: admitted packets stay on the service ring until
-// their departure instant passes (lazily evicted), which keeps droptail
-// occupancy — "waiting or in-service packets" — what an explicit
-// service loop would see at every admission check.
+// and each packet is one entry of the link's simnet.Lane, fired at its
+// arrival. The link keeps the packet on its service ring from admission
+// until that arrival: the ring is the lane's store, and packets arrive
+// in the order they were admitted. The queue is virtual: a packet counts
+// towards droptail occupancy — "waiting or in-service packets" — until
+// its departure instant passes (lazily evicted), which is what an
+// explicit service loop would see at every admission check.
 type baseLink struct {
 	sim       *simnet.Sim
 	cfg       LinkConfig
 	recv      func(*Packet)
-	queue     pktRing
+	ring      pktRing
+	lane      simnet.Lane
 	down      bool
 	blackhole bool
 	stats     LinkStats
-	// busyUntil is the virtual service clock: the departure instant of
-	// the last admitted packet.
-	busyUntil time.Duration
+}
+
+// init binds the link to sim and registers its lane.
+func (b *baseLink) init(sim *simnet.Sim, cfg LinkConfig) {
+	b.sim, b.cfg = sim, cfg
+	sim.AddLane(&b.lane, (*arrivals)(b))
 }
 
 func (b *baseLink) SetReceiver(fn func(*Packet)) { b.recv = fn }
@@ -123,75 +131,88 @@ func (b *baseLink) SetLossProb(p float64, rng *rand.Rand) {
 // link's baseline, not zero.
 func (b *baseLink) LossProb() float64 { return b.cfg.LossProb }
 
-// evict pops service-ring packets that have departed by now: they no
-// longer occupy the droptail queue. Ownership of an evicted packet
-// rests solely with its pending arrival event. A packet departing at
-// exactly now is gone, so an admission at that instant sees the queue
-// the departure left behind whichever of the two the kernel would have
-// ordered first.
+// evict moves the packets that have departed by now out of the droptail
+// queue and onto the wire. A packet departing at exactly now is gone, so
+// an admission at that instant sees the queue the departure left behind
+// whichever of the two the kernel would have ordered first.
 //
 //multinet:hotpath
 func (b *baseLink) evict(now time.Duration) {
-	for b.queue.len() > 0 && b.queue.peek().doneAt <= now {
-		b.queue.pop()
+	q := &b.ring
+	for q.wait < len(q.buf) && q.buf[q.wait].doneAt <= now {
+		q.wait++
 	}
 }
 
-// admit runs the shared drop logic against an evicted ring; it returns
-// true when the packet was queued and the caller must launch it.
-// Dropped packets are recycled here — the caller must not touch p after
-// a false return.
+// admit evicts the departed packets, so that occupancy is current, and
+// runs the shared drop logic. When the packet is queued it returns the instant its service starts — the
+// virtual service clock: the departure instant of the last admitted
+// packet still on the ring, or now, whichever is later — and true, and
+// the caller must launch it. Dropped packets are recycled here — the
+// caller must not touch p after a false return.
 //
 //multinet:hotpath
-func (b *baseLink) admit(p *Packet) bool {
+func (b *baseLink) admit(p *Packet) (time.Duration, bool) {
+	now := b.sim.Now()
+	b.evict(now)
 	if b.down || b.blackhole {
 		b.stats.DroppedDown++
 		dropPacket(p)
-		return false
+		return 0, false
 	}
 	if b.cfg.LossProb > 0 && b.cfg.RNG != nil && b.cfg.RNG.Float64() < b.cfg.LossProb {
 		b.stats.DroppedLoss++
 		dropPacket(p)
-		return false
+		return 0, false
 	}
-	if b.queue.len() >= b.cfg.queueLimit() {
+	q := &b.ring
+	if q.queued() >= b.cfg.queueLimit() {
 		b.stats.DroppedQueue++
 		dropPacket(p)
-		return false
+		return 0, false
 	}
-	p.SendTime = b.sim.Now()
-	b.queue.push(b.sim, p)
+	start := now
+	if q.len() > 0 {
+		// A purge leaves only departed packets, so coming back up
+		// restarts the clock from now.
+		start = max(q.buf[len(q.buf)-1].doneAt, now)
+	}
+	p.SendTime = now
+	q.push(b.sim, p)
 	b.stats.Sent++
 	b.stats.BytesIn += int64(p.Size)
-	return true
+	return start, true
 }
 
-// launch records an admitted packet's service window [start, done],
-// advances the service clock to done and schedules the packet's single
-// event: its arrival at the far end.
+// launch records an admitted packet's service window [start, done] and
+// stamps its arrival onto the link's lane.
 //
 //multinet:hotpath
 func (b *baseLink) launch(p *Packet, start, done time.Duration) {
 	p.startAt = start
 	p.doneAt = done
-	b.busyUntil = done
-	p.fl = b
-	p.arrive = b.sim.ScheduleArg(done+b.cfg.PropDelay, linkArrive, p)
+	p.seq = b.sim.Push(&b.lane, done+b.cfg.PropDelay)
 }
 
-// linkArrive fires when a packet reaches the far end: the single
-// per-packet event of the elided schedule.
+// arrivals is a link as its lane sees it: a type of its own, so that the
+// method the kernel calls is not part of the links' API.
+type arrivals baseLink
+
+// Fire runs when the lane's head packet reaches the far end: the single
+// per-packet firing of the elided schedule.
 //
 //multinet:hotpath
-func linkArrive(a any) {
-	p := a.(*Packet)
-	b := p.fl
-	p.fl = nil
-	p.arrive = simnet.Timer{}
-	// Arrivals run in departure order, so p itself is always among the
-	// evicted: after this the ring holds no reference to it and
-	// ownership can pass to the receiver (or the drop sink).
+func (a *arrivals) Fire() {
+	b := (*baseLink)(a)
+	// Arrivals run in departure order, so the head has departed: after
+	// this the ring holds no reference to it and ownership can pass to
+	// the receiver (or the drop sink).
 	b.evict(b.sim.Now())
+	p := b.ring.pop()
+	if b.ring.len() > 0 {
+		h := b.ring.buf[b.ring.head]
+		b.lane.Advance(h.doneAt+b.cfg.PropDelay, h.seq)
+	}
 	if b.down || b.blackhole {
 		// The packet was on the wire when the link died: it is lost.
 		b.stats.DroppedDown++
@@ -209,36 +230,38 @@ func linkArrive(a any) {
 }
 
 // stopService drops every admitted packet that has not departed (the
-// explicit model's queue purge): their arrival events are cancelled and
-// the packets die as down-drops. Packets already departed keep their
-// arrival events and are lost there instead, as in-flight casualties.
+// explicit model's queue purge) as a down-drop: they are truncated off
+// the ring's tail and the lane's. Packets already departed stay on the
+// ring and are lost at their arrival instead, as in-flight casualties.
 func (b *baseLink) stopService() {
 	b.evict(b.sim.Now())
-	for b.queue.len() > 0 {
-		p := b.queue.pop()
-		p.arrive.Stop()
-		p.fl = nil
+	q := &b.ring
+	b.sim.Truncate(&b.lane, q.queued())
+	for _, p := range q.buf[q.wait:] {
 		b.stats.DroppedDown++
 		b.stats.LostInFlight++
 		dropPacket(p)
+	}
+	clear(q.buf[q.wait:])
+	q.buf = q.buf[:q.wait]
+	if q.head == q.wait {
+		q.buf = q.buf[:0]
+		q.head, q.wait = 0, 0
 	}
 }
 
 // QueueLen implements Link: packets waiting or in service right now.
 func (b *baseLink) QueueLen() int {
 	b.evict(b.sim.Now())
-	return b.queue.len()
+	return b.ring.queued()
 }
 
 // setDead switches one of the two dead states (down, blackhole). Dying
-// purges the queue; coming back restarts the service clock from now.
+// purges the queue, so coming back finds the service clock at now.
 func (b *baseLink) setDead(state *bool, dead bool) {
-	was := *state
 	*state = dead
 	if dead {
 		b.stopService()
-	} else if was {
-		b.busyUntil = b.sim.Now()
 	}
 }
 
@@ -261,10 +284,9 @@ func NewFixedLink(sim *simnet.Sim, rateMbps float64, cfg LinkConfig) *FixedLink 
 	if rateMbps <= 0 {
 		panic("netem: FixedLink rate must be positive")
 	}
-	return &FixedLink{
-		baseLink: baseLink{sim: sim, cfg: cfg},
-		rateBps:  rateMbps * 1e6,
-	}
+	l := &FixedLink{rateBps: rateMbps * 1e6}
+	l.init(sim, cfg)
+	return l
 }
 
 // RateMbps returns the configured rate in Mbit/s.
@@ -279,8 +301,9 @@ func (l *FixedLink) txTime(size int) time.Duration {
 // SetRateMbps changes the link rate; it applies to packets whose
 // transmission starts after the change. Packets already admitted but
 // not yet started have precomputed schedules under the old rate, so
-// their delivery events are recomputed here — the rare O(queue) cost
-// that keeps the per-packet path O(1).
+// they are re-stamped here, in order: truncated off the lane and pushed
+// again at their new arrival instants — the rare O(queue) cost that
+// keeps the per-packet path O(1).
 func (l *FixedLink) SetRateMbps(mbps float64) {
 	if mbps <= 0 {
 		panic("netem: FixedLink rate must be positive")
@@ -288,28 +311,20 @@ func (l *FixedLink) SetRateMbps(mbps float64) {
 	l.rateBps = mbps * 1e6
 	now := l.sim.Now()
 	l.evict(now)
-	q := &l.queue
+	q := &l.ring
 	base := now
-	for i := q.head; i < len(q.buf); i++ {
-		p := q.buf[i]
-		if p.startAt <= now {
-			// In service: its transmission began under the old rate and
-			// keeps it (done/arrival already scheduled correctly).
-			base = p.doneAt
-			continue
-		}
-		p.arrive.Stop()
-		start := base
-		if p.SendTime > start {
-			start = p.SendTime
-		}
-		p.startAt = start
-		p.doneAt = start + l.txTime(p.Size)
-		p.arrive = l.sim.ScheduleArg(p.doneAt+l.cfg.PropDelay, linkArrive, p)
-		base = p.doneAt
+	i := q.wait
+	for ; i < len(q.buf) && q.buf[i].startAt <= now; i++ {
+		// In service: its transmission began under the old rate and
+		// keeps it.
+		base = q.buf[i].doneAt
 	}
-	if q.len() > 0 {
-		l.busyUntil = base
+	l.sim.Truncate(&l.lane, len(q.buf)-i)
+	for _, p := range q.buf[i:] {
+		p.startAt = max(base, p.SendTime)
+		p.doneAt = p.startAt + l.txTime(p.Size)
+		p.seq = l.sim.Push(&l.lane, p.doneAt+l.cfg.PropDelay)
+		base = p.doneAt
 	}
 }
 
@@ -317,12 +332,10 @@ func (l *FixedLink) SetRateMbps(mbps float64) {
 //
 //multinet:hotpath
 func (l *FixedLink) Send(p *Packet) {
-	now := l.sim.Now()
-	l.evict(now) // occupancy must be current before admit's droptail check
-	if !l.admit(p) {
+	start, ok := l.admit(p)
+	if !ok {
 		return
 	}
-	start := max(l.busyUntil, now)
 	l.launch(p, start, start+l.txTime(p.Size))
 }
 
@@ -354,10 +367,9 @@ func NewVarLink(sim *simnet.Sim, src OpportunitySource, cfg LinkConfig) *VarLink
 	if src == nil {
 		panic("netem: VarLink needs an OpportunitySource")
 	}
-	return &VarLink{
-		baseLink: baseLink{sim: sim, cfg: cfg},
-		src:      src,
-	}
+	l := &VarLink{src: src}
+	l.init(sim, cfg)
+	return l
 }
 
 // Send implements Link. The packet departs at the ⌈Size/MTU⌉-th
@@ -365,12 +377,10 @@ func NewVarLink(sim *simnet.Sim, src OpportunitySource, cfg LinkConfig) *VarLink
 //
 //multinet:hotpath
 func (l *VarLink) Send(p *Packet) {
-	now := l.sim.Now()
-	l.evict(now) // occupancy must be current before admit's droptail check
-	if !l.admit(p) {
+	start, ok := l.admit(p)
+	if !ok {
 		return
 	}
-	start := max(l.busyUntil, now)
 	done := l.src.Next(start)
 	for carried := MTU; carried < p.Size; carried += MTU {
 		done = l.src.Next(done)

@@ -74,12 +74,11 @@ type Packet struct {
 	promo Link
 
 	// Elided-schedule state (see baseLink): the packet's service
-	// window, its single arrival event, and the owning link for that
-	// event's callback. All are computed at admit time.
+	// window and its arrival's place in the kernel's (at, seq) order,
+	// computed at admit time. It arrives PropDelay after doneAt.
 	startAt time.Duration
 	doneAt  time.Duration
-	arrive  simnet.Timer
-	fl      *baseLink
+	seq     uint64
 
 	// home is the free list the packet was taken from and ReleasePacket
 	// returns it to; nil for a packet built as a literal.

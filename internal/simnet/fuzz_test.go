@@ -12,7 +12,10 @@ import (
 // identical Pending counts, and an identical firing order. The seed
 // corpus encodes the patterns the differential test reaches through
 // its RNG: same-tick bursts, far-future cascades, stop-after-drain,
-// re-arm past a RunUntil that lands beyond the stale slot.
+// re-arm past a RunUntil that lands beyond the stale slot. Opcodes 6–9
+// drive three lanes the way TestWheelDifferential does: pushes that tie
+// with timers and other lanes, tail truncation, in-order re-stamp and a
+// RunUntil to a head's exact instant.
 func FuzzWheelScheduleStop(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x10}) // one near event, implicit drain
 	f.Add([]byte{                         // burst into one tick, then RunUntil mid-tick
@@ -40,6 +43,22 @@ func FuzzWheelScheduleStop(f *testing.F) {
 		0x05, 0x00, 0x01, 0x01, 0x00, 0x01,
 		0x04,
 	})
+	f.Add([]byte{ // a timer, two lanes' arrivals tied with it and with each other, run to the head, drain
+		0x00, 0x00, 0x00, 0x10,
+		0x06, 0x00, 0x00, 0x00, 0x00,
+		0x06, 0x01, 0x01, 0x00,
+		0x06, 0x02, 0x02,
+		0x09, 0x01,
+		0x04,
+	})
+	f.Add([]byte{ // push three onto one lane, re-stamp two, truncate one, drain
+		0x06, 0x00, 0x03, 0x00, 0x20,
+		0x06, 0x00, 0x02,
+		0x06, 0x00, 0x03, 0x01, 0x00,
+		0x08, 0x00, 0x02, 0x01, 0x00,
+		0x07, 0x00, 0x01,
+		0x04,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New(1)
 		s.wheel.audit = true // every cached nextHigher is checked against a rescan
@@ -52,6 +71,7 @@ func FuzzWheelScheduleStop(f *testing.F) {
 		var gotFired, wantFired []firing
 		nextID := 0
 		rec := func(a any) { gotFired = append(gotFired, firing{at: s.Now(), id: a.(int)}) }
+		lanes := newRefLanes(s, 3, &gotFired)
 
 		pop := func() byte {
 			if len(data) == 0 {
@@ -86,8 +106,49 @@ func FuzzWheelScheduleStop(f *testing.F) {
 			}
 		}
 
+		// tieAt decodes an instant at or after floor: a pending timer's,
+		// another lane's tail, floor itself, or a gap past it.
+		tieAt := func(floor time.Duration) time.Duration {
+			switch pop() % 4 {
+			case 0:
+				if len(handles) > 0 {
+					if at := handles[u16()%len(handles)].re.at; at >= floor {
+						return at
+					}
+				}
+			case 1:
+				if at := lanes[int(pop())%len(lanes)].floor(); at >= floor {
+					return at
+				}
+			case 2:
+				return floor
+			default:
+				return floor + time.Duration(u16())*time.Microsecond
+			}
+			return floor
+		}
+
 		for len(data) > 0 && nextID < 4096 {
-			switch pop() % 6 {
+			switch pop() % 10 {
+			case 6: // push onto a lane
+				l := lanes[int(pop())%len(lanes)]
+				l.push(ref, tieAt(l.floor()), nextID)
+				nextID++
+			case 7: // truncate a lane's tail
+				l := lanes[int(pop())%len(lanes)]
+				l.truncate(int(pop()) % (len(l.entries) + 1))
+			case 8: // re-stamp a lane's tail in order
+				l := lanes[int(pop())%len(lanes)]
+				gaps := make([]time.Duration, int(pop())%(len(l.entries)+1))
+				for i := range gaps {
+					gaps[i] = time.Duration(pop()) * 100 * time.Microsecond
+				}
+				l.restamp(ref, gaps)
+			case 9: // run up to a lane head's exact instant
+				if at, ok := lanes[int(pop())%len(lanes)].head(); ok {
+					s.RunUntil(at)
+					syncRef(at)
+				}
 			case 0, 1: // schedule
 				d := offset()
 				id := nextID
@@ -127,6 +188,9 @@ func FuzzWheelScheduleStop(f *testing.F) {
 			}
 			if got, want := s.Pending(), ref.pending(); got != want {
 				t.Fatalf("Pending = %d, reference %d", got, want)
+			}
+			if got, want := s.Processed(), uint64(len(wantFired)); got != want {
+				t.Fatalf("Processed = %d, reference fired %d", got, want)
 			}
 		}
 		s.Run()

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -290,4 +292,58 @@ func TestHandlesDieWithTheirWorld(t *testing.T) {
 		}
 	}
 	mustPanic("Connect on a zeroed handle", tc.Connect)
+}
+
+// TestReleasedWorldIsCollectable holds Release to the arena's promise
+// that nothing in a parked arena refers to the world that filled it: a
+// world released mid-transfer — packets on the wire and queued, timers
+// armed — is collected while its arena waits in the retired pool for the
+// next New. The arena's lanes point at the links, so Release must forget
+// them.
+func TestReleasedWorldIsCollectable(t *testing.T) {
+	simnet.DropRetired()
+	var collected atomic.Int32
+	watched := 0
+	watch := func(p any) {
+		watched++
+		switch p := p.(type) {
+		case *netem.FixedLink:
+			runtime.AddCleanup(p, func(*atomic.Int32) { collected.Add(1) }, &collected)
+		case *netem.VarLink:
+			runtime.AddCleanup(p, func(*atomic.Int32) { collected.Add(1) }, &collected)
+		case *netem.Host:
+			runtime.AddCleanup(p, func(*atomic.Int32) { collected.Add(1) }, &collected)
+		default:
+			t.Fatalf("cannot watch a %T", p)
+		}
+	}
+	func() {
+		w, _ := cutWorld(29, phy.LocationByID(5).Condition(), "wifi")
+		onWire := 0
+		for _, ifc := range w.Host.Ifaces() {
+			for _, l := range []netem.Link{ifc.UpLink(), ifc.DownLink()} {
+				st := l.Stats()
+				onWire += st.Sent - st.Delivered - st.LostInFlight - l.QueueLen()
+				watch(l)
+			}
+		}
+		watch(w.Host)
+		if onWire == 0 || w.Sim.Pending() <= onWire {
+			t.Fatalf("the world was cut with %d packets on the wire and %d pending: want both, and timers", onWire, w.Sim.Pending())
+		}
+		w.Close()
+	}()
+	if simnet.Retired() != 1 {
+		t.Fatalf("%d arenas parked after the release, want 1", simnet.Retired())
+	}
+	for i := 0; i < 50 && int(collected.Load()) < watched; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond) // cleanups run on their own goroutine
+	}
+	if got := int(collected.Load()); got != watched {
+		t.Fatalf("%d of the released world's %d links and host were collected while its arena was parked", got, watched)
+	}
+	if simnet.Retired() != 1 {
+		t.Fatalf("the arena left the retired pool during the test")
+	}
 }

@@ -1,12 +1,13 @@
 // Package simnet provides the discrete-event simulation kernel that every
 // other subsystem in this repository runs on.
 //
-// A Sim owns a virtual clock and a hierarchical timing wheel (see
-// wheel.go). Events execute in timestamp order (ties broken by
-// scheduling order), so a simulation with a fixed seed is
-// bit-reproducible across runs and platforms. There are no wall-clock
-// sleeps anywhere: simulating 180 days of the paper's crowd-sourced
-// measurement campaign takes seconds of real time.
+// A Sim owns a virtual clock, a hierarchical timing wheel for its timers
+// (see wheel.go) and the lanes its links keep their packets in flight on
+// (see lane.go). Run merges the two: timers and arrivals execute in one
+// timestamp order (ties broken by scheduling order), so a simulation
+// with a fixed seed is bit-reproducible across runs and platforms. There
+// are no wall-clock sleeps anywhere: simulating 180 days of the paper's
+// crowd-sourced measurement campaign takes seconds of real time.
 //
 // Schedule, cancel, re-arm and fire are all amortised O(1): scheduling
 // files the event into a wheel slot, cancelling unlinks it, re-arming to
@@ -67,10 +68,10 @@ type Sim struct {
 // already as large as the last world needed and generators to reseed.
 // Nothing in a parked arena refers to the world that filled it —
 // recycled events, packets and segments are cleared when they are freed,
-// the slabs when they are rewound — so a retired world is collected as
-// usual.
+// the slabs when they are rewound, the lanes forgotten — so a retired
+// world is collected as usual (TestReleasedWorldIsCollectable).
 type arena struct {
-	// wheel holds pending events beyond the current tick; due is the
+	// wheel holds pending timers beyond the current tick; due is the
 	// (at, seq)-sorted batch for the tick being dispatched, consumed
 	// from dueHead.
 	wheel   wheel
@@ -97,6 +98,14 @@ type arena struct {
 	// not pay for growing the list.
 	parts    []any
 	partsBuf [16]any
+	// lanes are the world's arrival lanes (AddLane), in registration
+	// order; lanesBuf is their first backing array, room for the links of
+	// a three-path world. front is the lane whose head comes first (nil
+	// when all are empty) unless stale says it must be looked for again.
+	lanes    []*Lane //multinet:owns — the world's lanes, forgotten at Release
+	lanesBuf [8]*Lane
+	front    *Lane
+	stale    bool
 }
 
 // retired parks the arenas of released Sims for New. It is the
@@ -128,13 +137,16 @@ func New(seed int64) *Sim {
 		a = new(arena)
 		a.due = a.dueBuf[:0]
 		a.parts = a.partsBuf[:0]
+		a.lanes = a.lanesBuf[:0]
 		a.wheel.hi = noTick
+		a.wheel.lo = noTick
 	}
 	return &Sim{seed: seed, arena: a}
 }
 
 // Release ends the simulation and gives its memory to the next New:
-// pending events are dropped unfired, the slabs are rewound, and they,
+// pending events and arrivals are dropped unfired, the lanes are
+// forgotten, the slabs are rewound, and they,
 // the wheel, the free lists and the random streams' generators are
 // parked. Call it when a world's
 // results have been read. It is optional — a Sim that is never released
@@ -172,6 +184,9 @@ func (s *Sim) mem() *arena {
 // as belonging to a world gone by.
 func (a *arena) reset() {
 	a.dropPending()
+	clear(a.lanes)
+	a.lanes = a.lanes[:0]
+	a.front, a.stale = nil, false
 	for _, p := range a.parts {
 		if r, ok := p.(interface{ rewind() }); ok {
 			r.rewind()
@@ -470,31 +485,60 @@ func (s *Sim) run(until time.Duration) int {
 		// stop the loop here, not leave it running in an arena that has
 		// been given away.
 		a := s.mem()
+		if a.stale {
+			a.front, a.stale = a.earliestLane(), false
+		}
+		l := a.front
 		if a.dueHead == len(a.due) {
 			a.due = a.due[:0]
 			a.dueHead = 0
-			if !a.fillBucket(untilTick) {
-				break
+			// The wheel advances no further than the earliest arrival's
+			// tick. What that arrival schedules then files into a slot,
+			// where Stop unlinks it and RearmArg rewrites it in place,
+			// instead of joining a due bucket drained ahead of it.
+			limit := untilTick
+			if l != nil {
+				limit = min(limit, int64(l.at)>>tickShift)
+			}
+			a.fillBucket(limit)
+		}
+		if a.dueHead < len(a.due) {
+			ev := a.due[a.dueHead]
+			if l == nil || ev.at < l.at || (ev.at == l.at && ev.seq < l.seq) {
+				if until >= 0 && ev.at > until {
+					break
+				}
+				a.dueHead++
+				if ev.fn == nil { // cancelled after the slot drained
+					s.cancelled--
+					a.recycle(ev)
+					continue
+				}
+				s.now = ev.at
+				fn, arg := ev.fn, ev.arg
+				// Recycle before running: fn may schedule new events, and
+				// reusing this one immediately keeps the free list minimal.
+				// Stale Timer handles are protected by the generation check.
+				s.live--
+				a.recycle(ev)
+				fn(arg)
+				n++
+				s.processed++
+				continue
 			}
 		}
-		ev := a.due[a.dueHead]
-		if until >= 0 && ev.at > until {
+		if l == nil || (until >= 0 && l.at > until) {
 			break
 		}
-		a.dueHead++
-		if ev.fn == nil { // cancelled after the slot drained
-			s.cancelled--
-			a.recycle(ev)
-			continue
-		}
-		s.now = ev.at
-		fn, arg := ev.fn, ev.arg
-		// Recycle before running: fn may schedule new events, and reusing
-		// this one immediately keeps the free list minimal. Stale Timer
-		// handles are protected by the generation check.
+		// The earliest arrival fires: its owner drops it and names the
+		// lane's next head (Lane.Advance), so the front is looked for
+		// again.
+		s.now = l.at
+		l.n--
+		l.at = noTime
+		a.stale = true
 		s.live--
-		a.recycle(ev)
-		fn(arg)
+		l.owner.Fire()
 		n++
 		s.processed++
 	}

@@ -2,10 +2,11 @@ package simnet
 
 import "math/bits"
 
-// The event queue is a hierarchical timing wheel (Varghese & Lauck),
-// chosen over a binary heap because every kernel operation the
-// simulation hot path performs — schedule, cancel, fire — is amortised
-// O(1) instead of O(log pending):
+// The timer queue is a hierarchical timing wheel (Varghese & Lauck),
+// chosen over a binary heap because every kernel operation on timers —
+// schedule, cancel, fire — is amortised O(1) instead of O(log pending).
+// Packets in flight are not on it: they wait on their links' lanes
+// (lane.go), and Run merges the due bucket below with the lanes' heads.
 //
 //   - Virtual time is quantised into ticks of 2^tickShift ns (524.288 µs).
 //     Level 0 has one slot per tick; each higher level's slots are 256×
@@ -61,17 +62,14 @@ import "math/bits"
 // event again by its current deadline, and fillBucket moves on when a
 // drained slot turns out to hold nothing for its tick.
 const (
-	// tickShift is measured, not argued (DESIGN.md "Timing wheel" has the
-	// table over 16…20 on the report sweep). The sweep keeps 16–128
-	// events pending and fires one every few hundred µs of virtual time,
-	// so at any tick in that range most buckets hold a single event and
-	// the bucket sort costs nothing; what the tick decides is how many
-	// events are scheduled beyond level 0 and pay a cascade. At 2^19 ns
-	// level 0 spans 134 ms: RTT-scale events (arrivals, delayed ACKs,
-	// probes) file straight into their firing slot, cascades fall from
-	// 0.84 to 0.09 per fired event against 2^16, a tick's batch is still
-	// at most 8 events, and the sweep is fastest. 2^20 cascades less
-	// still but sorts longer buckets and was slower end to end.
+	// tickShift is measured, not argued (DESIGN.md "The timing-wheel
+	// kernel" has the table over 16…20 on the report sweep). The wheel
+	// holds timers only — a handful pending per world, 2–7 at most
+	// schedules — so at any tick in that range 96 % of buckets hold a
+	// single event and the bucket sort costs nothing; what the tick
+	// decides is how many timers are filed beyond level 0 and pay a
+	// cascade. 2^16 and 2^17 were slower end to end, 2^18 to 2^20 within
+	// noise of one another, and at 2^19 level 0 spans 134 ms.
 	tickShift     = 19
 	levelBits     = 8
 	slotsPerLevel = 1 << levelBits
@@ -104,8 +102,14 @@ type wheel struct {
 	// does not move with the wheel, so the minimum only changes when a
 	// coarse slot gains its first event (place lowers hi) or loses its
 	// last (unlink and crossTo forget it); between those fillBucket scans
-	// level 0 alone, where 9 events in 10 live.
+	// level 0 alone.
 	hi int64
+	// lo is a lower bound on the tick of every wheel entry — noTick when
+	// the wheel is empty — so that a fill limited to an earlier tick (the
+	// next link arrival's, see Sim.run) returns without scanning: place
+	// lowers it, and a fill that finds nothing up to its limit raises it
+	// to the earliest tick it saw.
+	lo int64
 	// audit makes every cached answer prove itself against the full scan
 	// (set by the differential and fuzz tests).
 	audit bool
@@ -136,6 +140,9 @@ func (a *arena) place(ev *event) {
 		// level up the distance becomes exactly 1 (invariant 1).
 		level++
 		shift += levelBits
+	}
+	if tick < a.wheel.lo {
+		a.wheel.lo = tick
 	}
 	idx := int(tick>>shift) & slotMask
 	head := a.wheel.slot[level][idx]
@@ -355,6 +362,7 @@ func (a *arena) dropPending() {
 	}
 	w.tick = 0
 	w.hi = noTick
+	w.lo = noTick
 	for _, ev := range a.due[a.dueHead:] {
 		a.recycle(ev)
 	}
@@ -372,6 +380,9 @@ func (a *arena) fillBucket(untilTick int64) bool {
 	if a.dueHead < len(a.due) {
 		return true
 	}
+	if a.wheel.lo > untilTick {
+		return false
+	}
 	for {
 		t0, idx0 := a.nextLevel0()
 		tHi := a.nextHigher()
@@ -386,6 +397,7 @@ func (a *arena) fillBucket(untilTick int64) bool {
 			return true
 		}
 		if next == noTick || next > untilTick {
+			a.wheel.lo = next // every entry is at or after it
 			return false
 		}
 		if tHi <= t0 {

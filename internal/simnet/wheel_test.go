@@ -62,6 +62,93 @@ func (q *refQueue) pending() int {
 	return n
 }
 
+// refLane owns a Lane the way a netem link does — it keeps its entries
+// in push order and names the next head when one fires — and mirrors
+// every entry into the reference heap as an ordinary event, which is all
+// an arrival is to the order the kernel promises.
+type refLane struct {
+	sim     *Sim
+	lane    Lane
+	entries []laneEntry
+	fired   *[]firing
+	// then, when set, runs after every firing (follow-up pushes and
+	// schedules, the way a delivered packet makes its receiver send).
+	then func()
+}
+
+type laneEntry struct {
+	at time.Duration
+	id int
+	re *refEvent
+	// seq is the kernel's stamp, kept to name the head with.
+	seq uint64
+}
+
+func newRefLanes(s *Sim, n int, fired *[]firing) []*refLane {
+	lanes := make([]*refLane, n)
+	for i := range lanes {
+		l := &refLane{sim: s, fired: fired}
+		s.AddLane(&l.lane, l)
+		lanes[i] = l
+	}
+	return lanes
+}
+
+func (l *refLane) Fire() {
+	e := l.entries[0]
+	l.entries = l.entries[1:]
+	if len(l.entries) > 0 {
+		h := l.entries[0]
+		l.lane.Advance(h.at, h.seq)
+	}
+	*l.fired = append(*l.fired, firing{at: l.sim.Now(), id: e.id})
+	if l.then != nil {
+		l.then()
+	}
+}
+
+// floor is the earliest instant the lane's next entry may carry.
+func (l *refLane) floor() time.Duration {
+	if n := len(l.entries); n > 0 {
+		return max(l.entries[n-1].at, l.sim.Now())
+	}
+	return l.sim.Now()
+}
+
+func (l *refLane) push(ref *refQueue, at time.Duration, id int) {
+	seq := l.sim.Push(&l.lane, at)
+	l.entries = append(l.entries, laneEntry{at: at, id: id, re: ref.schedule(at, id), seq: seq})
+}
+
+// truncate drops the k newest entries; the reference cancels them.
+func (l *refLane) truncate(k int) {
+	l.sim.Truncate(&l.lane, k)
+	keep := len(l.entries) - k
+	for _, e := range l.entries[keep:] {
+		e.re.cancelled = true
+	}
+	l.entries = l.entries[:keep]
+}
+
+// restamp moves the k newest entries to new instants, in order: gaps[i]
+// after the previous entry (or the floor), each keeping its id.
+func (l *refLane) restamp(ref *refQueue, gaps []time.Duration) {
+	k := len(gaps)
+	moved := append([]laneEntry(nil), l.entries[len(l.entries)-k:]...)
+	l.truncate(k)
+	for i, e := range moved {
+		l.push(ref, l.floor()+gaps[i], e.id)
+	}
+}
+
+// head returns the lane's head instant, or false when it is empty.
+func (l *refLane) head() (time.Duration, bool) {
+	if len(l.entries) == 0 {
+		return 0, false
+	}
+	return l.entries[0].at, true
+}
+
 // ---- differential driver ---------------------------------------------
 
 // firing records one observed execution.
@@ -76,6 +163,13 @@ type firing struct {
 // asserts identical firing order and identical Timer.Stop/Active/When
 // results at every step. This is the executable proof that swapping the
 // heap for the wheel changed nothing the goldens can observe.
+//
+// Three lanes ride along: pushes at instants that tie exactly with
+// timers and with other lanes' entries, tail truncations, in-order
+// re-stamps and RunUntil bounds at a head's exact instant. To the
+// reference every lane entry is one more event, so the merge of lanes
+// and wheel must fire them in the same (at, seq) order and agree on
+// Pending and Processed after every operation.
 func TestWheelDifferential(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		seed := seed
@@ -91,6 +185,39 @@ func TestWheelDifferential(t *testing.T) {
 		var handles []pair
 		var gotFired, wantFired []firing
 		nextID := 0
+		lanes := newRefLanes(s, 3, &gotFired)
+
+		// tieAt returns an instant at or after floor, often exactly a
+		// pending timer's or another lane's tail.
+		tieAt := func(floor time.Duration) time.Duration {
+			switch rng.Intn(4) {
+			case 0:
+				if len(handles) > 0 {
+					if at := handles[rng.Intn(len(handles))].re.at; at >= floor {
+						return at
+					}
+				}
+			case 1:
+				if at := lanes[rng.Intn(len(lanes))].floor(); at >= floor {
+					return at
+				}
+			case 2:
+				return floor
+			}
+			return floor + time.Duration(rng.Intn(3000))*time.Microsecond
+		}
+		push := func() {
+			l := lanes[rng.Intn(len(lanes))]
+			l.push(ref, tieAt(l.floor()), nextID)
+			nextID++
+		}
+		for _, l := range lanes {
+			l.then = func() {
+				if rng.Intn(3) == 0 && nextID < 4096 {
+					push() // a delivery that sends on some link, this one included
+				}
+			}
+		}
 
 		// fire is installed on every scheduled event; events may
 		// themselves schedule follow-ups (nested scheduling is the
@@ -115,7 +242,32 @@ func TestWheelDifferential(t *testing.T) {
 
 		const steps = 400
 		for step := 0; step < steps; step++ {
-			switch rng.Intn(12) {
+			switch rng.Intn(18) {
+			case 12, 13, 14: // push onto a lane
+				push()
+			case 15: // truncate a lane's tail
+				l := lanes[rng.Intn(len(lanes))]
+				l.truncate(rng.Intn(len(l.entries) + 1))
+			case 16: // re-stamp a lane's tail in order
+				l := lanes[rng.Intn(len(lanes))]
+				gaps := make([]time.Duration, rng.Intn(len(l.entries)+1))
+				for i := range gaps {
+					gaps[i] = time.Duration(rng.Intn(4)) * 250 * time.Microsecond
+				}
+				l.restamp(ref, gaps)
+			case 17: // run up to a lane head's exact instant
+				at, ok := lanes[rng.Intn(len(lanes))].head()
+				if !ok {
+					continue
+				}
+				s.RunUntil(at)
+				for {
+					ev := ref.popLE(at)
+					if ev == nil {
+						break
+					}
+					wantFired = append(wantFired, firing{at: ev.at, id: ev.id})
+				}
 			case 10, 11: // re-arm a random handle, earlier or later, live or not
 				if len(handles) == 0 {
 					continue
@@ -206,6 +358,9 @@ func TestWheelDifferential(t *testing.T) {
 			}
 			if got, want := s.Pending(), ref.pending(); got != want {
 				t.Fatalf("seed %d step %d: Pending = %d, want %d", seed, step, got, want)
+			}
+			if got, want := s.Processed(), uint64(len(wantFired)); got != want {
+				t.Fatalf("seed %d step %d: Processed = %d, reference fired %d", seed, step, got, want)
 			}
 			if len(gotFired) != len(wantFired) {
 				t.Fatalf("seed %d step %d: fired %d events, reference fired %d",
