@@ -411,7 +411,7 @@ func rngSeedDrain(b *testing.B) {
 func replayCNNLaunch(b *testing.B) {
 	rec := replay.Record(apps.CNNLaunch)
 	cond := phy.LocationByID(7).Condition()
-	tc := replay.TransportConfig{Name: "MPTCP-Coupled-WiFi", Kind: replay.Multipath, Primary: "wifi", CC: mptcp.Coupled}
+	tc := replay.TransportConfig{Name: "MPTCP-Coupled-WiFi", Config: core.Config{Transport: core.MPTCP, Primary: "wifi", CC: mptcp.Coupled}}
 	for i := 0; i < b.N; i++ {
 		if res := replay.Run(int64(i+1), cond, rec, tc); !res.Completed {
 			b.Fatal("replay incomplete")

@@ -22,8 +22,8 @@
 //   - internal/experiments: one harness per table/figure
 //   - internal/experiments/engine: the experiment registry and the
 //     deterministic parallel trial-sweep runner
-//   - internal/core: the paper's testbed (World) and the public
-//     Session API on it
+//   - internal/core: the paper's testbed (World), the one flow record
+//     every measurement runs on it, and the public Session API
 //
 // See DESIGN.md for the system inventory and per-experiment index, and
 // EXPERIMENTS.md for paper-vs-measured results. cmd/report regenerates

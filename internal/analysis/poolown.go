@@ -24,17 +24,23 @@ var pooledTypes = []pooledType{
 }
 
 // worldHandles are the connection handles a simulator carves from its
-// slab one at a time (simnet.Slab.New). Unlike carved slices they do
-// reach callers — Dial returns one — so they may be stored and returned
-// freely; but like everything on the slab they are dead at the Sim's
+// slab one at a time (simnet.Slab.New), and the flow records that own
+// them. Unlike carved slices they do reach callers — Dial returns one —
+// so they may be stored and returned freely; but like everything on the slab they are dead at the Sim's
 // Release, when they read as zero until the next world carves them.
 var worldHandles = []pooledType{
 	{"multinet/internal/tcp", "Conn"},
 	{"multinet/internal/mptcp", "Conn"},
 	{"multinet/internal/mptcp", "Subflow"},
+	{"multinet/internal/core", "Flows"},
+	{"multinet/internal/core", "Flow"},
 }
 
 var simType = []pooledType{{"multinet/internal/simnet", "Sim"}}
+
+// worldType is the one value a handle's constructor may be given in
+// place of its Sim: core.NewFlows takes the World.
+var worldType = pooledType{"multinet/internal/core", "World"}
 
 // releaseFunc describes a call that releases one of its arguments (or
 // its receiver) to a free list: a package-level function (recvType ==
@@ -83,7 +89,7 @@ var PoolOwn = &Analyzer{
 		"of recycled values (netem.Packet, tcp.Segment, mptcp.DSS, simnet events), " +
 		"use of a simnet.Sim or core.World (or the Session embedding one) after Release/Close, slab slices " +
 		"(simnet.Slab.Make/Grow) that leave the world or outlive it, and connection " +
-		"handles (tcp.Conn, mptcp.Conn, mptcp.Subflow) used after their world's release",
+		"handles (tcp.Conn, mptcp.Conn, mptcp.Subflow, core.Flows, core.Flow) used after their world's release",
 	Run: runPoolOwn,
 }
 
@@ -148,6 +154,12 @@ func releaseTarget(info *types.Info, call *ast.CallExpr) ast.Expr {
 		}
 	}
 	return nil
+}
+
+// isNamed reports whether t is the named type pt itself.
+func isNamed(t types.Type, pt pooledType) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Name() == pt.name && n.Obj().Pkg().Path() == pt.path
 }
 
 // namedTypeName unwraps pointers and returns the named type's name.
@@ -431,7 +443,7 @@ func handleOwner(info *types.Info, e ast.Expr, st released) *types.Var {
 	}
 	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
 		for _, arg := range call.Args {
-			if !pointsToOneOf(info.TypeOf(arg), simType) {
+			if t := info.TypeOf(arg); !pointsToOneOf(t, simType) && !isNamed(t, worldType) {
 				continue
 			}
 			if v, ok := rootObject(info, leftmost(arg)).(*types.Var); ok {

@@ -219,6 +219,22 @@ func handleAfterSessionClose(cond phy.Condition) bool {
 	return sf.Dead()   // want `use of sf after release of s`
 }
 
+// A flow record is a handle of the world its Flows was given.
+
+func flowAfterWorldClose(cond phy.Condition) time.Duration {
+	w := core.NewWorld(16, cond)
+	fs := core.NewFlows(w)
+	fs.Open(1)
+	f := fs.Flow(0)
+	*f = core.Flow{Name: "f", Response: 1 << 10, Config: core.Config{Transport: core.TCP, Iface: "wifi"}}
+	fs.Start(f)
+	w.Sim.RunFor(time.Second)
+	done := f.Done // the world is still running
+	w.Close()
+	fs.Open(1)           // want `use of fs after release of w`
+	return done + f.Done // want `use of f after release of w`
+}
+
 func useAfterWorldClose(cond phy.Condition) int64 {
 	w := core.NewWorld(14, cond)
 	c := mptcp.Dial(w.Sim, w.Client, w.Host, mptcp.Config{ConnID: "c", Primary: "wifi"}, mptcp.Callbacks{})

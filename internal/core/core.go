@@ -2,10 +2,11 @@
 // substrates (netem links, phy radio models, tcp, mptcp) into the
 // paper's testbed, a World, and a Session on it on which callers run
 // measured transfers — the programmatic equivalent of the paper's
-// modified Cell vs WiFi tool (Section 3.2). ConfigFor turns a decision
-// of the adaptive selector (internal/selector, the policy the paper's
-// conclusion poses as future work) into the transfer that realises it,
-// and Probe measures the estimate it decides on.
+// modified Cell vs WiFi tool (Section 3.2). Every measurement, app
+// replays and backup-mode downloads too, runs as a Flow. ConfigFor
+// turns a decision of the adaptive selector (internal/selector, the
+// policy the paper's conclusion poses as future work) into the transfer
+// that realises it, and Probe measures the estimate it decides on.
 package core
 
 import (
@@ -142,188 +143,68 @@ func NewWorld(seed int64, cond phy.Condition) World {
 func (w *World) Close() { w.Sim.Release() }
 
 // Session is a simulated multi-homed client and single-homed server
-// pair under one network condition: a World and the server that answers
-// its transfers. Transfers run sequentially, as in the paper's
-// measurement app; Close is the World's.
+// pair under one network condition: a World and the Flows its server
+// answers, on which Run measures one transfer at a time, as in the
+// paper's measurement app; Close is the World's. It embeds the Flows,
+// so that a session is one object.
 type Session struct {
-	World
-	mpServer *mptcp.Server
+	Flows
 
 	// Horizon bounds each transfer (default DefaultHorizon).
 	Horizon time.Duration
 
 	nextID int
-	cur    *transfer // the transfer Run is running; nil between transfers
-}
-
-// transfer is one Run, carved from the Sim's slab: a new one per Run,
-// never reused. It owns both ends of its connection, so one set of
-// hooks serves every transfer. Only the session's current transfer acts
-// on the session: the ends of a transfer Run gave up on at the horizon
-// keep running, and when their data arrives later they record nothing
-// and stop nothing.
-type transfer struct {
-	s    *Session
-	id   string
-	dir  Direction
-	size int
-	// done and established are the instants the last byte arrived and
-	// the (primary) handshake completed; zero until they happen.
-	done, established time.Duration
 }
 
 // NewSession builds a session for a network condition. The same seed
 // and condition give a bit-identical run.
 func NewSession(seed int64, cond phy.Condition) *Session {
-	s := &Session{World: NewWorld(seed, cond), Horizon: DefaultHorizon}
-	s.mpServer = mptcp.NewServer(s.Sim, s.Server, mptcp.ServerConfig{})
-	s.mpServer.AcceptTCP = s.acceptTCP
-	s.mpServer.OnConn = s.acceptMPTCP
+	s := &Session{Horizon: DefaultHorizon}
+	s.serve(NewWorld(seed, cond))
 	return s
 }
 
-// acceptTCP and acceptMPTCP adopt the current transfer's connection and
-// ignore strangers.
-func (s *Session) acceptTCP(c *tcp.Conn) {
-	if t := s.cur; t != nil && c.Flow() == t.id {
-		c.SetOwner(t)
-		c.SetCallbacks(tcp.Callbacks{OnEstablished: tcpServerEstablished, OnData: tcpServerData})
-	}
-}
-
-func (s *Session) acceptMPTCP(c *mptcp.Conn) {
-	if t := s.cur; t != nil && c.ConnID() == t.id {
-		c.SetOwner(t)
-		c.SetCallbacks(mptcp.Callbacks{OnData: mpServerData})
-		t.serverEstablished(c) // a download is pushed at accept
-	}
-}
-
-// Every transfer's connection is wired with the same hooks, plain
-// functions that build no closure. Each finds its transfer as the
-// connection's owner, set at Dial on the client and at accept on the
-// server.
-
-func tcpClientEstablished(c *tcp.Conn)       { c.Owner().(*transfer).clientEstablished(c) }
-func tcpClientData(c *tcp.Conn, total int64) { c.Owner().(*transfer).clientData(c, total) }
-func tcpServerEstablished(c *tcp.Conn)       { c.Owner().(*transfer).serverEstablished(c) }
-func tcpServerData(c *tcp.Conn, total int64) { c.Owner().(*transfer).serverData(total) }
-
-func mpClientEstablished(c *mptcp.Conn)       { c.Owner().(*transfer).clientEstablished(c) }
-func mpClientData(c *mptcp.Conn, total int64) { c.Owner().(*transfer).clientData(c, total) }
-func mpServerData(c *mptcp.Conn, total int64) { c.Owner().(*transfer).serverData(total) }
-
-// end is either transport's connection, as a transfer's hooks drive it.
-type end interface {
-	Send(n int)
-	Close()
-}
-
-// clientEstablished: the handshake is done, and an upload sends.
-func (t *transfer) clientEstablished(c end) {
-	if t.s.cur == t {
-		t.established = t.s.Sim.Now()
-	}
-	if t.dir == Upload {
-		c.Send(t.size)
-		c.Close()
-	}
-}
-
-// clientData: a download is complete once every byte has arrived.
-func (t *transfer) clientData(c end, total int64) {
-	if t.dir == Download && total >= int64(t.size) {
-		t.finish()
-		c.Close()
-	}
-}
-
-// serverEstablished: the server pushes a download.
-func (t *transfer) serverEstablished(c end) {
-	if t.dir == Download {
-		c.Send(t.size)
-		c.Close()
-	}
-}
-
-// serverData: an upload is complete once every byte has arrived.
-func (t *transfer) serverData(total int64) {
-	if t.dir == Upload && total >= int64(t.size) {
-		t.finish()
-	}
-}
-
-// finish records the current transfer's completion and hands control
-// back to Run, which drains the teardown.
-func (t *transfer) finish() {
-	if t.s.cur == t && t.done == 0 {
-		t.done = t.s.Sim.Now()
-		t.s.Sim.Stop()
-	}
-}
-
 // Run measures one transfer of size bytes in the given direction under
-// cfg. It advances the session's virtual clock. Result.Mbps is 0 when
-// the transfer did not complete.
+// cfg: a flow of its own, the only open one while Run runs it. It
+// advances the session's virtual clock. Result.Mbps is 0 when the
+// transfer did not complete.
 func (s *Session) Run(cfg Config, dir Direction, size int) Result {
 	if size <= 0 {
 		panic("core: transfer size must be positive")
 	}
 	s.nextID++
-	t := simnet.SlabOf[transfer](s.Sim).New()
-	*t = transfer{s: s, id: "xfer-" + strconv.Itoa(s.nextID), dir: dir, size: size}
-	s.cur = t
-	start := s.Sim.Now()
-
-	switch cfg.Transport {
-	case TCP:
-		iface := s.Host.Iface(cfg.Iface)
-		if iface == nil {
-			panic("core: unknown iface " + cfg.Iface)
-		}
-		s.Client.Dial(iface, t.id, tcp.Config{
-			Callbacks: tcp.Callbacks{OnEstablished: tcpClientEstablished, OnData: tcpClientData},
-			Owner:     t,
-		})
-	case MPTCP:
-		// The server applies matching parameters to this connection
-		// (both endpoints must agree on coupling). Scheduler is wired to
-		// both ends; the legacy RoundRobin flag stays client-side only,
-		// preserving the historical ablation behaviour the output
-		// goldens pin.
-		s.mpServer.SetConfig(mptcp.ServerConfig{
-			CC: cfg.CC, Mode: cfg.Mode, Scheduler: cfg.Scheduler, WatchdogRTOs: cfg.WatchdogRTOs,
-		})
-		mcfg := mptcp.Config{
-			ConnID:           t.id,
-			Primary:          cfg.Primary,
-			CC:               cfg.CC,
-			Mode:             cfg.Mode,
-			BackupIfaces:     cfg.BackupIfaces,
-			Scheduler:        cfg.Scheduler,
-			SimultaneousJoin: cfg.SimultaneousJoin,
-			WatchdogRTOs:     cfg.WatchdogRTOs,
-		}
-		if cfg.RoundRobin && cfg.Scheduler == "" {
-			mcfg.Scheduler = mptcp.SchedRoundRobin
-		}
-		mptcp.Dial(s.Sim, s.Client, s.Host, mcfg,
-			mptcp.Callbacks{OnEstablished: mpClientEstablished, OnData: mpClientData}).SetOwner(t)
+	s.Open(1)
+	f := s.Flow(0)
+	*f = Flow{Name: "xfer-" + strconv.Itoa(s.nextID), Config: cfg, Response: size, ClientCloses: true, OnDone: stopRun}
+	if dir == Upload {
+		f.Request, f.Response = size, 0
 	}
-
-	s.Sim.RunUntil(start + s.Horizon)
-	s.cur = nil
-	res := Result{Completed: t.done > 0}
+	s.Start(f)
+	s.Sim.RunUntil(f.Started + s.Horizon)
+	s.Open(0)
+	res := Result{Completed: f.Done > 0}
 	if res.Completed {
-		res.FCT = t.done - start
+		res.FCT = f.Done - f.Started
 		res.Mbps = float64(size) * 8 / res.FCT.Seconds() / 1e6
-		if t.established > 0 {
-			res.EstablishedAt = t.established - start
+		if f.Established > 0 {
+			res.EstablishedAt = f.Established - f.Started
 		}
 	}
 	// Let in-flight teardown drain before the next sequential transfer.
 	s.Sim.RunFor(2 * time.Second)
 	return res
+}
+
+// stopRun hands control back to Run once the transfer it is running is
+// done, and Run drains the teardown. The ends of a transfer Run gave up
+// on at the horizon keep running; when their last byte arrives later,
+// their flow is no longer the open one, and it stops nothing.
+//
+//multinet:hotpath
+func stopRun(fs *Flows, f *Flow) {
+	if len(fs.open) == 1 && f == &fs.open[0] {
+		fs.Sim.Stop()
+	}
 }
 
 // ConfigFor maps a selector Decision onto the transfer Config that
@@ -343,16 +224,16 @@ func ConfigFor(d selector.Decision) Config {
 	return cfg
 }
 
-// ProbeSize is the transfer used per network by Session.Probe.
-const ProbeSize = 256 << 10
+// probeSize is the transfer used per network by Session.Probe.
+const probeSize = 256 << 10
 
-// Probe measures every attached network with a ProbeSize download
+// Probe measures every attached network with a probeSize download
 // each, in attachment order, and returns the resulting estimate. It
 // advances the session clock.
 func (s *Session) Probe() selector.Estimate {
 	est := selector.Estimate{}
 	for _, name := range s.Host.IfaceNames() {
-		r := s.Run(Config{Transport: TCP, Iface: name}, Download, ProbeSize)
+		r := s.Run(Config{Transport: TCP, Iface: name}, Download, probeSize)
 		if r.Completed {
 			est.Set(name, r.Mbps, r.EstablishedAt) // handshake ≈ 1 RTT
 		} else {

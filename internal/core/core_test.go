@@ -148,6 +148,19 @@ func TestGivenUpTransferIsInert(t *testing.T) {
 	}
 }
 
+// TestUnknownTransportPanics: the one dial switch refuses a transport it
+// does not know, rather than leave a transfer idling to its horizon or
+// run a replay as single-path TCP.
+func TestUnknownTransportPanics(t *testing.T) {
+	s := NewSession(1, cleanCond(10, 6))
+	defer func() {
+		if msg, _ := recover().(string); msg != "core: unknown transport 7" {
+			t.Errorf("panic %q, want the unknown transport named", msg)
+		}
+	}()
+	s.Run(Config{Transport: 7, Iface: "wifi", Primary: "wifi"}, Download, 1<<10)
+}
+
 func TestConfigNames(t *testing.T) {
 	if got := (Config{Transport: TCP, Iface: "wifi"}).Name(); got != "wifi-TCP" {
 		t.Fatalf("name = %q", got)

@@ -55,11 +55,12 @@ const (
 const backupSize = 8 << 20
 
 // backupRun runs one 8 MB download over fig15Cond in the given mode,
-// with manipulate (if any) scheduling mid-flow interface changes. Every
-// packet sent or received on an interface is handed to observe as the
-// interface's index and the instant; Figure 15 keeps the instants,
-// Figure 16 feeds them to energy meters. It returns the completion time,
-// 0 if the transfer did not finish by horizon.
+// with manipulate (if any) scheduling mid-flow interface changes: one
+// core.Flow whose client never closes. Every packet sent or received on
+// an interface is handed to observe as the interface's index and the
+// instant; Figure 15 keeps the instants, Figure 16 feeds them to energy
+// meters. It returns the completion time, 0 if the transfer did not
+// finish by horizon.
 func backupRun(seed int64, mode mptcp.Mode, primary string, backup []string,
 	horizon time.Duration, manipulate func(sim *simnet.Sim, host *netem.Host),
 	observe func(iface int, t time.Duration)) time.Duration {
@@ -72,23 +73,17 @@ func backupRun(seed int64, mode mptcp.Mode, primary string, backup []string,
 		ifc.AddSendTap(tap)
 		ifc.AddRecvTap(tap)
 	}
-	srv := mptcp.NewServer(sim, w.Server, mptcp.ServerConfig{Mode: mode})
-	srv.OnConn = func(c *mptcp.Conn) { c.Send(backupSize); c.Close() }
-	var done time.Duration
-	mptcp.Dial(sim, w.Client, host, mptcp.Config{
-		ConnID: "backup", Primary: primary, Mode: mode, BackupIfaces: backup,
-	}, mptcp.Callbacks{
-		OnData: func(c *mptcp.Conn, total int64) {
-			if total >= backupSize && done == 0 {
-				done = sim.Now()
-			}
-		},
-	})
+	fs := core.NewFlows(w)
+	fs.Open(1)
+	f := fs.Flow(0)
+	*f = core.Flow{Name: "backup", Response: backupSize,
+		Config: core.Config{Transport: core.MPTCP, Primary: primary, Mode: mode, BackupIfaces: backup}}
+	fs.Start(f)
 	if manipulate != nil {
 		manipulate(sim, host)
 	}
 	sim.RunUntil(horizon)
-	return done
+	return f.Done
 }
 
 // fig15Spec declares one panel's scenario; Figure15 sweeps the specs.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"multinet/internal/apps"
+	"multinet/internal/core"
 	"multinet/internal/experiments/engine"
 	"multinet/internal/oracle"
 	"multinet/internal/phy"
@@ -47,7 +48,7 @@ func Figure17(o Options) Figure17Result {
 		app := apps.All[i]
 		rec := replay.Record(app)
 		res := replay.Run(seedFor(o.BaseSeed(), 17, i), fig17Cond, rec,
-			replay.TransportConfig{Name: "WiFi-TCP", Kind: replay.SinglePath, Iface: "wifi"})
+			replay.TransportConfig{Name: "WiFi-TCP", Config: core.Config{Transport: core.TCP, Iface: "wifi"}})
 		row := Figure17Row{
 			App:         app.Name,
 			Interaction: app.Interaction,

@@ -201,12 +201,19 @@ func (c *Conn) client() bool { return c.host != nil }
 
 // Dial opens an MPTCP connection from the client side: the primary
 // subflow starts its handshake immediately; joins follow per Config. It
-// panics on an unknown scheduler name or primary interface.
+// panics on an unknown scheduler name, primary interface or backup
+// interface: a misspelt backup would otherwise carry data as a regular
+// subflow, and Backup mode would silently run as Full-MPTCP.
 func Dial(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, cfg Config, cb Callbacks) *Conn {
 	c := newConn(sim, stack, host, cfg, cb)
 	primary := host.Iface(cfg.Primary)
 	if primary == nil {
 		panic("mptcp: unknown primary iface " + cfg.Primary)
+	}
+	for _, b := range cfg.BackupIfaces {
+		if host.Iface(b) == nil {
+			panic("mptcp: unknown backup iface " + b)
+		}
 	}
 	c.addSubflow(primary, c.isBackupIface(cfg.Primary), true)
 	if cfg.SimultaneousJoin {

@@ -2,6 +2,7 @@ package mptcp
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -225,6 +226,21 @@ func TestBackupSubflowCarriesNoData(t *testing.T) {
 	if dataOnLTE != 0 {
 		t.Fatalf("backup subflow carried %d data segments, want 0", dataOnLTE)
 	}
+}
+
+// TestUnknownBackupIfaceFailsAtDial: a backup name the host does not
+// have would leave every subflow a regular one, so a Backup-mode
+// transfer would run as Full-MPTCP without saying so. Dial refuses it
+// the way it refuses an unknown primary.
+func TestUnknownBackupIfaceFailsAtDial(t *testing.T) {
+	r := newRig(5, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond),
+		ServerConfig{Mode: Backup})
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "bogus") {
+			t.Errorf("Dial with backup iface \"bogus\": panic %q, want one naming it", msg)
+		}
+	}()
+	Dial(r.sim, r.client, r.host, Config{ConnID: "mp1", Primary: "wifi", Mode: Backup, BackupIfaces: []string{"bogus"}}, Callbacks{})
 }
 
 func TestBackupHandshakeAndFinStillHappen(t *testing.T) {

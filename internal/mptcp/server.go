@@ -40,8 +40,14 @@ type Server struct {
 	// response data here.
 	OnConn func(*Conn)
 	// AcceptTCP, when set, handles plain-TCP SYNs (no MPTCP option) so
-	// single-path and multipath service can share a stack.
+	// single-path and multipath service can share a stack. The
+	// connection is the hook's from then on: the server no longer sees
+	// its segments.
 	AcceptTCP func(*tcp.Conn)
+	// Owner is handed to OnConn and AcceptTCP as the owner of the
+	// connection they are given, so that the hooks can be plain functions
+	// that find their state there instead of closures.
+	Owner any
 }
 
 // NewServer installs an MPTCP acceptor on the stack. It panics on an
@@ -103,6 +109,7 @@ func (s *Server) firstSegment(tc *tcp.Conn, seg *tcp.Segment) {
 		s.conns = append(s.conns, c)
 		c.adoptSubflow(tc, tc.Iface(), false)
 		tc.SetSynOpt(opt) // echoed: options are immutable once sent
+		c.owner = s.Owner
 		if s.OnConn != nil {
 			s.OnConn(c)
 		}
@@ -115,6 +122,8 @@ func (s *Server) firstSegment(tc *tcp.Conn, seg *tcp.Segment) {
 		tc.SetSynOpt(opt)
 	default:
 		if s.AcceptTCP != nil {
+			tc.SetCallbacks(tcp.Callbacks{})
+			tc.SetOwner(s.Owner)
 			s.AcceptTCP(tc)
 		}
 	}

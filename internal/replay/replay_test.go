@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"multinet/internal/apps"
+	"multinet/internal/core"
 	"multinet/internal/mptcp"
 	"multinet/internal/oracle"
 	"multinet/internal/phy"
@@ -28,22 +29,17 @@ var slowWiFiCond = phy.NewCondition("slowwifi",
 
 func TestRecordingStoresAllPairs(t *testing.T) {
 	rec := Record(apps.CNNLaunch)
-	if rec.Pairs() != len(apps.CNNLaunch.Flows) {
-		t.Fatalf("stored %d pairs, want %d", rec.Pairs(), len(apps.CNNLaunch.Flows))
+	if !slices.Equal(rec.App.Flows, apps.CNNLaunch.Flows) {
+		t.Fatal("the recording does not hold the app's exchanges")
 	}
-	f := apps.CNNLaunch.Flows[0]
-	ex, ok := rec.Lookup(f.ID, f.RequestBytes)
-	if !ok || ex.ResponseBytes != f.ResponseBytes {
-		t.Fatal("lookup of recorded request failed")
-	}
-	if _, ok := rec.Lookup(999, 1); ok {
-		t.Fatal("lookup of unknown request should fail")
+	if len(rec.connIDs) != len(apps.CNNLaunch.Flows) || rec.connIDs[0] != "app-f0" || rec.connIDs[19] != "app-f19" {
+		t.Fatalf("connection names %v, want one app-fN per exchange", rec.connIDs)
 	}
 }
 
 func TestReplayTCPCompletes(t *testing.T) {
 	rec := Record(apps.CNNLaunch)
-	res := Run(1, fastCond, rec, TransportConfig{Name: "WiFi-TCP", Kind: SinglePath, Iface: "wifi"})
+	res := Run(1, fastCond, rec, TransportConfig{Name: "WiFi-TCP", Config: core.Config{Transport: core.TCP, Iface: "wifi"}})
 	if !res.Completed {
 		t.Fatal("replay did not complete")
 	}
@@ -58,7 +54,7 @@ func TestReplayTCPCompletes(t *testing.T) {
 func TestReplayMPTCPCompletes(t *testing.T) {
 	rec := Record(apps.CNNLaunch)
 	res := Run(1, fastCond, rec, TransportConfig{
-		Name: "MPTCP-Decoupled-WiFi", Kind: Multipath, Primary: "wifi",
+		Name: "MPTCP-Decoupled-WiFi", Config: core.Config{Transport: core.MPTCP, Primary: "wifi"},
 	})
 	if !res.Completed {
 		t.Fatal("MPTCP replay did not complete")
@@ -79,8 +75,8 @@ func TestSinglePathNetworkChoiceMatters(t *testing.T) {
 	// On a condition where LTE is much faster, LTE-TCP must beat
 	// WiFi-TCP substantially (paper Fig. 18, conditions 3/4).
 	rec := Record(apps.CNNLaunch)
-	wifi := Run(3, slowWiFiCond, rec, TransportConfig{Name: "WiFi-TCP", Kind: SinglePath, Iface: "wifi"})
-	lte := Run(3, slowWiFiCond, rec, TransportConfig{Name: "LTE-TCP", Kind: SinglePath, Iface: "lte"})
+	wifi := Run(3, slowWiFiCond, rec, TransportConfig{Name: "WiFi-TCP", Config: core.Config{Transport: core.TCP, Iface: "wifi"}})
+	lte := Run(3, slowWiFiCond, rec, TransportConfig{Name: "LTE-TCP", Config: core.Config{Transport: core.TCP, Iface: "lte"}})
 	if !wifi.Completed || !lte.Completed {
 		t.Fatal("replays incomplete")
 	}
@@ -99,7 +95,7 @@ func TestLongFlowAppBenefitsFromMPTCP(t *testing.T) {
 	rec := Record(apps.DropboxClick)
 	best := time.Duration(1<<62 - 1)
 	for _, name := range []string{"wifi", "lte"} {
-		r := Run(4, cond, rec, TransportConfig{Name: name, Kind: SinglePath, Iface: name})
+		r := Run(4, cond, rec, TransportConfig{Name: name, Config: core.Config{Transport: core.TCP, Iface: name}})
 		if !r.Completed {
 			t.Fatal("incomplete")
 		}
@@ -108,7 +104,7 @@ func TestLongFlowAppBenefitsFromMPTCP(t *testing.T) {
 		}
 	}
 	mp := Run(4, cond, rec, TransportConfig{
-		Name: "MPTCP-Decoupled-WiFi", Kind: Multipath, Primary: "wifi",
+		Name: "MPTCP-Decoupled-WiFi", Config: core.Config{Transport: core.MPTCP, Primary: "wifi"},
 	})
 	if !mp.Completed {
 		t.Fatal("MPTCP incomplete")
@@ -122,9 +118,9 @@ func TestShortFlowAppGainsLittleFromMPTCP(t *testing.T) {
 	// Paper Section 5.1: for the short-flow app, MPTCP on the right
 	// primary is no better than simply using the right network.
 	rec := Record(apps.CNNLaunch)
-	lteTCP := Run(5, slowWiFiCond, rec, TransportConfig{Name: "LTE-TCP", Kind: SinglePath, Iface: "lte"})
+	lteTCP := Run(5, slowWiFiCond, rec, TransportConfig{Name: "LTE-TCP", Config: core.Config{Transport: core.TCP, Iface: "lte"}})
 	mp := Run(5, slowWiFiCond, rec, TransportConfig{
-		Name: "MPTCP-Decoupled-LTE", Kind: Multipath, Primary: "lte",
+		Name: "MPTCP-Decoupled-LTE", Config: core.Config{Transport: core.MPTCP, Primary: "lte"},
 	})
 	if !lteTCP.Completed || !mp.Completed {
 		t.Fatal("incomplete")
@@ -139,7 +135,7 @@ func TestShortFlowAppGainsLittleFromMPTCP(t *testing.T) {
 
 func TestDependentFlowsStartAfterParents(t *testing.T) {
 	rec := Record(apps.CNNLaunch)
-	res := Run(6, fastCond, rec, TransportConfig{Name: "WiFi-TCP", Kind: SinglePath, Iface: "wifi"})
+	res := Run(6, fastCond, rec, TransportConfig{Name: "WiFi-TCP", Config: core.Config{Transport: core.TCP, Iface: "wifi"}})
 	byID := map[int]FlowStat{}
 	for _, f := range res.Flows {
 		byID[f.ID] = f
@@ -159,7 +155,7 @@ func TestDependentFlowsStartAfterParents(t *testing.T) {
 
 func TestReplayDeterministic(t *testing.T) {
 	rec := Record(apps.IMDBClick)
-	tc := TransportConfig{Name: "MPTCP-Coupled-WiFi", Kind: Multipath, Primary: "wifi", CC: 1}
+	tc := TransportConfig{Name: "MPTCP-Coupled-WiFi", Config: core.Config{Transport: core.MPTCP, Primary: "wifi", CC: mptcp.Coupled}}
 	a := Run(7, fastCond, rec, tc)
 	b := Run(7, fastCond, rec, tc)
 	if a.ResponseTime != b.ResponseTime {
@@ -180,8 +176,8 @@ func TestSchedulerConfigsForShape(t *testing.T) {
 	if want := 2 + len(scheds)*2; len(tcs) != want {
 		t.Fatalf("configs = %d, want %d (N TCP + S*N MPTCP)", len(tcs), want)
 	}
-	if tcs[0].Name != "WiFi-TCP" || tcs[0].Kind != SinglePath ||
-		tcs[1].Name != "LTE-TCP" || tcs[1].Kind != SinglePath {
+	if tcs[0].Name != "WiFi-TCP" || tcs[0].Transport != core.TCP ||
+		tcs[1].Name != "LTE-TCP" || tcs[1].Transport != core.TCP {
 		t.Fatalf("leading TCP configs wrong: %+v %+v", tcs[0], tcs[1])
 	}
 	want := []struct{ name, primary, sched string }{
@@ -193,7 +189,7 @@ func TestSchedulerConfigsForShape(t *testing.T) {
 	for i, w := range want {
 		tc := tcs[2+i]
 		if tc.Name != w.name || tc.Primary != w.primary || tc.Scheduler != w.sched ||
-			tc.Kind != Multipath || tc.CC != mptcp.Decoupled {
+			tc.Transport != core.MPTCP || tc.CC != mptcp.Decoupled {
 			t.Errorf("config %d = %+v, want %+v (decoupled CC)", 2+i, tc, w)
 		}
 	}
@@ -204,7 +200,7 @@ func TestSchedulerConfigsReplayComplete(t *testing.T) {
 	rec := Record(apps.DropboxClick)
 	scheds := mptcp.Schedulers()
 	for _, tc := range SchedulerConfigs(WiFiLTEPaths(), scheds[:]) {
-		if tc.Kind != Multipath {
+		if tc.Transport != core.MPTCP {
 			continue
 		}
 		if res := Run(3, fastCond, rec, tc); !res.Completed {

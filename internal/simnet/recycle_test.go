@@ -181,15 +181,15 @@ var worldCells = []struct {
 	}},
 	{"replay tcp 2-path", func() string {
 		return replayCell(15, phy.LocationByID(7).Condition(), apps.IMDBLaunch,
-			replay.TransportConfig{Name: "LTE-TCP", Kind: replay.SinglePath, Iface: "lte"})
+			replay.TransportConfig{Name: "LTE-TCP", Config: core.Config{Transport: core.TCP, Iface: "lte"}})
 	}},
 	{"replay mptcp 2-path", func() string {
 		return replayCell(16, phy.LocationByID(16).Condition(), apps.CNNLaunch,
-			replay.TransportConfig{Name: "MPTCP-Coupled-WiFi", Kind: replay.Multipath, Primary: "wifi", CC: mptcp.Coupled})
+			replay.TransportConfig{Name: "MPTCP-Coupled-WiFi", Config: core.Config{Transport: core.MPTCP, Primary: "wifi", CC: mptcp.Coupled}})
 	}},
 	{"replay mptcp 3-path", func() string {
 		return replayCell(17, threePaths(phy.LocationByID(10)), apps.DropboxClick,
-			replay.TransportConfig{Name: "MPTCP-Decoupled-LTE-B", Kind: replay.Multipath, Primary: "lte-b", CC: mptcp.Decoupled})
+			replay.TransportConfig{Name: "MPTCP-Decoupled-LTE-B", Config: core.Config{Transport: core.MPTCP, Primary: "lte-b", CC: mptcp.Decoupled}})
 	}},
 	{"session 4 MB, rings grown large", func() string {
 		return sizedSessionCell(19, phy.LocationByID(9).Condition(), core.DefaultHorizon, faults.Schedule{}, 4<<20,
