@@ -1,6 +1,6 @@
 package main
 
-// Benchmarks for the online path-selection service (internal/serve).
+// Benchmarks for the online path-selection service (internal/serve/httpd).
 // They drive the exported hot cores — DecideBytes/TelemetryBytes over
 // pooled scratch — exactly as the connection loop does, so the serve/*
 // entries in the baseline gate the full parse → sharded-store → policy
@@ -11,6 +11,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -22,7 +23,7 @@ import (
 	"time"
 
 	"multinet/internal/selector"
-	"multinet/internal/serve"
+	"multinet/internal/serve/httpd"
 )
 
 // benchClock is the fixed instant the serve benchmarks decay against:
@@ -33,9 +34,9 @@ const benchClock = 2 * time.Second
 // telemetry and returns prebuilt decide request bodies, one per site.
 // None of the seeded names need JSON unescaping, so the bodies survive
 // in-place parsing and can be replayed without restoring.
-func newLoadedServer(sites int) (*serve.Server, [][]byte) {
+func newLoadedServer(sites int) (*httpd.Server, [][]byte) {
 	store := selector.NewStore(selector.StoreConfig{})
-	srv := serve.New(serve.Config{Store: store, Now: func() time.Duration { return benchClock }})
+	srv := httpd.New(httpd.Config{Store: store, Now: func() time.Duration { return benchClock }})
 	sc := srv.GetScratch()
 	defer srv.PutScratch(sc)
 	reqs := make([][]byte, sites)
@@ -202,7 +203,7 @@ func serveConnDecide(b *testing.B) {
 	if err := srv.Shutdown(context.Background()); err != nil {
 		b.Fatal(err)
 	}
-	if err := <-served; err != http.ErrServerClosed {
+	if err := <-served; !errors.Is(err, httpd.ErrServerClosed) {
 		b.Fatalf("Serve: %v", err)
 	}
 	if c.bad > 0 {

@@ -16,14 +16,13 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"multinet/internal/selector"
-	"multinet/internal/serve"
+	"multinet/internal/serve/httpd"
 )
 
 func main() {
@@ -54,7 +53,7 @@ func main() {
 			PreferCoupled:     *coupled,
 		},
 	})
-	srv := serve.New(serve.Config{Store: store})
+	srv := httpd.New(httpd.Config{Store: store})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -87,7 +86,7 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("serve: shutdown: %v", err)
 	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+	if err := <-errc; !errors.Is(err, httpd.ErrServerClosed) {
 		log.Printf("serve: %v", err)
 	}
 	st := srv.StatsSnapshot()

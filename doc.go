@@ -24,6 +24,11 @@
 //     deterministic parallel trial-sweep runner
 //   - internal/core: the paper's testbed (World), the one flow record
 //     every measurement runs on it, and the public Session API
+//   - internal/selector: the per-flow path-selection policy and its
+//     sharded, decaying estimate store
+//   - internal/serve/httpd: the policy as an HTTP/JSON service on its
+//     own HTTP/1.1 loop, importing no net/http, which cmd/serve runs
+//   - internal/serve: the net/http adapter over httpd's route table
 //
 // See DESIGN.md for the system inventory and per-experiment index, and
 // EXPERIMENTS.md for paper-vs-measured results. cmd/report regenerates

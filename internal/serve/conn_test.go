@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"multinet/internal/selector"
+	"multinet/internal/serve/httpd"
 )
 
 // warmServer is a test server whose site "cdn" has fresh wifi and lte
@@ -25,7 +26,7 @@ func warmServer() *Server {
 	defer s.PutScratch(sc)
 	s.TelemetryBytes([]byte(`{"site":"cdn","path":"wifi","mbps":12.5,"rtt_ms":25}`), sc)
 	s.TelemetryBytes([]byte(`{"site":"cdn","path":"lte","mbps":10,"rtt_ms":45}`), sc)
-	return s
+	return s.Server
 }
 
 // startLoop serves s on a loopback listener and returns its address;
@@ -128,7 +129,7 @@ func TestConnPipelinedInOrder(t *testing.T) {
 // every request that asks for it, gets its status and a closed
 // connection.
 func TestConnRefusals(t *testing.T) {
-	big := "X-Pad: " + strings.Repeat("a", readerSize) + "\r\n"
+	big := "X-Pad: " + strings.Repeat("a", 4<<10) + "\r\n" // the loop reads 4 KB header blocks
 	for _, tc := range []struct {
 		name, raw string
 		status    int
@@ -202,7 +203,7 @@ func TestBadBodyCounted(t *testing.T) {
 	addr, _ := startLoop(t, s)
 	c, br := dial(t, addr)
 	send(t, c, "POST /v1/decide HTTP/1.1\r\nHost: t\r\nContent-Length: 16385\r\n\r\n")
-	if resp, body := readReply(t, br, "POST"); resp.StatusCode != 400 || body != string(errBadRequest) {
+	if resp, body := readReply(t, br, "POST"); resp.StatusCode != 400 || body != `{"error":"bad request"}`+"\n" {
 		t.Fatalf("too large: %d %q", resp.StatusCode, body)
 	}
 	c, br = dial(t, addr)
@@ -216,7 +217,7 @@ func TestBadBodyCounted(t *testing.T) {
 	}
 
 	h := s.Handler()
-	if w := post(t, h, "/v1/decide", strings.Repeat(" ", maxBody+1)); w.Code != 400 {
+	if w := post(t, h, "/v1/decide", strings.Repeat(" ", httpd.MaxBody+1)); w.Code != 400 {
 		t.Fatalf("adapter, too large: %d", w.Code)
 	}
 	w := httptest.NewRecorder()
@@ -259,7 +260,7 @@ func (c *deadlineConn) SetWriteDeadline(t time.Time) error {
 func TestConnDeadlinesEveryRequest(t *testing.T) {
 	s := warmServer()
 	dc := &deadlineConn{in: strings.NewReader(rawRequest("POST", "/v1/decide", decideBody) + rawRequest("GET", "/v1/healthz", ""))}
-	s.serveConn(s.track(dc))
+	s.ServeConn(dc)
 	perRequest := []string{"read 1m0s", "read 5s", "write 10s", "read 10s"}
 	want := append(append(append([]string{}, perRequest...), perRequest...), "read 1m0s")
 	if strings.Join(dc.set, ", ") != strings.Join(want, ", ") {
@@ -294,7 +295,7 @@ func TestShutdown(t *testing.T) {
 	shut := make(chan error, 1)
 	go func() { shut <- s.Shutdown(context.Background()) }()
 	wantClosed(t, idleBR)
-	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+	if err := <-served; !errors.Is(err, httpd.ErrServerClosed) {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
 	select {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"multinet/internal/selector"
+	"multinet/internal/serve/httpd"
 )
 
 // fuzzSeeds are the corpus both targets start from: well-formed
@@ -54,7 +55,7 @@ func FuzzTelemetryBytes(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		site, path, mbps, rtt, ok := scanTelemetry(bytes.Clone(body))
+		site, path, mbps, rtt, ok := httpd.ScanTelemetry(bytes.Clone(body))
 		s, clk := newTestServer(selector.StoreConfig{Shards: 1})
 		if got := s.TelemetryBytes(bytes.Clone(body), &Scratch{}); got != http.StatusNoContent && got != http.StatusBadRequest || ok != (got == http.StatusNoContent) {
 			t.Fatalf("%q: TelemetryBytes = %d, scanner ok = %v", body, got, ok)
@@ -96,7 +97,7 @@ func FuzzDecideBytes(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		site, flowBytes, ok := scanDecide(bytes.Clone(body))
+		site, flowBytes, ok := httpd.ScanDecide(bytes.Clone(body))
 		s, _ := newTestServer(selector.StoreConfig{Shards: 1})
 		if got := s.DecideBytes(bytes.Clone(body), &Scratch{}); got != http.StatusNotFound && got != http.StatusBadRequest || ok != (got == http.StatusNotFound) {
 			t.Fatalf("%q: DecideBytes = %d, scanner ok = %v", body, got, ok)
@@ -167,7 +168,7 @@ func FuzzServeConn(f *testing.F) {
 		served := make(chan struct{})
 		go func() {
 			defer close(served)
-			s.serveConn(s.track(&halfClosed{Conn: server, left: len(in)}))
+			s.ServeConn(&halfClosed{Conn: server, left: len(in)})
 		}()
 		sent := make(chan struct{})
 		go func() {

@@ -1,22 +1,22 @@
-package serve
+package httpd
 
 // The connection loop: the service's own HTTP/1.1 server. Under
 // net/http every request paid for a background-read goroutine started
 // and stopped around it, header maps and a response writer, several
 // times what the decide itself costs; the two request shapes are tiny
 // and fixed, so the loop frames them itself and answers through the
-// same route table (respond) as the Handler adapter.
+// same route table (Respond) as the net/http adapter.
 //
 // Accepted subset: HTTP/1.0 and HTTP/1.1 requests whose header block,
 // request line included, fits the 4 KB reader, and whose body, if any,
-// is framed by one Content-Length of at most maxBody bytes. A request
+// is framed by one Content-Length of at most MaxBody bytes. A request
 // the loop cannot frame safely is refused with an empty reply and the
 // connection closed: a header block larger than the reader (431),
 // Transfer-Encoding of any kind (501), a version other than 1.0 and
 // 1.1 (505), and 400 for a malformed request line, a header line that
 // is not a token name, a colon and visible value bytes (obsolete line
 // folding included), a duplicate or malformed Content-Length, or a
-// missing or repeated Host on HTTP/1.1. A body longer than maxBody or
+// missing or repeated Host on HTTP/1.1. A body longer than MaxBody or
 // cut short is answered 400 and closes the connection too. HTTP/1.0,
 // `Connection: close`, a path outside the route table and a method its
 // route does not take close the connection after their reply; every
@@ -31,13 +31,15 @@ import (
 	"errors"
 	"io"
 	"net"
-	"net/http"
 	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 )
+
+// ErrServerClosed is what Serve returns once Shutdown has begun.
+var ErrServerClosed = errors.New("httpd: Server closed")
 
 // The bounds net/http applied as cmd/serve configured it. A request's
 // header block must arrive within headerTimeout of its first byte and
@@ -88,16 +90,15 @@ type conn struct {
 }
 
 // Serve accepts connections on l and answers each on its own goroutine
-// until Shutdown, when it returns http.ErrServerClosed; it always
-// closes l. An Accept that fails on an open listener (out of file
-// descriptors, say) is retried after a pause that doubles from 5 ms up
-// to 1 s.
+// until Shutdown, when it returns ErrServerClosed; it always closes l.
+// An Accept that fails on an open listener (out of file descriptors,
+// say) is retried after a pause that doubles from 5 ms up to 1 s.
 func (s *Server) Serve(l net.Listener) error {
 	defer l.Close()
 	s.mu.Lock()
 	if s.closing.Load() {
 		s.mu.Unlock()
-		return http.ErrServerClosed
+		return ErrServerClosed
 	}
 	s.listeners = append(s.listeners, l)
 	s.mu.Unlock()
@@ -106,7 +107,7 @@ func (s *Server) Serve(l net.Listener) error {
 		nc, err := l.Accept()
 		if err != nil {
 			if s.closing.Load() {
-				return http.ErrServerClosed
+				return ErrServerClosed
 			}
 			if errors.Is(err, net.ErrClosed) {
 				return err
@@ -118,9 +119,18 @@ func (s *Server) Serve(l net.Listener) error {
 		pause = 0
 		c := s.track(nc)
 		if c == nil {
-			return http.ErrServerClosed
+			return ErrServerClosed
 		}
 		go s.serveConn(c)
+	}
+}
+
+// ServeConn answers requests on nc until the client closes it, a bound
+// expires, a reply closes it or Shutdown does, as Serve answers an
+// accepted connection; it always closes nc.
+func (s *Server) ServeConn(nc net.Conn) {
+	if c := s.track(nc); c != nil {
+		s.serveConn(c)
 	}
 }
 
@@ -221,12 +231,12 @@ func (s *Server) serveRequest(c *conn) bool {
 	now := time.Now()
 	c.nc.SetWriteDeadline(now.Add(replyTimeout))
 	if err != nil {
-		c.write(http.StatusRequestHeaderFieldsTooLarge, "", nil, false, true, now)
+		c.write(statusRequestHeaderFieldsTooLarge, "", nil, false, true, now)
 		return false
 	}
 	req, status := parseHead(head)
 	if status != 0 {
-		if status == http.StatusBadRequest {
+		if status == statusBadRequest {
 			s.badRequests.Add(1)
 		}
 		c.write(status, "", nil, false, true, now)
@@ -239,14 +249,14 @@ func (s *Server) serveRequest(c *conn) bool {
 
 	sc := s.GetScratch()
 	defer s.PutScratch(sc)
-	var rep reply
+	var rep Reply
 	if c.readBody(req, sc) {
-		rep = s.respond(method, path, sc.In, sc)
+		rep = s.Respond(method, path, sc.In, sc)
 	} else {
-		rep = s.badBody(sc)
+		rep = s.BadBody(sc)
 	}
-	keep := rep.keep && !req.close && !s.closing.Load()
-	err = c.write(rep.status, rep.allow, sc.Out, string(method) == http.MethodHead, !keep, now)
+	keep := rep.Keep && !req.close && !s.closing.Load()
+	err = c.write(rep.Status, rep.Allow, sc.Out, string(method) == "HEAD", !keep, now)
 	return keep && err == nil
 }
 
@@ -262,9 +272,9 @@ func (c *conn) linger() {
 }
 
 // readBody reads the request's body into sc.In. It fails on a body
-// longer than maxBody, which it leaves unread, and on one cut short.
+// longer than MaxBody, which it leaves unread, and on one cut short.
 func (c *conn) readBody(req request, sc *Scratch) bool {
-	if req.length > maxBody {
+	if req.length > MaxBody {
 		return false
 	}
 	if req.expect && req.length > 0 {
@@ -282,15 +292,15 @@ func (c *conn) readBody(req request, sc *Scratch) bool {
 // and Connection: close when closing, then body unless omitBody.
 func (c *conn) write(status int, allow string, body []byte, omitBody, closing bool, now time.Time) error {
 	if sec := now.Unix(); c.date == nil || sec != c.dateSec {
-		c.date, c.dateSec = now.UTC().AppendFormat(c.date[:0], http.TimeFormat), sec
+		c.date, c.dateSec = now.UTC().AppendFormat(c.date[:0], timeFormat), sec
 	}
 	b := append(c.out[:0], "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(status), 10)
 	b = append(b, ' ')
-	b = append(b, http.StatusText(status)...)
+	b = append(b, statusText(status)...)
 	b = append(b, "\r\nDate: "...)
 	b = append(b, c.date...)
-	if status != http.StatusNoContent {
+	if status != statusNoContent {
 		if len(body) > 0 {
 			b = append(b, "\r\nContent-Type: application/json"...)
 		}
@@ -343,7 +353,7 @@ func readHead(br *bufio.Reader) ([]byte, error) {
 type request struct {
 	method, path []byte // path without the query
 	// length is the Content-Length, 0 when absent; any value above
-	// maxBody reads as maxBody+1.
+	// MaxBody reads as MaxBody+1.
 	length int
 	close  bool // HTTP/1.0 or Connection: close
 	expect bool // Expect: 100-continue on HTTP/1.1
@@ -356,14 +366,14 @@ func parseHead(head []byte) (req request, status int) {
 	method, target, ok1 := cut(line, ' ')
 	target, proto, ok2 := cut(target, ' ')
 	if !ok1 || !ok2 || !isToken(method) || len(target) == 0 || hasCTL(target) {
-		return req, http.StatusBadRequest
+		return req, statusBadRequest
 	}
 	v11 := string(proto) == "HTTP/1.1"
 	if !v11 && string(proto) != "HTTP/1.0" {
 		if bytes.HasPrefix(proto, []byte("HTTP/")) {
-			return req, http.StatusHTTPVersionNotSupported
+			return req, statusHTTPVersionNotSupported
 		}
-		return req, http.StatusBadRequest
+		return req, statusBadRequest
 	}
 	req.method, req.close = method, !v11
 	req.path, _, _ = cut(target, '?')
@@ -375,17 +385,17 @@ func parseHead(head []byte) (req request, status int) {
 		}
 		name, value, ok := cut(line, ':')
 		if !ok || !isToken(name) || !isFieldValue(value) {
-			return req, http.StatusBadRequest
+			return req, statusBadRequest
 		}
 		value = bytes.Trim(value, " \t")
 		switch {
 		case equalFold(name, "Content-Length"):
 			lengths++
 			if req.length, ok = parseLength(value); !ok || lengths > 1 {
-				return req, http.StatusBadRequest
+				return req, statusBadRequest
 			}
 		case equalFold(name, "Transfer-Encoding"):
-			return req, http.StatusNotImplemented
+			return req, statusNotImplemented
 		case equalFold(name, "Host"):
 			hosts++
 		case equalFold(name, "Connection"):
@@ -395,7 +405,7 @@ func parseHead(head []byte) (req request, status int) {
 		}
 	}
 	if hosts > 1 || v11 && hosts == 0 {
-		return req, http.StatusBadRequest
+		return req, statusBadRequest
 	}
 	return req, 0
 }
@@ -457,7 +467,7 @@ func parseLength(v []byte) (int, bool) {
 		if c < '0' || c > '9' {
 			return 0, false
 		}
-		n = min(n*10+int(c-'0'), maxBody+1)
+		n = min(n*10+int(c-'0'), MaxBody+1)
 	}
 	return n, len(v) > 0
 }

@@ -1,4 +1,4 @@
-package serve
+package httpd
 
 // Hand-rolled JSON scanning and rendering for the two request shapes
 // the service accepts. encoding/json is out of the question on the
@@ -15,8 +15,8 @@ package serve
 // deployment this serves), strings must be valid UTF-8 without raw
 // control bytes, and numbers follow the JSON grammar, exponents
 // included and leading zeros not. Within the subset the scanner reads
-// what encoding/json reads; FuzzDecideBytes and FuzzTelemetryBytes
-// hold it to that.
+// what encoding/json reads; internal/serve's FuzzDecideBytes and
+// FuzzTelemetryBytes hold it to that.
 
 import (
 	"strconv"

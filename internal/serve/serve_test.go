@@ -17,10 +17,16 @@ type fakeClock struct{ at time.Duration }
 
 func (c *fakeClock) now() time.Duration { return c.at }
 
-func newTestServer(cfg selector.StoreConfig) (*Server, *fakeClock) {
+// testServer is a Server and the store it answers from.
+type testServer struct {
+	*Server
+	store *selector.Store
+}
+
+func newTestServer(cfg selector.StoreConfig) (testServer, *fakeClock) {
 	clk := &fakeClock{at: time.Second}
-	s := New(Config{Store: selector.NewStore(cfg), Now: clk.now})
-	return s, clk
+	store := selector.NewStore(cfg)
+	return testServer{New(Config{Store: store, Now: clk.now}), store}, clk
 }
 
 func post(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
@@ -384,7 +390,7 @@ func TestServeEvictedSiteIsUnknown(t *testing.T) {
 	clk.at += 20 * time.Second
 	post(t, h, "/v1/telemetry", `{"site":"edge","path":"wifi","mbps":5,"rtt_ms":20}`)
 	w := post(t, h, "/v1/decide", `{"site":"cdn","flow_bytes":1048576}`)
-	if w.Code != http.StatusNotFound || w.Body.String() != string(errUnknownSite) {
+	if w.Code != http.StatusNotFound || w.Body.String() != `{"error":"unknown site"}`+"\n" {
 		t.Fatalf("evicted site: %d %q", w.Code, w.Body.String())
 	}
 	body := get(t, h, "/v1/stats").Body.String()
