@@ -8,9 +8,10 @@
 //
 // These benchmark families run:
 //
-//   - scheduler micro-benchmarks (sched/*): the simnet timing-wheel
-//     kernel alone — schedule/fire churn, cancel-heavy timer churn,
-//     in-place re-arm churn, and scheduling against a deep pending set;
+//   - scheduler micro-benchmarks (sched/*): simnet's timer heap alone —
+//     schedule/fire churn over 64 pending timers, cancel-heavy churn over
+//     17, in-place re-arm churn, and schedule/fire against 64 Ki pending,
+//     hundreds of times the largest heap an experiment world builds;
 //   - kernel micro-benchmarks: TCP bulk transfers and MPTCP two-subflow
 //     transfers over the simulated WiFi+LTE pair, the per-packet hot
 //     path every experiment hammers, on constant-rate links and
@@ -197,9 +198,10 @@ func schedCancelChurn(b *testing.B) {
 // schedRearmChurn is schedCancelChurn's workload done the way the
 // transports now do it: every op pushes one pending timer's deadline
 // out (an ACK moving the retransmission timer) with RearmArg, a field
-// rewrite where the cancel+schedule pair unlinks, recycles and re-files.
-// The clock follows in 100 ms strides so the wheel also pays the
-// occasional re-file of the event's stale slot.
+// rewrite where the cancel+schedule pair takes the entry out of the heap,
+// recycles it and files it again. The clock follows in 100 ms strides,
+// and a stride that reaches the entry's stale key re-keys it at the
+// root.
 func schedRearmChurn(b *testing.B) {
 	s := simnet.New(1)
 	defer s.Release()
@@ -216,10 +218,12 @@ func schedRearmChurn(b *testing.B) {
 	}
 }
 
-// schedDeepPending measures schedule/fire cost with 64k long-lived
+// schedDeepPending measures schedule/fire cost with 64 Ki long-lived
 // timers pending while the measured chain schedules and fires through
-// them — the depth at which a comparison-based queue pays O(log n) per
-// event.
+// them: every event is pushed to the root of a heap 17 levels deep and
+// popped from it, the O(log n) worst case of the timer queue, at
+// hundreds of times the depth of any experiment world's (at most 89
+// timers on a report -quick pass).
 func schedDeepPending(b *testing.B) {
 	s := simnet.New(1)
 	defer s.Release()

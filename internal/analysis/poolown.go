@@ -601,7 +601,7 @@ func (p *Pass) ownsAllowed(sel *ast.SelectorExpr, sitePos token.Pos) bool {
 }
 
 // ownsAllowedIndex covers xs[i] = p (and nested forms like
-// s.wheel.slot[level][idx] = p): the marker may sit on the line or on
+// t.rows[r][c] = p): the marker may sit on the line or on
 // the declaration of the slice/array/map ultimately being indexed —
 // a field or a variable.
 func (p *Pass) ownsAllowedIndex(ix *ast.IndexExpr, sitePos token.Pos) bool {

@@ -42,7 +42,7 @@ func TestRepositorySuiteClean(t *testing.T) {
 		}
 	}
 	if n := idx.CountMarker("multinet:hotpath"); n < 10 {
-		t.Errorf("found %d //multinet:hotpath pragmas, want >= 10 (netem admit/deliver, tcp dispatch/ack, mptcp rank/admit, wheel schedule/fire must stay annotated)", n)
+		t.Errorf("found %d //multinet:hotpath pragmas, want >= 10 (netem admit/deliver, tcp dispatch/ack, mptcp rank/admit, timer push/fire must stay annotated)", n)
 	}
 	if n := idx.CountMarker("multinet:owns"); n < 5 {
 		t.Errorf("found %d //multinet:owns markers, want >= 5", n)

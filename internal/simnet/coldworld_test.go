@@ -119,13 +119,12 @@ func worldCost(world func(release bool), recycled bool) (bytes, objects uint64) 
 // function measures under the race detector (go1.24 linux/amd64), which
 // are a little above the plain ones, rounded up by well under 1 % for
 // the cold rows and by up to a tenth for the small recycled ones, whose
-// race-mode minimum moves by about that much from run to run. Against
-// the commit before the demux went by handle every row costs fewer
-// objects; a cold replay-shaped world costs 432 bytes more (its demux
-// entries hold a handle slot beside the name slot, and it files 24
-// connections per stack), every other row fewer bytes. The session rows
-// hold a transfer to one record carved from the slab, driven by shared
-// hooks: no closure and no map entry per transfer.
+// race-mode minimum moves by about that much from run to run. The
+// session rows hold a transfer to one record carved from the slab,
+// driven by shared hooks: no closure and no map entry per transfer. A
+// cold row pays for a new arena, whose timer heap keeps its first 64
+// entries (1.5 KB) built in: every world here fits in them (the
+// replay-shaped one holds up to 45 timers), so none grows the heap.
 func TestColdWorldBytes(t *testing.T) {
 	type bound struct{ bytes, objects uint64 }
 	for _, w := range []struct {
@@ -133,9 +132,9 @@ func TestColdWorldBytes(t *testing.T) {
 		run            func(release bool)
 		cold, recycled bound
 	}{
-		{"session, tcp", func(r bool) { coldSession(r, coldTCP) }, bound{58240, 229}, bound{2944, 56}},
-		{"session, tcp then mptcp", func(r bool) { coldSession(r, coldTCP, coldMPTCP) }, bound{107904, 385}, bound{3008, 59}},
-		{"replay-shaped", coldReplay, bound{236288, 1100}, bound{4864, 130}},
+		{"session, tcp", func(r bool) { coldSession(r, coldTCP) }, bound{44352, 198}, bound{2944, 56}},
+		{"session, tcp then mptcp", func(r bool) { coldSession(r, coldTCP, coldMPTCP) }, bound{93696, 354}, bound{3008, 59}},
+		{"replay-shaped", coldReplay, bound{211200, 986}, bound{4864, 130}},
 	} {
 		for _, recycled := range []bool{false, true} {
 			max, kind := w.cold, "cold"

@@ -5,26 +5,27 @@ import (
 	"time"
 )
 
-// FuzzWheelScheduleStop is the fuzz-shaped sibling of
-// TestWheelDifferential: the input bytes are decoded into a
-// schedule/stop/run workload that drives the timing wheel and the
-// reference heap in lockstep, asserting identical Stop results,
-// identical Pending counts, and an identical firing order. The seed
-// corpus encodes the patterns the differential test reaches through
-// its RNG: same-tick bursts, far-future cascades, stop-after-drain,
-// re-arm past a RunUntil that lands beyond the stale slot. Opcodes 6–9
-// drive three lanes the way TestWheelDifferential does: pushes that tie
-// with timers and other lanes, tail truncation, in-order re-stamp and a
-// RunUntil to a head's exact instant.
-func FuzzWheelScheduleStop(f *testing.F) {
+// FuzzTimerQueueScheduleStop is the fuzz-shaped sibling of
+// TestTimerQueueDifferential: the input bytes are decoded into a
+// schedule/stop/run workload that drives the timer queue and the
+// reference in lockstep, asserting identical Stop results, identical
+// Pending counts, and an identical firing order. The seed corpus
+// encodes the patterns the differential test reaches through its RNG —
+// near bursts, far-future timers, stop then schedule again, re-arm past
+// a RunUntil that lands beyond the stale key — and the three traps of a
+// stale key that TestRearmMatchesStopSchedule scripts. Opcodes 6–9
+// drive three lanes the way TestTimerQueueDifferential does: pushes
+// that tie with timers and other lanes, tail truncation, in-order
+// re-stamp and a RunUntil to a head's exact instant.
+func FuzzTimerQueueScheduleStop(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x10}) // one near event, implicit drain
-	f.Add([]byte{                         // burst into one tick, then RunUntil mid-tick
+	f.Add([]byte{                         // three timers within 2 µs, then a bounded run
 		0x00, 0x00, 0x00, 0x01,
 		0x01, 0x00, 0x00, 0x01,
 		0x00, 0x00, 0x00, 0x02,
 		0x03, 0x00, 0x01,
 	})
-	f.Add([]byte{ // far-future placements across wheel levels, then drain
+	f.Add([]byte{ // timers a minute to two days out, then drain
 		0x00, 0x02, 0x01, 0x00,
 		0x01, 0x03, 0x30,
 		0x00, 0x01, 0xff, 0xff,
@@ -59,9 +60,39 @@ func FuzzWheelScheduleStop(f *testing.F) {
 		0x07, 0x00, 0x01,
 		0x04,
 	})
+	f.Add([]byte{ // two timers at 10 ms, the first re-armed to its own instant, drain
+		0x00, 0x01, 0x00, 0x0a,
+		0x00, 0x01, 0x00, 0x0a,
+		0x05, 0x00, 0x00, 0x01, 0x00, 0x0a,
+		0x04,
+	})
+	f.Add([]byte{ // a timer at 5 ms, an arrival at 10 ms, the timer re-armed to tie it, run to the head, drain
+		0x00, 0x01, 0x00, 0x05,
+		0x06, 0x00, 0x03, 0x27, 0x10,
+		0x05, 0x00, 0x00, 0x01, 0x00, 0x0a,
+		0x09, 0x00,
+		0x04,
+	})
+	f.Add([]byte{ // timers at 1, 10, 2, 11, 12, 3, 4 ms, the 11 ms one re-armed to 50 ms and stopped, six at 20–25 ms, drain
+		0x00, 0x01, 0x00, 0x01,
+		0x00, 0x01, 0x00, 0x0a,
+		0x00, 0x01, 0x00, 0x02,
+		0x00, 0x01, 0x00, 0x0b,
+		0x00, 0x01, 0x00, 0x0c,
+		0x00, 0x01, 0x00, 0x03,
+		0x00, 0x01, 0x00, 0x04,
+		0x05, 0x00, 0x03, 0x01, 0x00, 0x32,
+		0x02, 0x00, 0x07,
+		0x00, 0x01, 0x00, 0x14,
+		0x00, 0x01, 0x00, 0x15,
+		0x00, 0x01, 0x00, 0x16,
+		0x00, 0x01, 0x00, 0x17,
+		0x00, 0x01, 0x00, 0x18,
+		0x00, 0x01, 0x00, 0x19,
+		0x04,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New(1)
-		s.wheel.audit = true // every cached nextHigher is checked against a rescan
 		ref := &refQueue{}
 		type pair struct {
 			tm Timer
@@ -92,7 +123,7 @@ func FuzzWheelScheduleStop(f *testing.F) {
 			}
 		}
 
-		// offset decodes a delay spanning sub-tick to multi-level.
+		// offset decodes a delay of microseconds to days.
 		offset := func() time.Duration {
 			switch pop() % 4 {
 			case 0:

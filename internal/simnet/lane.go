@@ -1,10 +1,13 @@
 package simnet
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // A Lane is a FIFO of pending arrivals that its owner keeps itself — a
 // netem link holds each packet it admits on its own service ring until
-// the packet arrives — and that Run merges with the wheel's timers in
+// the packet arrives — and that Run merges with the heap of timers in
 // the one (at, seq) order. Entries join a lane's tail at non-decreasing
 // instants, so its head is its earliest: the lane caches the head's
 // key, and the arena caches which lane's head comes first.
@@ -27,7 +30,7 @@ type Lane struct {
 type LaneOwner interface{ Fire() }
 
 // noTime is the instant of an empty lane's head: later than any entry.
-const noTime = time.Duration(noTick)
+const noTime = time.Duration(math.MaxInt64)
 
 // AddLane registers l, kept by owner, with s. A world's lanes are
 // released with it.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -8,10 +9,10 @@ import (
 
 // ---- reference model -------------------------------------------------
 //
-// refQueue is the executable specification the timing wheel is tested
-// against: the binary heap the kernel used before, popping in strict
-// (at, seq) order, with the same Timer semantics (Stop reports pending,
-// Active, When, generation-guarded staleness).
+// refQueue is the executable specification the timer queue is tested
+// against: a plain list scanned for the earliest live event, popping in
+// strict (at, seq) order, with the same Timer semantics (Stop reports
+// pending, Active, When, generation-guarded staleness).
 
 type refEvent struct {
 	at        time.Duration
@@ -157,25 +158,25 @@ type firing struct {
 	id int
 }
 
-// TestWheelDifferential drives the wheel and the reference heap with
-// the same randomized Schedule/After/Stop/Rearm/RunUntil workload
+// TestTimerQueueDifferential drives the timer queue and the reference
+// with the same randomized Schedule/After/Stop/Rearm/RunUntil workload
 // (the reference re-arms by cancelling and scheduling afresh) and
 // asserts identical firing order and identical Timer.Stop/Active/When
-// results at every step. This is the executable proof that swapping the
-// heap for the wheel changed nothing the goldens can observe.
+// results at every step: the kernel's queue, stale re-armed keys and
+// all, fires nothing the goldens could tell from the plain (at, seq)
+// order.
 //
 // Three lanes ride along: pushes at instants that tie exactly with
 // timers and with other lanes' entries, tail truncations, in-order
 // re-stamps and RunUntil bounds at a head's exact instant. To the
 // reference every lane entry is one more event, so the merge of lanes
-// and wheel must fire them in the same (at, seq) order and agree on
+// and heap must fire them in the same (at, seq) order and agree on
 // Pending and Processed after every operation.
-func TestWheelDifferential(t *testing.T) {
+func TestTimerQueueDifferential(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		seed := seed
 		rng := rand.New(rand.NewSource(seed))
 		s := New(seed)
-		s.wheel.audit = true // every cached nextHigher is checked against a rescan
 		ref := &refQueue{}
 
 		type pair struct {
@@ -290,8 +291,8 @@ func TestWheelDifferential(t *testing.T) {
 				// The old pair stays in the list as a stale handle.
 				handles = append(handles, pair{tm, re})
 			case 0, 1, 2, 3, 4: // schedule at a random future offset
-				// Offsets span from sub-tick to multiple wheel levels so
-				// cascades, far slots and same-tick buckets all occur.
+				// Offsets span microseconds to days, so that near and far
+				// timers interleave in the heap.
 				var d time.Duration
 				switch rng.Intn(4) {
 				case 0:
@@ -386,22 +387,21 @@ func stillQueued(q *refQueue, re *refEvent) bool {
 	return false
 }
 
-// ---- targeted wheel-mechanics tests ----------------------------------
+// ---- targeted ordering cases ----------------------------------------
 
-// TestWheelCascadeFarFuture exercises placements that start several
-// levels up and must cascade down as the clock approaches them.
+// TestWheelCascadeFarFuture schedules timers from microseconds to days
+// ahead, the last two 10 ns apart, and requires them to fire in time
+// order at their exact instants.
 func TestWheelCascadeFarFuture(t *testing.T) {
 	s := New(1)
 	var got []time.Duration
 	record := func(any) { got = append(got, s.Now()) }
-	// One event per wheel level, plus two in the same far tick to check
-	// the (at, seq) sort after a multi-level cascade.
 	ats := []time.Duration{
-		10 * time.Microsecond, // level 0
-		50 * time.Millisecond, // level 1
-		30 * time.Second,      // level 2
-		2 * time.Hour,         // level 3
-		100 * time.Hour,       // level 4
+		10 * time.Microsecond,
+		50 * time.Millisecond,
+		30 * time.Second,
+		2 * time.Hour,
+		100 * time.Hour,
 		100*time.Hour + 10*time.Nanosecond,
 	}
 	for _, at := range ats {
@@ -418,21 +418,20 @@ func TestWheelCascadeFarFuture(t *testing.T) {
 	}
 }
 
-// TestWheelRunUntilMidTick stops inside a tick that still holds a later
-// event, then schedules between the two — the leftover due-bucket path.
+// TestWheelRunUntilMidTick stops the clock between two timers 2 µs
+// apart, then schedules between them and onto the later one's instant.
 func TestWheelRunUntilMidTick(t *testing.T) {
 	s := New(1)
 	var got []int
 	rec := func(a any) { got = append(got, a.(int)) }
-	// Two events 2 µs apart share one tick.
 	s.ScheduleArg(time.Second+1*time.Microsecond, rec, 1)
 	s.ScheduleArg(time.Second+3*time.Microsecond, rec, 3)
 	s.RunUntil(time.Second + 2*time.Microsecond)
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("after RunUntil: got %v, want [1]", got)
 	}
-	// Now schedule into the same tick, between the leftover and a fresh
-	// later event; order must be by (at, seq).
+	// Now schedule between the two, and onto the leftover's instant;
+	// order must be by (at, seq).
 	s.ScheduleArg(time.Second+3*time.Microsecond, rec, 30) // ties leftover's at, later seq
 	s.ScheduleArg(time.Second+2500*time.Nanosecond, rec, 2)
 	s.Run()
@@ -447,19 +446,19 @@ func TestWheelRunUntilMidTick(t *testing.T) {
 	}
 }
 
-// TestWheelSameStartMultiLevel schedules so that slots at two different
-// levels share a start tick; both must cascade before anything fires.
+// TestWheelSameStartMultiLevel schedules a far timer, one 105 ms after
+// it, then one 1 ns after the first, and requires time order, not
+// scheduling order.
 func TestWheelSameStartMultiLevel(t *testing.T) {
 	s := New(1)
 	var got []time.Duration
 	record := func(any) { got = append(got, s.Now()) }
-	// A level-2 block boundary is 1<<(2*levelBits) ticks.
-	base := time.Duration(1) << (tickShift + 2*levelBits) // exactly on a level-2 (and level-1) block start
+	const base = 34359738368 * time.Nanosecond
 	s.ScheduleArg(base, record, nil)
-	s.ScheduleArg(base+time.Duration(200)<<tickShift, record, nil) // level 1 territory after cascade
+	s.ScheduleArg(base+104857600, record, nil)
 	s.ScheduleArg(base+1, record, nil)
 	s.Run()
-	want := []time.Duration{base, base + 1, base + time.Duration(200)<<tickShift}
+	want := []time.Duration{base, base + 1, base + 104857600}
 	if len(got) != 3 {
 		t.Fatalf("fired %d events, want 3", len(got))
 	}
@@ -472,20 +471,156 @@ func TestWheelSameStartMultiLevel(t *testing.T) {
 
 // ---- re-arm ----------------------------------------------------------
 
-// TestRearmMatchesStopSchedule runs one randomized timer workload on
-// two kernels — one re-arming with RearmArg, one with the Stop +
-// ScheduleArg pair it stands for — and requires everything observable
-// to agree after every step: Processed, Pending, held, the firing
-// order, and Stop/Active/When on every handle ever issued, stale ones
-// included.
+// rearmPair runs one workload on two kernels — a re-arms with RearmArg,
+// b with the Stop + ScheduleArg pair it stands for — each with one
+// lane, and checks that they cannot be told apart.
+type rearmPair struct {
+	t              *testing.T
+	name           string
+	a, b           *Sim
+	firedA, firedB []firing
+	ha, hb         []Timer
+	la, lb         *refLane
+}
+
+func newRearmPair(t *testing.T, name string, seed int64) *rearmPair {
+	p := &rearmPair{t: t, name: name, a: New(seed), b: New(seed)}
+	p.la = newRefLanes(p.a, 1, &p.firedA)[0]
+	p.lb = newRefLanes(p.b, 1, &p.firedB)[0]
+	return p
+}
+
+func (p *rearmPair) fireA(x any) { p.firedA = append(p.firedA, firing{p.a.Now(), x.(int)}) }
+func (p *rearmPair) fireB(x any) { p.firedB = append(p.firedB, firing{p.b.Now(), x.(int)}) }
+
+// at schedules timer id at instant at; its handle is the next index.
+func (p *rearmPair) at(at time.Duration, id int) {
+	p.ha = append(p.ha, p.a.ScheduleArg(at, p.fireA, id))
+	p.hb = append(p.hb, p.b.ScheduleArg(at, p.fireB, id))
+}
+
+// rearm moves handle i to instant at as timer id; the new handle is the
+// next index.
+func (p *rearmPair) rearm(i int, at time.Duration, id int) {
+	p.ha = append(p.ha, p.a.RearmArg(p.ha[i], at, p.fireA, id))
+	p.hb[i].Stop()
+	p.hb = append(p.hb, p.b.ScheduleArg(at, p.fireB, id))
+}
+
+func (p *rearmPair) stop(i int) {
+	if ga, gb := p.ha[i].Stop(), p.hb[i].Stop(); ga != gb {
+		p.t.Fatalf("%s: Stop of handle %d = %v, pair %v", p.name, i, ga, gb)
+	}
+}
+
+// push puts arrival id on both lanes at instant at.
+func (p *rearmPair) push(at time.Duration, id int) {
+	p.la.push(&refQueue{}, at, id)
+	p.lb.push(&refQueue{}, at, id)
+}
+
+func (p *rearmPair) runUntil(limit time.Duration) {
+	p.a.RunUntil(limit)
+	p.b.RunUntil(limit)
+}
+
+// check compares Processed, Pending, held and Active/When on every
+// handle ever issued, stale ones included.
+func (p *rearmPair) check(step int) {
+	a, b := p.a, p.b
+	if a.Processed() != b.Processed() || a.Pending() != b.Pending() || a.held() != b.held() {
+		p.t.Fatalf("%s step %d: processed/pending/held = %d/%d/%d, pair %d/%d/%d", p.name, step,
+			a.Processed(), a.Pending(), a.held(), b.Processed(), b.Pending(), b.held())
+	}
+	for i := range p.ha {
+		ha, hb := p.ha[i], p.hb[i]
+		if ha.Active() != hb.Active() || ha.When() != hb.When() {
+			p.t.Fatalf("%s step %d handle %d: Active/When = %v/%v, pair %v/%v", p.name, step, i,
+				ha.Active(), ha.When(), hb.Active(), hb.When())
+		}
+	}
+}
+
+// finish drains both kernels, compares their firings and returns the
+// ids in firing order.
+func (p *rearmPair) finish() []int {
+	p.a.Run()
+	p.b.Run()
+	p.check(-1)
+	if len(p.firedA) != len(p.firedB) {
+		p.t.Fatalf("%s: fired %d events, pair fired %d", p.name, len(p.firedA), len(p.firedB))
+	}
+	ids := make([]int, len(p.firedA))
+	for i := range p.firedA {
+		if p.firedA[i] != p.firedB[i] {
+			p.t.Fatalf("%s: firing %d = %+v, pair %+v", p.name, i, p.firedA[i], p.firedB[i])
+		}
+		ids[i] = p.firedA[i].id
+	}
+	return ids
+}
+
+// TestRearmMatchesStopSchedule runs timer workloads through a rearmPair
+// and requires everything observable to agree after every step:
+// Processed, Pending, held, the firing order, and Stop/Active/When on
+// every handle ever issued. Three scripted cases pin the traps a stale
+// heap key sets, each with the firing order it must produce; then come
+// randomized workloads.
 func TestRearmMatchesStopSchedule(t *testing.T) {
+	ms := time.Millisecond
+	for _, c := range []struct {
+		name   string
+		script func(p *rearmPair)
+		want   []int
+	}{{
+		// Timer 0 re-armed to its own instant after timer 1 was
+		// scheduled there: its new seq puts it behind timer 1, which a
+		// key of at alone would miss.
+		"rearm to its own instant", func(p *rearmPair) {
+			p.at(10*ms, 0)
+			p.at(10*ms, 1)
+			p.rearm(0, 10*ms, 2)
+		}, []int{1, 2},
+	}, {
+		// Re-arms that tie with the lane's head: timer 1 was re-armed
+		// after arrival 2 was pushed and fires after it, timer 4 before
+		// arrival 5 was pushed and fires before it.
+		"rearm ties the lane head", func(p *rearmPair) {
+			p.at(5*ms, 0)
+			p.push(10*ms, 2)
+			p.rearm(0, 10*ms, 1)
+			p.at(15*ms, 3)
+			p.rearm(2, 20*ms, 4)
+			p.push(20*ms, 5)
+		}, []int{2, 1, 4, 5},
+	}, {
+		// Stop on a stale entry below the root: the heap's last entry
+		// (timer 6) takes the stopped one's slot and must sift up past
+		// timer 1, or timer 1 fires first once later timers keep timer
+		// 6 away from the end of the heap.
+		"stop a stale entry below the root", func(p *rearmPair) {
+			for i, at := range []time.Duration{1, 10, 2, 11, 12, 3, 4} {
+				p.at(at*ms, i)
+			}
+			p.rearm(3, 50*ms, 7)
+			p.stop(7)
+			for i := 8; i < 14; i++ {
+				p.at(time.Duration(i+12)*ms, i)
+			}
+		}, []int{0, 2, 5, 6, 1, 4, 8, 9, 10, 11, 12, 13},
+	}} {
+		p := newRearmPair(t, c.name, 1)
+		c.script(p)
+		p.check(0)
+		got := p.finish()
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: fired %v, want %v", c.name, got, c.want)
+		}
+	}
+
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		a, b := New(seed), New(seed) // a re-arms in place, b uses the pair
-		var firedA, firedB []firing
-		fireA := func(x any) { firedA = append(firedA, firing{a.Now(), x.(int)}) }
-		fireB := func(x any) { firedB = append(firedB, firing{b.Now(), x.(int)}) }
-		var ha, hb []Timer
+		p := newRearmPair(t, fmt.Sprintf("seed %d", seed), seed)
 		for step := 0; step < 600; step++ {
 			var d time.Duration
 			switch rng.Intn(4) {
@@ -499,53 +634,26 @@ func TestRearmMatchesStopSchedule(t *testing.T) {
 				d = time.Duration(rng.Intn(30)) * time.Hour
 			}
 			switch op := rng.Intn(10); {
-			case op < 2 || len(ha) == 0:
-				ha = append(ha, a.AfterArg(d, fireA, step))
-				hb = append(hb, b.AfterArg(d, fireB, step))
+			case op < 2 || len(p.ha) == 0:
+				p.at(p.a.Now()+d, step)
 			case op < 7:
-				i := rng.Intn(len(ha))
-				ha = append(ha, a.RearmArg(ha[i], a.Now()+d, fireA, step))
-				hb[i].Stop()
-				hb = append(hb, b.ScheduleArg(b.Now()+d, fireB, step))
+				p.rearm(rng.Intn(len(p.ha)), p.a.Now()+d, step)
 			case op < 8:
-				i := rng.Intn(len(ha))
-				if ga, gb := ha[i].Stop(), hb[i].Stop(); ga != gb {
-					t.Fatalf("seed %d step %d: Stop = %v, pair %v", seed, step, ga, gb)
-				}
+				p.stop(rng.Intn(len(p.ha)))
 			default:
-				limit := a.Now() + d/4
-				a.RunUntil(limit)
-				b.RunUntil(limit)
+				p.runUntil(p.a.Now() + d/4)
 			}
-			if a.Processed() != b.Processed() || a.Pending() != b.Pending() || a.held() != b.held() {
-				t.Fatalf("seed %d step %d: processed/pending/held = %d/%d/%d, pair %d/%d/%d", seed, step,
-					a.Processed(), a.Pending(), a.held(), b.Processed(), b.Pending(), b.held())
-			}
-			for i := range ha {
-				if ha[i].Active() != hb[i].Active() || ha[i].When() != hb[i].When() {
-					t.Fatalf("seed %d step %d handle %d: Active/When = %v/%v, pair %v/%v", seed, step, i,
-						ha[i].Active(), ha[i].When(), hb[i].Active(), hb[i].When())
-				}
-			}
+			p.check(step)
 		}
-		a.Run()
-		b.Run()
-		if len(firedA) != len(firedB) {
-			t.Fatalf("seed %d: fired %d events, pair fired %d", seed, len(firedA), len(firedB))
-		}
-		for i := range firedA {
-			if firedA[i] != firedB[i] {
-				t.Fatalf("seed %d: firing %d = %+v, pair %+v", seed, i, firedA[i], firedB[i])
-			}
-		}
+		p.finish()
 	}
 }
 
-// TestRearmRunUntilBetweenSlotAndDeadline stops the clock after the
-// wheel has passed a re-armed event's stale slot but before its
-// deadline, at level 0 and at a cascading level: the event must have
-// been re-filed (not fired, not lost), and events scheduled from the
-// new clock position must still order correctly around it.
+// TestRearmRunUntilBetweenSlotAndDeadline stops the clock after a
+// re-armed event's stale key but before its deadline, at three time
+// scales: the event must have been re-keyed (not fired, not lost), and
+// events scheduled from the new clock position must still order
+// correctly around it.
 func TestRearmRunUntilBetweenSlotAndDeadline(t *testing.T) {
 	for _, unit := range []time.Duration{time.Millisecond, time.Second, time.Hour} {
 		s := New(1)

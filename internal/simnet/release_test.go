@@ -236,26 +236,6 @@ func TestReleaseKeepsOnlyLiveStreams(t *testing.T) {
 	}
 }
 
-// TestNextHigherCacheForgetsEmptiedSlot is the targeted form of the
-// audit the differential tests run: cancelling the only event of the
-// earliest coarse slot must not leave its start tick cached.
-func TestNextHigherCacheForgetsEmptiedSlot(t *testing.T) {
-	s := New(1)
-	far := s.AfterArg(time.Hour, func(any) {}, nil)
-	near := s.AfterArg(time.Minute, func(any) {}, nil)
-	if got, want := s.nextHigher(), s.scanHigher(); got != want || got == noTick {
-		t.Fatalf("nextHigher = %d, scan = %d", got, want)
-	}
-	near.Stop()
-	if got, want := s.nextHigher(), s.scanHigher(); got != want {
-		t.Fatalf("after cancelling the earliest coarse event: nextHigher = %d, scan = %d", got, want)
-	}
-	far.Stop()
-	if got := s.nextHigher(); got != noTick {
-		t.Fatalf("empty wheel: nextHigher = %d, want noTick", got)
-	}
-}
-
 // TestRetiredArenasAcrossGoroutines hands arenas between workers the way
 // a parallel sweep does — each goroutine builds, runs and releases
 // worlds of its own, taking whatever arena another one retired — and

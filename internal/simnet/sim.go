@@ -1,19 +1,18 @@
 // Package simnet provides the discrete-event simulation kernel that every
 // other subsystem in this repository runs on.
 //
-// A Sim owns a virtual clock, a hierarchical timing wheel for its timers
-// (see wheel.go) and the lanes its links keep their packets in flight on
+// A Sim owns a virtual clock, a heap of its pending timers (see
+// queue.go) and the lanes its links keep their packets in flight on
 // (see lane.go). Run merges the two: timers and arrivals execute in one
 // timestamp order (ties broken by scheduling order), so a simulation
 // with a fixed seed is bit-reproducible across runs and platforms. There
 // are no wall-clock sleeps anywhere: simulating 180 days of the paper's
 // crowd-sourced measurement campaign takes seconds of real time.
 //
-// Schedule, cancel, re-arm and fire are all amortised O(1): scheduling
-// files the event into a wheel slot, cancelling unlinks it, re-arming to
-// a later deadline rewrites it where it sits (RearmArg), and firing
-// drains one slot per tick into a due bucket that whole same-tick bursts
-// dispatch from. The kernel is also allocation-free in steady state:
+// Scheduling, cancelling and firing a timer cost O(log n) in the timers
+// pending in its world, which are a handful; re-arming one to a later
+// deadline rewrites it where it sits (RearmArg) and costs O(1). The
+// kernel is also allocation-free in steady state:
 // fired and cancelled events return to a free list and are reused by
 // later Schedule calls, and the arg-passing variants (ScheduleArg,
 // AfterArg) let hot callers avoid per-event closure captures
@@ -24,7 +23,7 @@
 // adding a new consumer of randomness does not perturb the draws seen by
 // existing consumers — a property the calibrated experiments rely on.
 //
-// A Sim owns its memory (see arena): the wheel, the event free list, the
+// A Sim owns its memory (see arena): the heap, the event free list, the
 // free lists of the objects the layers above recycle (FreeListOf), the
 // slabs their rings and lists grow on (SlabOf) and the generators of its
 // random streams. Release hands that memory to the
@@ -49,13 +48,8 @@ type Sim struct {
 	// processed counts events executed since construction; exposed for
 	// tests and for sanity checks that experiments actually ran.
 	processed uint64
-	// live counts pending non-cancelled events (Pending is O(1));
-	// cancelled counts due-bucket entries whose timer was stopped after
-	// their slot drained — they are reclaimed when their position pops,
-	// so they never outlive the current tick's batch. (Wheel-resident
-	// events are unlinked and recycled by Stop directly.)
-	live      int
-	cancelled int
+	// live counts pending timers and arrivals (Pending is O(1)).
+	live int
 	// The memory the Sim schedules in; nil once Release has given it away,
 	// so whatever a released Sim is asked to do next dereferences nil
 	// instead of reaching into the world that now owns the arena.
@@ -64,24 +58,19 @@ type Sim struct {
 
 // arena is everything a Sim allocates that can outlive it: Release
 // empties it and parks it for the next New, which then starts with a
-// sized wheel, a stocked event free list, warm object free lists, slabs
+// sized heap, a stocked event free list, warm object free lists, slabs
 // already as large as the last world needed and generators to reseed.
 // Nothing in a parked arena refers to the world that filled it —
 // recycled events, packets and segments are cleared when they are freed,
 // the slabs when they are rewound, the lanes forgotten — so a retired
 // world is collected as usual (TestReleasedWorldIsCollectable).
 type arena struct {
-	// wheel holds pending timers beyond the current tick; due is the
-	// (at, seq)-sorted batch for the tick being dispatched, consumed
-	// from dueHead.
-	wheel   wheel
-	due     []*event //multinet:owns — events homed in the dispatch batch
-	dueHead int
-	// dueBuf is due's first backing array: a tick's batch on the
-	// experiment workloads is at most 8 events (DESIGN.md), so the bucket
-	// of a short-lived Sim never allocates.
-	dueBuf [dueCap]*event  //multinet:owns — backing store of due
-	free   FreeList[event] // fired and cancelled events awaiting reuse
+	// heap holds the pending timers (queue.go); heapBuf is its first
+	// backing array, so that the heap of a world built from nothing
+	// never grows.
+	heap    []entry
+	heapBuf [heapCap]entry
+	free    FreeList[event] // fired and cancelled events awaiting reuse
 	// seq numbers scheduling order and doubles as the Timer generation.
 	// It is not reset between the worlds an arena serves: a handle that
 	// outlived its Sim can then never match a reused event.
@@ -135,11 +124,9 @@ func New(seed int64) *Sim {
 	retired.Unlock()
 	if a == nil {
 		a = new(arena)
-		a.due = a.dueBuf[:0]
+		a.heap = a.heapBuf[:0]
 		a.parts = a.partsBuf[:0]
 		a.lanes = a.lanesBuf[:0]
-		a.wheel.hi = noTick
-		a.wheel.lo = noTick
 	}
 	return &Sim{seed: seed, arena: a}
 }
@@ -147,12 +134,12 @@ func New(seed int64) *Sim {
 // Release ends the simulation and gives its memory to the next New:
 // pending events and arrivals are dropped unfired, the lanes are
 // forgotten, the slabs are rewound, and they,
-// the wheel, the free lists and the random streams' generators are
+// the heap, the free lists and the random streams' generators are
 // parked. Call it when a world's
 // results have been read. It is optional — a Sim that is never released
 // is simply collected — and final: scheduling on, running, asking for a
 // stream of or releasing a released Sim panics, and Timers it handed out
-// are inert. Now, Seed, Processed and Pending keep answering.
+// are inert. Now, Processed and Pending keep answering.
 //
 // Objects taken from the Sim's free lists and still in flight are not
 // recalled; they are collected with the rest of the world. Slices carved
@@ -161,7 +148,7 @@ func New(seed int64) *Sim {
 func (s *Sim) Release() {
 	a := s.mem()
 	s.arena = nil
-	s.live, s.cancelled = 0, 0 // dropped with the arena's pending events
+	s.live = 0 // dropped with the arena's pending events
 	a.reset()
 	retired.Lock()
 	if len(retired.arenas) < MaxRetired {
@@ -179,7 +166,7 @@ func (s *Sim) mem() *arena {
 }
 
 // reset returns the arena to the state New expects: no pending events,
-// the wheel at tick zero, the slabs rewound, the free lists owning what
+// the slabs rewound, the free lists owning what
 // they hold, and only the streams the world that just ended used, marked
 // as belonging to a world gone by.
 func (a *arena) reset() {
@@ -273,9 +260,6 @@ func partOf[P any](s *Sim) *P {
 // Now returns the current virtual time. Time starts at zero.
 func (s *Sim) Now() time.Duration { return s.now }
 
-// Seed returns the seed the simulator was constructed with.
-func (s *Sim) Seed() int64 { return s.seed }
-
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() uint64 { return s.processed }
 
@@ -296,41 +280,23 @@ type Timer struct {
 }
 
 // Stop cancels the timer. It reports whether the event had not yet
-// fired. Cancellation is O(1): a wheel-resident event is unlinked from
-// its slot and recycled on the spot; an event already drained into the
-// due bucket is marked and reclaimed when its position pops.
+// fired. The event is taken out of the heap where it sits, in O(log n)
+// of the world's pending timers, and recycled on the spot.
 func (t Timer) Stop() bool {
 	ev := t.ev
 	if ev == nil || ev.seq != t.seq || ev.fn == nil {
 		return false
 	}
-	ev.fn = nil
-	ev.arg = nil
-	if s := t.sim; s != nil {
-		s.live--
-		if ev.prevp != nil {
-			a := s.arena
-			a.unlink(ev)
-			a.recycle(ev)
-		} else {
-			s.cancelled++
-		}
-	}
+	s := t.sim
+	s.live--
+	s.remove(ev.pos)
+	s.recycle(ev)
 	return true
 }
 
 // Active reports whether the timer is still pending.
 func (t Timer) Active() bool {
 	return t.ev != nil && t.ev.seq == t.seq && t.ev.fn != nil
-}
-
-// When returns the virtual time a pending timer fires at, or 0 once it
-// has fired or been cancelled (its event may already be reused).
-func (t Timer) When() time.Duration {
-	if !t.Active() {
-		return 0
-	}
-	return t.ev.at
 }
 
 // thunk adapts the closure-based Schedule API onto the arg-based event
@@ -364,7 +330,7 @@ func (s *Sim) ScheduleArg(at time.Duration, fn func(any), arg any) Timer {
 	}
 	a := s.mem()
 	ev := a.newEvent(at, fn, arg)
-	a.place(ev)
+	a.push(ev)
 	s.live++
 	return Timer{sim: s, ev: ev, seq: ev.seq}
 }
@@ -385,19 +351,18 @@ func (s *Sim) After(d time.Duration, fn func()) Timer {
 // — the returned handle carries a fresh generation, the old one goes
 // stale, the event fires in the same (at, seq) position and Processed,
 // Pending and the free list end up exactly as the pair leaves them — but
-// when t is still pending in a wheel slot and at is not earlier than its
-// current deadline (a retransmission timer pushed out by an ACK, the
-// dominant case), the event is rewritten where it sits instead of being
-// unlinked, recycled, reallocated and re-filed. Its slot is then stale,
-// never late: the wheel re-files the event by its new deadline when it
-// reaches that slot (see drainSlot0). A stale or fired handle, an event
-// already in the due bucket, or an earlier deadline take the pair.
+// when t is still pending and at is not earlier than its current
+// deadline (a retransmission timer pushed out by an ACK, the dominant
+// case), the event is rewritten where it sits instead of being taken
+// out, recycled, reallocated and filed again. Its heap entry is then
+// stale, never late: Run re-keys it when it reaches the root (see
+// arena.due). A stale or fired handle or an earlier deadline take the
+// pair.
 //
 //multinet:hotpath
 func (s *Sim) RearmArg(t Timer, at time.Duration, fn func(any), arg any) Timer {
 	ev := t.ev
-	if fn == nil || t.sim != s || ev == nil || ev.seq != t.seq || ev.fn == nil ||
-		ev.prevp == nil || at < ev.at {
+	if fn == nil || t.sim != s || ev == nil || ev.seq != t.seq || ev.fn == nil || at < ev.at {
 		t.Stop()
 		return s.ScheduleArg(at, fn, arg)
 	}
@@ -442,15 +407,13 @@ func (a *arena) newEvent(at time.Duration, fn func(any), arg any) *event {
 func (a *arena) recycle(ev *event) {
 	ev.fn = nil
 	ev.arg = nil
-	ev.next = nil
-	ev.prevp = nil
 	a.free.Put(ev)
 }
 
 // Stop halts Run/RunUntil after the event currently executing returns.
 func (s *Sim) Stop() { s.stopped = true }
 
-// Run executes events until the wheel is empty or Stop is called. It
+// Run executes events until none is pending or Stop is called. It
 // returns the number of events executed by this call.
 func (s *Sim) Run() int {
 	return s.run(-1)
@@ -475,10 +438,6 @@ func (s *Sim) RunFor(d time.Duration) int { return s.RunUntil(s.now + d) }
 //multinet:hotpath
 func (s *Sim) run(until time.Duration) int {
 	s.stopped = false
-	untilTick := noTick
-	if until >= 0 {
-		untilTick = int64(until) >> tickShift
-	}
 	n := 0
 	for !s.stopped {
 		// Asked for afresh each turn: an event that releases the Sim must
@@ -489,43 +448,19 @@ func (s *Sim) run(until time.Duration) int {
 			a.front, a.stale = a.earliestLane(), false
 		}
 		l := a.front
-		if a.dueHead == len(a.due) {
-			a.due = a.due[:0]
-			a.dueHead = 0
-			// The wheel advances no further than the earliest arrival's
-			// tick. What that arrival schedules then files into a slot,
-			// where Stop unlinks it and RearmArg rewrites it in place,
-			// instead of joining a due bucket drained ahead of it.
-			limit := untilTick
-			if l != nil {
-				limit = min(limit, int64(l.at)>>tickShift)
-			}
-			a.fillBucket(limit)
-		}
-		if a.dueHead < len(a.due) {
-			ev := a.due[a.dueHead]
-			if l == nil || ev.at < l.at || (ev.at == l.at && ev.seq < l.seq) {
-				if until >= 0 && ev.at > until {
-					break
-				}
-				a.dueHead++
-				if ev.fn == nil { // cancelled after the slot drained
-					s.cancelled--
-					a.recycle(ev)
-					continue
-				}
-				s.now = ev.at
-				fn, arg := ev.fn, ev.arg
-				// Recycle before running: fn may schedule new events, and
-				// reusing this one immediately keeps the free list minimal.
-				// Stale Timer handles are protected by the generation check.
-				s.live--
-				a.recycle(ev)
-				fn(arg)
-				n++
-				s.processed++
-				continue
-			}
+		if ev := a.due(l, until); ev != nil {
+			a.remove(0)
+			s.now = ev.at
+			fn, arg := ev.fn, ev.arg
+			// Recycle before running: fn may schedule new events, and
+			// reusing this one immediately keeps the free list minimal.
+			// Stale Timer handles are protected by the generation check.
+			s.live--
+			a.recycle(ev)
+			fn(arg)
+			n++
+			s.processed++
+			continue
 		}
 		if l == nil || (until >= 0 && l.at > until) {
 			break
@@ -548,13 +483,6 @@ func (s *Sim) run(until time.Duration) int {
 // Pending returns the number of live (not cancelled) scheduled events.
 func (s *Sim) Pending() int {
 	return s.live
-}
-
-// held returns the number of event entries the kernel currently holds,
-// live and cancelled-but-unreclaimed alike; tests use it to pin the
-// cancellation-reclaim bound.
-func (s *Sim) held() int {
-	return s.live + s.cancelled
 }
 
 // RNG returns the deterministic random stream with the given name,
@@ -656,18 +584,13 @@ func streamSeed(seed int64, name string) int64 {
 	return int64(h)
 }
 
-// event is a single scheduled entry. Pending events live either in a
-// wheel slot's intrusive doubly-linked list (next, plus prevp holding
-// the address of the pointer that points here, so unlinking is O(1)
-// without a full prev node) or in the due bucket (prevp nil). lvl/idx
-// remember the slot for occupancy bookkeeping on unlink.
+// event is a single scheduled timer. While it is pending it sits in the
+// heap at slot pos, under a key that may be earlier than (at, seq) after
+// a re-arm (queue.go).
 type event struct {
-	at    time.Duration
-	seq   uint64 // FIFO tiebreak for identical timestamps + Timer generation
-	fn    func(any)
-	arg   any
-	next  *event //multinet:owns — intrusive slot-list link
-	prevp **event
-	lvl   uint8
-	idx   uint8
+	at  time.Duration
+	seq uint64 // FIFO tiebreak for identical timestamps + Timer generation
+	fn  func(any)
+	arg any
+	pos int
 }
