@@ -12,8 +12,9 @@
 //   - internal/phy: calibrated WiFi/LTE radio models and the paper's
 //     20 measurement locations
 //   - internal/tcp: a userspace TCP (NewReno + SACK + RFC 6298)
-//   - internal/mptcp: Multipath TCP (MP_CAPABLE/MP_JOIN, DSS, min-SRTT
-//     scheduler, LIA coupled congestion control, backup mode)
+//   - internal/mptcp: Multipath TCP (MP_CAPABLE/MP_JOIN, DSS mappings
+//     carried by value in tcp's segments, min-SRTT scheduler, LIA
+//     coupled congestion control, backup mode)
 //   - internal/energy: the radio power model of the paper's Fig. 16
 //   - internal/dataset: the synthetic crowd-sourced campaign
 //   - internal/apps + internal/replay: the Mahimahi-style record and

@@ -11,15 +11,12 @@ import (
 // name. Values of these types have single-owner lifecycles: exactly one
 // release per acquisition, no touching after release, and any pointer
 // stored into longer-lived structure is an ownership transfer that must
-// be marked //multinet:owns. (A mptcp.DSS has several holders, but each
-// of them is a single owner of its hold: RecycleOpt once, then hands
-// off.)
+// be marked //multinet:owns.
 type pooledType struct{ path, name string }
 
 var pooledTypes = []pooledType{
 	{"multinet/internal/netem", "Packet"},
 	{"multinet/internal/tcp", "Segment"},
-	{"multinet/internal/mptcp", "DSS"},
 	{"multinet/internal/simnet", "event"},
 }
 
@@ -63,14 +60,11 @@ var releaseFuncs = []releaseFunc{
 	{path: "multinet/internal/simnet", recvType: "FreeList", name: "Put", arg: 0},
 	{path: "multinet/internal/simnet", recvType: "Sim", name: "Release", arg: -1},
 	{path: "multinet/internal/core", recvType: "World", name: "Close", arg: -1},
-	// RecycleOpt is the tcp.RecyclableOpt interface method: any
-	// implementation or interface call releases the receiver.
-	{path: "", recvType: "", name: "RecycleOpt", arg: -1},
 }
 
 // PoolOwn enforces PR 4's single-owner recycling discipline on recycled
-// packets, segments, DSS options and simulator events, and on the
-// simulators whose free lists they live in: no double release, no use
+// packets, segments and simulator events, and on the simulators whose
+// free lists they live in: no double release, no use
 // after release along straight-line/branch paths, and no recycled
 // pointer escaping into a struct field or slice without an explicit
 // //multinet:owns ownership-transfer marker.
@@ -86,7 +80,7 @@ var releaseFuncs = []releaseFunc{
 var PoolOwn = &Analyzer{
 	Name: "poolown",
 	Doc: "detect double-release, use-after-release, and unmarked escapes " +
-		"of recycled values (netem.Packet, tcp.Segment, mptcp.DSS, simnet events), " +
+		"of recycled values (netem.Packet, tcp.Segment, simnet events), " +
 		"use of a simnet.Sim or core.World (or the Session embedding one) after Release/Close, slab slices " +
 		"(simnet.Slab.Make/Grow) that leave the world or outlive it, and connection " +
 		"handles (tcp.Conn, mptcp.Conn, mptcp.Subflow, core.Flows, core.Flow) used after their world's release",
@@ -127,21 +121,17 @@ func releaseTarget(info *types.Info, call *ast.CallExpr) ast.Expr {
 		if fn.Name() != rf.name {
 			continue
 		}
-		if rf.recvType == "" && rf.path != "" {
+		if rf.recvType == "" {
 			// Package-level function.
 			if sig != nil && sig.Recv() == nil && funcPkgPath(fn) == rf.path && rf.arg < len(call.Args) {
 				return call.Args[rf.arg]
 			}
 			continue
 		}
-		// Method (or, for RecycleOpt, any method of that name).
-		if sig == nil || sig.Recv() == nil {
+		// Method.
+		if sig == nil || sig.Recv() == nil ||
+			funcPkgPath(fn) != rf.path || namedTypeName(sig.Recv().Type()) != rf.recvType {
 			continue
-		}
-		if rf.recvType != "" {
-			if funcPkgPath(fn) != rf.path || namedTypeName(sig.Recv().Type()) != rf.recvType {
-				continue
-			}
 		}
 		if rf.arg == -1 {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {

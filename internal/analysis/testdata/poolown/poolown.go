@@ -1,6 +1,6 @@
 // Package pooltest is the poolown analyzer's golden package. It
-// imports the real recycled types (netem.Packet, tcp.Segment,
-// mptcp.DSS) and the simulator that owns their free lists, and walks
+// imports the real recycled types (netem.Packet, tcp.Segment) and the
+// simulator that owns their free lists, and walks
 // through the single-owner lifecycle: double release, use after
 // release, and unmarked escapes must be flagged; //multinet:owns
 // transfers and //lint:allow exceptions stay silent.
@@ -66,22 +66,6 @@ func releasePerIteration(conds []phy.Condition) {
 		s.Run(core.Config{Iface: "wifi"}, core.Download, 1<<10)
 		s.Close() // the next iteration declares a new s
 	}
-}
-
-type lastMapping struct {
-	dss   *mptcp.DSS
-	owned *mptcp.DSS //multinet:owns — the golden holder that counted itself in
-}
-
-func holdDSS(h *lastMapping, d *mptcp.DSS) {
-	h.dss = d // want `escapes into field h.dss`
-	h.owned = d
-}
-
-func dropHoldTwice(d *mptcp.DSS) uint64 {
-	d.RecycleOpt()
-	d.RecycleOpt()   // want `released twice`
-	return d.DataSeq // want `use of d after release`
 }
 
 func branchRelease(p *netem.Packet, drop bool) {

@@ -33,10 +33,9 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 //     data must have been closed or aborted — a watchdog abort counts;
 //     simply hanging does not.
 //   - No recycled-object leaks: in every registered world, every packet
-//     and segment taken from a free list went back to it, and every DSS
-//     was let go by all of its holders, once each (dss-accounting). The
-//     counts are the world's own (simnet.FreeList.Live), so worlds run
-//     side by side do not see each other's.
+//     and segment taken from a free list went back to it. The counts are
+//     the world's own (simnet.FreeList.Live), so worlds run side by side
+//     do not see each other's.
 //   - Scoreboard accounting: on every subflow, the sender's
 //     incrementally maintained pipe and pending-loss count equal a full
 //     scan of its SACK scoreboard (tcp.Conn.AuditScoreboard).
@@ -61,7 +60,6 @@ type checkedLink struct {
 type checkedWorld struct {
 	packets  *simnet.FreeList[netem.Packet]
 	segments *simnet.FreeList[tcp.Segment]
-	dss      *simnet.FreeList[mptcp.DSS]
 }
 
 type connPair struct {
@@ -70,8 +68,8 @@ type connPair struct {
 }
 
 // AddWorld registers one world: both directions of every interface of
-// h for link conservation, and sim's free lists of packets, segments and
-// DSS for the leak rules.
+// h for link conservation, and sim's free lists of packets and segments
+// for the leak rules.
 func (c *Checker) AddWorld(sim *simnet.Sim, h *netem.Host) {
 	for _, ifc := range h.Ifaces() {
 		c.links = append(c.links,
@@ -81,7 +79,6 @@ func (c *Checker) AddWorld(sim *simnet.Sim, h *netem.Host) {
 	c.worlds = append(c.worlds, checkedWorld{
 		packets:  simnet.FreeListOf[netem.Packet](sim),
 		segments: simnet.FreeListOf[tcp.Segment](sim),
-		dss:      simnet.FreeListOf[mptcp.DSS](sim),
 	})
 }
 
@@ -120,12 +117,6 @@ func (c *Checker) Check() []Violation {
 			out = append(out, Violation{
 				Rule:   "segment-leak",
 				Detail: fmt.Sprintf("%d pooled segments unaccounted for", n),
-			})
-		}
-		if n := w.dss.Live(); n != 0 {
-			out = append(out, Violation{
-				Rule:   "dss-accounting",
-				Detail: fmt.Sprintf("%d DSS holds unaccounted for (negative: a holder let go twice)", n),
 			})
 		}
 	}

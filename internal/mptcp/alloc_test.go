@@ -16,7 +16,8 @@ import (
 // few loss cycles — windows, scoreboards, mapping queues and reassembly
 // buffers at their peak, free lists stocked — moving data allocates
 // nothing: not a packet, not a segment, not an event and, since each
-// mapping's DSS is recycled by holder count, not a DSS either.
+// mapping's DSS rides in its segment and scoreboard entry by value, not
+// a DSS either.
 func TestMPTCPSteadyStateZeroAlloc(t *testing.T) {
 	r := newRig(31, symmetric(10, 15*time.Millisecond), symmetric(8, 30*time.Millisecond), ServerConfig{})
 	r.srv.OnConn = func(c *Conn) { c.Send(1 << 30) }

@@ -128,7 +128,6 @@ func (sf *Subflow) Dead() bool { return sf.dead }
 // you need from them before releasing.
 type Conn struct {
 	sim *simnet.Sim
-	dss *simnet.FreeList[DSS] // sim's; looked up once
 	cfg Config
 	cb  Callbacks
 	// owner is the application's reference on the connection (SetOwner),
@@ -191,7 +190,7 @@ func newConn(sim *simnet.Sim, stack *tcp.Stack, host *netem.Host, cfg Config, cb
 		panic("mptcp: ConnID required")
 	}
 	c := simnet.SlabOf[Conn](sim).New()
-	*c = Conn{sim: sim, dss: simnet.FreeListOf[DSS](sim), cfg: cfg, cb: cb,
+	*c = Conn{sim: sim, cfg: cfg, cb: cb,
 		stack: stack, host: host, capable: MPCapable{ConnID: cfg.ConnID}, sched: newScheduler(cfg.Scheduler)}
 	return c
 }
@@ -323,11 +322,11 @@ func subflowCallbacks() tcp.Callbacks {
 			sf := subflowOf(tc)
 			sf.conn.onSegment(sf, seg)
 		},
-		OnAckedOpt: func(tc *tcp.Conn, opt any) {
+		OnAckedOpt: func(tc *tcp.Conn, dss tcp.DSS, n int) {
 			sf := subflowOf(tc)
-			sf.conn.onMappingAcked(sf, opt)
+			sf.conn.onMappingAcked(sf, mapping{dataSeq: dss.DataSeq, len: n})
 		},
-		AckOpt: func(tc *tcp.Conn) any { return subflowOf(tc).conn.newDSS(0, 0) },
+		AckOpt: func(tc *tcp.Conn) tcp.DSS { return tcp.DSS{DataAck: subflowOf(tc).conn.rcvNxt} },
 		OnRTO: func(tc *tcp.Conn, count int) {
 			sf := subflowOf(tc)
 			sf.conn.onSubflowRTO(sf, count)
@@ -566,9 +565,9 @@ func (c *Conn) hasDataFor(sf *Subflow) bool {
 // evaluated once per pull, on the fresh-data branch only).
 //
 //multinet:hotpath
-func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
+func (c *Conn) pull(sf *Subflow, max int) (int, tcp.DSS, bool) {
 	if !sf.established || sf.dead || !c.allowedByMode(sf) {
-		return 0, nil, false
+		return 0, tcp.DSS{}, false
 	}
 	// Duplicates and reinjections the peer has meanwhile data-acked are
 	// discarded before they are offered.
@@ -576,13 +575,13 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 	if sf.dupQueue.len() > 0 {
 		m := sf.dupQueue.takeFront(max)
 		sf.outstanding.push(c.sim, m)
-		return m.len, c.newDSS(m.dataSeq, m.len), true
+		return m.len, c.dss(m), true
 	}
 	c.rtxPool.pruneAcked(c.dataUna)
 	fresh := c.dataNxt < c.sendTotal && c.dataNxt < c.dataUna+DefaultRecvBuf &&
 		c.sched.Admit(c, sf)
 	if c.rtxPool.len() == 0 && !fresh {
-		return 0, nil, false
+		return 0, tcp.DSS{}, false
 	}
 	var m mapping
 	if c.rtxPool.len() > 0 {
@@ -602,8 +601,12 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 		}
 	}
 	sf.outstanding.push(c.sim, m)
-	return m.len, c.newDSS(m.dataSeq, m.len), true
+	return m.len, c.dss(m), true
 }
+
+// dss maps m's bytes, which pull hands tcp as one segment's payload, and
+// acknowledges what this end has received.
+func (c *Conn) dss(m mapping) tcp.DSS { return tcp.DSS{DataSeq: m.dataSeq, DataAck: c.rcvNxt} }
 
 // onMappingAcked removes the subflow-acknowledged byte range from
 // sf's outstanding records. Matching is by range overlap, not exact
@@ -614,12 +617,8 @@ func (c *Conn) pull(sf *Subflow, max int) (int, any, bool) {
 // trimmed and any unacked remainder is kept, so no record is stranded
 // to be reinjected forever. The in-order case — the ack is exactly the
 // oldest record of an ordered queue — is a constant-time pop (mapq.ack).
-func (c *Conn) onMappingAcked(sf *Subflow, opt any) {
-	dss, ok := opt.(*DSS)
-	if !ok || dss.Len == 0 {
-		return
-	}
-	sf.outstanding.ack(c.sim, mapping{dataSeq: dss.DataSeq, len: dss.Len}, &sf.ackScratch)
+func (c *Conn) onMappingAcked(sf *Subflow, m mapping) {
+	sf.outstanding.ack(c.sim, m, &sf.ackScratch)
 	sf.reinjected = false
 	c.maybeClose()
 	c.wake()
@@ -628,17 +627,16 @@ func (c *Conn) onMappingAcked(sf *Subflow, opt any) {
 // onSegment processes connection-level information on every arriving
 // subflow segment.
 func (c *Conn) onSegment(sf *Subflow, seg *tcp.Segment) {
-	dss, ok := seg.Opt.(*DSS)
-	if !ok {
+	if !seg.Flags.Has(tcp.FlagDSS) {
 		return
 	}
-	if dss.DataAck > c.dataUna {
-		c.dataUna = dss.DataAck
+	if ack := seg.DSS.DataAck; ack > c.dataUna {
+		c.dataUna = ack
 		c.maybeClose()
 		c.wake()
 	}
-	if dss.Len > 0 {
-		c.receive(dss.DataSeq, dss.DataSeq+uint64(dss.Len))
+	if seg.PayloadLen > 0 {
+		c.receive(seg.DSS.DataSeq, seg.DSS.DataSeq+uint64(seg.PayloadLen))
 	}
 }
 
@@ -890,7 +888,7 @@ func (c *Conn) String() string {
 // puts no Next/Pending on the exported type.
 type sfSource Subflow
 
-func (s *sfSource) Next(max int) (int, any, bool) {
+func (s *sfSource) Next(max int) (int, tcp.DSS, bool) {
 	sf := (*Subflow)(s)
 	return sf.conn.pull(sf, max)
 }

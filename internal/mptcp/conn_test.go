@@ -317,7 +317,7 @@ func TestBackupBlackholeStalls(t *testing.T) {
 		}
 		if seg.PayloadLen > 0 {
 			dataOnBackup++
-		} else if seg.Flags == tcp.FlagACK && r.sim.Now() > 500*time.Millisecond {
+		} else if seg.Flags&^tcp.FlagDSS == tcp.FlagACK && r.sim.Now() > 500*time.Millisecond {
 			pureAcksOnBackup++
 		}
 	})

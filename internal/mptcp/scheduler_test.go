@@ -75,7 +75,7 @@ func TestUnknownSchedulerFailsAtConfig(t *testing.T) {
 // the original stranded forever, to be spuriously reinjected on every
 // later stall.
 func TestSplitReinjectionAck(t *testing.T) {
-	c := &Conn{sim: simnet.New(1), cfg: Config{ConnID: "t"}, sched: &minSRTT{}, dss: new(simnet.FreeList[DSS])}
+	c := &Conn{sim: simnet.New(1), cfg: Config{ConnID: "t"}, sched: &minSRTT{}}
 	sf := &Subflow{conn: c, established: true}
 	c.subflows = []*Subflow{sf}
 
@@ -87,13 +87,9 @@ func TestSplitReinjectionAck(t *testing.T) {
 
 	// Post-RTO the window is small: the same subflow re-pulls the
 	// reinjection split to 1000 bytes.
-	n, opt, ok := c.pull(sf, 1000)
-	if !ok || n != 1000 {
-		t.Fatalf("split pull = (%d, %v), want (1000, true)", n, ok)
-	}
-	dss := opt.(*DSS)
-	if dss.DataSeq != 0 || dss.Len != 1000 {
-		t.Fatalf("split mapping = {%d, %d}, want {0, 1000}", dss.DataSeq, dss.Len)
+	n, dss, ok := c.pull(sf, 1000)
+	if !ok || n != 1000 || dss.DataSeq != 0 {
+		t.Fatalf("split pull = (%d, %+v, %v), want (1000, DataSeq 0, true)", n, dss, ok)
 	}
 	if want := []mapping{{0, 3000}, {0, 1000}}; !reflect.DeepEqual(sf.outstanding.slice(), want) {
 		t.Fatalf("outstanding after split pull = %v, want %v", sf.outstanding.slice(), want)
@@ -102,14 +98,14 @@ func TestSplitReinjectionAck(t *testing.T) {
 	// The split piece is acked: BOTH records covering [0, 1000) must
 	// shrink — the stale original is trimmed to its unacked remainder.
 	sf.dead = true // keep wake from touching the TCP-less test subflow
-	c.onMappingAcked(sf, &DSS{DataSeq: 0, Len: 1000})
+	c.onMappingAcked(sf, mapping{dataSeq: 0, len: 1000})
 	if want := []mapping{{1000, 2000}}; !reflect.DeepEqual(sf.outstanding.slice(), want) {
 		t.Fatalf("outstanding after split ack = %v, want %v (original must be trimmed)",
 			sf.outstanding.slice(), want)
 	}
 
 	// Acking the remainder clears the subflow completely.
-	c.onMappingAcked(sf, &DSS{DataSeq: 1000, Len: 2000})
+	c.onMappingAcked(sf, mapping{dataSeq: 1000, len: 2000})
 	if sf.outstanding.len() != 0 {
 		t.Fatalf("outstanding after full ack = %v, want empty", sf.outstanding.slice())
 	}
@@ -122,13 +118,13 @@ func TestOnMappingAckedPartialOverlap(t *testing.T) {
 	sf.outstanding = mapqOf(mapping{0, 100}, mapping{100, 300}, mapping{500, 100})
 	// Ack covers the tail of the first record, the head of the second,
 	// and misses the third entirely.
-	c.onMappingAcked(sf, &DSS{DataSeq: 50, Len: 150})
+	c.onMappingAcked(sf, mapping{dataSeq: 50, len: 150})
 	want := []mapping{{0, 50}, {200, 200}, {500, 100}}
 	if !reflect.DeepEqual(sf.outstanding.slice(), want) {
 		t.Fatalf("outstanding = %v, want %v", sf.outstanding.slice(), want)
 	}
 	// A mid-record ack splits it in two.
-	c.onMappingAcked(sf, &DSS{DataSeq: 250, Len: 50})
+	c.onMappingAcked(sf, mapping{dataSeq: 250, len: 50})
 	want = []mapping{{0, 50}, {200, 50}, {300, 100}, {500, 100}}
 	if !reflect.DeepEqual(sf.outstanding.slice(), want) {
 		t.Fatalf("outstanding after mid-record ack = %v, want %v", sf.outstanding.slice(), want)

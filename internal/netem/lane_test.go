@@ -59,7 +59,7 @@ func TestCrossLinkTieFiresInLaunchOrder(t *testing.T) {
 // TestPendingCountsPacketsInFlight holds the kernel's pending count to
 // the packets a link holds: queued, in service and on the wire alike.
 // Harnesses drain worlds with `for sim.Pending() > 0` (the chaos test,
-// mptcp's DSS test); if arrivals stopped counting, those loops would end
+// faults' DSS test); if arrivals stopped counting, those loops would end
 // with packets still on the wire and pass without checking them.
 func TestPendingCountsPacketsInFlight(t *testing.T) {
 	s := simnet.New(1)

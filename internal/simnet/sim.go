@@ -202,8 +202,7 @@ func (a *arena) reset() {
 type FreeList[T any] struct {
 	items []*T //multinet:owns — freed objects awaiting reuse
 	// owned counts the objects this world has of the list, held or out:
-	// what it held when the world began, plus what Get made, minus what
-	// Forget wrote off.
+	// what it held when the world began, plus what Get made.
 	owned int
 }
 
@@ -226,13 +225,9 @@ func (l *FreeList[T]) Put(p *T) {
 	l.items = append(l.items, p)
 }
 
-// Forget writes off one object taken from the list that will never be
-// put back, and is left to the collector instead.
-func (l *FreeList[T]) Forget() { l.owned-- }
-
 // Live returns how many objects taken from the list in this world are
-// neither back nor written off: zero once a drained world has let go of
-// everything, negative if something was put back twice.
+// not back: zero once a drained world has let go of everything, negative
+// if something was put back twice.
 func (l *FreeList[T]) Live() int { return l.owned - len(l.items) }
 
 // rewind starts the count over for the next world: it owns what the list

@@ -63,13 +63,14 @@ const (
 )
 
 // Source supplies payload for transmission. Plain TCP uses the internal
-// byte-count source; MPTCP subflows use a scheduler-backed source that
-// attaches DSS mappings to segments.
+// byte-count source, whose segments carry no DSS; a custom source (MPTCP
+// subflows use a scheduler-backed one) maps every chunk it hands out, and
+// the segment carries that DSS.
 type Source interface {
 	// Next returns the size of the next chunk to transmit (0 < n <=
-	// max) and an option to attach to the segment. ok=false means no
-	// data is currently available (more may arrive later).
-	Next(max int) (n int, opt any, ok bool)
+	// max) and its DSS. ok=false means no data is currently available
+	// (more may arrive later).
+	Next(max int) (n int, dss DSS, ok bool)
 	// Pending reports whether the source currently has data available.
 	Pending() bool
 }
@@ -94,20 +95,17 @@ type Callbacks struct {
 	OnData func(c *Conn, total int64)
 	// OnSegment fires for every arriving segment, before processing.
 	OnSegment func(c *Conn, seg *Segment)
-	// OnAckedOpt fires when a sent segment carrying a non-nil option is
-	// cumulatively acknowledged.
-	OnAckedOpt func(c *Conn, opt any)
-	// AckOpt, when set, supplies the option attached to outgoing pure
-	// ACKs (MPTCP uses it for DATA_ACK).
-	AckOpt func(c *Conn) any
+	// OnAckedOpt fires when a sent segment carrying a DSS is cumulatively
+	// acknowledged, with that DSS and the segment's payload length.
+	OnAckedOpt func(c *Conn, dss DSS, n int)
+	// AckOpt, when set, supplies the DSS outgoing pure ACKs carry (MPTCP
+	// uses it for DATA_ACK).
+	AckOpt func(c *Conn) DSS
 	// OnRTO fires on each retransmission timeout with the consecutive
 	// timeout count.
 	OnRTO func(c *Conn, count int)
 	// OnClosed fires when both directions have shut down.
 	OnClosed func(*Conn)
-	// OnSendBufEmpty fires when the last queued byte has been sent
-	// (not necessarily acked); MPTCP's scheduler uses it to refill.
-	OnSendBufEmpty func(*Conn)
 }
 
 // Conn is one endpoint of a TCP connection (or MPTCP subflow) bound to
@@ -258,16 +256,16 @@ func NewConn(sim *simnet.Sim, iface *netem.Iface, dir netem.Direction, flow stri
 // byteSource is the default Source: an opaque count of pending bytes.
 type byteSource struct{ pending int }
 
-func (b *byteSource) Next(max int) (int, any, bool) {
+func (b *byteSource) Next(max int) (int, DSS, bool) {
 	if b.pending == 0 {
-		return 0, nil, false
+		return 0, DSS{}, false
 	}
 	n := b.pending
 	if n > max {
 		n = max
 	}
 	b.pending -= n
-	return n, nil, true
+	return n, DSS{}, true
 }
 
 func (b *byteSource) Pending() bool { return b.pending > 0 }
@@ -511,24 +509,24 @@ func (c *Conn) trySend() {
 		if budget < max {
 			max = budget
 		}
-		n, opt, ok := c.src.Next(max)
+		n, dss, ok := c.src.Next(max)
 		if !ok {
 			break
 		}
 		seg := c.segment()
 		seg.Flags = FlagACK
+		if c.byteSrc == nil {
+			seg.Flags |= FlagDSS
+			seg.DSS = dss
+		}
 		seg.Seq = c.sndNxt
 		seg.Ack = c.rcvNxt
 		seg.PayloadLen = n
 		seg.Wnd = DefaultWindow
-		seg.Opt = opt
 		c.sndNxt += uint64(n)
 		c.track(seg)
 		c.transmit(seg)
 		pipe += n
-		if !c.src.Pending() && c.cb.OnSendBufEmpty != nil {
-			c.cb.OnSendBufEmpty(c)
-		}
 	}
 	c.maybeSendFin()
 	if c.sb.n > 0 {
@@ -818,15 +816,15 @@ func (c *Conn) checkClosed() {
 	}
 }
 
-// sendAck emits a pure ACK carrying current SACK blocks (and MPTCP
-// options if hooked).
+// sendAck emits a pure ACK carrying current SACK blocks (and a DSS if
+// hooked).
 func (c *Conn) sendAck() {
-	var opt any
-	if c.cb.AckOpt != nil {
-		opt = c.cb.AckOpt(c)
-	}
 	ack := c.segment()
-	ack.Flags, ack.Seq, ack.Ack, ack.Wnd, ack.Opt = FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow, opt
+	ack.Flags, ack.Seq, ack.Ack, ack.Wnd = FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow
+	if c.cb.AckOpt != nil {
+		ack.Flags |= FlagDSS
+		ack.DSS = c.cb.AckOpt(c)
+	}
 	ack.Sack = c.appendSackBlocks(ack.Sack[:0])
 	c.transmit(ack)
 }
@@ -836,7 +834,7 @@ func (c *Conn) sendAck() {
 func (c *Conn) SendWindowUpdate() { c.sendAck() }
 
 // ackRtxQueue drops fully-acked entries, takes an RTT sample, and fires
-// option-ack callbacks. The RTT sample comes from the most recently
+// DSS-ack callbacks. The RTT sample comes from the most recently
 // sent never-retransmitted entry covered by the ACK (Karn's algorithm);
 // older covered entries would inflate the estimate when a cumulative
 // ACK releases a burst at once.
@@ -853,9 +851,7 @@ func (c *Conn) ackRtxQueue(ack uint64) {
 // trySend) while the covered entries are still queued and sndUna is
 // still old, so an entry's bytes leave pipeBytes only when the entry
 // itself leaves the ring, after the callbacks: a nested send sees the
-// same pipe a scan of the scoreboard would give it. The entry's hold on
-// its option is dropped there too (popFront), so a callback never reads
-// an option that a nested send has already reused.
+// same pipe a scan of the scoreboard would give it.
 func (c *Conn) ackScoreboard(ack uint64) (sampleAt time.Duration) {
 	sampleAt = -1
 	i := 0
@@ -870,8 +866,8 @@ func (c *Conn) ackScoreboard(ack uint64) (sampleAt time.Duration) {
 		if !e.rtxed && e.sentAt > sampleAt {
 			sampleAt = e.sentAt
 		}
-		if e.opt != nil && c.cb.OnAckedOpt != nil {
-			c.cb.OnAckedOpt(c, e.opt) // may push entries: e is dead after this
+		if e.flags.Has(FlagDSS) && c.cb.OnAckedOpt != nil {
+			c.cb.OnAckedOpt(c, e.dss, int(e.payload)) // may push entries: e is dead after this
 		}
 	}
 	for ; i > 0; i-- {
@@ -929,11 +925,8 @@ func (c *Conn) rttSample(r time.Duration) {
 // network at transmit time, so the copy must be taken first.
 func (c *Conn) track(seg *Segment) {
 	if seg.PayloadLen > 0 || seg.Flags.Has(FlagSYN) || seg.Flags.Has(FlagFIN) {
-		if sh, ok := seg.Opt.(SharedOpt); ok {
-			sh.RetainOpt() // the entry's hold, beside the wire segment's
-		}
 		c.sb.push(c.sim, sbEntry{
-			seq: seg.Seq, sentAt: c.sim.Now(), opt: seg.Opt,
+			seq: seg.Seq, sentAt: c.sim.Now(), dss: seg.DSS,
 			payload: int32(seg.PayloadLen), flags: seg.Flags,
 		})
 		c.pipeBytes += seg.PayloadLen
@@ -956,15 +949,17 @@ func (c *Conn) transmit(seg *Segment) {
 
 // retransmit rebuilds a fresh wire segment from a scoreboard entry.
 // Everything the entry does not store is the same for every tracked
-// segment of this connection (flow, advertised window, no SACK blocks)
-// or is taken from the present: the ACK field carries the current
-// receive point (the RFC 793 rule), the ports the current addressing.
+// segment of this connection (flow, advertised window, no SACK blocks,
+// a SYN's option) or is taken from the present: the ACK field carries
+// the current receive point (the RFC 793 rule), the ports the current
+// addressing. The DSS is the entry's, DATA_ACK included: a copy repeats
+// the option its original carried.
 func (c *Conn) retransmit(e *sbEntry) {
 	seg := c.segment()
 	seg.Flags, seg.Seq, seg.Ack = e.flags, e.seq, c.rcvNxt
-	seg.PayloadLen, seg.Wnd, seg.Opt = int(e.payload), DefaultWindow, e.opt
-	if sh, ok := e.opt.(SharedOpt); ok {
-		sh.RetainOpt() // this copy's hold
+	seg.PayloadLen, seg.Wnd, seg.DSS = int(e.payload), DefaultWindow, e.dss
+	if e.flags.Has(FlagSYN) {
+		seg.Opt = c.synOpt
 	}
 	if seg.Ack > 0 {
 		seg.Flags |= FlagACK
@@ -1045,13 +1040,6 @@ func (c *Conn) Abort() {
 	c.state = StateDone
 	c.cancelRTO()
 	c.cancelProbe()
-	// The scoreboard stays as it is (a late ACK still finds its entries),
-	// but nothing guarantees its holds are ever dropped now.
-	for i := 0; i < c.sb.n; i++ {
-		if sh, ok := c.sb.at(i).opt.(SharedOpt); ok {
-			sh.AbandonOpt()
-		}
-	}
 	if c.cb.OnClosed != nil {
 		c.cb.OnClosed(c)
 	}

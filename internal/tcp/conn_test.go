@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -330,50 +331,51 @@ func TestConcurrentFlowsShareLink(t *testing.T) {
 
 func TestOnAckedOptCallback(t *testing.T) {
 	n := newTestNet(t, 1, 10, 5*time.Millisecond, 0)
-	type mapping struct{ d int }
-	var acked []any
-	src := &scriptSource{chunks: []scriptChunk{
-		{n: 1000, opt: &mapping{1}},
-		{n: 1000, opt: &mapping{2}},
-	}}
+	type acked struct {
+		dss DSS
+		n   int
+	}
+	var got []acked
+	want := []acked{{DSS{DataSeq: 100, DataAck: 7}, 1000}, {DSS{DataSeq: 5000, DataAck: 9}, 600}}
+	src := &scriptSource{}
+	for _, a := range want {
+		src.chunks = append(src.chunks, scriptChunk{n: a.n, dss: a.dss})
+	}
 	n.server.Accept = func(c *Conn) {}
 	cli := NewConn(n.sim, n.iface, netem.Up, "opt", Config{
 		Source: src,
 		Callbacks: Callbacks{
-			OnAckedOpt: func(c *Conn, opt any) { acked = append(acked, opt) },
+			OnAckedOpt: func(c *Conn, dss DSS, n int) { got = append(got, acked{dss, n}) },
 		},
 	})
 	n.client.Register(cli)
 	cli.Connect()
 	n.sim.Run()
-	if len(acked) != 2 {
-		t.Fatalf("acked %d options, want 2", len(acked))
-	}
-	if acked[0].(*mapping).d != 1 || acked[1].(*mapping).d != 2 {
-		t.Fatalf("acked order wrong: %+v", acked)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("acked %+v, want %+v in order", got, want)
 	}
 }
 
-// scriptSource feeds a fixed list of (size, opt) chunks.
+// scriptSource feeds a fixed list of (size, DSS) chunks.
 type scriptSource struct {
 	chunks []scriptChunk
 	i      int
 }
 type scriptChunk struct {
 	n   int
-	opt any
+	dss DSS
 }
 
-func (s *scriptSource) Next(max int) (int, any, bool) {
+func (s *scriptSource) Next(max int) (int, DSS, bool) {
 	if s.i >= len(s.chunks) {
-		return 0, nil, false
+		return 0, DSS{}, false
 	}
 	c := s.chunks[s.i]
 	if c.n > max {
-		return 0, nil, false // chunks are not split in this test source
+		return 0, DSS{}, false // chunks are not split in this test source
 	}
 	s.i++
-	return c.n, c.opt, true
+	return c.n, c.dss, true
 }
 
 func (s *scriptSource) Pending() bool { return s.i < len(s.chunks) }

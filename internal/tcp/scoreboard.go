@@ -9,13 +9,15 @@ import (
 
 // sbEntry tracks one unacknowledged segment in the SACK scoreboard. It
 // holds only what a retransmission cannot recompute: the wire segment
-// is rebuilt from the entry plus the connection's flow and receive
-// point (see Conn.retransmit), so the scoreboard never aliases pooled
-// wire segments and an entry costs 40 bytes with a single pointer.
+// is rebuilt from the entry plus the connection's flow, receive point
+// and SYN option (see Conn.retransmit), so the scoreboard never aliases
+// pooled wire segments and an entry costs 40 bytes with no pointer. The
+// DSS is the one the segment was first sent with (present when flags
+// has FlagDSS): every copy carries the same mapping and DATA_ACK.
 type sbEntry struct {
 	seq     uint64
 	sentAt  time.Duration
-	opt     any
+	dss     DSS
 	payload int32
 	flags   Flags
 	rtxed   bool // retransmitted at least once (Karn's algorithm)
@@ -88,15 +90,8 @@ func (s *scoreboard) grow(mem *simnet.Slab[sbEntry]) {
 	s.buf, s.head = buf, 0
 }
 
-// popFront drops the oldest entry and, with it, the entry's hold on its
-// option.
+// popFront drops the oldest entry.
 func (s *scoreboard) popFront() {
-	if e := &s.buf[s.head]; e.opt != nil {
-		if r, ok := e.opt.(RecyclableOpt); ok {
-			r.RecycleOpt()
-		}
-		e.opt = nil
-	}
 	s.head = (s.head + 1) & (len(s.buf) - 1)
 	s.n--
 }

@@ -86,9 +86,11 @@ func impair(n *testNet, rng *rand.Rand, lossPct, delayPct int, blackouts [][2]ti
 // loss, reordering, SACK recovery, tail loss probes and retransmission
 // timeouts, and after every delivered segment compares the
 // incrementally maintained pipe and lostPending of both endpoints with
-// the reference scan.
+// the reference scan. In every other run the sender maps its chunks
+// (dssSource), and every retransmitted copy — a probe's and an RTO's
+// among them — must carry the DSS its original carried.
 func TestScoreboardAccountingProperty(t *testing.T) {
-	var retransmits, recoveries, rtos, probes, sacks int
+	var retransmits, recoveries, rtos, probes, sacks, rtoCopies, probeCopies int
 	for seed := int64(1); seed <= 12; seed++ {
 		n := newTestNet(t, seed, 20, 10*time.Millisecond, 0)
 		rng := rand.New(rand.NewSource(seed))
@@ -110,10 +112,41 @@ func TestScoreboardAccountingProperty(t *testing.T) {
 			}
 		})
 		const size = 600_000
+		var mapped *dssSource
+		if seed%2 == 0 {
+			mapped = &dssSource{}
+			first := map[uint64]DSS{}
+			n.iface.AddSendTap(func(p *netem.Packet) {
+				seg := p.Payload.(*Segment)
+				if p.Dir != netem.Down || seg.PayloadLen == 0 {
+					return
+				}
+				orig, copied := first[seg.Seq]
+				if !copied {
+					first[seg.Seq] = seg.DSS
+					return
+				}
+				if !seg.Flags.Has(FlagDSS) || seg.DSS != orig {
+					t.Fatalf("%s: copy of seq %d carries %+v (DSS flag %v), its original %+v",
+						when, seg.Seq, seg.DSS, seg.Flags.Has(FlagDSS), orig)
+				}
+				if srv.rtoCount > 0 {
+					rtoCopies++
+				}
+				if srv.probeFired {
+					probeCopies++
+				}
+			})
+		}
 		n.server.Accept = func(c *Conn) {
 			srv = c
+			send := func(c *Conn) { c.Send(size); c.Close() }
+			if mapped != nil {
+				c.SetSource(mapped)
+				send = func(c *Conn) { mapped.pending = size; c.NotifyData(); c.Close() }
+			}
 			c.SetCallbacks(Callbacks{
-				OnEstablished: func(c *Conn) { c.Send(size); c.Close() },
+				OnEstablished: send,
 				OnRTO:         func(c *Conn, count int) { rtos++ },
 			})
 		}
@@ -133,11 +166,36 @@ func TestScoreboardAccountingProperty(t *testing.T) {
 		recoveries += srv.FastRecovers
 	}
 	// The property is only as good as the states it visited.
-	if retransmits == 0 || recoveries == 0 || rtos == 0 || probes == 0 || sacks == 0 {
-		t.Fatalf("coverage hole: retransmits=%d fast-recoveries=%d rtos=%d probe-states=%d sack-states=%d",
-			retransmits, recoveries, rtos, probes, sacks)
+	if retransmits == 0 || recoveries == 0 || rtos == 0 || probes == 0 || sacks == 0 ||
+		rtoCopies == 0 || probeCopies == 0 {
+		t.Fatalf("coverage hole: retransmits=%d fast-recoveries=%d rtos=%d probe-states=%d sack-states=%d "+
+			"mapped copies after an RTO=%d after a probe=%d",
+			retransmits, recoveries, rtos, probes, sacks, rtoCopies, probeCopies)
 	}
 }
+
+// dssSource is a byte-count source that maps every chunk, with a DSS no
+// retransmission could recompute: the chunk's offset moved far from its
+// sequence number, and the count of chunks handed out before it.
+type dssSource struct {
+	pending int
+	sent    uint64
+	chunks  uint64
+}
+
+func (s *dssSource) Next(max int) (int, DSS, bool) {
+	if s.pending == 0 {
+		return 0, DSS{}, false
+	}
+	n := min(s.pending, max)
+	dss := DSS{DataSeq: 1<<40 + s.sent, DataAck: s.chunks}
+	s.pending -= n
+	s.sent += uint64(n)
+	s.chunks++
+	return n, dss, true
+}
+
+func (s *dssSource) Pending() bool { return s.pending > 0 }
 
 // TestScoreboardRing pins the ring mechanics the property test only
 // reaches by luck: growth while the live entries wrap the array end,
@@ -148,7 +206,7 @@ func TestScoreboardRing(t *testing.T) {
 	seq := uint64(0)
 	push := func(k int) {
 		for i := 0; i < k; i++ {
-			sb.push(sim, sbEntry{seq: seq, payload: 10, opt: &seq})
+			sb.push(sim, sbEntry{seq: seq, payload: 10})
 			seq += 10
 		}
 	}
@@ -173,11 +231,6 @@ func TestScoreboardRing(t *testing.T) {
 	pop(15) // head at the last slot
 	if sb.head != 15 || sb.n != 1 || sb.at(0).seq != 150 {
 		t.Fatalf("head=%d n=%d first=%d, want 15/1/150", sb.head, sb.n, sb.at(0).seq)
-	}
-	for i := 0; i < 15; i++ {
-		if sb.buf[i].opt != nil {
-			t.Fatalf("popped slot %d still holds its option", i)
-		}
 	}
 	push(15) // wraps: slots 15, 0..14
 	if len(sb.buf) != 16 || sb.head != 15 {
@@ -264,11 +317,11 @@ type chunkSource struct {
 	on    bool
 }
 
-func (s *chunkSource) Next(max int) (int, any, bool) {
+func (s *chunkSource) Next(max int) (int, DSS, bool) {
 	if !s.on || max < s.chunk {
-		return 0, nil, false
+		return 0, DSS{}, false
 	}
-	return s.chunk, nil, true
+	return s.chunk, DSS{}, true
 }
 
 func (s *chunkSource) Pending() bool { return s.on }

@@ -17,10 +17,9 @@
 // the paper's effects live).
 //
 // The package exposes three extension points used by package mptcp:
-// a Source that supplies per-segment payload and options (DSS
-// mappings), an IncreaseFn that replaces the congestion-avoidance
-// increase (coupled LIA), and segment/ACK callbacks for connection-level
-// bookkeeping.
+// a Source that supplies per-segment payload and its DSS mapping, an
+// IncreaseFn that replaces the congestion-avoidance increase (coupled
+// LIA), and segment/ACK callbacks for connection-level bookkeeping.
 package tcp
 
 import (
@@ -37,7 +36,7 @@ const (
 	// HeaderSize is the IP+TCP header overhead per segment in bytes.
 	HeaderSize = 40
 	// OptionSize is the extra wire overhead carried by segments with a
-	// non-nil Opt (MPTCP DSS and friends average ~20 bytes).
+	// DSS or a non-nil Opt (MPTCP options average ~20 bytes).
 	OptionSize = 20
 )
 
@@ -49,6 +48,9 @@ const (
 	FlagSYN Flags = 1 << iota
 	FlagACK
 	FlagFIN
+	// FlagDSS marks a segment (and a scoreboard entry) that carries a
+	// DSS. It is not a TCP flag, and String does not print it.
+	FlagDSS
 )
 
 // Has reports whether all flags in f2 are set.
@@ -88,7 +90,7 @@ type Segment struct {
 	// receiving Stack demuxes by it only when DstPort does not name a live
 	// connection: a SYN, and a segment of a forgotten incarnation.
 	Flow string
-	// Flags carries SYN/ACK/FIN.
+	// Flags carries SYN/ACK/FIN, and FlagDSS.
 	Flags Flags
 	// SrcPort is the sender's handle in its own Stack, and DstPort the
 	// receiver's handle in the receiving one, as the sender last learnt it
@@ -107,7 +109,11 @@ type Segment struct {
 	// Sack carries selective-acknowledgement blocks: the receiver's
 	// out-of-order intervals (up to MaxSackBlocks).
 	Sack []SackBlock
-	// Opt carries transport options (MPTCP DSS etc.); nil for plain TCP.
+	// DSS is the segment's data-sequence mapping, valid when FlagDSS is
+	// set.
+	DSS DSS
+	// Opt carries a SYN's option (MPTCP's MP_CAPABLE or MP_JOIN); nil
+	// for plain TCP.
 	Opt any
 
 	// home is the free list the segment was taken from and Recycle
@@ -117,6 +123,14 @@ type Segment struct {
 
 // SackBlock is one selective-acknowledgement interval [Lo, Hi).
 type SackBlock struct{ Lo, Hi uint64 }
+
+// DSS is MPTCP's Data Sequence Signal (RFC 8684 §3.3), the one option a
+// data-path segment carries: this package copies it by value, into the
+// segment and its scoreboard entry, and package mptcp interprets it. It
+// maps the segment's payload, PayloadLen bytes long, to the
+// connection-level sequence space from DataSeq on, and carries the
+// sender's cumulative connection-level acknowledgement.
+type DSS struct{ DataSeq, DataAck uint64 }
 
 // NewSegment returns a zeroed segment from sim's free list. Its Sack
 // slice may retain capacity from an earlier life; append to Sack[:0] to
@@ -132,37 +146,11 @@ func takeSegment(l *simnet.FreeList[Segment]) *Segment {
 	return s
 }
 
-// RecyclableOpt is implemented by segment options that are recycled.
-// Whoever stores a reference to an option holds it, and drops the hold
-// with RecycleOpt exactly once: a wire segment at its recycle sink, a
-// scoreboard entry when it is popped. The option may reuse itself when
-// its last holder has let go, and not before.
-type RecyclableOpt interface{ RecycleOpt() }
-
-// SharedOpt is a RecyclableOpt that can have several holders at once.
-// Source.Next hands one over with a single hold, for the wire segment
-// it rides; this package takes another for the scoreboard entry
-// (track) and one for every retransmitted copy (retransmit). Nothing
-// else may touch the count.
-type SharedOpt interface {
-	RecyclableOpt
-	// RetainOpt adds a holder.
-	RetainOpt()
-	// AbandonOpt is called for the options of a scoreboard that will
-	// never be acknowledged (Conn.Abort): entries and copies in flight
-	// may still read the option, but not every hold will be dropped, so
-	// it must leave recycling and go to the garbage collector instead.
-	AbandonOpt()
-}
-
 // Recycle resets the segment (keeping its Sack capacity) and returns it
 // to its free list. It implements netem.Recyclable, so packets dropped
 // inside the network give their segments back too. The caller must not
 // touch the segment afterwards.
 func (s *Segment) Recycle() {
-	if r, ok := s.Opt.(RecyclableOpt); ok {
-		r.RecycleOpt()
-	}
 	home := s.home
 	*s = Segment{Sack: s.Sack[:0]}
 	if home != nil {
@@ -187,7 +175,7 @@ func (s *Segment) SeqEnd() uint64 {
 // WireSize returns the on-the-wire size in bytes.
 func (s *Segment) WireSize() int {
 	sz := HeaderSize + s.PayloadLen
-	if s.Opt != nil {
+	if s.Opt != nil || s.Flags.Has(FlagDSS) {
 		sz += OptionSize
 	}
 	if n := len(s.Sack); n > 0 {
@@ -199,7 +187,10 @@ func (s *Segment) WireSize() int {
 // String renders the segment for captures and debugging.
 func (s *Segment) String() string {
 	opt := ""
-	if s.Opt != nil {
+	switch {
+	case s.Flags.Has(FlagDSS):
+		opt = fmt.Sprintf(" opt=DSS(seq=%d,ack=%d)", s.DSS.DataSeq, s.DSS.DataAck)
+	case s.Opt != nil:
 		opt = fmt.Sprintf(" opt=%v", s.Opt)
 	}
 	return fmt.Sprintf("%s [%s] seq=%d ack=%d len=%d%s",
