@@ -1,15 +1,19 @@
 // Command multinetlint runs the repository's custom static-analysis
-// suite (internal/analysis): determinism, poolown, and hotpath.
+// suite (internal/analysis): determinism, poolown, hotpath and
+// unusedapi.
 //
 // Usage:
 //
 //	go run ./cmd/multinetlint [flags] [packages]
 //
-// With no package patterns it analyzes ./.... It exits 0 when the
-// suite is clean, 1 when any unsuppressed violation is found, and 2 on
-// usage or load errors. //lint:allow-suppressed findings are counted
-// on stderr (and included in -json output) so the exception budget
-// stays visible.
+// With no package patterns it analyzes ./.... unusedapi runs only on
+// the whole module (./... with -C at the module root, the default when
+// run from there): on any other patterns it is skipped, with a line on
+// stderr, since a name another package calls would look unused. It
+// exits 0 when the suite is clean, 1 when any unsuppressed violation is
+// found, and 2 on usage or load errors. //lint:allow-suppressed
+// findings are counted on stderr (and included in -json output) so the
+// exception budget stays visible.
 //
 // The suite is stdlib-only by design: the container image has no
 // module proxy access, so the golang.org/x/tools unitchecker protocol
@@ -21,7 +25,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"multinet/internal/analysis"
@@ -71,6 +77,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
+	analyzers = forPatterns(*chdir, patterns, analyzers, os.Stderr)
 
 	loader := analysis.NewLoader()
 	pkgs, err := loader.LoadPatterns(*chdir, patterns...)
@@ -123,4 +130,22 @@ func main() {
 	if violations > 0 {
 		os.Exit(1)
 	}
+}
+
+// forPatterns drops unusedapi unless patterns name the whole module:
+// a name only another package calls would otherwise be reported on a
+// run that never loaded that package. The skip is said on stderr.
+func forPatterns(dir string, patterns []string, analyzers []*analysis.Analyzer, stderr io.Writer) []*analysis.Analyzer {
+	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil && len(patterns) == 1 && patterns[0] == "./..." {
+		return analyzers
+	}
+	var kept []*analysis.Analyzer
+	for _, a := range analyzers {
+		if a == analysis.UnusedAPI {
+			fmt.Fprintln(stderr, "multinetlint: unusedapi skipped: it needs the whole module (./... from the module root)")
+			continue
+		}
+		kept = append(kept, a)
+	}
+	return kept
 }

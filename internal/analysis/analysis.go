@@ -1,7 +1,8 @@
 // Package analysis is a self-contained static-analysis suite that
 // encodes the simulator's engineering invariants — deterministic
-// execution, single-owner pooling, and allocation-free hot paths — as
-// vet-style analyzers, so violations fail at lint time instead of
+// execution, single-owner pooling, allocation-free hot paths, and an
+// exported surface that non-test code calls — as four vet-style
+// analyzers, so violations fail at lint time instead of
 // surfacing as golden-hash drift or AllocsPerRun regressions far from
 // their cause.
 //
@@ -62,6 +63,9 @@ type Pass struct {
 	// lookups — e.g. a //multinet:owns on a field declared elsewhere —
 	// resolve as long as the declaring package was loaded too.
 	Comments *CommentIndex
+
+	// Refs holds what every loaded package references, for unusedapi.
+	Refs *Refs
 
 	diags *[]Diagnostic
 }
@@ -183,6 +187,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 			comments.AddFile(pkg.Fset, f)
 		}
 	}
+	refs := newRefs(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -196,6 +201,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				Comments:  comments,
+				Refs:      refs,
 				diags:     &diags,
 			}
 			if err := a.Run(pass); err != nil {
@@ -231,7 +237,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 
 // DefaultAnalyzers returns the full multinetlint suite.
 func DefaultAnalyzers() []*Analyzer {
-	return []*Analyzer{Determinism, PoolOwn, HotPath}
+	return []*Analyzer{Determinism, PoolOwn, HotPath, UnusedAPI}
 }
 
 // typesFunc resolves the *types.Func an identifier or selector refers

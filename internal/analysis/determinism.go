@@ -22,8 +22,9 @@ var enginePackages = []string{
 	"multinet/internal/oracle",
 	"multinet/internal/experiments",
 	"multinet/internal/replay",
-	// Fault schedules compile onto simulator timers and draw only from
-	// sim.RNG("faults"); the invariant checker reads quiescent state.
+	// Fault schedules compile onto simulator timers and draw nothing
+	// (a loss burst draws from the link's own stream); the invariant
+	// checker reads quiescent state.
 	// Both sit squarely between seed and golden hash.
 	"multinet/internal/faults",
 	// The selector package (policy + sharded estimate store) takes time

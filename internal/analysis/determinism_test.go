@@ -3,7 +3,7 @@ package analysis
 import "testing"
 
 func TestDeterminismGolden(t *testing.T) {
-	RunGolden(t, "testdata/determinism", Determinism)
+	runGolden(t, Determinism, "testdata/determinism")
 }
 
 func TestIsEnginePackage(t *testing.T) {

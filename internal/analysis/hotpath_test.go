@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestHotPathGolden(t *testing.T) {
-	RunGolden(t, "testdata/hotpath", HotPath)
+	runGolden(t, HotPath, "testdata/hotpath")
 }

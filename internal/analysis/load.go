@@ -86,29 +86,6 @@ func (l *Loader) LoadPatterns(dir string, patterns ...string) ([]*Package, error
 	return pkgs, nil
 }
 
-// LoadDir loads the single package whose sources sit in dir, under the
-// given import path. It is how the analysistest harness loads golden
-// packages that live below testdata/ (invisible to the go tool but
-// free to import real module packages).
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, m := range matches {
-		base := filepath.Base(m)
-		if len(base) > len("_test.go") && base[len(base)-len("_test.go"):] == "_test.go" {
-			continue
-		}
-		names = append(names, base)
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	return l.load(dir, importPath, names)
-}
-
 // load parses the named files of one package and type-checks them in
 // tolerant mode.
 func (l *Loader) load(dir, importPath string, fileNames []string) (*Package, error) {

@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestPoolOwnGolden(t *testing.T) {
-	RunGolden(t, "testdata/poolown", PoolOwn)
+	runGolden(t, PoolOwn, "testdata/poolown")
 }

@@ -13,7 +13,7 @@ func TestRepositorySuiteClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole repository")
 	}
-	pkgs, err := TestLoader().LoadPatterns("../..", "./...")
+	pkgs, err := testLoader().LoadPatterns("../..", "./...")
 	if err != nil {
 		t.Fatalf("loading repository packages: %v", err)
 	}
@@ -41,10 +41,10 @@ func TestRepositorySuiteClean(t *testing.T) {
 			idx.AddFile(pkg.Fset, f)
 		}
 	}
-	if n := idx.CountMarker("multinet:hotpath"); n < 10 {
+	if n := idx.countMarker("multinet:hotpath"); n < 10 {
 		t.Errorf("found %d //multinet:hotpath pragmas, want >= 10 (netem admit/deliver, tcp dispatch/ack, mptcp rank/admit, timer push/fire must stay annotated)", n)
 	}
-	if n := idx.CountMarker("multinet:owns"); n < 5 {
+	if n := idx.countMarker("multinet:owns"); n < 5 {
 		t.Errorf("found %d //multinet:owns markers, want >= 5", n)
 	}
 	if suppressed == 0 {

@@ -195,12 +195,12 @@ func handleAfterRelease() int64 {
 func handleAfterSessionClose(cond phy.Condition) bool {
 	s := core.NewSession(11, cond) // Close is the World's, promoted
 	c := mptcp.Dial(s.Sim, s.Client, s.Host, mptcp.Config{ConnID: "c", Primary: "wifi"}, mptcp.Callbacks{})
-	sf := c.Primary()
+	sf := c.Subflows()[0]
 	tc := c.Subflows()[0].TCP
 	s.Close()
-	_ = c.RecvTotal()  // want `use of c after release of s`
-	_ = tc.RecvTotal() // want `use of tc after release of s`
-	return sf.Dead()   // want `use of sf after release of s`
+	_ = c.RecvTotal()          // want `use of c after release of s`
+	_ = tc.RecvTotal()         // want `use of tc after release of s`
+	return sf.Name() == "wifi" // want `use of sf after release of s`
 }
 
 // A flow record is a handle of the world its Flows was given.

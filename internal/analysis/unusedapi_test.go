@@ -1,0 +1,7 @@
+package analysis
+
+import "testing"
+
+func TestUnusedAPIGolden(t *testing.T) {
+	runGolden(t, UnusedAPI, "testdata/unusedapi/a", "testdata/unusedapi/b")
+}

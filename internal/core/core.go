@@ -52,10 +52,6 @@ type Config struct {
 	// Scheduler names the MPTCP data scheduler, one of
 	// mptcp.Schedulers (empty: mptcp.SchedMinSRTT, the Linux default).
 	Scheduler string
-	// RoundRobin is the legacy ablation flag: with Scheduler empty it
-	// runs mptcp.SchedRoundRobin on the client end only, which is what
-	// the ablation-scheduler golden pins.
-	RoundRobin bool
 	// SimultaneousJoin is the late-join ablation (all subflows start at
 	// dial time).
 	SimultaneousJoin bool

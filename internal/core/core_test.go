@@ -20,10 +20,10 @@ func cleanCond(wifiMbps, lteMbps float64) phy.Condition {
 
 // wifiLTE is the two-path estimate of the paper's {wifi, lte} pair.
 func wifiLTE(wifiMbps, lteMbps float64, wifiRTT, lteRTT time.Duration) selector.Estimate {
-	return selector.EstimateOf(
-		selector.PathEstimate{Name: "wifi", Mbps: wifiMbps, RTT: wifiRTT},
-		selector.PathEstimate{Name: "lte", Mbps: lteMbps, RTT: lteRTT},
-	)
+	return selector.Estimate{Paths: []selector.PathEstimate{
+		{Name: "wifi", Mbps: wifiMbps, RTT: wifiRTT},
+		{Name: "lte", Mbps: lteMbps, RTT: lteRTT},
+	}}
 }
 
 // TestNewWorld pins how the one constructor wires a world: an interface
@@ -57,7 +57,7 @@ func TestNewWorld(t *testing.T) {
 			t.Error("a closed world's Sim still schedules")
 		}
 	}()
-	w.Sim.After(time.Second, func() {})
+	w.Sim.Schedule(w.Sim.Now()+time.Second, func() {})
 }
 
 func TestTCPDownload(t *testing.T) {
@@ -249,26 +249,26 @@ func TestEstimateHelpers(t *testing.T) {
 
 func TestEstimateEdgeCases(t *testing.T) {
 	// Throughput tie broken by RTT regardless of estimate order.
-	e := selector.EstimateOf(
-		selector.PathEstimate{Name: "slowrtt", Mbps: 5, RTT: 80 * time.Millisecond},
-		selector.PathEstimate{Name: "fastrtt", Mbps: 5, RTT: 20 * time.Millisecond},
-	)
+	e := selector.Estimate{Paths: []selector.PathEstimate{
+		{Name: "slowrtt", Mbps: 5, RTT: 80 * time.Millisecond},
+		{Name: "fastrtt", Mbps: 5, RTT: 20 * time.Millisecond},
+	}}
 	if e.Best() != "fastrtt" {
 		t.Fatalf("Best = %q, want fastrtt (RTT tie-break)", e.Best())
 	}
 	// Full tie falls back to estimate order.
-	even := selector.EstimateOf(
-		selector.PathEstimate{Name: "a", Mbps: 5, RTT: 20 * time.Millisecond},
-		selector.PathEstimate{Name: "b", Mbps: 5, RTT: 20 * time.Millisecond},
-	)
+	even := selector.Estimate{Paths: []selector.PathEstimate{
+		{Name: "a", Mbps: 5, RTT: 20 * time.Millisecond},
+		{Name: "b", Mbps: 5, RTT: 20 * time.Millisecond},
+	}}
 	if even.Best() != "a" {
 		t.Fatalf("Best = %q, want first-listed path on full tie", even.Best())
 	}
 	// Zero-rate path poisons the whole-set disparity...
-	z := selector.EstimateOf(
-		selector.PathEstimate{Name: "up", Mbps: 10},
-		selector.PathEstimate{Name: "dead", Mbps: 0},
-	)
+	z := selector.Estimate{Paths: []selector.PathEstimate{
+		{Name: "up", Mbps: 10},
+		{Name: "dead", Mbps: 0},
+	}}
 	if z.Disparity() < 1e6 {
 		t.Fatalf("disparity with dead path = %v, want huge", z.Disparity())
 	}
@@ -276,7 +276,7 @@ func TestEstimateEdgeCases(t *testing.T) {
 	if (selector.Estimate{}).Disparity() < 1e6 || (selector.Estimate{}).Best() != "" {
 		t.Fatal("empty estimate: want huge disparity and no best path")
 	}
-	one := selector.EstimateOf(selector.PathEstimate{Name: "only", Mbps: 7})
+	one := selector.Estimate{Paths: []selector.PathEstimate{{Name: "only", Mbps: 7}}}
 	if one.Disparity() < 1e6 || one.PairDisparity() < 1e6 {
 		t.Fatal("single path: want huge disparities")
 	}
@@ -286,12 +286,12 @@ func TestEstimateEdgeCases(t *testing.T) {
 }
 
 func TestEstimateNPathRanking(t *testing.T) {
-	e := selector.EstimateOf(
-		selector.PathEstimate{Name: "wlan-far", Mbps: 2, RTT: 55 * time.Millisecond},
-		selector.PathEstimate{Name: "lte-a", Mbps: 9, RTT: 60 * time.Millisecond},
-		selector.PathEstimate{Name: "lte-b", Mbps: 9, RTT: 45 * time.Millisecond},
-		selector.PathEstimate{Name: "wlan-near", Mbps: 12, RTT: 25 * time.Millisecond},
-	)
+	e := selector.Estimate{Paths: []selector.PathEstimate{
+		{Name: "wlan-far", Mbps: 2, RTT: 55 * time.Millisecond},
+		{Name: "lte-a", Mbps: 9, RTT: 60 * time.Millisecond},
+		{Name: "lte-b", Mbps: 9, RTT: 45 * time.Millisecond},
+		{Name: "wlan-near", Mbps: 12, RTT: 25 * time.Millisecond},
+	}}
 	want := []string{"wlan-near", "lte-b", "lte-a", "wlan-far"}
 	for i, p := range e.Ranked() {
 		if p.Name != want[i] {

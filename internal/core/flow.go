@@ -116,14 +116,12 @@ func (fs *Flows) Start(f *Flow) {
 			Owner:     f,
 		})
 	case MPTCP:
-		// Both endpoints must agree on coupling. Scheduler is wired to
-		// both ends; the legacy RoundRobin flag stays client-side only,
-		// preserving the historical ablation behaviour the output goldens
-		// pin.
+		// Both endpoints must agree on coupling; Scheduler is wired to
+		// both ends.
 		fs.mp.SetConfig(mptcp.ServerConfig{
 			CC: cfg.CC, Mode: cfg.Mode, Scheduler: cfg.Scheduler, WatchdogRTOs: cfg.WatchdogRTOs,
 		})
-		mcfg := mptcp.Config{
+		mptcp.Dial(fs.Sim, fs.Client, fs.Host, mptcp.Config{
 			ConnID:           f.Name,
 			Primary:          cfg.Primary,
 			CC:               cfg.CC,
@@ -132,12 +130,7 @@ func (fs *Flows) Start(f *Flow) {
 			Scheduler:        cfg.Scheduler,
 			SimultaneousJoin: cfg.SimultaneousJoin,
 			WatchdogRTOs:     cfg.WatchdogRTOs,
-		}
-		if cfg.RoundRobin && cfg.Scheduler == "" {
-			mcfg.Scheduler = mptcp.SchedRoundRobin
-		}
-		mptcp.Dial(fs.Sim, fs.Client, fs.Host, mcfg,
-			mptcp.Callbacks{OnEstablished: mpClientEstablished, OnData: mpClientData}).SetOwner(f)
+		}, mptcp.Callbacks{OnEstablished: mpClientEstablished, OnData: mpClientData}).SetOwner(f)
 	default:
 		panic("core: unknown transport " + strconv.Itoa(int(cfg.Transport)))
 	}

@@ -73,7 +73,7 @@ func TestDiffCDFSupportSpansPaperRange(t *testing.T) {
 	if down.Quantile(0.01) > -5 {
 		t.Fatalf("1st pct downlink diff = %.1f, want < -5 Mbit/s", down.Quantile(0.01))
 	}
-	if up.N() != down.N() {
+	if len(up.Points()) != len(down.Points()) {
 		t.Fatal("uplink and downlink sample counts differ")
 	}
 }

@@ -183,13 +183,6 @@ func (m *Meter) Trace(until time.Duration) []Sample {
 	return m.trace
 }
 
-// PowerAt returns the total draw (base + radio) at time t, a reading
-// at t.
-func (m *Meter) PowerAt(t time.Duration) float64 {
-	m.read(t)
-	return m.powerAt(t)
-}
-
 func (m *Meter) powerAt(t time.Duration) float64 {
 	w := 0.0
 	for _, s := range m.trace {

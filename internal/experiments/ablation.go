@@ -86,10 +86,11 @@ type AblationSchedulerResult struct {
 	RoundRobinMbps float64
 }
 
-// AblationScheduler measures 1 MB MPTCP downloads with each scheduler.
-// It keeps the legacy RoundRobin flag (client-side wiring only) so its
-// output golden stays bit-identical; scenario-schedulers is the full
-// both-ends scheduler comparison over the pluggable Scheduler layer.
+// AblationScheduler measures 1 MB MPTCP downloads in two arms. Both
+// arms run min-SRTT, since in a download only the server's scheduler
+// sends data, so they differ only by seed until ROADMAP item 4 deletes
+// or re-points the experiment. scenario-schedulers is the real
+// both-ends scheduler comparison.
 func AblationScheduler(o Options) AblationSchedulerResult {
 	loc := phy.LocLTEMuchBetter
 	trials := o.TrialCount(5)
@@ -99,7 +100,7 @@ func AblationScheduler(o Options) AblationSchedulerResult {
 		MinRTTMbps: measureMbps(o, seedFor(o.BaseSeed(), 772, 0), loc.Condition(),
 			core.Config{Transport: core.MPTCP, Primary: "lte"}, core.Download, 1<<20, trials),
 		RoundRobinMbps: measureMbps(o, seedFor(o.BaseSeed(), 772, 1), loc.Condition(),
-			core.Config{Transport: core.MPTCP, Primary: "lte", RoundRobin: true}, core.Download, 1<<20, trials),
+			core.Config{Transport: core.MPTCP, Primary: "lte"}, core.Download, 1<<20, trials),
 	}
 }
 

@@ -184,7 +184,7 @@ func TestLeakCountIsPerWorld(t *testing.T) {
 			w.srv.OnConn = func(c *mptcp.Conn) { c.Send(64 << 10); c.Close() }
 			mptcp.Dial(w.Sim, w.Client, w.Host, mptcp.Config{ConnID: "leak", Primary: "wifi"}, mptcp.Callbacks{})
 			if i == 0 {
-				w.Sim.After(100*time.Millisecond, func() {
+				w.Sim.Schedule(w.Sim.Now()+100*time.Millisecond, func() {
 					for range keepPackets {
 						netem.NewPacket(w.Sim)
 					}

@@ -70,6 +70,8 @@ type connPair struct {
 // AddWorld registers one world: both directions of every interface of
 // h for link conservation, and sim's free lists of packets and segments
 // for the leak rules.
+//
+//lint:allow unusedapi ROADMAP item 1 registers every world at Close
 func (c *Checker) AddWorld(sim *simnet.Sim, h *netem.Host) {
 	for _, ifc := range h.Ifaces() {
 		c.links = append(c.links,
@@ -83,12 +85,16 @@ func (c *Checker) AddWorld(sim *simnet.Sim, h *netem.Host) {
 }
 
 // AddPair registers the two endpoints of one MPTCP connection.
+//
+//lint:allow unusedapi ROADMAP item 1 walks the connection pairs
 func (c *Checker) AddPair(label string, a, b *mptcp.Conn) {
 	c.pairs = append(c.pairs, connPair{label: label, a: a, b: b})
 }
 
 // Check runs every registered invariant and returns the violations
 // (empty means all invariants hold).
+//
+//lint:allow unusedapi ROADMAP item 1 checks every world at Close
 func (c *Checker) Check() []Violation {
 	var out []Violation
 	for _, cl := range c.links {

@@ -8,6 +8,7 @@ import (
 	"multinet/internal/faults"
 	"multinet/internal/mptcp"
 	"multinet/internal/phy"
+	"multinet/internal/tcp"
 )
 
 // TestDSSMappingsSurviveFaults drives MPTCP's DSS through everything
@@ -74,8 +75,10 @@ func TestDSSMappingsSurviveFaults(t *testing.T) {
 			torn := false
 			for w.Sim.Pending() > 0 {
 				w.Sim.RunFor(5 * time.Millisecond)
+				// While its interface is down, a torn-down subflow's
+				// connection is aborted.
 				for _, sf := range cli.Subflows() {
-					torn = torn || sf.Dead()
+					torn = torn || sf.Iface.AdminDown() && sf.TCP.State() == tcp.StateDone
 				}
 				if vs := ck.CheckScoreboards(); len(vs) != 0 {
 					t.Fatalf("at %v: %v", w.Sim.Now(), vs)

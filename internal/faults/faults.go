@@ -15,7 +15,6 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -81,14 +80,6 @@ type Episode struct {
 	// RateFactor scales the link rate during the episode (RateCollapse
 	// only); must be in (0, 1].
 	RateFactor float64
-}
-
-// End returns when the episode's last effect fires, relative to attach.
-func (e Episode) End() time.Duration {
-	if e.Kind == FlapTrain {
-		return e.Start + time.Duration(e.Cycles-1)*e.Period + e.Duration
-	}
-	return e.Start + e.Duration
 }
 
 // String renders the episode in a stable, human-readable form (the
@@ -208,17 +199,9 @@ type rateLink interface {
 // Injector is an attached schedule: its steps live on the simulator's
 // event heap and fire as virtual time passes.
 type Injector struct {
-	sim   *simnet.Sim
-	rng   *rand.Rand
-	steps int
-	fired int
+	steps int // compiled fault edges
+	fired int // edges executed so far
 }
-
-// Steps returns the number of compiled fault edges.
-func (in *Injector) Steps() int { return in.steps }
-
-// Fired returns how many fault edges have executed so far.
-func (in *Injector) Fired() int { return in.fired }
 
 // runStep applies one fault edge.
 func runStep(a any) {
@@ -241,10 +224,10 @@ func runStep(a any) {
 		if l, ok := i.DownLink().(lossLink); ok {
 			st.saved.downProb = l.LossProb()
 		}
-		i.SetLossProb(st.prob, st.inj.rng)
+		i.SetLossProb(st.prob)
 	case opLossOff:
-		i.UpLink().SetLossProb(st.saved.upProb, nil)
-		i.DownLink().SetLossProb(st.saved.downProb, nil)
+		i.UpLink().SetLossProb(st.saved.upProb)
+		i.DownLink().SetLossProb(st.saved.downProb)
 	case opRateOn:
 		if l, ok := i.UpLink().(rateLink); ok {
 			st.saved.upRate = l.RateMbps()
@@ -266,14 +249,13 @@ func runStep(a any) {
 
 // Attach validates the schedule, compiles it against host's interfaces
 // and arms every fault edge on the simulator's event heap, relative to
-// sim.Now(). The injected loss stream (for links built without an RNG)
-// comes from the simulator's named "faults" stream, so runs are
-// bit-identical regardless of host parallelism.
+// sim.Now(). A loss burst draws from each link's own loss stream, so
+// runs are bit-identical regardless of host parallelism.
 func (s Schedule) Attach(sim *simnet.Sim, host *netem.Host) (*Injector, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	inj := &Injector{sim: sim, rng: sim.RNG("faults")}
+	inj := &Injector{}
 	base := sim.Now()
 	arm := func(at time.Duration, st *step) {
 		st.inj = inj
@@ -309,40 +291,4 @@ func (s Schedule) Attach(sim *simnet.Sim, host *netem.Host) (*Injector, error) {
 		}
 	}
 	return inj, nil
-}
-
-// GenSchedule draws a random schedule over the given interfaces: 1–4
-// episodes of mixed kinds, starting within the first 60% of horizon and
-// short enough that every fault ends before the horizon does. The same
-// rng state always yields the same schedule — the chaos sweep and the
-// differential fuzz target both rely on that.
-func GenSchedule(rng *rand.Rand, ifaces []string, horizon time.Duration) Schedule {
-	if len(ifaces) == 0 || horizon <= 0 {
-		return Schedule{}
-	}
-	n := 1 + rng.Intn(4)
-	eps := make([]Episode, 0, n)
-	for i := 0; i < n; i++ {
-		e := Episode{
-			Kind:  Kind(rng.Intn(5)),
-			Iface: ifaces[rng.Intn(len(ifaces))],
-			Start: time.Duration(rng.Int63n(int64(horizon * 6 / 10))),
-		}
-		maxDur := horizon / 4
-		e.Duration = 10*time.Millisecond + time.Duration(rng.Int63n(int64(maxDur)))
-		switch e.Kind {
-		case FlapTrain:
-			e.Cycles = 2 + rng.Intn(3)
-			// Keep the whole train inside the horizon budget.
-			e.Duration = 10*time.Millisecond + time.Duration(rng.Int63n(int64(horizon/20)))
-			e.Period = e.Duration + 10*time.Millisecond +
-				time.Duration(rng.Int63n(int64(horizon/20)))
-		case LossBurst:
-			e.LossProb = 0.05 + 0.45*rng.Float64()
-		case RateCollapse:
-			e.RateFactor = 0.05 + 0.5*rng.Float64()
-		}
-		eps = append(eps, e)
-	}
-	return Schedule{Episodes: eps}
 }

@@ -34,6 +34,8 @@ type Trace struct {
 // Parse reads a Mahimahi trace. Lines hold non-negative millisecond
 // integers in non-decreasing order; blank lines and '#' comments are
 // ignored (a common extension).
+//
+//lint:allow unusedapi ROADMAP item 3(b)'s mahitrace round trip
 func Parse(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	t := &Trace{}
@@ -94,6 +96,8 @@ func (t *Trace) MeanMbps() float64 {
 
 // Source returns a looping netem.OpportunitySource over the trace,
 // with Mahimahi's wraparound semantics.
+//
+//lint:allow unusedapi ROADMAP item 3(b)'s mahitrace round trip
 func (t *Trace) Source() netem.OpportunitySource {
 	return &loopSource{t: t}
 }

@@ -82,7 +82,7 @@ func TestSubflowWiringZeroAlloc(t *testing.T) {
 	r.sim.Release()
 	world()
 	for _, c := range cs {
-		if !c.Primary().Established() {
+		if !c.subflows[0].established {
 			t.Fatalf("%s not established after a second", c.ConnID())
 		}
 	}
@@ -96,7 +96,7 @@ func TestSubflowWiringZeroAlloc(t *testing.T) {
 	}
 	r.sim.RunUntil(2 * time.Second)
 	for _, c := range cs {
-		if len(c.subflows) != 2 || !c.subflows[1].Established() {
+		if len(c.subflows) != 2 || !c.subflows[1].established {
 			t.Fatalf("%s: the measured join did not establish", c.ConnID())
 		}
 	}

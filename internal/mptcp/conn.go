@@ -113,12 +113,6 @@ type Subflow struct {
 // Name returns the subflow's flow identifier.
 func (sf *Subflow) Name() string { return sf.TCP.Flow() }
 
-// Established reports whether the subflow handshake completed.
-func (sf *Subflow) Established() bool { return sf.established }
-
-// Dead reports whether the subflow was administratively killed.
-func (sf *Subflow) Dead() bool { return sf.dead }
-
 // Conn is one endpoint of an MPTCP connection. Both the client and the
 // server side use this type; the client side initiates subflows.
 //
@@ -401,14 +395,6 @@ func (c *Conn) RecvTotal() int64 { return c.recvTotal }
 // Subflows returns the subflows in creation order. The list is the
 // connection's own: read it, do not append to it.
 func (c *Conn) Subflows() []*Subflow { return c.subflows }
-
-// Primary returns the first subflow.
-func (c *Conn) Primary() *Subflow {
-	if len(c.subflows) == 0 {
-		return nil
-	}
-	return c.subflows[0]
-}
 
 // ConnID returns the connection identifier.
 func (c *Conn) ConnID() string { return c.cfg.ConnID }

@@ -290,7 +290,7 @@ func TestBackupFailoverOnAdminDown(t *testing.T) {
 			}
 		},
 	})
-	r.sim.After(500*time.Millisecond, func() { r.wifi.SetDown(true) })
+	r.sim.Schedule(r.sim.Now()+500*time.Millisecond, func() { r.wifi.SetDown(true) })
 	r.sim.Run()
 	if done == 0 {
 		t.Fatal("transfer did not complete after failover")
@@ -331,7 +331,7 @@ func TestBackupBlackholeStalls(t *testing.T) {
 			}
 		},
 	})
-	r.sim.After(500*time.Millisecond, func() { r.wifi.SetBlackhole(true) })
+	r.sim.Schedule(r.sim.Now()+500*time.Millisecond, func() { r.wifi.SetBlackhole(true) })
 	// Check the stall window, then replug and let it finish.
 	r.sim.Schedule(20*time.Second, func() {
 		if done != 0 {
@@ -369,7 +369,7 @@ func TestFullModeBlackholeReinjects(t *testing.T) {
 			}
 		},
 	})
-	r.sim.After(400*time.Millisecond, func() { r.lte.SetBlackhole(true) })
+	r.sim.Schedule(r.sim.Now()+400*time.Millisecond, func() { r.lte.SetBlackhole(true) })
 	r.sim.Run()
 	if done == 0 {
 		t.Fatal("transfer did not complete over the surviving path")

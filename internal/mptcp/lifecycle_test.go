@@ -62,8 +62,8 @@ func TestRejoinAfterAdminDown(t *testing.T) {
 	if lte == nil {
 		t.Fatal("no lte subflow")
 	}
-	if lte.Dead() || !lte.Established() {
-		t.Fatalf("lte subflow not re-established: dead=%v est=%v", lte.Dead(), lte.Established())
+	if lte.dead || !lte.established {
+		t.Fatalf("lte subflow not re-established: dead=%v est=%v", lte.dead, lte.established)
 	}
 	if u := srvConn.UncoveredBytes(); u != 0 {
 		t.Fatalf("server stranded %d scheduled bytes", u)

@@ -230,7 +230,7 @@ func TestBackupSchedulerMatrix(t *testing.T) {
 					}
 				},
 			}))
-			r.sim.After(300*time.Millisecond, func() { r.wifi.SetBlackhole(true) })
+			r.sim.Schedule(r.sim.Now()+300*time.Millisecond, func() { r.wifi.SetBlackhole(true) })
 			r.sim.RunUntil(15 * time.Second)
 			if done != 0 {
 				t.Errorf("%s: transfer completed during blackhole — backup must stay idle", sched)

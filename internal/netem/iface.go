@@ -2,7 +2,6 @@ package netem
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"multinet/internal/simnet"
@@ -178,18 +177,14 @@ func (i *Iface) SetBlackhole(bh bool) {
 }
 
 // SetLossProb changes the random-loss probability in both directions —
-// the fault layer's loss-burst episode. rng seeds links built without a
-// loss stream; pass nil to keep existing streams.
-func (i *Iface) SetLossProb(p float64, rng *rand.Rand) {
-	i.up.SetLossProb(p, rng)
-	i.down.SetLossProb(p, rng)
+// the fault layer's loss-burst episode.
+func (i *Iface) SetLossProb(p float64) {
+	i.up.SetLossProb(p)
+	i.down.SetLossProb(p)
 }
 
 // AdminDown reports whether the interface is administratively down.
 func (i *Iface) AdminDown() bool { return i.adminDown }
-
-// Blackholed reports whether the interface is silently discarding.
-func (i *Iface) Blackholed() bool { return i.blackhole }
 
 // downSub is one SubscribeDown registration.
 type downSub struct {

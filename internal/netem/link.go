@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -17,7 +18,9 @@ type LinkConfig struct {
 	QueueLimit int
 	// LossProb is an i.i.d. per-packet drop probability in [0,1).
 	LossProb float64
-	// RNG drives random loss; required only when LossProb > 0.
+	// RNG drives random loss, including a fault-injected loss burst's;
+	// a link without one panics when its loss probability is set above
+	// zero.
 	RNG *rand.Rand
 }
 
@@ -111,6 +114,7 @@ type baseLink struct {
 // init binds the link to sim and registers its lane.
 func (b *baseLink) init(sim *simnet.Sim, cfg LinkConfig) {
 	b.sim, b.cfg = sim, cfg
+	b.SetLossProb(cfg.LossProb)
 	sim.AddLane(&b.lane, (*arrivals)(b))
 }
 
@@ -118,12 +122,12 @@ func (b *baseLink) SetReceiver(fn func(*Packet)) { b.recv = fn }
 func (b *baseLink) Stats() LinkStats             { return b.stats }
 
 // SetLossProb implements Link: a fault-injected loss burst (or its
-// restore). rng is only installed when the link was built without one.
-func (b *baseLink) SetLossProb(p float64, rng *rand.Rand) {
-	b.cfg.LossProb = p
-	if b.cfg.RNG == nil && rng != nil {
-		b.cfg.RNG = rng
+// restore). It panics when p > 0 and the link has no loss stream.
+func (b *baseLink) SetLossProb(p float64) {
+	if p > 0 && b.cfg.RNG == nil {
+		panic(fmt.Sprintf("netem: loss probability %v on a link built without LinkConfig.RNG", p))
 	}
+	b.cfg.LossProb = p
 }
 
 // LossProb returns the current i.i.d. drop probability — the fault
@@ -160,7 +164,7 @@ func (b *baseLink) admit(p *Packet) (time.Duration, bool) {
 		dropPacket(p)
 		return 0, false
 	}
-	if b.cfg.LossProb > 0 && b.cfg.RNG != nil && b.cfg.RNG.Float64() < b.cfg.LossProb {
+	if b.cfg.LossProb > 0 && b.cfg.RNG.Float64() < b.cfg.LossProb {
 		b.stats.DroppedLoss++
 		dropPacket(p)
 		return 0, false
@@ -386,30 +390,4 @@ func (l *VarLink) Send(p *Packet) {
 		done = l.src.Next(done)
 	}
 	l.launch(p, start, done)
-}
-
-// PeriodicOpportunities is an OpportunitySource delivering MTU-sized
-// slots at a constant rate, i.e. a CBR link expressed in the
-// opportunity model.
-type PeriodicOpportunities struct {
-	Interval time.Duration
-}
-
-// NewPeriodicOpportunities returns a source whose slot rate carries
-// rateMbps of MTU-sized packets.
-func NewPeriodicOpportunities(rateMbps float64) *PeriodicOpportunities {
-	if rateMbps <= 0 {
-		panic("netem: rate must be positive")
-	}
-	perSec := rateMbps * 1e6 / (8 * MTU)
-	return &PeriodicOpportunities{Interval: time.Duration(float64(time.Second) / perSec)}
-}
-
-// Next implements OpportunitySource.
-func (p *PeriodicOpportunities) Next(after time.Duration) time.Duration {
-	if p.Interval <= 0 {
-		panic("netem: PeriodicOpportunities needs positive interval")
-	}
-	n := after/p.Interval + 1
-	return n * p.Interval
 }

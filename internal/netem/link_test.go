@@ -1,7 +1,9 @@
 package netem
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -232,8 +234,8 @@ func TestIfaceBlackholeDoesNotSignal(t *testing.T) {
 	if signalled {
 		t.Fatal("blackhole must be silent (paper Fig. 15g semantics)")
 	}
-	if !i.Blackholed() {
-		t.Fatal("Blackholed() should report true")
+	if !i.blackhole {
+		t.Fatal("the interface should be blackholed")
 	}
 }
 
@@ -269,6 +271,28 @@ func TestHostAttachAndLookup(t *testing.T) {
 		}
 	}()
 	h.Attach(testIface(s, "wifi", 1, time.Millisecond))
+}
+
+// TestLossWithoutStreamPanics pins that loss draws come from the
+// link's own stream: a loss probability above zero on a link built
+// without LinkConfig.RNG panics, at construction or from a loss burst,
+// instead of silently dropping nothing. Zero stays allowed.
+func TestLossWithoutStreamPanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "without LinkConfig.RNG") {
+				t.Errorf("%s: recovered %v, want the missing-stream panic", name, r)
+			}
+		}()
+		fn()
+	}
+	s := simnet.New(1)
+	mustPanic("NewFixedLink", func() { NewFixedLink(s, 10, LinkConfig{LossProb: 0.1}) })
+	mustPanic("NewVarLink", func() { NewVarLink(s, NewPeriodicOpportunities(10), LinkConfig{LossProb: 0.1}) })
+	i := testIface(s, "lte", 10, time.Millisecond)
+	i.SetLossProb(0)
+	mustPanic("Iface.SetLossProb", func() { i.SetLossProb(0.2) })
 }
 
 // Property: a FixedLink never reorders packets.

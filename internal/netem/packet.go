@@ -18,7 +18,6 @@
 package netem
 
 import (
-	"math/rand"
 	"time"
 
 	"multinet/internal/simnet"
@@ -94,6 +93,8 @@ type Packet struct {
 type Recyclable interface{ Recycle() }
 
 // NewPacket returns a zeroed packet from sim's free list.
+//
+//lint:allow unusedapi poolown's golden package, tcp's alloc and closed-form tests and faults' TestLeakCountIsPerWorld
 func NewPacket(sim *simnet.Sim) *Packet {
 	return takePacket(simnet.FreeListOf[Packet](sim))
 }
@@ -162,9 +163,8 @@ type Link interface {
 	// SetBlackhole makes the link silently swallow all packets.
 	SetBlackhole(bh bool)
 	// SetLossProb changes the i.i.d. drop probability mid-run (fault
-	// injection: loss bursts). rng is installed only when the link was
-	// built without one; pass nil to keep the existing stream.
-	SetLossProb(p float64, rng *rand.Rand)
+	// injection: loss bursts), drawn from the link's own loss stream.
+	SetLossProb(p float64)
 	// Stats returns a snapshot of the link counters.
 	Stats() LinkStats
 	// QueueLen returns the number of packets waiting or in service.

@@ -76,7 +76,7 @@ func (l *refVarLink) opportunity() {
 	if l.headBytes >= p.Size {
 		l.queue = l.queue[1:]
 		l.headBytes = 0
-		l.sim.After(l.cfg.PropDelay, func() { l.finish(p) })
+		l.sim.Schedule(l.sim.Now()+l.cfg.PropDelay, func() { l.finish(p) })
 	}
 	l.arm()
 }
@@ -120,10 +120,10 @@ func (l *refVarLink) SetBlackhole(bh bool) {
 	}
 }
 
-func (l *refVarLink) SetReceiver(fn func(*netem.Packet))  { l.recv = fn }
-func (l *refVarLink) SetLossProb(p float64, _ *rand.Rand) { l.cfg.LossProb = p }
-func (l *refVarLink) Stats() netem.LinkStats              { return l.stats }
-func (l *refVarLink) QueueLen() int                       { return len(l.queue) }
+func (l *refVarLink) SetReceiver(fn func(*netem.Packet)) { l.recv = fn }
+func (l *refVarLink) SetLossProb(p float64)              { l.cfg.LossProb = p }
+func (l *refVarLink) Stats() netem.LinkStats             { return l.stats }
+func (l *refVarLink) QueueLen() int                      { return len(l.queue) }
 
 // arrival is one packet reaching the far end.
 type arrival struct {
@@ -242,7 +242,7 @@ func TestVarLinkMatchesEventDrivenReference(t *testing.T) {
 					case op < 23:
 						w.link.SetBlackhole(false)
 					default:
-						w.link.SetLossProb(loss, nil)
+						w.link.SetLossProb(loss)
 					}
 				}
 				id += n

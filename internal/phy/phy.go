@@ -64,13 +64,6 @@ func (p PathProfile) OWD() time.Duration {
 	return time.Duration(p.RTTms/2*1000) * time.Microsecond
 }
 
-// PingRTT draws one ping RTT sample in milliseconds: the base RTT plus
-// lognormal jitter scaled by Variability.
-func (p PathProfile) PingRTT(rng interface{ NormFloat64() float64 }) float64 {
-	jitter := math.Exp(rng.NormFloat64() * p.Variability * 0.5) // median 1
-	return p.RTTms * jitter
-}
-
 // ARRateSource is a delivery-opportunity source whose instantaneous
 // rate follows an AR(1) process in log space, updated every Epoch. It
 // is the synthetic stand-in for Mahimahi's recorded packet-delivery

@@ -50,10 +50,6 @@ type Estimate struct {
 	Paths []PathEstimate
 }
 
-// EstimateOf builds an estimate from per-path stats in preference
-// order — the N-path generalisation of the classic WiFi+LTE pair.
-func EstimateOf(paths ...PathEstimate) Estimate { return Estimate{Paths: paths} }
-
 // find returns the position of the named path, or -1. A scan: an
 // estimate holds a handful of paths.
 func (e *Estimate) find(name string) int {

@@ -9,10 +9,10 @@ import (
 )
 
 func pair(aMbps, bMbps float64) Estimate {
-	return EstimateOf(
-		PathEstimate{Name: "wifi", Mbps: aMbps, RTT: 20 * time.Millisecond},
-		PathEstimate{Name: "lte", Mbps: bMbps, RTT: 40 * time.Millisecond},
-	)
+	return Estimate{Paths: []PathEstimate{
+		{Name: "wifi", Mbps: aMbps, RTT: 20 * time.Millisecond},
+		{Name: "lte", Mbps: bMbps, RTT: 40 * time.Millisecond},
+	}}
 }
 
 func TestDecideShortFlow(t *testing.T) {
@@ -98,13 +98,13 @@ func TestDecideHoLAwareEscalation(t *testing.T) {
 // TestDecideMatchesRanked pins DecideInto's insertion sort to the
 // exact order Ranked (sort.SliceStable) produces, ties included.
 func TestDecideMatchesRanked(t *testing.T) {
-	e := EstimateOf(
-		PathEstimate{Name: "a", Mbps: 5, RTT: 30 * time.Millisecond},
-		PathEstimate{Name: "b", Mbps: 9, RTT: 60 * time.Millisecond},
-		PathEstimate{Name: "c", Mbps: 5, RTT: 30 * time.Millisecond}, // full tie with a
-		PathEstimate{Name: "d", Mbps: 9, RTT: 45 * time.Millisecond},
-		PathEstimate{Name: "e", Mbps: 0, RTT: 0},
-	)
+	e := Estimate{Paths: []PathEstimate{
+		{Name: "a", Mbps: 5, RTT: 30 * time.Millisecond},
+		{Name: "b", Mbps: 9, RTT: 60 * time.Millisecond},
+		{Name: "c", Mbps: 5, RTT: 30 * time.Millisecond}, // full tie with a
+		{Name: "d", Mbps: 9, RTT: 45 * time.Millisecond},
+		{Name: "e", Mbps: 0, RTT: 0},
+	}}
 	d := Selector{}.Decide(e, 5<<20)
 	ranked := e.Ranked()
 	if len(d.Paths) != len(ranked) {
@@ -151,9 +151,6 @@ func TestEstimateManyPaths(t *testing.T) {
 	}
 	if _, ok := e.Lookup("absent"); ok || e.Mbps("absent") != 0 {
 		t.Fatal("an absent path was found")
-	}
-	if got := EstimateOf(e.Paths...).Mbps("l"); got != 12 {
-		t.Fatalf("EstimateOf(...).Mbps(l) = %v, want 12", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package selector
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"time"
 
@@ -200,9 +199,6 @@ func NewStore(cfg StoreConfig) *Store {
 	}
 	return st
 }
-
-// Policy returns the selector the store evaluates.
-func (st *Store) Policy() Selector { return st.policy }
 
 // ShardCount returns the (power-of-two) shard count.
 func (st *Store) ShardCount() int { return len(st.shards) }
@@ -516,9 +512,6 @@ func (st *Store) decide(h uint64, site []byte, flowBytes int, at time.Duration, 
 	return true
 }
 
-// StaleAfter returns the staleness floor Decide degrades at.
-func (st *Store) StaleAfter() time.Duration { return st.staleAfter }
-
 // Sites returns the total number of sites across all shards.
 func (st *Store) Sites() int {
 	n := 0
@@ -543,27 +536,13 @@ func (st *Store) Evicted() int {
 	return n
 }
 
-// SiteNames returns every known site name, sorted (diagnostics; takes
-// every shard lock in turn).
-func (st *Store) SiteNames() []string {
-	var names []string
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for k := range sh.sites {
-			names = append(names, string(sh.key(uint32(k))))
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(names)
-	return names
-}
-
 // LockSiteShard locks the shard owning site a and reports whether
 // site b lives on a different shard. It exists so layers above the
 // store (the HTTP service, load generators) can prove cross-shard
 // independence end to end; production code has no use for it. The
 // returned unlock must be called.
+//
+//lint:allow unusedapi internal/serve's TestServeShardIndependence holds a shard through it
 func (st *Store) LockSiteShard(a, b []byte) (unlock func(), cross bool) {
 	sh := st.shardOf(a)
 	sh.mu.Lock()
@@ -572,6 +551,8 @@ func (st *Store) LockSiteShard(a, b []byte) (unlock func(), cross bool) {
 
 // Estimate returns a decayed snapshot of the named site's estimate at
 // instant `at` (diagnostics and tests; allocates).
+//
+//lint:allow unusedapi internal/serve's FuzzTelemetryBytes and TestServeRejectsNonFiniteTelemetry read the store through it
 func (st *Store) Estimate(site string, at time.Duration) (Estimate, bool) {
 	return st.estimate(siteHash([]byte(site)), site, at)
 }

@@ -255,8 +255,8 @@ func TestStoreStaleTelemetryFloor(t *testing.T) {
 	}
 	half := 10 * time.Second
 	st := testStore(StoreConfig{HalfLife: half, StaleAfter: 4 * half})
-	if got := st.StaleAfter(); got != 4*half {
-		t.Fatalf("StaleAfter() = %v, want %v", got, 4*half)
+	if got := st.staleAfter; got != 4*half {
+		t.Fatalf("staleAfter = %v, want %v", got, 4*half)
 	}
 	at := time.Second
 	st.Observe([]byte("s"), []byte("wifi"), 8, 20*time.Millisecond, at)
@@ -581,11 +581,11 @@ func TestStoreBytesPerSite(t *testing.T) {
 // half-life.
 func TestStoreStaleAfterDefault(t *testing.T) {
 	st := testStore(StoreConfig{HalfLife: 5 * time.Second})
-	if got := st.StaleAfter(); got != 40*time.Second {
+	if got := st.staleAfter; got != 40*time.Second {
 		t.Fatalf("default StaleAfter = %v, want 8x half-life", got)
 	}
 	st = testStore(StoreConfig{})
-	if got := st.StaleAfter(); got != 240*time.Second {
+	if got := st.staleAfter; got != 240*time.Second {
 		t.Fatalf("zero-config StaleAfter = %v, want 240s", got)
 	}
 }

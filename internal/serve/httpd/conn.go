@@ -128,6 +128,8 @@ func (s *Server) Serve(l net.Listener) error {
 // ServeConn answers requests on nc until the client closes it, a bound
 // expires, a reply closes it or Shutdown does, as Serve answers an
 // accepted connection; it always closes nc.
+//
+//lint:allow unusedapi internal/serve's FuzzServeConn and conn tests, until ROADMAP item 15 merges the packages
 func (s *Server) ServeConn(nc net.Conn) {
 	if c := s.track(nc); c != nil {
 		s.serveConn(c)

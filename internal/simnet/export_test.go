@@ -17,6 +17,14 @@ func Retired() int {
 	return len(retired.arenas)
 }
 
+// After runs fn after delay d (relative to the current virtual time).
+func (s *Sim) After(d time.Duration, fn func()) Timer {
+	if d < 0 {
+		d = 0
+	}
+	return s.Schedule(s.now+d, fn)
+}
+
 // Seed returns the seed the simulator was constructed with.
 func (s *Sim) Seed() int64 { return s.seed }
 

@@ -98,7 +98,7 @@ func cutWorld(seed int64, cond phy.Condition, primary string) (core.World, []*mp
 	halfJoined := func() bool {
 		for _, c := range dialled {
 			sfs := c.Subflows()
-			if len(sfs) > 1 && !sfs[len(sfs)-1].Established() && c.RecvTotal() > 0 && c.RecvTotal() < size {
+			if len(sfs) > 1 && sfs[len(sfs)-1].TCP.State() != tcp.StateEstablished && c.RecvTotal() > 0 && c.RecvTotal() < size {
 				return true
 			}
 		}
@@ -123,7 +123,7 @@ func cutMidTransfer(seed int64, cond phy.Condition, primary string) string {
 	for _, c := range conns {
 		fmt.Fprintf(&sb, " %s rcvd=%d acked=%d", c.ConnID(), c.RecvTotal(), c.DataAcked())
 		for _, sf := range c.Subflows() {
-			fmt.Fprintf(&sb, " %s est=%v inflight=%d cwnd=%d", sf.Name(), sf.Established(), sf.TCP.BytesInFlight(), sf.TCP.CwndBytes())
+			fmt.Fprintf(&sb, " %s est=%v inflight=%d cwnd=%d", sf.Name(), sf.TCP.State() == tcp.StateEstablished, sf.TCP.BytesInFlight(), sf.TCP.CwndBytes())
 		}
 		sb.WriteString(";")
 	}
@@ -267,7 +267,7 @@ func TestHandlesDieWithTheirWorld(t *testing.T) {
 				handles = append(handles, sf, sf.TCP)
 			}
 		}
-		return w, handles, conns[0].Primary().TCP
+		return w, handles, conns[0].Subflows()[0].TCP
 	}
 	mustPanic := func(what string, fn func()) {
 		t.Helper()

@@ -330,14 +330,6 @@ func (s *Sim) ScheduleArg(at time.Duration, fn func(any), arg any) Timer {
 	return Timer{sim: s, ev: ev, seq: ev.seq}
 }
 
-// After runs fn after delay d (relative to the current virtual time).
-func (s *Sim) After(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.Schedule(s.now+d, fn)
-}
-
 // RearmArg moves a timer: it is observably identical to
 //
 //	t.Stop()
@@ -476,6 +468,8 @@ func (s *Sim) run(until time.Duration) int {
 }
 
 // Pending returns the number of live (not cancelled) scheduled events.
+//
+//lint:allow unusedapi netem's TestPendingCountsPacketsInFlight and the drain loops of faults' and tcp's tests
 func (s *Sim) Pending() int {
 	return s.live
 }

@@ -10,11 +10,9 @@ import (
 )
 
 // ECDF is an empirical cumulative distribution function over float64
-// samples. The zero value is an empty distribution; add samples with Add
-// or construct directly with NewECDF.
+// samples, built by NewECDF. The zero value is an empty distribution.
 type ECDF struct {
 	sorted []float64
-	dirty  bool
 }
 
 // NewECDF builds an ECDF from the given samples (copied).
@@ -24,28 +22,11 @@ func NewECDF(samples []float64) *ECDF {
 	return e
 }
 
-// Add inserts a sample.
-func (e *ECDF) Add(x float64) {
-	e.sorted = append(e.sorted, x)
-	e.dirty = true
-}
-
-// N returns the sample count.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-func (e *ECDF) ensure() {
-	if e.dirty {
-		sort.Float64s(e.sorted)
-		e.dirty = false
-	}
-}
-
 // At returns P(X <= x), the fraction of samples at or below x.
 func (e *ECDF) At(x float64) float64 {
 	if len(e.sorted) == 0 {
 		return 0
 	}
-	e.ensure()
 	i := sort.SearchFloat64s(e.sorted, x)
 	// Move past ties so that At is right-continuous (<= semantics).
 	for i < len(e.sorted) && e.sorted[i] == x {
@@ -63,7 +44,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	if len(e.sorted) == 0 {
 		return math.NaN()
 	}
-	e.ensure()
 	if q <= 0 {
 		return e.sorted[0]
 	}
@@ -94,28 +74,9 @@ func (e *ECDF) Quantile(q float64) float64 {
 // Median returns the 0.5 quantile.
 func (e *ECDF) Median() float64 { return e.Quantile(0.5) }
 
-// Min returns the smallest sample.
-func (e *ECDF) Min() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	e.ensure()
-	return e.sorted[0]
-}
-
-// Max returns the largest sample.
-func (e *ECDF) Max() float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	e.ensure()
-	return e.sorted[len(e.sorted)-1]
-}
-
 // Points returns (x, P(X<=x)) pairs suitable for plotting the CDF, one
 // point per sample.
 func (e *ECDF) Points() []Point {
-	e.ensure()
 	pts := make([]Point, len(e.sorted))
 	for i, x := range e.sorted {
 		pts[i] = Point{X: x, Y: float64(i+1) / float64(len(e.sorted))}
@@ -123,40 +84,8 @@ func (e *ECDF) Points() []Point {
 	return pts
 }
 
-// Samples returns the sorted samples (a copy).
-func (e *ECDF) Samples() []float64 {
-	e.ensure()
-	return append([]float64(nil), e.sorted...)
-}
-
 // Point is a 2-D plot point.
 type Point struct{ X, Y float64 }
-
-// Mean returns the arithmetic mean of xs (NaN if empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
 
 // Median returns the median of xs without mutating it.
 func Median(xs []float64) float64 {
@@ -173,6 +102,8 @@ func NormQuantile(q float64) float64 {
 }
 
 // NormCDF returns P(Z <= z) for a standard normal Z.
+//
+//lint:allow unusedapi ROADMAP item 8's paired sign counts over seeds
 func NormCDF(z float64) float64 {
 	return 0.5 * (1 + math.Erf(z/math.Sqrt2))
 }

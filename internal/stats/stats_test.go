@@ -124,14 +124,7 @@ func TestECDFPoints(t *testing.T) {
 	}
 }
 
-func TestMeanStdDevMedian(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); m != 5 {
-		t.Fatalf("mean = %v, want 5", m)
-	}
-	if s := StdDev(xs); math.Abs(s-2) > 1e-12 {
-		t.Fatalf("stddev = %v, want 2", s)
-	}
+func TestMedianOfSlice(t *testing.T) {
 	if m := Median([]float64{3, 1, 2}); m != 2 {
 		t.Fatalf("median = %v, want 2", m)
 	}

@@ -195,8 +195,6 @@ type Conn struct {
 	peerFinAt  uint64
 
 	// Diagnostics.
-	established   time.Duration
-	synSentAt     time.Duration
 	Retransmits   int
 	FastRecovers  int
 	segmentsSent  int
@@ -320,24 +318,11 @@ func (c *Conn) RTO() time.Duration { return c.rto }
 // CwndBytes returns the congestion window in bytes.
 func (c *Conn) CwndBytes() int { return int(c.cwnd) }
 
-// SsthreshBytes returns the slow-start threshold in bytes.
-func (c *Conn) SsthreshBytes() int { return int(c.ssthresh) }
-
-// InSlowStart reports whether cwnd is below ssthresh.
-func (c *Conn) InSlowStart() bool { return c.cwnd < c.ssthresh }
-
 // BytesInFlight returns unacknowledged bytes.
 func (c *Conn) BytesInFlight() int { return int(c.sndNxt - c.sndUna) }
 
 // RecvTotal returns cumulative in-order payload bytes received.
 func (c *Conn) RecvTotal() int64 { return c.recvTotal }
-
-// RTOCount returns the consecutive retransmission-timeout count.
-func (c *Conn) RTOCount() int { return c.rtoCount }
-
-// EstablishedAt returns when the handshake completed (client: SYN-ACK
-// received; server: ACK received), zero if not yet established.
-func (c *Conn) EstablishedAt() time.Duration { return c.established }
 
 // SegmentsSent returns the count of segments this endpoint transmitted.
 func (c *Conn) SegmentsSent() int { return c.segmentsSent }
@@ -356,7 +341,6 @@ func (c *Conn) Connect() {
 		panic("tcp: Connect on non-closed conn " + c.flow)
 	}
 	c.state = StateSynSent
-	c.synSentAt = c.sim.Now()
 	syn := c.segment()
 	syn.Flags, syn.Wnd, syn.Opt = FlagSYN, DefaultWindow, c.synOpt
 	c.sndNxt = 1 // SYN consumes one
@@ -466,7 +450,6 @@ func (c *Conn) becomeEstablished() {
 		return
 	}
 	c.state = StateEstablished
-	c.established = c.sim.Now()
 	if c.cb.OnEstablished != nil {
 		c.cb.OnEstablished(c)
 	}

@@ -214,7 +214,7 @@ func TestSYNRetransmission(t *testing.T) {
 	n.client.Dial(n.iface, "syn", Config{Callbacks: Callbacks{
 		OnEstablished: func(c *Conn) { established = n.sim.Now() },
 	}})
-	n.sim.After(2500*time.Millisecond, func() { n.iface.SetBlackhole(false) })
+	n.sim.Schedule(n.sim.Now()+2500*time.Millisecond, func() { n.iface.SetBlackhole(false) })
 	n.sim.Run()
 	if established == 0 {
 		t.Fatal("connection never established after link recovery")
@@ -240,7 +240,7 @@ func TestRTOCollapsesWindow(t *testing.T) {
 	}
 	n.iface.SetBlackhole(true)
 	n.sim.RunFor(5 * time.Second)
-	if srv.RTOCount() == 0 {
+	if srv.rtoCount == 0 {
 		t.Fatal("no RTO during blackhole")
 	}
 	if got := srv.CwndBytes(); got != MSS {

@@ -86,7 +86,7 @@ func TestMaxConsecutiveRTOsAborts(t *testing.T) {
 	n.sim.RunFor(20 * time.Minute)
 	if !aborted {
 		t.Fatalf("connection should abort after %d consecutive RTOs (count=%d)",
-			MaxConsecutiveRTOs, srv.RTOCount())
+			MaxConsecutiveRTOs, srv.rtoCount)
 	}
 }
 
@@ -101,10 +101,10 @@ func TestHyStartExitsSlowStartOnDelayRise(t *testing.T) {
 	}
 	n.client.Dial(n.iface, "hystart", Config{})
 	n.sim.RunFor(3 * time.Second)
-	if srv.InSlowStart() {
+	if srv.cwnd < srv.ssthresh {
 		t.Fatal("still in slow start after 3s on a bloated 5 Mbit/s link")
 	}
-	if srv.SsthreshBytes() >= DefaultWindow {
+	if srv.ssthresh >= DefaultWindow {
 		t.Fatal("ssthresh never reduced: HyStart did not trigger")
 	}
 }

@@ -135,6 +135,8 @@ type DSS struct{ DataSeq, DataAck uint64 }
 // NewSegment returns a zeroed segment from sim's free list. Its Sack
 // slice may retain capacity from an earlier life; append to Sack[:0] to
 // reuse it.
+//
+//lint:allow unusedapi poolown's golden package and faults' TestLeakCountIsPerWorld
 func NewSegment(sim *simnet.Sim) *Segment {
 	return takeSegment(simnet.FreeListOf[Segment](sim))
 }
