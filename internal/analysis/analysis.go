@@ -9,11 +9,13 @@
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic, an analysistest-style golden runner)
 // but is built entirely on the standard library: packages are
-// enumerated with `go list` and type-checked through the stdlib
-// source importer, so the suite needs no external module. The x/tools
-// unitchecker protocol (`go vet -vettool`) is deliberately not
-// implemented — `cmd/multinetlint` is the supported standalone driver
-// (see DESIGN.md, "Enforced invariants").
+// enumerated with `go list -deps` and type-checked once each,
+// dependencies first, by a Loader that is their importer (only the
+// standard library comes through the stdlib source importer), so the
+// suite needs no external module. The x/tools unitchecker protocol
+// (`go vet -vettool`) is deliberately not implemented —
+// `cmd/multinetlint` is the supported standalone driver (see
+// DESIGN.md, "Enforced invariants").
 //
 // # Annotation grammar
 //

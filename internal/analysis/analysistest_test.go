@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -10,9 +9,9 @@ import (
 	"testing"
 )
 
-// testLoader serves every golden run in a process: the source importer
-// memoises dependency type-checking, so the second analyzer's testdata
-// loads in milliseconds.
+// testLoader serves the whole-repo suite run and every golden run in a
+// process: it checks each module package once, so a golden package's
+// imports are already checked when it loads.
 var testLoader = sync.OnceValue(NewLoader)
 
 // wantRe matches `// want "..." `...“ expectation comments in golden
@@ -20,23 +19,18 @@ var testLoader = sync.OnceValue(NewLoader)
 // must match exactly one diagnostic reported on that line.
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
-// runGolden loads the golden packages in dirs as one program and checks
-// the analyzer's diagnostics against their `// want "regexp"` comments:
-// every expectation must be matched by a diagnostic on its line, every
-// unsuppressed diagnostic must be expected, and //lint:allow-suppressed
-// findings must NOT surface (which is how the golden packages prove
-// that deleting an allow annotation flips the suite to failing).
+// runGolden loads the golden packages in dirs (go list patterns below
+// this package) as one program and checks the analyzer's diagnostics
+// against their `// want "regexp"` comments: every expectation must be
+// matched by a diagnostic on its line, every unsuppressed diagnostic
+// must be expected, and //lint:allow-suppressed findings must NOT
+// surface (which is how the golden packages prove that deleting an
+// allow annotation flips the suite to failing).
 func runGolden(t *testing.T, a *Analyzer, dirs ...string) {
 	t.Helper()
-	var pkgs []*Package
-	for _, dir := range dirs {
-		// The real import path, so that a golden package another one
-		// imports is the same package to both.
-		pkg, err := testLoader().loadDir(dir, "multinet/internal/analysis/"+filepath.ToSlash(dir))
-		if err != nil {
-			t.Fatalf("loading golden package %s: %v", dir, err)
-		}
-		pkgs = append(pkgs, pkg)
+	pkgs, err := testLoader().LoadPatterns(".", dirs...)
+	if err != nil {
+		t.Fatalf("loading golden packages %v: %v", dirs, err)
 	}
 	// Golden packages opt in unconditionally: the driver-level package
 	// filter (Match) is scoping policy, not analyzer semantics.
@@ -135,33 +129,4 @@ func (ci *CommentIndex) countMarker(marker string) int {
 		}
 	}
 	return n
-}
-
-// loadDir loads the single package whose sources sit in dir, under the
-// given import path. It is how the analysistest harness loads golden
-// packages that live below testdata/ (invisible to the go tool but
-// free to import real module packages).
-func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
-	// Absolute, as the source importer names the files of a golden
-	// package another one imports.
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, m := range matches {
-		base := filepath.Base(m)
-		if len(base) > len("_test.go") && base[len(base)-len("_test.go"):] == "_test.go" {
-			continue
-		}
-		names = append(names, base)
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	return l.load(dir, importPath, names)
 }

@@ -3,7 +3,7 @@ package analysis
 import "testing"
 
 func TestDeterminismGolden(t *testing.T) {
-	runGolden(t, Determinism, "testdata/determinism")
+	runGolden(t, Determinism, "./testdata/determinism")
 }
 
 func TestIsEnginePackage(t *testing.T) {

@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestHotPathGolden(t *testing.T) {
-	runGolden(t, HotPath, "testdata/hotpath")
+	runGolden(t, HotPath, "./testdata/hotpath")
 }

@@ -28,21 +28,33 @@ type Package struct {
 	TypeErrors []error
 }
 
-// Loader parses and type-checks packages on a shared FileSet with a
-// shared stdlib source importer, so repeated loads (the whole-repo
-// suite run, then per-analyzer golden packages) reuse dependency
-// type-checking work and produce mutually comparable token positions.
+// Loader parses and type-checks packages on one FileSet, each
+// non-standard package once: it is the types.Importer of the packages
+// it checks, and answers their imports from the packages it has
+// already checked, so every declaration has one types.Object across
+// all of them and across repeated LoadPatterns calls (the whole-repo
+// suite run, then the per-analyzer golden packages). The standard
+// library alone is imported through the stdlib source importer.
 type Loader struct {
 	Fset *token.FileSet
-	imp  types.Importer
+	std  types.Importer
+	pkgs map[string]*Package
 }
 
-// NewLoader returns a loader backed by the stdlib source importer,
-// which resolves both standard-library and intra-module import paths
-// from source — no compiled export data and no network needed.
+// NewLoader returns a loader that reads everything from source: no
+// compiled export data and no network needed.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	return &Loader{Fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+	return &Loader{Fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*Package{}}
+}
+
+// Import implements types.Importer: a package this loader has checked,
+// else a standard-library package from source.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	if pkg := l.pkgs[path]; pkg != nil {
+		return pkg.Types, nil
+	}
+	return l.std.Import(path)
 }
 
 // goListPackage is the subset of `go list -json` output the loader
@@ -52,13 +64,17 @@ type goListPackage struct {
 	Dir        string
 	Name       string
 	GoFiles    []string
+	Standard   bool
+	DepOnly    bool
 }
 
-// LoadPatterns enumerates the non-test packages matching patterns
-// (run via `go list` with dir as working directory — dir must lie
-// inside the module) and loads each one.
+// LoadPatterns lists the packages matching patterns and everything
+// they import, dependencies first (run via `go list -deps` with dir as
+// working directory — dir must lie inside the module), type-checks
+// each non-standard one it has not checked yet, and returns the
+// non-test packages the patterns name.
 func (l *Loader) LoadPatterns(dir string, patterns ...string) ([]*Package, error) {
-	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles"}, patterns...)
+	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,Name,GoFiles,Standard,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errb bytes.Buffer
@@ -74,14 +90,20 @@ func (l *Loader) LoadPatterns(dir string, patterns ...string) ([]*Package, error
 		if err := dec.Decode(&gp); err != nil {
 			return nil, fmt.Errorf("decoding go list output: %v", err)
 		}
-		if len(gp.GoFiles) == 0 {
+		if gp.Standard || len(gp.GoFiles) == 0 {
 			continue
 		}
-		pkg, err := l.load(gp.Dir, gp.ImportPath, gp.GoFiles)
-		if err != nil {
-			return nil, fmt.Errorf("loading %s: %v", gp.ImportPath, err)
+		pkg := l.pkgs[gp.ImportPath]
+		if pkg == nil {
+			var err error
+			if pkg, err = l.load(gp.Dir, gp.ImportPath, gp.GoFiles); err != nil {
+				return nil, fmt.Errorf("loading %s: %v", gp.ImportPath, err)
+			}
+			l.pkgs[gp.ImportPath] = pkg
 		}
-		pkgs = append(pkgs, pkg)
+		if !gp.DepOnly {
+			pkgs = append(pkgs, pkg)
+		}
 	}
 	return pkgs, nil
 }
@@ -100,7 +122,7 @@ func (l *Loader) load(dir, importPath string, fileNames []string) (*Package, err
 	}
 	pkg := &Package{Path: importPath, Dir: dir, Fset: l.Fset, Files: files}
 	conf := types.Config{
-		Importer: l.imp,
+		Importer: l,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
 	info := &types.Info{

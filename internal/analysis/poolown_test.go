@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestPoolOwnGolden(t *testing.T) {
-	runGolden(t, PoolOwn, "testdata/poolown")
+	runGolden(t, PoolOwn, "./testdata/poolown")
 }

@@ -42,12 +42,18 @@ func (Gen) Next() (int, bool) { return 0, false }
 // SetRate matches b's unexported rateLink: exempt.
 func (Gen) SetRate(mbps float64) {}
 
-// Attach names a's own Link, which b's attacher names through its
-// import of a: a different copy of the type, and still exempt.
+// Attach matches b's attacher, which names Link through its import of
+// a: exempt.
 func (Gen) Attach(l *Link) {}
 
 // Write matches io.Writer, declared in an imported package: exempt.
 func (Gen) Write(p []byte) (int, error) { return len(p), nil }
+
+// Box is generic: b references its field and method only through
+// Box[int], whose members are instantiations of these.
+type Box[T any] struct{ Val T }
+
+func (*Box[T]) Empty() bool { return true }
 
 type base struct{}
 

@@ -16,7 +16,9 @@ func use(s a.Sender, g a.Gen) float64 {
 	var at attacher
 	_, _ = r, at
 	_ = g
-	return l.Rate
+	var box a.Box[int]
+	_ = box.Empty()
+	return l.Rate + float64(box.Val)
 }
 
 var _ = use

@@ -25,35 +25,25 @@ var UnusedAPI = &Analyzer{
 	Run: runUnusedAPI,
 }
 
-// declSite identifies a declaration by the file and byte offset of its
-// name. The loader type-checks each target package on its own and the
-// source importer type-checks dependencies again, so one declaration
-// has several types.Object copies; every copy is parsed on the
-// loader's one FileSet from the same file, so its site is the same.
-type declSite struct {
-	file   string
-	offset int
-}
-
 // Refs is what RunAnalyzers gathers over every loaded package for
-// unusedapi: the declaration sites some non-test file references, and
-// the method signatures of every interface type, by method name.
+// unusedapi: the declarations some non-test file references, and the
+// method signatures of every interface type, by method name. The
+// loader checks each package once, so a declaration has one
+// types.Object wherever it is referenced.
 type Refs struct {
-	fset   *token.FileSet
-	used   map[declSite]bool
+	used   map[types.Object]bool
 	ifaces map[string][]*types.Signature
 }
 
 // newRefs indexes the references and interface methods of pkgs and of
-// every package they import. The packages share one FileSet.
+// every package they import.
 func newRefs(pkgs []*Package) *Refs {
-	r := &Refs{used: map[declSite]bool{}, ifaces: map[string][]*types.Signature{}}
+	r := &Refs{used: map[types.Object]bool{}, ifaces: map[string][]*types.Signature{}}
 	seen := map[*types.Package]bool{}
 	for _, pkg := range pkgs {
-		r.fset = pkg.Fset
 		for _, obj := range pkg.Info.Uses {
 			if obj.Pkg() != nil {
-				r.used[r.site(obj.Pos())] = true
+				r.used[origin(obj)] = true
 			}
 		}
 		// Every interface type expression, including unexported and
@@ -66,6 +56,18 @@ func newRefs(pkgs []*Package) *Refs {
 		r.addImports(pkg.Types, seen)
 	}
 	return r
+}
+
+// origin maps a member of an instantiated generic type or function to
+// its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }
 
 // addImports records the package-level interface types of everything
@@ -97,48 +99,16 @@ func (r *Refs) addInterface(t types.Type) {
 	}
 }
 
-func (r *Refs) site(pos token.Pos) declSite {
-	f := r.fset.File(pos)
-	if f == nil {
-		return declSite{}
-	}
-	return declSite{f.Name(), f.Offset(pos)}
-}
-
-// referenced reports whether some loaded file references obj.
-func (r *Refs) referenced(obj types.Object) bool {
-	return r.used[r.site(obj.Pos())]
-}
-
 // satisfies reports whether fn's name and signature match a method of
-// some indexed interface. types.Identical ignores parameter names but
-// compares named types by identity, and a signature written in another
-// package names its own copy of a type, so each slot's qualified type
-// string is compared as well.
+// some indexed interface (types.Identical ignores parameter names).
 func (r *Refs) satisfies(fn *types.Func) bool {
 	sig := fn.Type().(*types.Signature)
 	for _, want := range r.ifaces[fn.Name()] {
-		if types.Identical(sig, want) || sameSlots(sig, want) {
+		if types.Identical(sig, want) {
 			return true
 		}
 	}
 	return false
-}
-
-func sameSlots(a, b *types.Signature) bool {
-	return a.Variadic() == b.Variadic() && sameTuple(a.Params(), b.Params()) && sameTuple(a.Results(), b.Results())
-}
-
-func sameTuple(a, b *types.Tuple) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i := 0; i < a.Len(); i++ {
-		if types.TypeString(a.At(i).Type(), nil) != types.TypeString(b.At(i).Type(), nil) {
-			return false
-		}
-	}
-	return true
 }
 
 func runUnusedAPI(pass *Pass) error {
@@ -147,7 +117,7 @@ func runUnusedAPI(pass *Pass) error {
 	}
 	report := func(id *ast.Ident, kind string) {
 		obj := pass.TypesInfo.Defs[id]
-		if obj == nil || !id.IsExported() || pass.Refs.referenced(obj) {
+		if obj == nil || !id.IsExported() || pass.Refs.used[obj] {
 			return
 		}
 		if fn, ok := obj.(*types.Func); ok && kind == "method" && pass.Refs.satisfies(fn) {

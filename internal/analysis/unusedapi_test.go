@@ -3,5 +3,5 @@ package analysis
 import "testing"
 
 func TestUnusedAPIGolden(t *testing.T) {
-	runGolden(t, UnusedAPI, "testdata/unusedapi/a", "testdata/unusedapi/b")
+	runGolden(t, UnusedAPI, "./testdata/unusedapi/a", "./testdata/unusedapi/b")
 }

@@ -103,7 +103,7 @@ func ScenarioFaults(o Options) ScenarioFaultsResult {
 		defer sess.Close()
 		sess.Horizon = 60 * time.Second
 		if len(profiles[pi].sched.Episodes) > 0 {
-			if _, err := profiles[pi].sched.Attach(sess.Sim, sess.Host); err != nil {
+			if err := profiles[pi].sched.Attach(sess.Sim, sess.Host); err != nil {
 				panic(err)
 			}
 		}

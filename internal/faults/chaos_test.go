@@ -90,7 +90,7 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 		WatchdogRTOs: watchdogRTOs,
 	}, cb)
 
-	if _, err := sched.Attach(w.Sim, w.Host); err != nil {
+	if err := sched.Attach(w.Sim, w.Host); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
 	// Step the run instead of draining it in one call: the scoreboard
@@ -245,13 +245,14 @@ func TestAttachUnknownIface(t *testing.T) {
 	s := faults.Schedule{Episodes: []faults.Episode{
 		{Kind: faults.AdminDown, Iface: "satellite", Duration: time.Second},
 	}}
-	if _, err := s.Attach(w.Sim, w.Host); err == nil {
+	if err := s.Attach(w.Sim, w.Host); err == nil {
 		t.Fatal("want error for unknown interface")
 	}
 }
 
-// TestInjectorFiresAllSteps pins the step accounting and the
-// restore-to-baseline semantics of loss bursts and rate collapses.
+// TestInjectorFiresAllSteps pins that Attach arms one event per fault
+// edge, that every edge fires, and the restore-to-baseline semantics of
+// loss bursts, rate collapses and flap trains.
 func TestInjectorFiresAllSteps(t *testing.T) {
 	w := newWorld(1, mptcp.ServerConfig{}, false)
 	s := faults.Schedule{Episodes: []faults.Episode{
@@ -259,19 +260,23 @@ func TestInjectorFiresAllSteps(t *testing.T) {
 		{Kind: faults.RateCollapse, Iface: "lte", Start: 10 * time.Millisecond, Duration: 50 * time.Millisecond, RateFactor: 0.1},
 		{Kind: faults.FlapTrain, Iface: "wifi", Start: 100 * time.Millisecond, Duration: 20 * time.Millisecond, Cycles: 2, Period: 50 * time.Millisecond},
 	}}
-	inj, err := s.Attach(w.Sim, w.Host)
-	if err != nil {
+	wifiLoss := w.Host.Iface("wifi").UpLink().(*netem.FixedLink).LossProb()
+	pending := w.Sim.Pending()
+	if err := s.Attach(w.Sim, w.Host); err != nil {
 		t.Fatal(err)
 	}
-	if inj.Steps() != 2+2+4 {
-		t.Fatalf("steps = %d, want 8", inj.Steps())
+	if got := w.Sim.Pending() - pending; got != 2+2+4 {
+		t.Fatalf("Attach armed %d events, want 8", got)
 	}
 	w.Sim.Run()
-	if inj.Fired() != inj.Steps() {
-		t.Fatalf("fired %d of %d steps", inj.Fired(), inj.Steps())
+	if got := w.Sim.Pending(); got != pending {
+		t.Fatalf("%d events pending after Run, want %d", got, pending)
 	}
 	if w.Host.Iface("wifi").AdminDown() {
 		t.Fatal("wifi left down after flap train")
+	}
+	if got := w.Host.Iface("wifi").UpLink().(*netem.FixedLink).LossProb(); got != wifiLoss {
+		t.Fatalf("wifi loss not restored: %v, want %v", got, wifiLoss)
 	}
 	lte := w.Host.Iface("lte").UpLink().(*netem.FixedLink)
 	if got := lte.RateMbps(); got != 8 {

@@ -69,7 +69,7 @@ func TestDSSMappingsSurviveFaults(t *testing.T) {
 					Kind: faults.AdminDown, Iface: "wifi", Start: 900 * time.Millisecond, Duration: 600 * time.Millisecond,
 				})
 			}
-			if _, err := sched.Attach(w.Sim, w.Host); err != nil {
+			if err := sched.Attach(w.Sim, w.Host); err != nil {
 				t.Fatal(err)
 			}
 			torn := false

@@ -5,12 +5,6 @@ import (
 	"time"
 )
 
-// Steps returns the number of compiled fault edges.
-func (in *Injector) Steps() int { return in.steps }
-
-// Fired returns how many fault edges have executed so far.
-func (in *Injector) Fired() int { return in.fired }
-
 // GenSchedule draws a random schedule over the given interfaces: 1–4
 // episodes of mixed kinds, starting within the first 60% of horizon and
 // short enough that every fault ends before the horizon does. The same

@@ -178,7 +178,6 @@ type restore struct {
 // simnet.ScheduleArg and a package-level function — no per-event
 // closures, per the engine's allocation discipline.
 type step struct {
-	inj    *Injector
 	iface  *netem.Iface
 	op     int
 	prob   float64
@@ -196,17 +195,9 @@ type rateLink interface {
 	SetRateMbps(float64)
 }
 
-// Injector is an attached schedule: its steps live on the simulator's
-// event heap and fire as virtual time passes.
-type Injector struct {
-	steps int // compiled fault edges
-	fired int // edges executed so far
-}
-
 // runStep applies one fault edge.
 func runStep(a any) {
 	st := a.(*step)
-	st.inj.fired++
 	i := st.iface
 	switch st.op {
 	case opDown:
@@ -251,21 +242,18 @@ func runStep(a any) {
 // and arms every fault edge on the simulator's event heap, relative to
 // sim.Now(). A loss burst draws from each link's own loss stream, so
 // runs are bit-identical regardless of host parallelism.
-func (s Schedule) Attach(sim *simnet.Sim, host *netem.Host) (*Injector, error) {
+func (s Schedule) Attach(sim *simnet.Sim, host *netem.Host) error {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	inj := &Injector{}
 	base := sim.Now()
 	arm := func(at time.Duration, st *step) {
-		st.inj = inj
-		inj.steps++
 		sim.ScheduleArg(base+at, runStep, st)
 	}
 	for i, e := range s.Episodes {
 		ifc := host.Iface(e.Iface)
 		if ifc == nil {
-			return nil, fmt.Errorf("faults: episode %d: unknown interface %q", i, e.Iface)
+			return fmt.Errorf("faults: episode %d: unknown interface %q", i, e.Iface)
 		}
 		switch e.Kind {
 		case AdminDown:
@@ -290,5 +278,5 @@ func (s Schedule) Attach(sim *simnet.Sim, host *netem.Host) (*Injector, error) {
 			arm(e.Start+e.Duration, &step{iface: ifc, op: opRateOff, saved: sv})
 		}
 	}
-	return inj, nil
+	return nil
 }

@@ -44,13 +44,14 @@ type PathProfile struct {
 	// much deeper — bufferbloat).
 	QueuePkts int
 	// PromotionMs is the radio wake-up (RRC promotion) latency paid by
-	// the first uplink packet after PromotionIdle of silence. Cellular
+	// the first uplink packet after promotionIdle of silence. Cellular
 	// radios pay hundreds of milliseconds; WiFi effectively none.
 	PromotionMs float64
-	// PromotionIdleSecs is the silence needed before the next send pays
-	// PromotionMs again (default 10 s when PromotionMs > 0).
-	PromotionIdleSecs float64
 }
+
+// promotionIdle is the silence after which the next send pays
+// PromotionMs again.
+const promotionIdle = 10 * time.Second
 
 func (p PathProfile) queue() int {
 	if p.QueuePkts > 0 {
@@ -65,7 +66,7 @@ func (p PathProfile) OWD() time.Duration {
 }
 
 // ARRateSource is a delivery-opportunity source whose instantaneous
-// rate follows an AR(1) process in log space, updated every Epoch. It
+// rate follows an AR(1) process in log space, updated every epoch. It
 // is the synthetic stand-in for Mahimahi's recorded packet-delivery
 // traces: bursty, time-varying, but with a controlled mean.
 //
@@ -76,17 +77,16 @@ func (p PathProfile) OWD() time.Duration {
 // it would have got first. The stream is private to the source, so
 // drawing epochs ahead of the simulation clock perturbs nobody.
 type ARRateSource struct {
-	MeanBps float64
-	Sigma   float64 // stddev of the stationary log-rate distribution
-	Rho     float64 // AR(1) coefficient per epoch
-	Epoch   time.Duration
+	meanBps float64
+	sigma   float64 // stddev of the stationary log-rate distribution
+	rho     float64 // AR(1) coefficient per epoch
+	epoch   time.Duration
 
 	rng    interface{ NormFloat64() float64 }
 	logDev float64 // deviation from log mean in the last epoch drawn
 	// gaps[e] is the slot spacing throughout epoch e. The rate only
 	// changes at epoch boundaries, so the exponential is evaluated once
-	// per epoch, not once per slot; the exported parameters must not
-	// change once Next has been called. The list lives on the Sim's slab.
+	// per epoch, not once per slot. The list lives on the Sim's slab.
 	gaps []time.Duration
 	mem  *simnet.Slab[time.Duration]
 	// gap caches gaps[e] for the epoch [epochStart, epochEnd) asked about
@@ -101,26 +101,26 @@ type ARRateSource struct {
 // to real wireless rate traces.
 func NewARRateSource(sim *simnet.Sim, stream string, meanMbps, variability float64) *ARRateSource {
 	return &ARRateSource{
-		MeanBps: meanMbps * 1e6,
-		Sigma:   variability,
-		Rho:     0.9,
-		Epoch:   100 * time.Millisecond,
+		meanBps: meanMbps * 1e6,
+		sigma:   variability,
+		rho:     0.9,
+		epoch:   100 * time.Millisecond,
 		rng:     sim.RNG(stream),
 		mem:     simnet.SlabOf[time.Duration](sim),
 	}
 }
 
 // gapsHorizon is the number of epochs ARRateSource.gaps is first sized
-// for: 6.4 s at the default epoch, which covers most transfers of the
+// for: 6.4 s at the 100 ms epoch, which covers most transfers of the
 // sweeps whole; longer runs double from there.
 const gapsHorizon = 64
 
 // slotGap returns the spacing of MTU-sized slots at the rate the current
 // deviation gives.
 func (s *ARRateSource) slotGap() time.Duration {
-	// exp(-Sigma^2/2) corrects the lognormal mean back to MeanBps.
-	r := s.MeanBps * math.Exp(s.logDev-s.Sigma*s.Sigma/2)
-	if min := s.MeanBps * 0.05; r < min {
+	// exp(-sigma^2/2) corrects the lognormal mean back to meanBps.
+	r := s.meanBps * math.Exp(s.logDev-s.sigma*s.sigma/2)
+	if min := s.meanBps * 0.05; r < min {
 		r = min // radios rarely drop to true zero; keep progress
 	}
 	gap := time.Duration(float64(netem.MTU*8) / r * float64(time.Second))
@@ -133,7 +133,7 @@ func (s *ARRateSource) slotGap() time.Duration {
 // seek advances the AR process to the epoch containing t if no question
 // has reached it yet, and points the cache at that epoch.
 func (s *ARRateSource) seek(t time.Duration) {
-	epoch := int(t / s.Epoch)
+	epoch := int(t / s.epoch)
 	// Room for the first gapsHorizon epochs at once (more if the first
 	// question already lies beyond them), not a doubling from nil.
 	s.gaps = s.mem.Grow(s.gaps, max(gapsHorizon, epoch+1))
@@ -141,14 +141,14 @@ func (s *ARRateSource) seek(t time.Duration) {
 		s.gaps = append(s.gaps, s.slotGap()) // epoch 0: no deviation yet
 	}
 	for len(s.gaps) <= epoch {
-		// Innovation variance chosen so the stationary stddev is Sigma.
-		innov := s.Sigma * math.Sqrt(1-s.Rho*s.Rho)
-		s.logDev = s.Rho*s.logDev + innov*s.rng.NormFloat64()
+		// Innovation variance chosen so the stationary stddev is sigma.
+		innov := s.sigma * math.Sqrt(1-s.rho*s.rho)
+		s.logDev = s.rho*s.logDev + innov*s.rng.NormFloat64()
 		s.gaps = append(s.gaps, s.slotGap())
 	}
 	s.gap = s.gaps[epoch]
-	s.epochStart = time.Duration(epoch) * s.Epoch
-	s.epochEnd = s.epochStart + s.Epoch
+	s.epochStart = time.Duration(epoch) * s.epoch
+	s.epochEnd = s.epochStart + s.epoch
 }
 
 // Next implements netem.OpportunitySource: MTU-sized slots spaced by
@@ -181,13 +181,7 @@ func BuildIface(sim *simnet.Sim, name string, p PathProfile) *netem.Iface {
 	down := mk("down", p.DownMbps)
 	iface := netem.NewIface(sim, name, up, down)
 	if p.PromotionMs > 0 {
-		idle := p.PromotionIdleSecs
-		if idle <= 0 {
-			idle = 10
-		}
-		iface.SetPromotion(
-			time.Duration(p.PromotionMs*float64(time.Millisecond)),
-			time.Duration(idle*float64(time.Second)))
+		iface.SetPromotion(time.Duration(p.PromotionMs*float64(time.Millisecond)), promotionIdle)
 	}
 	return iface
 }

@@ -259,7 +259,7 @@ func TestARRateSourceCachedGapMatchesFormula(t *testing.T) {
 			if tc != tr {
 				t.Fatalf("variability %v, slot %d: memo %v != reference %v", v, i, tc, tr)
 			}
-			epochs[int64(tc/cached.Epoch)] = true
+			epochs[int64(tc/cached.epoch)] = true
 		}
 		if len(epochs) < 100 {
 			t.Fatalf("walk crossed only %d epochs", len(epochs))

@@ -49,7 +49,7 @@ func sizedSessionCell(seed int64, cond phy.Condition, horizon time.Duration, sch
 	defer s.Close()
 	s.Horizon = horizon
 	if len(sched.Episodes) > 0 {
-		if _, err := sched.Attach(s.Sim, s.Host); err != nil {
+		if err := sched.Attach(s.Sim, s.Host); err != nil {
 			panic(err)
 		}
 	}
