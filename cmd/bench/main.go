@@ -102,17 +102,13 @@ import (
 	"multinet/internal/tcp"
 )
 
-// Result is one benchmark measurement. EventsPerPacket is reported by
-// the netem-driven transport benchmarks only: kernel events processed
-// per packet carried.
+// Result is one benchmark measurement.
 type Result struct {
 	Name     string  `json:"name"`
 	Runs     int     `json:"runs"`
 	NsPerOp  float64 `json:"ns_per_op"`
 	BPerOp   int64   `json:"bytes_per_op"`
 	AllocsOp int64   `json:"allocs_per_op"`
-
-	EventsPerPacket float64 `json:"events_per_packet,omitempty"`
 }
 
 // Report is the serialised benchmark trajectory artifact.
@@ -131,29 +127,6 @@ type bench struct {
 
 // nopEvent is the no-op body for pure scheduler benchmarks.
 func nopEvent(any) {}
-
-// netemMetrics accumulates simulator-level counters across a
-// benchmark's iterations: kernel events processed and packets accepted
-// onto any link.
-type netemMetrics struct {
-	events  uint64
-	packets int64
-}
-
-// curMetrics, when non-nil, receives the counters of every transport
-// benchmark iteration (the main loop points it at a fresh accumulator
-// per benchmark).
-var curMetrics *netemMetrics
-
-func (m *netemMetrics) collect(sim *simnet.Sim, links ...netem.Link) {
-	if m == nil {
-		return
-	}
-	m.events += sim.Processed()
-	for _, l := range links {
-		m.packets += int64(l.Stats().Sent)
-	}
-}
 
 // schedFireChurn measures the schedule+fire cycle with 64 event chains
 // in flight: each fired event schedules its successor, the ACK-clocked
@@ -280,7 +253,7 @@ const benchVariability = 0.3
 // downloadTCP transfers size bytes server→client over one duplex
 // interface in a world of its own, and reports whether all of them
 // arrived. The world is returned unreleased.
-func downloadTCP(seed int64, size int, loss, variability float64) (*simnet.Sim, *netem.Iface, bool) {
+func downloadTCP(seed int64, size int, loss, variability float64) (*simnet.Sim, bool) {
 	sim := simnet.New(seed)
 	iface := benchIface(sim, "wifi", 20, 15*time.Millisecond, 200, loss, variability)
 	client := tcp.NewStack(sim, tcp.ClientSide)
@@ -298,18 +271,17 @@ func downloadTCP(seed int64, size int, loss, variability float64) (*simnet.Sim, 
 		OnData: func(c *tcp.Conn, total int64) { done = done || total >= int64(size) },
 	}})
 	sim.Run()
-	return sim, iface, done
+	return sim, done
 }
 
 // tcpDownload is one downloadTCP per op — the plain-TCP kernel hot
 // path.
 func tcpDownload(b *testing.B, size int, loss, variability float64) {
 	for i := 0; i < b.N; i++ {
-		sim, iface, done := downloadTCP(int64(i+1), size, loss, variability)
+		sim, done := downloadTCP(int64(i+1), size, loss, variability)
 		if !done {
 			b.Fatal("transfer incomplete")
 		}
-		curMetrics.collect(sim, iface.UpLink(), iface.DownLink())
 		sim.Release()
 	}
 	b.SetBytes(int64(size))
@@ -333,7 +305,7 @@ func sweepCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		done := engine.Sweep(engine.Options{Workers: 4}, cells, func(c int) bool {
-			_, _, ok := downloadTCP(int64(i*cells+c+1), 256<<10, 0, benchVariability)
+			_, ok := downloadTCP(int64(i*cells+c+1), 256<<10, 0, benchVariability)
 			return ok
 		})
 		for _, ok := range done {
@@ -374,7 +346,6 @@ func mptcpDownload(b *testing.B, size int, cc mptcp.CongestionMode, variability 
 		if !done {
 			b.Fatal("transfer incomplete")
 		}
-		curMetrics.collect(sim, wifi.UpLink(), wifi.DownLink(), lte.UpLink(), lte.DownLink())
 		sim.Release()
 	}
 	b.SetBytes(int64(size))
@@ -597,20 +568,13 @@ func writeDiff(path string, base, cur Report) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "baseline %s/%s %d CPUs vs run %s/%s %d CPUs\n\n",
 		base.GoOS, base.GoArch, base.NumCPU, cur.GoOS, cur.GoArch, cur.NumCPU)
-	evpkt := func(r Result) string {
-		if r.EventsPerPacket == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2f", r.EventsPerPacket)
-	}
-	fmt.Fprintf(&sb, "%-34s %14s %14s %8s %10s %10s %7s %7s\n",
-		"benchmark", "base ns/op", "ns/op", "delta", "base a/op", "a/op",
-		"base e/p", "ev/pkt")
+	fmt.Fprintf(&sb, "%-34s %14s %14s %8s %10s %10s\n",
+		"benchmark", "base ns/op", "ns/op", "delta", "base a/op", "a/op")
 	for _, r := range cur.Results {
 		b, ok := baseBy[r.Name]
 		if !ok {
-			fmt.Fprintf(&sb, "%-34s %14s %14.0f %8s %10s %10d %7s %7s  (new)\n",
-				r.Name, "-", r.NsPerOp, "-", "-", r.AllocsOp, "-", evpkt(r))
+			fmt.Fprintf(&sb, "%-34s %14s %14.0f %8s %10s %10d  (new)\n",
+				r.Name, "-", r.NsPerOp, "-", "-", r.AllocsOp)
 			continue
 		}
 		delete(baseBy, r.Name)
@@ -618,9 +582,8 @@ func writeDiff(path string, base, cur Report) error {
 		if b.NsPerOp > 0 {
 			delta = fmt.Sprintf("%+.1f%%", (r.NsPerOp/b.NsPerOp-1)*100)
 		}
-		fmt.Fprintf(&sb, "%-34s %14.0f %14.0f %8s %10s %10d %7s %7s\n",
-			r.Name, b.NsPerOp, r.NsPerOp, delta, fmt.Sprint(b.AllocsOp), r.AllocsOp,
-			evpkt(b), evpkt(r))
+		fmt.Fprintf(&sb, "%-34s %14.0f %14.0f %8s %10s %10d\n",
+			r.Name, b.NsPerOp, r.NsPerOp, delta, fmt.Sprint(b.AllocsOp), r.AllocsOp)
 	}
 	// Baseline rows the run never produced (renamed or deleted) must
 	// not vanish silently: a reader of the artifact would otherwise
@@ -668,7 +631,6 @@ func main() {
 	for _, bm := range gateBenchmarks() {
 		start := time.Now()
 		var res Result
-		curMetrics = &netemMetrics{}
 		// ops counts every iteration the timed runs make, b.N-probing
 		// rounds included, since the collector runs during those too.
 		ops := 0
@@ -689,14 +651,9 @@ func main() {
 		res.BPerOp, res.AllocsOp = countAllocs(bm.fn)
 		res.Name = bm.name
 		extra := ""
-		if m := curMetrics; m.packets > 0 {
-			res.EventsPerPacket = float64(m.events) / float64(m.packets)
-			extra = fmt.Sprintf("  %.2f ev/pkt", res.EventsPerPacket)
-		}
 		if allocsUngated[bm.name] {
-			extra += "  (allocs/op not gated)"
+			extra = "  (allocs/op not gated)"
 		}
-		curMetrics = nil
 		rep.Results = append(rep.Results, res)
 		fmt.Fprintf(os.Stderr, "%-32s %10.0f ns/op %8d B/op %6d allocs/op %8.3f gc/op  (n=%d, %v)%s\n",
 			bm.name, res.NsPerOp, res.BPerOp, res.AllocsOp, gcPerOp, res.Runs,

@@ -104,10 +104,8 @@ type Subflow struct {
 	// join is the MP_JOIN option the subflow's SYNs carry. It rides in
 	// the handle, as Conn.capable does: an option is read by the peer's
 	// stack and by scoreboards of this same world, never after it.
-	join        MPJoin
-	outstanding mapq // mappings sent on this subflow, not yet subflow-acked
-	ackScratch  mapq // double buffer for onMappingAcked rebuilds
-	dupQueue    mapq // scheduler-duplicated mappings awaiting send
+	join     MPJoin
+	dupQueue mapq // scheduler-duplicated mappings awaiting send
 }
 
 // Name returns the subflow's flow identifier.
@@ -316,9 +314,9 @@ func subflowCallbacks() tcp.Callbacks {
 			sf := subflowOf(tc)
 			sf.conn.onSegment(sf, seg)
 		},
-		OnAckedOpt: func(tc *tcp.Conn, dss tcp.DSS, n int) {
+		OnMappedAck: func(tc *tcp.Conn) {
 			sf := subflowOf(tc)
-			sf.conn.onMappingAcked(sf, mapping{dataSeq: dss.DataSeq, len: n})
+			sf.conn.onMappingAcked(sf)
 		},
 		AckOpt: func(tc *tcp.Conn) tcp.DSS { return tcp.DSS{DataAck: subflowOf(tc).conn.rcvNxt} },
 		OnRTO: func(tc *tcp.Conn, count int) {
@@ -427,13 +425,13 @@ func (c *Conn) Aborted() bool { return c.aborted }
 // UncoveredBytes measures the stranded-mapping gap: bytes in
 // [dataUna, dataNxt) — scheduled but not yet data-acked — that no live
 // mapping record covers. A mapping counts as coverage if it sits in the
-// connection-level rtxPool or is held (outstanding or duplicate-queued)
-// by a subflow that is alive and able to retransmit it. Dead or fully
-// terminated subflows cannot retransmit, so their records do not count:
-// subflowDied must have moved them to rtxPool already. The invariant
-// checker asserts this is zero whenever the connection is not closed —
-// a nonzero value means a fault path stranded data that nothing will
-// ever resend.
+// connection-level rtxPool or is held (in flight on its scoreboard or
+// duplicate-queued) by a subflow that is alive and able to retransmit
+// it. Dead or fully terminated subflows cannot retransmit, so their
+// records do not count: subflowDied must have copied them to rtxPool
+// already. The invariant checker asserts this is zero whenever the
+// connection is not closed — a nonzero value means a fault path
+// stranded data that nothing will ever resend.
 func (c *Conn) UncoveredBytes() uint64 {
 	if c.dataNxt <= c.dataUna {
 		return 0
@@ -443,7 +441,9 @@ func (c *Conn) UncoveredBytes() uint64 {
 		if sf.dead || sf.TCP.State() == tcp.StateDone {
 			continue
 		}
-		iv = sf.outstanding.appendTo(iv)
+		for dss, n := range sf.TCP.Mappings() {
+			iv = append(iv, mapping{dataSeq: dss.DataSeq, len: n})
+		}
 		iv = sf.dupQueue.appendTo(iv)
 	}
 	sort.Slice(iv, func(i, j int) bool { return iv[i].dataSeq < iv[j].dataSeq })
@@ -560,7 +560,6 @@ func (c *Conn) pull(sf *Subflow, max int) (int, tcp.DSS, bool) {
 	sf.dupQueue.pruneAcked(c.dataUna)
 	if sf.dupQueue.len() > 0 {
 		m := sf.dupQueue.takeFront(max)
-		sf.outstanding.push(c.sim, m)
 		return m.len, c.dss(m), true
 	}
 	c.rtxPool.pruneAcked(c.dataUna)
@@ -586,7 +585,6 @@ func (c *Conn) pull(sf *Subflow, max int) (int, tcp.DSS, bool) {
 			r.onFreshMapping(c, sf, m)
 		}
 	}
-	sf.outstanding.push(c.sim, m)
 	return m.len, c.dss(m), true
 }
 
@@ -594,17 +592,10 @@ func (c *Conn) pull(sf *Subflow, max int) (int, tcp.DSS, bool) {
 // acknowledges what this end has received.
 func (c *Conn) dss(m mapping) tcp.DSS { return tcp.DSS{DataSeq: m.dataSeq, DataAck: c.rcvNxt} }
 
-// onMappingAcked removes the subflow-acknowledged byte range from
-// sf's outstanding records. Matching is by range overlap, not exact
-// (dataSeq, len) identity: pull splits oversized reinjected mappings
-// to the puller's window, so a subflow can hold an outstanding record
-// that a later ack only partially covers (e.g. the original {seq, len}
-// after a split re-pull of the same range). Overlapped spans are
-// trimmed and any unacked remainder is kept, so no record is stranded
-// to be reinjected forever. The in-order case — the ack is exactly the
-// oldest record of an ordered queue — is a constant-time pop (mapq.ack).
-func (c *Conn) onMappingAcked(sf *Subflow, m mapping) {
-	sf.outstanding.ack(c.sim, m, &sf.ackScratch)
+// onMappingAcked runs when a cumulative subflow ACK covers mapped
+// segments: the subflow is making progress again, and the window the
+// ACK opens is offered to the scheduler.
+func (c *Conn) onMappingAcked(sf *Subflow) {
 	sf.reinjected = false
 	c.maybeClose()
 	c.wake()
@@ -647,7 +638,7 @@ func (c *Conn) onSubflowRTO(sf *Subflow, count int) {
 		return
 	}
 	sf.reinjected = true
-	c.reinject(sf, false)
+	c.reinject(sf)
 	if c.cfg.Mode == Backup && !sf.Backup {
 		for _, other := range c.subflows {
 			if other.Backup && other.established && !other.dead {
@@ -658,19 +649,16 @@ func (c *Conn) onSubflowRTO(sf *Subflow, count int) {
 	c.wake()
 }
 
-// reinject copies (or moves, if the subflow is dead) sf's outstanding
-// mappings above the data-ACK point into the retransmission pool.
-func (c *Conn) reinject(sf *Subflow, move bool) {
-	for i := 0; i < sf.outstanding.len(); i++ {
-		m := *sf.outstanding.at(i)
+// reinject copies the mappings sf has in flight above the data-ACK
+// point into the retransmission pool.
+func (c *Conn) reinject(sf *Subflow) {
+	for dss, n := range sf.TCP.Mappings() {
+		m := mapping{dataSeq: dss.DataSeq, len: n}
 		if m.end() <= c.dataUna {
 			continue
 		}
 		c.rtxPool.push(c.sim, m)
 		c.Reinjections++
-	}
-	if move {
-		sf.outstanding.reset()
 	}
 }
 
@@ -694,7 +682,7 @@ func (c *Conn) subflowDied(sf *Subflow) {
 		return
 	}
 	sf.dead = true
-	c.reinject(sf, true)
+	c.reinject(sf)
 	sf.dupQueue.reset() // duplicates: the original copy lives elsewhere
 	sf.TCP.Abort()
 	c.stack.Forget(sf.TCP.Flow())
@@ -838,7 +826,7 @@ func (c *Conn) watchdogFire() {
 	}
 	for _, sf := range c.subflows {
 		if !sf.dead && sf.established {
-			c.reinject(sf, false)
+			c.reinject(sf)
 		}
 	}
 	c.wake()

@@ -5,19 +5,15 @@ import "multinet/internal/simnet"
 // mapq is a FIFO of mappings on a power-of-two ring: push at the tail,
 // pop at the head by advancing an index. Nothing is ever re-sliced from
 // the front, so the backing array's capacity is reused for the life of
-// the subflow instead of leaking one slot per pop. The array is a piece
-// of the Sim's slab (simnet.Slab): an outgrown one is left there until
-// the world ends.
-//
-// The queue also knows whether its records are strictly ascending and
-// disjoint (each starts at or after the end of the one before). That is
-// what makes the in-order subflow ack O(1): in an ordered queue a range
-// equal to the head record overlaps nothing else.
+// the connection instead of leaking one slot per pop. The array is a
+// piece of the Sim's slab (simnet.Slab): an outgrown one is left there
+// until the world ends. It holds what is waiting to be sent (the
+// retransmission pool, a subflow's duplicates), never what is in flight:
+// a subflow's scoreboard is that record (tcp.Conn.Mappings).
 type mapq struct {
-	buf       []mapping // len is zero or a power of two
-	head      int
-	n         int
-	unordered bool // some record starts before its predecessor's end
+	buf  []mapping // len is zero or a power of two
+	head int
+	n    int
 }
 
 func (q *mapq) len() int { return q.n }
@@ -34,16 +30,12 @@ func (q *mapq) push(sim *simnet.Sim, m mapping) {
 	if q.n == len(q.buf) {
 		q.grow(simnet.SlabOf[mapping](sim))
 	}
-	if q.n > 0 && m.dataSeq < q.at(q.n-1).end() {
-		q.unordered = true
-	}
 	q.buf[(q.head+q.n)&(len(q.buf)-1)] = m
 	q.n++
 }
 
 // grow doubles the ring, unwrapping the live records to the front. It
-// is the single growth site of every mapping queue; capacity settles at
-// the subflow's window in records.
+// is the single growth site of every mapping queue.
 func (q *mapq) grow(mem *simnet.Slab[mapping]) {
 	size := 2 * len(q.buf)
 	if size == 0 {
@@ -59,13 +51,10 @@ func (q *mapq) grow(mem *simnet.Slab[mapping]) {
 func (q *mapq) popFront() {
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
-	if q.n <= 1 {
-		q.unordered = false
-	}
 }
 
 // reset empties the queue, keeping its capacity.
-func (q *mapq) reset() { q.head, q.n, q.unordered = 0, 0, false }
+func (q *mapq) reset() { q.head, q.n = 0, 0 }
 
 // takeFront removes up to max bytes from the head of q, splitting the
 // head mapping in place when it exceeds max.
@@ -95,38 +84,4 @@ func (q *mapq) appendTo(dst []mapping) []mapping {
 		dst = append(dst, *q.at(i))
 	}
 	return dst
-}
-
-// ack removes the byte range r from the queue's records. An ordered
-// queue whose head is exactly r — the in-order subflow ack, nearly all
-// of them — pops it. Anything else (a split reinjection re-pulled by
-// the same subflow, a duplicate, an ack landing mid-record) rebuilds
-// into scratch by range overlap: overlapped spans are trimmed, unacked
-// remainders kept, and the two queues swap roles (double buffering
-// keeps the path allocation-free once both have grown).
-func (q *mapq) ack(sim *simnet.Sim, r mapping, scratch *mapq) {
-	if q.n == 0 {
-		return
-	}
-	if !q.unordered && *q.at(0) == r {
-		q.popFront()
-		return
-	}
-	// A mid-record ack splits one record in two, so filtering in place
-	// could overtake the read cursor.
-	scratch.reset()
-	for i := 0; i < q.n; i++ {
-		m := *q.at(i)
-		if m.end() <= r.dataSeq || m.dataSeq >= r.end() {
-			scratch.push(sim, m) // disjoint
-			continue
-		}
-		if m.dataSeq < r.dataSeq {
-			scratch.push(sim, mapping{dataSeq: m.dataSeq, len: int(r.dataSeq - m.dataSeq)})
-		}
-		if m.end() > r.end() {
-			scratch.push(sim, mapping{dataSeq: r.end(), len: int(m.end() - r.end())})
-		}
-	}
-	*q, *scratch = *scratch, *q
 }

@@ -67,13 +67,9 @@ func TestUnknownSchedulerFailsAtConfig(t *testing.T) {
 	})
 }
 
-// TestSplitReinjectionAck is the regression test for the stranded-
-// mapping bug: pull splits an oversized reinjected mapping to the
-// puller's window, so after a subflow re-pulls part of a range it
-// already has outstanding, the ack for the split piece must also trim
-// the overlapping original record. Exact (dataSeq, len) matching left
-// the original stranded forever, to be spuriously reinjected on every
-// later stall.
+// TestSplitReinjectionAck: pull splits an oversized reinjected mapping
+// to the puller's window and leaves the remainder at the head of the
+// pool, so the rest of the range is offered on the next pull.
 func TestSplitReinjectionAck(t *testing.T) {
 	c := &Conn{sim: simnet.New(1), cfg: Config{ConnID: "t"}, sched: &minSRTT{}}
 	sf := &Subflow{conn: c, established: true}
@@ -82,7 +78,6 @@ func TestSplitReinjectionAck(t *testing.T) {
 	// The subflow sent the full 3000-byte mapping once (segment lost),
 	// RTO'd, and reinjected it into the shared pool.
 	c.sendTotal, c.dataNxt = 3000, 3000
-	sf.outstanding = mapqOf(mapping{dataSeq: 0, len: 3000})
 	c.rtxPool = mapqOf(mapping{dataSeq: 0, len: 3000})
 
 	// Post-RTO the window is small: the same subflow re-pulls the
@@ -91,43 +86,15 @@ func TestSplitReinjectionAck(t *testing.T) {
 	if !ok || n != 1000 || dss.DataSeq != 0 {
 		t.Fatalf("split pull = (%d, %+v, %v), want (1000, DataSeq 0, true)", n, dss, ok)
 	}
-	if want := []mapping{{0, 3000}, {0, 1000}}; !reflect.DeepEqual(sf.outstanding.slice(), want) {
-		t.Fatalf("outstanding after split pull = %v, want %v", sf.outstanding.slice(), want)
+	if want := []mapping{{1000, 2000}}; !reflect.DeepEqual(c.rtxPool.slice(), want) {
+		t.Fatalf("pool after split pull = %v, want %v", c.rtxPool.slice(), want)
 	}
-
-	// The split piece is acked: BOTH records covering [0, 1000) must
-	// shrink — the stale original is trimmed to its unacked remainder.
-	sf.dead = true // keep wake from touching the TCP-less test subflow
-	c.onMappingAcked(sf, mapping{dataSeq: 0, len: 1000})
-	if want := []mapping{{1000, 2000}}; !reflect.DeepEqual(sf.outstanding.slice(), want) {
-		t.Fatalf("outstanding after split ack = %v, want %v (original must be trimmed)",
-			sf.outstanding.slice(), want)
+	n, dss, ok = c.pull(sf, 1460)
+	if !ok || n != 1460 || dss.DataSeq != 1000 {
+		t.Fatalf("second pull = (%d, %+v, %v), want (1460, DataSeq 1000, true)", n, dss, ok)
 	}
-
-	// Acking the remainder clears the subflow completely.
-	c.onMappingAcked(sf, mapping{dataSeq: 1000, len: 2000})
-	if sf.outstanding.len() != 0 {
-		t.Fatalf("outstanding after full ack = %v, want empty", sf.outstanding.slice())
-	}
-}
-
-func TestOnMappingAckedPartialOverlap(t *testing.T) {
-	c := &Conn{sim: simnet.New(1), cfg: Config{ConnID: "t"}, sched: &minSRTT{}}
-	sf := &Subflow{conn: c} // not established: wake skips it
-	c.subflows = []*Subflow{sf}
-	sf.outstanding = mapqOf(mapping{0, 100}, mapping{100, 300}, mapping{500, 100})
-	// Ack covers the tail of the first record, the head of the second,
-	// and misses the third entirely.
-	c.onMappingAcked(sf, mapping{dataSeq: 50, len: 150})
-	want := []mapping{{0, 50}, {200, 200}, {500, 100}}
-	if !reflect.DeepEqual(sf.outstanding.slice(), want) {
-		t.Fatalf("outstanding = %v, want %v", sf.outstanding.slice(), want)
-	}
-	// A mid-record ack splits it in two.
-	c.onMappingAcked(sf, mapping{dataSeq: 250, len: 50})
-	want = []mapping{{0, 50}, {200, 50}, {300, 100}, {500, 100}}
-	if !reflect.DeepEqual(sf.outstanding.slice(), want) {
-		t.Fatalf("outstanding after mid-record ack = %v, want %v", sf.outstanding.slice(), want)
+	if want := []mapping{{2460, 540}}; !reflect.DeepEqual(c.rtxPool.slice(), want) {
+		t.Fatalf("pool after second pull = %v, want %v", c.rtxPool.slice(), want)
 	}
 }
 

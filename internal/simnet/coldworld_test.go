@@ -136,8 +136,8 @@ func TestColdWorldBytes(t *testing.T) {
 		cold, recycled bound
 	}{
 		{"session, tcp", func(r bool) { coldSession(r, coldTCP) }, bound{44352, 198}, bound{2944, 56}},
-		{"session, tcp then mptcp", func(r bool) { coldSession(r, coldTCP, coldMPTCP) }, bound{89216, 289}, bound{3008, 59}},
-		{"replay-shaped", coldReplay, bound{195136, 828}, bound{4608, 128}},
+		{"session, tcp then mptcp", func(r bool) { coldSession(r, coldTCP, coldMPTCP) }, bound{87104, 284}, bound{3008, 59}},
+		{"replay-shaped", coldReplay, bound{180192, 792}, bound{4608, 128}},
 	} {
 		for _, recycled := range []bool{false, true} {
 			max, kind := w.cold, "cold"

@@ -95,9 +95,10 @@ type Callbacks struct {
 	OnData func(c *Conn, total int64)
 	// OnSegment fires for every arriving segment, before processing.
 	OnSegment func(c *Conn, seg *Segment)
-	// OnAckedOpt fires when a sent segment carrying a DSS is cumulatively
-	// acknowledged, with that DSS and the segment's payload length.
-	OnAckedOpt func(c *Conn, dss DSS, n int)
+	// OnMappedAck fires once per cumulative ACK that covers at least one
+	// sent segment carrying a DSS, while the covered segments are still
+	// yielded by Mappings.
+	OnMappedAck func(c *Conn)
 	// AckOpt, when set, supplies the DSS outgoing pure ACKs carry (MPTCP
 	// uses it for DATA_ACK).
 	AckOpt func(c *Conn) DSS
@@ -817,7 +818,7 @@ func (c *Conn) sendAck() {
 func (c *Conn) SendWindowUpdate() { c.sendAck() }
 
 // ackRtxQueue drops fully-acked entries, takes an RTT sample, and fires
-// DSS-ack callbacks. The RTT sample comes from the most recently
+// the DSS-ack callback. The RTT sample comes from the most recently
 // sent never-retransmitted entry covered by the ACK (Karn's algorithm);
 // older covered entries would inflate the estimate when a cumulative
 // ACK releases a burst at once.
@@ -830,13 +831,14 @@ func (c *Conn) ackRtxQueue(ack uint64) {
 // ackScoreboard pops the scoreboard entries ack covers and returns the
 // newest never-retransmitted send time among them (-1 if none).
 //
-// OnAckedOpt re-enters the sender (mptcp: onMappingAcked → wake →
+// OnMappedAck re-enters the sender (mptcp: onMappingAcked → wake →
 // trySend) while the covered entries are still queued and sndUna is
 // still old, so an entry's bytes leave pipeBytes only when the entry
-// itself leaves the ring, after the callbacks: a nested send sees the
+// itself leaves the ring, after the callback: a nested send sees the
 // same pipe a scan of the scoreboard would give it.
 func (c *Conn) ackScoreboard(ack uint64) (sampleAt time.Duration) {
 	sampleAt = -1
+	mapped := false
 	i := 0
 	for ; i < c.sb.n; i++ {
 		e := c.sb.at(i)
@@ -849,9 +851,10 @@ func (c *Conn) ackScoreboard(ack uint64) (sampleAt time.Duration) {
 		if !e.rtxed && e.sentAt > sampleAt {
 			sampleAt = e.sentAt
 		}
-		if e.flags.Has(FlagDSS) && c.cb.OnAckedOpt != nil {
-			c.cb.OnAckedOpt(c, e.dss, int(e.payload)) // may push entries: e is dead after this
-		}
+		mapped = mapped || e.flags.Has(FlagDSS)
+	}
+	if mapped && c.cb.OnMappedAck != nil {
+		c.cb.OnMappedAck(c) // may push entries behind the covered ones
 	}
 	for ; i > 0; i-- {
 		c.pipeBytes -= c.sb.at(0).inPipe()

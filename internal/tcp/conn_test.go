@@ -329,30 +329,66 @@ func TestConcurrentFlowsShareLink(t *testing.T) {
 	}
 }
 
-func TestOnAckedOptCallback(t *testing.T) {
-	n := newTestNet(t, 1, 10, 5*time.Millisecond, 0)
-	type acked struct {
+// TestOnMappedAck: the hook fires once per cumulative ACK that covers a
+// mapped segment, never for the ACK of a SYN or a FIN alone, and while
+// it runs the covered segments are still yielded by Mappings (mptcp's
+// wake runs there, and its sends must see the pipe that still holds
+// them).
+func TestOnMappedAck(t *testing.T) {
+	type mapped struct {
 		dss DSS
 		n   int
 	}
-	var got []acked
-	want := []acked{{DSS{DataSeq: 100, DataAck: 7}, 1000}, {DSS{DataSeq: 5000, DataAck: 9}, 600}}
-	src := &scriptSource{}
-	for _, a := range want {
-		src.chunks = append(src.chunks, scriptChunk{n: a.n, dss: a.dss})
+	var calls [][]mapped // what Mappings yielded during each call
+	onMappedAck := func(c *Conn) {
+		var in []mapped
+		for dss, n := range c.Mappings() {
+			in = append(in, mapped{dss, n})
+		}
+		calls = append(calls, in)
 	}
+
+	// Driven directly: SYN, two mapped segments and a FIN, acked in
+	// three cumulative steps.
+	c := &Conn{sim: simnet.New(1), cb: Callbacks{OnMappedAck: onMappedAck}}
+	a, b := mapped{DSS{DataSeq: 100, DataAck: 7}, 1000}, mapped{DSS{DataSeq: 5000, DataAck: 9}, 600}
+	c.sb.push(c.sim, sbEntry{seq: 0, flags: FlagSYN})
+	c.sb.push(c.sim, sbEntry{seq: 1, dss: a.dss, payload: int32(a.n), flags: FlagACK | FlagDSS})
+	c.sb.push(c.sim, sbEntry{seq: 1001, dss: b.dss, payload: int32(b.n), flags: FlagACK | FlagDSS})
+	c.sb.push(c.sim, sbEntry{seq: 1601, flags: FlagFIN | FlagACK})
+	c.ackScoreboard(1) // the SYN alone
+	if len(calls) != 0 {
+		t.Fatalf("the ACK of a SYN fired the hook: %v", calls)
+	}
+	c.ackScoreboard(1601) // both mapped segments at once
+	if want := [][]mapped{{a, b}}; !reflect.DeepEqual(calls, want) {
+		t.Fatalf("covering ACK: calls %v, want %v (once, covered segments still yielded)", calls, want)
+	}
+	c.ackScoreboard(1602) // the FIN alone
+	if len(calls) != 1 {
+		t.Fatalf("the ACK of a FIN fired the hook: %v", calls)
+	}
+
+	// Over a link: the peer ACKs each segment, so each covering ACK
+	// fires once and sees its own segment at the head; the handshake
+	// and FIN ACKs fire nothing.
+	calls = nil
+	n := newTestNet(t, 1, 10, 5*time.Millisecond, 0)
+	src := &scriptSource{chunks: []scriptChunk{{n: a.n, dss: a.dss}, {n: b.n, dss: b.dss}}}
 	n.server.Accept = func(c *Conn) {}
 	cli := NewConn(n.sim, n.iface, netem.Up, "opt", Config{
-		Source: src,
-		Callbacks: Callbacks{
-			OnAckedOpt: func(c *Conn, dss DSS, n int) { got = append(got, acked{dss, n}) },
-		},
+		Source:    src,
+		Callbacks: Callbacks{OnMappedAck: onMappedAck},
 	})
 	n.client.Register(cli)
 	cli.Connect()
+	cli.Close()
 	n.sim.Run()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("acked %+v, want %+v in order", got, want)
+	if want := [][]mapped{{a, b}, {b}}; !reflect.DeepEqual(calls, want) {
+		t.Fatalf("calls %v, want %v", calls, want)
+	}
+	if !cli.finAcked {
+		t.Fatal("the FIN was never acknowledged: the run proves nothing about its ACK")
 	}
 }
 

@@ -243,7 +243,7 @@ func TestDemuxByHandleMatchesName(t *testing.T) {
 		delete(s.ref, flow)
 	}
 	// dead reports whether h is a handle st has freed.
-	dead := func(st *Stack, h uint32) bool { return h != 0 && st.table[h-1].conn == nil }
+	dead := func(st *Stack, h uint32) bool { return h != 0 && st.table[h-1] == nil }
 
 	var byHandle, synRtx, stale, freed int
 	lostSynAck := false
@@ -278,7 +278,7 @@ func TestDemuxByHandleMatchesName(t *testing.T) {
 					t.Fatalf("%q (ports %d→%d) reached %p, by name it goes to %p", flow, seg.SrcPort, seg.DstPort, s.got, want)
 				}
 			case syn && s.st.Accept != nil:
-				if len(s.st.table) != filed+1 || s.got != s.st.table[filed].conn || s.ref[flow] != s.got {
+				if len(s.st.table) != filed+1 || s.got != s.st.table[filed] || s.ref[flow] != s.got {
 					t.Fatalf("SYN of %q reached %p, by name it is a fresh accept", flow, s.got)
 				}
 			case s.got != nil:

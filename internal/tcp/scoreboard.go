@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"multinet/internal/simnet"
@@ -94,6 +95,21 @@ func (s *scoreboard) grow(mem *simnet.Slab[sbEntry]) {
 func (s *scoreboard) popFront() {
 	s.head = (s.head + 1) & (len(s.buf) - 1)
 	s.n--
+}
+
+// Mappings yields the DSS and payload length of every unacknowledged
+// segment that carries one, oldest first: SACKed and lost segments
+// included, SYN, FIN and plain-TCP segments skipped. It is the record of
+// what an MPTCP subflow has in flight; the scoreboard must not change
+// while it is being iterated.
+func (c *Conn) Mappings() iter.Seq2[DSS, int] {
+	return func(yield func(DSS, int) bool) {
+		for i := 0; i < c.sb.n; i++ {
+			if e := c.sb.at(i); e.flags.Has(FlagDSS) && !yield(e.dss, int(e.payload)) {
+				return
+			}
+		}
+	}
 }
 
 // AuditScoreboard recomputes the incrementally maintained sender

@@ -3,6 +3,7 @@ package tcp
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -253,6 +254,46 @@ func TestScoreboardRing(t *testing.T) {
 		t.Fatalf("refilling a drained ring grew it to %d", len(sb.buf))
 	}
 	inOrder(first)
+}
+
+// TestMappings: the iterator yields every unacknowledged mapped entry,
+// SACKed and lost ones too, oldest first; it skips SYN, FIN and
+// plain-TCP entries, stops when the loop does, and yields nothing once
+// a cumulative ACK has covered everything.
+func TestMappings(t *testing.T) {
+	type mapped struct {
+		dss DSS
+		n   int
+	}
+	c := &Conn{sim: simnet.New(1)}
+	a := mapped{DSS{DataSeq: 3000}, 100}
+	b := mapped{DSS{DataSeq: 0, DataAck: 4}, 200} // older data, sent later
+	d := mapped{DSS{DataSeq: 3100}, 300}
+	c.sb.push(c.sim, sbEntry{seq: 0, flags: FlagSYN})
+	c.sb.push(c.sim, sbEntry{seq: 1, dss: a.dss, payload: int32(a.n), flags: FlagACK | FlagDSS, sacked: true})
+	c.sb.push(c.sim, sbEntry{seq: 101, payload: 50, flags: FlagACK}) // plain TCP
+	c.sb.push(c.sim, sbEntry{seq: 151, dss: b.dss, payload: int32(b.n), flags: FlagACK | FlagDSS, lost: true})
+	c.sb.push(c.sim, sbEntry{seq: 351, dss: d.dss, payload: int32(d.n), flags: FlagACK | FlagDSS})
+	c.sb.push(c.sim, sbEntry{seq: 651, flags: FlagFIN | FlagACK})
+	var got []mapped
+	for dss, n := range c.Mappings() {
+		got = append(got, mapped{dss, n})
+	}
+	if want := []mapped{a, b, d}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Mappings yielded %v, want %v", got, want)
+	}
+	got = got[:0]
+	for dss, n := range c.Mappings() {
+		got = append(got, mapped{dss, n})
+		break
+	}
+	if len(got) != 1 || got[0] != a {
+		t.Fatalf("a loop that breaks at once saw %v, want only %v", got, a)
+	}
+	c.ackScoreboard(652)
+	for dss, n := range c.Mappings() {
+		t.Fatalf("after the full ACK Mappings yielded %+v/%d", dss, n)
+	}
 }
 
 // TestDetectLossCleanPathSkipsScan pins the detectLoss early-out: a

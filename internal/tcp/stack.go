@@ -1,9 +1,6 @@
 package tcp
 
 import (
-	"slices"
-	"strings"
-
 	"multinet/internal/netem"
 	"multinet/internal/simnet"
 )
@@ -27,24 +24,22 @@ const (
 // the peer's next segment names its receiver (DstPort) and dispatch is
 // one index. The name is the fallback, for a segment whose DstPort is
 // unset (a SYN, or a retransmitted one) or names a forgotten connection
-// (a segment of an earlier incarnation). Handles are never reused within
-// a world, so such a segment goes by name where it always went, and a
-// live handle can only name the connection with the segment's own flow
-// name. That rests on a world's two stacks facing each other, one per
-// side of every interface: a handle learnt from a segment indexes the
-// stack that sent it, which is the one the reply reaches.
+// (a segment of an earlier incarnation), and it is found by scanning the
+// table: such segments are a fraction of a percent of what a stack
+// dispatches, and a stack holds a few dozen connections at most. Handles
+// are never reused within a world, so such a segment goes by name where
+// it always went, and a live handle can only name the connection with
+// the segment's own flow name. That rests on a world's two stacks facing
+// each other, one per side of every interface: a handle learnt from a
+// segment indexes the stack that sent it, which is the one the reply
+// reaches.
 type Stack struct {
 	sim  *simnet.Sim
 	side Side
 	// table is the demux table, a piece of the Sim's slab, so a world
-	// built from a released one finds it already grown. Each entry does
-	// two jobs: its conn is the connection whose handle is its index + 1
-	// (nil once forgotten), and the named fields of the first live
-	// entries list the live connections sorted by flow name. One slice
-	// and not two, so that a world never released grows one table, as it
-	// did when the name was the only key.
-	table []demuxEntry
-	live  int
+	// built from a released one finds it already grown: entry i is the
+	// connection whose handle is i + 1, nil once forgotten.
+	table []*Conn
 	// Accept configures a passively-opened connection before its SYN is
 	// processed (install callbacks, queue response data, ...). If nil,
 	// incoming SYNs for unknown flows are dropped.
@@ -56,29 +51,13 @@ func NewStack(sim *simnet.Sim, side Side) *Stack {
 	return &Stack{sim: sim, side: side}
 }
 
-type demuxEntry struct{ conn, named *Conn }
-
-// find returns where flow's connection is among the named entries, or
-// where it would go.
-func (s *Stack) find(flow string) (int, bool) {
-	return slices.BinarySearchFunc(s.table[:s.live], flow, func(e demuxEntry, flow string) int {
-		return strings.Compare(e.named.flow, flow)
-	})
-}
-
-// insert gives c the next handle and names it at i, the place find gave
-// for its flow.
-func (s *Stack) insert(i int, c *Conn) {
+// insert gives c the next handle.
+func (s *Stack) insert(c *Conn) {
 	if len(s.table) == cap(s.table) {
-		s.table = simnet.SlabOf[demuxEntry](s.sim).Grow(s.table, len(s.table)+1)
+		s.table = simnet.SlabOf[*Conn](s.sim).Grow(s.table, len(s.table)+1)
 	}
-	s.table = append(s.table, demuxEntry{conn: c})
+	s.table = append(s.table, c)
 	c.port = uint32(len(s.table))
-	for j := s.live; j > i; j-- {
-		s.table[j].named = s.table[j-1].named
-	}
-	s.table[i].named = c
-	s.live++
 }
 
 // Bind attaches the stack to an interface so segments arriving on the
@@ -117,7 +96,7 @@ func (s *Stack) dispatch(iface *netem.Iface, p *netem.Packet) {
 	netem.ReleasePacket(p)
 	var c *Conn
 	if h := uint(seg.DstPort) - 1; h < uint(len(s.table)) { // DstPort 0 wraps past any table
-		c = s.table[h].conn
+		c = s.table[h]
 	}
 	if c == nil {
 		if c = s.lookup(iface, seg); c == nil {
@@ -132,15 +111,14 @@ func (s *Stack) dispatch(iface *netem.Iface, p *netem.Packet) {
 // lookup finds the segment's connection by its flow name, creating a
 // passive one for a SYN when the stack listens; nil means drop.
 func (s *Stack) lookup(iface *netem.Iface, seg *Segment) *Conn {
-	i, ok := s.find(seg.Flow)
-	if ok {
-		return s.table[i].named
+	if c := s.Conn(seg.Flow); c != nil {
+		return c
 	}
 	if !seg.Flags.Has(FlagSYN) || seg.Flags.Has(FlagACK) || s.Accept == nil {
 		return nil
 	}
 	c := NewConn(s.sim, iface, s.sendDir(), seg.Flow, Config{})
-	s.insert(i, c)
+	s.insert(c)
 	s.Accept(c)
 	return c
 }
@@ -148,12 +126,8 @@ func (s *Stack) lookup(iface *netem.Iface, seg *Segment) *Conn {
 // Dial creates an active connection on the given interface and starts
 // its handshake.
 func (s *Stack) Dial(iface *netem.Iface, flow string, cfg Config) *Conn {
-	i, dup := s.find(flow)
-	if dup {
-		panic("tcp: duplicate flow " + flow)
-	}
 	c := NewConn(s.sim, iface, s.sendDir(), flow, cfg)
-	s.insert(i, c)
+	s.Register(c)
 	c.Connect()
 	return c
 }
@@ -161,17 +135,18 @@ func (s *Stack) Dial(iface *netem.Iface, flow string, cfg Config) *Conn {
 // Register adds a pre-built connection (used by MPTCP subflows that
 // need custom Config on the passive side too).
 func (s *Stack) Register(c *Conn) {
-	i, dup := s.find(c.flow)
-	if dup {
+	if s.Conn(c.flow) != nil {
 		panic("tcp: duplicate flow " + c.flow)
 	}
-	s.insert(i, c)
+	s.insert(c)
 }
 
-// Conn returns the connection for a flow, or nil.
+// Conn returns the live connection for a flow, or nil.
 func (s *Stack) Conn(flow string) *Conn {
-	if i, ok := s.find(flow); ok {
-		return s.table[i].named
+	for _, c := range s.table {
+		if c != nil && c.flow == flow {
+			return c
+		}
 	}
 	return nil
 }
@@ -179,11 +154,7 @@ func (s *Stack) Conn(flow string) *Conn {
 // Forget removes a connection from the demux: its name is free for a new
 // connection, and its handle is dead for the rest of the world.
 func (s *Stack) Forget(flow string) {
-	if i, ok := s.find(flow); ok {
-		s.table[s.table[i].named.port-1].conn = nil
-		s.live--
-		for ; i < s.live; i++ {
-			s.table[i].named = s.table[i+1].named
-		}
+	if c := s.Conn(flow); c != nil {
+		s.table[c.port-1] = nil
 	}
 }
