@@ -2,9 +2,10 @@
 // benchmark suite outside `go test`, records ns/op, B/op and allocs/op
 // per benchmark as a machine-readable report, and with -check fails
 // when any benchmark allocates more than the committed baseline says.
-// Wall time is reported and never gated — the hosts this runs on drift
-// by more than any useful bound; `go run ./benchmark` (BENCHMARK.json)
-// is where time is compared, in alternating pairs.
+// Wall time is reported and never gated or kept in the baseline — the
+// hosts this runs on drift by more than any useful bound. To compare
+// time, take two fresh -out reports on one host, or run `go run
+// ./benchmark` (BENCHMARK.json) in alternating pairs.
 //
 // These benchmark families run:
 //
@@ -43,7 +44,8 @@
 // progress lines on stderr add gc/op, the collections the runtime
 // started by itself per op of the timed runs; it is never recorded or
 // gated.
-// -baseline names the committed reference report. With -check, the run
+// -baseline names the committed reference report, which keeps only what
+// gates: each benchmark's name, B/op and allocs/op. With -check, the run
 // fails (exit 1) if any benchmark's allocs/op is above the baseline's.
 // The gate can be exact because the count is: every benchmark releases its
 // simulators, whose free lists make what an iteration allocates
@@ -64,8 +66,9 @@
 // minimum (the robust noise-resistant estimator) is reported, and once
 // more, untimed, for B/op and allocs/op (see countAllocs).
 //
-// -diff writes a per-benchmark baseline-vs-run comparison table (the
-// nightly workflow uploads it as an artifact).
+// -diff writes a per-benchmark table of this run's ns/op and allocs/op
+// beside the baseline's allocs/op (the nightly workflow uploads it as an
+// artifact).
 //
 // To investigate one entry — a profile, another benchtime — run the
 // same list under go test, where every entry is a sub-benchmark of
@@ -102,11 +105,11 @@ import (
 	"multinet/internal/tcp"
 )
 
-// Result is one benchmark measurement.
+// Result is one benchmark measurement. NsPerOp is this run's only: the
+// baseline is written without it.
 type Result struct {
 	Name     string  `json:"name"`
-	Runs     int     `json:"runs"`
-	NsPerOp  float64 `json:"ns_per_op"`
+	NsPerOp  float64 `json:"ns_per_op,omitempty"`
 	BPerOp   int64   `json:"bytes_per_op"`
 	AllocsOp int64   `json:"allocs_per_op"`
 }
@@ -237,8 +240,8 @@ func benchIface(sim *simnet.Sim, name string, mbps float64, owd time.Duration, q
 	cfg := func(dir string) netem.LinkConfig {
 		lc := netem.LinkConfig{PropDelay: owd, LossProb: loss, QueueLimit: queue}
 		if loss > 0 {
-			// Seeding a PRNG stream costs ~10 µs; lossless links never
-			// draw from it.
+			// Lossless links never draw from a loss stream, so only lossy
+			// ones seed one.
 			lc.RNG = sim.RNG("loss/" + dir)
 		}
 		return lc
@@ -568,30 +571,22 @@ func writeDiff(path string, base, cur Report) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "baseline %s/%s %d CPUs vs run %s/%s %d CPUs\n\n",
 		base.GoOS, base.GoArch, base.NumCPU, cur.GoOS, cur.GoArch, cur.NumCPU)
-	fmt.Fprintf(&sb, "%-34s %14s %14s %8s %10s %10s\n",
-		"benchmark", "base ns/op", "ns/op", "delta", "base a/op", "a/op")
+	fmt.Fprintf(&sb, "%-34s %14s %10s %10s\n", "benchmark", "ns/op", "base a/op", "a/op")
 	for _, r := range cur.Results {
 		b, ok := baseBy[r.Name]
 		if !ok {
-			fmt.Fprintf(&sb, "%-34s %14s %14.0f %8s %10s %10d  (new)\n",
-				r.Name, "-", r.NsPerOp, "-", "-", r.AllocsOp)
+			fmt.Fprintf(&sb, "%-34s %14.0f %10s %10d  (new)\n", r.Name, r.NsPerOp, "-", r.AllocsOp)
 			continue
 		}
 		delete(baseBy, r.Name)
-		delta := "-"
-		if b.NsPerOp > 0 {
-			delta = fmt.Sprintf("%+.1f%%", (r.NsPerOp/b.NsPerOp-1)*100)
-		}
-		fmt.Fprintf(&sb, "%-34s %14.0f %14.0f %8s %10s %10d\n",
-			r.Name, b.NsPerOp, r.NsPerOp, delta, fmt.Sprint(b.AllocsOp), r.AllocsOp)
+		fmt.Fprintf(&sb, "%-34s %14.0f %10d %10d\n", r.Name, r.NsPerOp, b.AllocsOp, r.AllocsOp)
 	}
 	// Baseline rows the run never produced (renamed or deleted) must
 	// not vanish silently: a reader of the artifact would otherwise
 	// assume full coverage.
 	for _, b := range base.Results {
 		if _, gone := baseBy[b.Name]; gone {
-			fmt.Fprintf(&sb, "%-34s %14.0f %14s %8s %10d %10s  (not run)\n",
-				b.Name, b.NsPerOp, "-", "-", b.AllocsOp, "-")
+			fmt.Fprintf(&sb, "%-34s %14s %10d %10s  (not run)\n", b.Name, "-", b.AllocsOp, "-")
 		}
 	}
 	return os.WriteFile(path, []byte(sb.String()), 0o644)
@@ -645,7 +640,6 @@ func main() {
 			if k == 0 || ns < res.NsPerOp {
 				res.NsPerOp = ns
 			}
-			res.Runs += r.N
 		}
 		gcPerOp := float64(gcCycles()-gc0) / float64(ops)
 		res.BPerOp, res.AllocsOp = countAllocs(bm.fn)
@@ -655,8 +649,8 @@ func main() {
 			extra = "  (allocs/op not gated)"
 		}
 		rep.Results = append(rep.Results, res)
-		fmt.Fprintf(os.Stderr, "%-32s %10.0f ns/op %8d B/op %6d allocs/op %8.3f gc/op  (n=%d, %v)%s\n",
-			bm.name, res.NsPerOp, res.BPerOp, res.AllocsOp, gcPerOp, res.Runs,
+		fmt.Fprintf(os.Stderr, "%-32s %10.0f ns/op %8d B/op %6d allocs/op %8.3f gc/op  (%v)%s\n",
+			bm.name, res.NsPerOp, res.BPerOp, res.AllocsOp, gcPerOp,
 			time.Since(start).Round(time.Millisecond), extra)
 	}
 
@@ -682,6 +676,9 @@ func main() {
 	}
 
 	if *rebase {
+		for i := range rep.Results {
+			rep.Results[i].NsPerOp = 0 // stale on any other run or host
+		}
 		if err := writeReport(*baseline, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "rewriting baseline:", err)
 			os.Exit(1)

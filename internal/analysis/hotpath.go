@@ -161,7 +161,7 @@ func reportBoxing(pass *Pass, fd *ast.FuncDecl, arg ast.Expr, dst types.Type) {
 	if pointerShaped(tv.Type) {
 		return
 	}
-	pass.Reportf(arg.Pos(), "interface conversion boxes %s in hot path %s: pass a pointer-shaped value (the engine's ScheduleArg/Payload slots carry pointers for exactly this reason)", tv.Type.String(), fd.Name.Name)
+	pass.Reportf(arg.Pos(), "interface conversion boxes %s in hot path %s: pass a pointer-shaped value (the engine's ScheduleArg and SubscribeDown slots carry pointers for exactly this reason)", tv.Type.String(), fd.Name.Name)
 }
 
 // pointerShaped reports whether values of t fit the interface data

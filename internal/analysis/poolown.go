@@ -16,7 +16,6 @@ type pooledType struct{ path, name string }
 
 var pooledTypes = []pooledType{
 	{"multinet/internal/netem", "Packet"},
-	{"multinet/internal/tcp", "Segment"},
 	{"multinet/internal/simnet", "event"},
 }
 
@@ -54,8 +53,6 @@ type releaseFunc struct {
 
 var releaseFuncs = []releaseFunc{
 	{path: "multinet/internal/netem", name: "ReleasePacket", arg: 0},
-	{path: "multinet/internal/netem", name: "dropPacket", arg: 0},
-	{path: "multinet/internal/tcp", recvType: "Segment", name: "Recycle", arg: -1},
 	{path: "multinet/internal/simnet", recvType: "arena", name: "recycle", arg: 0},
 	{path: "multinet/internal/simnet", recvType: "FreeList", name: "Put", arg: 0},
 	{path: "multinet/internal/simnet", recvType: "Sim", name: "Release", arg: -1},
@@ -63,7 +60,7 @@ var releaseFuncs = []releaseFunc{
 }
 
 // PoolOwn enforces PR 4's single-owner recycling discipline on recycled
-// packets, segments and simulator events, and on the simulators whose
+// packets and simulator events, and on the simulators whose
 // free lists they live in: no double release, no use
 // after release along straight-line/branch paths, and no recycled
 // pointer escaping into a struct field or slice without an explicit
@@ -80,7 +77,7 @@ var releaseFuncs = []releaseFunc{
 var PoolOwn = &Analyzer{
 	Name: "poolown",
 	Doc: "detect double-release, use-after-release, and unmarked escapes " +
-		"of recycled values (netem.Packet, tcp.Segment, simnet events), " +
+		"of recycled values (netem.Packet, simnet events), " +
 		"use of a simnet.Sim or core.World (or the Session embedding one) after Release/Close, slab slices " +
 		"(simnet.Slab.Make/Grow) that leave the world or outlive it, and connection " +
 		"handles (tcp.Conn, mptcp.Conn, mptcp.Subflow, core.Flows, core.Flow) used after their world's release",

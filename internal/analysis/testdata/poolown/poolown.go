@@ -1,6 +1,6 @@
 // Package pooltest is the poolown analyzer's golden package. It
-// imports the real recycled types (netem.Packet, tcp.Segment) and the
-// simulator that owns their free lists, and walks
+// imports the real recycled type (netem.Packet) and the simulator that
+// owns its free list, and walks
 // through the single-owner lifecycle: double release, use after
 // release, and unmarked escapes must be flagged; //multinet:owns
 // transfers and //lint:allow exceptions stay silent.
@@ -26,9 +26,9 @@ func doubleRelease() {
 }
 
 func useAfterRelease() int {
-	s := tcp.NewSegment(sim)
-	s.Recycle()
-	return s.PayloadLen // want `use of s after release`
+	p := netem.NewPacket(sim)
+	netem.ReleasePacket(p)
+	return p.Size // want `use of p after release`
 }
 
 func useAfterPut(l *simnet.FreeList[netem.Packet]) int {
@@ -94,7 +94,7 @@ func allowedDoubleRelease() {
 
 type queue struct {
 	items []*netem.Packet
-	head  *tcp.Segment
+	head  *netem.Packet
 	owned []*netem.Packet //multinet:owns — the queue takes ownership at push
 }
 
@@ -103,12 +103,12 @@ func push(q *queue, p *netem.Packet) {
 	q.owned = append(q.owned, p) // marked field: deliberate transfer
 }
 
-func stash(q *queue, s *tcp.Segment) {
-	q.head = s // want `escapes into field q.head`
+func stash(q *queue, p *netem.Packet) {
+	q.head = p // want `escapes into field q.head`
 }
 
-func stashMarked(q *queue, s *tcp.Segment) {
-	q.head = s //multinet:owns — golden line-marker transfer
+func stashMarked(q *queue, p *netem.Packet) {
+	q.head = p //multinet:owns — golden line-marker transfer
 }
 
 var lastPacket *netem.Packet

@@ -11,7 +11,6 @@ import (
 	"multinet/internal/netem"
 	"multinet/internal/phy"
 	"multinet/internal/stats"
-	"multinet/internal/tcp"
 )
 
 func init() {
@@ -318,13 +317,12 @@ func evolution(seed int64, loc phy.Location, primary string) EvolutionResult {
 	for i, ifc := range ifaces {
 		perStep := &delivered[i]
 		ifc.AddRecvTap(func(p *netem.Packet) {
-			seg, ok := p.Payload.(*tcp.Segment)
-			if !ok || p.Dir != netem.Down {
+			if p.Dir != netem.Down {
 				return
 			}
 			// Time zero belongs to the first step: -1/step is 0.
 			if k := int((s.Sim.Now() - 1) / step); k < steps {
-				perStep[k] += int64(seg.PayloadLen)
+				perStep[k] += int64(p.Seg.PayloadLen)
 			}
 		})
 	}

@@ -13,7 +13,6 @@ import (
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
 	"multinet/internal/phy"
-	"multinet/internal/tcp"
 )
 
 // world is the paper's Fig. 5 topology — a wifi+lte client against a
@@ -165,12 +164,12 @@ func TestChaosDeterministic(t *testing.T) {
 }
 
 // TestLeakCountIsPerWorld runs two fault-free transfers side by side, one
-// of which keeps packets and segments it took from its world, and checks
-// both only once both have run. The leak rules count each world's own
-// free lists: the leaking world is reported by the packet and segment
-// rules with exactly what it kept, and the other reads clean.
+// of which keeps packets it took from its world, and checks both only
+// once both have run. The leak rule counts each world's own free list:
+// the leaking world is reported with exactly what it kept, and the other
+// reads clean.
 func TestLeakCountIsPerWorld(t *testing.T) {
-	const keepPackets, keepSegments = 3, 2
+	const keepPackets = 3
 	got := make([]string, 2)
 	var ran, done sync.WaitGroup
 	ran.Add(len(got))
@@ -188,9 +187,6 @@ func TestLeakCountIsPerWorld(t *testing.T) {
 					for range keepPackets {
 						netem.NewPacket(w.Sim)
 					}
-					for range keepSegments {
-						tcp.NewSegment(w.Sim)
-					}
 				})
 			}
 			w.Sim.Run()
@@ -204,8 +200,7 @@ func TestLeakCountIsPerWorld(t *testing.T) {
 		}()
 	}
 	done.Wait()
-	want := fmt.Sprintf("packet-leak: %d pooled packets unaccounted for; segment-leak: %d pooled segments unaccounted for",
-		keepPackets, keepSegments)
+	want := fmt.Sprintf("packet-leak: %d pooled packets unaccounted for", keepPackets)
 	if got[0] != want {
 		t.Errorf("leaking world: got %q, want %q", got[0], want)
 	}

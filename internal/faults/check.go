@@ -6,7 +6,6 @@ import (
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
 	"multinet/internal/simnet"
-	"multinet/internal/tcp"
 )
 
 // Violation is one failed invariant.
@@ -32,10 +31,10 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 //   - No silent stalls: at quiescence a connection with undelivered
 //     data must have been closed or aborted — a watchdog abort counts;
 //     simply hanging does not.
-//   - No recycled-object leaks: in every registered world, every packet
-//     and segment taken from a free list went back to it. The counts are
-//     the world's own (simnet.FreeList.Live), so worlds run side by side
-//     do not see each other's.
+//   - No packet leaks: in every registered world, every packet taken
+//     from the free list went back to it. The count is the world's own
+//     (simnet.FreeList.Live), so worlds run side by side do not see
+//     each other's.
 //   - Scoreboard accounting: on every subflow, the sender's
 //     incrementally maintained pipe and pending-loss count equal a full
 //     scan of its SACK scoreboard (tcp.Conn.AuditScoreboard).
@@ -46,20 +45,14 @@ func (v Violation) String() string { return v.Rule + ": " + v.Detail }
 // two events, so CheckScoreboards may be called while the run is in
 // progress.
 type Checker struct {
-	links  []checkedLink
-	worlds []checkedWorld
-	pairs  []connPair
+	links   []checkedLink
+	packets []*simnet.FreeList[netem.Packet] // one per registered world
+	pairs   []connPair
 }
 
 type checkedLink struct {
 	name string
 	link netem.Link
-}
-
-// checkedWorld is one registered world's lists of recycled objects.
-type checkedWorld struct {
-	packets  *simnet.FreeList[netem.Packet]
-	segments *simnet.FreeList[tcp.Segment]
 }
 
 type connPair struct {
@@ -68,8 +61,8 @@ type connPair struct {
 }
 
 // AddWorld registers one world: both directions of every interface of
-// h for link conservation, and sim's free lists of packets and segments
-// for the leak rules.
+// h for link conservation, and sim's free list of packets for the leak
+// rule.
 //
 //lint:allow unusedapi ROADMAP item 1 registers every world at Close
 func (c *Checker) AddWorld(sim *simnet.Sim, h *netem.Host) {
@@ -78,10 +71,7 @@ func (c *Checker) AddWorld(sim *simnet.Sim, h *netem.Host) {
 			checkedLink{name: ifc.Name + "/up", link: ifc.UpLink()},
 			checkedLink{name: ifc.Name + "/down", link: ifc.DownLink()})
 	}
-	c.worlds = append(c.worlds, checkedWorld{
-		packets:  simnet.FreeListOf[netem.Packet](sim),
-		segments: simnet.FreeListOf[tcp.Segment](sim),
-	})
+	c.packets = append(c.packets, simnet.FreeListOf[netem.Packet](sim))
 }
 
 // AddPair registers the two endpoints of one MPTCP connection.
@@ -112,17 +102,11 @@ func (c *Checker) Check() []Violation {
 		out = c.checkDir(out, p.label+" b->a", p.b, p.a)
 	}
 	out = append(out, c.CheckScoreboards()...)
-	for _, w := range c.worlds {
-		if n := w.packets.Live(); n != 0 {
+	for _, l := range c.packets {
+		if n := l.Live(); n != 0 {
 			out = append(out, Violation{
 				Rule:   "packet-leak",
 				Detail: fmt.Sprintf("%d pooled packets unaccounted for", n),
-			})
-		}
-		if n := w.segments.Live(); n != 0 {
-			out = append(out, Violation{
-				Rule:   "segment-leak",
-				Detail: fmt.Sprintf("%d pooled segments unaccounted for", n),
 			})
 		}
 	}

@@ -310,15 +310,15 @@ func subflowCallbacks() tcp.Callbacks {
 			sf := subflowOf(tc)
 			sf.conn.subflowEstablished(sf)
 		},
-		OnSegment: func(tc *tcp.Conn, seg *tcp.Segment) {
+		OnSegment: func(tc *tcp.Conn, seg netem.Segment) {
 			sf := subflowOf(tc)
-			sf.conn.onSegment(sf, seg)
+			sf.conn.onSegment(sf, &seg)
 		},
 		OnMappedAck: func(tc *tcp.Conn) {
 			sf := subflowOf(tc)
 			sf.conn.onMappingAcked(sf)
 		},
-		AckOpt: func(tc *tcp.Conn) tcp.DSS { return tcp.DSS{DataAck: subflowOf(tc).conn.rcvNxt} },
+		AckOpt: func(tc *tcp.Conn) netem.DSS { return netem.DSS{DataAck: subflowOf(tc).conn.rcvNxt} },
 		OnRTO: func(tc *tcp.Conn, count int) {
 			sf := subflowOf(tc)
 			sf.conn.onSubflowRTO(sf, count)
@@ -551,9 +551,9 @@ func (c *Conn) hasDataFor(sf *Subflow) bool {
 // evaluated once per pull, on the fresh-data branch only).
 //
 //multinet:hotpath
-func (c *Conn) pull(sf *Subflow, max int) (int, tcp.DSS, bool) {
+func (c *Conn) pull(sf *Subflow, max int) (int, netem.DSS, bool) {
 	if !sf.established || sf.dead || !c.allowedByMode(sf) {
-		return 0, tcp.DSS{}, false
+		return 0, netem.DSS{}, false
 	}
 	// Duplicates and reinjections the peer has meanwhile data-acked are
 	// discarded before they are offered.
@@ -566,7 +566,7 @@ func (c *Conn) pull(sf *Subflow, max int) (int, tcp.DSS, bool) {
 	fresh := c.dataNxt < c.sendTotal && c.dataNxt < c.dataUna+DefaultRecvBuf &&
 		c.sched.Admit(c, sf)
 	if c.rtxPool.len() == 0 && !fresh {
-		return 0, tcp.DSS{}, false
+		return 0, netem.DSS{}, false
 	}
 	var m mapping
 	if c.rtxPool.len() > 0 {
@@ -590,7 +590,7 @@ func (c *Conn) pull(sf *Subflow, max int) (int, tcp.DSS, bool) {
 
 // dss maps m's bytes, which pull hands tcp as one segment's payload, and
 // acknowledges what this end has received.
-func (c *Conn) dss(m mapping) tcp.DSS { return tcp.DSS{DataSeq: m.dataSeq, DataAck: c.rcvNxt} }
+func (c *Conn) dss(m mapping) netem.DSS { return netem.DSS{DataSeq: m.dataSeq, DataAck: c.rcvNxt} }
 
 // onMappingAcked runs when a cumulative subflow ACK covers mapped
 // segments: the subflow is making progress again, and the window the
@@ -603,8 +603,8 @@ func (c *Conn) onMappingAcked(sf *Subflow) {
 
 // onSegment processes connection-level information on every arriving
 // subflow segment.
-func (c *Conn) onSegment(sf *Subflow, seg *tcp.Segment) {
-	if !seg.Flags.Has(tcp.FlagDSS) {
+func (c *Conn) onSegment(sf *Subflow, seg *netem.Segment) {
+	if !seg.Flags.Has(netem.FlagDSS) {
 		return
 	}
 	if ack := seg.DSS.DataAck; ack > c.dataUna {
@@ -862,7 +862,7 @@ func (c *Conn) String() string {
 // puts no Next/Pending on the exported type.
 type sfSource Subflow
 
-func (s *sfSource) Next(max int) (int, tcp.DSS, bool) {
+func (s *sfSource) Next(max int) (int, netem.DSS, bool) {
 	sf := (*Subflow)(s)
 	return sf.conn.pull(sf, max)
 }

@@ -215,7 +215,7 @@ func TestBackupSubflowCarriesNoData(t *testing.T) {
 		ServerConfig{Mode: Backup})
 	dataOnLTE := 0
 	r.lte.AddSendTap(func(p *netem.Packet) {
-		if seg, ok := p.Payload.(*tcp.Segment); ok && seg.PayloadLen > 0 {
+		if p.Seg.PayloadLen > 0 {
 			dataOnLTE++
 		}
 	})
@@ -250,14 +250,11 @@ func TestBackupHandshakeAndFinStillHappen(t *testing.T) {
 		ServerConfig{Mode: Backup})
 	var syn, fin int
 	r.lte.AddSendTap(func(p *netem.Packet) {
-		seg, ok := p.Payload.(*tcp.Segment)
-		if !ok {
-			return
-		}
-		if seg.Flags.Has(tcp.FlagSYN) {
+		seg := &p.Seg
+		if seg.Flags.Has(netem.FlagSYN) {
 			syn++
 		}
-		if seg.Flags.Has(tcp.FlagFIN) {
+		if seg.Flags.Has(netem.FlagFIN) {
 			fin++
 		}
 	})
@@ -311,13 +308,10 @@ func TestBackupBlackholeStalls(t *testing.T) {
 	dataOnBackup := 0
 	pureAcksOnBackup := 0
 	r.lte.AddSendTap(func(p *netem.Packet) {
-		seg, ok := p.Payload.(*tcp.Segment)
-		if !ok {
-			return
-		}
+		seg := &p.Seg
 		if seg.PayloadLen > 0 {
 			dataOnBackup++
-		} else if seg.Flags&^tcp.FlagDSS == tcp.FlagACK && r.sim.Now() > 500*time.Millisecond {
+		} else if seg.Flags&^netem.FlagDSS == netem.FlagACK && r.sim.Now() > 500*time.Millisecond {
 			pureAcksOnBackup++
 		}
 	})

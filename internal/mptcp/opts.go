@@ -10,7 +10,7 @@
 //   - Data is striped across subflows by one of a closed set of
 //     Schedulers (min-SRTT by default, as in Linux; round-robin,
 //     redundant, and a BLEST/ECF-style HoL-aware policy beside it)
-//     with per-subflow congestion windows; DSS options (tcp.DSS, carried
+//     with per-subflow congestion windows; DSS options (netem.DSS, carried
 //     by value) map subflow bytes to the connection-level sequence
 //     space, and the receiver reassembles in data-sequence order
 //     (head-of-line blocking across subflows is therefore real).

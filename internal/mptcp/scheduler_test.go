@@ -143,7 +143,7 @@ func TestWakeContinuesPastRefusedSubflow(t *testing.T) {
 	r := newRig(21, symmetric(10, 10*time.Millisecond), symmetric(5, 40*time.Millisecond), ServerConfig{})
 	dataOnWifi := 0
 	r.wifi.AddSendTap(func(p *netem.Packet) {
-		if seg, ok := p.Payload.(*tcp.Segment); ok && seg.PayloadLen > 0 {
+		if p.Seg.PayloadLen > 0 {
 			dataOnWifi++
 		}
 	})
@@ -181,7 +181,7 @@ func TestBackupSchedulerMatrix(t *testing.T) {
 				ServerConfig{Mode: Backup, Scheduler: caseConfig(sched)})
 			dataOnBackup := 0
 			r.lte.AddSendTap(func(p *netem.Packet) {
-				if seg, ok := p.Payload.(*tcp.Segment); ok && seg.PayloadLen > 0 {
+				if p.Seg.PayloadLen > 0 {
 					dataOnBackup++
 				}
 			})
@@ -216,7 +216,7 @@ func TestBackupSchedulerMatrix(t *testing.T) {
 			ServerConfig{Mode: Backup, Scheduler: SchedRedundant})
 		dataOnBackup := 0
 		r.lte.AddSendTap(func(p *netem.Packet) {
-			if seg, ok := p.Payload.(*tcp.Segment); ok && seg.PayloadLen > 0 {
+			if p.Seg.PayloadLen > 0 {
 				dataOnBackup++
 			}
 		})
@@ -242,9 +242,7 @@ func TestRedundantDuplicatesMappings(t *testing.T) {
 	for _, ifc := range []*netem.Iface{r.wifi, r.lte} {
 		name := ifc.Name
 		ifc.AddSendTap(func(p *netem.Packet) {
-			if seg, ok := p.Payload.(*tcp.Segment); ok {
-				payload[name] += seg.PayloadLen
-			}
+			payload[name] += int(p.Seg.PayloadLen)
 		})
 	}
 	if _, ok := r.download(Config{ConnID: "mp1", Primary: "wifi", Scheduler: SchedRedundant}, size); !ok {
@@ -271,7 +269,7 @@ func TestHoLAwareSkipsSlowPathOnShortFlow(t *testing.T) {
 			ServerConfig{Scheduler: sched})
 		dataOnSlow := 0
 		r.lte.AddSendTap(func(p *netem.Packet) {
-			if seg, ok := p.Payload.(*tcp.Segment); ok && seg.PayloadLen > 0 {
+			if p.Seg.PayloadLen > 0 {
 				dataOnSlow++
 			}
 		})

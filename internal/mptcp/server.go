@@ -1,6 +1,7 @@
 package mptcp
 
 import (
+	"multinet/internal/netem"
 	"multinet/internal/simnet"
 	"multinet/internal/tcp"
 )
@@ -90,10 +91,12 @@ func (s *Server) accept(tc *tcp.Conn) {
 	tc.SetCallbacks(tcp.Callbacks{OnSegment: serverFirstSegment})
 }
 
-func serverFirstSegment(tc *tcp.Conn, seg *tcp.Segment) { tc.Owner().(*Server).firstSegment(tc, seg) }
+func serverFirstSegment(tc *tcp.Conn, seg netem.Segment) {
+	tc.Owner().(*Server).firstSegment(tc, seg.Opt)
+}
 
-func (s *Server) firstSegment(tc *tcp.Conn, seg *tcp.Segment) {
-	switch opt := seg.Opt.(type) {
+func (s *Server) firstSegment(tc *tcp.Conn, opt any) {
+	switch opt := opt.(type) {
 	case *MPCapable:
 		c := newConn(s.sim, s.stack, nil, Config{
 			ConnID:       opt.ConnID,

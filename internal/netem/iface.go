@@ -90,13 +90,16 @@ func (i *Iface) AddSendTap(t Tap) { i.sendTaps = append(i.sendTaps, t) }
 // AddRecvTap registers a tap on packets delivered from either link.
 func (i *Iface) AddRecvTap(t Tap) { i.recvTaps = append(i.recvTaps, t) }
 
-// newPacket builds a recycled packet for this interface.
-func (i *Iface) newPacket(dir Direction, size int, payload any) *Packet {
+// newPacket builds a recycled packet for this interface, carrying a copy
+// of seg, or a zero header when seg is nil.
+func (i *Iface) newPacket(dir Direction, size int, seg *Segment) *Packet {
 	p := takePacket(i.pkts)
 	p.Iface = i.Name
 	p.Dir = dir
 	p.Size = size
-	p.Payload = payload
+	if seg != nil {
+		p.Seg = *seg
+	}
 	return p
 }
 
@@ -108,10 +111,12 @@ func sendPromoted(a any) {
 	l.Send(p)
 }
 
-// SendUp transmits a packet client→server on this interface, paying
-// radio promotion latency if the radio was idle.
-func (i *Iface) SendUp(size int, payload any) {
-	p := i.newPacket(Up, size, payload)
+// SendUp transmits a packet of size bytes client→server on this
+// interface, paying radio promotion latency if the radio was idle. The
+// packet carries a copy of *seg, so the caller may reuse seg at once; a
+// nil seg sends a raw packet.
+func (i *Iface) SendUp(size int, seg *Segment) {
+	p := i.newPacket(Up, size, seg)
 	for _, t := range i.sendTaps {
 		t(p)
 	}
@@ -139,9 +144,10 @@ func (i *Iface) SendUp(size int, payload any) {
 
 // SendDown transmits a packet server→client on this interface. The
 // server side never pays promotion: our flows are client-initiated, so
-// the radio is already connected when responses arrive.
-func (i *Iface) SendDown(size int, payload any) {
-	p := i.newPacket(Down, size, payload)
+// the radio is already connected when responses arrive. seg is copied as
+// by SendUp.
+func (i *Iface) SendDown(size int, seg *Segment) {
+	p := i.newPacket(Down, size, seg)
 	for _, t := range i.sendTaps {
 		t(p)
 	}

@@ -161,18 +161,18 @@ func (b *baseLink) admit(p *Packet) (time.Duration, bool) {
 	b.evict(now)
 	if b.down || b.blackhole {
 		b.stats.DroppedDown++
-		dropPacket(p)
+		ReleasePacket(p)
 		return 0, false
 	}
 	if b.cfg.LossProb > 0 && b.cfg.RNG.Float64() < b.cfg.LossProb {
 		b.stats.DroppedLoss++
-		dropPacket(p)
+		ReleasePacket(p)
 		return 0, false
 	}
 	q := &b.ring
 	if q.queued() >= b.cfg.queueLimit() {
 		b.stats.DroppedQueue++
-		dropPacket(p)
+		ReleasePacket(p)
 		return 0, false
 	}
 	start := now
@@ -210,7 +210,7 @@ func (a *arrivals) Fire() {
 	b := (*baseLink)(a)
 	// Arrivals run in departure order, so the head has departed: after
 	// this the ring holds no reference to it and ownership can pass to
-	// the receiver (or the drop sink).
+	// the receiver, or back to the free list if it is lost.
 	b.evict(b.sim.Now())
 	p := b.ring.pop()
 	if b.ring.len() > 0 {
@@ -221,13 +221,13 @@ func (a *arrivals) Fire() {
 		// The packet was on the wire when the link died: it is lost.
 		b.stats.DroppedDown++
 		b.stats.LostInFlight++
-		dropPacket(p)
+		ReleasePacket(p)
 		return
 	}
 	b.stats.Delivered++
 	b.stats.BytesOut += int64(p.Size)
 	if b.recv == nil {
-		dropPacket(p)
+		ReleasePacket(p)
 		return
 	}
 	b.recv(p)
@@ -244,7 +244,7 @@ func (b *baseLink) stopService() {
 	for _, p := range q.buf[q.wait:] {
 		b.stats.DroppedDown++
 		b.stats.LostInFlight++
-		dropPacket(p)
+		ReleasePacket(p)
 	}
 	clear(q.buf[q.wait:])
 	q.buf = q.buf[:q.wait]

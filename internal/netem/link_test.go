@@ -201,13 +201,13 @@ func TestIfaceDuplexRouting(t *testing.T) {
 	var gotUp, gotDown *Packet
 	i.OnServerRecv(func(p *Packet) { gotUp = p })
 	i.OnClientRecv(func(p *Packet) { gotDown = p })
-	i.SendUp(100, "req")
-	i.SendDown(200, "resp")
+	i.SendUp(100, &Segment{Flow: "req"})
+	i.SendDown(200, &Segment{Flow: "resp"})
 	s.Run()
-	if gotUp == nil || gotUp.Payload != "req" || gotUp.Dir != Up || gotUp.Iface != "wifi" {
+	if gotUp == nil || gotUp.Seg.Flow != "req" || gotUp.Dir != Up || gotUp.Iface != "wifi" {
 		t.Fatalf("server recv = %+v", gotUp)
 	}
-	if gotDown == nil || gotDown.Payload != "resp" || gotDown.Dir != Down {
+	if gotDown == nil || gotDown.Seg.Flow != "resp" || gotDown.Dir != Down {
 		t.Fatalf("client recv = %+v", gotDown)
 	}
 }
@@ -301,13 +301,13 @@ func TestPropertyFixedLinkFIFO(t *testing.T) {
 		s := simnet.New(11)
 		l := NewFixedLink(s, 50, LinkConfig{QueueLimit: 1 << 20})
 		var got []int
-		l.SetReceiver(func(p *Packet) { got = append(got, p.Payload.(int)) })
+		l.SetReceiver(func(p *Packet) { got = append(got, int(p.Seg.Seq)) })
 		n := 0
 		for i, sz := range sizes {
 			if sz == 0 {
 				continue
 			}
-			l.Send(&Packet{Size: int(sz%2000) + 40, Payload: i})
+			l.Send(&Packet{Size: int(sz%2000) + 40, Seg: Segment{Seq: uint64(i)}})
 			n++
 		}
 		s.Run()
@@ -407,10 +407,10 @@ func TestPromotionKeepsFIFO(t *testing.T) {
 	s := simnet.New(1)
 	i := testIface(s, "lte", 10, time.Millisecond)
 	var order []int
-	i.OnServerRecv(func(p *Packet) { order = append(order, p.Payload.(int)) })
+	i.OnServerRecv(func(p *Packet) { order = append(order, int(p.Seg.Seq)) })
 	i.SetPromotion(100*time.Millisecond, time.Second)
 	for k := 0; k < 5; k++ {
-		i.SendUp(100, k)
+		i.SendUp(100, &Segment{Seq: uint64(k)})
 	}
 	s.Run()
 	for k := range order {

@@ -45,16 +45,18 @@ func (d Direction) String() string {
 // opportunity link model, matching Mahimahi's 1500-byte slots.
 const MTU = 1500
 
-// Packet is the unit of transfer across links. Transports put their
-// segment in Payload; Size is the total on-the-wire size in bytes.
+// Packet is the unit of transfer across links. It carries its
+// transport header by value in Seg; Size is the total on-the-wire size
+// in bytes.
 //
 // Packets are recycled through their Sim's free list: the Iface send
-// helpers take them from it, and they are released back exactly once —
-// by the link when it drops them (queue overflow, random loss,
-// down/blackhole) or by the final receiver once it has finished with
-// the delivered packet (tcp.Stack does this in its dispatch path).
-// Consumers that retain a delivered packet simply never release it; the
-// free list is an optimisation, not an obligation.
+// helpers take them from it, and each is released back exactly once —
+// by the link when it drops it (queue overflow, random loss,
+// down/blackhole) or by the final receiver once it has copied out what
+// it needs (tcp.Stack does this in its dispatch path). A receiver that
+// keeps a delivered packet, or drops it without ReleasePacket, leaks it:
+// faults.Checker's packet-leak rule counts every packet not returned.
+// Taps see a packet for the duration of the call only.
 type Packet struct {
 	// Iface names the client interface this packet traverses ("wifi",
 	// "lte"); filled in by the Iface send helpers.
@@ -63,8 +65,8 @@ type Packet struct {
 	Dir Direction
 	// Size is the on-the-wire size in bytes, headers included.
 	Size int
-	// Payload carries the transport segment.
-	Payload any
+	// Seg is the transport header, zero for a raw packet.
+	Seg Segment
 	// SendTime is when the packet entered the link, set by the link.
 	SendTime time.Duration
 
@@ -83,14 +85,6 @@ type Packet struct {
 	// returns it to; nil for a packet built as a literal.
 	home *simnet.FreeList[Packet]
 }
-
-// Recyclable is implemented by payloads that want to be returned to a
-// free list when netem is finished with the packet carrying them: on every
-// drop path (queue overflow, random loss, down/blackhole, purge) the
-// link recycles the payload before releasing the packet. Payloads of
-// delivered packets are NOT recycled by netem — ownership passes to the
-// receiver (tcp.Stack recycles segments after processing them).
-type Recyclable interface{ Recycle() }
 
 // NewPacket returns a zeroed packet from sim's free list.
 //
@@ -114,15 +108,6 @@ func ReleasePacket(p *Packet) {
 	if home != nil {
 		home.Put(p)
 	}
-}
-
-// dropPacket recycles p's payload (if it knows how) and releases p —
-// the shared sink for every path where a packet dies inside netem.
-func dropPacket(p *Packet) {
-	if r, ok := p.Payload.(Recyclable); ok {
-		r.Recycle()
-	}
-	ReleasePacket(p)
 }
 
 // LinkStats counts per-link activity.

@@ -141,14 +141,14 @@ type diffWorld struct {
 func (w *diffWorld) attach(l netem.Link) {
 	w.link = l
 	l.SetReceiver(func(p *netem.Packet) {
-		w.log = append(w.log, arrival{w.sim.Now(), p.SendTime, p.Payload.(int), p.Size})
+		w.log = append(w.log, arrival{w.sim.Now(), p.SendTime, int(p.Seg.Seq), p.Size})
 		netem.ReleasePacket(p)
 	})
 }
 
 func (w *diffWorld) send(id, size int) {
 	p := netem.NewPacket(w.sim)
-	p.Size, p.Payload = size, id
+	p.Size, p.Seg.Seq = size, uint64(id)
 	w.link.Send(p)
 }
 

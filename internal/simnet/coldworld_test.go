@@ -135,9 +135,9 @@ func TestColdWorldBytes(t *testing.T) {
 		run            func(release bool)
 		cold, recycled bound
 	}{
-		{"session, tcp", func(r bool) { coldSession(r, coldTCP) }, bound{44352, 198}, bound{2944, 56}},
-		{"session, tcp then mptcp", func(r bool) { coldSession(r, coldTCP, coldMPTCP) }, bound{87104, 284}, bound{3008, 59}},
-		{"replay-shaped", coldReplay, bound{180192, 792}, bound{4608, 128}},
+		{"session, tcp", func(r bool) { coldSession(r, coldTCP) }, bound{42952, 129}, bound{2608, 43}},
+		{"session, tcp then mptcp", func(r bool) { coldSession(r, coldTCP, coldMPTCP) }, bound{85560, 204}, bound{2672, 46}},
+		{"replay-shaped", coldReplay, bound{177240, 622}, bound{4160, 100}},
 	} {
 		for _, recycled := range []bool{false, true} {
 			max, kind := w.cold, "cold"

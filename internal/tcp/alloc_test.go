@@ -14,11 +14,10 @@ import (
 	"multinet/internal/netem"
 )
 
-// TestSegmentCycleZeroAlloc pins the pooled segment hand-off: a pure
-// ACK built by the sender travels the wire as a pooled packet, is
-// dispatched by the receiving stack, and both the packet and the
-// segment return to their pools — all without heap allocation once the
-// pools are warm.
+// TestSegmentCycleZeroAlloc pins the segment hand-off: a pure ACK the
+// sender builds on its stack is copied into a pooled packet, the
+// receiving stack copies it out onto its own and releases the packet —
+// all without heap allocation once the packet list is warm.
 func TestSegmentCycleZeroAlloc(t *testing.T) {
 	n := newTestNet(t, 1, 50, 5*time.Millisecond, 0)
 	var cli *Conn
@@ -30,7 +29,7 @@ func TestSegmentCycleZeroAlloc(t *testing.T) {
 	}
 
 	cycle := func() {
-		cli.SendWindowUpdate() // pure ACK: segment + packet + events
+		cli.SendWindowUpdate() // pure ACK: packet + events
 		n.sim.Run()
 	}
 	for i := 0; i < 64; i++ {
@@ -71,7 +70,7 @@ func TestSteadyStateAckClockZeroAlloc(t *testing.T) {
 
 // TestWarmDispatchZeroAlloc pins the demux itself: a segment addressed by
 // handle to an established connection, dispatched by its stack, costs no
-// allocation once the packet and segment lists are warm.
+// allocation once the packet list is warm.
 func TestWarmDispatchZeroAlloc(t *testing.T) {
 	n := newTestNet(t, 1, 50, 5*time.Millisecond, 0)
 	var srv *Conn
@@ -82,11 +81,9 @@ func TestWarmDispatchZeroAlloc(t *testing.T) {
 		t.Fatal("connection not established")
 	}
 	dispatch := func() {
-		seg := NewSegment(n.sim)
-		seg.Flow, seg.Flags, seg.Ack, seg.Wnd = "f", FlagACK, cli.sndNxt, DefaultWindow
-		seg.SrcPort, seg.DstPort = srv.port, cli.port
 		p := netem.NewPacket(n.sim)
-		p.Payload = seg
+		p.Seg = netem.Segment{Flow: "f", Flags: netem.FlagACK, Ack: cli.sndNxt, Wnd: DefaultWindow,
+			SrcPort: srv.port, DstPort: cli.port}
 		n.client.dispatch(n.iface, p)
 	}
 	before := cli.segmentsRecvd

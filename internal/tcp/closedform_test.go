@@ -162,7 +162,7 @@ func TestAnalyticQueueOccupancy(t *testing.T) {
 	})
 	for i := 0; i < burst; i++ {
 		p := netem.NewPacket(sim)
-		p.Size = HeaderSize + MSS
+		p.Size = netem.HeaderSize + MSS
 		l.Send(p)
 	}
 	type sample struct {

@@ -1,7 +1,36 @@
+// Package tcp implements a userspace TCP over the netem substrate: the
+// three-way handshake, cumulative ACKs with out-of-order reassembly,
+// Reno congestion control (slow start, congestion avoidance), SACK-based
+// loss recovery (RFC 6675: a scoreboard, the pipe estimate, fast
+// retransmit on three duplicate ACKs or 3·MSS of SACKed data above a
+// hole), a tail loss probe, RFC 6298 retransmission timeouts with Karn's
+// algorithm, and FIN teardown.
+//
+// It stands in for the Linux 3.11 kernel TCP used in the paper. The
+// parts of TCP that the paper's findings depend on — handshake latency,
+// slow-start dominance of short flows, loss recovery, and steady-state
+// Reno behaviour — are implemented per-segment. Parts that do not
+// affect the reproduced results are deliberately simplified and noted
+// where they occur: there is no delayed ACK (ACK-every-segment keeps
+// runs deterministic), no Nagle, and receive windows are large and
+// fixed (flow control is exercised at the MPTCP connection level where
+// the paper's effects live).
+//
+// The wire header is netem.Segment, which a packet carries by value: a
+// connection fills one on its stack for each transmission, the
+// interface copies it into a pooled packet, and the receiving Stack
+// copies it out before it releases the packet. No segment is pooled or
+// shared, and retransmission state lives in the scoreboard.
+//
+// The package exposes three extension points used by package mptcp:
+// a Source that supplies per-segment payload and its DSS mapping, an
+// IncreaseFn that replaces the congestion-avoidance increase (coupled
+// LIA), and segment/ACK callbacks for connection-level bookkeeping.
 package tcp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"multinet/internal/netem"
@@ -51,6 +80,9 @@ func (s State) String() string {
 // Default protocol constants. These mirror the Linux 3.11 stack the
 // paper measured (initial cwnd 10, min RTO 200 ms).
 const (
+	// MSS is the maximum segment payload in bytes. With the
+	// netem.HeaderSize bytes of IP+TCP header this fills a 1500-byte MTU.
+	MSS                 = 1460
 	InitialCwndSegments = 10
 	MinRTO              = 200 * time.Millisecond
 	MaxRTO              = 60 * time.Second
@@ -70,7 +102,7 @@ type Source interface {
 	// Next returns the size of the next chunk to transmit (0 < n <=
 	// max) and its DSS. ok=false means no data is currently available
 	// (more may arrive later).
-	Next(max int) (n int, dss DSS, ok bool)
+	Next(max int) (n int, dss netem.DSS, ok bool)
 	// Pending reports whether the source currently has data available.
 	Pending() bool
 }
@@ -93,15 +125,17 @@ type Callbacks struct {
 	// OnData fires when in-order data advances; total is cumulative
 	// in-order bytes received.
 	OnData func(c *Conn, total int64)
-	// OnSegment fires for every arriving segment, before processing.
-	OnSegment func(c *Conn, seg *Segment)
+	// OnSegment fires for every arriving segment, before processing. It
+	// gets a copy: the receiving Stack's lives on its goroutine's stack,
+	// which a pointer handed to a hook would force onto the heap.
+	OnSegment func(c *Conn, seg netem.Segment)
 	// OnMappedAck fires once per cumulative ACK that covers at least one
 	// sent segment carrying a DSS, while the covered segments are still
 	// yielded by Mappings.
 	OnMappedAck func(c *Conn)
 	// AckOpt, when set, supplies the DSS outgoing pure ACKs carry (MPTCP
 	// uses it for DATA_ACK).
-	AckOpt func(c *Conn) DSS
+	AckOpt func(c *Conn) netem.DSS
 	// OnRTO fires on each retransmission timeout with the consecutive
 	// timeout count.
 	OnRTO func(c *Conn, count int)
@@ -117,7 +151,6 @@ type Callbacks struct {
 // again, so read what you need from it before releasing.
 type Conn struct {
 	sim   *simnet.Sim
-	segs  *simnet.FreeList[Segment] // sim's; looked up once
 	iface *netem.Iface
 	dir   netem.Direction // direction this endpoint SENDS in
 	flow  string
@@ -230,7 +263,6 @@ func NewConn(sim *simnet.Sim, iface *netem.Iface, dir netem.Direction, flow stri
 	c := simnet.SlabOf[Conn](sim).New()
 	*c = Conn{
 		sim:      sim,
-		segs:     simnet.FreeListOf[Segment](sim),
 		iface:    iface,
 		dir:      dir,
 		flow:     flow,
@@ -255,16 +287,16 @@ func NewConn(sim *simnet.Sim, iface *netem.Iface, dir netem.Direction, flow stri
 // byteSource is the default Source: an opaque count of pending bytes.
 type byteSource struct{ pending int }
 
-func (b *byteSource) Next(max int) (int, DSS, bool) {
+func (b *byteSource) Next(max int) (int, netem.DSS, bool) {
 	if b.pending == 0 {
-		return 0, DSS{}, false
+		return 0, netem.DSS{}, false
 	}
 	n := b.pending
 	if n > max {
 		n = max
 	}
 	b.pending -= n
-	return n, DSS{}, true
+	return n, netem.DSS{}, true
 }
 
 func (b *byteSource) Pending() bool { return b.pending > 0 }
@@ -328,12 +360,10 @@ func (c *Conn) RecvTotal() int64 { return c.recvTotal }
 // SegmentsSent returns the count of segments this endpoint transmitted.
 func (c *Conn) SegmentsSent() int { return c.segmentsSent }
 
-// segment takes a wire segment addressed as this connection's: its flow
-// and both ports.
-func (c *Conn) segment() *Segment {
-	seg := takeSegment(c.segs)
-	seg.Flow, seg.SrcPort, seg.DstPort = c.flow, c.port, c.peerPort
-	return seg
+// segment returns a header addressed as this connection's: its flow and
+// both ports.
+func (c *Conn) segment() netem.Segment {
+	return netem.Segment{Flow: c.flow, SrcPort: c.port, DstPort: c.peerPort}
 }
 
 // Connect performs the active open (sends SYN).
@@ -343,10 +373,10 @@ func (c *Conn) Connect() {
 	}
 	c.state = StateSynSent
 	syn := c.segment()
-	syn.Flags, syn.Wnd, syn.Opt = FlagSYN, DefaultWindow, c.synOpt
+	syn.Flags, syn.Wnd, syn.Opt = netem.FlagSYN, DefaultWindow, c.synOpt
 	c.sndNxt = 1 // SYN consumes one
-	c.track(syn)
-	c.transmit(syn)
+	c.track(&syn)
+	c.transmit(&syn)
 	c.armRTO()
 }
 
@@ -377,61 +407,61 @@ func (c *Conn) Close() {
 }
 
 // handle processes one arriving segment. Stack dispatches to it.
-func (c *Conn) handle(seg *Segment) {
+func (c *Conn) handle(seg *netem.Segment) {
 	c.peerPort = seg.SrcPort
 	c.segmentsRecvd++
 	if c.cb.OnSegment != nil {
-		c.cb.OnSegment(c, seg)
+		c.cb.OnSegment(c, *seg)
 	}
 	switch c.state {
 	case StateClosed:
-		if seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagACK) {
+		if seg.Flags.Has(netem.FlagSYN) && !seg.Flags.Has(netem.FlagACK) {
 			c.passiveOpen(seg)
 		}
 		return
 	case StateSynSent:
-		if seg.Flags.Has(FlagSYN | FlagACK) {
+		if seg.Flags.Has(netem.FlagSYN | netem.FlagACK) {
 			c.completeActiveOpen(seg)
 		}
 		return
 	case StateSynRcvd:
-		if seg.Flags.Has(FlagACK) && seg.Ack >= 1 {
+		if seg.Flags.Has(netem.FlagACK) && seg.Ack >= 1 {
 			c.becomeEstablished()
 		}
 		// Fall through: the ACK may carry data.
 	}
-	if seg.Flags.Has(FlagSYN) {
+	if seg.Flags.Has(netem.FlagSYN) {
 		// Duplicate SYN-ACK (our handshake ACK was lost): re-ACK so the
 		// peer can leave SYN_RCVD, then ignore the rest of the segment.
 		c.sendAck()
 		return
 	}
-	if seg.Flags.Has(FlagACK) {
+	if seg.Flags.Has(netem.FlagACK) {
 		c.processAck(seg)
 	}
 	if seg.PayloadLen > 0 {
 		c.processData(seg)
 	}
-	if seg.Flags.Has(FlagFIN) {
+	if seg.Flags.Has(netem.FlagFIN) {
 		c.processFin(seg)
 	}
 }
 
-func (c *Conn) passiveOpen(syn *Segment) {
+func (c *Conn) passiveOpen(syn *netem.Segment) {
 	c.state = StateSynRcvd
 	c.rcvNxt = syn.SeqEnd()
-	c.peerWnd = syn.Wnd
+	c.peerWnd = int(syn.Wnd)
 	synAck := c.segment()
-	synAck.Flags, synAck.Ack, synAck.Wnd, synAck.Opt = FlagSYN|FlagACK, c.rcvNxt, DefaultWindow, c.synOpt
+	synAck.Flags, synAck.Ack, synAck.Wnd, synAck.Opt = netem.FlagSYN|netem.FlagACK, c.rcvNxt, DefaultWindow, c.synOpt
 	c.sndNxt = 1
-	c.track(synAck)
-	c.transmit(synAck)
+	c.track(&synAck)
+	c.transmit(&synAck)
 	c.armRTO()
 }
 
-func (c *Conn) completeActiveOpen(synAck *Segment) {
+func (c *Conn) completeActiveOpen(synAck *netem.Segment) {
 	c.rcvNxt = synAck.SeqEnd()
-	c.peerWnd = synAck.Wnd
+	c.peerWnd = int(synAck.Wnd)
 	c.ackRtxQueue(synAck.Ack)
 	if synAck.Ack > c.sndUna {
 		c.sndUna = synAck.Ack
@@ -498,18 +528,18 @@ func (c *Conn) trySend() {
 			break
 		}
 		seg := c.segment()
-		seg.Flags = FlagACK
+		seg.Flags = netem.FlagACK
 		if c.byteSrc == nil {
-			seg.Flags |= FlagDSS
+			seg.Flags |= netem.FlagDSS
 			seg.DSS = dss
 		}
 		seg.Seq = c.sndNxt
 		seg.Ack = c.rcvNxt
-		seg.PayloadLen = n
+		seg.PayloadLen = int32(n)
 		seg.Wnd = DefaultWindow
 		c.sndNxt += uint64(n)
-		c.track(seg)
-		c.transmit(seg)
+		c.track(&seg)
+		c.transmit(&seg)
 		pipe += n
 	}
 	c.maybeSendFin()
@@ -557,7 +587,7 @@ func (c *Conn) maybeSendFin() {
 		return
 	}
 	fin := c.segment()
-	fin.Flags, fin.Seq, fin.Ack, fin.Wnd = FlagFIN|FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow
+	fin.Flags, fin.Seq, fin.Ack, fin.Wnd = netem.FlagFIN|netem.FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow
 	c.finSent = true
 	c.finSeq = c.sndNxt
 	c.sndNxt++
@@ -566,17 +596,17 @@ func (c *Conn) maybeSendFin() {
 	} else {
 		c.state = StateClosing
 	}
-	c.track(fin)
-	c.transmit(fin)
+	c.track(&fin)
+	c.transmit(&fin)
 	c.armRTOIfIdle()
 }
 
 // processAck handles the acknowledgement field and SACK scoreboard.
 //
 //multinet:hotpath
-func (c *Conn) processAck(seg *Segment) {
-	c.peerWnd = seg.Wnd
-	c.applySack(seg.Sack)
+func (c *Conn) processAck(seg *netem.Segment) {
+	c.peerWnd = int(seg.Wnd)
+	c.applySack(seg.Sack[:seg.NSack])
 	switch {
 	case seg.Ack > c.sndUna:
 		acked := int(seg.Ack - c.sndUna)
@@ -614,7 +644,7 @@ func (c *Conn) processAck(seg *Segment) {
 		c.detectLoss()
 		c.trySend()
 	case seg.Ack == c.sndUna && c.BytesInFlight() > 0 && seg.PayloadLen == 0 &&
-		!seg.Flags.Has(FlagSYN) && !seg.Flags.Has(FlagFIN):
+		!seg.Flags.Has(netem.FlagSYN) && !seg.Flags.Has(netem.FlagFIN):
 		c.dupAcks++
 		c.detectLoss()
 		c.trySend()
@@ -622,7 +652,7 @@ func (c *Conn) processAck(seg *Segment) {
 }
 
 // applySack marks scoreboard entries covered by the blocks.
-func (c *Conn) applySack(blocks []SackBlock) {
+func (c *Conn) applySack(blocks []netem.SackBlock) {
 	if len(blocks) == 0 {
 		return
 	}
@@ -704,7 +734,7 @@ func (c *Conn) enterRecovery() {
 }
 
 // processData handles payload bytes.
-func (c *Conn) processData(seg *Segment) {
+func (c *Conn) processData(seg *netem.Segment) {
 	lo, hi := seg.Seq, seg.Seq+uint64(seg.PayloadLen)
 	if lo > c.rcvNxt {
 		c.lastOOO = Range{lo, hi}
@@ -727,43 +757,33 @@ func (c *Conn) processData(seg *Segment) {
 	}
 }
 
-// appendSackBlocks appends up to MaxSackBlocks out-of-order intervals
-// to dst, RFC 2018 style: the block containing the most recent arrival
-// first, then a rotating window over the rest so that a sender facing
-// many holes eventually learns the whole scoreboard. It appends into
-// the caller's buffer (the outgoing segment's recycled Sack slice) so
-// steady-state ACKs allocate nothing.
-func (c *Conn) appendSackBlocks(dst []SackBlock) []SackBlock {
+// fillSack writes up to MaxSackBlocks out-of-order intervals into seg's
+// SACK option, RFC 2018 style: the block containing the most recent
+// arrival first, then a rotating window over the rest so that a sender
+// facing many holes eventually learns the whole scoreboard.
+func (c *Conn) fillSack(seg *netem.Segment) {
 	ooo := c.ooo.r
 	if len(ooo) == 0 {
-		return dst
+		return
 	}
-	base := len(dst)
+	blocks := seg.Sack[:0] // never outgrows the array
 	// Most recent first: find the range containing lastOOO.
 	for _, r := range ooo {
 		if c.lastOOO.Lo >= r.Lo && c.lastOOO.Hi <= r.Hi {
-			dst = append(dst, SackBlock(r))
+			blocks = append(blocks, netem.SackBlock(r))
 			break
 		}
 	}
-	for i := 0; i < len(ooo) && len(dst)-base < MaxSackBlocks; i++ {
-		b := SackBlock(ooo[(c.sackCursor+i)%len(ooo)])
-		dup := false
-		for _, x := range dst[base:] {
-			if x == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, b)
+	for i := 0; i < len(ooo) && len(blocks) < netem.MaxSackBlocks; i++ {
+		if b := netem.SackBlock(ooo[(c.sackCursor+i)%len(ooo)]); !slices.Contains(blocks, b) {
+			blocks = append(blocks, b)
 		}
 	}
-	c.sackCursor = (c.sackCursor + MaxSackBlocks - 1) % len(ooo)
-	return dst
+	seg.NSack = uint8(len(blocks))
+	c.sackCursor = (c.sackCursor + netem.MaxSackBlocks - 1) % len(ooo)
 }
 
-func (c *Conn) processFin(seg *Segment) {
+func (c *Conn) processFin(seg *netem.Segment) {
 	finSeq := seg.Seq + uint64(seg.PayloadLen)
 	if finSeq > c.rcvNxt {
 		// FIN beyond our in-order point (data still missing): note it
@@ -804,13 +824,13 @@ func (c *Conn) checkClosed() {
 // hooked).
 func (c *Conn) sendAck() {
 	ack := c.segment()
-	ack.Flags, ack.Seq, ack.Ack, ack.Wnd = FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow
+	ack.Flags, ack.Seq, ack.Ack, ack.Wnd = netem.FlagACK, c.sndNxt, c.rcvNxt, DefaultWindow
 	if c.cb.AckOpt != nil {
-		ack.Flags |= FlagDSS
+		ack.Flags |= netem.FlagDSS
 		ack.DSS = c.cb.AckOpt(c)
 	}
-	ack.Sack = c.appendSackBlocks(ack.Sack[:0])
-	c.transmit(ack)
+	c.fillSack(&ack)
+	c.transmit(&ack)
 }
 
 // SendWindowUpdate emits a pure ACK advertising the current window.
@@ -851,7 +871,7 @@ func (c *Conn) ackScoreboard(ack uint64) (sampleAt time.Duration) {
 		if !e.rtxed && e.sentAt > sampleAt {
 			sampleAt = e.sentAt
 		}
-		mapped = mapped || e.flags.Has(FlagDSS)
+		mapped = mapped || e.flags.Has(netem.FlagDSS)
 	}
 	if mapped && c.cb.OnMappedAck != nil {
 		c.cb.OnMappedAck(c) // may push entries behind the covered ones
@@ -906,25 +926,23 @@ func (c *Conn) rttSample(r time.Duration) {
 	}
 }
 
-// track snapshots a segment into the retransmission scoreboard before
-// it is transmitted: ownership of the wire segment passes to the
-// network at transmit time, so the copy must be taken first.
-func (c *Conn) track(seg *Segment) {
-	if seg.PayloadLen > 0 || seg.Flags.Has(FlagSYN) || seg.Flags.Has(FlagFIN) {
+// track snapshots a segment into the retransmission scoreboard as it is
+// transmitted.
+func (c *Conn) track(seg *netem.Segment) {
+	if seg.PayloadLen > 0 || seg.Flags.Has(netem.FlagSYN) || seg.Flags.Has(netem.FlagFIN) {
 		c.sb.push(c.sim, sbEntry{
 			seq: seg.Seq, sentAt: c.sim.Now(), dss: seg.DSS,
 			payload: int32(seg.PayloadLen), flags: seg.Flags,
 		})
-		c.pipeBytes += seg.PayloadLen
+		c.pipeBytes += int(seg.PayloadLen)
 	}
 }
 
-// transmit hands the segment to the interface. The segment must be a
-// pooled wire copy the caller will not touch again: the receiver (or a
-// drop path inside netem) recycles it.
+// transmit hands the segment to the interface, which copies it into the
+// packet: the caller's segment is its own again when transmit returns.
 //
 //multinet:hotpath
-func (c *Conn) transmit(seg *Segment) {
+func (c *Conn) transmit(seg *netem.Segment) {
 	c.segmentsSent++
 	if c.dir == netem.Up {
 		c.iface.SendUp(seg.WireSize(), seg)
@@ -933,7 +951,7 @@ func (c *Conn) transmit(seg *Segment) {
 	}
 }
 
-// retransmit rebuilds a fresh wire segment from a scoreboard entry.
+// retransmit rebuilds the segment from a scoreboard entry.
 // Everything the entry does not store is the same for every tracked
 // segment of this connection (flow, advertised window, no SACK blocks,
 // a SYN's option) or is taken from the present: the ACK field carries
@@ -943,14 +961,14 @@ func (c *Conn) transmit(seg *Segment) {
 func (c *Conn) retransmit(e *sbEntry) {
 	seg := c.segment()
 	seg.Flags, seg.Seq, seg.Ack = e.flags, e.seq, c.rcvNxt
-	seg.PayloadLen, seg.Wnd, seg.DSS = int(e.payload), DefaultWindow, e.dss
-	if e.flags.Has(FlagSYN) {
+	seg.PayloadLen, seg.Wnd, seg.DSS = e.payload, DefaultWindow, e.dss
+	if e.flags.Has(netem.FlagSYN) {
 		seg.Opt = c.synOpt
 	}
 	if seg.Ack > 0 {
-		seg.Flags |= FlagACK
+		seg.Flags |= netem.FlagACK
 	}
-	c.transmit(seg)
+	c.transmit(&seg)
 }
 
 func connOnRTO(a any)   { a.(*Conn).onRTO() }

@@ -336,7 +336,7 @@ func TestConcurrentFlowsShareLink(t *testing.T) {
 // them).
 func TestOnMappedAck(t *testing.T) {
 	type mapped struct {
-		dss DSS
+		dss netem.DSS
 		n   int
 	}
 	var calls [][]mapped // what Mappings yielded during each call
@@ -351,11 +351,11 @@ func TestOnMappedAck(t *testing.T) {
 	// Driven directly: SYN, two mapped segments and a FIN, acked in
 	// three cumulative steps.
 	c := &Conn{sim: simnet.New(1), cb: Callbacks{OnMappedAck: onMappedAck}}
-	a, b := mapped{DSS{DataSeq: 100, DataAck: 7}, 1000}, mapped{DSS{DataSeq: 5000, DataAck: 9}, 600}
-	c.sb.push(c.sim, sbEntry{seq: 0, flags: FlagSYN})
-	c.sb.push(c.sim, sbEntry{seq: 1, dss: a.dss, payload: int32(a.n), flags: FlagACK | FlagDSS})
-	c.sb.push(c.sim, sbEntry{seq: 1001, dss: b.dss, payload: int32(b.n), flags: FlagACK | FlagDSS})
-	c.sb.push(c.sim, sbEntry{seq: 1601, flags: FlagFIN | FlagACK})
+	a, b := mapped{netem.DSS{DataSeq: 100, DataAck: 7}, 1000}, mapped{netem.DSS{DataSeq: 5000, DataAck: 9}, 600}
+	c.sb.push(c.sim, sbEntry{seq: 0, flags: netem.FlagSYN})
+	c.sb.push(c.sim, sbEntry{seq: 1, dss: a.dss, payload: int32(a.n), flags: netem.FlagACK | netem.FlagDSS})
+	c.sb.push(c.sim, sbEntry{seq: 1001, dss: b.dss, payload: int32(b.n), flags: netem.FlagACK | netem.FlagDSS})
+	c.sb.push(c.sim, sbEntry{seq: 1601, flags: netem.FlagFIN | netem.FlagACK})
 	c.ackScoreboard(1) // the SYN alone
 	if len(calls) != 0 {
 		t.Fatalf("the ACK of a SYN fired the hook: %v", calls)
@@ -399,16 +399,16 @@ type scriptSource struct {
 }
 type scriptChunk struct {
 	n   int
-	dss DSS
+	dss netem.DSS
 }
 
-func (s *scriptSource) Next(max int) (int, DSS, bool) {
+func (s *scriptSource) Next(max int) (int, netem.DSS, bool) {
 	if s.i >= len(s.chunks) {
-		return 0, DSS{}, false
+		return 0, netem.DSS{}, false
 	}
 	c := s.chunks[s.i]
 	if c.n > max {
-		return 0, DSS{}, false // chunks are not split in this test source
+		return 0, netem.DSS{}, false // chunks are not split in this test source
 	}
 	s.i++
 	return c.n, c.dss, true

@@ -152,7 +152,7 @@ func TestPeerWindowLimitsSender(t *testing.T) {
 	n.sim.RunFor(50 * time.Millisecond)
 	// Shrink the peer window via a crafted ACK (simulating a slow
 	// application at the receiver).
-	srv.handle(&Segment{Flow: "rwnd", Flags: FlagACK, Ack: uint64(srv.sndUna), Wnd: 4 * MSS})
+	srv.handle(&netem.Segment{Flow: "rwnd", Flags: netem.FlagACK, Ack: uint64(srv.sndUna), Wnd: 4 * MSS})
 	n.sim.RunFor(200 * time.Millisecond)
 	if got := srv.BytesInFlight(); got > 4*MSS+MSS {
 		t.Fatalf("in-flight %d exceeds advertised window %d", got, 4*MSS)
@@ -188,7 +188,7 @@ func TestDuplicateDataReACKed(t *testing.T) {
 		t.Fatalf("received %d, want %d", total, size)
 	}
 	// Replay an old data segment.
-	cli.handle(&Segment{Flow: "dup", Flags: FlagACK, Seq: 1, Ack: 1, PayloadLen: MSS, Wnd: DefaultWindow})
+	cli.handle(&netem.Segment{Flow: "dup", Flags: netem.FlagACK, Seq: 1, Ack: 1, PayloadLen: MSS, Wnd: DefaultWindow})
 	if cli.RecvTotal() != size {
 		t.Fatalf("duplicate segment changed RecvTotal to %d", cli.RecvTotal())
 	}
@@ -226,7 +226,7 @@ func TestDemuxByHandleMatchesName(t *testing.T) {
 	}
 	cli := &side{st: n.client, ref: map[string]*Conn{}}
 	srv := &side{st: n.server, ref: map[string]*Conn{}}
-	received := func(c *Conn, _ *Segment) { c.Owner().(*side).got = c }
+	received := func(c *Conn, _ netem.Segment) { c.Owner().(*side).got = c }
 	const size = 200_000
 	n.server.Accept = func(c *Conn) {
 		srv.ref[c.Flow()] = c
@@ -249,14 +249,13 @@ func TestDemuxByHandleMatchesName(t *testing.T) {
 	lostSynAck := false
 	deliver := func(s, peer *side) func(*netem.Packet) {
 		return func(p *netem.Packet) {
-			seg := p.Payload.(*Segment)
-			if !lostSynAck && seg.Flags == FlagSYN|FlagACK && seg.Flow == "a" {
+			seg := p.Seg // dispatch releases p
+			if !lostSynAck && seg.Flags == netem.FlagSYN|netem.FlagACK && seg.Flow == "a" {
 				lostSynAck = true // the client's SYN goes again, still unaddressed
-				seg.Recycle()
 				netem.ReleasePacket(p)
 				return
 			}
-			flow, syn := seg.Flow, seg.Flags == FlagSYN
+			flow, syn := seg.Flow, seg.Flags == netem.FlagSYN
 			want, known := s.ref[flow]
 			switch {
 			case dead(s.st, seg.DstPort):

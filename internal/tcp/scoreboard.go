@@ -5,32 +5,33 @@ import (
 	"iter"
 	"time"
 
+	"multinet/internal/netem"
 	"multinet/internal/simnet"
 )
 
 // sbEntry tracks one unacknowledged segment in the SACK scoreboard. It
 // holds only what a retransmission cannot recompute: the wire segment
 // is rebuilt from the entry plus the connection's flow, receive point
-// and SYN option (see Conn.retransmit), so the scoreboard never aliases
-// pooled wire segments and an entry costs 40 bytes with no pointer. The
+// and SYN option (see Conn.retransmit), so an entry costs 40 bytes with
+// no pointer. The
 // DSS is the one the segment was first sent with (present when flags
 // has FlagDSS): every copy carries the same mapping and DATA_ACK.
 type sbEntry struct {
 	seq     uint64
 	sentAt  time.Duration
-	dss     DSS
+	dss     netem.DSS
 	payload int32
-	flags   Flags
+	flags   netem.Flags
 	rtxed   bool // retransmitted at least once (Karn's algorithm)
 	sacked  bool // covered by a SACK block
 	lost    bool // declared lost (RFC 6675 rule or RTO)
 }
 
 // seqEnd returns the sequence number after the entry, counting SYN and
-// FIN as one unit each (Segment.SeqEnd for the tracked segment).
+// FIN as one unit each (netem.Segment.SeqEnd for the tracked segment).
 func (e *sbEntry) seqEnd() uint64 {
 	end := e.seq + uint64(e.payload)
-	if e.flags&(FlagSYN|FlagFIN) != 0 {
+	if e.flags&(netem.FlagSYN|netem.FlagFIN) != 0 {
 		end++
 	}
 	return end
@@ -102,10 +103,10 @@ func (s *scoreboard) popFront() {
 // included, SYN, FIN and plain-TCP segments skipped. It is the record of
 // what an MPTCP subflow has in flight; the scoreboard must not change
 // while it is being iterated.
-func (c *Conn) Mappings() iter.Seq2[DSS, int] {
-	return func(yield func(DSS, int) bool) {
+func (c *Conn) Mappings() iter.Seq2[netem.DSS, int] {
+	return func(yield func(netem.DSS, int) bool) {
 		for i := 0; i < c.sb.n; i++ {
-			if e := c.sb.at(i); e.flags.Has(FlagDSS) && !yield(e.dss, int(e.payload)) {
+			if e := c.sb.at(i); e.flags.Has(netem.FlagDSS) && !yield(e.dss, int(e.payload)) {
 				return
 			}
 		}

@@ -116,9 +116,9 @@ func TestScoreboardAccountingProperty(t *testing.T) {
 		var mapped *dssSource
 		if seed%2 == 0 {
 			mapped = &dssSource{}
-			first := map[uint64]DSS{}
+			first := map[uint64]netem.DSS{}
 			n.iface.AddSendTap(func(p *netem.Packet) {
-				seg := p.Payload.(*Segment)
+				seg := &p.Seg
 				if p.Dir != netem.Down || seg.PayloadLen == 0 {
 					return
 				}
@@ -127,9 +127,9 @@ func TestScoreboardAccountingProperty(t *testing.T) {
 					first[seg.Seq] = seg.DSS
 					return
 				}
-				if !seg.Flags.Has(FlagDSS) || seg.DSS != orig {
+				if !seg.Flags.Has(netem.FlagDSS) || seg.DSS != orig {
 					t.Fatalf("%s: copy of seq %d carries %+v (DSS flag %v), its original %+v",
-						when, seg.Seq, seg.DSS, seg.Flags.Has(FlagDSS), orig)
+						when, seg.Seq, seg.DSS, seg.Flags.Has(netem.FlagDSS), orig)
 				}
 				if srv.rtoCount > 0 {
 					rtoCopies++
@@ -184,12 +184,12 @@ type dssSource struct {
 	chunks  uint64
 }
 
-func (s *dssSource) Next(max int) (int, DSS, bool) {
+func (s *dssSource) Next(max int) (int, netem.DSS, bool) {
 	if s.pending == 0 {
-		return 0, DSS{}, false
+		return 0, netem.DSS{}, false
 	}
 	n := min(s.pending, max)
-	dss := DSS{DataSeq: 1<<40 + s.sent, DataAck: s.chunks}
+	dss := netem.DSS{DataSeq: 1<<40 + s.sent, DataAck: s.chunks}
 	s.pending -= n
 	s.sent += uint64(n)
 	s.chunks++
@@ -262,19 +262,19 @@ func TestScoreboardRing(t *testing.T) {
 // a cumulative ACK has covered everything.
 func TestMappings(t *testing.T) {
 	type mapped struct {
-		dss DSS
+		dss netem.DSS
 		n   int
 	}
 	c := &Conn{sim: simnet.New(1)}
-	a := mapped{DSS{DataSeq: 3000}, 100}
-	b := mapped{DSS{DataSeq: 0, DataAck: 4}, 200} // older data, sent later
-	d := mapped{DSS{DataSeq: 3100}, 300}
-	c.sb.push(c.sim, sbEntry{seq: 0, flags: FlagSYN})
-	c.sb.push(c.sim, sbEntry{seq: 1, dss: a.dss, payload: int32(a.n), flags: FlagACK | FlagDSS, sacked: true})
-	c.sb.push(c.sim, sbEntry{seq: 101, payload: 50, flags: FlagACK}) // plain TCP
-	c.sb.push(c.sim, sbEntry{seq: 151, dss: b.dss, payload: int32(b.n), flags: FlagACK | FlagDSS, lost: true})
-	c.sb.push(c.sim, sbEntry{seq: 351, dss: d.dss, payload: int32(d.n), flags: FlagACK | FlagDSS})
-	c.sb.push(c.sim, sbEntry{seq: 651, flags: FlagFIN | FlagACK})
+	a := mapped{netem.DSS{DataSeq: 3000}, 100}
+	b := mapped{netem.DSS{DataSeq: 0, DataAck: 4}, 200} // older data, sent later
+	d := mapped{netem.DSS{DataSeq: 3100}, 300}
+	c.sb.push(c.sim, sbEntry{seq: 0, flags: netem.FlagSYN})
+	c.sb.push(c.sim, sbEntry{seq: 1, dss: a.dss, payload: int32(a.n), flags: netem.FlagACK | netem.FlagDSS, sacked: true})
+	c.sb.push(c.sim, sbEntry{seq: 101, payload: 50, flags: netem.FlagACK}) // plain TCP
+	c.sb.push(c.sim, sbEntry{seq: 151, dss: b.dss, payload: int32(b.n), flags: netem.FlagACK | netem.FlagDSS, lost: true})
+	c.sb.push(c.sim, sbEntry{seq: 351, dss: d.dss, payload: int32(d.n), flags: netem.FlagACK | netem.FlagDSS})
+	c.sb.push(c.sim, sbEntry{seq: 651, flags: netem.FlagFIN | netem.FlagACK})
 	var got []mapped
 	for dss, n := range c.Mappings() {
 		got = append(got, mapped{dss, n})
@@ -306,7 +306,7 @@ func TestDetectLossCleanPathSkipsScan(t *testing.T) {
 	dropped := false
 	deliver := n.client.dispatch
 	n.iface.OnClientRecv(func(p *netem.Packet) {
-		if seg, ok := p.Payload.(*Segment); ok && !dropped && seg.PayloadLen > 0 && seg.Seq > 20*MSS {
+		if seg := &p.Seg; !dropped && seg.PayloadLen > 0 && seg.Seq > 20*MSS {
 			dropped = true // one early data segment vanishes
 			netem.ReleasePacket(p)
 			return
@@ -358,11 +358,11 @@ type chunkSource struct {
 	on    bool
 }
 
-func (s *chunkSource) Next(max int) (int, DSS, bool) {
+func (s *chunkSource) Next(max int) (int, netem.DSS, bool) {
 	if !s.on || max < s.chunk {
-		return 0, DSS{}, false
+		return 0, netem.DSS{}, false
 	}
-	return s.chunk, DSS{}, true
+	return s.chunk, netem.DSS{}, true
 }
 
 func (s *chunkSource) Pending() bool { return s.on }
@@ -374,7 +374,7 @@ func noIncrease(*Conn, int) float64 { return 0 }
 // cumulative ACK for the oldest one, which clocks out one new segment.
 type ackClock struct {
 	c   *Conn
-	ack Segment
+	ack netem.Segment
 }
 
 const ackClockChunk = 256 // bytes per segment: 4096 in flight fit DefaultWindow
@@ -393,7 +393,7 @@ func newAckClock(tb testing.TB, window int) *ackClock {
 	if srv == nil || srv.State() != StateEstablished {
 		tb.Fatal("server conn not established")
 	}
-	n.iface.SetBlackhole(true) // transmissions are recycled at once
+	n.iface.SetBlackhole(true) // transmissions are released at once
 	srv.cwnd = float64(window*ackClockChunk + MSS - 1)
 	srv.ssthresh = srv.cwnd // congestion avoidance, and noIncrease keeps it there
 	src.on = true
@@ -402,7 +402,7 @@ func newAckClock(tb testing.TB, window int) *ackClock {
 		tb.Fatalf("window holds %d segments, want %d", srv.sb.n, window)
 	}
 	a := &ackClock{c: srv}
-	a.ack = Segment{Flow: srv.flow, Flags: FlagACK, Wnd: DefaultWindow}
+	a.ack = netem.Segment{Flow: srv.flow, Flags: netem.FlagACK, Wnd: DefaultWindow}
 	return a
 }
 

@@ -20,7 +20,7 @@ const (
 //
 // Every connection a stack files gets a handle, its index + 1 in the
 // table. A connection stamps its handle on what it sends
-// (Segment.SrcPort) and remembers its peer's from what it receives, so
+// (netem.Segment.SrcPort) and remembers its peer's from what it receives, so
 // the peer's next segment names its receiver (DstPort) and dispatch is
 // one index. The name is the fallback, for a segment whose DstPort is
 // unset (a SYN, or a retransmitted one) or names a forgotten connection
@@ -79,42 +79,35 @@ func (s *Stack) sendDir() netem.Direction {
 	return netem.Down
 }
 
-// dispatch is the delivery sink of the pooled hot path: once the
-// payload segment is extracted the packet is released, and after the
-// connection has processed the segment it is recycled too. Handlers
-// (and their callbacks) therefore must not retain the segment or
-// anything aliased to it beyond the handle call — they copy the fields
-// they need, as the MPTCP layer does.
+// dispatch is the delivery sink of the pooled hot path: it copies the
+// header out of the packet and releases the packet before the connection
+// handles the copy, so a reply the handler sends reuses that packet.
+// The copy stays on this goroutine's stack: nothing below keeps a
+// pointer to it (OnSegment hooks get their own copy).
 //
 //multinet:hotpath
 func (s *Stack) dispatch(iface *netem.Iface, p *netem.Packet) {
-	seg, ok := p.Payload.(*Segment)
-	if !ok {
-		return
-	}
-	p.Payload = nil
+	seg := p.Seg
 	netem.ReleasePacket(p)
 	var c *Conn
 	if h := uint(seg.DstPort) - 1; h < uint(len(s.table)) { // DstPort 0 wraps past any table
 		c = s.table[h]
 	}
 	if c == nil {
-		if c = s.lookup(iface, seg); c == nil {
-			seg.Recycle() // no listener / stray segment
-			return
+		if c = s.lookup(iface, &seg); c == nil {
+			return // no listener / stray segment
 		}
 	}
-	c.handle(seg)
-	seg.Recycle()
+	c.handle(&seg)
 }
 
 // lookup finds the segment's connection by its flow name, creating a
 // passive one for a SYN when the stack listens; nil means drop.
-func (s *Stack) lookup(iface *netem.Iface, seg *Segment) *Conn {
+func (s *Stack) lookup(iface *netem.Iface, seg *netem.Segment) *Conn {
 	if c := s.Conn(seg.Flow); c != nil {
 		return c
 	}
-	if !seg.Flags.Has(FlagSYN) || seg.Flags.Has(FlagACK) || s.Accept == nil {
+	if !seg.Flags.Has(netem.FlagSYN) || seg.Flags.Has(netem.FlagACK) || s.Accept == nil {
 		return nil
 	}
 	c := NewConn(s.sim, iface, s.sendDir(), seg.Flow, Config{})
