@@ -1,10 +1,8 @@
 // Command bench is the repository's exact allocs/op gate: it runs the
-// benchmark suite outside `go test`, records ns/op, B/op and allocs/op
-// per benchmark as a machine-readable report, and with -check fails
-// when any benchmark allocates more than the committed baseline says.
-// Wall time is reported and never gated or kept in the baseline — the
-// hosts this runs on drift by more than any useful bound. To compare
-// time, take two fresh -out reports on one host, or run `go run
+// benchmark suite outside `go test`, counts allocs/op per benchmark, and
+// with -check fails when any benchmark allocates more than the
+// committed baseline says. It times nothing: kernel timing is `go test
+// ./cmd/bench -bench 'Gate/…'` (below), and workload timing is `go run
 // ./benchmark` (BENCHMARK.json) in alternating pairs.
 //
 // These benchmark families run:
@@ -37,48 +35,32 @@
 //
 // Usage:
 //
-//	bench [-out BENCH_report.json] [-baseline BENCH_baseline.json]
-//	      [-check] [-rebase] [-diff compare.txt]
+//	bench [-baseline BENCH_baseline.json] [-check] [-rebase]
 //
-// -out writes the report (ns/op, B/op, allocs/op per benchmark). The
-// progress lines on stderr add gc/op, the collections the runtime
-// started by itself per op of the timed runs; it is never recorded or
-// gated.
-// -baseline names the committed reference report, which keeps only what
-// gates: each benchmark's name, B/op and allocs/op. With -check, the run
-// fails (exit 1) if any benchmark's allocs/op is above the baseline's.
-// The gate can be exact because the count is: every benchmark releases its
-// simulators, whose free lists make what an iteration allocates
-// independent of the collector, and the count is taken in a pass of its
-// own — a fixed number of iterations with the collector off — so the
-// few objects the standard library re-allocates after a collection
-// (fmt's printer pool) and the rounding of a time-chosen b.N stay out
-// of it. `go test ./cmd/bench` fails when a benchmark has no baseline
-// entry, so nothing runs ungated by accident; the one benchmark whose
-// count depends on the host's scheduling is listed in allocsUngated
-// with the reason. With -rebase, the baseline file is
-// rewritten from this run's results (commit it to accept a new floor).
-// Every run is the whole list at go test's default benchtime: a shorter
-// or partial run can read an order-sensitive count off by one, so the
-// gate is only ever read from the full run.
+// Each benchmark prints one line on stderr: its name, its allocs/op, the
+// baseline's and how long the entry took.
 //
-// Each benchmark runs timedRuns times for its ns/op, of which the
-// minimum (the robust noise-resistant estimator) is reported, and once
-// more, untimed, for B/op and allocs/op (see countAllocs).
+// -baseline names the committed reference report: each benchmark's name
+// and allocs/op. With -check, the run fails (exit 1) if any benchmark's
+// allocs/op is above the baseline's. The gate can be exact because the
+// count is (see countAllocs). `go test ./cmd/bench` fails when a
+// benchmark has no baseline entry, so nothing runs ungated by accident;
+// the one benchmark whose count depends on the host's scheduling is
+// listed in allocsUngated with the reason. With -rebase, the baseline
+// file is rewritten from this run's results (commit it to accept a new
+// floor). Every run is the whole list: an entry's count can depend on
+// what ran before it in the process, so the gate is only ever read from
+// the full run.
 //
-// -diff writes a per-benchmark table of this run's ns/op and allocs/op
-// beside the baseline's allocs/op (the nightly workflow uploads it as an
-// artifact).
-//
-// To investigate one entry — a profile, another benchtime — run the
-// same list under go test, where every entry is a sub-benchmark of
+// To time or investigate one entry — a profile, another benchtime — run
+// the same list under go test, where every entry is a sub-benchmark of
 // BenchmarkGate under its baseline name:
 //
 //	go test ./cmd/bench -run '^$' -bench 'Gate/sched/' -cpuprofile cpu.out
 //
-// CI runs `bench -check` on every push and the nightly workflow uploads
-// a baseline-vs-report comparison artifact; see .github/workflows/ and
-// the "Benchmark trajectory" section of EXPERIMENTS.md.
+// CI runs `bench -check` on every push and in the nightly workflow; see
+// .github/workflows/ and the "Benchmark trajectory" section of
+// EXPERIMENTS.md.
 package main
 
 import (
@@ -88,8 +70,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"runtime/metrics"
-	"strings"
 	"testing"
 	"time"
 
@@ -105,16 +85,14 @@ import (
 	"multinet/internal/tcp"
 )
 
-// Result is one benchmark measurement. NsPerOp is this run's only: the
-// baseline is written without it.
+// Result is one benchmark's allocation count.
 type Result struct {
-	Name     string  `json:"name"`
-	NsPerOp  float64 `json:"ns_per_op,omitempty"`
-	BPerOp   int64   `json:"bytes_per_op"`
-	AllocsOp int64   `json:"allocs_per_op"`
+	Name     string `json:"name"`
+	AllocsOp int64  `json:"allocs_per_op"`
 }
 
-// Report is the serialised benchmark trajectory artifact.
+// Report is the baseline file: the host it was taken on and every
+// benchmark's count.
 type Report struct {
 	GoOS    string   `json:"goos"`
 	GoArch  string   `json:"goarch"`
@@ -493,50 +471,50 @@ func experimentBenchmarks() []bench {
 	return out
 }
 
-// allocIters is the iteration count of the allocation pass. It has to
-// exceed the handful of allocations a pass makes once rather than per
+// allocIters is the iteration count of each allocation round. It has to
+// exceed the handful of allocations a round makes once rather than per
 // iteration (the testing harness's own, a printer fmt's pool had lost),
 // so that they vanish in the integer division, and it is small enough
 // for the heaviest experiment (≈ 7 MB per iteration) to run without a
 // collection.
 const allocIters = 32
 
-// countAllocs returns fn's B/op and allocs/op as a property of the
-// program: over allocIters iterations — not a b.N picked by the clock,
-// which would spread the harness's own handful of allocations over a
-// different divisor each time — and with the collector off, so objects
-// that only exist because a collection emptied a sync.Pool somewhere
-// (fmt keeps its printers in one) are not counted. Everything the
-// simulators recycle lives on free lists they own, so nothing else
-// depends on the collector, and the count repeats exactly.
-func countAllocs(fn func(b *testing.B)) (bytesPerOp, allocsPerOp int64) {
-	benchtime := flag.Lookup("test.benchtime").Value
-	defer func(old string) { _ = benchtime.Set(old) }(benchtime.String())
-	if err := benchtime.Set(fmt.Sprintf("%dx", allocIters)); err != nil {
-		panic(err) // "32x" is valid -benchtime syntax
-	}
+// countAllocs returns fn's allocs/op as a property of the program: over
+// allocIters iterations — not a b.N picked by the clock, which would
+// spread the harness's own handful of allocations over a different
+// divisor each time — with the collector off, so objects that only
+// exist because a collection emptied a sync.Pool somewhere (fmt keeps
+// its printers in one) are not counted, and on a warm process.
+// Everything the simulators recycle lives on free lists they own, so
+// nothing else depends on the collector.
+//
+// The warm-up is a first round of the same allocIters iterations,
+// discarded. An entry inherits the arenas the entries before it parked
+// (see simnet.Sim.Release): their slabs and packet free lists can be
+// smaller than its worlds need, or hold spares its worlds use up. The
+// first round brings them to what this entry's own seeds need, so the
+// counted round repeats exactly, whatever ran before it. Without it
+// tcp/download-1MB-lossy reads 17 for 16 and world/replay-cnn-launch 77
+// for 75, growing packets and slabs for seeds past the first iteration
+// (so a one-iteration warm-up misreads them too), and experiment/figure9
+// reads 142 for 144, drawing on packets an earlier entry left until its
+// worlds, which end with packets in flight, have used them up.
+func countAllocs(fn func(b *testing.B)) int64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	r := testing.Benchmark(fn)
-	return r.AllocedBytesPerOp(), r.AllocsPerOp()
-}
-
-// gcCycles reads how many collections the runtime has started by
-// itself. It leaves out the forced ones (/gc/cycles/total counts those
-// too), because the testing harness calls runtime.GC before every b.N
-// round and would add one per round to every benchmark.
-func gcCycles() uint64 {
-	s := []metrics.Sample{{Name: "/gc/cycles/automatic:gc-cycles"}}
-	metrics.Read(s)
-	return s[0].Value.Uint64()
+	testing.Benchmark(fn)
+	return testing.Benchmark(fn).AllocsPerOp()
 }
 
 // allocsUngated names the benchmarks whose allocs/op is recorded but
 // not gated. engine/sweep-cold starts goroutines and blocks its caller
 // on every op, and the runtime takes the goroutine descriptors and the
 // wait records from per-P caches, allocating only when the running P's
-// cache is empty: over the same 32 iterations it reads 2011 to 2013
-// allocs/op at GOMAXPROCS 1 to 16, in no fixed order. Its cells run the
-// transfer that tcp/download-1MB-varlink gates, on a cold world like
+// cache is empty, so its count can move with the host's scheduling:
+// counted with no warm-up round, successive rounds of one process read
+// 1483 and 1484. With the warm-up it read 1483 at GOMAXPROCS 1 to 16,
+// three times over, on a 2-CPU host, which does not show that a host
+// with more CPUs repeats it. Its cells run the transfer that
+// tcp/download-1MB-varlink gates, on a cold world like
 // world/session-cold's.
 var allocsUngated = map[string]bool{"engine/sweep-cold": true}
 
@@ -544,9 +522,9 @@ var allocsUngated = map[string]bool{"engine/sweep-cold": true}
 // benchmark whose allocs/op rose; the count gates exactly (see
 // countAllocs).
 func compare(base, cur []Result) []string {
-	baseBy := make(map[string]Result, len(base))
+	baseBy := make(map[string]int64, len(base))
 	for _, r := range base {
-		baseBy[r.Name] = r
+		baseBy[r.Name] = r.AllocsOp
 	}
 	var bad []string
 	for _, r := range cur {
@@ -554,42 +532,12 @@ func compare(base, cur []Result) []string {
 		if !ok || allocsUngated[r.Name] {
 			continue // new benchmark (no baseline yet), or not gated
 		}
-		if r.AllocsOp > b.AllocsOp {
+		if r.AllocsOp > b {
 			bad = append(bad, fmt.Sprintf("%s: allocs/op %d -> %d (above baseline)",
-				r.Name, b.AllocsOp, r.AllocsOp))
+				r.Name, b, r.AllocsOp))
 		}
 	}
 	return bad
-}
-
-// writeDiff renders a per-benchmark comparison of base vs cur.
-func writeDiff(path string, base, cur Report) error {
-	baseBy := make(map[string]Result, len(base.Results))
-	for _, r := range base.Results {
-		baseBy[r.Name] = r
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "baseline %s/%s %d CPUs vs run %s/%s %d CPUs\n\n",
-		base.GoOS, base.GoArch, base.NumCPU, cur.GoOS, cur.GoArch, cur.NumCPU)
-	fmt.Fprintf(&sb, "%-34s %14s %10s %10s\n", "benchmark", "ns/op", "base a/op", "a/op")
-	for _, r := range cur.Results {
-		b, ok := baseBy[r.Name]
-		if !ok {
-			fmt.Fprintf(&sb, "%-34s %14.0f %10s %10d  (new)\n", r.Name, r.NsPerOp, "-", r.AllocsOp)
-			continue
-		}
-		delete(baseBy, r.Name)
-		fmt.Fprintf(&sb, "%-34s %14.0f %10d %10d\n", r.Name, r.NsPerOp, b.AllocsOp, r.AllocsOp)
-	}
-	// Baseline rows the run never produced (renamed or deleted) must
-	// not vanish silently: a reader of the artifact would otherwise
-	// assume full coverage.
-	for _, b := range base.Results {
-		if _, gone := baseBy[b.Name]; gone {
-			fmt.Fprintf(&sb, "%-34s %14s %10d %10s  (not run)\n", b.Name, "-", b.AllocsOp, "-")
-		}
-	}
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
 }
 
 func loadReport(path string) (Report, error) {
@@ -610,75 +558,47 @@ func writeReport(path string, rep Report) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// timedRuns is how many times each benchmark runs for its ns/op.
-const timedRuns = 5
-
 func main() {
-	out := flag.String("out", "BENCH_report.json", "write the benchmark report here ('' to skip)")
-	baseline := flag.String("baseline", "BENCH_baseline.json", "baseline report to compare against")
-	check := flag.Bool("check", false, "exit non-zero if any allocs/op is above the baseline")
-	rebase := flag.Bool("rebase", false, "rewrite the baseline from this run")
-	diff := flag.String("diff", "", "write a baseline-vs-run comparison table here")
+	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	baseline := fs.String("baseline", "BENCH_baseline.json", "baseline report to compare against")
+	check := fs.Bool("check", false, "exit non-zero if any allocs/op is above the baseline")
+	rebase := fs.Bool("rebase", false, "rewrite the baseline from this run")
+	_ = fs.Parse(os.Args[1:]) // ExitOnError: Parse exits on a bad flag
+	// testing.Benchmark runs to go test's -test.benchtime, which makes
+	// every round allocIters iterations.
 	testing.Init()
-	flag.Parse()
+	if err := flag.Set("test.benchtime", fmt.Sprintf("%dx", allocIters)); err != nil {
+		panic(err) // "32x" is valid -benchtime syntax
+	}
+
+	base, err := loadReport(*baseline)
+	if err != nil && !*rebase {
+		fmt.Fprintf(os.Stderr, "loading baseline %s: %v\n", *baseline, err)
+		os.Exit(1)
+	}
+	baseBy := make(map[string]string, len(base.Results))
+	for _, r := range base.Results {
+		baseBy[r.Name] = fmt.Sprint(r.AllocsOp)
+	}
 
 	rep := Report{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, NumCPU: runtime.NumCPU()}
 	for _, bm := range gateBenchmarks() {
 		start := time.Now()
-		var res Result
-		// ops counts every iteration the timed runs make, b.N-probing
-		// rounds included, since the collector runs during those too.
-		ops := 0
-		counted := func(b *testing.B) {
-			ops += b.N
-			bm.fn(b)
+		res := Result{Name: bm.name, AllocsOp: countAllocs(bm.fn)}
+		rep.Results = append(rep.Results, res)
+		was, ok := baseBy[bm.name]
+		if !ok {
+			was = "-"
 		}
-		gc0 := gcCycles()
-		for k := 0; k < timedRuns; k++ {
-			r := testing.Benchmark(counted)
-			ns := float64(r.T.Nanoseconds()) / float64(r.N)
-			if k == 0 || ns < res.NsPerOp {
-				res.NsPerOp = ns
-			}
-		}
-		gcPerOp := float64(gcCycles()-gc0) / float64(ops)
-		res.BPerOp, res.AllocsOp = countAllocs(bm.fn)
-		res.Name = bm.name
 		extra := ""
 		if allocsUngated[bm.name] {
-			extra = "  (allocs/op not gated)"
+			extra = "  (not gated)"
 		}
-		rep.Results = append(rep.Results, res)
-		fmt.Fprintf(os.Stderr, "%-32s %10.0f ns/op %8d B/op %6d allocs/op %8.3f gc/op  (%v)%s\n",
-			bm.name, res.NsPerOp, res.BPerOp, res.AllocsOp, gcPerOp,
-			time.Since(start).Round(time.Millisecond), extra)
-	}
-
-	if *out != "" {
-		if err := writeReport(*out, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "writing report:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "report written to %s (%d benchmarks)\n", *out, len(rep.Results))
-	}
-
-	if *diff != "" {
-		base, err := loadReport(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loading baseline %s for -diff: %v\n", *baseline, err)
-			os.Exit(1)
-		}
-		if err := writeDiff(*diff, base, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "writing -diff:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "comparison written to %s\n", *diff)
+		fmt.Fprintf(os.Stderr, "%-32s %6d allocs/op  baseline %6s  (%v)%s\n",
+			bm.name, res.AllocsOp, was, time.Since(start).Round(time.Millisecond), extra)
 	}
 
 	if *rebase {
-		for i := range rep.Results {
-			rep.Results[i].NsPerOp = 0 // stale on any other run or host
-		}
 		if err := writeReport(*baseline, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "rewriting baseline:", err)
 			os.Exit(1)
@@ -688,11 +608,6 @@ func main() {
 	}
 
 	if *check {
-		base, err := loadReport(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loading baseline %s: %v\n", *baseline, err)
-			os.Exit(1)
-		}
 		if bad := compare(base.Results, rep.Results); len(bad) > 0 {
 			fmt.Fprintln(os.Stderr, "allocs/op regressions vs", *baseline+":")
 			for _, line := range bad {

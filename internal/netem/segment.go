@@ -1,10 +1,5 @@
 package netem
 
-import (
-	"fmt"
-	"strings"
-)
-
 const (
 	// HeaderSize is the IP+TCP header overhead per segment in bytes.
 	HeaderSize = 40
@@ -25,30 +20,12 @@ const (
 	FlagACK
 	FlagFIN
 	// FlagDSS marks a segment (and a scoreboard entry) that carries a
-	// DSS. It is not a TCP flag, and String does not print it.
+	// DSS. It is not a TCP flag.
 	FlagDSS
 )
 
 // Has reports whether all flags in f2 are set.
 func (f Flags) Has(f2 Flags) bool { return f&f2 == f2 }
-
-// String renders flags tcpdump-style, e.g. "S", "S.", "F.", ".".
-func (f Flags) String() string {
-	var b strings.Builder
-	if f.Has(FlagSYN) {
-		b.WriteByte('S')
-	}
-	if f.Has(FlagFIN) {
-		b.WriteByte('F')
-	}
-	if f.Has(FlagACK) {
-		b.WriteByte('.')
-	}
-	if b.Len() == 0 {
-		return "-"
-	}
-	return b.String()
-}
 
 // Segment is the TCP header a packet carries by value (Packet.Seg).
 // Sequence numbers are byte offsets from 0 (64-bit, so wraparound never
@@ -124,17 +101,4 @@ func (s *Segment) WireSize() int {
 		sz += 2 + 8*int(s.NSack)
 	}
 	return sz
-}
-
-// String renders the segment for captures and debugging.
-func (s *Segment) String() string {
-	opt := ""
-	switch {
-	case s.Flags.Has(FlagDSS):
-		opt = fmt.Sprintf(" opt=DSS(seq=%d,ack=%d)", s.DSS.DataSeq, s.DSS.DataAck)
-	case s.Opt != nil:
-		opt = fmt.Sprintf(" opt=%v", s.Opt)
-	}
-	return fmt.Sprintf("%s [%s] seq=%d ack=%d len=%d%s",
-		s.Flow, s.Flags, s.Seq, s.Ack, s.PayloadLen, opt)
 }
