@@ -267,9 +267,8 @@ func (c *Conn) dialSubflow(sf *Subflow, capable bool) {
 	}
 	flow := c.cfg.ConnID + "/" + sf.Iface.Name
 	sf.TCP = tcp.NewConn(c.sim, sf.Iface, netem.Up, flow, tcp.Config{
-		Source:    (*sfSource)(sf),
 		SynOpt:    synOpt,
-		Callbacks: subflowCallbacks(),
+		Callbacks: c.subflowCallbacks(),
 		Owner:     sf,
 	})
 	c.stack.Register(sf.TCP)
@@ -288,11 +287,7 @@ func (c *Conn) adoptSubflow(tc *tcp.Conn, iface *netem.Iface, backup bool) *Subf
 	sf := c.newSubflow(iface, backup)
 	sf.TCP = tc
 	tc.SetOwner(sf)
-	tc.SetSource((*sfSource)(sf))
-	tc.SetCallbacks(subflowCallbacks())
-	if c.cfg.CC == Coupled {
-		tc.SetIncrease(liaIncrease)
-	}
+	tc.SetCallbacks(c.subflowCallbacks())
 	return sf
 }
 
@@ -304,8 +299,16 @@ func (c *Conn) adoptSubflow(tc *tcp.Conn, iface *netem.Iface, backup bool) *Subf
 
 func subflowOf(tc *tcp.Conn) *Subflow { return tc.Owner().(*Subflow) }
 
-func subflowCallbacks() tcp.Callbacks {
-	return tcp.Callbacks{
+// subflowCallbacks is the one place a subflow's tcp.Conn is wired, on
+// either end: the connection scheduler supplies its payload (pull), and
+// a coupled connection's subflows grow by LIA. Increase runs only in
+// congestion avoidance, after the handshake, so it may be set at dial.
+func (c *Conn) subflowCallbacks() tcp.Callbacks {
+	cb := tcp.Callbacks{
+		Pull: func(tc *tcp.Conn, max int) (int, netem.DSS, bool) {
+			sf := subflowOf(tc)
+			return sf.conn.pull(sf, max)
+		},
 		OnEstablished: func(tc *tcp.Conn) {
 			sf := subflowOf(tc)
 			sf.conn.subflowEstablished(sf)
@@ -328,6 +331,10 @@ func subflowCallbacks() tcp.Callbacks {
 			sf.conn.onSubflowClosed(sf)
 		},
 	}
+	if c.cfg.CC == Coupled {
+		cb.Increase = liaIncrease
+	}
+	return cb
 }
 
 // subflowIfaceDown is every subflow's netem.Iface.SubscribeDown hook.
@@ -350,9 +357,6 @@ func (c *Conn) subflowEstablished(sf *Subflow) {
 		sf.rejoining = false
 		sf.dead = false
 		sf.rejoinAttempts = 0
-	}
-	if c.cfg.CC == Coupled {
-		sf.TCP.SetIncrease(liaIncrease)
 	}
 	if c.cb.OnSubflowEstablished != nil {
 		c.cb.OnSubflowEstablished(c, sf)
@@ -532,7 +536,7 @@ func (c *Conn) allowedByMode(sf *Subflow) bool {
 
 // hasDataFor reports whether pull would yield a mapping for sf.
 func (c *Conn) hasDataFor(sf *Subflow) bool {
-	if !sf.established || sf.dead || !c.allowedByMode(sf) {
+	if !c.eligible(sf) {
 		return false
 	}
 	if sf.dupQueue.pruneAcked(c.dataUna); sf.dupQueue.len() > 0 {
@@ -541,18 +545,17 @@ func (c *Conn) hasDataFor(sf *Subflow) bool {
 	if c.rtxPool.len() > 0 {
 		return true
 	}
-	return c.sched.Admit(c, sf) &&
-		c.dataNxt < c.sendTotal && c.dataNxt < c.dataUna+DefaultRecvBuf
+	return c.freshBytes() > 0 && c.sched.Admit(c, sf)
 }
 
-// pull is called by a subflow's Source when it has window space.
-// Priority: scheduler-duplicated mappings, then the shared
+// pull is a subflow's tcp.Callbacks.Pull, called when it has window
+// space. Priority: scheduler-duplicated mappings, then the shared
 // retransmission pool, then fresh data (gated by Scheduler.Admit —
 // evaluated once per pull, on the fresh-data branch only).
 //
 //multinet:hotpath
 func (c *Conn) pull(sf *Subflow, max int) (int, netem.DSS, bool) {
-	if !sf.established || sf.dead || !c.allowedByMode(sf) {
+	if !c.eligible(sf) {
 		return 0, netem.DSS{}, false
 	}
 	// Duplicates and reinjections the peer has meanwhile data-acked are
@@ -563,27 +566,20 @@ func (c *Conn) pull(sf *Subflow, max int) (int, netem.DSS, bool) {
 		return m.len, c.dss(m), true
 	}
 	c.rtxPool.pruneAcked(c.dataUna)
-	fresh := c.dataNxt < c.sendTotal && c.dataNxt < c.dataUna+DefaultRecvBuf &&
-		c.sched.Admit(c, sf)
-	if c.rtxPool.len() == 0 && !fresh {
+	if c.rtxPool.len() > 0 {
+		m := c.rtxPool.takeFront(max)
+		return m.len, c.dss(m), true
+	}
+	// tcp asks with room for at least one byte, so n is 0 only when
+	// there is nothing fresh to map.
+	n := min(c.freshBytes(), max)
+	if n == 0 || !c.sched.Admit(c, sf) {
 		return 0, netem.DSS{}, false
 	}
-	var m mapping
-	if c.rtxPool.len() > 0 {
-		m = c.rtxPool.takeFront(max)
-	} else {
-		n := c.sendTotal - c.dataNxt
-		if lim := c.dataUna + DefaultRecvBuf; c.dataNxt+n > lim {
-			n = lim - c.dataNxt
-		}
-		if int(n) > max {
-			n = uint64(max)
-		}
-		m = mapping{dataSeq: c.dataNxt, len: int(n)}
-		c.dataNxt += n
-		if r, ok := c.sched.(*redundant); ok {
-			r.onFreshMapping(c, sf, m)
-		}
+	m := mapping{dataSeq: c.dataNxt, len: n}
+	c.dataNxt += uint64(n)
+	if r, ok := c.sched.(*redundant); ok {
+		r.onFreshMapping(c, sf, m)
 	}
 	return m.len, c.dss(m), true
 }
@@ -854,20 +850,4 @@ func (c *Conn) AbortAll() {
 func (c *Conn) String() string {
 	return fmt.Sprintf("mptcp(%s %d subflows, sent=%d acked=%d recv=%d)",
 		c.cfg.ConnID, len(c.subflows), c.dataNxt, c.dataUna, c.recvTotal)
-}
-
-// sfSource is a Subflow seen as its tcp.Conn's Source: the connection
-// scheduler behind the tcp.Source interface. It is the Subflow itself
-// under another method set, so handing it to tcp costs no allocation and
-// puts no Next/Pending on the exported type.
-type sfSource Subflow
-
-func (s *sfSource) Next(max int) (int, netem.DSS, bool) {
-	sf := (*Subflow)(s)
-	return sf.conn.pull(sf, max)
-}
-
-func (s *sfSource) Pending() bool {
-	sf := (*Subflow)(s)
-	return sf.conn.hasDataFor(sf)
 }

@@ -21,8 +21,9 @@ import (
 // capacity than one TCP on its best path — the "coupled" algorithm of
 // the paper's Section 3.5. Slow start remains uncoupled, as in Linux.
 //
-// It is a tcp.IncreaseFn for any subflow: the connection whose windows
-// it couples is the one tc's Subflow belongs to.
+// It is the tcp.Callbacks.Increase of every subflow of a coupled
+// connection (subflowCallbacks): the connection whose windows it couples
+// is the one tc's Subflow belongs to.
 func liaIncrease(tc *tcp.Conn, acked int) float64 {
 	alpha, total := subflowOf(tc).conn.liaAlpha()
 	if total <= 0 {

@@ -23,16 +23,11 @@
 //     the cable) does not — reproducing the paper's Fig. 15 anomaly.
 package mptcp
 
-import "fmt"
-
 // MPCapable is the option on the primary subflow's SYN.
 type MPCapable struct {
 	// ConnID identifies the MPTCP connection.
 	ConnID string
 }
-
-// String renders the option for captures.
-func (o *MPCapable) String() string { return fmt.Sprintf("MP_CAPABLE(%s)", o.ConnID) }
 
 // MPJoin is the option on an additional subflow's SYN.
 type MPJoin struct {
@@ -40,14 +35,6 @@ type MPJoin struct {
 	ConnID string
 	// Backup marks the subflow as backup-priority (MP_PRIO semantics).
 	Backup bool
-}
-
-// String renders the option for captures.
-func (o *MPJoin) String() string {
-	if o.Backup {
-		return fmt.Sprintf("MP_JOIN(%s,backup)", o.ConnID)
-	}
-	return fmt.Sprintf("MP_JOIN(%s)", o.ConnID)
 }
 
 // CongestionMode selects the MPTCP congestion-control coupling.

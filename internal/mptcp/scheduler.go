@@ -115,21 +115,18 @@ func (*minSRTT) Rank(c *Conn, sfs []*Subflow) []*Subflow { return rankBySRTT(sfs
 func (*minSRTT) Admit(c *Conn, sf *Subflow) bool         { return true }
 
 // roundRobin rotates the offering order one position per wake — the
-// ablation that shows why Linux prefers the fastest path.
-type roundRobin struct {
-	counter int
-	// order is the rotated copy Rank returns. Rotating within sfs would
-	// write into the caller's slice beyond its length when it had spare
-	// capacity, and allocate on every wake when it had none.
-	order []*Subflow
-}
+// ablation that shows why Linux prefers the fastest path. wake hands it
+// the eligible subflows in creation order, and on the k-th call it
+// rotates them left by k, in place.
+type roundRobin struct{ counter int }
 
 func (s *roundRobin) Rank(c *Conn, sfs []*Subflow) []*Subflow {
 	if n := len(sfs); n > 1 {
 		s.counter++
 		k := s.counter % n
-		s.order = append(append(s.order[:0], sfs[k:]...), sfs[:k]...)
-		return s.order
+		slices.Reverse(sfs[:k])
+		slices.Reverse(sfs[k:])
+		slices.Reverse(sfs)
 	}
 	return sfs
 }
@@ -195,7 +192,7 @@ func (*holAware) Admit(c *Conn, sf *Subflow) bool {
 	fastCap := float64(fast.TCP.CwndBytes()) * rounds
 	// Backlog still to be scheduled (fresh bytes within the receive
 	// buffer bound) plus what the fast subflow already has in flight.
-	backlog := float64(c.schedulableBacklog()) + float64(fast.TCP.BytesInFlight())
+	backlog := float64(c.freshBytes()) + float64(fast.TCP.BytesInFlight())
 	// If the fast path covers the backlog within the slow RTT, using
 	// sf would finish no sooner and risks receive-buffer HoL blocking.
 	return backlog > fastCap
@@ -208,7 +205,7 @@ func (*holAware) Admit(c *Conn, sf *Subflow) bool {
 func fastestOther(c *Conn, sf *Subflow) *Subflow {
 	var best *Subflow
 	for _, other := range c.subflows {
-		if !other.established || other.dead || !c.allowedByMode(other) {
+		if !c.eligible(other) {
 			continue
 		}
 		if best == nil || sfSRTT(other) < sfSRTT(best) {
@@ -221,10 +218,9 @@ func fastestOther(c *Conn, sf *Subflow) *Subflow {
 	return best
 }
 
-// schedulableBacklog returns the fresh bytes the connection could map
-// right now: queued-but-unscheduled data clipped to the receive-buffer
-// bound.
-func (c *Conn) schedulableBacklog() int {
+// freshBytes returns the fresh bytes the connection could map right
+// now: queued-but-unscheduled data clipped to the receive-buffer bound.
+func (c *Conn) freshBytes() int {
 	if c.dataNxt >= c.sendTotal {
 		return 0
 	}

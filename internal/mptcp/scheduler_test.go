@@ -2,6 +2,7 @@ package mptcp
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -345,4 +346,33 @@ func TestRankLeavesSpareCapacityAlone(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRoundRobinRotatesThree: on the k-th wake roundrobin offers the
+// eligible subflows in creation order rotated left by k. With two
+// subflows every rotation is also a reversal, so only three or more can
+// tell a rotation from something that merely permutes.
+func TestRoundRobinRotatesThree(t *testing.T) {
+	c := &Conn{sim: simnet.New(1), cfg: Config{ConnID: "rr"}, sched: &roundRobin{}}
+	for i := 0; i < 3; i++ {
+		c.subflows = append(c.subflows, &Subflow{conn: c, established: true})
+	}
+	for k := 1; k <= 7; k++ {
+		// As wake does: the scratch is rebuilt in creation order, then
+		// ranked.
+		got := c.sched.Rank(c, c.modeEligible())
+		want := append(slices.Clone(c.subflows[k%3:]), c.subflows[:k%3]...)
+		if !slices.Equal(got, want) {
+			t.Fatalf("wake %d: Rank order %v, want %v", k, indexes(c, got), indexes(c, want))
+		}
+	}
+}
+
+// indexes names subflows by their place in c.subflows.
+func indexes(c *Conn, sfs []*Subflow) []int {
+	out := make([]int, len(sfs))
+	for i, sf := range sfs {
+		out[i] = slices.Index(c.subflows, sf)
+	}
+	return out
 }

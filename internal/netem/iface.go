@@ -94,7 +94,6 @@ func (i *Iface) AddRecvTap(t Tap) { i.recvTaps = append(i.recvTaps, t) }
 // of seg, or a zero header when seg is nil.
 func (i *Iface) newPacket(dir Direction, size int, seg *Segment) *Packet {
 	p := takePacket(i.pkts)
-	p.Iface = i.Name
 	p.Dir = dir
 	p.Size = size
 	if seg != nil {

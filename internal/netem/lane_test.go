@@ -106,3 +106,50 @@ func TestPendingCountsPacketsInFlight(t *testing.T) {
 		t.Fatalf("Processed = %d, want 7 arrivals and the timer", s.Processed())
 	}
 }
+
+// TestReleaseRecallsPacketsOnTheWire: a world released with packets on
+// its links — departed and on the wire, or still queued — hands them
+// back to the arena's free list, so the next world built from the same
+// arena sends those very packets, zeroed, and allocates none.
+func TestReleaseRecallsPacketsOnTheWire(t *testing.T) {
+	const n = 20
+	// 1 Mbps serialises an MTU in 12 ms and the wire takes 100 ms: at
+	// 50 ms a few packets are on the wire, the rest queued, none arrived.
+	world := func() (*simnet.Sim, *Iface) {
+		s := simnet.New(1)
+		cfg := LinkConfig{PropDelay: 100 * time.Millisecond, QueueLimit: n}
+		return s, NewIface(s, "wifi", NewFixedLink(s, 1, cfg), NewFixedLink(s, 1, cfg))
+	}
+	s, i := world()
+	sent := map[*Packet]bool{}
+	i.AddSendTap(func(p *Packet) { sent[p] = true })
+	for k := 0; k < n; k++ {
+		i.SendDown(MTU, nil)
+	}
+	s.RunUntil(50 * time.Millisecond)
+	st, queued := i.DownLink().Stats(), i.DownLink().QueueLen()
+	if onWire := st.Sent - st.Delivered - queued; st.Sent != n || st.Delivered != 0 || onWire == 0 || queued == 0 {
+		t.Fatalf("released with %d sent, %d delivered, %d on the wire, %d queued: want all sent, none delivered, some of each",
+			st.Sent, st.Delivered, onWire, queued)
+	}
+	pkts := simnet.FreeListOf[Packet](s)
+	s.Release()
+
+	s, i = world()
+	if simnet.FreeListOf[Packet](s) != pkts {
+		t.Fatal("the next world was not built from the released one's arena")
+	}
+	i.AddSendTap(func(p *Packet) {
+		if !sent[p] {
+			t.Errorf("a send in the next world allocated a packet")
+		}
+		if p.SendTime != 0 || p.doneAt != 0 {
+			t.Errorf("a recalled packet kept its old world's schedule: %+v", *p)
+		}
+		delete(sent, p)
+	})
+	for k := 0; k < n; k++ {
+		i.SendDown(MTU, nil)
+	}
+	s.Release()
+}

@@ -233,6 +233,18 @@ func (a *arrivals) Fire() {
 	b.recv(p)
 }
 
+// Drop runs when the world is released with packets still on the ring,
+// on the wire or queued: they go back to their free list unfired, so the
+// next world built on the same arena sends them again instead of
+// allocating. The ring's array is slab memory and rewinds with the
+// world.
+func (a *arrivals) Drop() {
+	q := &a.ring
+	for _, p := range q.buf[q.head:] {
+		ReleasePacket(p)
+	}
+}
+
 // stopService drops every admitted packet that has not departed (the
 // explicit model's queue purge) as a down-drop: they are truncated off
 // the ring's tail and the lane's. Packets already departed stay on the

@@ -58,9 +58,6 @@ const MTU = 1500
 // faults.Checker's packet-leak rule counts every packet not returned.
 // Taps see a packet for the duration of the call only.
 type Packet struct {
-	// Iface names the client interface this packet traverses ("wifi",
-	// "lte"); filled in by the Iface send helpers.
-	Iface string
 	// Dir is the travel direction relative to the client.
 	Dir Direction
 	// Size is the on-the-wire size in bytes, headers included.

@@ -35,7 +35,7 @@ func (f Flags) Has(f2 Flags) bool { return f&f2 == f2 }
 // A sender fills a local Segment and hands its address to Iface.SendUp
 // or SendDown, which copy it into the packet; a receiver copies it out
 // of the delivered packet. No segment is shared, so none is pooled. The
-// fields are ordered largest first, which keeps a Packet at 240 bytes.
+// fields are ordered largest first, which keeps a Packet at 224 bytes.
 type Segment struct {
 	// Flow names the connection (and, under MPTCP, the subflow). A
 	// receiving tcp.Stack demuxes by it only when DstPort does not name a

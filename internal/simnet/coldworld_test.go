@@ -135,9 +135,9 @@ func TestColdWorldBytes(t *testing.T) {
 		run            func(release bool)
 		cold, recycled bound
 	}{
-		{"session, tcp", func(r bool) { coldSession(r, coldTCP) }, bound{42952, 129}, bound{2608, 43}},
-		{"session, tcp then mptcp", func(r bool) { coldSession(r, coldTCP, coldMPTCP) }, bound{85560, 204}, bound{2672, 46}},
-		{"replay-shaped", coldReplay, bound{177240, 622}, bound{4160, 100}},
+		{"session, tcp", func(r bool) { coldSession(r, coldTCP) }, bound{42504, 129}, bound{2608, 43}},
+		{"session, tcp then mptcp", func(r bool) { coldSession(r, coldTCP, coldMPTCP) }, bound{85064, 204}, bound{2672, 46}},
+		{"replay-shaped", coldReplay, bound{175304, 622}, bound{4160, 100}},
 	} {
 		for _, recycled := range []bool{false, true} {
 			max, kind := w.cold, "cold"

@@ -26,8 +26,14 @@ type Lane struct {
 // A LaneOwner keeps a Lane's entries. Run calls Fire when the lane's
 // head is the earliest pending work; the owner then drops the head and,
 // if an entry is left, names it with Lane.Advance before it does
-// anything else.
-type LaneOwner interface{ Fire() }
+// anything else. Sim.Release calls Drop when the world ends with entries
+// still on the lane, before the slabs and free lists rewind: the owner
+// lets go of them unfired (a netem link hands its packets back to their
+// free list). The Sim is released by then, so Drop must not call it.
+type LaneOwner interface {
+	Fire()
+	Drop()
+}
 
 // noTime is the instant of an empty lane's head: later than any entry.
 const noTime = time.Duration(math.MaxInt64)

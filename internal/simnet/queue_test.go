@@ -108,6 +108,8 @@ func (l *refLane) Fire() {
 	}
 }
 
+func (l *refLane) Drop() { l.entries = nil }
+
 // floor is the earliest instant the lane's next entry may carry.
 func (l *refLane) floor() time.Duration {
 	if n := len(l.entries); n > 0 {

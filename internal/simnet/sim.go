@@ -141,10 +141,13 @@ func New(seed int64) *Sim {
 // stream of or releasing a released Sim panics, and Timers it handed out
 // are inert. Now, Processed and Pending keep answering.
 //
-// Objects taken from the Sim's free lists and still in flight are not
-// recalled; they are collected with the rest of the world. Slices carved
-// from its slabs are recalled: whatever still refers to one after
-// Release is looking at the next world's memory.
+// What a lane still holds is recalled: each lane with entries left is
+// handed to its owner's Drop, so the packets on a link's ring go back to
+// their free list. Other objects taken from the Sim's free lists and
+// still out are not — a packet waiting out a radio promotion is only a
+// timer's argument — and are collected with the rest of the world.
+// Slices carved from its slabs are recalled: whatever still refers to
+// one after Release is looking at the next world's memory.
 func (s *Sim) Release() {
 	a := s.mem()
 	s.arena = nil
@@ -166,11 +169,16 @@ func (s *Sim) mem() *arena {
 }
 
 // reset returns the arena to the state New expects: no pending events,
-// the slabs rewound, the free lists owning what
-// they hold, and only the streams the world that just ended used, marked
-// as belonging to a world gone by.
+// every lane's entries dropped by its owner, the slabs rewound, the free
+// lists owning what they hold, and only the streams the world that just
+// ended used, marked as belonging to a world gone by.
 func (a *arena) reset() {
 	a.dropPending()
+	for _, l := range a.lanes {
+		if l.n > 0 {
+			l.owner.Drop()
+		}
+	}
 	clear(a.lanes)
 	a.lanes = a.lanes[:0]
 	a.front, a.stale = nil, false

@@ -285,7 +285,7 @@ func TestEpochMatchesClosedForm(t *testing.T) {
 	begin := func(srv *Conn) {
 		cur = epoch{
 			cwnd: srv.cwnd, end: srv.sndNxt, inflight: srv.BytesInFlight(),
-			backlog: srv.bytes.pending, slowStart: srv.cwnd < srv.ssthresh,
+			backlog: srv.pending, slowStart: srv.cwnd < srv.ssthresh,
 		}
 	}
 	var slowStart, congAvoid, srcLimited int
@@ -300,7 +300,7 @@ func TestEpochMatchesClosedForm(t *testing.T) {
 				begin(srv)
 				return
 			}
-			if cur.backlog == 0 || (srv.sndUna < cur.end && srv.bytes.pending > 0) {
+			if cur.backlog == 0 || (srv.sndUna < cur.end && srv.pending > 0) {
 				return
 			}
 			if srv.ssthresh != ssthresh {

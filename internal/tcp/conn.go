@@ -22,10 +22,10 @@
 // copies it out before it releases the packet. No segment is pooled or
 // shared, and retransmission state lives in the scoreboard.
 //
-// The package exposes three extension points used by package mptcp:
-// a Source that supplies per-segment payload and its DSS mapping, an
-// IncreaseFn that replaces the congestion-avoidance increase (coupled
-// LIA), and segment/ACK callbacks for connection-level bookkeeping.
+// A layer above drives a connection through one set of hooks,
+// Callbacks: besides the event hooks, package mptcp's subflows use Pull
+// to supply per-segment payload and its DSS mapping, and Increase to
+// replace the congestion-avoidance increase (coupled LIA).
 package tcp
 
 import (
@@ -94,32 +94,26 @@ const (
 	MaxConsecutiveRTOs = 12
 )
 
-// Source supplies payload for transmission. Plain TCP uses the internal
-// byte-count source, whose segments carry no DSS; a custom source (MPTCP
-// subflows use a scheduler-backed one) maps every chunk it hands out, and
-// the segment carries that DSS.
-type Source interface {
-	// Next returns the size of the next chunk to transmit (0 < n <=
-	// max) and its DSS. ok=false means no data is currently available
-	// (more may arrive later).
-	Next(max int) (n int, dss netem.DSS, ok bool)
-	// Pending reports whether the source currently has data available.
-	Pending() bool
-}
-
-// IncreaseFn computes the congestion-avoidance cwnd increment in bytes
-// for a new cumulative ACK of acked bytes. Reno's is MSS*acked/cwnd;
-// MPTCP's coupled LIA provides a different one (RFC 6356).
-type IncreaseFn func(c *Conn, acked int) float64
-
-// RenoIncrease is the standard Reno congestion-avoidance increase.
+// RenoIncrease is the standard Reno congestion-avoidance increase: the
+// cwnd increment in bytes for a new cumulative ACK of acked bytes.
 func RenoIncrease(c *Conn, acked int) float64 {
 	return float64(MSS) * float64(acked) / c.cwnd
 }
 
-// Callbacks are optional connection event hooks. All are invoked from
-// the simulation loop.
+// Callbacks are the optional hooks through which a layer above drives a
+// connection. All are invoked from the simulation loop.
 type Callbacks struct {
+	// Pull, when set, supplies the payload in place of Send: the size of
+	// the next chunk to transmit (0 < n <= max) and its DSS, which the
+	// segment carries under FlagDSS. ok=false means no data is available
+	// now; NotifyData asks again. A connection with Pull sends its FIN as
+	// soon as Close is called, so its user closes it once drained.
+	Pull func(c *Conn, max int) (n int, dss netem.DSS, ok bool)
+	// Increase, when set, replaces Reno's congestion-avoidance increase
+	// (RenoIncrease) with the cwnd increment in bytes for a new
+	// cumulative ACK of acked bytes; MPTCP's coupled LIA is one (RFC
+	// 6356).
+	Increase func(c *Conn, acked int) float64
 	// OnEstablished fires when the handshake completes.
 	OnEstablished func(*Conn)
 	// OnData fires when in-order data advances; total is cumulative
@@ -166,15 +160,12 @@ type Conn struct {
 	owner any
 
 	// Sender state.
-	src      Source
 	synOpt   any
-	byteSrc  *byteSource // non-nil (&bytes) when using the default source
-	bytes    byteSource
+	pending  int // bytes queued by Send and not yet sent (no Pull)
 	sndUna   uint64
 	sndNxt   uint64
 	cwnd     float64 // bytes
 	ssthresh float64 // bytes
-	increase IncreaseFn
 	// sb is the SACK scoreboard (see scoreboard.go). Only this Conn's
 	// sender-side methods flip an entry's rtxed/sacked/lost flags, and
 	// each flip adjusts pipeBytes and lostPending by the entry's delta.
@@ -200,7 +191,7 @@ type Conn struct {
 	inRecov   bool
 	recover   uint64
 	peerWnd   int
-	finQueued bool // send FIN once the source drains
+	finQueued bool // send FIN once pending drains
 	finSent   bool
 	finAcked  bool
 	finSeq    uint64
@@ -237,20 +228,17 @@ type Conn struct {
 
 // Config parameterises NewConn.
 type Config struct {
-	// Callbacks are the event hooks.
+	// Callbacks are the hooks.
 	Callbacks Callbacks
-	// Source overrides the payload source (default byte-count source
-	// fed by Send).
-	Source Source
 	// SynOpt is attached to the SYN (active open) or SYN-ACK (passive
 	// open) segment; MPTCP uses it for MP_CAPABLE / MP_JOIN.
 	SynOpt any
 	// Owner is an opaque reference the connection carries for its user
-	// (Conn.Owner). Callbacks, Source and the increase function
-	// (SetIncrease) are all handed the *Conn, so a layer that wires many connections the same way — MPTCP
-	// and its subflows — can share one set of package-level functions
-	// that recover their state from it, instead of building a set of
-	// closures per connection.
+	// (Conn.Owner). Every hook in Callbacks is handed the *Conn, so a
+	// layer that wires many connections the same way — MPTCP and its
+	// subflows — can share one set of package-level functions that
+	// recover their state from it, instead of building a set of closures
+	// per connection.
 	Owner any
 }
 
@@ -269,37 +257,14 @@ func NewConn(sim *simnet.Sim, iface *netem.Iface, dir netem.Direction, flow stri
 		state:    StateClosed,
 		cb:       cfg.Callbacks,
 		owner:    cfg.Owner,
-		increase: RenoIncrease,
-		src:      cfg.Source,
 		synOpt:   cfg.SynOpt,
 		peerWnd:  DefaultWindow,
 		rto:      InitialRTO,
 		cwnd:     InitialCwndSegments * MSS,
 		ssthresh: DefaultWindow,
 	}
-	if c.src == nil {
-		c.byteSrc = &c.bytes
-		c.src = c.byteSrc
-	}
 	return c
 }
-
-// byteSource is the default Source: an opaque count of pending bytes.
-type byteSource struct{ pending int }
-
-func (b *byteSource) Next(max int) (int, netem.DSS, bool) {
-	if b.pending == 0 {
-		return 0, netem.DSS{}, false
-	}
-	n := b.pending
-	if n > max {
-		n = max
-	}
-	b.pending -= n
-	return n, netem.DSS{}, true
-}
-
-func (b *byteSource) Pending() bool { return b.pending > 0 }
 
 // Flow returns the connection's flow identifier.
 func (c *Conn) Flow() string { return c.flow }
@@ -307,14 +272,6 @@ func (c *Conn) Flow() string { return c.flow }
 // SetCallbacks replaces the connection's event hooks. It is intended
 // for use inside Stack.Accept, before any segment is processed.
 func (c *Conn) SetCallbacks(cb Callbacks) { c.cb = cb }
-
-// SetSource replaces the payload source. It must be called before the
-// connection is established (e.g. inside Stack.Accept); MPTCP uses it
-// to hook scheduler-backed sources into passively-opened subflows.
-func (c *Conn) SetSource(s Source) {
-	c.src = s
-	c.byteSrc = nil
-}
 
 // Owner returns the reference set by Config.Owner or SetOwner (nil if
 // neither was).
@@ -327,14 +284,6 @@ func (c *Conn) SetOwner(owner any) { c.owner = owner }
 // SetSynOpt sets the option attached to the SYN-ACK of a passive open.
 // Must be called inside Stack.Accept.
 func (c *Conn) SetSynOpt(opt any) { c.synOpt = opt }
-
-// SetIncrease replaces the congestion-avoidance increase function.
-func (c *Conn) SetIncrease(fn IncreaseFn) {
-	if fn == nil {
-		fn = RenoIncrease
-	}
-	c.increase = fn
-}
 
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
@@ -380,24 +329,24 @@ func (c *Conn) Connect() {
 	c.armRTO()
 }
 
-// Send queues n more payload bytes for transmission. Only valid with
-// the default source.
+// Send queues n more payload bytes for transmission. Only valid without
+// Callbacks.Pull.
 func (c *Conn) Send(n int) {
-	if c.byteSrc == nil {
-		panic("tcp: Send on conn with custom source " + c.flow)
+	if c.cb.Pull != nil {
+		panic("tcp: Send on conn with Pull " + c.flow)
 	}
 	if n <= 0 {
 		return
 	}
-	c.byteSrc.pending += n
+	c.pending += n
 	c.trySend()
 }
 
-// NotifyData tells a custom-source connection that data became
+// NotifyData tells a connection with Callbacks.Pull that data became
 // available; the scheduler calls it after queueing mappings.
 func (c *Conn) NotifyData() { c.trySend() }
 
-// Close queues a FIN to be sent once the source drains.
+// Close queues a FIN to be sent once the bytes queued by Send are out.
 func (c *Conn) Close() {
 	if c.finQueued || c.finSent {
 		return
@@ -523,13 +472,13 @@ func (c *Conn) trySend() {
 		if budget < max {
 			max = budget
 		}
-		n, dss, ok := c.src.Next(max)
+		n, dss, ok := c.next(max)
 		if !ok {
 			break
 		}
 		seg := c.segment()
 		seg.Flags = netem.FlagACK
-		if c.byteSrc == nil {
+		if c.cb.Pull != nil {
 			seg.Flags |= netem.FlagDSS
 			seg.DSS = dss
 		}
@@ -547,6 +496,17 @@ func (c *Conn) trySend() {
 		c.armRTOIfIdle()
 		c.armProbe()
 	}
+}
+
+// next takes the next chunk to send, of at most max bytes: from Pull
+// when the connection has it, else from the bytes queued by Send.
+func (c *Conn) next(max int) (int, netem.DSS, bool) {
+	if c.cb.Pull != nil {
+		return c.cb.Pull(c, max)
+	}
+	n := min(c.pending, max)
+	c.pending -= n
+	return n, netem.DSS{}, n > 0
 }
 
 // nextLost returns the earliest lost entry whose retransmission has not
@@ -580,7 +540,7 @@ func (c *Conn) markRetransmitted(e *sbEntry) {
 }
 
 func (c *Conn) maybeSendFin() {
-	if !c.finQueued || c.finSent || c.src.Pending() {
+	if !c.finQueued || c.finSent || c.pending > 0 {
 		return
 	}
 	if c.state != StateEstablished && c.state != StateCloseWait {
@@ -628,8 +588,10 @@ func (c *Conn) processAck(seg *netem.Segment) {
 		if !c.inRecov && dataAcked > 0 {
 			if c.cwnd < c.ssthresh {
 				c.cwnd += float64(dataAcked) // slow start
+			} else if c.cb.Increase != nil {
+				c.cwnd += c.cb.Increase(c, dataAcked)
 			} else {
-				c.cwnd += c.increase(c, dataAcked)
+				c.cwnd += RenoIncrease(c, dataAcked)
 			}
 		}
 		c.probeFired = false

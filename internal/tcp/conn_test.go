@@ -377,8 +377,7 @@ func TestOnMappedAck(t *testing.T) {
 	src := &scriptSource{chunks: []scriptChunk{{n: a.n, dss: a.dss}, {n: b.n, dss: b.dss}}}
 	n.server.Accept = func(c *Conn) {}
 	cli := NewConn(n.sim, n.iface, netem.Up, "opt", Config{
-		Source:    src,
-		Callbacks: Callbacks{OnMappedAck: onMappedAck},
+		Callbacks: Callbacks{Pull: src.pull, OnMappedAck: onMappedAck},
 	})
 	n.client.Register(cli)
 	cli.Connect()
@@ -392,7 +391,8 @@ func TestOnMappedAck(t *testing.T) {
 	}
 }
 
-// scriptSource feeds a fixed list of (size, DSS) chunks.
+// scriptSource feeds a fixed list of (size, DSS) chunks through its
+// pull, a Callbacks.Pull.
 type scriptSource struct {
 	chunks []scriptChunk
 	i      int
@@ -402,7 +402,7 @@ type scriptChunk struct {
 	dss netem.DSS
 }
 
-func (s *scriptSource) Next(max int) (int, netem.DSS, bool) {
+func (s *scriptSource) pull(_ *Conn, max int) (int, netem.DSS, bool) {
 	if s.i >= len(s.chunks) {
 		return 0, netem.DSS{}, false
 	}
@@ -413,8 +413,6 @@ func (s *scriptSource) Next(max int) (int, netem.DSS, bool) {
 	s.i++
 	return c.n, c.dss, true
 }
-
-func (s *scriptSource) Pending() bool { return s.i < len(s.chunks) }
 
 func TestDeterministicTransfer(t *testing.T) {
 	run := func() time.Duration {

@@ -142,14 +142,22 @@ func TestScoreboardAccountingProperty(t *testing.T) {
 		n.server.Accept = func(c *Conn) {
 			srv = c
 			send := func(c *Conn) { c.Send(size); c.Close() }
-			if mapped != nil {
-				c.SetSource(mapped)
-				send = func(c *Conn) { mapped.pending = size; c.NotifyData(); c.Close() }
-			}
-			c.SetCallbacks(Callbacks{
+			cb := Callbacks{
 				OnEstablished: send,
 				OnRTO:         func(c *Conn, count int) { rtos++ },
-			})
+			}
+			if mapped != nil {
+				// A Pull user closes once it is drained, as an MPTCP
+				// connection closes its subflows from OnMappedAck.
+				cb.OnEstablished = func(c *Conn) { mapped.pending = size; c.NotifyData() }
+				cb.Pull = mapped.pull
+				cb.OnMappedAck = func(c *Conn) {
+					if mapped.pending == 0 {
+						c.Close()
+					}
+				}
+			}
+			c.SetCallbacks(cb)
 		}
 		var got int64
 		cli = n.client.Dial(n.iface, "prop", Config{Callbacks: Callbacks{
@@ -175,16 +183,17 @@ func TestScoreboardAccountingProperty(t *testing.T) {
 	}
 }
 
-// dssSource is a byte-count source that maps every chunk, with a DSS no
-// retransmission could recompute: the chunk's offset moved far from its
-// sequence number, and the count of chunks handed out before it.
+// dssSource is a byte count whose pull, a Callbacks.Pull, maps every
+// chunk, with a DSS no retransmission could recompute: the chunk's
+// offset moved far from its sequence number, and the count of chunks
+// handed out before it.
 type dssSource struct {
 	pending int
 	sent    uint64
 	chunks  uint64
 }
 
-func (s *dssSource) Next(max int) (int, netem.DSS, bool) {
+func (s *dssSource) pull(_ *Conn, max int) (int, netem.DSS, bool) {
 	if s.pending == 0 {
 		return 0, netem.DSS{}, false
 	}
@@ -195,8 +204,6 @@ func (s *dssSource) Next(max int) (int, netem.DSS, bool) {
 	s.chunks++
 	return n, dss, true
 }
-
-func (s *dssSource) Pending() bool { return s.pending > 0 }
 
 // TestScoreboardRing pins the ring mechanics the property test only
 // reaches by luck: growth while the live entries wrap the array end,
@@ -351,21 +358,20 @@ func TestDetectLossCleanPathSkipsScan(t *testing.T) {
 	}
 }
 
-// chunkSource hands out fixed-size chunks without end once switched
-// on, so a window holds a chosen number of scoreboard entries.
+// chunkSource's pull, a Callbacks.Pull, hands out fixed-size chunks
+// without end once switched on, so a window holds a chosen number of
+// scoreboard entries.
 type chunkSource struct {
 	chunk int
 	on    bool
 }
 
-func (s *chunkSource) Next(max int) (int, netem.DSS, bool) {
+func (s *chunkSource) pull(_ *Conn, max int) (int, netem.DSS, bool) {
 	if !s.on || max < s.chunk {
 		return 0, netem.DSS{}, false
 	}
 	return s.chunk, netem.DSS{}, true
 }
-
-func (s *chunkSource) Pending() bool { return s.on }
 
 func noIncrease(*Conn, int) float64 { return 0 }
 
@@ -385,8 +391,7 @@ func newAckClock(tb testing.TB, window int) *ackClock {
 	var srv *Conn
 	n.server.Accept = func(c *Conn) {
 		srv = c
-		c.SetSource(src)
-		c.SetIncrease(noIncrease)
+		c.SetCallbacks(Callbacks{Pull: src.pull, Increase: noIncrease})
 	}
 	n.client.Dial(n.iface, "clock", Config{})
 	n.sim.Run()
