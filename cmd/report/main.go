@@ -26,6 +26,7 @@ import (
 	"os"
 	"time"
 
+	"multinet/internal/core"
 	"multinet/internal/experiments" // importing registers every harness
 	"multinet/internal/experiments/engine"
 )
@@ -108,8 +109,8 @@ func main() {
 		fmt.Printf("==================== %s (ran in %v) ====================\n%s\n",
 			e.Meta.Title, elapsed.Round(time.Millisecond), out)
 	}
-	fmt.Fprintf(os.Stderr, "report complete in %v (%d experiments, %d workers)\n",
-		time.Since(total).Round(time.Millisecond), len(todo), o.WorkerCount())
+	fmt.Fprintf(os.Stderr, "report complete in %v (%d experiments, %d workers, %d worlds audited)\n",
+		time.Since(total).Round(time.Millisecond), len(todo), o.WorkerCount(), core.AuditedWorlds())
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

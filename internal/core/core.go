@@ -10,8 +10,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"multinet/internal/mptcp"
@@ -130,13 +132,43 @@ func NewWorld(seed int64, cond phy.Condition) World {
 	return w
 }
 
-// Close ends the world and hands the simulator's memory to the next one
-// built (simnet.Sim.Release). Call it once the world's results,
+// Close audits the world, panicking with the audit's error when a rule
+// is broken, then ends it and hands the simulator's memory to the next
+// one built (simnet.Sim.Release). Call it once the world's results,
 // counters and connections have been read: connection handles are dead
 // with it, and a closed world must not be used again. Closing is
-// optional: a world that is simply dropped is collected, it just does
-// not pass its memory on.
-func (w *World) Close() { w.Sim.Release() }
+// optional: a dropped world is collected unaudited, it just does not
+// pass its memory on.
+func (w *World) Close() {
+	if err := w.Audit(); err != nil {
+		panic(fmt.Errorf("core: world audit at %v: %w", w.Sim.Now(), err))
+	}
+	audited.Add(1)
+	w.Sim.Release()
+}
+
+// audited counts the worlds that passed their audit at Close.
+var audited atomic.Int64
+
+// AuditedWorlds returns how many worlds this process has closed.
+func AuditedWorlds() int64 { return audited.Load() }
+
+// Audit checks the world's rules, each kept by the package whose state
+// it reads (netem.Host.Audit, tcp.Conn.AuditScoreboard on every filed
+// connection, mptcp.AuditPairs), and returns an error naming every
+// broken one, nil (allocating nothing) when all hold. All but two of
+// AuditPairs hold between any two events, so Audit may run mid-flight.
+func (w *World) Audit() error {
+	errs := []error{w.Host.Audit(), mptcp.AuditPairs(w.Client, w.Server)}
+	for _, st := range [...]*tcp.Stack{w.Client, w.Server} {
+		for c := range st.Conns() {
+			if err := c.AuditScoreboard(); err != nil {
+				errs = append(errs, err)
+			}
+		}
+	}
+	return errors.Join(errs...)
+}
 
 // Session is a simulated multi-homed client and single-homed server
 // pair under one network condition: a World and the Flows its server

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"multinet/internal/core"
 	"multinet/internal/experiments/engine"
 )
 
@@ -640,9 +641,15 @@ func TestQuickOutputGolden(t *testing.T) {
 	}
 	o := Quick()
 	o.Seed = engine.DefaultSeed
+	// Every world a pass builds is audited at its Close, and a violation
+	// panics there: a whole pass that audits fewer worlds than it did
+	// skipped a Close.
+	const quickWorlds = 621
+	audited, ran := core.AuditedWorlds(), 0
 	for _, e := range all {
 		e := e
 		t.Run(e.Meta.Name, func(t *testing.T) {
+			ran++
 			want, ok := quickGolden[e.Meta.Name]
 			if !ok {
 				t.Fatalf("no golden hash for %q — add one (see quickGolden doc)", e.Meta.Name)
@@ -652,6 +659,9 @@ func TestQuickOutputGolden(t *testing.T) {
 				t.Errorf("quick output changed: sha256 %s, golden %s", got, want)
 			}
 		})
+	}
+	if n := core.AuditedWorlds() - audited; ran == len(all) && n != quickWorlds {
+		t.Errorf("the quick pass audited %d worlds, want %d", n, quickWorlds)
 	}
 }
 

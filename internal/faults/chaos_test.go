@@ -41,17 +41,19 @@ func newWorld(seed int64, scfg mptcp.ServerConfig, variable bool) *world {
 	return w
 }
 
-// chaosResult is one run's outcome: the invariant violations plus a
-// deterministic fingerprint used by the differential fuzz target.
+// chaosResult is one run's outcome: what the world audit found (nil
+// when every rule held) plus a deterministic fingerprint used by the
+// differential fuzz target.
 type chaosResult struct {
-	violations []faults.Violation
-	signature  string
+	err       error
+	signature string
 }
 
 // runChaos builds a world of the given link kind, attaches the
 // schedule, moves size bytes in the given direction (download:
 // server→client) with the stuck-flow watchdog armed, drains the
-// simulation and checks every invariant.
+// simulation and audits the world along the way and at the end; a world
+// that passes is closed.
 func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, download bool, size int) chaosResult {
 	t.Helper()
 	const watchdogRTOs = 4
@@ -59,17 +61,10 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 
 	// A re-join that restarts with MP_CAPABLE (primary died before the
 	// first handshake completed) makes the server build a fresh Conn, so
-	// a run can see several server-side conns; the invariant pairing must
-	// cover all of them.
+	// a run can see several server-side conns; the audit pairs each with
+	// the client's.
 	var serverConns []*mptcp.Conn
-	var clientConn *mptcp.Conn
-	ck := &faults.Checker{}
-	ck.AddWorld(w.Sim, w.Host)
 	w.srv.OnConn = func(c *mptcp.Conn) {
-		// The latest server conn is the live peer; superseded conns
-		// (from an MP_CAPABLE restart) were aborted or stranded and are
-		// still invariant-checked for stranded mappings and stalls.
-		ck.AddPair(fmt.Sprintf("chaos[%d]", len(serverConns)), clientConn, c)
 		serverConns = append(serverConns, c)
 		if download {
 			c.Send(size)
@@ -83,7 +78,7 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 			c.Close()
 		}
 	}
-	clientConn = mptcp.Dial(w.Sim, w.Client, w.Host, mptcp.Config{
+	clientConn := mptcp.Dial(w.Sim, w.Client, w.Host, mptcp.Config{
 		ConnID:       "chaos",
 		Primary:      "wifi",
 		WatchdogRTOs: watchdogRTOs,
@@ -92,24 +87,30 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 	if err := sched.Attach(w.Sim, w.Host); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
-	// Step the run instead of draining it in one call: the scoreboard
-	// rule holds between any two events, and stepping audits the senders
-	// in the middle of the loss episodes the schedule provokes. (Stepping
-	// adds no events; it only rounds the final clock up to a step.)
-	var violations []faults.Violation
+	// Step the run instead of draining it in one call: every rule but
+	// the two that presuppose quiescence holds between any two events,
+	// and stepping audits the world in the middle of the loss episodes
+	// the schedule provokes, where the scoreboard accounting actually
+	// moves. (Stepping adds no events; it only rounds the final clock up
+	// to a step.)
+	var err error
 	for w.Sim.Pending() > 0 {
 		w.Sim.RunFor(25 * time.Millisecond)
-		if len(violations) == 0 {
-			violations = ck.CheckScoreboards()
+		if err == nil {
+			err = w.Audit()
 		}
 	}
-	violations = append(violations, ck.Check()...)
+	if err == nil {
+		err = w.Audit()
+	}
 
 	var sig strings.Builder
-	fmt.Fprintf(&sig, "end=%v client.rcv=%d client.stalls=%d conns=%d", w.Sim.Now(), clientConn.RecvTotal(), clientConn.StallCount, len(serverConns))
+	fmt.Fprintf(&sig, "end=%v client=%v stalls=%d conns=%d", w.Sim.Now(), clientConn, clientConn.StallCount, len(serverConns))
 	for _, sc := range serverConns {
-		fmt.Fprintf(&sig, " server.rcv=%d server.stalls=%d aborted=%v/%v",
-			sc.RecvTotal(), sc.StallCount, clientConn.Aborted(), sc.Aborted())
+		fmt.Fprintf(&sig, " server=%v stalls=%d", sc, sc.StallCount)
+		for _, sf := range sc.Subflows() {
+			fmt.Fprintf(&sig, " %v", sf.TCP.State())
+		}
 	}
 	for _, ifc := range w.Host.Ifaces() {
 		for _, d := range []struct {
@@ -120,7 +121,10 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 			fmt.Fprintf(&sig, " %s/%s=%d/%d/%d", ifc.Name, d.dir, st.Sent, st.Delivered, st.LostInFlight)
 		}
 	}
-	return chaosResult{violations: violations, signature: sig.String()}
+	if err == nil {
+		w.Close()
+	}
+	return chaosResult{err: err, signature: sig.String()}
 }
 
 // TestChaosSweep runs 500 randomized fault schedules against live MPTCP
@@ -138,12 +142,8 @@ func TestChaosSweep(t *testing.T) {
 		seed := int64(9000 + i)
 		rng := rand.New(rand.NewSource(seed))
 		sched := faults.GenSchedule(rng, []string{"wifi", "lte"}, 5*time.Second)
-		res := runChaos(t, seed, sched, i%4 >= 2, i%2 == 0, 128<<10)
-		for _, v := range res.violations {
-			t.Errorf("seed %d: %s\nschedule:\n%s", seed, v, sched)
-		}
-		if t.Failed() {
-			return
+		if err := runChaos(t, seed, sched, i%4 >= 2, i%2 == 0, 128<<10).err; err != nil {
+			t.Fatalf("seed %d: %v\nschedule:\n%s", seed, err, sched)
 		}
 	}
 }
@@ -164,10 +164,10 @@ func TestChaosDeterministic(t *testing.T) {
 }
 
 // TestLeakCountIsPerWorld runs two fault-free transfers side by side, one
-// of which keeps packets it took from its world, and checks both only
+// of which keeps packets it took from its world, and audits both only
 // once both have run. The leak rule counts each world's own free list:
-// the leaking world is reported with exactly what it kept, and the other
-// reads clean.
+// the leaking world is reported with exactly what it kept, and panics at
+// Close, and the other reads clean.
 func TestLeakCountIsPerWorld(t *testing.T) {
 	const keepPackets = 3
 	got := make([]string, 2)
@@ -178,8 +178,6 @@ func TestLeakCountIsPerWorld(t *testing.T) {
 		go func() {
 			defer done.Done()
 			w := newWorld(int64(70+i), mptcp.ServerConfig{}, false)
-			ck := &faults.Checker{}
-			ck.AddWorld(w.Sim, w.Host)
 			w.srv.OnConn = func(c *mptcp.Conn) { c.Send(64 << 10); c.Close() }
 			mptcp.Dial(w.Sim, w.Client, w.Host, mptcp.Config{ConnID: "leak", Primary: "wifi"}, mptcp.Callbacks{})
 			if i == 0 {
@@ -192,11 +190,15 @@ func TestLeakCountIsPerWorld(t *testing.T) {
 			w.Sim.Run()
 			ran.Done()
 			ran.Wait()
-			var vs []string
-			for _, v := range ck.Check() {
-				vs = append(vs, v.String())
+			if err := w.Audit(); err != nil {
+				got[i] = err.Error()
 			}
-			got[i] = strings.Join(vs, "; ")
+			defer func() {
+				if r := recover(); (r != nil) != (got[i] != "") {
+					t.Errorf("world %d: Close panicked with %v, audit read %q", i, r, got[i])
+				}
+			}()
+			w.Close()
 		}()
 	}
 	done.Wait()

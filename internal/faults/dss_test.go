@@ -18,14 +18,16 @@ import (
 // long enough for repeated RTOs and reinjection (the same bytes under
 // several mappings on several subflows) and, in the second run, an
 // administrative flap that aborts a subflow with entries and copies
-// outstanding. At every 5 ms step every sender's scoreboard accounting
-// must agree with a scan of it; at the end every byte has arrived, both
-// ends closed gracefully, and the drained world passes every rule.
+// outstanding. At every 5 ms step the world passes its audit (every
+// sender's scoreboard accounting agrees with a scan of it, among the
+// rest); at the end every byte has arrived, both ends closed gracefully,
+// and the drained world passes every rule at Close.
 //
 // Coverage (mptcp.Conn.UncoveredBytes) is a rule of a quiescent world
 // only: mid-flight, bytes a subflow has delivered above a hole in the
 // data sequence are acknowledged on the subflow, so no mapping covers
-// them, and not yet on the connection.
+// them, and not yet on the connection. The test pins that choice: 5,840
+// such bytes at 260 ms, and the audit passing there.
 func TestDSSMappingsSurviveFaults(t *testing.T) {
 	path := func(name string, mbps, rttMs, lossPct float64) phy.Path {
 		return phy.Path{Name: name, Profile: phy.PathProfile{
@@ -45,21 +47,22 @@ func TestDSSMappingsSurviveFaults(t *testing.T) {
 			w := core.NewWorld(21, cond)
 			defer w.Close()
 			srv := mptcp.NewServer(w.Sim, w.Server, mptcp.ServerConfig{})
-			ck := &faults.Checker{}
-			ck.AddWorld(w.Sim, w.Host)
-			var cli, sc *mptcp.Conn
+			var sc *mptcp.Conn
+			closed := 0
+			onClosed := func(*mptcp.Conn) { closed++ }
 			srv.OnConn = func(c *mptcp.Conn) {
 				sc = c
-				ck.AddPair("dss", cli, c)
+				c.SetCallbacks(mptcp.Callbacks{OnClosed: onClosed})
 				c.Send(size)
 				c.Close()
 			}
-			cli = mptcp.Dial(w.Sim, w.Client, w.Host, mptcp.Config{ConnID: "dss", Primary: "wifi"}, mptcp.Callbacks{
+			cli := mptcp.Dial(w.Sim, w.Client, w.Host, mptcp.Config{ConnID: "dss", Primary: "wifi"}, mptcp.Callbacks{
 				OnData: func(c *mptcp.Conn, total int64) {
 					if total >= size {
 						c.Close()
 					}
 				},
+				OnClosed: onClosed,
 			})
 			sched := faults.Schedule{Episodes: []faults.Episode{
 				{Kind: faults.Blackhole, Iface: "lte", Start: 400 * time.Millisecond, Duration: 4600 * time.Millisecond},
@@ -72,7 +75,7 @@ func TestDSSMappingsSurviveFaults(t *testing.T) {
 			if err := sched.Attach(w.Sim, w.Host); err != nil {
 				t.Fatal(err)
 			}
-			torn := false
+			torn, uncovered := false, uint64(0)
 			for w.Sim.Pending() > 0 {
 				w.Sim.RunFor(5 * time.Millisecond)
 				// While its interface is down, a torn-down subflow's
@@ -80,16 +83,21 @@ func TestDSSMappingsSurviveFaults(t *testing.T) {
 				for _, sf := range cli.Subflows() {
 					torn = torn || sf.Iface.AdminDown() && sf.TCP.State() == tcp.StateDone
 				}
-				if vs := ck.CheckScoreboards(); len(vs) != 0 {
-					t.Fatalf("at %v: %v", w.Sim.Now(), vs)
+				if err := w.Audit(); err != nil {
+					t.Fatalf("at %v: %v", w.Sim.Now(), err)
+				}
+				if w.Sim.Now() == 260*time.Millisecond {
+					uncovered = sc.UncoveredBytes()
 				}
 			}
-			if sc == nil || cli.RecvTotal() != size || !cli.Closed() || cli.Aborted() || !sc.Closed() || sc.Aborted() {
-				t.Fatalf("delivered %d of %d bytes; ends closed/aborted: client %v/%v, server %v",
-					cli.RecvTotal(), size, cli.Closed(), cli.Aborted(), sc)
+			if cli.RecvTotal() != size || closed != 2 {
+				t.Fatalf("delivered %d of %d bytes; %d of 2 ends closed: client %v, server %v",
+					cli.RecvTotal(), size, closed, cli, sc)
 			}
-			if vs := ck.Check(); len(vs) != 0 {
-				t.Fatalf("drained world: %v", vs)
+			// The audit passed at 260 ms although coverage did not hold
+			// there: stranded-mapping waits for quiescence.
+			if uncovered != 5840 {
+				t.Fatalf("at 260 ms %d bytes were covered by no mapping, want the 5840 that pin the quiescence gate", uncovered)
 			}
 			rtx := 0
 			for _, sf := range sc.Subflows() {

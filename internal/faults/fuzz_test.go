@@ -40,9 +40,8 @@ func decodeSchedule(data []byte) faults.Schedule {
 // become a fault schedule (the last byte also picks the transfer
 // direction and the link kind), the same transfer runs under it twice,
 // and the two runs must agree bit for bit (link counters, delivery totals,
-// stall counts, end time) with zero invariant violations — the
-// conservation, stranded-mapping, silent-stall, and pool-leak rules all
-// hold under any schedule the fuzzer can express.
+// stall counts, end time) and the world audit must pass — every rule of
+// core.World.Audit holds under any schedule the fuzzer can express.
 func FuzzChaosSchedule(f *testing.F) {
 	f.Add([]byte{})                                         // fault-free baseline
 	f.Add([]byte{0, 0, 2, 30, 0, 0})                        // admin-down mid-flow
@@ -64,8 +63,8 @@ func FuzzChaosSchedule(f *testing.F) {
 		variable := len(data) > 0 && data[len(data)-1]%4 >= 2
 		a := runChaos(t, 1234, sched, variable, download, 64<<10)
 		b := runChaos(t, 1234, sched, variable, download, 64<<10)
-		for _, v := range a.violations {
-			t.Errorf("invariant violated: %s\nschedule:\n%s", v, sched)
+		if a.err != nil {
+			t.Errorf("world audit: %v\nschedule:\n%s", a.err, sched)
 		}
 		if a.signature != b.signature {
 			t.Errorf("divergent runs under identical schedule:\n%s\n%s\nschedule:\n%s",

@@ -24,14 +24,14 @@ func TestMPTCPSteadyStateZeroAlloc(t *testing.T) {
 	Dial(r.sim, r.client, r.host, Config{ConnID: "bulk", Primary: "wifi"}, Callbacks{})
 	r.sim.RunUntil(30 * time.Second)
 	srv := r.srv.Conn("bulk")
-	if srv == nil || len(srv.Subflows()) != 2 || srv.DataAcked() < 30<<20 {
+	if srv == nil || len(srv.Subflows()) != 2 || srv.dataUna < 30<<20 {
 		t.Fatalf("warm-up did not reach a two-subflow steady state: %v", srv)
 	}
-	before := srv.DataAcked()
+	before := srv.dataUna
 	if avg := testing.AllocsPerRun(100, func() { r.sim.RunFor(50 * time.Millisecond) }); avg != 0 {
 		t.Fatalf("steady-state MPTCP transfer allocates %v per 50 ms of traffic, want 0", avg)
 	}
-	if moved := srv.DataAcked() - before; moved < 5<<20 {
+	if moved := srv.dataUna - before; moved < 5<<20 {
 		t.Fatalf("only %d bytes moved while measuring", moved)
 	}
 }

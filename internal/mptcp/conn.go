@@ -410,22 +410,6 @@ func (c *Conn) Owner() any { return c.owner }
 // their per-connection state from it, as tcp.Conn.Owner serves subflows.
 func (c *Conn) SetOwner(owner any) { c.owner = owner }
 
-// SendTotal returns cumulative bytes queued by the application.
-func (c *Conn) SendTotal() uint64 { return c.sendTotal }
-
-// DataAcked returns the cumulative data-level acknowledgement (bytes the
-// peer has confirmed receiving in order).
-func (c *Conn) DataAcked() uint64 { return c.dataUna }
-
-// RcvNxt returns the next in-order connection-level byte expected.
-func (c *Conn) RcvNxt() uint64 { return c.rcvNxt }
-
-// Closed reports whether the connection has fully closed or aborted.
-func (c *Conn) Closed() bool { return c.closed }
-
-// Aborted reports whether AbortAll terminated the connection.
-func (c *Conn) Aborted() bool { return c.aborted }
-
 // UncoveredBytes measures the stranded-mapping gap: bytes in
 // [dataUna, dataNxt) — scheduled but not yet data-acked — that no live
 // mapping record covers. A mapping counts as coverage if it sits in the
@@ -433,9 +417,9 @@ func (c *Conn) Aborted() bool { return c.aborted }
 // duplicate-queued) by a subflow that is alive and able to retransmit
 // it. Dead or fully terminated subflows cannot retransmit, so their
 // records do not count: subflowDied must have copied them to rtxPool
-// already. The invariant checker asserts this is zero whenever the
-// connection is not closed — a nonzero value means a fault path
-// stranded data that nothing will ever resend.
+// already. AuditPairs asserts it is zero on an open connection at
+// quiescence — a nonzero value there means a fault path stranded data
+// that nothing will ever resend.
 func (c *Conn) UncoveredBytes() uint64 {
 	if c.dataNxt <= c.dataUna {
 		return 0

@@ -68,8 +68,8 @@ func TestRejoinAfterAdminDown(t *testing.T) {
 	if u := srvConn.UncoveredBytes(); u != 0 {
 		t.Fatalf("server stranded %d scheduled bytes", u)
 	}
-	if !srvConn.Closed() || srvConn.Aborted() {
-		t.Fatalf("server conn closed=%v aborted=%v, want graceful close", srvConn.Closed(), srvConn.Aborted())
+	if !srvConn.closed || srvConn.aborted {
+		t.Fatalf("server conn closed=%v aborted=%v, want graceful close", srvConn.closed, srvConn.aborted)
 	}
 }
 
@@ -102,8 +102,8 @@ func TestSubflowKilledMidRejoinNoStrandedMappings(t *testing.T) {
 	if u := srvConn.UncoveredBytes(); u != 0 {
 		t.Fatalf("server stranded %d scheduled bytes after mid-rejoin kill", u)
 	}
-	if !srvConn.Closed() || srvConn.Aborted() {
-		t.Fatalf("server conn closed=%v aborted=%v, want graceful close", srvConn.Closed(), srvConn.Aborted())
+	if !srvConn.closed || srvConn.aborted {
+		t.Fatalf("server conn closed=%v aborted=%v, want graceful close", srvConn.closed, srvConn.aborted)
 	}
 	if len(c.Subflows()) != 2 {
 		t.Fatalf("client grew %d subflows, want 2 (re-join reuses the slot)", len(c.Subflows()))
@@ -130,7 +130,7 @@ func TestWatchdogAbortsStuckConn(t *testing.T) {
 	if srvConn == nil {
 		t.Fatal("no server conn")
 	}
-	if !srvConn.Aborted() {
+	if !srvConn.aborted {
 		t.Fatal("stuck connection did not abort")
 	}
 	if srvConn.StallCount != DefaultWatchdogMaxStalls {
@@ -154,7 +154,7 @@ func TestWatchdogQuietOnHealthyTransfer(t *testing.T) {
 	if c.RecvTotal() != 1<<20 {
 		t.Fatalf("received %d, want %d", c.RecvTotal(), 1<<20)
 	}
-	if srvConn.StallCount != 0 || srvConn.Aborted() {
-		t.Fatalf("healthy transfer recorded stalls=%d aborted=%v", srvConn.StallCount, srvConn.Aborted())
+	if srvConn.StallCount != 0 || srvConn.aborted {
+		t.Fatalf("healthy transfer recorded stalls=%d aborted=%v", srvConn.StallCount, srvConn.aborted)
 	}
 }

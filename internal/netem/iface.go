@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -38,6 +39,7 @@ type Iface struct {
 	promIdle     time.Duration
 	lastActivity time.Duration
 	wakeUntil    time.Duration
+	waking       int // packets held for the promotion, not yet sent
 }
 
 // NewIface wires a duplex interface from two one-way links.
@@ -102,12 +104,22 @@ func (i *Iface) newPacket(dir Direction, size int, seg *Segment) *Packet {
 	return p
 }
 
+// holdForPromotion sends p once the radio is awake, at wakeUntil, which
+// is the radio's last activity until then.
+func (i *Iface) holdForPromotion(p *Packet) {
+	i.lastActivity = i.wakeUntil
+	p.promo = i
+	i.waking++
+	i.sim.ScheduleArg(i.wakeUntil, sendPromoted, p)
+}
+
 // sendPromoted runs when a packet's radio-promotion wait elapses.
 func sendPromoted(a any) {
 	p := a.(*Packet)
-	l := p.promo
+	i := p.promo
 	p.promo = nil
-	l.Send(p)
+	i.waking--
+	i.up.Send(p)
 }
 
 // SendUp transmits a packet of size bytes client→server on this
@@ -125,15 +137,11 @@ func (i *Iface) SendUp(size int, seg *Segment) {
 		case now < i.wakeUntil:
 			// Radio still waking: queue behind the promotion (FIFO is
 			// preserved by the event heap's scheduling order).
-			i.lastActivity = i.wakeUntil
-			p.promo = i.up
-			i.sim.ScheduleArg(i.wakeUntil, sendPromoted, p)
+			i.holdForPromotion(p)
 			return
 		case i.lastActivity < 0 || now-i.lastActivity > i.promIdle:
 			i.wakeUntil = now + i.promDelay
-			i.lastActivity = i.wakeUntil
-			p.promo = i.up
-			i.sim.ScheduleArg(i.wakeUntil, sendPromoted, p)
+			i.holdForPromotion(p)
 			return
 		}
 	}
@@ -254,6 +262,32 @@ func (h *Host) Iface(name string) *Iface {
 // host's own, handed out at full capacity so that an append copies it:
 // every connection walks it when it joins its subflows.
 func (h *Host) Ifaces() []*Iface { return h.ifaces[:len(h.ifaces):len(h.ifaces)] }
+
+// Audit checks two rules, which hold between any two events, and
+// returns an error naming each broken one, nil (allocating nothing) when
+// both hold: link-conservation, Sent == Delivered + LostInFlight +
+// on-wire on each of the host's links (which must be this package's),
+// and packet-leak, every packet out of the world's free list on a link
+// or waiting for its radio's promotion.
+func (h *Host) Audit() error {
+	var errs []error
+	live, held := 0, 0
+	for _, i := range h.ifaces {
+		live, held = i.pkts.Live(), held+i.waking // one list per world
+		for dir, l := range [...]Link{i.up, i.down} {
+			st, wire := l.Stats(), l.(interface{ onWire() int }).onWire()
+			if st.Sent != st.Delivered+st.LostInFlight+wire {
+				errs = append(errs, fmt.Errorf("link-conservation: %s/%v: sent=%d delivered=%d lost-in-flight=%d on-wire=%d",
+					i.Name, Direction(dir), st.Sent, st.Delivered, st.LostInFlight, wire))
+			}
+			held += wire
+		}
+	}
+	if n := live - held; n != 0 {
+		errs = append(errs, fmt.Errorf("packet-leak: %d pooled packets unaccounted for", n))
+	}
+	return errors.Join(errs...)
+}
 
 // IfaceNames returns the interface names in attachment order.
 func (h *Host) IfaceNames() []string {

@@ -121,6 +121,9 @@ func (b *baseLink) init(sim *simnet.Sim, cfg LinkConfig) {
 func (b *baseLink) SetReceiver(fn func(*Packet)) { b.recv = fn }
 func (b *baseLink) Stats() LinkStats             { return b.stats }
 
+// onWire counts the packets admitted that have not arrived (Host.Audit).
+func (b *baseLink) onWire() int { return b.ring.len() }
+
 // SetLossProb implements Link: a fault-injected loss burst (or its
 // restore). It panics when p > 0 and the link has no loss stream.
 func (b *baseLink) SetLossProb(p float64) {

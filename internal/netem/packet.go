@@ -55,8 +55,8 @@ const MTU = 1500
 // down/blackhole) or by the final receiver once it has copied out what
 // it needs (tcp.Stack does this in its dispatch path). A receiver that
 // keeps a delivered packet, or drops it without ReleasePacket, leaks it:
-// faults.Checker's packet-leak rule counts every packet not returned.
-// Taps see a packet for the duration of the call only.
+// Host.Audit's packet-leak rule finds it. Taps see a packet for the
+// duration of the call only.
 type Packet struct {
 	// Dir is the travel direction relative to the client.
 	Dir Direction
@@ -67,9 +67,9 @@ type Packet struct {
 	// SendTime is when the packet entered the link, set by the link.
 	SendTime time.Duration
 
-	// promo carries the target link across a radio-promotion wait (see
-	// Iface.SendUp), for the same reason.
-	promo Link
+	// promo carries the sending interface across a radio-promotion wait
+	// (see Iface.SendUp).
+	promo *Iface
 
 	// Elided-schedule state (see baseLink): the packet's service
 	// window and its arrival's place in the kernel's (at, seq) order,
@@ -126,10 +126,10 @@ type LinkStats struct {
 	// went down or blackholed. It is a sub-count of DroppedDown, kept
 	// separately so the conservation identity
 	//
-	//	Sent == Delivered + LostInFlight
+	//	Sent == Delivered + LostInFlight + on-wire
 	//
-	// holds exactly at quiescence (the faults invariant checker asserts
-	// it across every fault episode).
+	// holds between any two events (Host.Audit), where on-wire counts
+	// the admitted packets that have not arrived yet.
 	LostInFlight int
 }
 

@@ -121,7 +121,7 @@ func cutMidTransfer(seed int64, cond phy.Condition, primary string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "now=%v processed=%d pending=%d;", w.Sim.Now(), w.Sim.Processed(), w.Sim.Pending())
 	for _, c := range conns {
-		fmt.Fprintf(&sb, " %s rcvd=%d acked=%d", c.ConnID(), c.RecvTotal(), c.DataAcked())
+		fmt.Fprintf(&sb, " %v", c)
 		for _, sf := range c.Subflows() {
 			fmt.Fprintf(&sb, " %s est=%v inflight=%d cwnd=%d", sf.Name(), sf.TCP.State() == tcp.StateEstablished, sf.TCP.BytesInFlight(), sf.TCP.CwndBytes())
 		}

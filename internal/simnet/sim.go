@@ -475,9 +475,8 @@ func (s *Sim) run(until time.Duration) int {
 	return n
 }
 
-// Pending returns the number of live (not cancelled) scheduled events.
-//
-//lint:allow unusedapi netem's TestPendingCountsPacketsInFlight and the drain loops of faults' and tcp's tests
+// Pending returns the number of live (not cancelled) scheduled events:
+// zero once the world is quiescent.
 func (s *Sim) Pending() int {
 	return s.live
 }

@@ -447,8 +447,7 @@ func (c *Conn) pipe() int { return c.pipeBytes }
 //
 //multinet:hotpath
 func (c *Conn) trySend() {
-	if c.state != StateEstablished && c.state != StateCloseWait &&
-		c.state != StateFinWait && c.state != StateClosing {
+	if !c.sending() {
 		return
 	}
 	wnd := int(c.cwnd)
@@ -496,6 +495,12 @@ func (c *Conn) trySend() {
 		c.armRTOIfIdle()
 		c.armProbe()
 	}
+}
+
+// sending reports whether trySend may send in the connection's state.
+func (c *Conn) sending() bool {
+	return c.state == StateEstablished || c.state == StateCloseWait ||
+		c.state == StateFinWait || c.state == StateClosing
 }
 
 // next takes the next chunk to send, of at most max bytes: from Pull
@@ -600,7 +605,9 @@ func (c *Conn) processAck(seg *netem.Segment) {
 			c.cancelProbe()
 		} else {
 			c.armRTO()
-			c.armProbe()
+			if !c.sending() {
+				c.armProbe() // else trySend arms it, to the same deadline
+			}
 		}
 		c.checkClosed()
 		c.detectLoss()

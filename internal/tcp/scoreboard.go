@@ -116,8 +116,8 @@ func (c *Conn) Mappings() iter.Seq2[netem.DSS, int] {
 // AuditScoreboard recomputes the incrementally maintained sender
 // accounting — the RFC 6675 pipe and the pending-loss count — from a
 // full scan of the scoreboard and returns an error describing any
-// disagreement. It is O(window) and meant for invariant checkers at event boundaries, not
-// for the data path.
+// disagreement (rule scoreboard-accounting). It is O(window), for the
+// world audit at event boundaries, not for the data path.
 func (c *Conn) AuditScoreboard() error {
 	pipe, lost := 0, 0
 	for i := 0; i < c.sb.n; i++ {
@@ -128,7 +128,7 @@ func (c *Conn) AuditScoreboard() error {
 		}
 	}
 	if pipe != c.pipeBytes || lost != c.lostPending {
-		return fmt.Errorf("%s: incremental pipe=%d lostPending=%d, scan pipe=%d lostPending=%d",
+		return fmt.Errorf("scoreboard-accounting: %s: incremental pipe=%d lostPending=%d, scan pipe=%d lostPending=%d",
 			c.flow, c.pipeBytes, c.lostPending, pipe, lost)
 	}
 	return nil

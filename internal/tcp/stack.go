@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"iter"
+
 	"multinet/internal/netem"
 	"multinet/internal/simnet"
 )
@@ -89,10 +91,7 @@ func (s *Stack) sendDir() netem.Direction {
 func (s *Stack) dispatch(iface *netem.Iface, p *netem.Packet) {
 	seg := p.Seg
 	netem.ReleasePacket(p)
-	var c *Conn
-	if h := uint(seg.DstPort) - 1; h < uint(len(s.table)) { // DstPort 0 wraps past any table
-		c = s.table[h]
-	}
+	c := s.at(seg.DstPort)
 	if c == nil {
 		if c = s.lookup(iface, &seg); c == nil {
 			return // no listener / stray segment
@@ -140,6 +139,33 @@ func (s *Stack) Conn(flow string) *Conn {
 		if c != nil && c.flow == flow {
 			return c
 		}
+	}
+	return nil
+}
+
+// Conns yields the connections filed in s and not forgotten, in handle
+// order. The table must not change while it is being iterated.
+func (s *Stack) Conns() iter.Seq[*Conn] {
+	return func(yield func(*Conn) bool) {
+		for _, c := range s.table {
+			if c != nil && !yield(c) {
+				return
+			}
+		}
+	}
+}
+
+// Filed reports whether s files c (and has not forgotten it).
+func (s *Stack) Filed(c *Conn) bool { return s.at(c.port) == c }
+
+// Peer returns the connection s files under the handle c last heard from:
+// c's peer, when s faces c's stack; nil if none.
+func (s *Stack) Peer(c *Conn) *Conn { return s.at(c.peerPort) }
+
+// at returns the connection filed under handle h, nil if none.
+func (s *Stack) at(h uint32) *Conn {
+	if i := uint(h) - 1; i < uint(len(s.table)) { // handle 0 wraps past any table
+		return s.table[i]
 	}
 	return nil
 }
