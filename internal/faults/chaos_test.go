@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"multinet/internal/mptcp"
 	"multinet/internal/netem"
 	"multinet/internal/phy"
+	"multinet/internal/tcp"
 )
 
 // world is the paper's Fig. 5 topology — a wifi+lte client against a
@@ -62,7 +64,7 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 	// A re-join that restarts with MP_CAPABLE (primary died before the
 	// first handshake completed) makes the server build a fresh Conn, so
 	// a run can see several server-side conns; the audit pairs each with
-	// the client's.
+	// the client's (unpaired checks that it does).
 	var serverConns []*mptcp.Conn
 	w.srv.OnConn = func(c *mptcp.Conn) {
 		serverConns = append(serverConns, c)
@@ -103,6 +105,9 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 	if err == nil {
 		err = w.Audit()
 	}
+	if err == nil {
+		err = unpaired(w, serverConns, clientConn)
+	}
 
 	var sig strings.Builder
 	fmt.Fprintf(&sig, "end=%v client=%v stalls=%d conns=%d", w.Sim.Now(), clientConn, clientConn.StallCount, len(serverConns))
@@ -125,6 +130,35 @@ func runChaos(t *testing.T, seed int64, sched faults.Schedule, variable, downloa
 		w.Close()
 	}
 	return chaosResult{err: err, signature: sig.String()}
+}
+
+// unpaired returns an error naming each server end that the world
+// audit does not pair with client, nil when it pairs them all. The audit
+// meets a server end at its first subflow, which the server stack keeps
+// yielding after it forgets it, and pairs it with the client end that
+// owns the peer of one of its subflows.
+func unpaired(w *world, servers []*mptcp.Conn, client *mptcp.Conn) error {
+	filed := map[*tcp.Conn]bool{}
+	for tc := range w.Server.Conns() {
+		filed[tc] = true
+	}
+	ours := map[any]bool{}
+	for _, sf := range client.Subflows() {
+		ours[sf] = true
+	}
+	var errs []error
+	for i, sc := range servers {
+		paired := false
+		for _, sf := range sc.Subflows() {
+			if p := w.Client.Peer(sf.TCP); p != nil && ours[p.Owner()] {
+				paired = true
+			}
+		}
+		if !filed[sc.Subflows()[0].TCP] || !paired {
+			errs = append(errs, fmt.Errorf("server end %d of %d (%v) is not audited with the client end", i+1, len(servers), sc))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // TestChaosSweep runs 500 randomized fault schedules against live MPTCP

@@ -9,27 +9,36 @@ import (
 
 // AuditPairs checks the MPTCP connections of the world whose stacks are
 // client and server, and returns an error naming every broken rule, nil
-// (allocating nothing) when all hold. Each server end found through its
-// filed subflows pairs with the client end one of them last heard from.
-// In each direction of each pair:
+// (allocating nothing) when all hold. Every server end, superseded and
+// torn-down ones included (a stack's Conns yields what it forgot),
+// pairs with the client end one of its subflows last heard from. In
+// each direction of each pair:
 //
 //   - over-delivery: the receiver advanced past what the sender queued;
 //   - incomplete-delivery: both ends closed gracefully, and the receiver
 //     did not get exactly what the sender queued;
-//   - silent-stall: the sender is open and the receiver lacks bytes;
+//   - silent-stall: the sender is open and bytes it queued are not
+//     acknowledged;
 //   - stranded-mapping: likewise, and scheduled bytes have no mapping
 //     left to retransmit them (UncoveredBytes).
 //
 // The last two run only when no event is pending: mid-flight, bytes
 // delivered above a data-sequence hole are subflow-acked but not
-// data-acked, so no mapping covers them. They read the receiver, not the
-// sender's DATA_ACK, which a FIN does not carry.
+// data-acked, so no mapping covers them. They read the sender's DATA_ACK
+// when its watchdog is armed (Config.WatchdogRTOs), which aborts a
+// sender that makes no progress. Without one, nothing repeats a last
+// DATA_ACK that rode on a lost pure ACK, since a FIN carries no DSS, so
+// there they read what the receiver has.
 func AuditPairs(client, server *tcp.Stack) error {
 	var errs []error
 	for stc := range server.Conns() {
-		s := firstFiled(server, stc)
-		for i := 0; s != nil && i < len(s.subflows); i++ {
-			if ctc := client.Peer(s.subflows[i].TCP); ctc != nil {
+		sf, ok := stc.Owner().(*Subflow)
+		if !ok || sf.conn.subflows[0].TCP != stc {
+			continue // meet each connection once, at its first subflow
+		}
+		s := sf.conn
+		for _, o := range s.subflows {
+			if ctc := client.Peer(o.TCP); ctc != nil {
 				if csf, ok := ctc.Owner().(*Subflow); ok {
 					errs = auditDir(auditDir(errs, csf.conn, s), s, csf.conn)
 					break
@@ -38,21 +47,6 @@ func AuditPairs(client, server *tcp.Stack) error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// firstFiled returns the connection tc is a subflow of when tc is the
-// first of its subflows filed in st, so that a walk over st meets each
-// connection once; nil otherwise.
-func firstFiled(st *tcp.Stack, tc *tcp.Conn) *Conn {
-	sf, ok := tc.Owner().(*Subflow)
-	for i := 0; ok && i < len(sf.conn.subflows); i++ {
-		if o := sf.conn.subflows[i]; o == sf {
-			return sf.conn
-		} else if st.Filed(o.TCP) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // auditDir appends what AuditPairs finds broken from snd to rcv.
@@ -69,13 +63,17 @@ func auditDir(errs []error, snd, rcv *Conn) []error {
 		errs = append(errs, fmt.Errorf("incomplete-delivery: %s %s: delivered %d of %d bytes on a gracefully closed connection",
 			snd.cfg.ConnID, dir, rcv.recvTotal, snd.sendTotal))
 	}
-	if snd.closed || rcv.rcvNxt >= snd.sendTotal || snd.sim.Pending() > 0 {
+	acked := snd.dataUna
+	if snd.cfg.WatchdogRTOs <= 0 {
+		acked = rcv.rcvNxt
+	}
+	if snd.closed || acked >= snd.sendTotal || snd.sim.Pending() > 0 {
 		return errs
 	}
 	if u := snd.UncoveredBytes(); u != 0 {
 		errs = append(errs, fmt.Errorf("stranded-mapping: %s %s: %d scheduled bytes covered by no live mapping",
 			snd.cfg.ConnID, dir, u))
 	}
-	return append(errs, fmt.Errorf("silent-stall: %s %s: %d of %d bytes undelivered on an open connection at quiescence",
-		snd.cfg.ConnID, dir, snd.sendTotal-rcv.rcvNxt, snd.sendTotal))
+	return append(errs, fmt.Errorf("silent-stall: %s %s: %d of %d bytes unacknowledged on an open connection at quiescence",
+		snd.cfg.ConnID, dir, snd.sendTotal-acked, snd.sendTotal))
 }

@@ -20,3 +20,11 @@ func Reopen(c *Conn, n uint64, scheduled bool) {
 		c.dataNxt += n
 	}
 }
+
+// Unack reopens the sending end c with its last n bytes delivered but
+// not data-acked, and covered by no mapping: what a lost last DATA_ACK
+// leaves behind.
+func Unack(c *Conn, n uint64) {
+	c.closed = false
+	c.dataUna -= n
+}

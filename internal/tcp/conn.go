@@ -194,6 +194,7 @@ type Conn struct {
 	finQueued bool // send FIN once pending drains
 	finSent   bool
 	finAcked  bool
+	forgotten bool // by its Stack (Stack.Forget)
 	finSeq    uint64
 
 	// RTT estimation (RFC 6298).
@@ -447,7 +448,8 @@ func (c *Conn) pipe() int { return c.pipeBytes }
 //
 //multinet:hotpath
 func (c *Conn) trySend() {
-	if !c.sending() {
+	if c.state != StateEstablished && c.state != StateCloseWait &&
+		c.state != StateFinWait && c.state != StateClosing {
 		return
 	}
 	wnd := int(c.cwnd)
@@ -495,12 +497,6 @@ func (c *Conn) trySend() {
 		c.armRTOIfIdle()
 		c.armProbe()
 	}
-}
-
-// sending reports whether trySend may send in the connection's state.
-func (c *Conn) sending() bool {
-	return c.state == StateEstablished || c.state == StateCloseWait ||
-		c.state == StateFinWait || c.state == StateClosing
 }
 
 // next takes the next chunk to send, of at most max bytes: from Pull
@@ -605,9 +601,7 @@ func (c *Conn) processAck(seg *netem.Segment) {
 			c.cancelProbe()
 		} else {
 			c.armRTO()
-			if !c.sending() {
-				c.armProbe() // else trySend arms it, to the same deadline
-			}
+			c.armProbe()
 		}
 		c.checkClosed()
 		c.detectLoss()

@@ -243,7 +243,7 @@ func TestDemuxByHandleMatchesName(t *testing.T) {
 		delete(s.ref, flow)
 	}
 	// dead reports whether h is a handle st has freed.
-	dead := func(st *Stack, h uint32) bool { return h != 0 && st.table[h-1] == nil }
+	dead := func(st *Stack, h uint32) bool { return h != 0 && st.table[h-1].forgotten }
 
 	var byHandle, synRtx, stale, freed int
 	lostSynAck := false

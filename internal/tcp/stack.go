@@ -40,7 +40,8 @@ type Stack struct {
 	side Side
 	// table is the demux table, a piece of the Sim's slab, so a world
 	// built from a released one finds it already grown: entry i is the
-	// connection whose handle is i + 1, nil once forgotten.
+	// connection whose handle is i + 1. A forgotten one keeps its entry,
+	// flagged, so that the world audit still reaches it (Conns, Peer).
 	table []*Conn
 	// Accept configures a passively-opened connection before its SYN is
 	// processed (install callbacks, queue response data, ...). If nil,
@@ -136,44 +137,47 @@ func (s *Stack) Register(c *Conn) {
 // Conn returns the live connection for a flow, or nil.
 func (s *Stack) Conn(flow string) *Conn {
 	for _, c := range s.table {
-		if c != nil && c.flow == flow {
+		if !c.forgotten && c.flow == flow {
 			return c
 		}
 	}
 	return nil
 }
 
-// Conns yields the connections filed in s and not forgotten, in handle
-// order. The table must not change while it is being iterated.
+// Conns yields every connection s has filed, forgotten ones included,
+// in handle order. The table must not change while it is being iterated.
 func (s *Stack) Conns() iter.Seq[*Conn] {
 	return func(yield func(*Conn) bool) {
 		for _, c := range s.table {
-			if c != nil && !yield(c) {
+			if !yield(c) {
 				return
 			}
 		}
 	}
 }
 
-// Filed reports whether s files c (and has not forgotten it).
-func (s *Stack) Filed(c *Conn) bool { return s.at(c.port) == c }
+// Peer returns the connection s filed under the handle c last heard
+// from, forgotten or not: c's peer, when s faces c's stack; nil if none.
+func (s *Stack) Peer(c *Conn) *Conn {
+	if i := uint(c.peerPort) - 1; i < uint(len(s.table)) { // handle 0 wraps past any table
+		return s.table[i]
+	}
+	return nil
+}
 
-// Peer returns the connection s files under the handle c last heard from:
-// c's peer, when s faces c's stack; nil if none.
-func (s *Stack) Peer(c *Conn) *Conn { return s.at(c.peerPort) }
-
-// at returns the connection filed under handle h, nil if none.
+// at returns the live connection filed under handle h, nil if none.
 func (s *Stack) at(h uint32) *Conn {
-	if i := uint(h) - 1; i < uint(len(s.table)) { // handle 0 wraps past any table
+	if i := uint(h) - 1; i < uint(len(s.table)) && !s.table[i].forgotten {
 		return s.table[i]
 	}
 	return nil
 }
 
 // Forget removes a connection from the demux: its name is free for a new
-// connection, and its handle is dead for the rest of the world.
+// connection, and its handle is dead for the rest of the world. Conns
+// still yields it.
 func (s *Stack) Forget(flow string) {
 	if c := s.Conn(flow); c != nil {
-		s.table[c.port-1] = nil
+		c.forgotten = true
 	}
 }
