@@ -41,33 +41,27 @@ type AblationJoinResult struct {
 // without the late join.
 func AblationJoinDelay(o Options) AblationJoinResult {
 	const size = 10 << 10
-	measure := func(simultaneous bool) float64 {
-		n := o.LocationCount(len(phy.Locations))
-		trials := o.TrialCount(2)
+	n := o.LocationCount(len(phy.Locations))
+	trials := o.TrialCount(2)
+	var median [2]float64
+	for si, simultaneous := range []bool{false, true} {
 		rel := relDiffGrid(o, n, trials, func(i, t int) (float64, float64) {
 			loc := phy.Locations[i]
-			seed := seedFor(o.BaseSeed(), 771, loc.ID, t, boolInt(simultaneous))
-			lte := measureMbps(o.Serial(), seed, loc.Condition(), core.Config{
+			c := o.Cell(771, loc.ID, t, 0).Unpaired(si)
+			lte := measureMbps(c, loc.Condition(), core.Config{
 				Transport: core.MPTCP, Primary: "lte", SimultaneousJoin: simultaneous,
 			}, core.Download, size, 1)
-			wifi := measureMbps(o.Serial(), seed+1, loc.Condition(), core.Config{
+			wifi := measureMbps(c.Unpaired(1), loc.Condition(), core.Config{
 				Transport: core.MPTCP, Primary: "wifi", SimultaneousJoin: simultaneous,
 			}, core.Download, size, 1)
 			return lte, wifi
 		})
-		return stats.Median(rel)
+		median[si] = stats.Median(rel)
 	}
 	return AblationJoinResult{
-		MedianPctSequential:   measure(false),
-		MedianPctSimultaneous: measure(true),
+		MedianPctSequential:   median[0],
+		MedianPctSimultaneous: median[1],
 	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // String renders the comparison.
@@ -94,13 +88,14 @@ type AblationSchedulerResult struct {
 func AblationScheduler(o Options) AblationSchedulerResult {
 	loc := phy.LocLTEMuchBetter
 	trials := o.TrialCount(5)
-	// The trials themselves are the only loop here, so they get the
-	// full worker pool.
+	// One sweep over arm × trial; each arm is the mean of its trials.
+	mbps := engine.Sweep(o, 2*trials, func(k int) float64 {
+		return transferMbps(o.Cell(772, 0).Unpaired(k/trials).At(k%trials), loc.Condition(),
+			core.Config{Transport: core.MPTCP, Primary: "lte"}, core.Download, 1<<20)
+	})
 	return AblationSchedulerResult{
-		MinRTTMbps: measureMbps(o, seedFor(o.BaseSeed(), 772, 0), loc.Condition(),
-			core.Config{Transport: core.MPTCP, Primary: "lte"}, core.Download, 1<<20, trials),
-		RoundRobinMbps: measureMbps(o, seedFor(o.BaseSeed(), 772, 1), loc.Condition(),
-			core.Config{Transport: core.MPTCP, Primary: "lte"}, core.Download, 1<<20, trials),
+		MinRTTMbps:     meanPositive(mbps[:trials]),
+		RoundRobinMbps: meanPositive(mbps[trials:]),
 	}
 }
 
@@ -194,13 +189,13 @@ func AblationSelector(o Options) AblationSelectorResult {
 	perLoc := engine.Sweep(o, n, func(i int) locTotals {
 		loc := phy.Locations[i]
 		lt := locTotals{sums: map[string]float64{}, counts: map[string]int{}}
-		probe := core.NewSession(seedFor(o.BaseSeed(), 775, loc.ID), loc.Condition())
+		probe := core.NewSession(o.Cell(775, loc.ID).Seed(), loc.Condition())
 		est := probe.Probe()
 		probe.Close()
 		for _, name := range names {
 			pick := policies[name]
 			for si, size := range sizes {
-				s := core.NewSession(seedFor(o.BaseSeed(), 776, loc.ID, si), loc.Condition())
+				s := core.NewSession(o.Cell(776, loc.ID, si).Seed(), loc.Condition())
 				r := s.Run(pick(est, size), core.Download, size)
 				if r.Completed {
 					lt.sums[name] += r.FCT.Seconds()

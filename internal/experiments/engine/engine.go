@@ -1,19 +1,21 @@
 // Package engine is the experiment execution layer: a central registry
-// of every table, figure and ablation harness, plus a deterministic
-// parallel trial-sweep runner.
+// of every table, figure and ablation harness, the cells that seed
+// their simulated worlds, and a deterministic parallel sweep runner.
 //
 // The registry is the one experiment list: each harness registers
 // itself once (Register) and every consumer — cmd/report, cmd/bench and
 // the package tests — iterates All or selects with Lookup.
 //
-// The sweep runner (Sweep, Grid, RunTrials) fans independent trials
-// out across a worker pool. Every trial owns its own simnet.Sim, so
-// trials never share mutable state; results are collected by trial
-// index and reduced in index order, which makes parallel output
-// bit-identical to the sequential loops it replaced. Per-trial seeds
-// are derived with SeedFor exactly as the sequential code did, so a
-// given (seed, trial) pair measures the same simulated world at any
-// worker count.
+// A Cell names a measurement's network coordinates (experiment tag,
+// location, size, trial, ...) and is the only source of a world's seed:
+// Options.Cell starts one at the base seed and Cell.At appends
+// coordinates, folding them through SeedFor.
+//
+// Sweep fans independent cells out across a worker pool. Every cell
+// builds its own simnet.Sim, so cells never share mutable state;
+// results are collected by cell index and reduced in index order, which
+// makes parallel output bit-identical to a sequential loop, and a cell
+// measures the same simulated world at any worker count.
 package engine
 
 import (
@@ -68,14 +70,6 @@ func (o Options) LocationCount(max int) int {
 	return max
 }
 
-// Serial returns a copy of o that runs sweeps on a single worker. Used
-// for inner sweeps nested inside an already-parallel outer sweep, so
-// worker counts do not multiply.
-func (o Options) Serial() Options {
-	o.Workers = 1
-	return o
-}
-
 // SeedFor derives a per-measurement seed from the base seed and the
 // measurement's coordinates (location, trial, config index, ...). The
 // derivation is stable forever: experiment calibration depends on it.
@@ -86,6 +80,28 @@ func SeedFor(base int64, parts ...int) int64 {
 	}
 	return s
 }
+
+// Cell is a measurement's network coordinates folded into the seed of
+// the world that measures them. Every configuration compared in one
+// cell sees the same network draw unless it asks for its own through
+// Unpaired.
+type Cell struct{ seed int64 }
+
+// Cell starts a cell at o's base seed with the given coordinates.
+func (o Options) Cell(coords ...int) Cell { return Cell{SeedFor(o.BaseSeed(), coords...)} }
+
+// At returns the cell with coords appended: a trial, or a coordinate
+// that follows a configuration. SeedFor is a left fold, so
+// o.Cell(a).At(b) is o.Cell(a, b).
+func (c Cell) At(coords ...int) Cell { return Cell{SeedFor(c.seed, coords...)} }
+
+// Unpaired gives configuration ci a network draw of its own by raising
+// the cell's last coordinate by ci (SeedFor(…, x)+ci is SeedFor(…,
+// x+ci)). It is the only way a configuration index reaches a seed.
+func (c Cell) Unpaired(ci int) Cell { return Cell{c.seed + int64(ci)} }
+
+// Seed is the seed of the world that measures the cell.
+func (c Cell) Seed() int64 { return c.seed }
 
 // Meta describes a registered experiment.
 type Meta struct {

@@ -168,44 +168,29 @@ func TestSweepYieldsBetweenCells(t *testing.T) {
 	}
 }
 
-func TestGridRowMajor(t *testing.T) {
-	got := Grid(Options{Workers: 4}, 3, 4, func(i, j int) [2]int { return [2]int{i, j} })
-	if len(got) != 12 {
-		t.Fatalf("len = %d", len(got))
+func TestCellFold(t *testing.T) {
+	o := Options{Seed: 2014}
+	const a, b, c = 3, 1 << 20, 2
+	if got, want := o.Cell(a, b).At(c).Seed(), SeedFor(2014, a, b, c); got != want {
+		t.Fatalf("o.Cell(a, b).At(c) = %d, want SeedFor(base, a, b, c) = %d", got, want)
 	}
-	for k, c := range got {
-		if c[0] != k/4 || c[1] != k%4 {
-			t.Fatalf("cell %d = %v, want {%d,%d}", k, c, k/4, k%4)
+	if got, want := o.Cell().Seed(), o.BaseSeed(); got != want {
+		t.Fatalf("o.Cell() = %d, want the base seed %d", got, want)
+	}
+	// Unpaired(k) raises the last coordinate by k, wherever the cell
+	// goes on from there.
+	for k := 0; k < 6; k++ {
+		if got, want := o.Cell(a, b).Unpaired(k).At(c).Seed(), SeedFor(2014, a, b+k, c); got != want {
+			t.Fatalf("Unpaired(%d) = %d, want SeedFor(base, a, b+%d, c) = %d", k, got, k, want)
 		}
 	}
-}
-
-func TestRunTrialsMatchesSequentialLoop(t *testing.T) {
-	const base = 777
-	fn := func(seed int64) float64 {
-		// Mix positives and non-positives so the filter path is hit.
-		if seed%3 == 0 {
-			return 0
-		}
-		return float64(seed%100) + 0.5
+	var sink int64
+	if n := testing.AllocsPerRun(100, func() {
+		sink += o.Cell(a, b).At(c).Unpaired(1).Seed()
+	}); n != 0 {
+		t.Fatalf("a cell allocates %.0f times, want none", n)
 	}
-	// Historical sequential aggregation.
-	sum, n := 0.0, 0
-	for t := 0; t < 9; t++ {
-		if v := fn(SeedFor(base, t)); v > 0 {
-			sum += v
-			n++
-		}
-	}
-	want := sum / float64(n)
-	for _, workers := range []int{1, 4} {
-		if got := RunTrials(Options{Workers: workers}, base, 9, fn); got != want {
-			t.Fatalf("workers=%d: RunTrials = %v, want %v", workers, got, want)
-		}
-	}
-	if got := RunTrials(Options{}, base, 3, func(int64) float64 { return -1 }); got != 0 {
-		t.Fatalf("all-negative RunTrials = %v, want 0", got)
-	}
+	_ = sink
 }
 
 func TestSeedForStable(t *testing.T) {
@@ -240,9 +225,6 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.WorkerCount() < 1 {
 		t.Fatal("WorkerCount must be >= 1")
-	}
-	if (Options{Workers: 8}).Serial().WorkerCount() != 1 {
-		t.Fatal("Serial should force one worker")
 	}
 }
 

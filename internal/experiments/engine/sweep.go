@@ -111,41 +111,3 @@ func runCell[T any](out []T, i int, fn func(i int) T) (p *cellPanic) {
 	panicked = false
 	return nil
 }
-
-// Grid runs fn over the rows×cols cross product and returns the
-// results in row-major order — the same order as the nested
-//
-//	for i { for j { ... } }
-//
-// loops it replaces, so sequential reductions over the result see
-// samples in the historical order.
-func Grid[T any](o Options, rows, cols int, fn func(i, j int) T) []T {
-	if rows <= 0 || cols <= 0 {
-		return nil
-	}
-	return Sweep(o, rows*cols, func(k int) T {
-		return fn(k/cols, k%cols)
-	})
-}
-
-// RunTrials fans trials out over o's pool, giving trial t the seed
-// SeedFor(seed, t), and returns the mean of the positive results (0
-// when none) — the aggregation every throughput harness uses. The sum
-// is accumulated in trial order, so the mean is bit-identical to the
-// sequential loop regardless of worker count.
-func RunTrials(o Options, seed int64, trials int, fn func(seed int64) float64) float64 {
-	vals := Sweep(o, trials, func(t int) float64 {
-		return fn(SeedFor(seed, t))
-	})
-	sum, n := 0.0, 0
-	for _, v := range vals {
-		if v > 0 {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

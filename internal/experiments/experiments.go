@@ -11,11 +11,12 @@
 // Every harness also registers itself (via init) into the engine
 // registry — engine.All is the single source of truth for "what
 // experiments exist", iterated by cmd/report, cmd/bench and the
-// package tests. Harness inner loops run on the engine sweep runner
-// (engine.Sweep / engine.Grid / engine.RunTrials): independent trials
-// fan out across a worker pool and are reduced in trial-index order,
-// so parallel output is bit-identical to the sequential loops the
-// runner replaced.
+// package tests. A harness declares the cells it measures (o.Cell and
+// engine.Cell.At, the only source of a world's seed) and runs one
+// engine.Sweep per stage: independent cells fan out across a worker
+// pool and are reduced in cell-index order, so parallel output is
+// bit-identical to a sequential loop. Trials are a loop over
+// engine.Cell.At inside a cell, never a sweep inside a sweep.
 package experiments
 
 import (
@@ -33,11 +34,6 @@ type Options = engine.Options
 
 // Quick returns reduced options for unit tests.
 func Quick() Options { return Options{Trials: 1, Locations: 4} }
-
-// seedFor derives a per-measurement seed (see engine.SeedFor).
-func seedFor(base int64, parts ...int) int64 {
-	return engine.SeedFor(base, parts...)
-}
 
 // register adds a harness to the engine registry; the order argument
 // is the paper presentation order used by cmd/report.

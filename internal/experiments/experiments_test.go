@@ -667,8 +667,8 @@ func TestQuickOutputGolden(t *testing.T) {
 
 func TestSweepDeterminism(t *testing.T) {
 	// The sweep runner must produce byte-identical output at any worker
-	// count. Figure7 exercises the grid sweep plus nested trial sweeps;
-	// Coupling exercises the flattened three-deep nest with variable-
+	// count. Figure7 exercises a flattened grid whose cells loop over
+	// trials; Coupling exercises a three-deep flattening with variable-
 	// length per-cell sample lists.
 	for _, workers := range []int{runtime.GOMAXPROCS(0), 8} {
 		o := Quick()

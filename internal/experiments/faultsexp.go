@@ -98,8 +98,9 @@ func ScenarioFaults(o Options) ScenarioFaultsResult {
 		res.Configs = append(res.Configs, label)
 	}
 	const size = 16 << 20
-	grid := engine.Grid(o, len(profiles), len(cfgs), func(pi, ci int) float64 {
-		sess := core.NewSession(seedFor(o.BaseSeed(), 41, pi, ci), cond)
+	grid := engine.Sweep(o, len(profiles)*len(cfgs), func(k int) float64 {
+		pi, ci := k/len(cfgs), k%len(cfgs)
+		sess := core.NewSession(o.Cell(41, pi, 0).Unpaired(ci).Seed(), cond)
 		defer sess.Close()
 		sess.Horizon = 60 * time.Second
 		if len(profiles[pi].sched.Episodes) > 0 {

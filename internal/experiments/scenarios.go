@@ -77,7 +77,7 @@ func runScenarioVariants(o Options, tag int, variants []scenarioVariant) []Scena
 	out := make([]ScenarioVariantResult, 0, len(variants))
 	for vi, v := range variants {
 		res := ScenarioVariantResult{Name: v.name, KB: scenarioSizesKB}
-		probe := core.NewSession(seedFor(o.BaseSeed(), tag, vi), v.cond)
+		probe := core.NewSession(o.Cell(tag, vi).Seed(), v.cond)
 		est := probe.Probe()
 		probe.Close()
 		res.Ranked = est.Ranked()
@@ -85,8 +85,9 @@ func runScenarioVariants(o Options, tag int, variants []scenarioVariant) []Scena
 		for _, cfg := range v.cfgs {
 			res.Configs = append(res.Configs, cfg.Name())
 		}
-		grid := engine.Grid(o, len(scenarioSizesKB), len(v.cfgs), func(si, ci int) float64 {
-			return measureMbps(o.Serial(), seedFor(o.BaseSeed(), tag, vi, si, ci), v.cond,
+		grid := engine.Sweep(o, len(scenarioSizesKB)*len(v.cfgs), func(k int) float64 {
+			si, ci := k/len(v.cfgs), k%len(v.cfgs)
+			return measureMbps(o.Cell(tag, vi, si, 0).Unpaired(ci), v.cond,
 				v.cfgs[ci], core.Download, scenarioSizesKB[si]<<10, trials)
 		})
 		for si, kb := range scenarioSizesKB {
@@ -275,7 +276,7 @@ func ScenarioWiFi2LTE(o Options) ScenarioWiFi2LTEResult {
 	// four representative sites, each widened to three paths.
 	conds := representativeConditions(wifi2LTECondition)
 	schemes, baseline := oracle.ForPaths([]string{"WiFi", "LTE-A", "LTE-B"})
-	norm, n := replayOracles(o, 2504, conds, replay.Record(apps.DropboxClick),
+	norm, n := replayOracles(o, o.Cell(2504), conds, replay.Record(apps.DropboxClick),
 		replay.Configs(wifi2LTEPaths), schemes, baseline)
 	return ScenarioWiFi2LTEResult{
 		Transfers:   transfers[0],

@@ -79,7 +79,7 @@ func ScenarioSchedulers(o Options) ScenarioSchedulersResult {
 	// oracle per scheduler against the single-path (N-path) oracle.
 	conds := representativeConditions(phy.Location.Condition)
 	schemes, baseline := oracle.ForSchedulers([]string{"WiFi", "LTE"}, scheds[:])
-	norm, n := replayOracles(o, 2602, conds, replay.Record(apps.DropboxClick),
+	norm, n := replayOracles(o, o.Cell(2602), conds, replay.Record(apps.DropboxClick),
 		replay.SchedulerConfigs(replay.WiFiLTEPaths(), scheds[:]), schemes, baseline)
 	return ScenarioSchedulersResult{
 		Schedulers:  scheds,

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"multinet/internal/dataset"
+	"multinet/internal/experiments/engine"
 	"multinet/internal/simnet"
 	"multinet/internal/stats"
 )
@@ -16,9 +17,9 @@ func init() {
 }
 
 // campaign generates the crowd-sourced measurement campaign of
-// Section 2 for the options' seed.
-func campaign(o Options) *dataset.Campaign {
-	sim := simnet.New(o.BaseSeed())
+// Section 2 in cell c's world.
+func campaign(c engine.Cell) *dataset.Campaign {
+	sim := simnet.New(c.Seed())
 	defer sim.Release()
 	return dataset.Generate(sim)
 }
@@ -36,7 +37,7 @@ type Table1Result struct {
 // Table1 generates the synthetic campaign and regroups it with the
 // paper's k-means-style radius clustering (r = 100 km).
 func Table1(o Options) Table1Result {
-	c := campaign(o)
+	c := campaign(o.Cell())
 	rows := c.RegenerateTable1()
 	res := Table1Result{Rows: rows}
 	res.Filtered = len(c.Runs) - len(c.CompleteRuns())
@@ -102,7 +103,7 @@ type Figure3Result struct {
 
 // Figure3 computes the CDFs of Tput(WiFi)-Tput(LTE) over the campaign.
 func Figure3(o Options) Figure3Result {
-	c := campaign(o)
+	c := campaign(o.Cell())
 	up, down := c.DiffCDFs()
 	wu, wd, comb := c.WinFractions()
 	return Figure3Result{
@@ -132,7 +133,7 @@ type Figure4Result struct {
 
 // Figure4 computes the CDF of RTT(WiFi)-RTT(LTE) over the campaign.
 func Figure4(o Options) Figure4Result {
-	c := campaign(o)
+	c := campaign(o.Cell())
 	cdf := c.RTTDiffCDF()
 	return Figure4Result{
 		CDF:         sampleCDF(cdf, "RTT(WiFi)-RTT(LTE) (ms)", 40),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -61,42 +62,62 @@ func standardConfigs() []core.Config {
 	}
 }
 
-// measureMbps fans trials fresh-session downloads out over o's sweep
-// pool and returns the mean throughput. Callers already inside a
-// parallel sweep pass o.Serial() so worker counts do not multiply.
-func measureMbps(o Options, seed int64, cond phy.Condition, cfg core.Config, dir core.Direction, size, trials int) float64 {
-	return engine.RunTrials(o, seed, trials, func(s int64) float64 {
-		sess := core.NewSession(s, cond)
-		defer sess.Close()
-		return sess.Run(cfg, dir, size).Mbps
-	})
+// transferMbps runs one fresh-session transfer in cell c's world and
+// returns its throughput.
+func transferMbps(c engine.Cell, cond phy.Condition, cfg core.Config, dir core.Direction, size int) float64 {
+	sess := core.NewSession(c.Seed(), cond)
+	defer sess.Close()
+	return sess.Run(cfg, dir, size).Mbps
+}
+
+// measureMbps runs trials transfers in cell c, trial t in c.At(t), and
+// returns their meanPositive throughput.
+func measureMbps(c engine.Cell, cond phy.Condition, cfg core.Config, dir core.Direction, size, trials int) float64 {
+	mbps := make([]float64, trials)
+	for t := range mbps {
+		mbps[t] = transferMbps(c.At(t), cond, cfg, dir, size)
+	}
+	return meanPositive(mbps)
+}
+
+// meanPositive is the mean of the positive values, summed in order (0
+// when none): a transfer that moved nothing does not count.
+func meanPositive(vals []float64) float64 {
+	sum, n := 0.0, 0
+	for _, v := range vals {
+		if v > 0 {
+			sum += v
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// relDiffPct is |a-b|/b as a percentage; ok is false unless both are
+// positive.
+func relDiffPct(a, b float64) (pct float64, ok bool) {
+	if a <= 0 || b <= 0 {
+		return 0, false
+	}
+	return math.Abs((a-b)/b) * 100, true
 }
 
 // relDiffGrid sweeps an n×trials grid where each cell measures a pair
-// of throughputs, and collects |a-b|/b as a percentage for the cells
-// where both measurements are positive, in row-major (historical
-// nesting) order. Shared by the Fig. 8 sweep and the late-join
-// ablation.
+// of throughputs, and collects their relDiffPct for the cells where
+// both are positive, in row-major order. Shared by the Fig. 8 sweep and
+// the late-join ablation.
 func relDiffGrid(o Options, n, trials int, measure func(i, t int) (a, b float64)) []float64 {
-	type cell struct {
-		rel float64
-		ok  bool
-	}
-	cells := engine.Grid(o, n, trials, func(i, t int) cell {
-		a, b := measure(i, t)
-		if a <= 0 || b <= 0 {
-			return cell{}
-		}
-		d := (a - b) / b
-		if d < 0 {
-			d = -d
-		}
-		return cell{rel: d * 100, ok: true}
+	pairs := engine.Sweep(o, n*trials, func(k int) [2]float64 {
+		a, b := measure(k/trials, k%trials)
+		return [2]float64{a, b}
 	})
 	var rel []float64
-	for _, c := range cells {
-		if c.ok {
-			rel = append(rel, c.rel)
+	for _, p := range pairs {
+		if d, ok := relDiffPct(p[0], p[1]); ok {
+			rel = append(rel, d)
 		}
 	}
 	return rel
@@ -113,7 +134,7 @@ type Figure6Result struct {
 // Figure6 measures 1 MB TCP transfers (both networks, both directions)
 // at each location and compares the difference CDF with Figure 3's.
 func Figure6(o Options) Figure6Result {
-	camp := campaign(o)
+	camp := campaign(o.Cell())
 	appUp, appDown := camp.DiffCDFs()
 
 	trials := o.TrialCount(2)
@@ -122,9 +143,9 @@ func Figure6(o Options) Figure6Result {
 		up, down     float64
 		okUp, okDown bool
 	}
-	cells := engine.Grid(o, n, trials, func(i, t int) cell {
-		loc := phy.Locations[i]
-		s := core.NewSession(seedFor(o.BaseSeed(), loc.ID, t), loc.Condition())
+	cells := engine.Sweep(o, n*trials, func(k int) cell {
+		loc := phy.Locations[k/trials]
+		s := core.NewSession(o.Cell(loc.ID, k%trials).Seed(), loc.Condition())
 		defer s.Close()
 		wifiDown := s.Run(core.Config{Transport: core.TCP, Iface: "wifi"}, core.Download, 1<<20).Mbps
 		wifiUp := s.Run(core.Config{Transport: core.TCP, Iface: "wifi"}, core.Upload, 1<<20).Mbps
@@ -145,19 +166,13 @@ func Figure6(o Options) Figure6Result {
 		}
 	}
 	upCDF, downCDF := stats.NewECDF(up), stats.NewECDF(down)
-	abs := func(x float64) float64 {
-		if x < 0 {
-			return -x
-		}
-		return x
-	}
 	return Figure6Result{
 		AppUp:         sampleCDF(appUp, "App Data uplink", 30),
 		AppDown:       sampleCDF(appDown, "App Data downlink", 30),
 		TwentyUp:      sampleCDF(upCDF, "20-Location uplink", 30),
 		TwentyDown:    sampleCDF(downCDF, "20-Location downlink", 30),
-		MedianGapUp:   abs(upCDF.Median() - appUp.Median()),
-		MedianGapDown: abs(downCDF.Median() - appDown.Median()),
+		MedianGapUp:   math.Abs(upCDF.Median() - appUp.Median()),
+		MedianGapDown: math.Abs(downCDF.Median() - appDown.Median()),
 	}
 }
 
@@ -193,19 +208,15 @@ var figure7Sizes = []int{1, 10, 100, 1000} // KB, the paper's log x-axis
 func Figure7(o Options) Figure7Result {
 	run := func(loc phy.Location) []Figure7Series {
 		cfgs := standardConfigs()
-		mbps := engine.Grid(o, len(cfgs), len(figure7Sizes), func(ci, ki int) float64 {
-			kb := figure7Sizes[ki]
-			return measureMbps(o.Serial(), seedFor(o.BaseSeed(), loc.ID, ci, kb), loc.Condition(),
+		mbps := engine.Sweep(o, len(cfgs)*len(figure7Sizes), func(k int) float64 {
+			ci, kb := k/len(figure7Sizes), figure7Sizes[k%len(figure7Sizes)]
+			return measureMbps(o.Cell(loc.ID, 0).Unpaired(ci).At(kb), loc.Condition(),
 				cfgs[ci], core.Download, kb<<10, o.TrialCount(3))
 		})
 		out := make([]Figure7Series, 0, len(cfgs))
 		for ci, cfg := range cfgs {
-			s := Figure7Series{Config: cfg.Name()}
-			for ki, kb := range figure7Sizes {
-				s.KB = append(s.KB, kb)
-				s.Mbps = append(s.Mbps, mbps[ci*len(figure7Sizes)+ki])
-			}
-			out = append(out, s)
+			out = append(out, Figure7Series{Config: cfg.Name(), KB: figure7Sizes,
+				Mbps: mbps[ci*len(figure7Sizes) : (ci+1)*len(figure7Sizes)]})
 		}
 		return out
 	}
@@ -264,10 +275,10 @@ func Figure8(o Options) Figure8Result {
 	for _, sz := range figure8Sizes {
 		rel := relDiffGrid(o, n, trials, func(i, t int) (float64, float64) {
 			loc := phy.Locations[i]
-			seed := seedFor(o.BaseSeed(), loc.ID, sz.bytes, t)
-			lte := measureMbps(o.Serial(), seed, loc.Condition(),
+			c := o.Cell(loc.ID, sz.bytes, t)
+			lte := measureMbps(c, loc.Condition(),
 				core.Config{Transport: core.MPTCP, Primary: "lte"}, core.Download, sz.bytes, 1)
-			wifi := measureMbps(o.Serial(), seed+1, loc.Condition(),
+			wifi := measureMbps(c.Unpaired(1), loc.Condition(),
 				core.Config{Transport: core.MPTCP, Primary: "wifi"}, core.Download, sz.bytes, 1)
 			return lte, wifi
 		})
@@ -301,13 +312,13 @@ type EvolutionResult struct {
 	FinalMbps float64
 }
 
-// evolution runs one 2-second MPTCP download and extracts the
-// cumulative-average throughput curves. The figures plot payload bytes
-// delivered downlink per interface up to each 100 ms step and nothing
-// else of the trace, so that is all the taps keep: one counter per
-// interface and step.
-func evolution(seed int64, loc phy.Location, primary string) EvolutionResult {
-	s := core.NewSession(seed, loc.Condition())
+// evolution runs one 2-second MPTCP download in cell c's world and
+// extracts the cumulative-average throughput curves. The figures plot
+// payload bytes delivered downlink per interface up to each 100 ms step
+// and nothing else of the trace, so that is all the taps keep: one
+// counter per interface and step.
+func evolution(c engine.Cell, loc phy.Location, primary string) EvolutionResult {
+	s := core.NewSession(c.Seed(), loc.Condition())
 	defer s.Close()
 	const window = 2 * time.Second
 	const step = 100 * time.Millisecond
@@ -369,7 +380,7 @@ func Figure9(o Options) Figure9Result {
 func evolutionPair(o Options, loc phy.Location, tag int) []EvolutionResult {
 	primaries := []string{"wifi", "lte"}
 	return engine.Sweep(o, len(primaries), func(i int) EvolutionResult {
-		return evolution(seedFor(o.BaseSeed(), tag, i+1), loc, primaries[i])
+		return evolution(o.Cell(tag, 1).Unpaired(i), loc, primaries[i])
 	})
 }
 
@@ -430,10 +441,11 @@ func flowSizeSweep(o Options, loc phy.Location, tag int) FlowSizeSweepResult {
 	type pair struct{ lte, wifi float64 }
 	pairs := engine.Sweep(o, len(kbs), func(i int) pair {
 		kb := kbs[i]
+		c := o.Cell(tag, loc.ID, kb, 0)
 		return pair{
-			lte: measureMbps(o.Serial(), seedFor(o.BaseSeed(), tag, loc.ID, kb, 0), loc.Condition(),
+			lte: measureMbps(c, loc.Condition(),
 				core.Config{Transport: core.MPTCP, Primary: "lte"}, core.Download, kb<<10, trials),
-			wifi: measureMbps(o.Serial(), seedFor(o.BaseSeed(), tag, loc.ID, kb, 1), loc.Condition(),
+			wifi: measureMbps(c.Unpaired(1), loc.Condition(),
 				core.Config{Transport: core.MPTCP, Primary: "wifi"}, core.Download, kb<<10, trials),
 		}
 	})
@@ -497,16 +509,6 @@ func Coupling(o Options) CouplingResult {
 	}
 	trials := o.TrialCount(3)
 	dirs := []core.Direction{core.Download, core.Upload}
-	reldiff := func(a, b float64) (float64, bool) {
-		if a <= 0 || b <= 0 {
-			return 0, false
-		}
-		d := (a - b) / b
-		if d < 0 {
-			d = -d
-		}
-		return d * 100, true
-	}
 	for _, sz := range figure8Sizes {
 		// One sweep cell per (location, direction, trial), flattened with
 		// the location index slowest so samples collect in the historical
@@ -517,7 +519,7 @@ func Coupling(o Options) CouplingResult {
 			dir := dirs[k/trials%len(dirs)]
 			t := k % trials
 			loc := phy.LocationByID(id)
-			seed := seedFor(o.BaseSeed(), 1314, id, sz.bytes, int(dir), t)
+			c := o.Cell(1314, id, sz.bytes, int(dir), t, 0)
 			m := map[string]float64{}
 			for ci, cfg := range []core.Config{
 				{Transport: core.MPTCP, Primary: "lte", CC: mptcp.Coupled},
@@ -525,26 +527,24 @@ func Coupling(o Options) CouplingResult {
 				{Transport: core.MPTCP, Primary: "wifi", CC: mptcp.Coupled},
 				{Transport: core.MPTCP, Primary: "wifi", CC: mptcp.Decoupled},
 			} {
-				s := core.NewSession(seedFor(seed, ci), loc.Condition())
-				m[cfg.Primary+"/"+cfg.CC.String()] = s.Run(cfg, dir, sz.bytes).Mbps
-				s.Close()
+				m[cfg.Primary+"/"+cfg.CC.String()] = transferMbps(c.Unpaired(ci), loc.Condition(), cfg, dir, sz.bytes)
 			}
-			var c cell
+			var out cell
 			// rcwnd: same primary, different CC.
-			if d, ok := reldiff(m["lte/decoupled"], m["lte/coupled"]); ok {
-				c.cc = append(c.cc, d)
+			if d, ok := relDiffPct(m["lte/decoupled"], m["lte/coupled"]); ok {
+				out.cc = append(out.cc, d)
 			}
-			if d, ok := reldiff(m["wifi/decoupled"], m["wifi/coupled"]); ok {
-				c.cc = append(c.cc, d)
+			if d, ok := relDiffPct(m["wifi/decoupled"], m["wifi/coupled"]); ok {
+				out.cc = append(out.cc, d)
 			}
 			// rnetwork: same CC, different primary.
-			if d, ok := reldiff(m["lte/coupled"], m["wifi/coupled"]); ok {
-				c.net = append(c.net, d)
+			if d, ok := relDiffPct(m["lte/coupled"], m["wifi/coupled"]); ok {
+				out.net = append(out.net, d)
 			}
-			if d, ok := reldiff(m["lte/decoupled"], m["wifi/decoupled"]); ok {
-				c.net = append(c.net, d)
+			if d, ok := relDiffPct(m["lte/decoupled"], m["wifi/decoupled"]); ok {
+				out.net = append(out.net, d)
 			}
-			return c
+			return out
 		})
 		var ccSamples, netSamples []float64
 		for _, c := range cells {

@@ -54,18 +54,18 @@ const (
 // backupSize is the download both Section 3.6 transfers run: 8 MB.
 const backupSize = 8 << 20
 
-// backupRun runs one 8 MB download over fig15Cond in the given mode,
-// with manipulate (if any) scheduling mid-flow interface changes: one
-// core.Flow whose client never closes. Every packet sent or received on
+// backupRun runs one 8 MB download over fig15Cond in cell c's world, in
+// the given mode, with manipulate (if any) scheduling mid-flow interface
+// changes: one core.Flow whose client never closes. Every packet sent or received on
 // an interface is handed to observe as the interface's index and the
 // instant; Figure 15 keeps the instants, Figure 16 feeds them to energy
 // meters. It returns the completion time, 0 if the transfer did not
 // finish by horizon.
-func backupRun(seed int64, mode mptcp.Mode, primary string, backup []string,
+func backupRun(c engine.Cell, mode mptcp.Mode, primary string, backup []string,
 	horizon time.Duration, manipulate func(sim *simnet.Sim, host *netem.Host),
 	observe func(iface int, t time.Duration)) time.Duration {
 
-	w := core.NewWorld(seed, fig15Cond)
+	w := core.NewWorld(c.Seed(), fig15Cond)
 	defer w.Close()
 	sim, host := w.Sim, w.Host
 	for i, ifc := range host.Ifaces() {
@@ -147,7 +147,7 @@ func Figure15(o Options) Figure15Result {
 		for k := range events {
 			events[k] = make([]time.Duration, 0, 4*backupSize/tcp.MSS+1024)
 		}
-		done := backupRun(seedFor(o.BaseSeed(), 15, i+1), sp.mode, sp.primary, sp.backup,
+		done := backupRun(o.Cell(15, 1).Unpaired(i), sp.mode, sp.primary, sp.backup,
 			sp.horizon, sp.manipulate, func(k int, t time.Duration) { events[k] = append(events[k], t) })
 		p := Fig15Panel{
 			Name:        sp.name,
@@ -271,7 +271,7 @@ func Figure16(o Options) Figure16Result {
 		}
 		var m [2]*energy.Meter
 		m[wifiIface], m[lteIface] = energy.NewMeter(energy.WiFi), energy.NewMeter(energy.LTE)
-		done := backupRun(seedFor(o.BaseSeed(), 16, i+1), mptcp.Backup, primary, []string{backup},
+		done := backupRun(o.Cell(16, 1).Unpaired(i), mptcp.Backup, primary, []string{backup},
 			fig16Horizon, nil, func(k int, t time.Duration) { m[k].OnPacket(t) })
 		return runOut{meters: m, done: done}
 	})

@@ -47,7 +47,7 @@ func Figure17(o Options) Figure17Result {
 	rows := engine.Sweep(o, len(apps.All), func(i int) Figure17Row {
 		app := apps.All[i]
 		rec := replay.Record(app)
-		res := replay.Run(seedFor(o.BaseSeed(), 17, i), fig17Cond, rec,
+		res := replay.Run(o.Cell(17, i).Seed(), fig17Cond, rec,
 			replay.TransportConfig{Name: "WiFi-TCP", Config: core.Config{Transport: core.TCP, Iface: "wifi"}})
 		row := Figure17Row{
 			App:         app.Name,
@@ -115,8 +115,9 @@ type ResponseTimeResult struct {
 }
 
 // responseTimes replays the app over the four representative
-// conditions with the six standard configurations.
-func responseTimes(o Options, app apps.App, tag int) ResponseTimeResult {
+// conditions with the six standard configurations, condition ci in cell
+// c.At(ci).
+func responseTimes(o Options, c engine.Cell, app apps.App) ResponseTimeResult {
 	rec := replay.Record(app)
 	res := ResponseTimeResult{App: app.Name + " " + app.Interaction}
 	tcs := replay.Configs(replay.WiFiLTEPaths())
@@ -124,8 +125,9 @@ func responseTimes(o Options, app apps.App, tag int) ResponseTimeResult {
 		res.Configs = append(res.Configs, tc.Name)
 	}
 	conds := representativeConditions(phy.Location.Condition)
-	secs := engine.Grid(o, len(conds), len(tcs), func(ci, ti int) float64 {
-		r := replay.Run(seedFor(o.BaseSeed(), tag, ci), conds[ci], rec, tcs[ti])
+	secs := engine.Sweep(o, len(conds)*len(tcs), func(k int) float64 {
+		ci := k / len(tcs)
+		r := replay.Run(c.At(ci).Seed(), conds[ci], rec, tcs[k%len(tcs)])
 		if r.Completed {
 			return r.ResponseTime.Seconds()
 		}
@@ -139,10 +141,10 @@ func responseTimes(o Options, app apps.App, tag int) ResponseTimeResult {
 }
 
 // Figure18 replays the short-flow-dominated app (CNN launch).
-func Figure18(o Options) ResponseTimeResult { return responseTimes(o, apps.CNNLaunch, 18) }
+func Figure18(o Options) ResponseTimeResult { return responseTimes(o, o.Cell(18), apps.CNNLaunch) }
 
 // Figure20 replays the long-flow-dominated app (Dropbox click).
-func Figure20(o Options) ResponseTimeResult { return responseTimes(o, apps.DropboxClick, 20) }
+func Figure20(o Options) ResponseTimeResult { return responseTimes(o, o.Cell(20), apps.DropboxClick) }
 
 // String renders the bar-chart data.
 func (r ResponseTimeResult) String() string {
@@ -172,23 +174,23 @@ type OracleResult struct {
 // oracles replays the app over all conditions and evaluates the
 // paper's five oracle schemes.
 func oracles(o Options, app apps.App, tag int) OracleResult {
-	norm, n := replayOracles(o, tag, replayConditions(o), replay.Record(app),
+	norm, n := replayOracles(o, o.Cell(tag), replayConditions(o), replay.Record(app),
 		replay.Configs(replay.WiFiLTEPaths()), paperOracles, paperBaseline)
 	return OracleResult{App: app.Name + " " + app.Interaction, Normalized: norm, Conditions: n}
 }
 
 // replayOracles replays rec under every configuration in each condition,
-// one sweep cell per condition, and normalises the schemes' oracles by
+// condition ci in cell c.At(ci), and normalises the schemes' oracles by
 // the baseline configuration (oracle.NormalizedBy). A condition where
 // any replay fails to complete contributes nothing, so every scheme
 // averages over the same fully measured set; the second return is its
 // size.
-func replayOracles(o Options, tag int, conds []phy.Condition, rec *replay.Recording,
+func replayOracles(o Options, c engine.Cell, conds []phy.Condition, rec *replay.Recording,
 	tcs []replay.TransportConfig, schemes []oracle.PathScheme, baseline string) (map[string]float64, int) {
 	perCond := engine.Sweep(o, len(conds), func(ci int) map[string]time.Duration {
 		per := map[string]time.Duration{}
 		for _, tc := range tcs {
-			r := replay.Run(seedFor(o.BaseSeed(), tag, ci), conds[ci], rec, tc)
+			r := replay.Run(c.At(ci).Seed(), conds[ci], rec, tc)
 			if !r.Completed {
 				return nil
 			}
