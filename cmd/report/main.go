@@ -11,6 +11,8 @@
 //
 //	report [-seed N] [-quick] [-par N] [-only name[,name...]] [-json] [-list]
 //
+// -seed must be nonzero and -par at least 0; either is refused with
+// exit status 2, as an unknown -only name is.
 // -quick runs the reduced test-sized sweeps (useful to smoke-test the
 // pipeline; the recorded numbers in EXPERIMENTS.md use the full runs).
 // -par sets the sweep worker-pool size (default GOMAXPROCS); results
@@ -62,6 +64,18 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit results as JSON on stdout")
 	list := flag.Bool("list", false, "list registered experiments and exit")
 	flag.Parse()
+
+	// engine.Options reads a zero seed as DefaultSeed and a pool below one
+	// as GOMAXPROCS, so -seed 0 would run seed 2014 and -par -3 GOMAXPROCS
+	// workers, each without a word.
+	if *seed == 0 {
+		fmt.Fprintf(os.Stderr, "-seed 0: the engine reads 0 as the default seed %d; pass a nonzero seed\n", engine.DefaultSeed)
+		os.Exit(2)
+	}
+	if *par < 0 {
+		fmt.Fprintf(os.Stderr, "-par %d: want 0 (GOMAXPROCS) or a worker count\n", *par)
+		os.Exit(2)
+	}
 
 	if *list {
 		banner := scenarioBanner()

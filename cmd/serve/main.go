@@ -41,7 +41,7 @@ func main() {
 		"maximum wait for in-flight requests after listeners close")
 	flag.Parse()
 
-	store := selector.NewStore(selector.StoreConfig{
+	cfg := selector.StoreConfig{
 		Shards:     *shards,
 		HalfLife:   *halfLife,
 		Gain:       *gain,
@@ -52,7 +52,14 @@ func main() {
 			HoLAwareDisparity: *holAware,
 			PreferCoupled:     *coupled,
 		},
-	})
+	}
+	if bad := badFlags(cfg); len(bad) > 0 {
+		for _, msg := range bad {
+			fmt.Fprintln(os.Stderr, "serve:", msg)
+		}
+		os.Exit(2)
+	}
+	store := selector.NewStore(cfg)
 	srv := httpd.New(httpd.Config{Store: store})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -92,4 +99,33 @@ func main() {
 	st := srv.StatsSnapshot()
 	fmt.Printf("serve: handled %d decides, %d telemetry samples across %d sites\n",
 		st.Decides, st.Telemetry, st.Sites)
+}
+
+// badFlags returns one message per flag whose value the store would
+// otherwise replace by its default without a word, or (for -shards past
+// selector.MaxShards) refuse with a panic. Zero keeps each default.
+func badFlags(cfg selector.StoreConfig) []string {
+	var bad []string
+	if cfg.Shards < 0 || cfg.Shards > selector.MaxShards {
+		bad = append(bad, fmt.Sprintf("-shards %d: want 0 (default) to %d", cfg.Shards, selector.MaxShards))
+	}
+	if !(cfg.Gain >= 0 && cfg.Gain <= 1) {
+		bad = append(bad, fmt.Sprintf("-gain %v: want 0 (default) or a value in (0, 1]", cfg.Gain))
+	}
+	if cfg.HalfLife < 0 {
+		bad = append(bad, fmt.Sprintf("-half-life %v: want 0 (default) or more", cfg.HalfLife))
+	}
+	if cfg.StaleAfter < 0 {
+		bad = append(bad, fmt.Sprintf("-stale-after %v: want 0 (default) or more", cfg.StaleAfter))
+	}
+	if cfg.Policy.ShortFlowBytes < 0 {
+		bad = append(bad, fmt.Sprintf("-short-flow-bytes %d: want 0 (default) or more", cfg.Policy.ShortFlowBytes))
+	}
+	if !(cfg.Policy.MaxDisparity >= 0) {
+		bad = append(bad, fmt.Sprintf("-max-disparity %v: want 0 (default) or more", cfg.Policy.MaxDisparity))
+	}
+	if !(cfg.Policy.HoLAwareDisparity >= 0) {
+		bad = append(bad, fmt.Sprintf("-holaware-disparity %v: want 0 (never) or more", cfg.Policy.HoLAwareDisparity))
+	}
+	return bad
 }

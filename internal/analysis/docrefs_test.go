@@ -26,6 +26,13 @@ var (
 	goRefRe   = regexp.MustCompile(`^\(?\*?([a-z][a-z0-9]*)\.([A-Za-z_]\w*)\)?(?:\.([A-Za-z_]\w*))?(?:\(\))?$`)
 	fileRefRe = regexp.MustCompile(`([\w./-]*\w\.go):(\d+)(?:[–-](\d+))?`)
 	runFlagRe = regexp.MustCompile(`-(?:run|fuzz)\s+(?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
+	// designCiteRe is a DESIGN.md section cited by its quoted heading,
+	// seeRe a cross-reference inside DESIGN.md, and wrapRe a line break
+	// with the indent or comment marker that continues the sentence.
+	designCiteRe = regexp.MustCompile(`DESIGN\.md,?\s+\(?"([A-Z][^"]*)"`)
+	seeRe        = regexp.MustCompile(`\b[Ss]ee "([^"]+)"`)
+	wrapRe       = regexp.MustCompile(`\s*\n\s*(?://\s*)?`)
+	goneRe       = regexp.MustCompile(`\(gone in PR (\d+)\)`)
 )
 
 // goneMarker, right after a citation, marks a name the code no longer
@@ -35,9 +42,13 @@ const goneMarker = "(gone in PR"
 // TestDocReferencesResolve checks what the prose docs cite against the
 // code: every backticked Go reference resolves in the module's packages
 // or a standard-library package they import, unless it is the name of a
-// benchmark metric, and every file.go:line names a line that exists. It also checks the CI workflows: every name
-// in a -run or -fuzz list matches a Test or Fuzz function, since a stale
-// name makes go test run nothing and pass.
+// benchmark metric, and every file.go:line names a line that exists.
+// Every DESIGN.md section cited by its quoted heading, from the docs,
+// the verify skill or a Go comment, is a heading DESIGN.md has, and
+// every "(gone in PR N)" names a PR that CHANGES.md has an entry for. It
+// also checks the CI workflows: every name in a -run or -fuzz list
+// matches a Test or Fuzz function, since a stale name makes go test run
+// nothing and pass.
 func TestDocReferencesResolve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole repository")
@@ -80,8 +91,9 @@ func TestDocReferencesResolve(t *testing.T) {
 		metrics[m.Name] = true
 	}
 
-	lines := map[string]int{} // every .go file by slash path from the root, and its line count
-	var tests []string        // every Test and Fuzz function
+	lines := map[string]int{}    // every .go file by slash path from the root, and its line count
+	var tests []string           // every Test and Fuzz function
+	cites := map[string]string{} // the text of every file that may cite a DESIGN.md section, by path
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root {
@@ -99,6 +111,7 @@ func TestDocReferencesResolve(t *testing.T) {
 		}
 		rel, _ := filepath.Rel(root, path)
 		lines[filepath.ToSlash(rel)] = strings.Count(string(src), "\n")
+		cites[filepath.ToSlash(rel)] = string(src)
 		if strings.HasSuffix(path, "_test.go") {
 			f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
 			if err != nil {
@@ -149,6 +162,22 @@ func TestDocReferencesResolve(t *testing.T) {
 		}
 	}
 
+	// The walk above skips dot-directories, so the verify skill is read
+	// by name.
+	for _, doc := range append(citingDocs, ".claude/skills/verify/SKILL.md") {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cites[doc] = string(src)
+	}
+	checkSectionCites(t, cites)
+	changes, err := os.ReadFile(filepath.Join(root, "CHANGES.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGoneMarkers(t, cites, string(changes))
+
 	workflows, _ := filepath.Glob(filepath.Join(root, ".github/workflows/*.yml"))
 	if len(workflows) == 0 {
 		t.Fatal("no CI workflow found")
@@ -164,6 +193,57 @@ func TestDocReferencesResolve(t *testing.T) {
 			}
 			for _, m := range runFlagRe.FindAllStringSubmatch(line, -1) {
 				checkRunList(t, filepath.Base(wf), m[1]+m[2]+m[3], tests)
+			}
+		}
+	}
+}
+
+// checkSectionCites reports each DESIGN.md section that one of docs
+// (file text by path) cites by a heading DESIGN.md does not have. A
+// citation may stop before the heading's parenthesis: "Enforced
+// invariants" cites "Enforced invariants (multinetlint)". A quote may
+// wrap across lines, in prose or in a Go comment.
+func checkSectionCites(t *testing.T, docs map[string]string) {
+	t.Helper()
+	var headings []string
+	for _, line := range strings.Split(docs["DESIGN.md"], "\n") {
+		if strings.HasPrefix(line, "#") {
+			headings = append(headings, strings.TrimSpace(strings.TrimLeft(line, "#")))
+		}
+	}
+	for path, text := range docs {
+		text = wrapRe.ReplaceAllString(text, " ")
+		quoted := designCiteRe.FindAllStringSubmatch(text, -1)
+		if path == "DESIGN.md" {
+			quoted = append(quoted, seeRe.FindAllStringSubmatch(text, -1)...)
+		}
+		for _, q := range quoted {
+			if !hasHeading(headings, q[1]) {
+				t.Errorf("%s: %s cites no DESIGN.md heading", path, q[0])
+			}
+		}
+	}
+}
+
+// hasHeading reports whether cite is one of headings, or one of them up
+// to its parenthesis.
+func hasHeading(headings []string, cite string) bool {
+	for _, h := range headings {
+		if h == cite || strings.HasPrefix(h, cite+" (") {
+			return true
+		}
+	}
+	return false
+}
+
+// checkGoneMarkers reports each "(gone in PR N)" in docs whose PR has no
+// "- PR N:" entry in changes, the text of CHANGES.md.
+func checkGoneMarkers(t *testing.T, docs map[string]string, changes string) {
+	t.Helper()
+	for path, text := range docs {
+		for _, m := range goneRe.FindAllStringSubmatch(text, -1) {
+			if !strings.Contains(changes, "\n- PR "+m[1]+":") {
+				t.Errorf("%s: %s names a PR with no entry in CHANGES.md", path, m[0])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package selector
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -166,11 +167,19 @@ type StoreConfig struct {
 	Policy Selector
 }
 
-// NewStore builds an empty sharded store.
+// MaxShards is the largest shard count a Store takes: 4,096 shards are
+// about 1 MB before the first site arrives.
+const MaxShards = 4096
+
+// NewStore builds an empty sharded store. It panics on more than
+// MaxShards shards.
 func NewStore(cfg StoreConfig) *Store {
 	n := cfg.Shards
 	if n <= 0 {
 		n = 64
+	}
+	if n > MaxShards {
+		panic(fmt.Sprintf("selector: %d shards, want at most MaxShards (%d)", n, MaxShards))
 	}
 	// Round up to a power of two so shard selection is a mask.
 	pow := 1

@@ -2,6 +2,7 @@ package selector
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -143,6 +144,22 @@ func TestStoreShardRounding(t *testing.T) {
 	}
 	if n := testStore(StoreConfig{}).ShardCount(); n != 64 {
 		t.Fatalf("default shards = %d, want 64", n)
+	}
+	if n := testStore(StoreConfig{Shards: MaxShards}).ShardCount(); n != MaxShards {
+		t.Fatalf("MaxShards rounds to %d, want %d", n, MaxShards)
+	}
+	// Past the bound NewStore refuses before it rounds: the rounding
+	// loop never ends for a count above 1<<62, and a count just under
+	// that asks for more shards than any host can hold.
+	for _, n := range []int{MaxShards + 1, math.MaxInt} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MaxShards") {
+					t.Errorf("NewStore with %d shards: recovered %v, want a panic naming MaxShards", n, r)
+				}
+			}()
+			testStore(StoreConfig{Shards: n})
+		}()
 	}
 }
 
