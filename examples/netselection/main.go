@@ -3,7 +3,7 @@
 // when to use single path TCP and when to use MPTCP?").
 //
 // At each of three very different locations it probes both networks,
-// asks the Selector for a configuration per flow size, and compares
+// asks the selector for a configuration per flow size, and compares
 // the result with the static always-WiFi policy (the Android default
 // the paper critiques).
 package main
@@ -31,10 +31,10 @@ func main() {
 		probe := core.NewSession(int64(loc.ID), loc.Condition())
 		est := probe.Probe()
 		fmt.Printf("  probe: wifi %.2f Mbit/s, lte %.2f Mbit/s -> best=%s disparity=%.1fx\n",
-			est.Mbps("wifi"), est.Mbps("lte"), est.Best(), est.Disparity())
+			est.Mbps("wifi"), est.Mbps("lte"), est.Best(), est.PairDisparity())
 
 		for _, size := range sizes {
-			d := selector.Selector{}.Decide(est, size)
+			d := selector.Decide(est, size)
 			cfg := core.ConfigFor(d)
 			chosen := core.NewSession(int64(loc.ID*100), loc.Condition()).Run(cfg, core.Download, size)
 			static := core.NewSession(int64(loc.ID*100), loc.Condition()).

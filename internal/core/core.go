@@ -237,19 +237,14 @@ func stopRun(fs *Flows, f *Flow) {
 
 // ConfigFor maps a selector Decision onto the transfer Config that
 // realises it: single-path TCP on the preferred path, or MPTCP with
-// the preferred path as primary and the decided coupling. The decided
-// scheduler is carried only when it differs from the min-SRTT default,
-// so configuration names (and the output goldens pinning them) name
-// a scheduler only when it is not the default.
+// the preferred path as primary and the decided coupling. The policy
+// decides only the min-SRTT scheduler, the Config default, so the
+// Config leaves it unnamed.
 func ConfigFor(d selector.Decision) Config {
 	if !d.UseMPTCP {
 		return Config{Transport: TCP, Iface: d.Primary()}
 	}
-	cfg := Config{Transport: MPTCP, Primary: d.Primary(), CC: d.CC}
-	if d.Scheduler != "" && d.Scheduler != mptcp.SchedMinSRTT {
-		cfg.Scheduler = d.Scheduler
-	}
-	return cfg
+	return Config{Transport: MPTCP, Primary: d.Primary(), CC: d.CC}
 }
 
 // probeSize is the transfer used per network by Session.Probe.

@@ -184,27 +184,24 @@ func TestProbeEstimates(t *testing.T) {
 }
 
 func TestSelectorShortFlow(t *testing.T) {
-	sel := selector.Selector{}
 	est := wifiLTE(3, 9, 0, 0)
-	cfg := ConfigFor(sel.Decide(est, 50_000))
+	cfg := ConfigFor(selector.Decide(est, 50_000))
 	if cfg.Transport != TCP || cfg.Iface != "lte" {
 		t.Fatalf("short flow choice = %+v, want LTE-TCP", cfg)
 	}
 }
 
 func TestSelectorLongFlowComparablePaths(t *testing.T) {
-	sel := selector.Selector{}
 	est := wifiLTE(6, 5, 0, 0)
-	cfg := ConfigFor(sel.Decide(est, 5<<20))
+	cfg := ConfigFor(selector.Decide(est, 5<<20))
 	if cfg.Transport != MPTCP || cfg.Primary != "wifi" || cfg.CC != mptcp.Decoupled {
 		t.Fatalf("long flow choice = %+v, want MPTCP wifi-primary decoupled", cfg)
 	}
 }
 
 func TestSelectorLongFlowDisparatePaths(t *testing.T) {
-	sel := selector.Selector{}
 	est := wifiLTE(1, 10, 0, 0)
-	cfg := ConfigFor(sel.Decide(est, 5<<20))
+	cfg := ConfigFor(selector.Decide(est, 5<<20))
 	if cfg.Transport != TCP || cfg.Iface != "lte" {
 		t.Fatalf("disparate-path choice = %+v, want LTE-TCP (Fig. 7a regime)", cfg)
 	}
@@ -220,7 +217,7 @@ func TestSelectorBeatsWorstStaticPolicy(t *testing.T) {
 	)
 	probe := NewSession(6, cond)
 	est := probe.Probe()
-	cfg := ConfigFor(selector.Selector{}.Decide(est, 1<<20))
+	cfg := ConfigFor(selector.Decide(est, 1<<20))
 
 	chosen := NewSession(7, cond).Run(cfg, Download, 1<<20)
 	wifi := NewSession(7, cond).Run(Config{Transport: TCP, Iface: "wifi"}, Download, 1<<20)
@@ -234,15 +231,15 @@ func TestSelectorBeatsWorstStaticPolicy(t *testing.T) {
 
 func TestEstimateHelpers(t *testing.T) {
 	e := wifiLTE(4, 8, 0, 0)
-	if e.Disparity() != 2 {
-		t.Fatalf("disparity = %v, want 2", e.Disparity())
+	if e.PairDisparity() != 2 {
+		t.Fatalf("disparity = %v, want 2", e.PairDisparity())
 	}
 	tie := wifiLTE(5, 5, 30*time.Millisecond, 60*time.Millisecond)
 	if tie.Best() != "wifi" {
 		t.Fatal("tie should prefer lower RTT (wifi)")
 	}
 	zero := wifiLTE(0, 5, 0, 0)
-	if zero.Disparity() < 1e6 {
+	if zero.PairDisparity() < 1e6 {
 		t.Fatal("zero estimate should give infinite disparity")
 	}
 }
@@ -264,21 +261,21 @@ func TestEstimateEdgeCases(t *testing.T) {
 	if even.Best() != "a" {
 		t.Fatalf("Best = %q, want first-listed path on full tie", even.Best())
 	}
-	// Zero-rate path poisons the whole-set disparity...
+	// A zero-rate second path gives an infinite disparity...
 	z := selector.Estimate{Paths: []selector.PathEstimate{
 		{Name: "up", Mbps: 10},
 		{Name: "dead", Mbps: 0},
 	}}
-	if z.Disparity() < 1e6 {
-		t.Fatalf("disparity with dead path = %v, want huge", z.Disparity())
+	if z.PairDisparity() < 1e6 {
+		t.Fatalf("disparity with dead path = %v, want huge", z.PairDisparity())
 	}
 	// ...and empty / single-path estimates never admit MPTCP.
-	if (selector.Estimate{}).Disparity() < 1e6 || (selector.Estimate{}).Best() != "" {
+	if (selector.Estimate{}).PairDisparity() < 1e6 || (selector.Estimate{}).Best() != "" {
 		t.Fatal("empty estimate: want huge disparity and no best path")
 	}
 	one := selector.Estimate{Paths: []selector.PathEstimate{{Name: "only", Mbps: 7}}}
-	if one.Disparity() < 1e6 || one.PairDisparity() < 1e6 {
-		t.Fatal("single path: want huge disparities")
+	if one.PairDisparity() < 1e6 {
+		t.Fatal("single path: want a huge disparity")
 	}
 	if one.Best() != "only" {
 		t.Fatalf("Best = %q, want only", one.Best())
@@ -301,24 +298,20 @@ func TestEstimateNPathRanking(t *testing.T) {
 	if e.Best() != "wlan-near" {
 		t.Fatalf("Best = %q", e.Best())
 	}
-	// Whole-set disparity sees the weak fourth path; the pairwise one
-	// only compares the two best.
-	if d := e.Disparity(); d != 6 {
-		t.Fatalf("Disparity = %v, want 12/2", d)
-	}
+	// The disparity compares only the two best paths, not the weak
+	// fourth one.
 	if d := e.PairDisparity(); d != 12.0/9 {
 		t.Fatalf("PairDisparity = %v, want 12/9", d)
 	}
 	// A straggler path must not veto MPTCP over the two good paths.
-	sel := selector.Selector{}
-	if !sel.Decide(e, 5<<20).UseMPTCP {
+	if !selector.Decide(e, 5<<20).UseMPTCP {
 		t.Fatal("long flow over comparable best pair should use MPTCP")
 	}
-	cfg := ConfigFor(sel.Decide(e, 5<<20))
+	cfg := ConfigFor(selector.Decide(e, 5<<20))
 	if cfg.Transport != MPTCP || cfg.Primary != "wlan-near" {
 		t.Fatalf("ConfigFor = %+v, want MPTCP primary wlan-near", cfg)
 	}
-	if sel.Decide(e, 10<<10).UseMPTCP {
+	if selector.Decide(e, 10<<10).UseMPTCP {
 		t.Fatal("short flow should stay single-path")
 	}
 }

@@ -161,7 +161,7 @@ func AblationSelector(o Options) AblationSelectorResult {
 		"adaptive-selector": func(est selector.Estimate, size int) core.Config {
 			// The same Decide path the online service queries
 			// (internal/selector → internal/serve): no forked logic.
-			return core.ConfigFor(selector.Selector{}.Decide(est, size))
+			return core.ConfigFor(selector.Decide(est, size))
 		},
 		"always-wifi": func(selector.Estimate, int) core.Config {
 			return core.Config{Transport: core.TCP, Iface: "wifi"}

@@ -91,7 +91,7 @@ func runScenarioVariants(o Options, tag int, variants []scenarioVariant) []Scena
 				v.cfgs[ci], core.Download, scenarioSizesKB[si]<<10, trials)
 		})
 		for si, kb := range scenarioSizesKB {
-			res.Decisions = append(res.Decisions, core.ConfigFor(selector.Selector{}.Decide(est, kb<<10)).Name())
+			res.Decisions = append(res.Decisions, core.ConfigFor(selector.Decide(est, kb<<10)).Name())
 			res.Mbps = append(res.Mbps, grid[si*len(v.cfgs):(si+1)*len(v.cfgs)])
 		}
 		last := res.Mbps[len(res.Mbps)-1]

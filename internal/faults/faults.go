@@ -5,12 +5,8 @@
 // the same schedule attached to the same simulation produces the same
 // event sequence bit for bit, at any worker count, because episodes
 // become ordinary simulator events with the usual deterministic
-// tie-breaking.
-//
-// The package also carries the runtime invariant checker (see
-// check.go): conservation of packets on every link, exactly-once
-// delivery and no stranded mapping records on every MPTCP connection,
-// and zero pooled-object leaks once a run has drained.
+// tie-breaking. The invariants a faulted world must still keep are
+// checked by the world's own audit when it closes (core.World.Close).
 package faults
 
 import (

@@ -1,6 +1,9 @@
 package selector
 
-import "sort"
+import (
+	"sort"
+	"strconv"
+)
 
 // SiteNames returns every known site name, sorted (diagnostics; takes
 // every shard lock in turn).
@@ -16,4 +19,16 @@ func (st *Store) SiteNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// onShard returns name, or name with the smallest suffix "-k" that puts
+// it, on the store's fixed shard count, on shard i: tests that need
+// sites to share a shard, or to spread over several, pick their names
+// through it.
+func (st *Store) onShard(i int, name string) string {
+	b := []byte(name)
+	for k := 0; st.shardOf(b) != &st.shards[i]; k++ {
+		b = strconv.AppendInt(append(b[:len(name)], '-'), int64(k+1), 10)
+	}
+	return string(b)
 }

@@ -8,13 +8,13 @@
 // The package has three layers:
 //
 //   - Estimate/PathEstimate describe the current per-path conditions
-//     of one multi-homed client, in preference order (EstimateOf is
-//     the N-path constructor).
-//   - Selector is the policy; Decide evaluates it over an estimate
-//     and returns a Decision (paths in preference order, UseMPTCP,
-//     congestion coupling, scheduler, and the disparity rationale).
-//     DecideInto is the allocation-free form the service's hot path
-//     uses with pooled Decisions.
+//     of one multi-homed client, any number of paths in preference
+//     order.
+//   - Decide evaluates the policy over an estimate and returns a
+//     Decision (paths in preference order, UseMPTCP, congestion
+//     coupling, scheduler, and the disparity rationale). DecideInto is
+//     the allocation-free form the service's hot path uses with pooled
+//     Decisions.
 //   - Store holds sharded per-site estimates with exponential decay
 //     (store.go) — the state behind cmd/serve.
 //
@@ -114,32 +114,10 @@ func (e Estimate) Best() string {
 	return r[0].Name
 }
 
-// Disparity returns max/min of the per-path throughput estimates
-// across the whole set (hugeDisparity when any path reports zero or
-// fewer than two paths exist).
-func (e Estimate) Disparity() float64 {
-	if len(e.Paths) < 2 {
-		return hugeDisparity
-	}
-	lo, hi := e.Paths[0].Mbps, e.Paths[0].Mbps
-	for _, p := range e.Paths[1:] {
-		if p.Mbps < lo {
-			lo = p.Mbps
-		}
-		if p.Mbps > hi {
-			hi = p.Mbps
-		}
-	}
-	if lo <= 0 {
-		return hugeDisparity
-	}
-	return hi / lo
-}
-
 // PairDisparity returns the throughput ratio of the best path to the
 // second-best — the quantity that decides whether MPTCP's extra
-// subflow can help. With exactly two paths it equals Disparity; with
-// more it ignores paths MPTCP's scheduler would starve anyway.
+// subflow can help. With more than two paths it ignores the paths
+// MPTCP's scheduler would starve anyway.
 func (e Estimate) PairDisparity() float64 {
 	r := e.Ranked()
 	if len(r) < 2 || r[1].Mbps <= 0 {
@@ -163,11 +141,6 @@ const (
 	// RationaleAggregate: long flow over a comparable best pair —
 	// MPTCP aggregates (paper Fig. 8).
 	RationaleAggregate = "aggregate"
-	// RationaleHoLAware: as RationaleAggregate, but the residual
-	// disparity is high enough that a HoL-aware scheduler is
-	// recommended over min-SRTT (BLEST/ECF regime, cf. the
-	// rate-splitting oracle of Dione et al., arXiv:1706.04714).
-	RationaleHoLAware = "holaware"
 	// RationaleStaleTelemetry: every path estimate has been silent for
 	// longer than the store's staleness floor, so the ranking is a
 	// memory, not a measurement. The decision degrades to single-path
@@ -190,8 +163,8 @@ type Decision struct {
 	// UseMPTCP reports whether MPTCP across the best pair beats the
 	// best single path.
 	UseMPTCP bool
-	// CC is the recommended congestion coupling (meaningful only when
-	// UseMPTCP).
+	// CC is the recommended congestion coupling, always decoupled
+	// (Figs. 13/14; meaningful only when UseMPTCP).
 	CC mptcp.CongestionMode
 	// Scheduler is the recommended MPTCP data scheduler (meaningful
 	// only when UseMPTCP).
@@ -216,8 +189,8 @@ func (d *Decision) Primary() string {
 	return d.Paths[0]
 }
 
-// Selector is the adaptive policy the paper's conclusion calls for,
-// assembled from its empirical findings:
+// The policy is the paper's conclusion, assembled from its empirical
+// findings, and these are its two thresholds:
 //
 //   - Short flows gain nothing from MPTCP (Figs. 7, 18/19): use
 //     single-path TCP on the better network.
@@ -225,49 +198,29 @@ func (d *Decision) Primary() string {
 //     forms the better single path at every size (Fig. 7a): stay
 //     single-path.
 //   - Otherwise, long flows benefit from MPTCP with the primary on the
-//     better network (Fig. 8) and decoupled congestion control, which
-//     outruns coupled on long flows (Figs. 13/14).
+//     better network (Fig. 8), the min-SRTT scheduler and decoupled
+//     congestion control, which outruns coupled on long flows
+//     (Figs. 13/14).
 //
 // The policy ranks any number of paths: MPTCP is worthwhile when the
 // best two paths are comparable, whatever the rest of the set does.
-type Selector struct {
-	// ShortFlowBytes is the flow size below which single-path TCP is
-	// always chosen (default 200 KB — between the paper's 100 KB
-	// "short" and 1 MB "long" sizes).
-	ShortFlowBytes int
-	// MaxDisparity is the largest path-rate ratio at which MPTCP is
-	// still worthwhile (default 4, from the Fig. 7a regime).
-	MaxDisparity float64
-	// PreferCoupled selects coupled CC for long flows (fairness over
-	// raw throughput); default false per Figs. 13/14.
-	PreferCoupled bool
-	// HoLAwareDisparity, when positive, recommends the HoL-aware
-	// scheduler instead of min-SRTT once an accepted pair's disparity
-	// reaches it (the BLEST/ECF regime scenario-schedulers measures).
-	// Zero disables the scheduler escalation — the default, which the
-	// experiment goldens pin.
-	HoLAwareDisparity float64
-}
-
-func (s Selector) shortFlowBytes() int {
-	if s.ShortFlowBytes > 0 {
-		return s.ShortFlowBytes
-	}
-	return 200 << 10
-}
-
-func (s Selector) maxDisparity() float64 {
-	if s.MaxDisparity > 0 {
-		return s.MaxDisparity
-	}
-	return 4
-}
+const (
+	// shortFlowBytes is the flow size at or below which single-path TCP
+	// is always chosen: 200 KB, between the paper's 100 KB "short" and
+	// 1 MB "long" sizes (Figs. 7, 18/19).
+	shortFlowBytes = 200 << 10
+	// maxDisparity is the largest best-to-second-best rate ratio at
+	// which MPTCP is still worthwhile (the Fig. 7a regime; Mohan et
+	// al., arXiv:1909.02601, see the same collapse on disparate
+	// dual-LTE carriers).
+	maxDisparity = 4
+)
 
 // Decide evaluates the policy for a flow of the given size under the
 // estimated conditions.
-func (s Selector) Decide(e Estimate, flowBytes int) Decision {
+func Decide(e Estimate, flowBytes int) Decision {
 	var d Decision
-	s.DecideInto(&d, e, flowBytes)
+	DecideInto(&d, e, flowBytes)
 	return d
 }
 
@@ -278,7 +231,7 @@ func (s Selector) Decide(e Estimate, flowBytes int) Decision {
 // allocates again.
 //
 //multinet:hotpath
-func (s Selector) DecideInto(d *Decision, e Estimate, flowBytes int) {
+func DecideInto(d *Decision, e Estimate, flowBytes int) {
 	d.Paths = d.Paths[:0] //lint:allow hotpath Paths capacity is amortised by the pooled Decision
 	d.UseMPTCP = false
 	d.CC = mptcp.Decoupled
@@ -308,20 +261,13 @@ func (s Selector) DecideInto(d *Decision, e Estimate, flowBytes int) {
 	}
 
 	switch {
-	case flowBytes <= s.shortFlowBytes():
+	case flowBytes <= shortFlowBytes:
 		d.Rationale = RationaleShortFlow
-	case d.PairDisparity > s.maxDisparity():
+	case d.PairDisparity > maxDisparity:
 		d.Rationale = RationaleDisparity
 	default:
 		d.UseMPTCP = true
-		if s.PreferCoupled {
-			d.CC = mptcp.Coupled
-		}
 		d.Scheduler = mptcp.SchedMinSRTT
 		d.Rationale = RationaleAggregate
-		if s.HoLAwareDisparity > 0 && d.PairDisparity >= s.HoLAwareDisparity {
-			d.Scheduler = mptcp.SchedHoLAware
-			d.Rationale = RationaleHoLAware
-		}
 	}
 }

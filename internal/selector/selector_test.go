@@ -16,7 +16,7 @@ func pair(aMbps, bMbps float64) Estimate {
 }
 
 func TestDecideShortFlow(t *testing.T) {
-	d := Selector{}.Decide(pair(3, 9), 50_000)
+	d := Decide(pair(3, 9), 50_000)
 	if d.UseMPTCP {
 		t.Fatal("short flow must stay single-path")
 	}
@@ -32,7 +32,7 @@ func TestDecideShortFlow(t *testing.T) {
 }
 
 func TestDecideLongFlowComparable(t *testing.T) {
-	d := Selector{}.Decide(pair(6, 5), 5<<20)
+	d := Decide(pair(6, 5), 5<<20)
 	if !d.UseMPTCP || d.Primary() != "wifi" || d.CC != mptcp.Decoupled {
 		t.Fatalf("decision = %+v, want MPTCP wifi-primary decoupled", d)
 	}
@@ -48,7 +48,7 @@ func TestDecideLongFlowComparable(t *testing.T) {
 }
 
 func TestDecideDisparatePaths(t *testing.T) {
-	d := Selector{}.Decide(pair(1, 10), 5<<20)
+	d := Decide(pair(1, 10), 5<<20)
 	if d.UseMPTCP || d.Primary() != "lte" {
 		t.Fatalf("decision = %+v, want single-path lte (Fig. 7a regime)", d)
 	}
@@ -58,7 +58,7 @@ func TestDecideDisparatePaths(t *testing.T) {
 }
 
 func TestDecideEmptyEstimate(t *testing.T) {
-	d := Selector{}.Decide(Estimate{}, 5<<20)
+	d := Decide(Estimate{}, 5<<20)
 	if d.UseMPTCP || d.Primary() != "" || len(d.Paths) != 0 {
 		t.Fatalf("decision = %+v, want empty no-MPTCP", d)
 	}
@@ -67,31 +67,26 @@ func TestDecideEmptyEstimate(t *testing.T) {
 	}
 }
 
-func TestDecidePreferCoupled(t *testing.T) {
-	d := Selector{PreferCoupled: true}.Decide(pair(6, 5), 5<<20)
-	if !d.UseMPTCP || d.CC != mptcp.Coupled {
-		t.Fatalf("decision = %+v, want coupled CC", d)
-	}
-}
-
-func TestDecideHoLAwareEscalation(t *testing.T) {
-	s := Selector{HoLAwareDisparity: 2}
-	// Disparity 3 is inside the MPTCP bound (4) but past the HoL-aware
-	// escalation point.
-	d := s.Decide(pair(9, 3), 5<<20)
-	if !d.UseMPTCP || d.Scheduler != mptcp.SchedHoLAware {
-		t.Fatalf("decision = %+v, want holaware scheduler", d)
-	}
-	if d.Rationale != RationaleHoLAware {
-		t.Fatalf("rationale = %q", d.Rationale)
-	}
-	// Near-equal pair stays on min-SRTT.
-	if d := s.Decide(pair(6, 5), 5<<20); d.Scheduler != mptcp.SchedMinSRTT {
-		t.Fatalf("scheduler = %q, want minsrtt for near-equal pair", d.Scheduler)
-	}
-	// Default policy never escalates: the experiment goldens pin this.
-	if d := (Selector{}).Decide(pair(9, 3), 5<<20); d.Scheduler != mptcp.SchedMinSRTT {
-		t.Fatalf("default policy escalated scheduler to %q", d.Scheduler)
+// TestDecideThresholds pins the policy's two constants at their edges:
+// a flow of exactly 200 KB stays single-path and one byte more may not,
+// and a pair exactly 4x apart still aggregates while a wider one does
+// not.
+func TestDecideThresholds(t *testing.T) {
+	for _, c := range []struct {
+		e         Estimate
+		flowBytes int
+		mptcp     bool
+		rationale string
+	}{
+		{pair(6, 5), 200 << 10, false, RationaleShortFlow},
+		{pair(6, 5), 200<<10 + 1, true, RationaleAggregate},
+		{pair(8, 2), 5 << 20, true, RationaleAggregate},
+		{pair(8.001, 2), 5 << 20, false, RationaleDisparity},
+	} {
+		d := Decide(c.e, c.flowBytes)
+		if d.UseMPTCP != c.mptcp || d.Rationale != c.rationale {
+			t.Errorf("Decide(%v, %d) = %+v, want UseMPTCP %v, rationale %q", c.e.Paths, c.flowBytes, d, c.mptcp, c.rationale)
+		}
 	}
 }
 
@@ -105,7 +100,7 @@ func TestDecideMatchesRanked(t *testing.T) {
 		{Name: "d", Mbps: 9, RTT: 45 * time.Millisecond},
 		{Name: "e", Mbps: 0, RTT: 0},
 	}}
-	d := Selector{}.Decide(e, 5<<20)
+	d := Decide(e, 5<<20)
 	ranked := e.Ranked()
 	if len(d.Paths) != len(ranked) {
 		t.Fatalf("paths %v vs ranked %v", d.Paths, ranked)
@@ -123,10 +118,9 @@ func TestDecideMatchesRanked(t *testing.T) {
 func TestDecideIntoReusesCapacity(t *testing.T) {
 	e := pair(6, 5)
 	var d Decision
-	s := Selector{}
-	s.DecideInto(&d, e, 5<<20)
+	DecideInto(&d, e, 5<<20)
 	if testing.AllocsPerRun(100, func() {
-		s.DecideInto(&d, e, 5<<20)
+		DecideInto(&d, e, 5<<20)
 	}) != 0 {
 		t.Fatal("warm DecideInto must not allocate")
 	}
@@ -158,9 +152,8 @@ func TestEstimateManyPaths(t *testing.T) {
 // mptcp builds.
 func TestDecidedSchedulersExist(t *testing.T) {
 	known := mptcp.Schedulers()
-	s := Selector{HoLAwareDisparity: 2}
 	for _, e := range []Estimate{pair(6, 5), pair(9, 3)} {
-		d := s.Decide(e, 5<<20)
+		d := Decide(e, 5<<20)
 		if !d.UseMPTCP || !slices.Contains(known[:], d.Scheduler) {
 			t.Errorf("Decide(%v) = %+v: scheduler %q is not one of %v", e.Paths, d, d.Scheduler, known)
 		}

@@ -1,7 +1,6 @@
 package selector
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sync"
@@ -35,14 +34,20 @@ import (
 // for 2×StaleAfter is dropped by its shard's next sweep, and from then
 // on it is unknown, as a site never seen is.
 type Store struct {
-	shards []storeShard
-	mask   uint64
+	shards [shardCount]storeShard
 
-	policy     Selector
 	halfLife   time.Duration
-	gain       float64
 	staleAfter time.Duration
 }
+
+const (
+	// shardCount is the number of shards, a power of two so that
+	// shard selection is a mask.
+	shardCount = 64
+	// gain is the EWMA weight of a fresh telemetry sample against the
+	// decayed history.
+	gain = 0.3
+)
 
 // storeShard is one lock domain. Its sites live in flat arrays of
 // records that hold no pointers, linked by 1-based indices (0 ends a
@@ -143,18 +148,12 @@ func (x *siteIndex) insert(h uint64, i uint32) {
 	x.put(h>>32<<32 | uint64(i))
 }
 
-// StoreConfig configures a Store. The zero value is usable: 64
-// shards, a 30 s half-life, a 0.3 EWMA gain and the default policy.
+// StoreConfig configures a Store's decay. The zero value is usable: a
+// 30 s half-life and a staleness floor of 8 half-lives.
 type StoreConfig struct {
-	// Shards is the shard count, rounded up to a power of two
-	// (default 64).
-	Shards int
 	// HalfLife is the silence after which a path's throughput
 	// estimate has decayed to half (default 30 s).
 	HalfLife time.Duration
-	// Gain is the EWMA weight of a fresh sample against the decayed
-	// history, in (0, 1] (default 0.3).
-	Gain float64
 	// StaleAfter is the staleness floor: when every path of a site has
 	// been silent at least this long at decide time, the estimate is
 	// too decayed to justify opening extra subflows, and Decide
@@ -163,54 +162,25 @@ type StoreConfig struct {
 	// throughput estimates retain under 0.4% of their last sample).
 	// After twice this long the site is forgotten altogether.
 	StaleAfter time.Duration
-	// Policy is the Selector evaluated by Decide.
-	Policy Selector
 }
 
-// MaxShards is the largest shard count a Store takes: 4,096 shards are
-// about 1 MB before the first site arrives.
-const MaxShards = 4096
-
-// NewStore builds an empty sharded store. It panics on more than
-// MaxShards shards.
+// NewStore builds an empty sharded store.
 func NewStore(cfg StoreConfig) *Store {
-	n := cfg.Shards
-	if n <= 0 {
-		n = 64
-	}
-	if n > MaxShards {
-		panic(fmt.Sprintf("selector: %d shards, want at most MaxShards (%d)", n, MaxShards))
-	}
-	// Round up to a power of two so shard selection is a mask.
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
 	if cfg.HalfLife <= 0 {
 		cfg.HalfLife = 30 * time.Second
-	}
-	if cfg.Gain <= 0 || cfg.Gain > 1 {
-		cfg.Gain = 0.3
 	}
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 8 * cfg.HalfLife
 	}
-	st := &Store{
-		shards:     make([]storeShard, pow),
-		mask:       uint64(pow - 1),
-		policy:     cfg.Policy,
-		halfLife:   cfg.HalfLife,
-		gain:       cfg.Gain,
-		staleAfter: cfg.StaleAfter,
-	}
+	st := &Store{halfLife: cfg.HalfLife, staleAfter: cfg.StaleAfter}
 	for i := range st.shards {
 		st.shards[i].index.init(minIndexSlots)
 	}
 	return st
 }
 
-// ShardCount returns the (power-of-two) shard count.
-func (st *Store) ShardCount() int { return len(st.shards) }
+// ShardCount returns the shard count (/v1/stats reports it).
+func (st *Store) ShardCount() int { return shardCount }
 
 // siteHash is FNV-1a-64 over the raw bytes of a site name: no
 // allocation, no conversion. Its low bits pick the shard and its top 32
@@ -230,7 +200,7 @@ func siteHash(site []byte) uint64 {
 
 // shardOf returns the shard owning a site name.
 func (st *Store) shardOf(site []byte) *storeShard {
-	return &st.shards[siteHash(site)&st.mask]
+	return &st.shards[siteHash(site)%shardCount]
 }
 
 // key returns the name of site i (0-based).
@@ -305,7 +275,7 @@ func (st *Store) decayFactor(age time.Duration) float64 {
 
 // Observe folds one telemetry sample into the named site's estimate
 // at monotonic instant `at`. The stored history is first decayed to
-// `at`, then blended with the sample at the configured gain, so a
+// `at`, then blended with the sample at the EWMA gain, so a
 // burst of samples converges quickly while a stale estimate fades on
 // its own. Site and path arrive as byte slices straight out of a
 // request buffer; a new site's name is copied into the shard's key
@@ -324,7 +294,7 @@ func (st *Store) Observe(site, path []byte, mbps float64, rtt time.Duration, at 
 //
 //multinet:hotpath
 func (st *Store) observe(h uint64, site, path []byte, mbps float64, rtt, at time.Duration) {
-	sh := &st.shards[h&st.mask]
+	sh := &st.shards[h%shardCount]
 	sh.mu.Lock()
 	if at-sh.sweptAt >= st.staleAfter {
 		st.sweep(sh, at)
@@ -339,10 +309,10 @@ func (st *Store) observe(h uint64, site, path []byte, mbps float64, rtt, at time
 		if sh.names[p.name] == string(path) {
 			w := st.decayFactor(at - p.lastAt)
 			decayed := p.mbps * w
-			p.mbps = decayed + st.gain*(mbps-decayed)
+			p.mbps = decayed + gain*(mbps-decayed)
 			// RTT is a latency, not a budget: it goes stale but does
 			// not shrink with silence, so it is EWMA'd without decay.
-			p.rtt += time.Duration(st.gain * float64(rtt-p.rtt))
+			p.rtt += time.Duration(gain * float64(rtt-p.rtt))
 			p.lastAt = at
 			sh.mu.Unlock()
 			return
@@ -491,7 +461,7 @@ func (st *Store) Decide(site []byte, flowBytes int, at time.Duration, d *Decisio
 //
 //multinet:hotpath
 func (st *Store) decide(h uint64, site []byte, flowBytes int, at time.Duration, d *Decision) bool {
-	sh := &st.shards[h&st.mask]
+	sh := &st.shards[h%shardCount]
 	sh.mu.Lock()
 	i := sh.find(h, site)
 	if i == 0 {
@@ -511,7 +481,7 @@ func (st *Store) decide(h uint64, site []byte, flowBytes int, at time.Duration, 
 	sh.mu.Unlock()
 	// DecideInto re-sorts d.ranked in place: handing it an Estimate
 	// aliasing its own scratch is the designed zero-copy path.
-	st.policy.DecideInto(d, Estimate{Paths: d.ranked}, flowBytes)
+	DecideInto(d, Estimate{Paths: d.ranked}, flowBytes)
 	if len(d.ranked) > 0 && newest >= st.staleAfter {
 		d.UseMPTCP = false
 		d.CC = mptcp.Decoupled
@@ -568,7 +538,7 @@ func (st *Store) Estimate(site string, at time.Duration) (Estimate, bool) {
 
 // estimate is Estimate with the site's hash supplied.
 func (st *Store) estimate(h uint64, site string, at time.Duration) (Estimate, bool) {
-	sh := &st.shards[h&st.mask]
+	sh := &st.shards[h%shardCount]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	i := sh.find(h, []byte(site))

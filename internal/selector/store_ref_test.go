@@ -18,9 +18,8 @@ import (
 // eviction rule: on the same per-shard schedule, delete every site
 // whose newest sample is 2×StaleAfter old.
 type refStore struct {
-	shards []refShard
-	mask   uint64
-	st     *Store // configuration only: halfLife, gain, staleAfter, policy
+	shards [shardCount]refShard
+	st     *Store // configuration only: halfLife, staleAfter
 }
 
 type refShard struct {
@@ -35,7 +34,7 @@ type refSite struct {
 }
 
 func newRefStore(st *Store) *refStore {
-	r := &refStore{shards: make([]refShard, len(st.shards)), mask: st.mask, st: st}
+	r := &refStore{st: st}
 	for i := range r.shards {
 		r.shards[i].sites = map[string]*refSite{}
 	}
@@ -43,7 +42,7 @@ func newRefStore(st *Store) *refStore {
 }
 
 func (r *refStore) shard(site string) *refShard {
-	return &r.shards[siteHash([]byte(site))&r.mask]
+	return &r.shards[siteHash([]byte(site))%shardCount]
 }
 
 func (r *refStore) observe(site, path string, mbps float64, rtt, at time.Duration) {
@@ -60,8 +59,8 @@ func (r *refStore) observe(site, path string, mbps float64, rtt, at time.Duratio
 		if path == s.paths[i].Name {
 			w := r.st.decayFactor(at - s.lastAt[i])
 			decayed := s.paths[i].Mbps * w
-			s.paths[i].Mbps = decayed + r.st.gain*(mbps-decayed)
-			s.paths[i].RTT += time.Duration(r.st.gain * float64(rtt-s.paths[i].RTT))
+			s.paths[i].Mbps = decayed + gain*(mbps-decayed)
+			s.paths[i].RTT += time.Duration(gain * float64(rtt-s.paths[i].RTT))
 			s.lastAt[i] = at
 			return
 		}
@@ -117,7 +116,7 @@ func (r *refStore) decide(site string, flowBytes int, at time.Duration) (Decisio
 		p.Mbps *= r.st.decayFactor(age)
 		ranked = append(ranked, p)
 	}
-	d := r.st.policy.Decide(Estimate{Paths: ranked}, flowBytes)
+	d := Decide(Estimate{Paths: ranked}, flowBytes)
 	if len(ranked) > 0 && newest >= r.st.staleAfter {
 		d.UseMPTCP = false
 		d.CC = mptcp.Decoupled
@@ -171,17 +170,12 @@ func sameEstimate(a, b Estimate) bool {
 // clock mostly creeps but sometimes jumps past the eviction horizon or
 // runs backwards (out-of-order telemetry), and rates repeat often
 // enough for ranking ties, so sweeps evict, compact and relink on
-// every seed.
+// every seed. The sites are named onto four shards, a dozen to each.
 func TestStoreMatchesReference(t *testing.T) {
 	pool := []string{"wifi", "lte", "wlan-2", "lte-b", "ethernet"}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		st := NewStore(StoreConfig{
-			Shards:     4,
-			HalfLife:   2 * time.Second,
-			StaleAfter: 5 * time.Second,
-			Policy:     Selector{HoLAwareDisparity: 2},
-		})
+		st := NewStore(StoreConfig{HalfLife: 2 * time.Second, StaleAfter: 5 * time.Second})
 		ref := newRefStore(st)
 		sites := make([]string, 48)
 		width := make([]int, len(sites))
@@ -190,6 +184,7 @@ func TestStoreMatchesReference(t *testing.T) {
 			if i%3 == 0 {
 				sites[i] = fmt.Sprintf("a-much-longer-site-name-%d", i)
 			}
+			sites[i] = st.onShard(i%4, sites[i])
 			width[i] = 1 + rng.Intn(len(pool))
 		}
 		at := time.Second

@@ -2,7 +2,6 @@ package selector
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -33,19 +32,34 @@ func TestStoreObserveDecideRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreEWMAConverges holds the blend to the fixed 0.3 gain: from a
+// first sample of 0 Mbit/s and 0 ms, each sample of 10 Mbit/s and 20 ms
+// at the same instant (so nothing decays) closes 30 % of the remaining
+// gap, bit for bit as the formula computes it, and 20 samples come
+// within 0.1 % of the target.
 func TestStoreEWMAConverges(t *testing.T) {
-	st := testStore(StoreConfig{Gain: 0.5})
+	st := testStore(StoreConfig{})
 	at := time.Second
-	for i := 0; i < 20; i++ {
+	st.Observe([]byte("s"), []byte("wifi"), 0, 0, at)
+	var mbps float64
+	var rtt time.Duration
+	for i := 1; i <= 20; i++ {
 		st.Observe([]byte("s"), []byte("wifi"), 10, 20*time.Millisecond, at)
-		at += 100 * time.Millisecond
+		mbps += 0.3 * (10 - mbps)
+		rtt += time.Duration(0.3 * float64(20*time.Millisecond-rtt))
+		e, ok := st.Estimate("s", at)
+		if !ok {
+			t.Fatal("site missing")
+		}
+		if p := e.Paths[0]; p.Mbps != mbps || p.RTT != rtt {
+			t.Fatalf("after %d samples of 10 Mbit/s, 20 ms: %v Mbit/s, %v; want %v, %v at gain 0.3", i, p.Mbps, p.RTT, mbps, rtt)
+		}
+		if i == 1 && mbps != 3 {
+			t.Fatalf("one sample of 10 over 0 = %v, want 3", mbps)
+		}
 	}
-	e, ok := st.Estimate("s", at)
-	if !ok {
-		t.Fatal("site missing")
-	}
-	if m := e.Mbps("wifi"); m < 9 || m > 10 {
-		t.Fatalf("EWMA after 20 samples of 10 = %v, want near 10", m)
+	if mbps < 9.99 || mbps > 10 {
+		t.Fatalf("EWMA after 20 samples of 10 = %v, want near 10", mbps)
 	}
 }
 
@@ -102,26 +116,14 @@ func TestStoreOutOfOrderTelemetryClamps(t *testing.T) {
 }
 
 func TestStoreShardIndependence(t *testing.T) {
-	st := testStore(StoreConfig{Shards: 4})
-	if st.ShardCount() != 4 {
+	st := testStore(StoreConfig{})
+	if st.ShardCount() != 64 {
 		t.Fatalf("shards = %d", st.ShardCount())
 	}
-	// Find two sites that land on different shards.
-	shardOf := func(name string) *storeShard { return st.shardOf([]byte(name)) }
-	a := "site-a"
-	b := ""
-	for i := 0; i < 1000; i++ {
-		cand := fmt.Sprintf("site-%d", i)
-		if shardOf(cand) != shardOf(a) {
-			b = cand
-			break
-		}
-	}
-	if b == "" {
-		t.Fatal("no second shard hit in 1000 names")
-	}
+	// Two sites on different shards.
+	a, b := st.onShard(0, "site-a"), st.onShard(1, "site-b")
 	// Hold one shard's lock; the other site's traffic must proceed.
-	sh := shardOf(a)
+	sh := st.shardOf([]byte(a))
 	sh.mu.Lock()
 	done := make(chan struct{})
 	go func() {
@@ -136,31 +138,6 @@ func TestStoreShardIndependence(t *testing.T) {
 		t.Fatal("cross-shard traffic blocked by a held shard lock")
 	}
 	sh.mu.Unlock()
-}
-
-func TestStoreShardRounding(t *testing.T) {
-	if n := testStore(StoreConfig{Shards: 3}).ShardCount(); n != 4 {
-		t.Fatalf("3 rounds to %d, want 4", n)
-	}
-	if n := testStore(StoreConfig{}).ShardCount(); n != 64 {
-		t.Fatalf("default shards = %d, want 64", n)
-	}
-	if n := testStore(StoreConfig{Shards: MaxShards}).ShardCount(); n != MaxShards {
-		t.Fatalf("MaxShards rounds to %d, want %d", n, MaxShards)
-	}
-	// Past the bound NewStore refuses before it rounds: the rounding
-	// loop never ends for a count above 1<<62, and a count just under
-	// that asks for more shards than any host can hold.
-	for _, n := range []int{MaxShards + 1, math.MaxInt} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "MaxShards") {
-					t.Errorf("NewStore with %d shards: recovered %v, want a panic naming MaxShards", n, r)
-				}
-			}()
-			testStore(StoreConfig{Shards: n})
-		}()
-	}
 }
 
 func TestStoreSites(t *testing.T) {
@@ -178,7 +155,7 @@ func TestStoreSites(t *testing.T) {
 }
 
 func TestStoreConcurrentTraffic(t *testing.T) {
-	st := testStore(StoreConfig{Shards: 8})
+	st := testStore(StoreConfig{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -203,21 +180,31 @@ func TestStoreConcurrentTraffic(t *testing.T) {
 // TestStoreConcurrentSweeps runs telemetry and decides from several
 // goroutines on shared shards, each on its own clock, so that sweeps
 // evict and compact under the traffic (a goroutine far ahead forgets
-// the sites of one far behind). Every answer must be a site's own, and
-// afterwards every site listed must still be whole.
+// the sites of one far behind). Every name is on one of four shards, so
+// each shard takes the traffic of every goroutine. Every answer must be
+// a site's own, and afterwards every site listed must still be whole.
 func TestStoreConcurrentSweeps(t *testing.T) {
-	st := testStore(StoreConfig{Shards: 4, HalfLife: 100 * time.Millisecond, StaleAfter: time.Second})
+	st := testStore(StoreConfig{HalfLife: 100 * time.Millisecond, StaleAfter: time.Second})
+	const steps = 3000
+	keep := make([][]byte, 8)
+	churn := make([][][]byte, len(keep))
+	for g := range keep {
+		keep[g] = []byte(st.onShard(g%4, fmt.Sprintf("keep-%d", g)))
+		for i := 0; i < steps; i++ {
+			churn[g] = append(churn[g], []byte(st.onShard((g+i)%4, fmt.Sprintf("churn-%d-%d", g, i))))
+		}
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := range keep {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			var d Decision
-			keep := []byte(fmt.Sprintf("keep-%d", g))
-			for i := 0; i < 3000; i++ {
+			keep := keep[g]
+			for i := 0; i < steps; i++ {
 				at := time.Duration(i) * time.Duration(g+1) * 5 * time.Millisecond
 				st.Observe(keep, []byte("wifi"), 6, 20*time.Millisecond, at)
-				st.Observe([]byte(fmt.Sprintf("churn-%d-%d", g, i)), []byte("lte"), 5, 40*time.Millisecond, at)
+				st.Observe(churn[g][i], []byte("lte"), 5, 40*time.Millisecond, at)
 				if st.Decide(keep, 5<<20, at, &d) && (len(d.Paths) != 1 || d.Paths[0] != "wifi") {
 					t.Errorf("goroutine %d step %d: decision %+v", g, i, d)
 					return
@@ -317,13 +304,14 @@ func TestStoreStaleTelemetryFloor(t *testing.T) {
 // nothing but collisions in it. A sweep then drops half of them and
 // re-indexes the rest under their real hashes.
 func TestStoreForcedCollision(t *testing.T) {
-	// One shard: after the sweep the sites are found by their real
-	// hashes, which must pick the shard the forced one did.
-	st := testStore(StoreConfig{Shards: 1, HalfLife: time.Second, StaleAfter: 10 * time.Second})
+	st := testStore(StoreConfig{HalfLife: time.Second, StaleAfter: 10 * time.Second})
 	const h = 0x5eed
+	// After the sweep the sites are found by their real hashes, which
+	// must pick the shard the forced one did.
+	shard := int(h % shardCount)
 	var names []string
 	for i := 0; i < 12; i++ {
-		names = append(names, fmt.Sprintf("site-%d%s", i, strings.Repeat("-", i)))
+		names = append(names, st.onShard(shard, fmt.Sprintf("site-%d%s", i, strings.Repeat("-", i))))
 	}
 	for i, name := range names {
 		at := 10 * time.Second // sweeps the empty shard once, at the first sample
@@ -334,7 +322,7 @@ func TestStoreForcedCollision(t *testing.T) {
 		st.observe(h, []byte(name), []byte("lte"), float64(20+i), 40*time.Millisecond, at)
 	}
 	st.observe(h, []byte(names[1]), []byte("wifi"), 50, 20*time.Millisecond, 20*time.Second)
-	sh := &st.shards[h&st.mask]
+	sh := &st.shards[shard]
 	if st.Sites() != len(names) || sh.index.n != len(names) || len(sh.index.slots) != 16 {
 		t.Fatalf("Sites %d, index %d of %d slots: want %d sites in 16 slots", st.Sites(), sh.index.n, len(sh.index.slots), len(names))
 	}
@@ -354,13 +342,15 @@ func TestStoreForcedCollision(t *testing.T) {
 		}
 	}
 	var d Decision
-	for _, ghost := range []string{"site-12", "site-1", "site-1--", ""} {
+	// A prefix and an extension of a held name, a name never made, and
+	// the empty name.
+	for _, ghost := range []string{names[1][:len(names[1])-1], names[1] + "-", "site-12", ""} {
 		if st.decide(h, []byte(ghost), 1, at, &d) {
 			t.Fatalf("%q, never observed, matched a colliding site", ghost)
 		}
 	}
 	// The even sites are 20 s silent at 30 s: the sweep drops them.
-	st.Observe([]byte("trigger"), []byte("wifi"), 1, 0, 30*time.Second)
+	st.Observe([]byte(st.onShard(shard, "trigger")), []byte("wifi"), 1, 0, 30*time.Second)
 	for i, name := range names {
 		if got := st.Decide([]byte(name), 5<<20, 30*time.Second, &d); got != (i%2 == 1) {
 			t.Fatalf("%s after the sweep: known = %v", name, got)
@@ -371,11 +361,11 @@ func TestStoreForcedCollision(t *testing.T) {
 	}
 }
 
-// sweepStore is a one-shard store whose sweeps are easy to schedule:
-// StaleAfter is 10 s, so sites are forgotten 20 s after their newest
-// sample.
+// sweepStore is a store whose sweeps are easy to schedule: StaleAfter
+// is 10 s, so sites are forgotten 20 s after their newest sample. The
+// sweep tests put all their sites on shard 0 (see onShard).
 func sweepStore() *Store {
-	return testStore(StoreConfig{Shards: 1, HalfLife: 2 * time.Second, StaleAfter: 10 * time.Second})
+	return testStore(StoreConfig{HalfLife: 2 * time.Second, StaleAfter: 10 * time.Second})
 }
 
 // TestStoreEvictionHorizon pins the horizon to the nanosecond: a site
@@ -392,16 +382,17 @@ func TestStoreEvictionHorizon(t *testing.T) {
 		{2 * stale, false, 1},
 	} {
 		st := sweepStore()
+		old, nw := st.onShard(0, "old"), st.onShard(0, "new")
 		t0 := stale // the first Observe at t0 sweeps an empty shard
-		st.Observe([]byte("old"), []byte("wifi"), 5, 20*time.Millisecond, t0)
-		st.Observe([]byte("old"), []byte("lte"), 5, 40*time.Millisecond, t0-time.Second)
+		st.Observe([]byte(old), []byte("wifi"), 5, 20*time.Millisecond, t0)
+		st.Observe([]byte(old), []byte("lte"), 5, 40*time.Millisecond, t0-time.Second)
 		// Any sample StaleAfter after the last sweep sweeps the shard.
-		st.Observe([]byte("new"), []byte("wifi"), 5, 20*time.Millisecond, t0+tc.age)
+		st.Observe([]byte(nw), []byte("wifi"), 5, 20*time.Millisecond, t0+tc.age)
 		var d Decision
-		if got := st.Decide([]byte("old"), 1, t0+tc.age, &d); got != tc.survives {
+		if got := st.Decide([]byte(old), 1, t0+tc.age, &d); got != tc.survives {
 			t.Fatalf("age %v: Decide(old) = %v, want %v", tc.age, got, tc.survives)
 		}
-		if _, got := st.Estimate("old", t0+tc.age); got != tc.survives {
+		if _, got := st.Estimate(old, t0+tc.age); got != tc.survives {
 			t.Fatalf("age %v: Estimate(old) = %v, want %v", tc.age, got, tc.survives)
 		}
 		if st.Sites() != tc.wantSites || st.Sites()+st.Evicted() != 2 {
@@ -415,13 +406,14 @@ func TestStoreEvictionHorizon(t *testing.T) {
 func TestStoreSweepAtMostOncePerStaleAfter(t *testing.T) {
 	const stale = 10 * time.Second
 	st := sweepStore()
-	st.Observe([]byte("a"), []byte("wifi"), 5, 0, 0)
-	st.Observe([]byte("b"), []byte("wifi"), 5, 0, stale+time.Second) // sweeps at 11 s: a is 11 s old
-	st.Observe([]byte("b"), []byte("wifi"), 5, 0, 2*stale)           // 9 s after that sweep: none
+	a, b := []byte(st.onShard(0, "a")), []byte(st.onShard(0, "b"))
+	st.Observe(a, []byte("wifi"), 5, 0, 0)
+	st.Observe(b, []byte("wifi"), 5, 0, stale+time.Second) // sweeps at 11 s: a is 11 s old
+	st.Observe(b, []byte("wifi"), 5, 0, 2*stale)           // 9 s after that sweep: none
 	if st.Evicted() != 0 || st.Sites() != 2 {
 		t.Fatalf("Sites/Evicted = %d/%d, want 2/0", st.Sites(), st.Evicted())
 	}
-	st.Observe([]byte("b"), []byte("wifi"), 5, 0, 2*stale+time.Second) // sweeps at 21 s: a is 21 s old
+	st.Observe(b, []byte("wifi"), 5, 0, 2*stale+time.Second) // sweeps at 21 s: a is 21 s old
 	if st.Evicted() != 1 || st.Sites() != 1 {
 		t.Fatalf("Sites/Evicted = %d/%d, want 1/1", st.Sites(), st.Evicted())
 	}
@@ -438,7 +430,7 @@ func TestStoreSweepKeepsSurvivors(t *testing.T) {
 	paths := []string{"wifi", "lte", "wlan-2", "lte-b", "eth-0", "eth-1"}
 	var sites []string
 	for i := 0; i < 12; i++ {
-		sites = append(sites, fmt.Sprintf("site-%d%s", i, strings.Repeat("x", i)))
+		sites = append(sites, st.onShard(0, fmt.Sprintf("site-%d%s", i, strings.Repeat("x", i))))
 	}
 	t0 := stale
 	// Round k reports path k of every site that has one; odd sites (to
@@ -481,7 +473,7 @@ func TestStoreSweepKeepsSurvivors(t *testing.T) {
 		s.e, _ = st.Estimate(site, at)
 		before[site] = s
 	}
-	st.Observe([]byte("trigger"), []byte("wifi"), 1, 0, at)
+	st.Observe([]byte(st.onShard(0, "trigger")), []byte("wifi"), 1, 0, at)
 	if st.Evicted() != len(sites)/2 || st.Sites() != len(sites)/2+1 {
 		t.Fatalf("Sites/Evicted = %d/%d after the sweep", st.Sites(), st.Evicted())
 	}
@@ -521,13 +513,19 @@ func TestStoreSweepZeroAlloc(t *testing.T) {
 	const stale = 10 * time.Second
 	st := sweepStore()
 	wifi, lte := []byte("wifi"), []byte("lte")
-	var buf [16]byte
+	// Three batches of names on shard 0, named ahead of the measured
+	// cycles.
+	var names [3][][]byte
+	for b := range names {
+		for i := 0; i < 300; i++ {
+			names[b] = append(names[b], []byte(st.onShard(0, fmt.Sprintf("b%d-%d", b, i))))
+		}
+	}
 	at, batch := time.Duration(0), 0
 	cycle := func() {
 		at += stale
 		batch++
-		for i := 0; i < 300; i++ {
-			site := strconv.AppendInt(append(buf[:0], 'b', byte('0'+batch%3), '-'), int64(i), 10)
+		for _, site := range names[batch%3] {
 			st.Observe(site, wifi, 5, 20*time.Millisecond, at)
 			st.Observe(site, lte, 4, 40*time.Millisecond, at)
 		}
@@ -548,7 +546,7 @@ func TestStoreSweepZeroAlloc(t *testing.T) {
 // stretch of injected time across many shards: every site ever seen is
 // either still held or counted as evicted.
 func TestStoreSitesAndEvictedAddUp(t *testing.T) {
-	st := testStore(StoreConfig{Shards: 8, HalfLife: time.Second, StaleAfter: 4 * time.Second})
+	st := testStore(StoreConfig{HalfLife: time.Second, StaleAfter: 4 * time.Second})
 	for i := 0; i < 5000; i++ {
 		at := time.Duration(i) * 10 * time.Millisecond
 		st.Observe([]byte(fmt.Sprintf("site-%d", i)), []byte("wifi"), 5, 0, at)

@@ -56,7 +56,7 @@ func FuzzTelemetryBytes(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		site, path, mbps, rtt, ok := httpd.ScanTelemetry(bytes.Clone(body))
-		s, clk := newTestServer(selector.StoreConfig{Shards: 1})
+		s, clk := newTestServer(selector.StoreConfig{})
 		if got := s.TelemetryBytes(bytes.Clone(body), &Scratch{}); got != http.StatusNoContent && got != http.StatusBadRequest || ok != (got == http.StatusNoContent) {
 			t.Fatalf("%q: TelemetryBytes = %d, scanner ok = %v", body, got, ok)
 		}
@@ -98,7 +98,7 @@ func FuzzDecideBytes(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		site, flowBytes, ok := httpd.ScanDecide(bytes.Clone(body))
-		s, _ := newTestServer(selector.StoreConfig{Shards: 1})
+		s, _ := newTestServer(selector.StoreConfig{})
 		if got := s.DecideBytes(bytes.Clone(body), &Scratch{}); got != http.StatusNotFound && got != http.StatusBadRequest || ok != (got == http.StatusNotFound) {
 			t.Fatalf("%q: DecideBytes = %d, scanner ok = %v", body, got, ok)
 		}

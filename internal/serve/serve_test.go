@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -27,6 +28,22 @@ func newTestServer(cfg selector.StoreConfig) (testServer, *fakeClock) {
 	clk := &fakeClock{at: time.Second}
 	store := selector.NewStore(cfg)
 	return testServer{New(Config{Store: store, Now: clk.now}), store}, clk
+}
+
+// siteBeside returns base, or base with the smallest suffix "-k", such
+// that the store keeps it on other's shard (same) or on another one.
+func siteBeside(st *selector.Store, base, other string, same bool) string {
+	for k := 0; ; k++ {
+		name := base
+		if k > 0 {
+			name = fmt.Sprintf("%s-%d", base, k)
+		}
+		unlock, cross := st.LockSiteShard([]byte(other), []byte(name))
+		unlock()
+		if cross != same {
+			return name
+		}
+	}
 }
 
 func post(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
@@ -158,19 +175,20 @@ func TestServeDecayUnderInjectedClock(t *testing.T) {
 // TestServeShardIndependence holds one shard's lock and proves traffic
 // for a site on another shard still completes through the HTTP layer.
 func TestServeShardIndependence(t *testing.T) {
-	s, _ := newTestServer(selector.StoreConfig{Shards: 4})
+	s, _ := newTestServer(selector.StoreConfig{})
 	h := s.Handler()
+	b := siteBeside(s.store, "site-b", "site-a", false)
 
 	post(t, h, "/v1/telemetry", `{"site":"site-a","path":"wifi","mbps":5,"rtt_ms":20}`)
-	post(t, h, "/v1/telemetry", `{"site":"site-b","path":"wifi","mbps":5,"rtt_ms":20}`)
+	post(t, h, "/v1/telemetry", `{"site":"`+b+`","path":"wifi","mbps":5,"rtt_ms":20}`)
 
-	unlock, cross := s.store.LockSiteShard([]byte("site-a"), []byte("site-b"))
+	unlock, cross := s.store.LockSiteShard([]byte("site-a"), []byte(b))
 	if !cross {
-		t.Skip("site-a and site-b hash to the same shard in this build")
+		t.Fatalf("site-a and %s share a shard", b)
 	}
 	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		done <- post(t, h, "/v1/decide", `{"site":"site-b","flow_bytes":1048576}`)
+		done <- post(t, h, "/v1/decide", `{"site":"`+b+`","flow_bytes":1048576}`)
 	}()
 	select {
 	case w := <-done:
@@ -184,7 +202,7 @@ func TestServeShardIndependence(t *testing.T) {
 }
 
 func TestServeStatsAndHealth(t *testing.T) {
-	s, _ := newTestServer(selector.StoreConfig{Shards: 8})
+	s, _ := newTestServer(selector.StoreConfig{})
 	h := s.Handler()
 	post(t, h, "/v1/telemetry", `{"site":"cdn","path":"wifi","mbps":5,"rtt_ms":20}`)
 	post(t, h, "/v1/decide", `{"site":"cdn","flow_bytes":1048576}`)
@@ -195,7 +213,7 @@ func TestServeStatsAndHealth(t *testing.T) {
 	}
 	w = get(t, h, "/v1/stats")
 	body := w.Body.String()
-	for _, want := range []string{`"decides":1`, `"telemetry":1`, `"sites":1`, `"evicted":0`, `"shards":8`} {
+	for _, want := range []string{`"decides":1`, `"telemetry":1`, `"sites":1`, `"evicted":0`, `"shards":64`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("stats %q missing %q", body, want)
 		}
@@ -206,7 +224,7 @@ func TestServeDrainingHealth(t *testing.T) {
 	// Graceful degradation: once shutdown begins, the health check
 	// flips to 503/draining so balancers stop routing here, while the
 	// data endpoints keep answering in-flight traffic.
-	s, _ := newTestServer(selector.StoreConfig{Shards: 8})
+	s, _ := newTestServer(selector.StoreConfig{})
 	h := s.Handler()
 	s.SetDraining(true)
 	w := get(t, h, "/v1/healthz")
@@ -381,14 +399,16 @@ func TestServeStrictScanner(t *testing.T) {
 }
 
 // TestServeEvictedSiteIsUnknown: a site silent for 2×StaleAfter is
-// forgotten by the next sweep of its shard, answers 404 like a site
-// never seen, and /v1/stats counts it as evicted.
+// forgotten by the next sweep of its shard (here, by a sample for a
+// site on the same shard), answers 404 like a site never seen, and
+// /v1/stats counts it as evicted.
 func TestServeEvictedSiteIsUnknown(t *testing.T) {
-	s, clk := newTestServer(selector.StoreConfig{Shards: 1, StaleAfter: 10 * time.Second})
+	s, clk := newTestServer(selector.StoreConfig{StaleAfter: 10 * time.Second})
 	h := s.Handler()
+	edge := siteBeside(s.store, "edge", "cdn", true)
 	post(t, h, "/v1/telemetry", `{"site":"cdn","path":"wifi","mbps":5,"rtt_ms":20}`)
 	clk.at += 20 * time.Second
-	post(t, h, "/v1/telemetry", `{"site":"edge","path":"wifi","mbps":5,"rtt_ms":20}`)
+	post(t, h, "/v1/telemetry", `{"site":"`+edge+`","path":"wifi","mbps":5,"rtt_ms":20}`)
 	w := post(t, h, "/v1/decide", `{"site":"cdn","flow_bytes":1048576}`)
 	if w.Code != http.StatusNotFound || w.Body.String() != `{"error":"unknown site"}`+"\n" {
 		t.Fatalf("evicted site: %d %q", w.Code, w.Body.String())

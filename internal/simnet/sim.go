@@ -205,8 +205,9 @@ func (a *arena) reset() {
 // with. Put does not clear the object: the owner of T knows which fields
 // hold references.
 //
-// The list also counts what its world has out (Live), which is how the
-// invariant checker finds a leak: an object taken and never put back.
+// The list also counts what its world has out (Live), which is how
+// netem.Host.Audit's packet-leak rule finds a leak: a packet taken and
+// never put back.
 type FreeList[T any] struct {
 	items []*T //multinet:owns — freed objects awaiting reuse
 	// owned counts the objects this world has of the list, held or out:
